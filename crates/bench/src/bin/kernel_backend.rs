@@ -14,10 +14,11 @@
 //! virtual time: the backend only changes how the execute phase runs on
 //! the host, so modeled statistics are backend-invariant by construction
 //! (asserted — along with bit-for-bit output identity — before any
-//! measurement is reported).  Numbers are honest 1-CPU numbers:
-//! sequential execution (`parallel_workers = 0`), median of many
-//! steady-state repeats after warmup (warmup absorbs the one-time
-//! compiles).  Two wall-clock views per configuration:
+//! measurement is reported).  The recorded numbers are honest 1-CPU
+//! numbers (no launch is split across cores on one CPU; on more, both
+//! backends' big launches split alike), median of many steady-state
+//! repeats after warmup (warmup absorbs the one-time compiles).  Three
+//! wall-clock views per configuration:
 //!
 //! * `kexec_ms` — the kernel *execute* phase (`RuntimeStats::
 //!   exec_wall_us`): exactly the work the backend replaces — interpreter

@@ -7,15 +7,12 @@
 //! savings, and speedup versus the serialized baseline.  The serialized
 //! configuration (`streams=1`, no copy engine, no host overlap) is the
 //! legacy scalar accumulation bit-for-bit, so its column is exactly the
-//! numbers every other bench records.
+//! numbers every other bench records.  Outputs are asserted bit-for-bit
+//! identical across configurations first — overlap changes *when* modeled
+//! work happens, never *what* is computed.
 //!
-//! Part B — **real** worker-pool measurement: the same workload executes
-//! its batched CPU kernels on the parallel worker pool and wall-clock time
-//! is recorded.  Outputs are asserted bit-for-bit identical across all
-//! configurations first — overlap changes *when* modeled work happens,
-//! never *what* is computed.  Wall-clock speedup is reported honestly for
-//! whatever CPU count the bench host has (a single-CPU container cannot
-//! scale).
+//! Real multi-core kernel execution is a wall-clock matter and is measured
+//! by the `tree_kernel` workload of `benchmark/`, not here.
 //!
 //! Writes `bench_results/timeline_overlap.txt`; with `--json` the records
 //! additionally land in `bench_results/BENCH_timeline_overlap.json`.
@@ -23,7 +20,6 @@
 //! `scripts/check.sh` uses).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use acrobat_bench::{
     json_flag, print_table, quick_flag, run_acrobat, suite, write_bench_json, JsonRecord,
@@ -45,11 +41,10 @@ const CONFIGS: [(&str, TimelineOptions); 6] = [
     ("+s8", TimelineOptions { streams: 8, copy_engine: true, host_overlap: true }),
 ];
 
-fn options_with(timeline: TimelineOptions, parallel_workers: usize) -> CompileOptions {
+fn options_with(timeline: TimelineOptions) -> CompileOptions {
     let mut options = CompileOptions::default();
     options.runtime.device_memory = 256 << 20;
     options.runtime.timeline = timeline;
-    options.runtime.parallel_workers = parallel_workers;
     options
 }
 
@@ -59,7 +54,7 @@ fn options_with(timeline: TimelineOptions, parallel_workers: usize) -> CompileOp
 fn assert_outputs_invariant(spec: &ModelSpec, batch: usize, seed: u64) {
     let instances = (spec.make_instances)(seed, batch);
     let run = |timeline: TimelineOptions| {
-        let model = compile(&spec.source, &options_with(timeline, 0))
+        let model = compile(&spec.source, &options_with(timeline))
             .unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name));
         model.run(&spec.params, &instances).unwrap_or_else(|e| panic!("{}: {e}", spec.name)).outputs
     };
@@ -87,7 +82,7 @@ fn main() {
     let specs = suite(ModelSize::Large, quick);
     let mut records: Vec<JsonRecord> = Vec::new();
     let mut out = String::new();
-    writeln!(out, "# timeline_overlap — modeled overlap ablation + real worker pool").unwrap();
+    writeln!(out, "# timeline_overlap — modeled overlap ablation").unwrap();
     writeln!(out, "#").unwrap();
     writeln!(out, "# Part A: modeled latency (ms) under the timeline sweep; speedup is").unwrap();
     writeln!(out, "# vs the serialized baseline (streams=1, no copy engine, no host").unwrap();
@@ -101,7 +96,7 @@ fn main() {
         let mut row = vec![spec.name.to_string()];
         let mut base_ms = None;
         for (config, timeline) in CONFIGS {
-            match run_acrobat(spec, &options_with(timeline, 0), batch, seed) {
+            match run_acrobat(spec, &options_with(timeline), batch, seed) {
                 Ok(m) => {
                     let base = *base_ms.get_or_insert(m.ms);
                     row.push(format!("{:.2} ({:.2}x)", m.ms, base / m.ms));
@@ -130,37 +125,6 @@ fn main() {
     for row in &rows {
         writeln!(out, "{}", row.join("  ")).unwrap();
     }
-
-    // Part B: real wall-clock execution on the worker pool.  The heaviest
-    // instance-parallel model (TreeLSTM) carries the measurement; outputs
-    // were already asserted identical by the differential fuzz suite.
-    let spec = &specs[0];
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    writeln!(out, "#\n## Part B: wall-clock worker-pool execution ({cpus} CPU(s) visible)")
-        .unwrap();
-    let mut base_wall = None;
-    for workers in [0usize, 2, 4] {
-        let options = options_with(TimelineOptions::default(), workers);
-        let wall_ms = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                run_acrobat(spec, &options, batch, seed)
-                    .unwrap_or_else(|e| panic!("{} workers={workers}: {e}", spec.name));
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min);
-        let base = *base_wall.get_or_insert(wall_ms);
-        let line = format!(
-            "workers={workers:<2} wall_ms={wall_ms:>8.2}  speedup_vs_seq={:.2}x",
-            base / wall_ms
-        );
-        println!("{line}");
-        writeln!(out, "{line}").unwrap();
-        let label = format!("worker_pool/workers={workers}");
-        records.push(JsonRecord::new(&label, "wall_ms", wall_ms));
-        records.push(JsonRecord::new(&label, "wall_speedup_vs_seq", base / wall_ms));
-    }
-    records.push(JsonRecord::new("host", "cpus", cpus as f64));
 
     if quick {
         // Smoke mode (scripts/check.sh): the assertions above are the

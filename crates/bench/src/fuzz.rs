@@ -276,15 +276,13 @@ impl FuzzCase {
 }
 
 /// The scheduler/ablation matrix every fuzz case runs under: all three
-/// schedulers × gather-fusion × coarsening × {sequential, 4-worker
-/// parallel execution} × {plan cache off, on} × {broker off, on} ×
-/// {interpreter, specialized kernel backend}, all in checked mode, plus
-/// the unbatched eager configuration (also checked, both cache settings).
-/// The parallel axis must be bit-for-bit invisible: same plan, same
-/// outputs, real threads.  The plan-cache axis must be equally invisible —
-/// and because every configuration is checked, every cache hit the fuzzer
-/// produces passes the cached ≡ freshly-scheduled bit-identity gate
-/// (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
+/// schedulers × gather-fusion × coarsening × {plan cache off, on} ×
+/// {broker off, on} × {interpreter, specialized kernel backend}, all in
+/// checked mode, plus the unbatched eager configuration (also checked,
+/// both cache settings).  The plan-cache axis must be bit-for-bit
+/// invisible — and because every configuration is checked, every cache hit
+/// the fuzzer produces passes the cached ≡ freshly-scheduled bit-identity
+/// gate (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
 /// routes every run through `BatchBroker::submit` and the cohort path
 /// (`acrobat_vm::broker`), which must be equally invisible.  The backend
 /// axis (`be=spec`) compiles every kernel from its first launch
@@ -299,32 +297,28 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
     {
         for gather_fusion in [false, true] {
             for coarsen in [false, true] {
-                for parallel_workers in [0, 4] {
-                    for plan_cache in [false, true] {
-                        for broker in [false, true] {
-                            for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
-                                let mut o = CompileOptions::default().with_checked(true);
-                                o.runtime.scheduler = scheduler;
-                                o.runtime.gather_fusion = gather_fusion;
-                                o.runtime.coarsen = coarsen;
-                                o.runtime.parallel_workers = parallel_workers;
-                                o.runtime.plan_cache = plan_cache;
-                                o.runtime.broker = broker;
-                                o.runtime.backend = backend;
-                                o.runtime.spec_threshold = 1;
-                                let be = match backend {
-                                    KernelBackendKind::Interp => "interp",
-                                    KernelBackendKind::Spec => "spec",
-                                };
-                                out.push((
-                                    format!(
-                                        "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
-                                         /par={parallel_workers}/pc={plan_cache}/br={broker}\
-                                         /be={be}"
-                                    ),
-                                    o,
-                                ));
-                            }
+                for plan_cache in [false, true] {
+                    for broker in [false, true] {
+                        for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
+                            let mut o = CompileOptions::default().with_checked(true);
+                            o.runtime.scheduler = scheduler;
+                            o.runtime.gather_fusion = gather_fusion;
+                            o.runtime.coarsen = coarsen;
+                            o.runtime.plan_cache = plan_cache;
+                            o.runtime.broker = broker;
+                            o.runtime.backend = backend;
+                            o.runtime.spec_threshold = 1;
+                            let be = match backend {
+                                KernelBackendKind::Interp => "interp",
+                                KernelBackendKind::Spec => "spec",
+                            };
+                            out.push((
+                                format!(
+                                    "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
+                                     /pc={plan_cache}/br={broker}/be={be}"
+                                ),
+                                o,
+                            ));
                         }
                     }
                 }

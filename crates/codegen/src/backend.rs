@@ -2,8 +2,10 @@
 //!
 //! Batched kernel launches always go through two phases: *preparation*
 //! ([`crate::exec::prepare_batched_kernel_with`] — sequential, performs the
-//! gather/allocation effects) and *execution* (pure per-lane compute).  This
-//! module abstracts the execution phase behind the [`KernelBackend`] trait:
+//! gather/allocation effects) and *execution* (pure per-lane compute, which
+//! [`Selection::execute_lanes`] can split across threads by lane range).
+//! This module abstracts the execution phase behind the [`KernelBackend`]
+//! trait:
 //!
 //! * [`InterpBackend`] — the reference per-instruction interpreter
 //!   ([`crate::exec::execute_prepared`]), always available, default.
@@ -160,6 +162,61 @@ impl Selection {
             }
         }
     }
+
+    /// Runs the whole execution phase of a prepared launch, split into
+    /// `parts` contiguous lane ranges (clamped to `1..=lanes`).
+    ///
+    /// The calling thread takes range 0 with `scratch[0]`; ranges
+    /// `1..parts` run on scoped threads with `scratch[1..parts]` (grown on
+    /// first use and kept by the caller, so a steady-state split allocates
+    /// no working memory).  Each range writes its own slice of the
+    /// launch's reserved outputs and reads only data produced before the
+    /// launch — the [`ExecView`] contract — so the arena contents are
+    /// bit-identical for every `parts`.  Every range runs to completion;
+    /// when several fail, the lowest range's error is returned, whatever
+    /// the thread timing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] on kernel failures.
+    pub fn execute_lanes(
+        &self,
+        view: &ExecView<'_>,
+        program: &KernelProgram,
+        prep: &PreparedLaunch,
+        parts: usize,
+        scratch: &mut Vec<BackendScratch>,
+        checked: bool,
+    ) -> Result<(), TensorError> {
+        let lanes = prep.batch;
+        let parts = parts.clamp(1, lanes);
+        if scratch.len() < parts {
+            scratch.resize_with(parts, BackendScratch::default);
+        }
+        let (own, helpers) = scratch.split_first_mut().expect("parts >= 1");
+        if parts == 1 {
+            return self.execute(view, program, prep, 0..lanes, own, checked);
+        }
+        // Even contiguous split; every range is non-empty as parts <= lanes.
+        let range = move |p: usize| p * lanes / parts..(p + 1) * lanes / parts;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = helpers[..parts - 1]
+                .iter_mut()
+                .enumerate()
+                .map(|(i, s)| {
+                    scope.spawn(move || self.execute(view, program, prep, range(i + 1), s, checked))
+                })
+                .collect();
+            let mut result = self.execute(view, program, prep, range(0), own, checked);
+            // Joined in range order, so the first error kept is the lowest
+            // range's.  A helper's panic (a checked-mode divergence) is
+            // re-raised with its own message.
+            for handle in handles {
+                result = result.and(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            result
+        })
+    }
 }
 
 /// Snapshots the compiled outputs for `lane_range`, re-executes through the
@@ -209,9 +266,10 @@ fn verify_against_interp(
     Ok(())
 }
 
-/// Reusable per-worker working memory for the execution phase.
+/// Reusable per-thread working memory for the execution phase.
 ///
-/// One instance per execution context (and per parallel worker) kills the
+/// An execution context keeps one instance per lane range it has ever
+/// split a launch into ([`Selection::execute_lanes`]), which kills the
 /// per-launch allocations the interpreter used to make: interpreter
 /// register buffers, the compiled path's flat scratch and tiles, and the
 /// checked-mode snapshot all persist across launches.

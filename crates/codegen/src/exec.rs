@@ -1,7 +1,8 @@
 //! Reference executor for batched kernel programs.
 //!
-//! One call to [`run_batched_kernel`] models one GPU kernel launch executing
-//! a fused kernel program for every instance lane of a batch.  Both §5.2
+//! One launch — [`prepare_batched_kernel_with`] → [`execute_prepared`] →
+//! [`finish_prepared`] — models one GPU kernel launch executing a fused
+//! kernel program for every instance lane of a batch.  Both §5.2
 //! batched-operand styles are supported:
 //!
 //! * [`BatchMode::ExplicitGather`] — scattered per-instance operands are
@@ -19,61 +20,6 @@ use acrobat_tensor::batch::BatchMode;
 use acrobat_tensor::{execute_slices, DeviceMem, DeviceTensor, Shape, TensorError};
 
 use crate::kernel::KernelProgram;
-
-/// Runtime arguments for one batched kernel launch, parallel to
-/// [`KernelProgram::inputs`].
-#[derive(Debug, Clone)]
-pub enum BatchedArg {
-    /// One tensor for the whole batch (input slot is [`ArgClass::Shared`]).
-    Shared(DeviceTensor),
-    /// One tensor per instance (slot is [`ArgClass::Batched`]).
-    Batched(Vec<DeviceTensor>),
-}
-
-/// The full argument vector of a launch.
-#[derive(Debug, Clone, Default)]
-pub struct BatchedArgs {
-    /// Arguments in [`KernelProgram::inputs`] order.
-    pub args: Vec<BatchedArg>,
-}
-
-impl BatchedArgs {
-    /// Borrowed view of the arguments (the owned form is a convenience
-    /// wrapper; execution happens on the borrowed form).
-    pub fn as_ref(&self) -> BatchedArgsRef<'_> {
-        BatchedArgsRef {
-            args: self
-                .args
-                .iter()
-                .map(|a| match a {
-                    BatchedArg::Shared(t) => BatchedArgRef::Shared(t),
-                    BatchedArg::Batched(ts) => BatchedArgRef::Batched(ts.iter().collect()),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Borrowed counterpart of [`BatchedArg`]: the launch reads tensor handles
-/// in place (e.g. straight out of a runtime's DFG value table) instead of
-/// cloning them.  Cloning a `DeviceTensor` heap-allocates its [`Shape`], so
-/// on the flush hot path — every argument of every lane of every batch —
-/// the borrowed form is what keeps binding allocation-free.
-#[derive(Debug, Clone)]
-pub enum BatchedArgRef<'a> {
-    /// One tensor for the whole batch (input slot is [`ArgClass::Shared`]).
-    Shared(&'a DeviceTensor),
-    /// One tensor per instance (slot is [`ArgClass::Batched`]).
-    Batched(Vec<&'a DeviceTensor>),
-}
-
-/// Borrowed argument vector of a launch, parallel to
-/// [`KernelProgram::inputs`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchedArgsRef<'a> {
-    /// Arguments in [`KernelProgram::inputs`] order.
-    pub args: Vec<BatchedArgRef<'a>>,
-}
 
 /// Cost-relevant observations of one launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,7 +59,11 @@ impl KernelLaunchStats {
     }
 }
 
-/// Executes a kernel program for `batch` instance lanes.
+/// Convenience for tests and embedders: one whole launch of `program` over
+/// `batch` lanes on the calling thread —
+/// [`prepare_batched_kernel_with`] + [`execute_prepared`] over every lane +
+/// [`finish_prepared`], the same three phases the runtime's flush path
+/// drives.
 ///
 /// Returns `outputs[slot][lane]` device tensors (each slot's lanes share one
 /// contiguous allocation, so downstream gathers hit the contiguous fast
@@ -123,36 +73,14 @@ impl KernelLaunchStats {
 ///
 /// Returns [`TensorError`] on argument-shape mismatches, arena exhaustion or
 /// kernel failures.
-pub fn run_batched_kernel(
+pub fn run_batched_kernel_with<'a>(
     mem: &mut DeviceMem,
     program: &KernelProgram,
-    args: &BatchedArgs,
     batch: usize,
     mode: BatchMode,
+    resolve: impl FnMut(usize, usize) -> &'a DeviceTensor,
 ) -> Result<(Vec<Vec<DeviceTensor>>, KernelLaunchStats), TensorError> {
-    run_batched_kernel_ref(mem, program, &args.as_ref(), batch, mode)
-}
-
-/// Borrowed-argument form of [`run_batched_kernel`].  Callers that already
-/// hold tensor handles elsewhere (a DFG value table) bind them by reference
-/// via [`bind_args_ref`] and avoid per-lane handle clones entirely.
-///
-/// Structurally this is [`prepare_batched_kernel`] + [`execute_prepared`]
-/// over all lanes + [`finish_prepared`] — the same machinery the parallel
-/// executor drives, so sequential and parallel execution are bit-for-bit
-/// identical by construction.
-///
-/// # Errors
-///
-/// As for [`run_batched_kernel`].
-pub fn run_batched_kernel_ref(
-    mem: &mut DeviceMem,
-    program: &KernelProgram,
-    args: &BatchedArgsRef<'_>,
-    batch: usize,
-    mode: BatchMode,
-) -> Result<(Vec<Vec<DeviceTensor>>, KernelLaunchStats), TensorError> {
-    let prep = prepare_batched_kernel(mem, program, args, batch, mode)?;
+    let prep = prepare_batched_kernel_with(mem, program, batch, mode, resolve)?;
     let mut scratch = ExecScratch::default();
     execute_prepared(&mem.exec_view(), program, &prep, 0..batch, &mut scratch)?;
     let outputs = finish_prepared(mem, &prep)?;
@@ -209,8 +137,7 @@ impl Slot {
 /// accounting, gather staging, output allocation — everything touching
 /// `&mut DeviceMem`) from the *pure* lane computation, which then runs
 /// through a shared [`ExecView`] on any thread, over any partition of the
-/// lane range.  `stream`/`level` carry the device-timeline placement and
-/// flush-plan dependency level assigned by the runtime (0 when unused).
+/// lane range.
 #[derive(Debug)]
 pub struct PreparedLaunch {
     pub(crate) slots: Vec<Slot>,
@@ -220,68 +147,6 @@ pub struct PreparedLaunch {
     pub stats: KernelLaunchStats,
     /// Lane count of the launch.
     pub batch: usize,
-    /// Simulated compute stream the launch was placed on.
-    pub stream: u32,
-    /// Dependency level of the batch within its flush plan (same-level
-    /// batches are independent).
-    pub level: u32,
-}
-
-/// Resolves arguments, performs explicit gathers and reserves outputs for
-/// one batched launch — every effect that must happen in plan order — and
-/// returns the launch ready for [`execute_prepared`].
-///
-/// # Errors
-///
-/// As for [`run_batched_kernel`]; additionally counts one launch against an
-/// armed fault plan, so fault occurrence numbering follows preparation
-/// order (== plan order) regardless of how execution is parallelized.
-pub fn prepare_batched_kernel(
-    mem: &mut DeviceMem,
-    program: &KernelProgram,
-    args: &BatchedArgsRef<'_>,
-    batch: usize,
-    mode: BatchMode,
-) -> Result<PreparedLaunch, TensorError> {
-    if batch == 0 {
-        return Err(TensorError::EmptyBatch);
-    }
-    if args.args.len() != program.inputs.len() {
-        return Err(TensorError::Arity {
-            op: "kernel",
-            got: args.args.len(),
-            expected: program.inputs.len(),
-        });
-    }
-    for (input, arg) in program.inputs.iter().zip(&args.args) {
-        match (input.class, arg) {
-            (ArgClass::Shared, BatchedArgRef::Shared(_)) => {}
-            (ArgClass::Batched, BatchedArgRef::Batched(ts)) => {
-                if ts.len() != batch {
-                    return Err(TensorError::Arity {
-                        op: "kernel",
-                        got: ts.len(),
-                        expected: batch,
-                    });
-                }
-            }
-            (want, _) => {
-                return Err(TensorError::Arity {
-                    op: if want == ArgClass::Shared {
-                        "kernel shared slot"
-                    } else {
-                        "kernel batched slot"
-                    },
-                    got: 0,
-                    expected: 1,
-                });
-            }
-        }
-    }
-    prepare_batched_kernel_with(mem, program, batch, mode, |lane, slot| match &args.args[slot] {
-        BatchedArgRef::Shared(t) => t,
-        BatchedArgRef::Batched(ts) => ts[lane],
-    })
 }
 
 /// Local classification of a batched slot's offsets during preparation.
@@ -292,20 +157,25 @@ enum OffsetPattern {
     Scattered,
 }
 
-/// Closure-binding form of [`prepare_batched_kernel`]: `resolve(lane, slot)`
-/// hands back the tensor bound at that position (lane 0 for shared slots),
-/// typically straight out of the caller's DFG value table.
+/// Resolves arguments, performs explicit gathers and reserves outputs for
+/// one batched launch — every effect that must happen in plan order — and
+/// returns the launch ready for [`execute_prepared`].
 ///
-/// No intermediate argument vector is materialized, and slots whose lane
-/// offsets follow the common closed forms (all-same, strided) allocate no
-/// per-lane table either — this is the allocation-free binding path the
-/// runtime drives on every flush.  `resolve` may be called more than once
-/// per position and must return the same tensor each time.
+/// `resolve(lane, slot)` hands back the tensor bound at that position (lane
+/// 0 for shared slots), typically straight out of the caller's DFG value
+/// table; the closure binds by the program's own input classes, so there is
+/// no argument vector to validate.  Slots whose lane offsets follow the
+/// common closed forms (all-same, strided) allocate no per-lane table
+/// either — this is the allocation-free binding path the runtime drives on
+/// every flush.  `resolve` may be called more than once per position and
+/// must return the same tensor each time.
 ///
 /// # Errors
 ///
-/// As for [`prepare_batched_kernel`] (argument-count and class mismatches
-/// excepted — the closure binds by the program's own input classes).
+/// Returns [`TensorError`] on an empty batch, argument-shape mismatches or
+/// arena exhaustion; additionally counts one launch against an armed fault
+/// plan, so fault occurrence numbering follows preparation order (== plan
+/// order) regardless of how execution is split across threads.
 pub fn prepare_batched_kernel_with<'a>(
     mem: &mut DeviceMem,
     program: &KernelProgram,
@@ -418,16 +288,16 @@ pub fn prepare_batched_kernel_with<'a>(
     }
 
     // Reserve batched outputs (contiguous per slot, back to back).  This is
-    // the deterministic output placement that keeps parallel execution
+    // the deterministic output placement that keeps split execution
     // bit-for-bit: offsets depend only on preparation order, never on which
-    // worker executes which lanes.
+    // thread executes which lanes.
     let mut out_handles: Vec<DeviceTensor> = Vec::with_capacity(program.outputs.len());
     for (_, _, shape) in &program.outputs {
         out_handles.push(mem.alloc(&batched_shape(shape, batch))?);
         stats.output_bytes += (shape.byte_size() * batch) as u64;
     }
 
-    Ok(PreparedLaunch { slots, out_handles, stats, batch, stream: 0, level: 0 })
+    Ok(PreparedLaunch { slots, out_handles, stats, batch })
 }
 
 /// Reusable per-worker working memory for [`execute_prepared`]: instruction
@@ -483,9 +353,9 @@ pub fn execute_prepared(
     for lane in lane_range {
         // Bind input registers to slices for this lane.  SAFETY: inputs
         // were fully written before this launch's execution phase (they are
-        // uploads, earlier flushes' outputs, earlier runs' outputs or
-        // gather staging filled during preparation) and no concurrent work
-        // unit writes them — same-level batches never consume each other.
+        // uploads, earlier launches' outputs or gather staging filled
+        // during preparation) and no concurrent lane range writes them — a
+        // launch never reads its own outputs.
         for (slot, input) in prep.slots.iter().zip(&program.inputs) {
             let slice = unsafe { view.read(slot.offset(lane), slot.shape.numel()) };
             input_views[input.reg.0 as usize] = Some((slice, &slot.shape));
@@ -512,8 +382,8 @@ pub fn execute_prepared(
         }
         // Copy escaping registers into the reserved output regions.
         // SAFETY: each output region was freshly bump-allocated for this
-        // launch and this `lane` sub-range is written by exactly one work
-        // unit — concurrent writes are disjoint by construction.
+        // launch and this `lane` sub-range is written by exactly one lane
+        // range — concurrent writes are disjoint by construction.
         for ((_, reg, shape), handle) in program.outputs.iter().zip(&prep.out_handles) {
             let n = shape.numel();
             let dst = unsafe { view.write(handle.offset() + lane * n, n) };
@@ -538,62 +408,6 @@ pub fn finish_prepared(
         outputs.push(mem.scatter_views(handle, prep.batch)?);
     }
     Ok(outputs)
-}
-
-/// Convenience: executes a program for a single instance (`batch == 1`),
-/// returning one tensor per output slot.
-///
-/// # Errors
-///
-/// As for [`run_batched_kernel`].
-pub fn run_single(
-    mem: &mut DeviceMem,
-    program: &KernelProgram,
-    args: &BatchedArgs,
-) -> Result<(Vec<DeviceTensor>, KernelLaunchStats), TensorError> {
-    let (outs, stats) = run_batched_kernel(mem, program, args, 1, BatchMode::GatherFused)?;
-    Ok((outs.into_iter().map(|mut v| v.remove(0)).collect(), stats))
-}
-
-/// Helper used by runtimes: wraps concrete tensors into [`BatchedArgs`]
-/// according to the program's input classes, where `per_site[lane][slot]`
-/// holds each lane's argument tensors.
-///
-/// For shared slots the lane-0 tensor is used (all lanes hold the same
-/// tensor by construction — the taint analysis guarantees it).
-pub fn bind_args(program: &KernelProgram, per_lane: &[Vec<DeviceTensor>]) -> BatchedArgs {
-    let mut args = Vec::with_capacity(program.inputs.len());
-    for (slot, input) in program.inputs.iter().enumerate() {
-        match input.class {
-            ArgClass::Shared => args.push(BatchedArg::Shared(per_lane[0][slot].clone())),
-            ArgClass::Batched => args.push(BatchedArg::Batched(
-                per_lane.iter().map(|lane| lane[slot].clone()).collect(),
-            )),
-        }
-    }
-    BatchedArgs { args }
-}
-
-/// Borrow-binding counterpart of [`bind_args`]: `resolve(lane, slot)` hands
-/// back a reference to the tensor bound at that position, typically straight
-/// out of the caller's value table, so no handles are cloned.
-///
-/// For shared slots only lane 0 is resolved (all lanes hold the same tensor
-/// by construction — the taint analysis guarantees it).
-pub fn bind_args_ref<'a>(
-    program: &KernelProgram,
-    lanes: usize,
-    mut resolve: impl FnMut(usize, usize) -> &'a DeviceTensor,
-) -> BatchedArgsRef<'a> {
-    let mut args = Vec::with_capacity(program.inputs.len());
-    for (slot, input) in program.inputs.iter().enumerate() {
-        match input.class {
-            ArgClass::Shared => args.push(BatchedArgRef::Shared(resolve(0, slot))),
-            ArgClass::Batched => args
-                .push(BatchedArgRef::Batched((0..lanes).map(|lane| resolve(lane, slot)).collect())),
-        }
-    }
-    BatchedArgsRef { args }
 }
 
 #[cfg(test)]
@@ -652,9 +466,11 @@ mod tests {
             }
             lanes.push(lane);
         }
-        let args = bind_args(program, &lanes);
         let (outs, stats) =
-            run_batched_kernel(&mut mem, program, &args, batch, BatchMode::GatherFused).unwrap();
+            run_batched_kernel_with(&mut mem, program, batch, BatchMode::GatherFused, |l, s| {
+                &lanes[l][s]
+            })
+            .unwrap();
         assert_eq!(stats.launches, 1);
         assert_eq!(outs.len(), 1);
 
@@ -668,6 +484,27 @@ mod tests {
         }
     }
 
+    /// Uploads `batch` scattered `[1, 2]` lane inputs plus the shared 2×2
+    /// weight and returns `lanes[lane][slot]` for a one-batched-input kernel.
+    fn scattered_lanes(
+        mem: &mut DeviceMem,
+        program: &KernelProgram,
+        batch: usize,
+    ) -> Vec<Vec<DeviceTensor>> {
+        let w = mem.upload(&Tensor::from_fn(&[2, 2], |i| i as f32 + 1.0)).unwrap();
+        (0..batch)
+            .map(|l| {
+                let x = mem.upload(&Tensor::fill(&[1, 2], l as f32 * 0.3 - 0.6)).unwrap();
+                mem.alloc(&acrobat_tensor::Shape::new(&[1 + l])).unwrap(); // scatter
+                program
+                    .inputs
+                    .iter()
+                    .map(|i| if i.class == ArgClass::Batched { x.clone() } else { w.clone() })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn gather_and_fused_modes_agree() {
         let (_, lib) = compile(
@@ -677,64 +514,19 @@ mod tests {
         );
         let program = lib.kernel(crate::KernelId(0));
         let mut mem = DeviceMem::new(1 << 16);
-        let w = mem.upload(&Tensor::from_fn(&[2, 2], |i| i as f32 + 1.0)).unwrap();
         let batch = 3;
-        let mut lanes = Vec::new();
-        for l in 0..batch {
-            let x = mem.upload(&Tensor::fill(&[1, 2], l as f32 - 1.0)).unwrap();
-            mem.alloc(&acrobat_tensor::Shape::new(&[2])).unwrap();
-            let lane: Vec<DeviceTensor> = program
-                .inputs
-                .iter()
-                .map(|i| if i.class == ArgClass::Batched { x.clone() } else { w.clone() })
-                .collect();
-            lanes.push(lane);
-        }
-        let args = bind_args(program, &lanes);
-        let (f, fs) =
-            run_batched_kernel(&mut mem, program, &args, batch, BatchMode::GatherFused).unwrap();
-        let (g, gs) =
-            run_batched_kernel(&mut mem, program, &args, batch, BatchMode::ExplicitGather).unwrap();
+        let lanes = scattered_lanes(&mut mem, program, batch);
+        let mut run = |mode| {
+            run_batched_kernel_with(&mut mem, program, batch, mode, |l, s| &lanes[l][s]).unwrap()
+        };
+        let (f, fs) = run(BatchMode::GatherFused);
+        let (g, gs) = run(BatchMode::ExplicitGather);
         for (a, b) in f[0].iter().zip(&g[0]) {
             assert_eq!(mem.read(a).unwrap(), mem.read(b).unwrap());
         }
         assert_eq!(fs.gather_bytes, 0);
         assert!(fs.indirect_reads > 0);
         assert!(gs.gather_bytes > 0);
-    }
-
-    #[test]
-    fn ref_binding_matches_owned_binding() {
-        let (_, lib) = compile(
-            "def @main($w: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
-                relu(matmul(%x, $w))
-            }",
-        );
-        let program = lib.kernel(crate::KernelId(0));
-        let mut mem = DeviceMem::new(1 << 16);
-        let w = mem.upload(&Tensor::from_fn(&[2, 2], |i| i as f32 - 1.0)).unwrap();
-        let batch = 3;
-        let mut lanes: Vec<Vec<DeviceTensor>> = Vec::new();
-        for l in 0..batch {
-            let x = mem.upload(&Tensor::fill(&[1, 2], l as f32)).unwrap();
-            mem.alloc(&acrobat_tensor::Shape::new(&[1 + l])).unwrap(); // scatter
-            let lane: Vec<DeviceTensor> = program
-                .inputs
-                .iter()
-                .map(|i| if i.class == ArgClass::Batched { x.clone() } else { w.clone() })
-                .collect();
-            lanes.push(lane);
-        }
-        let owned = bind_args(program, &lanes);
-        let (a, _) =
-            run_batched_kernel(&mut mem, program, &owned, batch, BatchMode::GatherFused).unwrap();
-        let refs = bind_args_ref(program, batch, |lane, slot| &lanes[lane][slot]);
-        let (b, _) =
-            run_batched_kernel_ref(&mut mem, program, &refs, batch, BatchMode::GatherFused)
-                .unwrap();
-        for (x, y) in a[0].iter().zip(&b[0]) {
-            assert_eq!(mem.read(x).unwrap(), mem.read(y).unwrap());
-        }
     }
 
     #[test]
@@ -747,22 +539,16 @@ mod tests {
         let program = lib.kernel(crate::KernelId(0));
         let run = |splits: &[std::ops::Range<usize>]| -> Vec<u32> {
             let mut mem = DeviceMem::new(1 << 16);
-            let w = mem.upload(&Tensor::from_fn(&[2, 2], |i| (i as f32 * 0.7).cos())).unwrap();
             let batch = 5;
-            let mut lanes: Vec<Vec<DeviceTensor>> = Vec::new();
-            for l in 0..batch {
-                let x = mem.upload(&Tensor::fill(&[1, 2], l as f32 * 0.3 - 0.6)).unwrap();
-                let lane: Vec<DeviceTensor> = program
-                    .inputs
-                    .iter()
-                    .map(|i| if i.class == ArgClass::Batched { x.clone() } else { w.clone() })
-                    .collect();
-                lanes.push(lane);
-            }
-            let refs = bind_args_ref(program, batch, |lane, slot| &lanes[lane][slot]);
-            let prep =
-                prepare_batched_kernel(&mut mem, program, &refs, batch, BatchMode::GatherFused)
-                    .unwrap();
+            let lanes = scattered_lanes(&mut mem, program, batch);
+            let prep = prepare_batched_kernel_with(
+                &mut mem,
+                program,
+                batch,
+                BatchMode::GatherFused,
+                |l, s| &lanes[l][s],
+            )
+            .unwrap();
             let view = mem.exec_view();
             if splits.len() > 1 {
                 // Execute the partitions on real threads, one scratch each.
@@ -795,16 +581,23 @@ mod tests {
         let (_, lib) = compile("def @main(%x: Tensor[(1, 2)]) -> Tensor[(1, 2)] { relu(%x) }");
         let program = lib.kernel(crate::KernelId(0));
         let mut mem = DeviceMem::new(1 << 12);
-        let args = BatchedArgs { args: vec![] };
-        assert!(run_batched_kernel(&mut mem, program, &args, 1, BatchMode::GatherFused).is_err());
         let x = mem.upload(&Tensor::zeros(&[1, 2])).unwrap();
-        let args = BatchedArgs { args: vec![BatchedArg::Batched(vec![x])] };
         assert!(matches!(
-            run_batched_kernel(&mut mem, program, &args, 0, BatchMode::GatherFused),
+            run_batched_kernel_with(&mut mem, program, 0, BatchMode::GatherFused, |_, _| &x),
             Err(TensorError::EmptyBatch)
         ));
-        // Wrong per-lane count.
-        assert!(run_batched_kernel(&mut mem, program, &args, 2, BatchMode::GatherFused).is_err());
+        // A lane bound to a wrong-shaped tensor is rejected before execution.
+        let bad = mem.upload(&Tensor::zeros(&[1, 3])).unwrap();
+        assert!(matches!(
+            run_batched_kernel_with(&mut mem, program, 2, BatchMode::GatherFused, |lane, _| {
+                if lane == 0 {
+                    &x
+                } else {
+                    &bad
+                }
+            }),
+            Err(TensorError::BatchShape { .. })
+        ));
     }
 
     #[test]
@@ -834,9 +627,9 @@ mod tests {
                 }
             }
         }
-        let args = bind_args(program, &[lane]);
         let (outs, _) =
-            run_batched_kernel(&mut mem, program, &args, 1, BatchMode::GatherFused).unwrap();
+            run_batched_kernel_with(&mut mem, program, 1, BatchMode::GatherFused, |_, s| &lane[s])
+                .unwrap();
         assert_eq!(outs.len(), 2);
         // x·wi = [1 1]·[[0 1][2 3]] = [2 4]; x·wf = [1 1]·[[0 1][4 9]] = [4 10]
         assert_eq!(mem.read(&outs[0][0]).unwrap(), &[2.0, 4.0]);

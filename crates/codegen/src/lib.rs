@@ -40,9 +40,8 @@ pub use backend::{
     SpecializedBackend, NUM_SIZE_CLASSES,
 };
 pub use exec::{
-    bind_args_ref, execute_prepared, finish_prepared, prepare_batched_kernel,
-    prepare_batched_kernel_with, run_batched_kernel, run_batched_kernel_ref, BatchedArgs,
-    BatchedArgsRef, ExecScratch, KernelLaunchStats, PreparedLaunch,
+    execute_prepared, finish_prepared, prepare_batched_kernel_with, run_batched_kernel_with,
+    ExecScratch, KernelLaunchStats, PreparedLaunch,
 };
 pub use kernel::{KInstr, KernelId, KernelInput, KernelProgram, RegId};
 pub use library::KernelLibrary;

@@ -681,7 +681,7 @@ mod tests {
     use acrobat_tensor::{DeviceMem, Tensor};
 
     use crate::backend::{BackendScratch, KernelBackend, SpecializedBackend};
-    use crate::exec::{bind_args, finish_prepared, prepare_batched_kernel};
+    use crate::exec::{finish_prepared, prepare_batched_kernel_with};
     use crate::kernel::KernelId;
 
     fn compile(src: &str) -> (acrobat_analysis::AnalysisResult, crate::KernelLibrary) {
@@ -735,13 +735,13 @@ mod tests {
                 }
                 lanes.push(lane);
             }
-            let args = bind_args(program, &lanes);
 
             // Checked execution re-runs the launch through the interpreter
             // and panics on any output-bit divergence.
             let backend = SpecializedBackend::new(lib.len(), 1);
             let prep =
-                prepare_batched_kernel(&mut mem, program, &args.as_ref(), batch, mode).unwrap();
+                prepare_batched_kernel_with(&mut mem, program, batch, mode, |l, s| &lanes[l][s])
+                    .unwrap();
             let sel = backend.select(program, batch);
             assert!(sel.is_fresh_compile(), "threshold 1 compiles on first launch");
             let mut scratch = BackendScratch::default();

@@ -9,16 +9,15 @@
 use std::sync::Arc;
 
 use acrobat_analysis::fusion::GroupId;
-use acrobat_codegen::backend::{BackendScratch, KernelBackend, KernelBackendKind, Selection};
-use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with, PreparedLaunch};
-use acrobat_tensor::{DeviceMem, DeviceTensor, Tensor, TensorError};
+use acrobat_codegen::backend::{BackendScratch, KernelBackendKind, Selection};
+use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
+use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
 
-use acrobat_tensor::FaultClass;
-
-use crate::dfg::{Dfg, ValueId};
+use crate::dfg::{Dfg, NodeId, ValueId};
 use crate::engine::Engine;
+use crate::plan_cache::{CacheConfig, CacheOutcome};
 use crate::resilience::{CancelToken, Deadline};
-use crate::scheduler::{self, BatchLevels, Plan, SchedulerKind, SchedulerScratch};
+use crate::scheduler::{self, Plan, SchedulerKind, SchedulerScratch};
 use crate::stats::RuntimeStats;
 use crate::timeline::DeviceTimeline;
 
@@ -58,9 +57,6 @@ pub struct ExecutionContext {
     /// stream or the copy engine, and `stats.overlap_saved_us` tracks the
     /// difference between the serial charge sum and the critical path.
     timeline: DeviceTimeline,
-    /// Batch dependency-level scratch for the parallel execution path,
-    /// reused across flushes.
-    levels: BatchLevels,
     /// The request's latency budget, checked at flush boundaries and
     /// between batched launches.
     deadline: Deadline,
@@ -85,9 +81,10 @@ pub struct ExecutionContext {
     /// non-cohort run — leaves both counters at zero.
     instance_partition: Option<Vec<usize>>,
     /// Kernel-backend working memory (interpreter registers, compiled-path
-    /// flat scratch and tiles, checked-mode snapshot), persistent across
+    /// flat scratch and tiles, checked-mode snapshot), one per lane range a
+    /// launch was ever split into (`[0]`: the flushing thread's), kept across
     /// launches so the steady-state execute phase performs no allocations.
-    backend_scratch: BackendScratch,
+    backend_scratch: Vec<BackendScratch>,
 }
 
 impl ExecutionContext {
@@ -108,14 +105,13 @@ impl ExecutionContext {
             plan_l1: crate::plan_cache::PlanL1::new(),
             plan_buf: Plan::default(),
             timeline,
-            levels: BatchLevels::new(),
             deadline: Deadline::Unlimited,
             cancel: None,
             tainted: false,
             consecutive_aborts: 0,
             lane_cap: 0,
             instance_partition: None,
-            backend_scratch: BackendScratch::default(),
+            backend_scratch: Vec::new(),
         }
     }
 
@@ -433,120 +429,97 @@ impl ExecutionContext {
         }
     }
 
-    /// One flush attempt: plan the pending set and execute it.
+    /// One flush attempt, in four stages: plan the pending window, charge
+    /// the modeled cost of planning, execute the plan, settle the outcome.
     fn flush_once(&mut self) -> Result<(), TensorError> {
         if !self.dfg.has_pending() {
             return Ok(());
         }
         let wall = std::time::Instant::now();
-        // Split borrows: the plan and its scratch, the DFG and the device
-        // memory are distinct fields, letting batches bind argument tensors
-        // by reference out of the DFG value table while the executor holds
-        // the device memory mutably.  The library, model and options are
-        // immutable engine state.
-        let ExecutionContext {
-            engine,
-            mem,
-            dfg,
-            stats,
-            units,
-            profile,
-            sched_scratch,
-            plan_l1,
-            plan_buf,
-            timeline,
-            levels,
-            deadline,
-            cancel,
-            tainted,
-            consecutive_aborts,
-            lane_cap,
-            instance_partition,
-            backend_scratch,
-        } = self;
-        let library = engine.library();
-        let model = engine.model();
-        let options = engine.options();
-        let backend = engine.backend();
-        // Plan-cache path ([`crate::plan_cache`]): probe the per-context L1
-        // then the engine's shared cache on the window's structural
-        // signature; a hit remaps the frozen plan onto the current window,
-        // a miss falls back to `plan_into` and (for healthy, undownshifted
-        // contexts) publishes the result.
-        let cache_outcome = if options.plan_cache {
-            let cfg = crate::plan_cache::CacheConfig::from_options(options, *lane_cap, *tainted);
-            Some(crate::plan_cache::plan_cached(
-                &cfg,
-                dfg,
-                sched_scratch,
-                plan_l1,
-                engine.plan_cache(),
-                plan_buf,
-            ))
-        } else {
+        // The plan buffer leaves the context for the duration of the attempt
+        // so the stages can read it next to `&mut self`.
+        let mut plan = std::mem::take(&mut self.plan_buf);
+        let outcome = self.plan_window(&mut plan);
+        self.charge_scheduling(&plan, outcome);
+        let run = self.execute_plan(&plan);
+        let result = self.settle(&plan, run);
+        self.plan_buf = plan;
+        self.stats.device_peak_elements = self.mem.stats().peak_elements;
+        self.stats.host_wall_us += wall.elapsed().as_secs_f64() * 1e6;
+        result
+    }
+
+    /// Stage 1 — plans the pending window into `plan` and returns the
+    /// plan-cache outcome (`None` with the cache off).  Cache on
+    /// ([`crate::plan_cache`]): probe the per-context L1 then the engine's
+    /// shared cache on the window's structural signature; a hit remaps the
+    /// frozen plan onto the current window, a miss schedules fresh and (for
+    /// healthy, undownshifted contexts) publishes the result.
+    fn plan_window(&mut self, plan: &mut Plan) -> Option<CacheOutcome> {
+        let options = self.engine.options();
+        if !options.plan_cache {
             // Canonical-emission parity with the cached path: a clean
-            // lane-canonical (fiber-mode) window derives its canonical
-            // node order here even with the plan cache off, so fresh
-            // plans emit batches in lane-key order rather than fiber
-            // arrival order.  Device placement of intermediates — and
-            // with it the `gather_copies`/`contiguous_hits` split — is
-            // then a pure function of the workload, not the OS
-            // interleave.  Sequential windows (`win_track` off) return
-            // `None` immediately and pay nothing.
-            let _ = dfg.window_signature();
-            scheduler::plan_into(options.scheduler, dfg, sched_scratch, plan_buf);
-            None
-        };
-        if cache_outcome.is_some() {
-            // Run-to-run determinism audit trail: XOR the window's
-            // signature token (accumulators + length, NOT the run-varying
-            // base) into an order-independent digest.  XOR makes the
-            // digest invariant to flush order and to how windows are
-            // partitioned across worker contexts, so two runs of the same
-            // workload — at any worker count — must agree bit for bit.
-            // Dirty (bypassed) windows have no signature and fold nothing.
-            if let Some(w) = dfg.window_signature() {
-                stats.plan_sig_chain ^= w.chain_token();
-            }
+            // lane-canonical (fiber-mode) window derives its canonical node
+            // order here even with the plan cache off, so fresh plans emit
+            // batches in lane-key order rather than fiber arrival order.
+            // Device placement of intermediates — and with it the
+            // `gather_copies`/`contiguous_hits` split — is then a pure
+            // function of the workload, not the OS interleave.  Sequential
+            // windows (`win_track` off) return `None` at once and pay nothing.
+            let _ = self.dfg.window_signature();
+            scheduler::plan_into(options.scheduler, &self.dfg, &mut self.sched_scratch, plan);
+            return None;
         }
-        match cache_outcome {
-            Some(crate::plan_cache::CacheOutcome::Hit) => {
-                stats.plan_cache_hits += 1;
+        let cfg = CacheConfig::from_options(options, self.lane_cap, self.tainted);
+        let outcome = crate::plan_cache::plan_cached(
+            &cfg,
+            &mut self.dfg,
+            &mut self.sched_scratch,
+            &mut self.plan_l1,
+            self.engine.plan_cache(),
+            plan,
+        );
+        // Run-to-run determinism audit trail: XOR the window's signature
+        // token (accumulators + length, NOT the run-varying base) into an
+        // order-independent digest.  XOR makes the digest invariant to flush
+        // order and to how windows are partitioned across worker contexts, so
+        // two runs of the same workload — at any worker count — must agree
+        // bit for bit.  Dirty (bypassed) windows have no signature and fold
+        // nothing.
+        if let Some(w) = self.dfg.window_signature() {
+            self.stats.plan_sig_chain ^= w.chain_token();
+        }
+        match outcome {
+            CacheOutcome::Hit => {
+                self.stats.plan_cache_hits += 1;
                 if options.checked {
                     // Every hit must be bit-identical to a fresh schedule,
                     // including the batch binding layout.
-                    crate::check::validate_cached_plan(dfg, plan_buf, options.scheduler);
+                    crate::check::validate_cached_plan(&self.dfg, plan, options.scheduler);
                 }
             }
-            Some(crate::plan_cache::CacheOutcome::Miss { evicted }) => {
-                stats.plan_cache_misses += 1;
-                stats.plan_cache_evictions += evicted;
+            CacheOutcome::Miss { evicted } => {
+                self.stats.plan_cache_misses += 1;
+                self.stats.plan_cache_evictions += evicted;
             }
-            Some(crate::plan_cache::CacheOutcome::Bypass) => stats.plan_cache_misses += 1,
-            None => {}
+            CacheOutcome::Bypass => self.stats.plan_cache_misses += 1,
         }
-        // Cross-request flush classification (broker cohorts): did this
-        // plan co-batch nodes from two or more member requests?  Outside a
-        // cohort no partition is installed and neither counter moves.
-        let cohort_shared = instance_partition.as_ref().and_then(|starts| {
-            let member_of = |inst: usize| starts.partition_point(|&s| s <= inst) - 1;
-            let mut nodes = plan_buf.nodes.iter();
-            let first = member_of(dfg.node(*nodes.next()?).instance);
-            Some(nodes.any(|&id| member_of(dfg.node(id).instance) != first))
-        });
-        let mut checker = options
-            .checked
-            .then(|| crate::check::FlushChecker::validate_plan(dfg, plan_buf, options.scheduler));
+        Some(outcome)
+    }
 
-        // Host scheduling cost: per elementary decision, scaled so that with
-        // coarsening the inline scheduler pays per scheduling unit.
+    /// Stage 2 — charges the modeled host cost of planning `plan`, in one
+    /// place: per elementary decision, scaled so that with coarsening the
+    /// inline scheduler pays per scheduling unit.
+    fn charge_scheduling(&mut self, plan: &Plan, outcome: Option<CacheOutcome>) {
+        let options = self.engine.options();
+        let model = self.engine.model();
         let per_decision = match options.scheduler {
             SchedulerKind::InlineDepth => model.sched_inline_cost_us,
             SchedulerKind::DynamicDepth => model.sched_dyn_depth_cost_us,
             SchedulerKind::Agenda => model.sched_agenda_cost_us,
         };
-        let unit_ratio = if options.coarsen && dfg.node_count() > 0 {
-            (*units as f64 / dfg.node_count() as f64).min(1.0)
+        let unit_ratio = if options.coarsen && self.dfg.node_count() > 0 {
+            (self.units as f64 / self.dfg.node_count() as f64).min(1.0)
         } else {
             1.0
         };
@@ -556,191 +529,207 @@ impl ExecutionContext {
         // A bypassed (dirty) window was never signed — incremental folding
         // stopped the moment the window went dirty and the probe never ran
         // — so it must not be charged signing cost it didn't pay.
-        let node_window = plan_buf.num_nodes() as f64;
-        let sig_us = match cache_outcome {
-            Some(crate::plan_cache::CacheOutcome::Hit) => {
+        let node_window = plan.num_nodes() as f64;
+        let sig_us = match outcome {
+            Some(CacheOutcome::Hit) => {
                 node_window * (model.sched_sig_cost_us + model.sched_remap_cost_us) * unit_ratio
             }
-            Some(crate::plan_cache::CacheOutcome::Miss { .. }) => {
-                node_window * model.sched_sig_cost_us * unit_ratio
-            }
-            Some(crate::plan_cache::CacheOutcome::Bypass) | None => 0.0,
+            Some(CacheOutcome::Miss { .. }) => node_window * model.sched_sig_cost_us * unit_ratio,
+            Some(CacheOutcome::Bypass) | None => 0.0,
         };
-        let decision_us = match cache_outcome {
-            Some(crate::plan_cache::CacheOutcome::Hit) => 0.0,
-            _ => plan_buf.decisions as f64 * per_decision * unit_ratio,
+        let decision_us = match outcome {
+            Some(CacheOutcome::Hit) => 0.0,
+            _ => plan.decisions as f64 * per_decision * unit_ratio,
         };
         let sched_us = sig_us + decision_us;
-        stats.plan_sig_us += sig_us;
-        stats.scheduling_us += sched_us;
-        timeline.host(sched_us);
-        stats.overlap_saved_us = timeline.overlap_saved_us();
+        self.stats.plan_sig_us += sig_us;
+        self.stats.scheduling_us += sched_us;
+        self.timeline.host(sched_us);
+        self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
+    }
 
+    /// Stage 3 — the single walk over `plan`: one batched launch per batch
+    /// (per lane-cap chunk on a downshifted context), in plan order.
+    ///
+    /// The fault contract, whatever stops the walk — a fault or error while
+    /// a launch prepares or executes, or an interrupt between batches (a
+    /// cancelled or over-budget request stops after the launch in flight,
+    /// never mid-batch): launches before the failure are committed and
+    /// accounted and stay so; the failing launch and the rest of the plan
+    /// are charged nothing and stay pending, so the next flush replans
+    /// them from scratch; this attempt's scheduling cost stays charged —
+    /// planning genuinely ran, and a retry replans (and recharges) just
+    /// like a real system.
+    fn execute_plan(&mut self, plan: &Plan) -> Result<(), TensorError> {
+        // Pinned for the walk so kernel programs can be borrowed from the
+        // engine across the `&mut self` launch steps.
+        let engine = Arc::clone(&self.engine);
+        let options = engine.options();
+        let mut checker = options
+            .checked
+            .then(|| crate::check::FlushChecker::validate_plan(&self.dfg, plan, options.scheduler));
+        for (b, batch) in plan.batches().enumerate() {
+            if b > 0 {
+                self.check_interrupt()?;
+            }
+            // Graceful degradation: a downshifted context chunks each planned
+            // batch to its lane cap (more launches, identical values).
+            let cap = if self.lane_cap == 0 { batch.len() } else { self.lane_cap };
+            for chunk in batch.chunks(cap) {
+                self.launch_chunk(&engine, chunk, &mut checker)?;
+            }
+        }
+        if let Some(c) = checker {
+            c.finish(&self.dfg);
+        }
+        Ok(())
+    }
+
+    /// One batched launch over the nodes of `chunk`: prepare → select →
+    /// execute lanes → finish → account → complete → check.  Nothing is
+    /// accounted or materialized unless every step before it succeeded.
+    fn launch_chunk(
+        &mut self,
+        engine: &Engine,
+        chunk: &[NodeId],
+        checker: &mut Option<crate::check::FlushChecker>,
+    ) -> Result<(), TensorError> {
+        let options = engine.options();
+        let lanes = chunk.len();
+        let kernel_id = self.dfg.node(chunk[0]).kernel;
+        let program = engine.library().kernel(kernel_id);
         let mode = if options.gather_fusion {
             acrobat_tensor::batch::BatchMode::GatherFused
         } else {
             acrobat_tensor::batch::BatchMode::ExplicitGather
         };
-        let max_planned_batch =
-            (0..plan_buf.num_batches()).map(|b| plan_buf.batch(b).len()).max().unwrap_or(0);
-        let workers = options.parallel_workers;
-        // Real parallel execution applies when a worker pool is configured
-        // and no graceful-degradation lane cap is active (a downshifted
-        // context chunks batches and stays on the sequential path).
-        let use_parallel = workers >= 2 && *lane_cap == 0;
-        let run_result = if use_parallel {
-            levels.compute(dfg, plan_buf);
-            run_batches_parallel(
-                mem,
-                dfg,
-                stats,
-                profile,
-                timeline,
-                plan_buf,
-                levels.levels(),
-                library,
-                model,
-                deadline,
-                cancel,
-                &mut checker,
-                mode,
-                workers,
-                backend.as_ref(),
-                options,
-            )
-        } else {
-            let mut run_batches = || -> Result<(), TensorError> {
-                for b in 0..plan_buf.num_batches() {
-                    // Between-batch interrupt point: a cancelled or
-                    // over-budget request stops after the launch in flight,
-                    // never mid-batch.
-                    if b > 0 {
-                        if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                            return Err(TensorError::Cancelled);
-                        }
-                        deadline.check(stats.total_us())?;
-                    }
-                    let batch = plan_buf.batch(b);
-                    let kernel_id = dfg.node(batch[0]).kernel;
-                    let program = library.kernel(kernel_id);
-                    // Graceful degradation: a downshifted context chunks each
-                    // planned batch to its lane cap.  Kernels are
-                    // lane-independent, so chunking changes launch counts and
-                    // modeled times but never the computed values.
-                    let cap = if *lane_cap == 0 { batch.len() } else { (*lane_cap).max(1) };
-                    for chunk in batch.chunks(cap) {
-                        let lanes = chunk.len();
-                        // Prepare straight out of the DFG value table — no
-                        // per-lane tensor-handle clones and no per-launch
-                        // argument vectors (the old `BatchedArgsRef` path
-                        // built one `Vec` per batched slot per launch).
-                        let prep = prepare_batched_kernel_with(
-                            mem,
-                            program,
-                            lanes,
-                            mode,
-                            |lane, slot| {
-                                let node = dfg.node(chunk[lane]);
-                                debug_assert_eq!(node.kernel, kernel_id);
-                                dfg.tensor(node.args[slot])
-                                    .expect("scheduler produced unmet dependency")
-                            },
-                        )?;
-                        let selection = backend.select(program, lanes);
-                        count_selection(stats, &selection, options.backend);
-                        {
-                            let exec_wall = std::time::Instant::now();
-                            let view = mem.exec_view();
-                            selection.execute(
-                                &view,
-                                program,
-                                &prep,
-                                0..lanes,
-                                backend_scratch,
-                                options.checked,
-                            )?;
-                            stats.exec_wall_us += exec_wall.elapsed().as_secs_f64() * 1e6;
-                        }
-                        let outs = finish_prepared(mem, &prep)?;
+        // Prepare straight out of the DFG value table — no per-lane
+        // tensor-handle clones and no per-launch argument vectors.
+        let dfg = &self.dfg;
+        let prep =
+            prepare_batched_kernel_with(&mut self.mem, program, lanes, mode, |lane, slot| {
+                let node = dfg.node(chunk[lane]);
+                debug_assert_eq!(node.kernel, kernel_id);
+                dfg.tensor(node.args[slot]).expect("scheduler produced unmet dependency")
+            })?;
+        let selection = engine.backend().select(program, lanes);
+        count_selection(&mut self.stats, &selection, options.backend);
+        // Elapsed wall of the execute phase (a split launch's ranges overlap).
+        let exec_wall = std::time::Instant::now();
+        selection.execute_lanes(
+            &self.mem.exec_view(),
+            program,
+            &prep,
+            lane_parts(prep.stats.flops, lanes),
+            &mut self.backend_scratch,
+            options.checked,
+        )?;
+        self.stats.exec_wall_us += exec_wall.elapsed().as_secs_f64() * 1e6;
+        let outs = finish_prepared(&self.mem, &prep)?;
 
-                        // PGO profiles count operator *invocations* (DFG
-                        // nodes), not batched launches — the paper
-                        // prioritizes by execution frequency (§D.1).
-                        *profile.entry(kernel_id).or_default() += lanes as u64;
-                        account_launch(
-                            stats,
-                            timeline,
-                            model,
-                            dfg,
-                            chunk,
-                            &prep.stats,
-                            program.schedule.as_ref(),
-                            lanes,
-                        );
+        // PGO profiles count operator *invocations* (DFG nodes), not batched
+        // launches — the paper prioritizes by execution frequency (§D.1).
+        *self.profile.entry(kernel_id).or_default() += lanes as u64;
+        self.account_launch(chunk, &prep.stats, program.schedule.as_ref());
+        self.dfg.complete_batch(chunk, outs);
+        if let Some(c) = checker {
+            c.after_batch(&self.dfg, chunk);
+        }
+        Ok(())
+    }
 
-                        // Materialize the chunk in one pass: outs[slot][lane]
-                        // moves straight into the value table.
-                        dfg.complete_batch(chunk, outs);
-                        if let Some(c) = checker.as_mut() {
-                            c.after_batch(dfg, chunk);
-                        }
-                    }
-                }
-                Ok(())
-            };
-            run_batches()
-        };
-        if let Err(e) = run_result {
-            // A mid-plan failure aborts the flush but must leave the
-            // context well-defined and resumable: batches that ran are
-            // already accounted and materialized; the failing batch and the
-            // rest of the plan stay pending, so the next flush replans them
-            // from scratch.  Scheduling time stays charged in full —
-            // planning genuinely ran, and a retry replans (and recharges)
-            // just like a real system.
-            stats.aborted_flushes += 1;
-            stats.device_peak_elements = mem.stats().peak_elements;
-            stats.host_wall_us += wall.elapsed().as_secs_f64() * 1e6;
-            *tainted = true;
+    /// Per-launch modeled accounting: charges the scalar stats accounts
+    /// exactly as the legacy accumulator did, then sequences the launch as
+    /// an event on the simulated device timeline.
+    fn account_launch(
+        &mut self,
+        chunk: &[NodeId],
+        lstats: &acrobat_codegen::KernelLaunchStats,
+        schedule: Option<&acrobat_codegen::Schedule>,
+    ) {
+        let model = self.engine.model();
+        let stats = &mut self.stats;
+        stats.kernel_launches += lstats.launches;
+        stats.flops += lstats.flops;
+        stats.gather_copies += lstats.gather_copies;
+        stats.gather_bytes += lstats.gather_bytes;
+        stats.contiguous_hits += lstats.contiguous_hits;
+        let gather_us = model.gather_time_us(lstats);
+        let kernel_us = model.kernel_time_us(lstats, schedule, chunk.len());
+        let api_us = lstats.launches as f64 * model.launch_overhead_us
+            + lstats.gather_copies as f64 * model.launch_overhead_us * 0.5;
+        stats.kernel_time_us += kernel_us + gather_us;
+        stats.cuda_api_us += api_us;
+        // The launch waits for the completion events of its producers — the
+        // plan's DFG edges are exactly the cross-stream dependencies an
+        // event-wait would encode.
+        let dfg = &self.dfg;
+        let deps = self
+            .timeline
+            .args_ready_us(chunk.iter().flat_map(|&id| dfg.node(id).args.iter().copied()));
+        self.timeline.launch(
+            deps,
+            gather_us,
+            kernel_us,
+            api_us,
+            chunk.iter().flat_map(|&id| dfg.node(id).outputs.iter().copied()),
+        );
+        stats.overlap_saved_us = self.timeline.overlap_saved_us();
+    }
+
+    /// Stage 4 — settles the attempt.  An abort (the context stays
+    /// well-defined and resumable, see [`Self::execute_plan`]) is recorded,
+    /// taints the context and — device faults only, not interrupts — feeds
+    /// the lane-cap downshift.  A clean flush resets the abort streak, doubles
+    /// the lane cap back toward unlimited and is counted (and, in a broker
+    /// cohort, classified).
+    fn settle(&mut self, plan: &Plan, run: Result<(), TensorError>) -> Result<(), TensorError> {
+        let max_planned_batch = plan.batches().map(<[NodeId]>::len).max().unwrap_or(0);
+        if let Err(e) = run {
+            self.stats.aborted_flushes += 1;
+            self.tainted = true;
             if e.fault_class() != FaultClass::Interrupt {
                 // Downshift: repeated device faults halve the lane cap so a
                 // flaky accelerator sees smaller launches (and a one-lane
                 // floor), trading modeled throughput for progress.
-                *consecutive_aborts += 1;
-                if *consecutive_aborts >= 2 {
-                    let current = if *lane_cap == 0 { max_planned_batch } else { *lane_cap };
+                self.consecutive_aborts += 1;
+                if self.consecutive_aborts >= 2 {
+                    let current =
+                        if self.lane_cap == 0 { max_planned_batch } else { self.lane_cap };
                     let next = (current / 2).max(1);
-                    if next < current || *lane_cap == 0 {
-                        *lane_cap = next;
-                        stats.downshifts += 1;
+                    if next < current || self.lane_cap == 0 {
+                        self.lane_cap = next;
+                        self.stats.downshifts += 1;
                     }
                 }
             }
-            if options.checked {
-                if let Err(msg) = dfg.verify_consistent() {
+            if self.engine.options().checked {
+                if let Err(msg) = self.dfg.verify_consistent() {
                     panic!("checked mode: DFG inconsistent after aborted flush: {msg}");
                 }
             }
             return Err(e);
         }
-        if let Some(c) = checker {
-            c.finish(dfg);
-        }
-        // A clean flush recovers: the lane cap doubles back toward the
-        // unlimited steady state and the abort streak resets.
-        *consecutive_aborts = 0;
-        if *lane_cap != 0 {
-            let doubled = lane_cap.saturating_mul(2);
-            *lane_cap = if doubled >= max_planned_batch { 0 } else { doubled };
+        self.consecutive_aborts = 0;
+        if self.lane_cap != 0 {
+            let doubled = self.lane_cap.saturating_mul(2);
+            self.lane_cap = if doubled >= max_planned_batch { 0 } else { doubled };
         }
         self.stats.flushes += 1;
-        match cohort_shared {
-            Some(true) => self.stats.shared_flushes += 1,
-            Some(false) => self.stats.solo_flushes += 1,
-            None => {}
+        // Cross-request flush classification (broker cohorts): did this
+        // plan co-batch nodes from two or more member requests?  Outside a
+        // cohort no partition is installed and neither counter moves.
+        if let Some(starts) = &self.instance_partition {
+            let member_of =
+                |id: &NodeId| starts.partition_point(|&s| s <= self.dfg.node(*id).instance) - 1;
+            let mut members = plan.nodes.iter().map(member_of);
+            let first = members.next();
+            if members.any(|m| Some(m) != first) {
+                self.stats.shared_flushes += 1;
+            } else {
+                self.stats.solo_flushes += 1;
+            }
         }
-        self.stats.device_peak_elements = self.mem.stats().peak_elements;
-        self.stats.host_wall_us += wall.elapsed().as_secs_f64() * 1e6;
         Ok(())
     }
 
@@ -778,263 +767,28 @@ fn count_selection(stats: &mut RuntimeStats, selection: &Selection, kind: Kernel
     match selection {
         Selection::Compiled { fresh: true, .. } => stats.backend_compiles += 1,
         Selection::Compiled { fresh: false, .. } => stats.backend_hits += 1,
-        Selection::Interp => {
-            if kind == KernelBackendKind::Spec {
-                stats.backend_interp_falls += 1;
-            }
-        }
+        Selection::Interp if kind == KernelBackendKind::Spec => stats.backend_interp_falls += 1,
+        Selection::Interp => {}
     }
 }
 
-/// Per-launch modeled accounting, shared by the sequential and parallel
-/// execution paths: charges the scalar stats accounts exactly as the legacy
-/// accumulator did, then sequences the launch as an event on the simulated
-/// device timeline.  Returns the compute stream the launch was placed on.
-#[allow(clippy::too_many_arguments)]
-fn account_launch(
-    stats: &mut RuntimeStats,
-    timeline: &mut DeviceTimeline,
-    model: &crate::DeviceModel,
-    dfg: &Dfg,
-    chunk: &[crate::dfg::NodeId],
-    lstats: &acrobat_codegen::KernelLaunchStats,
-    schedule: Option<&acrobat_codegen::Schedule>,
-    lanes: usize,
-) -> u32 {
-    stats.kernel_launches += lstats.launches;
-    stats.flops += lstats.flops;
-    stats.gather_copies += lstats.gather_copies;
-    stats.gather_bytes += lstats.gather_bytes;
-    stats.contiguous_hits += lstats.contiguous_hits;
-    let gather_us = model.gather_time_us(lstats);
-    let kernel_us = model.kernel_time_us(lstats, schedule, lanes);
-    let api_us = lstats.launches as f64 * model.launch_overhead_us
-        + lstats.gather_copies as f64 * model.launch_overhead_us * 0.5;
-    stats.kernel_time_us += kernel_us + gather_us;
-    stats.cuda_api_us += api_us;
-    // The launch waits for the completion events of its producers — the
-    // plan's DFG edges are exactly the cross-stream dependencies an
-    // event-wait would encode.
-    let deps =
-        timeline.args_ready_us(chunk.iter().flat_map(|&id| dfg.node(id).args.iter().copied()));
-    let stream = timeline.launch(
-        deps,
-        gather_us,
-        kernel_us,
-        api_us,
-        chunk.iter().flat_map(|&id| dfg.node(id).outputs.iter().copied()),
-    );
-    stats.overlap_saved_us = timeline.overlap_saved_us();
-    stream
-}
+/// Launch size, in FLOPs, from which the execute phase of one launch is
+/// split across cores: spawning and joining a scoped helper thread costs
+/// tens of microseconds, a launch this size runs for hundreds (DESIGN §9 has
+/// the measurements and the per-workload launch sizes on either side).
+pub const SPLIT_MIN_FLOPS: u64 = 2_000_000;
 
-/// The parallel flush path: the plan's batches are partitioned into *runs*
-/// of consecutive same-dependency-level batches (mutually independent by
-/// construction); each run is prepared sequentially in plan order, executed
-/// for real on a scoped worker pool, and committed in plan order —
-/// bit-for-bit identical to sequential execution.
-#[allow(clippy::too_many_arguments)]
-fn run_batches_parallel(
-    mem: &mut DeviceMem,
-    dfg: &mut Dfg,
-    stats: &mut RuntimeStats,
-    profile: &mut std::collections::BTreeMap<acrobat_codegen::KernelId, u64>,
-    timeline: &mut DeviceTimeline,
-    plan: &Plan,
-    levels: &[u32],
-    library: &acrobat_codegen::KernelLibrary,
-    model: &crate::DeviceModel,
-    deadline: &Deadline,
-    cancel: &Option<CancelToken>,
-    checker: &mut Option<crate::check::FlushChecker>,
-    mode: acrobat_tensor::batch::BatchMode,
-    workers: usize,
-    backend: &dyn KernelBackend,
-    options: &crate::RuntimeOptions,
-) -> Result<(), TensorError> {
-    let mut b0 = 0usize;
-    while b0 < plan.num_batches() {
-        // A run: the maximal span of consecutive plan batches on one level.
-        let mut b1 = b0 + 1;
-        while b1 < plan.num_batches() && levels[b1] == levels[b0] {
-            b1 += 1;
-        }
-        // Between-run interrupt point (the sequential path checks between
-        // batches; a run is the parallel path's unit of progress).
-        if b0 > 0 {
-            if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                return Err(TensorError::Cancelled);
-            }
-            deadline.check(stats.total_us())?;
-        }
-        run_level(
-            mem,
-            dfg,
-            stats,
-            profile,
-            timeline,
-            plan,
-            b0..b1,
-            levels[b0],
-            library,
-            model,
-            checker,
-            mode,
-            workers,
-            backend,
-            options,
-        )?;
-        b0 = b1;
+/// The lane-split policy: how many lane ranges one launch's execute phase
+/// runs as ([`Selection::execute_lanes`]) — a function of the launch's own
+/// `flops` and lane count and of the machine's available parallelism
+/// (measured once per process), never of an option.
+pub fn lane_parts(flops: u64, lanes: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    if flops < SPLIT_MIN_FLOPS {
+        return 1;
     }
-    Ok(())
-}
-
-/// Executes one run of independent batches on a scoped worker pool.
-///
-/// Phase 1 prepares every batch sequentially in plan order — injected
-/// fault trips, explicit-gather staging and output reservation happen in
-/// exactly the order the sequential executor performs them, so fault
-/// occurrence numbers and output addresses are identical.  Phase 2 executes
-/// (batch, contiguous lane range) work units on scoped threads through a
-/// shared [`acrobat_tensor::ExecView`]; lanes are independent and every
-/// output was reserved in phase 1, so workers write disjoint regions.
-/// Phase 3 commits in plan order.  The run is all-or-nothing: a failure in
-/// phase 1 or 2 rolls the modeled charges back and leaves every batch of
-/// the run pending for the next flush to replan.
-#[allow(clippy::too_many_arguments)]
-fn run_level(
-    mem: &mut DeviceMem,
-    dfg: &mut Dfg,
-    stats: &mut RuntimeStats,
-    profile: &mut std::collections::BTreeMap<acrobat_codegen::KernelId, u64>,
-    timeline: &mut DeviceTimeline,
-    plan: &Plan,
-    run: std::ops::Range<usize>,
-    level: u32,
-    library: &acrobat_codegen::KernelLibrary,
-    model: &crate::DeviceModel,
-    checker: &mut Option<crate::check::FlushChecker>,
-    mode: acrobat_tensor::batch::BatchMode,
-    workers: usize,
-    backend: &dyn KernelBackend,
-    options: &crate::RuntimeOptions,
-) -> Result<(), TensorError> {
-    let stats_before = *stats;
-    let timeline_before = timeline.clone();
-    let mut preps: Vec<(acrobat_codegen::KernelId, PreparedLaunch, Selection)> =
-        Vec::with_capacity(run.len());
-    let prepared = (|| -> Result<(), TensorError> {
-        for b in run.clone() {
-            let batch = plan.batch(b);
-            let kernel_id = dfg.node(batch[0]).kernel;
-            let program = library.kernel(kernel_id);
-            let lanes = batch.len();
-            let mut prep = prepare_batched_kernel_with(mem, program, lanes, mode, |lane, slot| {
-                let node = dfg.node(batch[lane]);
-                debug_assert_eq!(node.kernel, kernel_id);
-                dfg.tensor(node.args[slot]).expect("scheduler produced unmet dependency")
-            })?;
-            prep.stream = account_launch(
-                stats,
-                timeline,
-                model,
-                dfg,
-                batch,
-                &prep.stats,
-                program.schedule.as_ref(),
-                lanes,
-            );
-            prep.level = level;
-            // Backend selection happens here, in plan order, so hotness
-            // counters advance deterministically regardless of how phase 2
-            // interleaves workers.
-            let selection = backend.select(program, lanes);
-            count_selection(stats, &selection, options.backend);
-            preps.push((kernel_id, prep, selection));
-        }
-        Ok(())
-    })();
-    if let Err(e) = prepared {
-        *stats = stats_before;
-        *timeline = timeline_before;
-        return Err(e);
-    }
-
-    // Work units: each prepared batch split into at most `workers`
-    // contiguous lane ranges.
-    let mut work: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    for (pi, (_, prep, _)) in preps.iter().enumerate() {
-        let lanes = prep.batch;
-        let parts = workers.min(lanes).max(1);
-        let base = lanes / parts;
-        let rem = lanes % parts;
-        let mut lane = 0usize;
-        for p in 0..parts {
-            let len = base + usize::from(p < rem);
-            work.push((pi, lane..lane + len));
-            lane += len;
-        }
-    }
-    let exec_wall = std::time::Instant::now();
-    let exec_err = {
-        let view = mem.exec_view();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        // Every unit runs regardless of failures elsewhere (executions are
-        // pure), and the error of the smallest unit ordinal wins — the
-        // surfaced error does not depend on thread timing.
-        let err_slot = parking_lot::Mutex::new(None::<(usize, TensorError)>);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(work.len()) {
-                scope.spawn(|| {
-                    let mut scratch = BackendScratch::default();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= work.len() {
-                            break;
-                        }
-                        let (pi, ref range) = work[i];
-                        let (kernel_id, ref prep, ref selection) = preps[pi];
-                        let program = library.kernel(kernel_id);
-                        if let Err(e) = selection.execute(
-                            &view,
-                            program,
-                            prep,
-                            range.clone(),
-                            &mut scratch,
-                            options.checked,
-                        ) {
-                            let mut slot = err_slot.lock();
-                            if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                *slot = Some((i, e));
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        err_slot.into_inner().map(|(_, e)| e)
-    };
-    // Wall time of the whole execute phase (workers overlap, so this is
-    // elapsed wall, not summed busy time — same meaning as sequentially).
-    stats.exec_wall_us += exec_wall.elapsed().as_secs_f64() * 1e6;
-    if let Some(e) = exec_err {
-        *stats = stats_before;
-        *timeline = timeline_before;
-        return Err(e);
-    }
-
-    // Commit in plan order: scatter views, materialize values, drive the
-    // checker and the PGO profile exactly as sequential execution would.
-    for (b, (kernel_id, prep, _)) in run.zip(preps.iter()) {
-        let batch = plan.batch(b);
-        let outs = finish_prepared(mem, prep)?;
-        *profile.entry(*kernel_id).or_default() += prep.batch as u64;
-        dfg.complete_batch(batch, outs);
-        if let Some(c) = checker.as_mut() {
-            c.after_batch(dfg, batch);
-        }
-    }
-    Ok(())
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.min(lanes)
 }
 
 // Contexts move between serving threads (and sit inside per-run mutexes in
@@ -1784,67 +1538,72 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_bit_identical_and_modeled_neutral() {
-        let (seq_out, seq_stats) = chain_run(RuntimeOptions::default(), 7);
-        for workers in [2, 3, 8] {
-            let (par_out, par_stats) =
-                chain_run(RuntimeOptions { parallel_workers: workers, ..Default::default() }, 7);
-            for (s, p) in seq_out.iter().zip(&par_out) {
-                let s_bits: Vec<u32> = s.data().iter().map(|v| v.to_bits()).collect();
-                let p_bits: Vec<u32> = p.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(s_bits, p_bits, "workers={workers}: outputs must be bit-for-bit");
-            }
-            // Modeled accounting is charged identically on both paths; only
-            // real wall time may differ.
-            let norm = |mut s: RuntimeStats| {
-                s.host_wall_us = 0.0;
-                s.exec_wall_us = 0.0;
-                s
-            };
-            assert_eq!(norm(seq_stats), norm(par_stats), "workers={workers}");
-        }
+    fn lane_split_policy_follows_launch_size_and_lane_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Below the constant a launch never splits, however many lanes.
+        assert_eq!(lane_parts(0, 64), 1);
+        assert_eq!(lane_parts(SPLIT_MIN_FLOPS - 1, 64), 1);
+        // From the constant up: one range per core, never more than lanes.
+        assert_eq!(lane_parts(SPLIT_MIN_FLOPS, 64), cores.min(64));
+        assert_eq!(lane_parts(u64::MAX, 3), cores.min(3));
+        assert_eq!(lane_parts(SPLIT_MIN_FLOPS, 1), 1, "one lane has nothing to split");
     }
 
     #[test]
     fn parallel_path_faults_roll_back_and_resume_bit_for_bit() {
         use acrobat_tensor::FaultPlan;
-        let src = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
-            matmul(matmul(%x, $w1), $w2)
-        }";
-        let build = |options: RuntimeOptions| {
-            let (a, mut rt) = setup(src, options);
+        // Two chained 16-lane launches of 2·256·256 FLOPs per lane: each is
+        // over the split constant, so its lanes execute on several threads.
+        const D: usize = 256;
+        const LANES: usize = 16;
+        let src = format!(
+            "def @main($w1: Tensor[({D}, {D})], $w2: Tensor[({D}, {D})], %x: Tensor[(1, {D})]) \
+             -> Tensor[(1, {D})] {{ matmul(matmul(%x, $w1), $w2) }}"
+        );
+        let build = || {
+            let (a, mut rt) = setup(&src, RuntimeOptions { checked: true, ..Default::default() });
             let block = &a.blocks.blocks[0];
             let (g0, g1) = (block.groups[0].id, block.groups[1].id);
-            let w1 = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32)).unwrap();
+            let weight = |k: usize| Tensor::from_fn(&[D, D], |i| ((i * 7 + k) % 13) as f32 / 64.0);
+            let w1 = rt.mem_mut().upload(&weight(1)).unwrap();
             let w1v = rt.ready_value(w1);
-            let w2 = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| 1.0 - i as f32)).unwrap();
+            let w2 = rt.mem_mut().upload(&weight(5)).unwrap();
             let w2v = rt.ready_value(w2);
             let mut outs = Vec::new();
-            for i in 0..3 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap()[0];
+            for i in 0..LANES {
+                let x = Tensor::from_fn(&[1, D], |j| ((i + j) % 11) as f32 * 0.1 - 0.5);
+                let x = rt.upload_inputs(&[&x]).unwrap()[0];
                 let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
                 outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
             }
             (rt, outs)
         };
-        let opts = RuntimeOptions { parallel_workers: 4, checked: true, ..Default::default() };
-        let (mut rt, outs) = build(opts);
+        let (mut rt, outs) = build();
         rt.flush().unwrap();
+        let clean = *rt.stats();
+        assert_eq!(clean.kernel_launches, 2);
+        let launch_flops = clean.flops / clean.kernel_launches;
+        assert!(launch_flops >= SPLIT_MIN_FLOPS, "each launch crosses the split constant");
         let want: Vec<Tensor> = outs.iter().map(|o| rt.download(*o).unwrap()).collect();
 
-        // Fail the second launch: the first run already committed, the
-        // second run rolls back whole — every modeled charge of the failed
-        // run is rescinded, and the retry flush completes bit-for-bit.
-        let (mut rt, outs) = build(opts);
+        // Fail the second launch: the first — executed as a lane split — is
+        // committed and accounted, the failing one and nothing after it is,
+        // and the resumed flush completes bit for bit.
+        let (mut rt, outs) = build();
         rt.mem_mut().arm_fault(FaultPlan::parse("launch:1:kernel").unwrap());
         assert!(matches!(rt.flush(), Err(TensorError::Injected { .. })));
         assert_eq!(rt.stats().aborted_flushes, 1);
-        assert_eq!(rt.stats().kernel_launches, 1, "only the committed run is accounted");
+        assert_eq!(rt.stats().kernel_launches, 1, "only the committed launch is accounted");
+        assert_eq!(rt.stats().flops, launch_flops);
         rt.verify_consistent().unwrap();
         rt.mem_mut().clear_fault();
         rt.flush().unwrap();
+        assert_eq!((rt.stats().flushes, rt.stats().kernel_launches), (1, 2));
+        assert_eq!(rt.stats().flops, clean.flops);
+        assert_eq!(rt.stats().kernel_time_us, clean.kernel_time_us);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for (o, w) in outs.iter().zip(&want) {
-            assert_eq!(rt.download(*o).unwrap().data(), w.data());
+            assert_eq!(bits(&rt.download(*o).unwrap()), bits(w));
         }
     }
 

@@ -600,7 +600,7 @@ impl Dfg {
     /// Marks a whole batch executed in one pass, materializing every lane's
     /// outputs.  `outputs[slot][lane]` is the tensor produced for
     /// `batch[lane]`'s output `slot` — exactly the shape
-    /// `acrobat_codegen::exec::run_batched_kernel` returns, so the flush
+    /// `acrobat_codegen::exec::finish_prepared` returns, so the flush
     /// path moves tensors straight into the value table without per-node
     /// re-packing or handle clones.
     ///

@@ -73,13 +73,6 @@ pub struct RuntimeOptions {
     /// bit-for-bit.
     #[serde(default)]
     pub timeline: crate::timeline::TimelineOptions,
-    /// Worker threads for *real* parallel execution of independent
-    /// same-level batches within a flush (0 or 1 = sequential).  Results
-    /// are bit-for-bit identical to sequential execution; incompatible
-    /// with an active lane-cap downshift (chunked flushes run
-    /// sequentially).
-    #[serde(default)]
-    pub parallel_workers: usize,
     /// Flush-plan memoization ([`crate::plan_cache`]): structurally
     /// repeated pending windows are served by remapping a frozen plan
     /// instead of re-running the scheduler.  Off by default — the paper
@@ -130,7 +123,6 @@ impl Default for RuntimeOptions {
             max_in_flight: 0,
             drive_timeout_ms: default_drive_timeout_ms(),
             timeline: crate::timeline::TimelineOptions::default(),
-            parallel_workers: 0,
             plan_cache: false,
             broker: false,
             backend: KernelBackendKind::Interp,

@@ -583,85 +583,6 @@ fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
     out.decisions = decisions;
 }
 
-/// Reusable per-batch dependency-level computation over a [`Plan`].
-///
-/// Two batches at the same level are independent: level is the longest
-/// producer chain among the plan's batches (a batch consuming another
-/// batch's output sits at least one level deeper).  The device timeline
-/// uses levels only implicitly (it tracks per-value completion events);
-/// the *real* parallel executor uses them to find runs of batches that may
-/// execute concurrently, and tests use them to cross-check both.
-///
-/// Like [`SchedulerScratch`], instances are reusable: all storage is
-/// retained across calls, so steady-state computation is allocation-free.
-#[derive(Debug, Default)]
-pub struct BatchLevels {
-    /// Node id → batch index; valid iff `stamp[id] == epoch`.
-    batch_of: Vec<u32>,
-    /// Epoch stamps validating `batch_of`.
-    stamp: Vec<u32>,
-    /// Current epoch.
-    epoch: u32,
-    /// Per-batch dependency level (output of [`BatchLevels::compute`]).
-    levels: Vec<u32>,
-}
-
-impl BatchLevels {
-    /// Creates empty scratch.
-    pub fn new() -> BatchLevels {
-        BatchLevels::default()
-    }
-
-    /// Computes the dependency level of every batch in `plan`.
-    ///
-    /// Must run while the plan's nodes are still pending in `dfg`
-    /// (producers of completed values are invisible, which is exactly the
-    /// cross-flush semantics we want: values completed by earlier flushes
-    /// are ready and impose no ordering).
-    pub fn compute(&mut self, dfg: &Dfg, plan: &Plan) {
-        let universe = dfg.node_count() as usize;
-        if self.batch_of.len() < universe {
-            self.batch_of.resize(universe, 0);
-            self.stamp.resize(universe, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        for (b, batch) in plan.batches().enumerate() {
-            for &id in batch {
-                self.batch_of[id.0 as usize] = b as u32;
-                self.stamp[id.0 as usize] = self.epoch;
-            }
-        }
-        self.levels.clear();
-        for batch in plan.batches() {
-            // Plans are emitted in dependence order, so every producer
-            // batch of `batch` already has its level.
-            let mut level = 0u32;
-            for &id in batch {
-                for a in &dfg.node(id).args {
-                    if let Some(p) = dfg.producer(*a) {
-                        let pi = p.0 as usize;
-                        if self.stamp[pi] == self.epoch {
-                            let pb = self.batch_of[pi] as usize;
-                            debug_assert!(pb < self.levels.len(), "plan not topo-ordered");
-                            level = level.max(self.levels[pb] + 1);
-                        }
-                    }
-                }
-            }
-            self.levels.push(level);
-        }
-    }
-
-    /// Per-batch levels from the last [`BatchLevels::compute`].
-    pub fn levels(&self) -> &[u32] {
-        &self.levels
-    }
-}
-
 /// Straight transcriptions of the original (seed) scheduler algorithms,
 /// retained as the behavioral reference: the optimized implementations must
 /// produce the same batch partitions and charge the same decision counts.
@@ -986,41 +907,6 @@ mod tests {
             let r = reference::plan(SchedulerKind::Agenda, &dfg);
             assert_eq!(p.to_batches(), r.to_batches());
         }
-    }
-
-    #[test]
-    fn batch_levels_respect_dependences() {
-        let dfg = chain_dfg(8);
-        for kind in [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-        {
-            let p = plan(kind, &dfg);
-            let mut lv = BatchLevels::new();
-            lv.compute(&dfg, &p);
-            assert_eq!(lv.levels().len(), p.num_batches());
-            // Chain DFG: first launch level 0, dependent second launch 1.
-            assert_eq!(lv.levels(), &[0, 1], "{kind:?}");
-            // Reuse across plans gives identical results.
-            lv.compute(&dfg, &p);
-            assert_eq!(lv.levels(), &[0, 1], "{kind:?} reuse");
-        }
-    }
-
-    #[test]
-    fn independent_batches_share_a_level() {
-        let mut mem = acrobat_tensor::DeviceMem::new(1 << 12);
-        let mut dfg = Dfg::new();
-        // Two independent kernel classes → two batches, both level 0.
-        for kernel in [0u32, 1] {
-            for i in 0..3 {
-                let x = dfg.ready_value(mem.upload(&acrobat_tensor::Tensor::ones(&[2])).unwrap());
-                dfg.add_node(KernelId(kernel), i, 0, 0, 0, vec![x], 1);
-            }
-        }
-        let p = plan(SchedulerKind::InlineDepth, &dfg);
-        assert_eq!(p.num_batches(), 2);
-        let mut lv = BatchLevels::new();
-        lv.compute(&dfg, &p);
-        assert_eq!(lv.levels(), &[0, 0]);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct LaunchEvent {
 /// maximum over all lanes and [`DeviceTimeline::overlap_saved_us`] is the
 /// (always non-negative) difference between the serial sum of charges and
 /// that makespan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeviceTimeline {
     opts: TimelineOptions,
     /// Host lane cursor, µs.

@@ -473,11 +473,11 @@ impl DeviceMem {
         (lo, hi)
     }
 
-    /// A raw shared view of the whole arena for parallel kernel execution
-    /// ([`ExecView`]).  All output regions must have been reserved (bump
-    /// allocated) *before* taking the view — the view cannot allocate —
-    /// and concurrent writers must target disjoint regions (see the
-    /// [`ExecView`] contract).
+    /// A raw shared view of the whole arena for the execute phase of a
+    /// kernel launch ([`ExecView`]).  All output regions must have been
+    /// reserved (bump allocated) *before* taking the view — the view cannot
+    /// allocate — and concurrent writers must target disjoint regions (see
+    /// the [`ExecView`] contract).
     pub fn exec_view(&mut self) -> ExecView<'_> {
         ExecView {
             ptr: self.buf.as_mut_ptr(),
@@ -575,22 +575,23 @@ impl DeviceMem {
 }
 
 /// A thread-shareable raw view of a [`DeviceMem`] arena, used by the
-/// parallel kernel executor to run independent batched launches of one
-/// flush concurrently.
+/// kernel executor to run disjoint lane ranges of one prepared launch on
+/// several threads.
 ///
 /// The view mutably borrows the arena for its lifetime (no allocation,
 /// upload or reset can interleave), but deliberately bypasses Rust's
-/// aliasing checks *within* the buffer so that multiple workers can write
+/// aliasing checks *within* the buffer so that multiple threads can write
 /// their own output regions simultaneously.  Safety therefore rests on the
 /// executor's output-reservation discipline:
 ///
-/// * every region passed to [`ExecView::write`] was freshly bump-allocated
-///   for exactly one work unit — output allocations never overlap, so
+/// * every region passed to [`ExecView::write`] is the slice of a freshly
+///   bump-allocated launch output that belongs to exactly one lane range —
+///   output allocations never overlap and lane ranges are disjoint, so
 ///   concurrent writes are disjoint by construction;
 /// * every region passed to [`ExecView::read`] was fully written before
-///   the parallel phase began (inputs of the current run were produced by
-///   *earlier* runs or uploads — same-level batches never read each
-///   other's outputs).
+///   the launch's execute phase began (its inputs are uploads, gather
+///   staging or *earlier* launches' outputs — a launch never reads its
+///   own outputs).
 #[derive(Clone, Copy)]
 pub struct ExecView<'a> {
     ptr: *mut f32,
@@ -616,7 +617,7 @@ impl ExecView<'_> {
     /// # Safety
     ///
     /// The region must not be concurrently written (see the type-level
-    /// contract: reads target data produced before the parallel phase).
+    /// contract: reads target data produced before the execute phase).
     pub unsafe fn read(&self, offset: usize, len: usize) -> &[f32] {
         debug_assert!(offset + len <= self.len, "ExecView read out of bounds");
         unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) }
@@ -628,7 +629,7 @@ impl ExecView<'_> {
     ///
     /// The region must be exclusively owned by the caller for the duration
     /// of the borrow (freshly reserved output, disjoint from every other
-    /// work unit's outputs and from all concurrent reads).
+    /// lane range's outputs and from all concurrent reads).
     #[allow(clippy::mut_from_ref)] // aliasing is governed by the documented contract
     pub unsafe fn write(&self, offset: usize, len: usize) -> &mut [f32] {
         debug_assert!(offset + len <= self.len, "ExecView write out of bounds");

@@ -64,4 +64,19 @@ fiber_w4=$(cargo run --release -p acrobat-bench --bin fiber_determinism -- --wor
 diff <(printf '%s\n' "$fiber_w1") <(printf '%s\n' "$fiber_w4") \
   || { echo "fiber signature/hit-rate JSON differs between worker counts"; exit 1; }
 
+echo "==> one flush execution path, no knob (the lane split is chosen per launch, never configured)"
+if grep -rn parallel_workers crates tests; then
+  echo "parallel_workers is gone: the runtime splits a launch's lanes from its own flops"; exit 1
+fi
+
+echo "==> benchmark unit tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke (tree_kernel, 2 s: split launches pass the digest + DyNet-baseline gate)"
+bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload tree_kernel --seed 1 --seconds 2 --trace 0 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then
+  echo "benchmark smoke failed: $bench_line"; exit 1
+fi
+
 echo "All checks passed."

@@ -37,17 +37,15 @@ fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
 
 /// Chaos-mode compile options: transient-fault retry on, everything else
 /// default.  Both the chaos model and the fault-free reference use these,
-/// so outputs are comparable bit for bit.  `parallel_workers > 0` also
-/// exercises the worker-pool kernel execution path under chaos;
-/// `plan_cache` turns on flush-plan memoization (the reference stays
-/// cache-off, so survivor equality also proves cache-on ≡ cache-off);
+/// so outputs are comparable bit for bit.  `plan_cache` turns on
+/// flush-plan memoization (the reference stays cache-off, so survivor
+/// equality also proves cache-on ≡ cache-off);
 /// `spec_backend` switches the chaos model to the specialized kernel
 /// backend at threshold 1 (the reference stays on the interpreter, so
 /// survivor equality also proves spec ≡ interp under chaos).
-fn chaos_options(parallel_workers: usize, plan_cache: bool, spec_backend: bool) -> CompileOptions {
+fn chaos_options(plan_cache: bool, spec_backend: bool) -> CompileOptions {
     let mut options = CompileOptions::default();
     options.runtime.retry = RetryPolicy { max_retries: 3, backoff_base_us: 10.0 };
-    options.runtime.parallel_workers = parallel_workers;
     options.runtime.plan_cache = plan_cache;
     if spec_backend {
         options = options
@@ -126,16 +124,15 @@ fn chaos_round(
     threads: usize,
     runs_per_thread: usize,
     seed: u64,
-    parallel_workers: usize,
     plan_cache: bool,
     spec_backend: bool,
 ) {
-    let options = chaos_options(parallel_workers, plan_cache, spec_backend);
+    let options = chaos_options(plan_cache, spec_backend);
     // Fault-free serial reference on a separate cache-off, interpreter-only
     // model, so the chaos model's outcome ledger stays exactly the chaos
     // traffic — and, with `plan_cache` or `spec_backend`, survivors
     // additionally prove cache-on ≡ cache-off and spec ≡ interp.
-    let reference_model = build(spec, &chaos_options(parallel_workers, false, false));
+    let reference_model = build(spec, &chaos_options(false, false));
     let instances = (spec.make_instances)(0xC8A0, 4);
     let reference =
         reference_model.run(&spec.params, &instances).expect("fault-free reference").outputs;
@@ -296,7 +293,7 @@ fn chaos_round(
 #[test]
 fn chaos_serving_sequential_model() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0001, 0, false, false);
+    chaos_round(&spec, 4, 6, 0xC0A5_0001, false, false);
 }
 
 /// Chaos over the fiber-mode model (DRNN: tensor-dependent control flow,
@@ -304,24 +301,7 @@ fn chaos_serving_sequential_model() {
 #[test]
 fn chaos_serving_fiber_model() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0002, 0, false, false);
-}
-
-/// The sequential-model chaos round with worker-pool kernel execution:
-/// survivors (including storm-hit requests rescued by retry) must still be
-/// bit-for-bit identical to the fault-free reference, and the outcome
-/// ledger must stay exactly consistent.
-#[test]
-fn chaos_serving_sequential_model_parallel_exec() {
-    let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0003, 4, false, false);
-}
-
-/// The fiber-model chaos round with worker-pool kernel execution.
-#[test]
-fn chaos_serving_fiber_model_parallel_exec() {
-    let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0004, 4, false, false);
+    chaos_round(&spec, 3, 4, 0xC0A5_0002, false, false);
 }
 
 /// The sequential-model chaos round with flush-plan memoization on: every
@@ -331,14 +311,14 @@ fn chaos_serving_fiber_model_parallel_exec() {
 #[test]
 fn chaos_serving_sequential_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0005, 0, true, false);
+    chaos_round(&spec, 4, 6, 0xC0A5_0005, true, false);
 }
 
 /// The fiber-model chaos round with flush-plan memoization on.
 #[test]
 fn chaos_serving_fiber_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0006, 0, true, false);
+    chaos_round(&spec, 3, 4, 0xC0A5_0006, true, false);
 }
 
 /// The sequential-model chaos round on the specialized kernel backend:
@@ -349,16 +329,16 @@ fn chaos_serving_fiber_model_plan_cache() {
 #[test]
 fn chaos_serving_sequential_model_spec_backend() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0007, 0, false, true);
+    chaos_round(&spec, 4, 6, 0xC0A5_0007, false, true);
 }
 
-/// The fiber-model chaos round on the specialized kernel backend, with
-/// worker-pool execution: parallel workers race on the shared
-/// compiled-kernel cache while disruptions poison suspended fibers.
+/// The fiber-model chaos round on the specialized kernel backend:
+/// concurrent requests race on the shared compiled-kernel cache while
+/// disruptions poison suspended fibers.
 #[test]
 fn chaos_serving_fiber_model_spec_backend() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0008, 4, false, true);
+    chaos_round(&spec, 3, 4, 0xC0A5_0008, false, true);
 }
 
 /// Deterministic load shedding: with `max_in_flight = 1` and the single
@@ -444,44 +424,39 @@ fn overload_under_concurrency_sheds_cleanly() {
 #[test]
 fn serial_fault_storm_sweep_is_classified_and_consistent() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    // The parallel-execution axis: the same storm sweep must classify and
-    // survive identically whether kernels run sequentially or on the
-    // worker pool (fault occurrence order is prepare-phase, plan-order).
-    for parallel_workers in [0usize, 4] {
-        let model = build(&spec, &chaos_options(parallel_workers, false, false));
-        let instances = (spec.make_instances)(0x5707, 3);
-        let reference = {
-            let clean = build(&spec, &chaos_options(parallel_workers, false, false));
-            clean.run(&spec.params, &instances).expect("reference").outputs
-        };
+    let model = build(&spec, &chaos_options(false, false));
+    let instances = (spec.make_instances)(0x5707, 3);
+    let reference = {
+        let clean = build(&spec, &chaos_options(false, false));
+        clean.run(&spec.params, &instances).expect("reference").outputs
+    };
 
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        for storm_seed in 0..16u64 {
-            let plan = format!("launch:rate=5%@{storm_seed}:kernel");
-            let opts = RunOptions {
-                fault: Some(FaultPlan::parse(&plan).expect("plan parses")),
-                ..RunOptions::default()
-            };
-            match model.run_with(&spec.params, &instances, &opts) {
-                Ok(r) => {
-                    assert_outputs_equal(&spec, &reference, &r.outputs, "storm survivor");
-                    completed += 1;
-                }
-                Err(e) => {
-                    assert!(
-                        matches!(e.as_vm(), Some(VmError::Tensor(TensorError::Injected { .. }))),
-                        "storm failure class: {e}"
-                    );
-                    failed += 1;
-                }
+    let mut completed = 0u64;
+    let mut failed = 0u64;
+    for storm_seed in 0..16u64 {
+        let plan = format!("launch:rate=5%@{storm_seed}:kernel");
+        let opts = RunOptions {
+            fault: Some(FaultPlan::parse(&plan).expect("plan parses")),
+            ..RunOptions::default()
+        };
+        match model.run_with(&spec.params, &instances, &opts) {
+            Ok(r) => {
+                assert_outputs_equal(&spec, &reference, &r.outputs, "storm survivor");
+                completed += 1;
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e.as_vm(), Some(VmError::Tensor(TensorError::Injected { .. }))),
+                    "storm failure class: {e}"
+                );
+                failed += 1;
             }
         }
-        assert!(completed > 0, "at 5% with retry, some storms are survivable");
-        let outcomes = model.outcomes();
-        assert_eq!(outcomes.completed, completed);
-        assert_eq!(outcomes.failed, failed);
-        assert!(model.quarantined_count() >= failed, "failed storms always quarantine");
-        assert_eq!(model.runs_completed(), completed);
     }
+    assert!(completed > 0, "at 5% with retry, some storms are survivable");
+    let outcomes = model.outcomes();
+    assert_eq!(outcomes.completed, completed);
+    assert_eq!(outcomes.failed, failed);
+    assert!(model.quarantined_count() >= failed, "failed storms always quarantine");
+    assert_eq!(model.runs_completed(), completed);
 }

@@ -74,31 +74,27 @@ fn random_dag_workloads_agree_bit_for_bit() {
             [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
         {
             for gather_fusion in [false, true] {
-                for parallel_workers in [0, 3] {
-                    for plan_cache in [false, true] {
-                        for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
-                            let options = RuntimeOptions {
-                                scheduler,
-                                gather_fusion,
-                                checked: true,
-                                parallel_workers,
-                                plan_cache,
-                                backend,
-                                // The generated DAGs run on a fresh engine,
-                                // so compile from the first launch.
-                                spec_threshold: 1,
-                                ..RuntimeOptions::default()
-                            };
-                            let got = dag_outputs(case_seed, &options)
-                                .unwrap_or_else(|e| panic!("seed {case_seed} {scheduler:?}: {e}"));
-                            assert_eq!(
-                                bits(&got),
-                                want,
-                                "seed {case_seed} {scheduler:?}/gf={gather_fusion}\
-                                 /par={parallel_workers}/pc={plan_cache}/be={backend:?} \
-                                 diverged from eager"
-                            );
-                        }
+                for plan_cache in [false, true] {
+                    for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
+                        let options = RuntimeOptions {
+                            scheduler,
+                            gather_fusion,
+                            checked: true,
+                            plan_cache,
+                            backend,
+                            // The generated DAGs run on a fresh engine, so
+                            // compile from the first launch.
+                            spec_threshold: 1,
+                            ..RuntimeOptions::default()
+                        };
+                        let got = dag_outputs(case_seed, &options)
+                            .unwrap_or_else(|e| panic!("seed {case_seed} {scheduler:?}: {e}"));
+                        assert_eq!(
+                            bits(&got),
+                            want,
+                            "seed {case_seed} {scheduler:?}/gf={gather_fusion}\
+                             /pc={plan_cache}/be={backend:?} diverged from eager"
+                        );
                     }
                 }
             }

@@ -9,6 +9,7 @@ use acrobat_bench::suite;
 use acrobat_codegen::KernelBackendKind;
 use acrobat_core::{compile, CompileOptions, Model};
 use acrobat_models::{ModelSize, ModelSpec};
+use acrobat_runtime::context::{lane_parts, SPLIT_MIN_FLOPS};
 use acrobat_vm::OutputValue;
 
 fn assert_bit_identical(spec: &ModelSpec, want: &[OutputValue], got: &[OutputValue], label: &str) {
@@ -120,27 +121,73 @@ fn checked_mode_validates_every_compiled_launch() {
     }
 }
 
-/// Parallel workers share the engine-resident compiled-kernel cache and
-/// produce bit-identical outputs to sequential specialized execution.
+/// TreeLSTM at the paper's Small hidden size: with 8 instances the gate
+/// launches carry ≈ 4 MFLOP each, over `SPLIT_MIN_FLOPS`, so their lanes
+/// execute as a split ([`Selection::execute_lanes`]) on a multi-core host.
+///
+/// [`Selection::execute_lanes`]: acrobat_codegen::Selection::execute_lanes
+fn over_threshold_workload() -> (ModelSpec, Vec<Vec<acrobat_vm::InputValue>>) {
+    let spec = acrobat_models::treelstm::spec_with(256, 5);
+    let instances = (spec.make_instances)(0x5917, 8);
+    (spec, instances)
+}
+
+/// Asserts, through the runtime's own policy function, that a run's
+/// launches were big enough to take the split branch: the mean launch is
+/// over the constant, so the largest one is too.
+fn assert_split_branch_taken(stats: &acrobat_core::RuntimeStats, lanes: usize) {
+    let mean_launch_flops = stats.flops / stats.kernel_launches;
+    assert!(mean_launch_flops >= SPLIT_MIN_FLOPS, "mean launch {mean_launch_flops} FLOP");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(lane_parts(mean_launch_flops, lanes), cores.min(lanes));
+}
+
+/// Split launches end to end, in checked mode on both kernel backends:
+/// bit-identical to the unbatched eager evaluator, whose one-lane launches
+/// never split.
 #[test]
-fn parallel_workers_share_compiled_cache() {
-    let spec = &suite(ModelSize::Small, true)[3]; // NestedRNN: deep same-level plans
-    let instances = (spec.make_instances)(0x9A12, 4);
-    let seq = build(
-        spec,
+fn split_launches_match_eager_reference_on_both_backends() {
+    let (spec, instances) = over_threshold_workload();
+    let mut eager = CompileOptions::default().with_checked(true);
+    eager.runtime.eager = true;
+    let want = build(&spec, &eager).run(&spec.params, &instances).expect("eager reference");
+    assert_eq!(want.stats.kernel_launches, want.stats.nodes, "eager: one lane per launch");
+    for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
+        let options = CompileOptions::default()
+            .with_checked(true)
+            .with_kernel_backend(backend)
+            .with_spec_threshold(1);
+        let got = build(&spec, &options).run(&spec.params, &instances).expect("batched run");
+        assert_split_branch_taken(&got.stats, instances.len());
+        assert_bit_identical(&spec, &want.outputs, &got.outputs, &format!("{backend:?} vs eager"));
+    }
+}
+
+/// The helper threads of a split launch execute the kernel the flushing
+/// thread selected from the engine-resident compiled-kernel cache: nothing
+/// is compiled per thread, a warm request compiles nothing at all, and
+/// outputs stay bit-identical to the interpreter.
+#[test]
+fn lane_workers_share_compiled_cache() {
+    let (spec, instances) = over_threshold_workload();
+    let want = build(&spec, &CompileOptions::default())
+        .run(&spec.params, &instances)
+        .expect("interpreter run");
+    let specialized = build(
+        &spec,
         &CompileOptions::default()
             .with_kernel_backend(KernelBackendKind::Spec)
             .with_spec_threshold(1),
     );
-    let mut par_options = CompileOptions::default()
-        .with_kernel_backend(KernelBackendKind::Spec)
-        .with_spec_threshold(1);
-    par_options.runtime.parallel_workers = 4;
-    let par = build(spec, &par_options);
-    let want = seq.run(&spec.params, &instances).expect("sequential spec run");
-    let got = par.run(&spec.params, &instances).expect("parallel spec run");
-    assert_bit_identical(spec, &want.outputs, &got.outputs, "parallel vs sequential");
-    assert!(got.stats.backend_compiles + got.stats.backend_hits > 0, "parallel compiled path ran");
+    let cold = specialized.run(&spec.params, &instances).expect("cold spec run");
+    assert_split_branch_taken(&cold.stats, instances.len());
+    assert_bit_identical(&spec, &want.outputs, &cold.outputs, "cold split vs interpreter");
+    let compiled = specialized.executable().session.engine().backend().compiled_count();
+    assert_eq!(cold.stats.backend_compiles, compiled as u64, "one compile per cache entry");
+    let warm = specialized.run(&spec.params, &instances).expect("warm spec run");
+    assert_eq!(warm.stats.backend_compiles, 0, "warm split launches only hit the cache");
+    assert_eq!(warm.stats.backend_hits, warm.stats.kernel_launches);
+    assert_bit_identical(&spec, &want.outputs, &warm.outputs, "warm split vs interpreter");
 }
 
 /// An engine retune (PGO) must invalidate the compiled-kernel cache: the
