@@ -23,8 +23,8 @@
 //!
 //! Host overheads dominate these workloads (the paper's Table 5), so
 //! throughput scales with `W` until the simulated device saturates.
-//! Wall-clock time is also recorded for reference, but this container runs
-//! on a single CPU, so wall-clock cannot scale and is not the metric.
+//! Wall-clock time is also recorded for reference only: the wall-clock
+//! story of this profile is `benchmark/` (`birnn_serve2`, `benchmark/README.md`).
 //!
 //! Writes `bench_results/serving_throughput.txt`; with `--json` the same
 //! rows additionally land in `bench_results/BENCH_serving_throughput.json`.
@@ -199,7 +199,7 @@ fn main() {
     writeln!(out, "#   makespan = max(total device time, busiest worker's host time)").unwrap();
     writeln!(out, "# wall_ms is real wall-clock on the bench host, recorded for reference")
         .unwrap();
-    writeln!(out, "# only — this container has one CPU, so wall-clock cannot scale.").unwrap();
+    writeln!(out, "# only — wall-clock is measured by benchmark/ (benchmark/README.md).").unwrap();
     writeln!(out, "#").unwrap();
     writeln!(
         out,

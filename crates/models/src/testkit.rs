@@ -5,7 +5,8 @@
 #![allow(clippy::field_reassign_with_default)] // builder-style option setup reads better
 
 use acrobat_baselines::dynet::DynetConfig;
-use acrobat_core::{compile, CompileOptions};
+use acrobat_core::{compile, CompileOptions, Model};
+use acrobat_vm::OutputValue;
 
 use crate::ModelSpec;
 
@@ -72,6 +73,41 @@ pub fn check_acrobat_runs(spec: &ModelSpec, batch: usize, seed: u64) {
     for out in &result.outputs {
         for t in (spec.flatten_output)(out) {
             assert!(t.data().iter().all(|v| v.is_finite()), "{}: non-finite output", spec.name);
+        }
+    }
+}
+
+/// Compiles a spec for an integration test.
+///
+/// # Panics
+///
+/// Panics, naming the model, when it does not compile.
+pub fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
+    compile(&spec.source, options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
+}
+
+/// Bit-for-bit tensor equality of two runs' outputs (no tolerance).
+///
+/// # Panics
+///
+/// Panics on the first instance, tensor count or tensor that differs.
+pub fn assert_outputs_equal(
+    spec: &ModelSpec,
+    reference: &[OutputValue],
+    got: &[OutputValue],
+    label: &str,
+) {
+    assert_eq!(reference.len(), got.len(), "{}: {label}: instance count", spec.name);
+    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
+        let (rt, gt) = ((spec.flatten_output)(r), (spec.flatten_output)(g));
+        assert_eq!(rt.len(), gt.len(), "{}: {label}: instance {i} tensor count", spec.name);
+        for (j, (a, b)) in rt.iter().zip(&gt).enumerate() {
+            assert_eq!(
+                a.data(),
+                b.data(),
+                "{}: {label}: instance {i} tensor {j} diverged",
+                spec.name
+            );
         }
     }
 }

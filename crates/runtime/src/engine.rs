@@ -61,12 +61,6 @@ pub struct RuntimeOptions {
     /// (0 = unlimited).
     #[serde(default)]
     pub max_in_flight: usize,
-    /// Fiber-hub watchdog: if the hub fails to reach a flush point or
-    /// termination for this many milliseconds, the run fails with a
-    /// structured [`crate::fiber::DriveTimeout`] instead of hanging
-    /// (0 = no watchdog).
-    #[serde(default = "default_drive_timeout_ms")]
-    pub drive_timeout_ms: u64,
     /// Simulated device timeline ([`crate::timeline`]): compute-stream
     /// count, copy engine, host/device overlap.  The default (one stream,
     /// everything synchronous) reproduces the legacy serial accumulation
@@ -102,10 +96,6 @@ pub struct RuntimeOptions {
     pub spec_threshold: u64,
 }
 
-fn default_drive_timeout_ms() -> u64 {
-    60_000
-}
-
 fn default_spec_threshold() -> u64 {
     4
 }
@@ -121,7 +111,6 @@ impl Default for RuntimeOptions {
             checked: false,
             retry: crate::resilience::RetryPolicy::default(),
             max_in_flight: 0,
-            drive_timeout_ms: default_drive_timeout_ms(),
             timeline: crate::timeline::TimelineOptions::default(),
             plan_cache: false,
             broker: false,

@@ -9,9 +9,8 @@
 //!
 //! * [`CancelToken`] — cooperative cancellation, checked at flush
 //!   boundaries and between batched launches;
-//! * [`Deadline`] — a latency budget, either *virtual* (compared against
-//!   the device model's accumulated time, deterministic and reproducible)
-//!   or *wall-clock* (a real serving SLA);
+//! * [`Deadline`] — a latency budget in *virtual* time (compared against
+//!   the device model's accumulated time, deterministic and reproducible);
 //! * [`RetryPolicy`] — bounded retry with exponential backoff for
 //!   *transient* device faults ([`acrobat_tensor::FaultClass::Transient`]),
 //!   reusing the aborted-flush replan machinery: a failed flush leaves the
@@ -21,7 +20,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use acrobat_tensor::TensorError;
 use serde::{Deserialize, Serialize};
@@ -59,8 +57,8 @@ impl CancelToken {
 /// against the *modeled* time a context has accumulated
 /// ([`crate::RuntimeStats::total_us`]), which makes deadline behaviour
 /// deterministic — the chaos harness relies on this to predict exactly
-/// which requests miss their budget.  Wall deadlines compare against real
-/// elapsed time, for actual serving SLAs.
+/// which requests miss their budget.  There is deliberately no wall-clock
+/// variant: it would make a request's outcome depend on the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Deadline {
     /// No deadline.
@@ -73,24 +71,12 @@ pub enum Deadline {
         /// Modeled-microsecond budget.
         budget_us: f64,
     },
-    /// Wall-clock budget measured from `start`.
-    Wall {
-        /// When the request was admitted.
-        start: Instant,
-        /// Real-time budget.
-        budget: Duration,
-    },
 }
 
 impl Deadline {
     /// A virtual deadline of `budget_us` modeled microseconds.
     pub fn virtual_us(budget_us: f64) -> Deadline {
         Deadline::Virtual { budget_us }
-    }
-
-    /// A wall-clock deadline of `budget` starting now.
-    pub fn wall(budget: Duration) -> Deadline {
-        Deadline::Wall { start: Instant::now(), budget }
     }
 
     /// Checks the budget against `spent_us` modeled microseconds.
@@ -104,17 +90,6 @@ impl Deadline {
             Deadline::Virtual { budget_us } => {
                 if spent_us >= budget_us {
                     Err(TensorError::DeadlineExceeded { spent_us, budget_us })
-                } else {
-                    Ok(())
-                }
-            }
-            Deadline::Wall { start, budget } => {
-                let elapsed = start.elapsed();
-                if elapsed > budget {
-                    Err(TensorError::DeadlineExceeded {
-                        spent_us: elapsed.as_secs_f64() * 1e6,
-                        budget_us: budget.as_secs_f64() * 1e6,
-                    })
                 } else {
                     Ok(())
                 }
@@ -177,17 +152,6 @@ mod tests {
         assert_eq!(err, TensorError::DeadlineExceeded { spent_us: 100.0, budget_us: 100.0 });
         // A zero budget trips on the very first check.
         assert!(Deadline::virtual_us(0.0).check(0.0).is_err());
-    }
-
-    #[test]
-    fn wall_deadline_trips_after_elapsing() {
-        let d = Deadline::wall(Duration::from_secs(3600));
-        assert!(d.check(0.0).is_ok());
-        let expired = Deadline::Wall {
-            start: Instant::now() - Duration::from_secs(2),
-            budget: Duration::ZERO,
-        };
-        assert!(matches!(expired.check(0.0), Err(TensorError::DeadlineExceeded { .. })));
     }
 
     #[test]

@@ -156,94 +156,157 @@ impl RuntimeStats {
     pub fn total_with_host_us(&self) -> f64 {
         self.total_us() + self.program_host_us
     }
+}
 
-    /// Accumulates another run's statistics (for averaging across repeats).
-    pub fn merge(&mut self, o: &RuntimeStats) {
-        self.dfg_construction_us += o.dfg_construction_us;
-        self.scheduling_us += o.scheduling_us;
-        self.memcpy_us += o.memcpy_us;
-        self.kernel_time_us += o.kernel_time_us;
-        self.cuda_api_us += o.cuda_api_us;
-        self.fiber_us += o.fiber_us;
-        self.overlap_saved_us += o.overlap_saved_us;
-        self.nodes += o.nodes;
-        self.kernel_launches += o.kernel_launches;
-        self.gather_copies += o.gather_copies;
-        self.gather_bytes += o.gather_bytes;
-        self.contiguous_hits += o.contiguous_hits;
-        self.memcpy_ops += o.memcpy_ops;
-        self.memcpy_bytes += o.memcpy_bytes;
-        self.flops += o.flops;
-        self.flushes += o.flushes;
-        self.aborted_flushes += o.aborted_flushes;
-        self.fiber_switches += o.fiber_switches;
-        self.retries += o.retries;
-        self.retry_backoff_us += o.retry_backoff_us;
-        self.downshifts += o.downshifts;
-        self.plan_cache_hits += o.plan_cache_hits;
-        self.plan_cache_misses += o.plan_cache_misses;
-        self.plan_cache_evictions += o.plan_cache_evictions;
-        self.plan_sig_us += o.plan_sig_us;
-        // XOR, not add: the digest stays a set-of-windows invariant under
-        // any merge grouping (merge is how per-worker stats aggregate, and
-        // the digest must not depend on the worker count).
-        self.plan_sig_chain ^= o.plan_sig_chain;
-        self.shared_flushes += o.shared_flushes;
-        self.solo_flushes += o.solo_flushes;
-        self.backend_compiles += o.backend_compiles;
-        self.backend_hits += o.backend_hits;
-        self.backend_interp_falls += o.backend_interp_falls;
-        self.device_peak_elements = self.device_peak_elements.max(o.device_peak_elements);
-        self.host_wall_us += o.host_wall_us;
-        self.exec_wall_us += o.exec_wall_us;
-        self.program_host_us += o.program_host_us;
+/// The one place each [`RuntimeStats`] field is classified.  The table
+/// drives [`RuntimeStats::merge`], [`RuntimeStats::scaled`] and
+/// [`RuntimeStats::split`]; `scaled` expands to a full struct literal, so a
+/// field added to the struct without a row here (or listed twice) does not
+/// compile.
+macro_rules! field_table {
+    ($($field:ident: $kind:ident,)*) => {
+        impl RuntimeStats {
+            /// Accumulates another run's statistics (for averaging across repeats).
+            pub fn merge(&mut self, o: &RuntimeStats) {
+                $(self.$field = ($kind.merge)(self.$field, o.$field);)*
+            }
+
+            /// Divides all quantities by `n` (averaging after [`RuntimeStats::merge`]).
+            ///
+            /// Count fields round to the nearest integer: a truncating division
+            /// biased every averaged count downward (3 runs of 10, 10 and 11
+            /// launches averaged to 10.33 and reported 10, but 11, 11, 10 reported
+            /// 10 as well while 32/3 should read 11).
+            pub fn scaled(&self, n: f64) -> RuntimeStats {
+                RuntimeStats { $($field: ($kind.scaled)(self.$field, n),)* }
+            }
+
+            /// Splits one run's statistics among the requests that shared it,
+            /// weighted by their instance `counts`.  Merging the parts
+            /// reproduces `self` exactly, field for field, and a single
+            /// member receives `self` unchanged.
+            pub fn split(&self, counts: &[usize]) -> Vec<RuntimeStats> {
+                let mut out = vec![RuntimeStats::default(); counts.len()];
+                $(($kind.split)(self.$field, counts, &mut out, |s| &mut s.$field);)*
+                out
+            }
+        }
+    };
+}
+
+field_table! {
+    dfg_construction_us: TIME_SUM,
+    scheduling_us: TIME_SUM,
+    memcpy_us: TIME_SUM,
+    kernel_time_us: TIME_SUM,
+    cuda_api_us: TIME_SUM,
+    fiber_us: TIME_SUM,
+    overlap_saved_us: TIME_SUM,
+    nodes: COUNT_SUM,
+    kernel_launches: COUNT_SUM,
+    gather_copies: COUNT_SUM,
+    gather_bytes: COUNT_SUM,
+    contiguous_hits: COUNT_SUM,
+    memcpy_ops: COUNT_SUM,
+    memcpy_bytes: COUNT_SUM,
+    flops: COUNT_SUM,
+    flushes: COUNT_SUM,
+    aborted_flushes: COUNT_SUM,
+    fiber_switches: COUNT_SUM,
+    retries: COUNT_SUM,
+    retry_backoff_us: TIME_SUM,
+    downshifts: COUNT_SUM,
+    plan_cache_hits: COUNT_SUM,
+    plan_cache_misses: COUNT_SUM,
+    plan_cache_evictions: COUNT_SUM,
+    plan_sig_us: TIME_SUM,
+    plan_sig_chain: XOR_DIGEST,
+    shared_flushes: COUNT_SUM,
+    solo_flushes: COUNT_SUM,
+    backend_compiles: COUNT_SUM,
+    backend_hits: COUNT_SUM,
+    backend_interp_falls: COUNT_SUM,
+    device_peak_elements: MAX,
+    host_wall_us: TIME_SUM,
+    exec_wall_us: TIME_SUM,
+    program_host_us: TIME_SUM,
+}
+
+/// How one kind of field merges, averages (`scaled`) and splits.
+struct Kind<T> {
+    merge: fn(T, T) -> T,
+    scaled: fn(T, f64) -> T,
+    split: fn(T, &[usize], &mut [RuntimeStats], Field<T>),
+}
+
+/// Selects the field of a member's [`RuntimeStats`] a split fills.
+type Field<T> = fn(&mut RuntimeStats) -> &mut T;
+
+/// A modeled or measured time, µs.
+const TIME_SUM: Kind<f64> = Kind { merge: |a, b| a + b, scaled: |a, n| a / n, split: split_time };
+
+/// An exact event or byte count; averages round to the nearest integer.
+const COUNT_SUM: Kind<u64> =
+    Kind { merge: |a, b| a + b, scaled: |a, n| (a as f64 / n).round() as u64, split: split_count };
+
+/// A high-water mark.  It was genuinely shared: every member of a split saw
+/// it, and merging by max keeps the peak.
+const MAX: Kind<u64> = Kind {
+    merge: u64::max,
+    scaled: |a, _| a,
+    split: |total, _, out, field| out.iter_mut().for_each(|s| *field(s) = total),
+};
+
+/// An XOR digest: a set-of-windows invariant, not a quantity.  XOR keeps it
+/// independent of any merge grouping; it does not average; it cannot be
+/// apportioned, so member 0 carries it whole and the XOR across members
+/// equals the total.
+const XOR_DIGEST: Kind<u64> = Kind {
+    merge: |a, b| a ^ b,
+    scaled: |a, _| a,
+    split: |total, _, out, field| out.iter_mut().take(1).for_each(|s| *field(s) = total),
+};
+
+/// Proportional shares of a time; the last member takes the rounding
+/// residue so the shares sum back to `total`.
+fn split_time(total: f64, counts: &[usize], out: &mut [RuntimeStats], field: Field<f64>) {
+    let weight: u64 = counts.iter().map(|&c| c as u64).sum();
+    let mut acc = 0.0_f64;
+    for (i, s) in out.iter_mut().enumerate() {
+        let share = if i + 1 == counts.len() {
+            total - acc
+        } else if weight == 0 {
+            0.0
+        } else {
+            total * counts[i] as f64 / weight as f64
+        };
+        *field(s) = share;
+        acc += share;
     }
+}
 
-    /// Divides all quantities by `n` (averaging after [`RuntimeStats::merge`]).
-    ///
-    /// Count fields round to the nearest integer: a truncating division
-    /// biased every averaged count downward (3 runs of 10, 10 and 11
-    /// launches averaged to 10.33 and reported 10, but 11, 11, 10 reported
-    /// 10 as well while 32/3 should read 11).
-    pub fn scaled(&self, n: f64) -> RuntimeStats {
-        let avg = |x: u64| (x as f64 / n).round() as u64;
-        RuntimeStats {
-            dfg_construction_us: self.dfg_construction_us / n,
-            scheduling_us: self.scheduling_us / n,
-            memcpy_us: self.memcpy_us / n,
-            kernel_time_us: self.kernel_time_us / n,
-            cuda_api_us: self.cuda_api_us / n,
-            fiber_us: self.fiber_us / n,
-            overlap_saved_us: self.overlap_saved_us / n,
-            nodes: avg(self.nodes),
-            kernel_launches: avg(self.kernel_launches),
-            gather_copies: avg(self.gather_copies),
-            gather_bytes: avg(self.gather_bytes),
-            contiguous_hits: avg(self.contiguous_hits),
-            memcpy_ops: avg(self.memcpy_ops),
-            memcpy_bytes: avg(self.memcpy_bytes),
-            flops: avg(self.flops),
-            flushes: avg(self.flushes),
-            aborted_flushes: avg(self.aborted_flushes),
-            fiber_switches: avg(self.fiber_switches),
-            retries: avg(self.retries),
-            retry_backoff_us: self.retry_backoff_us / n,
-            downshifts: avg(self.downshifts),
-            plan_cache_hits: avg(self.plan_cache_hits),
-            plan_cache_misses: avg(self.plan_cache_misses),
-            plan_cache_evictions: avg(self.plan_cache_evictions),
-            plan_sig_us: self.plan_sig_us / n,
-            // A digest does not average; it passes through unchanged.
-            plan_sig_chain: self.plan_sig_chain,
-            shared_flushes: avg(self.shared_flushes),
-            solo_flushes: avg(self.solo_flushes),
-            backend_compiles: avg(self.backend_compiles),
-            backend_hits: avg(self.backend_hits),
-            backend_interp_falls: avg(self.backend_interp_falls),
-            device_peak_elements: self.device_peak_elements,
-            host_wall_us: self.host_wall_us / n,
-            exec_wall_us: self.exec_wall_us / n,
-            program_host_us: self.program_host_us / n,
+/// Largest-remainder apportionment of a count: shares sum to `total`
+/// exactly and each is within one of its proportional value.  Ties in the
+/// fractional remainder break toward the lower index.
+fn split_count(total: u64, counts: &[usize], out: &mut [RuntimeStats], field: Field<u64>) {
+    let weight: u128 = counts.iter().map(|&c| c as u128).sum();
+    if weight == 0 {
+        out.iter_mut().take(1).for_each(|s| *field(s) = total);
+        return;
+    }
+    let mut left = total;
+    for (s, &c) in out.iter_mut().zip(counts) {
+        let share = (u128::from(total) * c as u128 / weight) as u64;
+        *field(s) = share;
+        left -= share;
+    }
+    if left > 0 {
+        let mut order: Vec<usize> = (0..counts.len()).collect();
+        order.sort_by_key(|&i| {
+            (std::cmp::Reverse(u128::from(total) * counts[i] as u128 % weight), i)
+        });
+        for &i in order.iter().take(left as usize) {
+            *field(&mut out[i]) += 1;
         }
     }
 }
@@ -251,6 +314,80 @@ impl RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The hand-written classification the field table is checked against.
+    macro_rules! fields {
+        ($s:ident: $($f:ident)*) => { [$(&mut $s.$f),*] };
+    }
+    fn times(s: &mut RuntimeStats) -> [&mut f64; 12] {
+        fields!(s: dfg_construction_us scheduling_us memcpy_us kernel_time_us cuda_api_us fiber_us
+            overlap_saved_us retry_backoff_us plan_sig_us host_wall_us exec_wall_us program_host_us)
+    }
+    fn counts(s: &mut RuntimeStats) -> [&mut u64; 21] {
+        fields!(s: nodes kernel_launches gather_copies gather_bytes contiguous_hits memcpy_ops
+            memcpy_bytes flops flushes aborted_flushes fiber_switches retries downshifts
+            plan_cache_hits plan_cache_misses plan_cache_evictions shared_flushes solo_flushes
+            backend_compiles backend_hits backend_interp_falls)
+    }
+    fn filled(
+        time: impl Fn(usize) -> f64,
+        count: impl Fn(usize) -> u64,
+        peak: u64,
+        chain: u64,
+    ) -> RuntimeStats {
+        let mut s = RuntimeStats {
+            device_peak_elements: peak,
+            plan_sig_chain: chain,
+            ..Default::default()
+        };
+        times(&mut s).into_iter().enumerate().for_each(|(i, f)| *f = time(i));
+        counts(&mut s).into_iter().enumerate().for_each(|(i, f)| *f = count(i));
+        s
+    }
+
+    #[test]
+    fn table_classifies_every_field_as_written_by_hand() {
+        let mut merged = filled(|_| 3.5, |_| 7, 10, 0b1100);
+        merged.merge(&filled(|_| 1.25, |_| 4, 6, 0b1010));
+        assert_eq!(merged, filled(|_| 4.75, |_| 11, 10, 0b0110), "sum, sum, max, xor");
+        assert_eq!(
+            merged.scaled(2.0),
+            filled(|_| 2.375, |_| 6, 10, 0b0110),
+            "digest and peak pass through"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn split_parts_merge_back_to_the_total(
+            vals in proptest::collection::vec(0u64..u64::MAX, 35),
+            weights in proptest::collection::vec(0usize..5, 1..6),
+        ) {
+            // Counts span 0 .. 2^40 (so `total < members` occurs), times are
+            // non-dyadic so every share rounds.
+            let count = |i: usize| (vals[12 + i] >> 24) >> (vals[12 + i] % 41);
+            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[33], vals[34]);
+            let parts = total.split(&weights);
+            prop_assert_eq!(total.split(&weights[..1]), vec![total], "a lone member gets the total");
+            let mut merged = RuntimeStats::default();
+            parts.iter().for_each(|p| merged.merge(p));
+            for (m, t) in times(&mut merged).into_iter().zip(times(&mut total)) {
+                prop_assert!((*m - *t).abs() <= 1e-9 * t.abs(), "time {} != {}", m, t);
+                *m = *t;
+            }
+            prop_assert_eq!(merged, total, "counts, peak and digest merge back exactly");
+            let weight: usize = weights.iter().sum();
+            for (mut part, &w) in parts.into_iter().zip(&weights) {
+                prop_assert_eq!(part.device_peak_elements, total.device_peak_elements);
+                for (share, t) in counts(&mut part).into_iter().zip(counts(&mut total)) {
+                    let exact = *t as f64 * w as f64 / weight.max(1) as f64;
+                    let off = if weight == 0 { 0.0 } else { (*share as f64 - exact).abs() };
+                    prop_assert!(off < 1.0 + exact * 1e-12, "share {} of {}", share, exact);
+                }
+            }
+        }
+    }
 
     #[test]
     fn totals_and_merge() {

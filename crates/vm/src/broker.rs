@@ -1,4 +1,4 @@
-//! Cross-request continuous batching (ROADMAP item 1).
+//! Cross-request continuous batching.
 //!
 //! ACROBAT's auto-batching stops at the request boundary: each
 //! [`ExecutionContext`](acrobat_runtime::ExecutionContext) batches only
@@ -11,7 +11,9 @@
 //! window, one batched launch per kernel group — then demux per-request
 //! outputs and statistics back to each waiter.
 //!
-//! Correctness rests on two properties the earlier PRs established:
+//! A cohort is nothing but a request group of several members
+//! ([`Executable::run_group`] — the same lifecycle a solo run takes as a
+//! group of one).  Correctness rests on two properties:
 //!
 //! * **Lane independence.**  Batched kernels compute each lane from that
 //!   lane's operands only, so merging requests into one batch changes
@@ -27,13 +29,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use acrobat_runtime::{Deadline, RuntimeStats};
 use acrobat_tensor::Tensor;
 use parking_lot::{Condvar, Mutex};
 
-use crate::driver::{Executable, RunOptions, RunResult};
-use crate::session::{RunSession, VmError};
-use crate::value::{InputValue, OutputValue};
+use crate::driver::{Executable, Member, RunOptions, RunResult};
+use crate::session::VmError;
+use crate::value::InputValue;
 
 /// One member of a broker cohort: the same triple [`Executable::run_with`]
 /// takes, borrowed for the duration of the cohort.
@@ -65,270 +66,47 @@ impl Executable {
     /// re-runs solo: the trigger observes its genuine error, the peers'
     /// outputs are bit-for-bit what their solo runs produce.
     pub fn run_cohort(&self, requests: &[CohortRequest<'_>]) -> Vec<Result<RunResult, VmError>> {
-        let session = &*self.session;
-        let mut out: Vec<Option<Result<RunResult, VmError>>> =
-            std::iter::repeat_with(|| None).take(requests.len()).collect();
-        if requests.is_empty() {
-            return Vec::new();
-        }
+        let members: Vec<Member<'_>> = requests
+            .iter()
+            .map(|r| Member { params: r.params, instances: r.instances, opts: &r.opts })
+            .collect();
+        self.run_members(&members)
+    }
 
-        // Classify members.  The cohort shares member 0's parameter map
-        // (one upload, shared operand ValueIds — the precondition for
-        // cross-request windows to batch); at most one fault plan can be
-        // armed on the shared context; a pre-cancelled member would abort
-        // the whole cohort at its first flush, so it is peeled out up
-        // front.
-        let reference = requests[0].params;
-        let mut merged: Vec<usize> = Vec::new();
-        let mut solo: Vec<usize> = Vec::new();
+    /// [`Executable::run_cohort`] over borrowed members: decides who merges
+    /// and who is peeled out to a group of one.  The lifecycle itself is
+    /// [`Executable::run_group`]'s.
+    pub(crate) fn run_members(&self, members: &[Member<'_>]) -> Vec<Result<RunResult, VmError>> {
+        let Some(reference) = members.first().map(|m| m.params) else { return Vec::new() };
+        // The cohort shares member 0's parameter map (one upload, shared
+        // operand ValueIds — the precondition for cross-request windows to
+        // batch); at most one fault plan can be armed on the shared
+        // context; a pre-cancelled member would abort the whole cohort at
+        // its first flush, so it is peeled out up front.
+        let (mut merged, mut peeled) = (Vec::new(), Vec::new());
         let mut fault_seen = false;
-        for (i, r) in requests.iter().enumerate() {
-            if let Some(keys) = &r.opts.keys {
-                if keys.len() != r.instances.len() {
-                    let err: Result<RunResult, VmError> = Err(VmError::Input(format!(
-                        "{} rng keys for {} instances",
-                        keys.len(),
-                        r.instances.len()
-                    )));
-                    session.record_outcome(&err);
-                    out[i] = Some(err);
-                    continue;
-                }
-            }
-            let pre_cancelled = r.opts.cancel.as_ref().is_some_and(|t| t.is_cancelled());
-            let second_fault = fault_seen && r.opts.fault.is_some();
-            if r.instances.is_empty()
-                || pre_cancelled
-                || second_fault
-                || !params_match(r.params, reference)
-            {
-                solo.push(i);
-                continue;
-            }
-            fault_seen |= r.opts.fault.is_some();
-            merged.push(i);
-        }
-
-        if !merged.is_empty() {
-            // Admission is per member: every merged request claims its own
-            // in-flight slot, so `max_in_flight` bounds *requests*, not
-            // contexts, exactly as without the broker.
-            let run = RunSession::new(session);
-            let limit = run.engine().options().max_in_flight;
-            let mut admitted: Vec<usize> = Vec::with_capacity(merged.len());
-            let mut permits = Vec::with_capacity(merged.len());
-            for &i in &merged {
-                match session.try_admit(limit) {
-                    Ok(p) => {
-                        permits.push(p);
-                        admitted.push(i);
-                    }
-                    Err(e) => {
-                        let err: Result<RunResult, VmError> = Err(e);
-                        session.record_outcome(&err);
-                        out[i] = Some(err);
-                    }
-                }
-            }
-            if !admitted.is_empty() {
-                let counts: Vec<usize> =
-                    admitted.iter().map(|&i| requests[i].instances.len()).collect();
-                let mut starts: Vec<usize> = Vec::with_capacity(counts.len());
-                let mut inst_refs: Vec<&Vec<InputValue>> = Vec::new();
-                let mut keys: Vec<u64> = Vec::new();
-                for &i in &admitted {
-                    starts.push(inst_refs.len());
-                    let member_keys = requests[i].opts.keys.as_ref();
-                    for (j, inst) in requests[i].instances.iter().enumerate() {
-                        inst_refs.push(inst);
-                        // Member-relative keys: instance j draws the same
-                        // random streams it draws solo, regardless of its
-                        // slot in the merged batch.
-                        keys.push(member_keys.map_or(j as u64, |k| k[j]));
-                    }
-                }
-
-                let mut ctx = run.acquire_context();
-                if let Some(fault) = admitted.iter().find_map(|&i| requests[i].opts.fault) {
-                    ctx.mem_mut().arm_fault(fault);
-                }
-                let budget = admitted
-                    .iter()
-                    .filter_map(|&i| requests[i].opts.deadline_us)
-                    .fold(f64::INFINITY, f64::min);
-                if budget.is_finite() {
-                    // The strictest member budget gates the whole cohort: on
-                    // success every member's apportioned time is below the
-                    // cohort total, hence below its own budget; on a miss
-                    // the solo fallback gives each member its own verdict.
-                    ctx.set_deadline(Deadline::virtual_us(budget));
-                }
-                if let Some(token) = admitted.iter().find_map(|&i| requests[i].opts.cancel.clone())
-                {
-                    ctx.set_cancel(token);
-                }
-                ctx.set_instance_partition(starts);
-
-                let (result, ctx) = self.run_pinned(
-                    session,
-                    &run,
-                    ctx,
-                    requests[admitted[0]].params,
-                    &inst_refs,
-                    &keys,
-                );
-                match result {
-                    Ok((outputs, stats)) => {
-                        let member_stats = demux_stats(&stats, &counts);
-                        run.finish_cohort(ctx, &member_stats);
-                        let mut outputs = outputs.into_iter();
-                        for (k, &i) in admitted.iter().enumerate() {
-                            let member: Vec<OutputValue> =
-                                outputs.by_ref().take(counts[k]).collect();
-                            let r: Result<RunResult, VmError> =
-                                Ok(RunResult { outputs: member, stats: member_stats[k] });
-                            session.record_outcome(&r);
-                            out[i] = Some(r);
-                        }
-                    }
-                    Err(_) => {
-                        // Coarse isolation: quarantine the shared context,
-                        // release the cohort's admission slots, and peel
-                        // every member out to a solo re-run.  The cohort
-                        // attempt itself is not recorded — each request
-                        // lands in exactly one ledger bucket via its re-run.
-                        run.abandon(ctx);
-                        drop(permits);
-                        for &i in &admitted {
-                            out[i] = Some(self.run_direct(
-                                requests[i].params,
-                                requests[i].instances,
-                                &requests[i].opts,
-                            ));
-                        }
-                    }
-                }
+        for (i, m) in members.iter().enumerate() {
+            let pre_cancelled = m.opts.cancel.as_ref().is_some_and(|t| t.is_cancelled());
+            let second_fault = fault_seen && m.opts.fault.is_some();
+            let same_params = std::ptr::eq(m.params, reference) || m.params == reference;
+            if m.instances.is_empty() || pre_cancelled || second_fault || !same_params {
+                peeled.push(i);
+            } else {
+                fault_seen |= m.opts.fault.is_some();
+                merged.push(i);
             }
         }
 
-        for &i in &solo {
-            out[i] =
-                Some(self.run_direct(requests[i].params, requests[i].instances, &requests[i].opts));
+        let mut out: Vec<_> = members.iter().map(|_| None).collect();
+        let cohort: Vec<Member<'_>> = merged.iter().map(|&i| members[i]).collect();
+        for (i, result) in merged.into_iter().zip(self.run_group(&cohort, true)) {
+            out[i] = Some(result);
+        }
+        for i in peeled {
+            out[i] = self.run_group(&members[i..=i], false).pop();
         }
         out.into_iter().map(|r| r.expect("every cohort member resolved")).collect()
     }
-
-    /// Queue-level broker counters, when cross-request batching is enabled
-    /// (`RuntimeOptions::broker`).
-    pub fn broker_stats(&self) -> Option<BrokerStats> {
-        self.broker().map(BatchBroker::stats)
-    }
-}
-
-fn params_match(a: &BTreeMap<String, Tensor>, b: &BTreeMap<String, Tensor>) -> bool {
-    std::ptr::eq(a, b) || a == b
-}
-
-/// Splits cohort statistics into per-member shares weighted by instance
-/// count.  Sums reproduce the cohort totals exactly: integer counters use
-/// largest-remainder apportionment, time accounts give the last member the
-/// rounding residue.
-fn demux_stats(total: &RuntimeStats, counts: &[usize]) -> Vec<RuntimeStats> {
-    let n = counts.len();
-    let weight: u64 = counts.iter().map(|&c| c as u64).sum();
-    let mut out = vec![RuntimeStats::default(); n];
-    macro_rules! split_f {
-        ($($field:ident),* $(,)?) => {$(
-            let mut acc = 0.0_f64;
-            for i in 0..n {
-                let share = if i + 1 == n {
-                    total.$field - acc
-                } else if weight == 0 {
-                    0.0
-                } else {
-                    total.$field * counts[i] as f64 / weight as f64
-                };
-                out[i].$field = share;
-                acc += share;
-            }
-        )*};
-    }
-    macro_rules! split_u {
-        ($($field:ident),* $(,)?) => {$(
-            let shares = apportion(total.$field, counts);
-            for i in 0..n {
-                out[i].$field = shares[i];
-            }
-        )*};
-    }
-    split_f!(
-        dfg_construction_us,
-        scheduling_us,
-        memcpy_us,
-        kernel_time_us,
-        cuda_api_us,
-        fiber_us,
-        overlap_saved_us,
-        retry_backoff_us,
-        plan_sig_us,
-        host_wall_us,
-        exec_wall_us,
-        program_host_us,
-    );
-    split_u!(
-        nodes,
-        kernel_launches,
-        gather_copies,
-        gather_bytes,
-        contiguous_hits,
-        memcpy_ops,
-        memcpy_bytes,
-        flops,
-        flushes,
-        aborted_flushes,
-        fiber_switches,
-        retries,
-        downshifts,
-        plan_cache_hits,
-        plan_cache_misses,
-        plan_cache_evictions,
-        shared_flushes,
-        solo_flushes,
-        backend_compiles,
-        backend_hits,
-        backend_interp_falls,
-    );
-    for s in &mut out {
-        // Peak device residency was genuinely shared: every member saw it
-        // (the aggregate merges peaks by max, so the cohort peak survives).
-        s.device_peak_elements = total.device_peak_elements;
-    }
-    // The signature chain is an XOR digest, not a quantity — it cannot be
-    // apportioned.  Member 0 carries it whole, so the XOR across members
-    // equals the cohort digest.
-    out[0].plan_sig_chain = total.plan_sig_chain;
-    out
-}
-
-/// Largest-remainder apportionment of `total` by `counts`: shares sum to
-/// `total` exactly and each is within one of its proportional value.  Ties
-/// in the fractional remainder break toward the lower index.
-fn apportion(total: u64, counts: &[usize]) -> Vec<u64> {
-    let weight: u128 = counts.iter().map(|&c| c as u128).sum();
-    if weight == 0 {
-        let mut shares = vec![0; counts.len()];
-        shares[0] = total;
-        return shares;
-    }
-    let mut shares: Vec<u64> =
-        counts.iter().map(|&c| (u128::from(total) * c as u128 / weight) as u64).collect();
-    let assigned: u64 = shares.iter().sum();
-    let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(u128::from(total) * counts[i] as u128 % weight), i));
-    for &i in order.iter().take((total - assigned) as usize) {
-        shares[i] += 1;
-    }
-    shares
 }
 
 /// Queue-level dispatch counters for one [`BatchBroker`].
@@ -354,6 +132,7 @@ pub struct BrokerStats {
 /// the waiters.  Requests arriving mid-dispatch queue up for the next
 /// epoch — classic continuous batching, with the flush epoch as the merge
 /// grain.
+#[derive(Default)]
 pub(crate) struct BatchBroker {
     state: Mutex<BrokerState>,
     wake: Condvar,
@@ -376,14 +155,6 @@ struct Pending {
 }
 
 impl BatchBroker {
-    pub(crate) fn new() -> BatchBroker {
-        BatchBroker {
-            state: Mutex::new(BrokerState::default()),
-            wake: Condvar::new(),
-            stats: Mutex::new(BrokerStats::default()),
-        }
-    }
-
     pub(crate) fn stats(&self) -> BrokerStats {
         self.stats.lock().clone()
     }
@@ -416,20 +187,10 @@ impl BatchBroker {
             // drained it, the result is on its way — wait for it instead.
             let queued = st.queue.iter().any(|p| p.id == id);
             if !st.dispatching && queued {
-                let mut cohort = Vec::new();
-                st.queue.retain_mut(|p| {
-                    if p.params_addr == params_addr {
-                        cohort.push(Pending {
-                            id: p.id,
-                            params_addr: p.params_addr,
-                            instances: std::mem::take(&mut p.instances),
-                            opts: p.opts.clone(),
-                        });
-                        false
-                    } else {
-                        true
-                    }
-                });
+                let (cohort, rest): (Vec<Pending>, Vec<Pending>) = std::mem::take(&mut st.queue)
+                    .into_iter()
+                    .partition(|p| p.params_addr == params_addr);
+                st.queue = rest;
                 st.dispatching = true;
                 drop(st);
 
@@ -441,19 +202,15 @@ impl BatchBroker {
                     }
                     *bs.cohort_sizes.entry(cohort.len()).or_default() += 1;
                 }
-                let cohort_requests: Vec<CohortRequest<'_>> = cohort
+                let members: Vec<Member<'_>> = cohort
                     .iter()
-                    .map(|p| CohortRequest {
-                        params,
-                        instances: &p.instances,
-                        opts: p.opts.clone(),
-                    })
+                    .map(|p| Member { params, instances: &p.instances, opts: &p.opts })
                     .collect();
-                let mut results = exe.run_cohort(&cohort_requests);
+                let results = exe.run_members(&members);
 
                 st = self.state.lock();
                 let mut own = None;
-                for (p, r) in cohort.into_iter().zip(results.drain(..)) {
+                for (p, r) in cohort.iter().zip(results) {
                     if p.id == id {
                         own = Some(r);
                     } else {

@@ -11,17 +11,20 @@
 //! [`Engine`](acrobat_runtime::Engine), acquires a private
 //! [`ExecutionContext`] (pooled across mini-batches), and executes without
 //! taking any shared lock on the hot path — so any number of mini-batches
-//! may run concurrently against one [`Executable`].
+//! may run concurrently against one [`Executable`].  That lifecycle is
+//! written once, in `Executable::run_group`: a solo run is a group of one
+//! request, a broker cohort ([`crate::broker`]) a group of several.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use acrobat_ir::{ExprKind, ParamKind};
 use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats};
 use acrobat_tensor::{FaultPlan, Tensor, TensorError};
 
 use crate::aot::AotBackend;
-use crate::broker::BatchBroker;
+use crate::broker::{BatchBroker, BrokerStats};
 use crate::interp::VmBackend;
 use crate::session::{ExecCtx, RtHandle, RunSession, Session, VmError};
 use crate::value::{InputValue, OutputValue, TensorRef, Value};
@@ -38,6 +41,21 @@ pub enum BackendKind {
 enum BackendImpl {
     Vm(VmBackend),
     Aot(AotBackend),
+}
+
+impl BackendImpl {
+    fn run_instance(
+        &self,
+        run: &RunSession<'_>,
+        rt: &mut RtHandle<'_>,
+        ectx: &mut ExecCtx,
+        args: Vec<Value>,
+    ) -> Result<Value, VmError> {
+        match self {
+            BackendImpl::Vm(b) => b.run_instance(run, rt, ectx, args),
+            BackendImpl::Aot(b) => b.run_instance(run, rt, ectx, args),
+        }
+    }
 }
 
 /// A ready-to-run model: session plus backend.
@@ -97,6 +115,15 @@ pub struct RunOptions {
     pub cancel: Option<CancelToken>,
 }
 
+/// One request as [`Executable::run_group`] sees it: the triple
+/// [`Executable::run_with`] takes, borrowed.
+#[derive(Clone, Copy)]
+pub(crate) struct Member<'a> {
+    pub(crate) params: &'a BTreeMap<String, Tensor>,
+    pub(crate) instances: &'a [Vec<InputValue>],
+    pub(crate) opts: &'a RunOptions,
+}
+
 /// Whether the module contains tensor-dependent control flow.
 pub fn module_has_sync(module: &acrobat_ir::Module) -> bool {
     module.functions.values().any(|f| {
@@ -124,7 +151,7 @@ impl Executable {
         let engine = Arc::new(engine);
         let analysis = engine.analysis().clone();
         let fiber_mode = kind == BackendKind::Aot && module_has_sync(&analysis.module);
-        let broker = engine.options().broker.then(BatchBroker::new);
+        let broker = engine.options().broker.then(BatchBroker::default);
         let session = Session::new(engine, seed, fiber_mode);
         let backend = match kind {
             BackendKind::Vm => BackendImpl::Vm(VmBackend::new(Arc::new(analysis.module.clone()))),
@@ -133,9 +160,10 @@ impl Executable {
         Ok(Executable { session: Arc::new(session), backend, broker })
     }
 
-    /// The continuous-batching queue, when enabled.
-    pub(crate) fn broker(&self) -> Option<&BatchBroker> {
-        self.broker.as_ref()
+    /// Queue-level broker counters, when cross-request batching is enabled
+    /// (`RuntimeOptions::broker`).
+    pub fn broker_stats(&self) -> Option<BrokerStats> {
+        self.broker.as_ref().map(BatchBroker::stats)
     }
 
     /// Runs one mini-batch.
@@ -171,292 +199,306 @@ impl Executable {
         if let Some(broker) = &self.broker {
             return broker.submit(self, params, instances, opts);
         }
-        self.run_direct(params, instances, opts)
+        let solo = self.run_group(&[Member { params, instances, opts }], false).pop();
+        solo.expect("one result per member")
     }
 
-    /// Runs one mini-batch bypassing the broker queue (the pre-broker
-    /// request path).  The broker itself uses this for members that cannot
-    /// merge and for the solo fallback after a cohort failure — routing
-    /// those through `run_with` would re-enter the queue and deadlock the
-    /// dispatching thread.
-    pub(crate) fn run_direct(
-        &self,
-        params: &BTreeMap<String, Tensor>,
-        instances: &[Vec<InputValue>],
-        opts: &RunOptions,
-    ) -> Result<RunResult, VmError> {
-        let session = &*self.session;
-        let result = self.run_request(session, params, instances, opts);
-        session.record_outcome(&result);
-        result
-    }
-
-    /// The full request lifecycle: admission, context acquisition and
-    /// arming, execution, and the completed/abandoned split.  Every exit
-    /// path either merges the run (success) or quarantines its context
-    /// without merging (failure) — a failed run never contributes
-    /// statistics to the session aggregate.
-    fn run_request(
-        &self,
-        session: &Session,
-        params: &BTreeMap<String, Tensor>,
-        instances: &[Vec<InputValue>],
-        opts: &RunOptions,
-    ) -> Result<RunResult, VmError> {
-        if let Some(keys) = &opts.keys {
-            if keys.len() != instances.len() {
-                return Err(VmError::Input(format!(
-                    "{} rng keys for {} instances",
-                    keys.len(),
-                    instances.len()
-                )));
-            }
-        }
-        let keys: Vec<u64> =
-            (0..instances.len()).map(|i| opts.keys.as_ref().map_or(i as u64, |k| k[i])).collect();
-
-        // Pin the engine and pass the admission gate before acquiring any
-        // per-run resources; shed requests touch nothing but a counter.
-        let run = RunSession::new(session);
-        let _permit = session.try_admit(run.engine().options().max_in_flight)?;
-
-        // Take a private execution context and arm its lifecycle state;
-        // everything below touches only run-local state.
-        let mut ctx = run.acquire_context();
-        if let Some(fault) = opts.fault {
-            ctx.mem_mut().arm_fault(fault);
-        }
-        if let Some(budget_us) = opts.deadline_us {
-            ctx.set_deadline(Deadline::virtual_us(budget_us));
-        }
-        if let Some(token) = &opts.cancel {
-            ctx.set_cancel(token.clone());
-        }
-
-        let inst_refs: Vec<&Vec<InputValue>> = instances.iter().collect();
-        let (result, ctx) = self.run_pinned(session, &run, ctx, params, &inst_refs, &keys);
-        match result {
-            Ok((outputs, stats)) => {
-                // Merge into the session aggregate and pool the context.
-                run.finish(ctx, &stats);
-                Ok(RunResult { outputs, stats })
-            }
-            Err(e) => {
-                run.abandon(ctx);
-                Err(e)
-            }
-        }
-    }
-
-    /// Executes one admitted mini-batch on its pinned engine.  Returns the
-    /// context alongside the result so the caller can route it to the pool
-    /// (merge on success, quarantine on failure) from every exit path.
+    /// The request lifecycle, for `k >= 1` requests sharing one execution
+    /// context: validate and admit each member, arm one context, execute
+    /// the admitted members' concatenated instances as one mini-batch,
+    /// settle and record.  A solo run is a group of one.  `partitioned` is
+    /// set by [`Executable::run_cohort`] alone and makes the context
+    /// classify its flushes as shared or solo across the members.
     ///
-    /// `instances` is a slice of references so a broker cohort
-    /// ([`crate::broker`]) can concatenate its members' instance lists
-    /// without cloning any tensors.
-    #[allow(clippy::too_many_lines)]
-    pub(crate) fn run_pinned(
+    /// The contract, for every exit: a run that succeeds is merged into the
+    /// session aggregate once per member (statistics split by instance
+    /// count — the identity for one member) and its context is pooled; a
+    /// run that fails quarantines its context and merges nothing; each
+    /// request lands in exactly one outcome bucket.  A failed group of one
+    /// *is* that request's genuine outcome.  A failed group of several is
+    /// never recorded: its admission slots are released and every member
+    /// re-runs alone, so the trigger reproduces its own error and the peers
+    /// their exact solo results.  Nothing here touches the broker queue.
+    pub(crate) fn run_group(
         &self,
-        session: &Session,
+        members: &[Member<'_>],
+        partitioned: bool,
+    ) -> Vec<Result<RunResult, VmError>> {
+        let session = &*self.session;
+        let mut out: Vec<_> = members.iter().map(|_| None).collect();
+        let mut settle = |i: usize, result: Result<RunResult, VmError>| {
+            session.record_outcome(&result);
+            out[i] = Some(result);
+        };
+        // Pin the engine and pass the admission gate before acquiring any
+        // per-run resources; a rejected request touches nothing but a
+        // counter.  Admission is per member, so `max_in_flight` bounds
+        // *requests*, not contexts.
+        let run = RunSession::new(session);
+        let limit = run.engine().options().max_in_flight;
+        let (mut admitted, mut permits) = (Vec::new(), Vec::new());
+        let (mut counts, mut starts) = (Vec::new(), Vec::new());
+        let (mut inst_refs, mut keys) = (Vec::new(), Vec::new());
+        for (i, m) in members.iter().enumerate() {
+            let n = m.instances.len();
+            let given = m.opts.keys.as_ref().map_or(n, Vec::len);
+            let admission = if given == n {
+                session.try_admit(limit)
+            } else {
+                Err(VmError::Input(format!("{given} rng keys for {n} instances")))
+            };
+            match admission {
+                Ok(permit) => {
+                    admitted.push(i);
+                    permits.push(permit);
+                    counts.push(n);
+                    starts.push(inst_refs.len());
+                    inst_refs.extend(m.instances);
+                    // Member-relative keys: instance j draws the random
+                    // streams it draws solo, whatever its merged slot.
+                    match &m.opts.keys {
+                        Some(given) => keys.extend(given),
+                        None => keys.extend(0..n as u64),
+                    }
+                }
+                Err(e) => settle(i, Err(e)),
+            }
+        }
+        if let Some(&first) = admitted.first() {
+            // Take a private execution context and arm its lifecycle state:
+            // at most one fault plan, the strictest budget (on success every
+            // member's share of the time is below the total, hence below
+            // its own budget), the first cancel token.
+            let opts = || admitted.iter().map(|&i| members[i].opts);
+            let mut ctx = run.acquire_context();
+            if let Some(fault) = opts().find_map(|o| o.fault) {
+                ctx.mem_mut().arm_fault(fault);
+            }
+            if let Some(budget_us) = opts().filter_map(|o| o.deadline_us).reduce(f64::min) {
+                ctx.set_deadline(Deadline::virtual_us(budget_us));
+            }
+            if let Some(token) = opts().find_map(|o| o.cancel.clone()) {
+                ctx.set_cancel(token);
+            }
+            if partitioned {
+                ctx.set_instance_partition(starts);
+            }
+            match self.run_pinned(&run, ctx, members[first].params, &inst_refs, &keys) {
+                (Ok((outputs, stats)), ctx) => {
+                    let shares = stats.split(&counts);
+                    run.finish(ctx, &shares);
+                    let mut outputs = outputs.into_iter();
+                    for ((&i, n), stats) in admitted.iter().zip(counts).zip(shares) {
+                        let outputs = outputs.by_ref().take(n).collect();
+                        settle(i, Ok(RunResult { outputs, stats }));
+                    }
+                }
+                (Err(e), ctx) => {
+                    run.abandon(ctx);
+                    if admitted.len() == 1 {
+                        settle(first, Err(e));
+                    } else {
+                        drop(permits);
+                        for &i in &admitted {
+                            out[i] = self.run_group(&members[i..=i], false).pop();
+                        }
+                    }
+                }
+            }
+        }
+        out.into_iter().map(|r| r.expect("every member settled")).collect()
+    }
+
+    /// Executes one admitted mini-batch on its pinned engine: bind → drive
+    /// → drain → collect.  Returns the context alongside the result (it
+    /// moves by value across the drive step's thread scope) so the caller
+    /// can pool or quarantine it from every exit.
+    ///
+    /// `instances` is a slice of references so a group can concatenate its
+    /// members' instance lists without cloning any tensors.
+    fn run_pinned(
+        &self,
         run: &RunSession<'_>,
         mut ctx: ExecutionContext,
         params: &BTreeMap<String, Tensor>,
         instances: &[&Vec<InputValue>],
         keys: &[u64],
     ) -> (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext) {
-        let main = session.analysis.module.functions.get("main").expect("main exists");
-
-        // Upload weights (outside the per-batch accounting, as weights
-        // persist across mini-batches in a serving system).
-        let mut param_values: BTreeMap<String, Value> = BTreeMap::new();
-        for p in &main.params {
-            if p.kind == ParamKind::Model {
-                let host = match params.get(&p.name) {
-                    Some(h) => h,
-                    None => {
-                        let e = VmError::Input(format!("missing model parameter ${}", p.name));
-                        return (Err(e), ctx);
-                    }
-                };
-                let dev = match ctx.mem_mut().upload(host) {
-                    Ok(d) => d,
-                    Err(e) => return (Err(e.into()), ctx),
-                };
-                let vid = ctx.ready_value(dev);
-                param_values.insert(p.name.clone(), Value::Tensor(TensorRef::ready(vid)));
-            }
-        }
-
-        // Upload all instance input tensors as one batched transfer.
-        let input_count = main.params.iter().filter(|p| p.kind == ParamKind::Input).count();
-        let mut all_tensors: Vec<&Tensor> = Vec::new();
-        for (i, inst) in instances.iter().enumerate() {
-            if inst.len() != input_count {
-                let e = VmError::Input(format!(
-                    "instance {i} provides {} inputs, @main expects {input_count}",
-                    inst.len()
-                ));
-                return (Err(e), ctx);
-            }
-            for v in inst.iter() {
-                v.tensors(&mut all_tensors);
-            }
-        }
-        let mut ids = match ctx.upload_inputs(&all_tensors) {
-            Ok(v) => v.into_iter(),
-            Err(e) => return (Err(e.into()), ctx),
+        let instance_args = match bind_inputs(run, &mut ctx, params, instances) {
+            Ok(args) => args,
+            Err(e) => return (Err(e), ctx),
         };
-        let mut instance_args: Vec<Vec<Value>> = Vec::with_capacity(instances.len());
-        for inst in instances {
-            let mut args = Vec::with_capacity(main.params.len());
-            let mut inputs = inst.iter();
-            for p in &main.params {
-                match p.kind {
-                    ParamKind::Model => args.push(param_values[&p.name].clone()),
-                    ParamKind::Input => {
-                        let iv = inputs.next().expect("arity checked");
-                        args.push(convert_input(iv, session, &mut ids));
-                    }
-                }
-            }
-            instance_args.push(args);
-        }
-
-        // Execute all instances.
-        let exec_start = std::time::Instant::now();
-        let mut results: Vec<Value> = Vec::with_capacity(instance_args.len());
-        // Model recursion depth is input-dependent (long sequences, deep
-        // trees), so execution threads get a generous stack — the AOT-to-C++
-        // path in the paper likewise relies on native recursion.
-        const FIBER_STACK: usize = 64 << 20;
-        if session.fiber_mode {
-            // The run's instance fibers share this run's context behind a
-            // run-local mutex; other concurrent runs have their own.
-            let stall = {
-                let ms = run.engine().options().drive_timeout_ms;
-                (ms != 0).then(|| std::time::Duration::from_millis(ms))
-            };
-            // Fiber interleaving is nondeterministic, so window signatures
-            // must be order-invariant: switch the DFG to lane-canonical
-            // signing ([`acrobat_runtime::Dfg::set_lane_canonical`]) before
-            // any fiber appends.  Sequential runs keep the cheaper
-            // arrival-order chain (their arrival order is deterministic).
-            ctx.set_lane_canonical(true);
-            let cell = parking_lot::Mutex::new(ctx);
-            let slots: Vec<parking_lot::Mutex<Option<Result<Value, VmError>>>> =
-                instance_args.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-            let mut stalled = None;
-            std::thread::scope(|scope| {
-                for (i, args) in instance_args.into_iter().enumerate() {
-                    run.hub.register();
-                    let key = keys[i];
-                    let slot = &slots[i];
-                    let backend = &self.backend;
-                    let cell = &cell;
-                    std::thread::Builder::new()
-                        .stack_size(FIBER_STACK)
-                        .spawn_scoped(scope, move || {
-                            let mut ectx = ExecCtx::new(i, key, session.seed, session.hoist_base);
-                            let mut rt = RtHandle::Shared(cell);
-                            let r = match backend {
-                                BackendImpl::Vm(b) => b.run_instance(run, &mut rt, &mut ectx, args),
-                                BackendImpl::Aot(b) => {
-                                    b.run_instance(run, &mut rt, &mut ectx, args)
-                                }
-                            };
-                            *slot.lock() = Some(r);
-                            run.hub.finish();
-                        })
-                        .expect("spawn fiber");
-                }
-                let drive = run.hub.drive_timeout(
-                    || {
-                        let mut rt = cell.lock();
-                        if let Err(e) = rt.flush() {
-                            drop(rt);
-                            run.poison(e);
-                        }
-                    },
-                    stall,
-                );
-                if let Err(timeout) = drive {
-                    // The watchdog fired: cancel the hub so parked fibers
-                    // drain and poison the run so running fibers fail fast
-                    // at their next sync, then let the scope join them.
-                    run.poison(TensorError::Cancelled);
-                    run.hub.cancel();
-                    stalled = Some(timeout);
-                }
-            });
-            ctx = cell.into_inner();
-            if let Some(timeout) = stalled {
-                return (Err(VmError::DriveTimeout(timeout)), ctx);
-            }
-            for slot in slots {
-                match slot.into_inner().expect("fiber wrote its result") {
-                    Ok(v) => results.push(v),
-                    Err(e) => return (Err(e), ctx),
-                }
-            }
-        } else {
-            let backend = &self.backend;
-            let (sequential, returned) = std::thread::scope(|scope| {
-                std::thread::Builder::new()
-                    .stack_size(FIBER_STACK)
-                    .spawn_scoped(scope, move || {
-                        let mut ctx = ctx;
-                        let mut out = Vec::with_capacity(instance_args.len());
-                        for (i, args) in instance_args.into_iter().enumerate() {
-                            let mut ectx =
-                                ExecCtx::new(i, keys[i], session.seed, session.hoist_base);
-                            let mut rt = RtHandle::Own(&mut ctx);
-                            let r = match backend {
-                                BackendImpl::Vm(b) => b.run_instance(run, &mut rt, &mut ectx, args),
-                                BackendImpl::Aot(b) => {
-                                    b.run_instance(run, &mut rt, &mut ectx, args)
-                                }
-                            };
-                            match r {
-                                Ok(v) => out.push(v),
-                                Err(e) => return (Err(e), ctx),
-                            }
-                        }
-                        (Ok(out), ctx)
-                    })
-                    .expect("spawn executor")
-                    .join()
-                    .expect("executor panicked")
-            });
-            ctx = returned;
-            match sequential {
-                Ok(out) => results = out,
-                Err(e) => return (Err(e), ctx),
-            }
-        }
-        // Drain remaining work.  The hub is per-run, so its switch count is
-        // exactly this run's fiber activity.
-        if let Err(e) = ctx.flush() {
-            return (Err(e.into()), ctx);
-        }
-        ctx.charge_fiber_switches(run.hub.switch_count());
-        let program_host_us = exec_start.elapsed().as_secs_f64() * 1e6;
-
-        // Download outputs.
-        let mut outputs = Vec::with_capacity(results.len());
-        for v in results {
-            match convert_output(&v, session, &mut ctx) {
-                Ok(o) => outputs.push(o),
-                Err(e) => return (Err(e), ctx),
-            }
-        }
-
-        let mut stats = *ctx.stats();
-        // Program host time excludes time spent inside flush (measured
-        // separately as host_wall_us).
-        stats.program_host_us = (program_host_us - stats.host_wall_us).max(0.0);
-        (Ok((outputs, stats)), ctx)
+        let exec_start = Instant::now();
+        let (values, mut ctx) = self.drive(run, ctx, instance_args, keys);
+        let result = values.and_then(|values| {
+            // Drain: flush the remaining work.  The hub is per-run, so its
+            // switch count is exactly this run's fiber activity.
+            ctx.flush()?;
+            ctx.charge_fiber_switches(run.hub.switch_count());
+            let program_host_us = exec_start.elapsed().as_secs_f64() * 1e6;
+            collect(run, &mut ctx, &values, program_host_us)
+        });
+        (result, ctx)
     }
+
+    /// Executes the unbatched program for every instance: sequentially on
+    /// one big-stack thread, or — when the model has tensor-dependent
+    /// control flow — concurrently on one fiber per instance, flushing
+    /// whenever every fiber is parked at a sync point.
+    fn drive(
+        &self,
+        run: &RunSession<'_>,
+        mut ctx: ExecutionContext,
+        instance_args: Vec<Vec<Value>>,
+        keys: &[u64],
+    ) -> (Result<Vec<Value>, VmError>, ExecutionContext) {
+        let backend = &self.backend;
+        let run_instance = move |rt: &mut RtHandle<'_>, i: usize, args: Vec<Value>| {
+            let mut ectx = ExecCtx::new(i, keys[i], run.seed, run.hoist_base);
+            backend.run_instance(run, rt, &mut ectx, args)
+        };
+        let big_stack = || std::thread::Builder::new().stack_size(FIBER_STACK);
+        if !run.fiber_mode {
+            let values = std::thread::scope(|scope| {
+                let ctx = &mut ctx;
+                let program = move || {
+                    let each = instance_args.into_iter().enumerate();
+                    each.map(|(i, args)| run_instance(&mut RtHandle::Own(&mut *ctx), i, args))
+                        .collect()
+                };
+                let executor = big_stack().spawn_scoped(scope, program).expect("spawn executor");
+                executor.join().expect("executor panicked")
+            });
+            return (values, ctx);
+        }
+        // Fiber interleaving is nondeterministic, so window signatures must
+        // be order-invariant: switch the DFG to lane-canonical signing
+        // ([`acrobat_runtime::Dfg::set_lane_canonical`]) before any fiber
+        // appends.  Sequential runs keep the cheaper arrival-order chain
+        // (their arrival order is deterministic).
+        ctx.set_lane_canonical(true);
+        // The run's instance fibers share this run's context behind a
+        // run-local mutex; other concurrent runs have their own.
+        let cell = parking_lot::Mutex::new(ctx);
+        let values = std::thread::scope(|scope| {
+            let mut fibers = Vec::with_capacity(instance_args.len());
+            for (i, args) in instance_args.into_iter().enumerate() {
+                run.hub.register();
+                let cell = &cell;
+                let fiber = move || {
+                    let value = run_instance(&mut RtHandle::Shared(cell), i, args);
+                    run.hub.finish();
+                    value
+                };
+                fibers.push(big_stack().spawn_scoped(scope, fiber).expect("spawn fiber"));
+            }
+            let flush = || {
+                let mut rt = cell.lock();
+                if let Err(e) = rt.flush() {
+                    drop(rt);
+                    run.poison(e);
+                }
+            };
+            let stalled = run.hub.drive_timeout(flush, Some(DRIVE_STALL)).err();
+            if stalled.is_some() {
+                // The watchdog fired: cancel the hub so parked fibers drain
+                // and poison the run so running fibers fail fast at their
+                // next sync, then join them.
+                run.poison(TensorError::Cancelled);
+                run.hub.cancel();
+            }
+            let values: Vec<_> =
+                fibers.into_iter().map(|f| f.join().expect("fiber panicked")).collect();
+            match stalled {
+                Some(timeout) => Err(VmError::DriveTimeout(timeout)),
+                None => values.into_iter().collect(),
+            }
+        });
+        (values, cell.into_inner())
+    }
+}
+
+/// Model recursion depth is input-dependent (long sequences, deep trees), so
+/// execution threads get a generous stack — the AOT-to-C++ path in the paper
+/// likewise relies on native recursion.
+const FIBER_STACK: usize = 64 << 20;
+
+/// Fiber-hub watchdog: a hub that reaches neither a flush point nor
+/// termination for this long fails the run with a structured
+/// [`VmError::DriveTimeout`] instead of hanging.  A constant, not an option:
+/// nothing ever set another value.
+const DRIVE_STALL: Duration = Duration::from_secs(60);
+
+/// Binds a mini-batch to its context: uploads the weights and every
+/// instance's input tensors, validates the bindings, and builds one `@main`
+/// argument vector per instance.
+fn bind_inputs(
+    session: &Session,
+    ctx: &mut ExecutionContext,
+    params: &BTreeMap<String, Tensor>,
+    instances: &[&Vec<InputValue>],
+) -> Result<Vec<Vec<Value>>, VmError> {
+    let main = session.analysis.module.functions.get("main").expect("main exists");
+
+    // Upload weights (outside the per-batch accounting, as weights persist
+    // across mini-batches in a serving system).
+    let mut param_values: BTreeMap<&str, Value> = BTreeMap::new();
+    for p in main.params.iter().filter(|p| p.kind == ParamKind::Model) {
+        let host = params
+            .get(&p.name)
+            .ok_or_else(|| VmError::Input(format!("missing model parameter ${}", p.name)))?;
+        let dev = ctx.mem_mut().upload(host)?;
+        let vid = ctx.ready_value(dev);
+        param_values.insert(&p.name, Value::Tensor(TensorRef::ready(vid)));
+    }
+
+    // Upload all instance input tensors as one batched transfer.
+    let input_count = main.params.iter().filter(|p| p.kind == ParamKind::Input).count();
+    let mut all_tensors: Vec<&Tensor> = Vec::new();
+    for (i, inst) in instances.iter().enumerate() {
+        if inst.len() != input_count {
+            return Err(VmError::Input(format!(
+                "instance {i} provides {} inputs, @main expects {input_count}",
+                inst.len()
+            )));
+        }
+        for v in inst.iter() {
+            v.tensors(&mut all_tensors);
+        }
+    }
+    let mut ids = ctx.upload_inputs(&all_tensors)?.into_iter();
+    let mut instance_args: Vec<Vec<Value>> = Vec::with_capacity(instances.len());
+    for inst in instances {
+        let mut args = Vec::with_capacity(main.params.len());
+        let mut inputs = inst.iter();
+        for p in &main.params {
+            match p.kind {
+                ParamKind::Model => args.push(param_values[p.name.as_str()].clone()),
+                ParamKind::Input => {
+                    let iv = inputs.next().expect("arity checked");
+                    args.push(convert_input(iv, session, &mut ids));
+                }
+            }
+        }
+        instance_args.push(args);
+    }
+    Ok(instance_args)
+}
+
+/// Downloads the outputs and closes the run's statistics.
+fn collect(
+    session: &Session,
+    ctx: &mut ExecutionContext,
+    values: &[Value],
+    program_host_us: f64,
+) -> Result<(Vec<OutputValue>, RuntimeStats), VmError> {
+    let outputs =
+        values.iter().map(|v| convert_output(v, session, ctx)).collect::<Result<_, _>>()?;
+    let mut stats = *ctx.stats();
+    // Program host time excludes time spent inside flush (measured
+    // separately as host_wall_us).
+    stats.program_host_us = (program_host_us - stats.host_wall_us).max(0.0);
+    Ok((outputs, stats))
 }
 
 fn convert_input(

@@ -506,39 +506,6 @@ impl Session {
         }
     }
 
-    /// Merges one completed run into the aggregate and returns its context
-    /// to the pool.
-    fn finish_run(&self, mut ctx: ExecutionContext, stats: &RuntimeStats) {
-        let profile = ctx.take_profile();
-        {
-            let mut agg = self.aggregate.lock();
-            agg.stats.merge(stats);
-            agg.runs += 1;
-            for (k, v) in profile {
-                *agg.profile.entry(k).or_default() += v;
-            }
-        }
-        self.pool.release(ctx);
-    }
-
-    /// Merges one completed broker cohort ([`crate::broker`]) into the
-    /// aggregate: every member's demuxed statistics count as one completed
-    /// run each, while the shared context returns to the pool once.
-    fn finish_cohort_run(&self, mut ctx: ExecutionContext, member_stats: &[RuntimeStats]) {
-        let profile = ctx.take_profile();
-        {
-            let mut agg = self.aggregate.lock();
-            for stats in member_stats {
-                agg.stats.merge(stats);
-            }
-            agg.runs += member_stats.len() as u64;
-            for (k, v) in profile {
-                *agg.profile.entry(k).or_default() += v;
-            }
-        }
-        self.pool.release(ctx);
-    }
-
     /// Applies a ghost-operator padding after a conditional branch (§B.3).
     pub fn apply_ghosts(&self, ctx: &mut ExecCtx, branch: ExprId) {
         if let Some(&bumps) = self.analysis.ghosts.get(&branch) {
@@ -609,16 +576,22 @@ impl<'s> RunSession<'s> {
         self.session.pool.acquire(&self.engine)
     }
 
-    /// Merges this completed run into the session aggregate and returns the
-    /// context to the pool.
-    pub fn finish(&self, ctx: ExecutionContext, stats: &RuntimeStats) {
-        self.session.finish_run(ctx, stats);
-    }
-
-    /// Merges a completed broker cohort — one ledger run per member, one
-    /// shared context released — into the session aggregate.
-    pub(crate) fn finish_cohort(&self, ctx: ExecutionContext, member_stats: &[RuntimeStats]) {
-        self.session.finish_cohort_run(ctx, member_stats);
+    /// Merges this completed run into the session aggregate — one ledger
+    /// run per entry of `member_stats`, the requests that shared it — and
+    /// returns the context to the pool once.
+    pub fn finish(&self, mut ctx: ExecutionContext, member_stats: &[RuntimeStats]) {
+        let profile = ctx.take_profile();
+        {
+            let mut agg = self.session.aggregate.lock();
+            for stats in member_stats {
+                agg.stats.merge(stats);
+            }
+            agg.runs += member_stats.len() as u64;
+            for (k, v) in profile {
+                *agg.profile.entry(k).or_default() += v;
+            }
+        }
+        self.session.pool.release(ctx);
     }
 
     /// Abandons a failed run: the context is tainted and released, which

@@ -69,12 +69,27 @@ if grep -rn parallel_workers crates tests; then
   echo "parallel_workers is gone: the runtime splits a launch's lanes from its own flops"; exit 1
 fi
 
+echo "==> one request lifecycle (a solo run is a group of one; nothing outside run_group runs a request)"
+if grep -rnE 'fn (run_direct|run_request|finish_run|demux_stats)\b|drive_timeout_ms|Deadline::[Ww]all' crates tests; then
+  echo "the second lifecycle copy, the unset watchdog option and the wall-clock deadline are gone"; exit 1
+fi
+if [ "$(grep -rn 'run_pinned(' crates/vm/src | grep -vc 'fn run_pinned(')" != 1 ]; then
+  echo "run_pinned must have exactly one call site (run_group)"; exit 1
+fi
+
 echo "==> benchmark unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark smoke (tree_kernel, 2 s: split launches pass the digest + DyNet-baseline gate)"
 bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload tree_kernel --seed 1 --seconds 2 --trace 0 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then
+  echo "benchmark smoke failed: $bench_line"; exit 1
+fi
+
+echo "==> benchmark smoke (birnn_serve2, 2 s: submit -> run_cohort -> run_group under plan cache + spec backend)"
+bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  --workload birnn_serve2 --seed 1 --seconds 2 --trace 0 | tail -n 1)
 if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then
   echo "benchmark smoke failed: $bench_line"; exit 1
 fi

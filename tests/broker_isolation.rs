@@ -14,37 +14,12 @@
 use std::collections::BTreeMap;
 
 use acrobat_bench::suite;
-use acrobat_core::{compile, CompileOptions, FaultPlan, Model, RunOptions, Tensor, VmError};
+use acrobat_core::{CompileOptions, FaultPlan, Model, RunOptions, RuntimeStats, Tensor, VmError};
+use acrobat_models::testkit::{assert_outputs_equal, build};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::CancelToken;
 use acrobat_tensor::{FaultKind, FaultSite, TensorError};
-use acrobat_vm::{CohortRequest, InputValue, OutputValue};
-
-fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
-    compile(&spec.source, options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
-}
-
-/// Bit-for-bit tensor equality (no tolerance).
-fn assert_outputs_equal(
-    spec: &ModelSpec,
-    reference: &[OutputValue],
-    got: &[OutputValue],
-    label: &str,
-) {
-    assert_eq!(reference.len(), got.len(), "{}: {label}: instance count", spec.name);
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        let (rt, gt) = ((spec.flatten_output)(r), (spec.flatten_output)(g));
-        assert_eq!(rt.len(), gt.len(), "{}: {label}: instance {i} tensor count", spec.name);
-        for (j, (a, b)) in rt.iter().zip(&gt).enumerate() {
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "{}: {label}: instance {i} tensor {j} diverged",
-                spec.name
-            );
-        }
-    }
-}
+use acrobat_vm::{CohortRequest, InputValue, OutputValue, ServeOutcomes};
 
 /// Distinct per-member mini-batches (different instance seeds, so member
 /// outputs are distinguishable and any demux slip is caught).
@@ -54,6 +29,16 @@ fn member_batches(
     per_member: usize,
 ) -> Vec<Vec<Vec<InputValue>>> {
     (0..members).map(|m| (spec.make_instances)(0xB0B0 + m as u64, per_member)).collect()
+}
+
+/// One default-option cohort request per member batch.
+fn requests<'a>(
+    spec: &'a ModelSpec,
+    members: &'a [Vec<Vec<InputValue>>],
+) -> Vec<CohortRequest<'a>> {
+    let request =
+        |inst| CohortRequest { params: &spec.params, instances: inst, opts: RunOptions::default() };
+    members.iter().map(|inst| request(inst.as_slice())).collect()
 }
 
 fn solo_references(
@@ -76,15 +61,7 @@ fn cohort_outputs_match_solo_across_suite() {
         let solo = solo_references(&model, &spec.params, &members);
 
         let cohort_model = build(&spec, &CompileOptions::default());
-        let requests: Vec<CohortRequest<'_>> = members
-            .iter()
-            .map(|inst| CohortRequest {
-                params: &spec.params,
-                instances: inst,
-                opts: RunOptions::default(),
-            })
-            .collect();
-        let results = cohort_model.run_cohort(&requests);
+        let results = cohort_model.run_cohort(&requests(&spec, &members));
         assert_eq!(results.len(), 3, "{}: one result per member", spec.name);
         let mut shared = 0;
         for (m, result) in results.into_iter().enumerate() {
@@ -101,7 +78,84 @@ fn cohort_outputs_match_solo_across_suite() {
         );
         assert_eq!(cohort_model.runs_completed(), 3, "{}: one ledger run per member", spec.name);
         assert_eq!(cohort_model.outcomes().completed, 3, "{}: outcome per member", spec.name);
+
+        // A cohort of one *is* a solo run: same bits, same modeled and
+        // counted statistics (wall-clock fields and the classification only
+        // a cohort arms excepted), same ledger.
+        let (solo_model, one_model) =
+            (build(&spec, &Default::default()), build(&spec, &Default::default()));
+        let alone = solo_model.run(&spec.params, &members[0]).expect("solo run");
+        let one = one_model.run_cohort(&requests(&spec, &members[..1])).pop().expect("one result");
+        let one = one.unwrap_or_else(|e| panic!("{}: cohort of one failed: {e}", spec.name));
+        assert_outputs_equal(&spec, &alone.outputs, &one.outputs, "cohort of one");
+        let modeled = |s: RuntimeStats| RuntimeStats {
+            host_wall_us: 0.0,
+            exec_wall_us: 0.0,
+            program_host_us: 0.0,
+            shared_flushes: 0,
+            solo_flushes: 0,
+            ..s
+        };
+        assert_eq!(modeled(alone.stats), modeled(one.stats), "{}: cohort of one stats", spec.name);
+        for model in [&solo_model, &one_model] {
+            assert_eq!(
+                (model.runs_completed(), model.outcomes().completed),
+                (1, 1),
+                "{}",
+                spec.name
+            );
+        }
     }
+}
+
+/// One call, every way a member can leave the cohort: a wrong key arity, a
+/// shed at `max_in_flight`, a peel for differing parameters, and two that
+/// merge.  Each lands in exactly one outcome bucket and only completions
+/// count as runs.
+#[test]
+fn mixed_cohort_lands_each_member_in_one_bucket() {
+    let spec = suite(ModelSize::Small, true).remove(0);
+    let members = member_batches(&spec, 5, 2);
+    let solo = solo_references(&build(&spec, &Default::default()), &spec.params, &members);
+    let mut other_params = spec.params.clone();
+    other_params.values_mut().next().expect("a parameter").data_mut()[0] += 1.0;
+
+    let mut options = CompileOptions::default();
+    options.runtime.max_in_flight = 2;
+    let model = build(&spec, &options);
+    let mut requests = requests(&spec, &members);
+    requests[0].opts.keys = Some(vec![7]);
+    requests[4].params = &other_params;
+    let results = model.run_cohort(&requests);
+    assert!(matches!(results[0], Err(VmError::Input(_))), "wrong arity: {:?}", results[0]);
+    let mut classified = 0;
+    for m in [1, 2] {
+        let merged = results[m].as_ref().unwrap_or_else(|e| panic!("member {m} failed: {e}"));
+        assert_outputs_equal(&spec, &solo[m], &merged.outputs, "merged member");
+        classified += merged.stats.shared_flushes + merged.stats.solo_flushes;
+    }
+    assert!(classified > 0, "the merged pair ran partitioned");
+    assert!(matches!(results[3], Err(VmError::Overloaded { in_flight: 2, limit: 2 })), "shed");
+    assert_eq!(results[4].as_ref().expect("peeled member runs solo").stats.solo_flushes, 0);
+    let expected = ServeOutcomes { completed: 3, failed: 1, shed: 1, ..Default::default() };
+    assert_eq!(model.outcomes(), expected, "one bucket per member");
+    assert_eq!(model.runs_completed(), 3, "only completions are runs");
+    assert_eq!(model.quarantined_count(), 0, "nothing failed on a context");
+}
+
+/// A broker-dispatched cohort of one that fails has no peer to isolate: its
+/// error is the request's genuine outcome, executed (and quarantined) once.
+#[test]
+fn failing_cohort_of_one_runs_once() {
+    let spec = suite(ModelSize::Small, true).remove(0);
+    let model = build(&spec, &CompileOptions::default().with_broker(true));
+    let fault = FaultPlan::nth(FaultSite::Launch, 0, FaultKind::Kernel);
+    let opts = RunOptions { fault: Some(fault), ..Default::default() };
+    let err = model.run_with(&spec.params, &member_batches(&spec, 1, 2)[0], &opts).unwrap_err();
+    assert!(matches!(err.as_vm(), Some(VmError::Tensor(TensorError::Injected { .. }))), "{err}");
+    assert_eq!(model.quarantined_count(), 1, "one execution, one quarantined context");
+    assert_eq!(model.outcomes(), ServeOutcomes { failed: 1, ..Default::default() });
+    assert_eq!(model.runs_completed(), 0, "a failed run merges nothing");
 }
 
 /// Checked mode (every flush validated against the scheduler/DFG
@@ -120,15 +174,8 @@ fn cohort_matches_solo_under_checked_mode() {
     let solo = solo_references(&model, &spec.params, &members);
 
     let cohort_model = build(&spec, &options);
-    let requests: Vec<CohortRequest<'_>> = members
-        .iter()
-        .map(|inst| CohortRequest {
-            params: &spec.params,
-            instances: inst,
-            opts: RunOptions::default(),
-        })
-        .collect();
-    for (m, result) in cohort_model.run_cohort(&requests).into_iter().enumerate() {
+    let results = cohort_model.run_cohort(&requests(&spec, &members));
+    for (m, result) in results.into_iter().enumerate() {
         let result = result.unwrap_or_else(|e| panic!("checked member {m} failed: {e}"));
         assert_outputs_equal(&spec, &solo[m], &result.outputs, "checked cohort member");
     }
@@ -275,15 +322,8 @@ fn cohort_spec_backend_matches_interp_solo() {
             .with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec)
             .with_spec_threshold(1),
     );
-    let requests: Vec<CohortRequest<'_>> = members
-        .iter()
-        .map(|inst| CohortRequest {
-            params: &spec.params,
-            instances: inst,
-            opts: RunOptions::default(),
-        })
-        .collect();
-    for (m, result) in cohort_model.run_cohort(&requests).into_iter().enumerate() {
+    let results = cohort_model.run_cohort(&requests(&spec, &members));
+    for (m, result) in results.into_iter().enumerate() {
         let result = result.unwrap_or_else(|e| panic!("spec cohort member {m} failed: {e}"));
         assert_outputs_equal(&spec, &solo[m], &result.outputs, "spec cohort member");
     }

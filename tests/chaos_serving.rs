@@ -23,17 +23,11 @@
 //!   any watchdog firing).
 
 use acrobat_bench::suite;
-use acrobat_core::{
-    compile, CompileOptions, FaultPlan, Model, RetryPolicy, RunOptions, RuntimeStats, VmError,
-};
+use acrobat_core::{CompileOptions, FaultPlan, RetryPolicy, RunOptions, RuntimeStats, VmError};
+use acrobat_models::testkit::{assert_outputs_equal, build};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::CancelToken;
 use acrobat_tensor::TensorError;
-use acrobat_vm::OutputValue;
-
-fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
-    compile(&spec.source, options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
-}
 
 /// Chaos-mode compile options: transient-fault retry on, everything else
 /// default.  Both the chaos model and the fault-free reference use these,
@@ -53,28 +47,6 @@ fn chaos_options(plan_cache: bool, spec_backend: bool) -> CompileOptions {
             .with_spec_threshold(1);
     }
     options
-}
-
-/// Bit-for-bit tensor equality (no tolerance).
-fn assert_outputs_equal(
-    spec: &ModelSpec,
-    reference: &[OutputValue],
-    got: &[OutputValue],
-    label: &str,
-) {
-    assert_eq!(reference.len(), got.len(), "{}: {label}: instance count", spec.name);
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        let (rt, gt) = ((spec.flatten_output)(r), (spec.flatten_output)(g));
-        assert_eq!(rt.len(), gt.len(), "{}: {label}: instance {i} tensor count", spec.name);
-        for (j, (a, b)) in rt.iter().zip(&gt).enumerate() {
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "{}: {label}: instance {i} tensor {j} diverged",
-                spec.name
-            );
-        }
-    }
 }
 
 fn splitmix(state: &mut u64) -> u64 {

@@ -10,35 +10,10 @@
 use std::collections::BTreeMap;
 
 use acrobat_bench::suite;
-use acrobat_core::{compile, CompileOptions, FaultPlan, Model, RunOptions, Tensor};
-use acrobat_models::{ModelSize, ModelSpec};
+use acrobat_core::{CompileOptions, FaultPlan, Model, RunOptions, Tensor};
+use acrobat_models::testkit::{assert_outputs_equal, build};
+use acrobat_models::ModelSize;
 use acrobat_vm::{InputValue, OutputValue};
-
-fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
-    compile(&spec.source, options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
-}
-
-/// Bit-for-bit tensor equality (no tolerance).
-fn assert_outputs_equal(
-    spec: &ModelSpec,
-    reference: &[OutputValue],
-    got: &[OutputValue],
-    label: &str,
-) {
-    assert_eq!(reference.len(), got.len(), "{}: {label}: instance count", spec.name);
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        let (rt, gt) = ((spec.flatten_output)(r), (spec.flatten_output)(g));
-        assert_eq!(rt.len(), gt.len(), "{}: {label}: instance {i} tensor count", spec.name);
-        for (j, (a, b)) in rt.iter().zip(&gt).enumerate() {
-            assert_eq!(
-                a.data(),
-                b.data(),
-                "{}: {label}: instance {i} tensor {j} diverged",
-                spec.name
-            );
-        }
-    }
-}
 
 fn run_many_threads(
     model: &Model,

@@ -4,24 +4,9 @@
 //! gates every hit with the cached ≡ freshly-scheduled invariant.
 
 use acrobat_bench::suite;
-use acrobat_core::{compile, CompileOptions, Model};
-use acrobat_models::{ModelSize, ModelSpec};
-use acrobat_vm::OutputValue;
-
-fn assert_bit_identical(spec: &ModelSpec, want: &[OutputValue], got: &[OutputValue], label: &str) {
-    assert_eq!(want.len(), got.len(), "{}: {label}: instance count", spec.name);
-    for (i, (w, g)) in want.iter().zip(got).enumerate() {
-        let (wt, gt) = ((spec.flatten_output)(w), (spec.flatten_output)(g));
-        assert_eq!(wt.len(), gt.len(), "{}: {label}: instance {i} tensor count", spec.name);
-        for (j, (a, b)) in wt.iter().zip(&gt).enumerate() {
-            assert_eq!(a.data(), b.data(), "{}: {label}: instance {i} tensor {j}", spec.name);
-        }
-    }
-}
-
-fn build(spec: &ModelSpec, options: &CompileOptions) -> Model {
-    compile(&spec.source, options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
-}
+use acrobat_core::CompileOptions;
+use acrobat_models::testkit::{assert_outputs_equal as assert_bit_identical, build};
+use acrobat_models::ModelSize;
 
 /// Cache-on ≡ cache-off over the whole suite, on both the warm-up request
 /// (miss path: schedule + freeze + publish) and steady-state requests
