@@ -311,6 +311,33 @@ mod tests {
     }
 
     #[test]
+    fn rand_range_span_is_checked_at_compile_and_total_at_run() {
+        use acrobat_vm::{BackendKind, OutputValue};
+        let program = |lo: i64, hi: i64| {
+            format!("def @main(%x: Int) -> Int {{ rand_range[lo={lo}, hi={hi}]() }}")
+        };
+        // `hi - lo + 1` does not fit an i64: a diagnostic, not an overflow at run time.
+        let wide = program(-5_000_000_000_000_000_000, 5_000_000_000_000_000_000);
+        let err = compile(&wide, &CompileOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("rand_range"), "{err}");
+
+        let (lo, hi) = (-4_000_000_000_000_000_000, 4_000_000_000_000_000_000);
+        let instances: Vec<Vec<InputValue>> = (0..8).map(|i| vec![InputValue::Int(i)]).collect();
+        let run = |backend| {
+            let options = CompileOptions { backend, ..Default::default() };
+            compile(&program(lo, hi), &options).unwrap().run(&BTreeMap::new(), &instances).unwrap()
+        };
+        let (aot, vm) = (run(BackendKind::Aot), run(BackendKind::Vm));
+        for (a, v) in aot.outputs.iter().zip(&vm.outputs) {
+            let OutputValue::Int(a) = *a else { panic!("AOT keeps integers unboxed: {a:?}") };
+            assert!((lo..=hi).contains(&a), "{a} outside [{lo}, {hi}]");
+            // The Relay-VM baseline boxes every scalar as an f32 tensor.
+            let OutputValue::Float(v) = *v else { panic!("VM boxes scalars: {v:?}") };
+            assert_eq!(v, f64::from(a as f32), "same draw on both backends");
+        }
+    }
+
+    #[test]
     fn pgo_improves_or_matches_quality() {
         let mut options = CompileOptions { ..Default::default() };
         options.schedule.iterations = 30;

@@ -271,6 +271,12 @@ impl<'a> Ctx<'a> {
                 if lo > hi {
                     return Err(self.error(format!("rand_range: lo {lo} > hi {hi}")));
                 }
+                if hi.checked_sub(*lo).and_then(|d| d.checked_add(1)).is_none() {
+                    return Err(self.error(format!(
+                        "rand_range: [{lo}, {hi}] spans more than {} values",
+                        i64::MAX
+                    )));
+                }
                 Type::Int
             }
             ExprKind::Let { pat, value, body } => {

@@ -19,7 +19,6 @@ use crate::plan_cache::{CacheConfig, CacheOutcome};
 use crate::resilience::{CancelToken, Deadline};
 use crate::scheduler::{self, Plan, SchedulerKind, SchedulerScratch};
 use crate::stats::RuntimeStats;
-use crate::timeline::DeviceTimeline;
 
 /// Per-mini-batch execution state over a shared [`Engine`].
 ///
@@ -52,11 +51,6 @@ pub struct ExecutionContext {
     plan_l1: crate::plan_cache::PlanL1,
     /// The current flush's plan, reused for the same reason.
     plan_buf: Plan,
-    /// The simulated device timeline ([`crate::timeline`]): every modeled
-    /// charge is also sequenced as an event on the host lane, a compute
-    /// stream or the copy engine, and `stats.overlap_saved_us` tracks the
-    /// difference between the serial charge sum and the critical path.
-    timeline: DeviceTimeline,
     /// The request's latency budget, checked at flush boundaries and
     /// between batched launches.
     deadline: Deadline,
@@ -91,7 +85,6 @@ impl ExecutionContext {
     /// Creates a fresh context over an engine.
     pub fn new(engine: Arc<Engine>) -> ExecutionContext {
         let device_memory = engine.options().device_memory;
-        let timeline = DeviceTimeline::new(engine.options().timeline);
         let mut dfg = Dfg::new();
         dfg.set_signature_tracking(engine.options().plan_cache);
         ExecutionContext {
@@ -104,7 +97,6 @@ impl ExecutionContext {
             sched_scratch: SchedulerScratch::new(),
             plan_l1: crate::plan_cache::PlanL1::new(),
             plan_buf: Plan::default(),
-            timeline,
             deadline: Deadline::Unlimited,
             cancel: None,
             tainted: false,
@@ -209,7 +201,6 @@ impl ExecutionContext {
         self.stats = RuntimeStats::default();
         self.units = 0;
         self.profile.clear();
-        self.timeline.reset();
         self.deadline = Deadline::Unlimited;
         self.cancel = None;
         self.tainted = false;
@@ -248,10 +239,7 @@ impl ExecutionContext {
         self.stats.memcpy_ops += ops;
         self.stats.memcpy_us += transfer_us;
         self.stats.cuda_api_us += api_us;
-        let values: Vec<ValueId> = handles.into_iter().map(|h| self.dfg.ready_value(h)).collect();
-        self.timeline.upload(api_us, transfer_us, &values);
-        self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
-        Ok(values)
+        Ok(handles.into_iter().map(|h| self.dfg.ready_value(h)).collect())
     }
 
     /// Registers an already-resident tensor as a ready value (weights are
@@ -320,8 +308,6 @@ impl ExecutionContext {
             self.units += 1;
             let cost = self.engine.model().dfg_node_cost_us;
             self.stats.dfg_construction_us += cost;
-            self.timeline.host(cost);
-            self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
         }
         let (_, outs) = self
             .dfg
@@ -381,8 +367,6 @@ impl ExecutionContext {
         self.stats.memcpy_ops += 1;
         self.stats.memcpy_us += transfer_us;
         self.stats.cuda_api_us += api_us;
-        self.timeline.download(api_us, transfer_us, Some(v));
-        self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
         Ok(host)
     }
 
@@ -421,8 +405,6 @@ impl ExecutionContext {
             let backoff = retry.backoff_us(attempt);
             self.stats.retries += 1;
             self.stats.retry_backoff_us += backoff;
-            self.timeline.host(backoff);
-            self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
             // The backoff counts against a virtual deadline; a request that
             // runs out of budget while backing off stops retrying.
             self.check_interrupt()?;
@@ -541,11 +523,8 @@ impl ExecutionContext {
             Some(CacheOutcome::Hit) => 0.0,
             _ => plan.decisions as f64 * per_decision * unit_ratio,
         };
-        let sched_us = sig_us + decision_us;
         self.stats.plan_sig_us += sig_us;
-        self.stats.scheduling_us += sched_us;
-        self.timeline.host(sched_us);
-        self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
+        self.stats.scheduling_us += sig_us + decision_us;
     }
 
     /// Stage 3 — the single walk over `plan`: one batched launch per batch
@@ -630,7 +609,7 @@ impl ExecutionContext {
         // PGO profiles count operator *invocations* (DFG nodes), not batched
         // launches — the paper prioritizes by execution frequency (§D.1).
         *self.profile.entry(kernel_id).or_default() += lanes as u64;
-        self.account_launch(chunk, &prep.stats, program.schedule.as_ref());
+        self.account_launch(lanes, &prep.stats, program.schedule.as_ref());
         self.dfg.complete_batch(chunk, outs);
         if let Some(c) = checker {
             c.after_batch(&self.dfg, chunk);
@@ -638,12 +617,11 @@ impl ExecutionContext {
         Ok(())
     }
 
-    /// Per-launch modeled accounting: charges the scalar stats accounts
-    /// exactly as the legacy accumulator did, then sequences the launch as
-    /// an event on the simulated device timeline.
+    /// Per-launch accounting: the launch's exact counts and its modeled
+    /// kernel, gather and launch-API time.
     fn account_launch(
         &mut self,
-        chunk: &[NodeId],
+        lanes: usize,
         lstats: &acrobat_codegen::KernelLaunchStats,
         schedule: Option<&acrobat_codegen::Schedule>,
     ) {
@@ -655,26 +633,11 @@ impl ExecutionContext {
         stats.gather_bytes += lstats.gather_bytes;
         stats.contiguous_hits += lstats.contiguous_hits;
         let gather_us = model.gather_time_us(lstats);
-        let kernel_us = model.kernel_time_us(lstats, schedule, chunk.len());
+        let kernel_us = model.kernel_time_us(lstats, schedule, lanes);
         let api_us = lstats.launches as f64 * model.launch_overhead_us
             + lstats.gather_copies as f64 * model.launch_overhead_us * 0.5;
         stats.kernel_time_us += kernel_us + gather_us;
         stats.cuda_api_us += api_us;
-        // The launch waits for the completion events of its producers — the
-        // plan's DFG edges are exactly the cross-stream dependencies an
-        // event-wait would encode.
-        let dfg = &self.dfg;
-        let deps = self
-            .timeline
-            .args_ready_us(chunk.iter().flat_map(|&id| dfg.node(id).args.iter().copied()));
-        self.timeline.launch(
-            deps,
-            gather_us,
-            kernel_us,
-            api_us,
-            chunk.iter().flat_map(|&id| dfg.node(id).outputs.iter().copied()),
-        );
-        stats.overlap_saved_us = self.timeline.overlap_saved_us();
     }
 
     /// Stage 4 — settles the attempt.  An abort (the context stays
@@ -749,14 +712,6 @@ impl ExecutionContext {
         let us = switches as f64 * self.engine.model().fiber_switch_cost_us;
         self.stats.fiber_switches += switches;
         self.stats.fiber_us += us;
-        self.timeline.host(us);
-        self.stats.overlap_saved_us = self.timeline.overlap_saved_us();
-    }
-
-    /// Read access to the simulated device timeline (critical path, per-lane
-    /// busy times, overlap savings).
-    pub fn timeline(&self) -> &DeviceTimeline {
-        &self.timeline
     }
 }
 
@@ -1513,30 +1468,6 @@ mod tests {
         assert_eq!(rt.stats().kernel_launches, 0);
     }
 
-    /// Drives the two-group chain workload (two batches per flush, several
-    /// lanes each) and returns the downloaded outputs plus final stats.
-    fn chain_run(options: RuntimeOptions, instances: usize) -> (Vec<Tensor>, RuntimeStats) {
-        let src = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
-            matmul(matmul(%x, $w1), $w2)
-        }";
-        let (a, mut rt) = setup(src, options);
-        let block = &a.blocks.blocks[0];
-        let (g0, g1) = (block.groups[0].id, block.groups[1].id);
-        let w1 = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32 * 0.25)).unwrap();
-        let w1v = rt.ready_value(w1);
-        let w2 = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| 1.0 - i as f32 * 0.5)).unwrap();
-        let w2v = rt.ready_value(w2);
-        let mut outs = Vec::new();
-        for i in 0..instances {
-            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 2.0)]).unwrap()[0];
-            let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
-            outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
-        }
-        rt.flush().unwrap();
-        let results = outs.iter().map(|o| rt.download(*o).unwrap()).collect();
-        (results, *rt.stats())
-    }
-
     #[test]
     fn lane_split_policy_follows_launch_size_and_lane_count() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1605,35 +1536,6 @@ mod tests {
         for (o, w) in outs.iter().zip(&want) {
             assert_eq!(bits(&rt.download(*o).unwrap()), bits(w));
         }
-    }
-
-    #[test]
-    fn overlap_reduces_modeled_latency_without_touching_busy_accounts() {
-        let serialized = RuntimeOptions::default();
-        let overlapped = RuntimeOptions {
-            timeline: crate::timeline::TimelineOptions {
-                streams: 4,
-                copy_engine: true,
-                host_overlap: true,
-            },
-            ..Default::default()
-        };
-        let (ser_out, ser) = chain_run(serialized, 6);
-        let (ovl_out, ovl) = chain_run(overlapped, 6);
-        for (s, p) in ser_out.iter().zip(&ovl_out) {
-            assert_eq!(s.data(), p.data(), "overlap is a modeling change only");
-        }
-        // The serialized configuration saves exactly nothing.
-        assert_eq!(ser.overlap_saved_us, 0.0);
-        // Overlap shortens the critical path but leaves every per-account
-        // busy time untouched (Table 5 breakdowns stay comparable).
-        assert!(ovl.overlap_saved_us > 0.0);
-        assert!(ovl.total_us() < ser.total_us());
-        assert_eq!(ser.kernel_time_us, ovl.kernel_time_us);
-        assert_eq!(ser.memcpy_us, ovl.memcpy_us);
-        assert_eq!(ser.cuda_api_us, ovl.cuda_api_us);
-        assert_eq!(ser.scheduling_us, ovl.scheduling_us);
-        assert_eq!(ser.dfg_construction_us, ovl.dfg_construction_us);
     }
 
     #[test]

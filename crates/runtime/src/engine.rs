@@ -61,12 +61,6 @@ pub struct RuntimeOptions {
     /// (0 = unlimited).
     #[serde(default)]
     pub max_in_flight: usize,
-    /// Simulated device timeline ([`crate::timeline`]): compute-stream
-    /// count, copy engine, host/device overlap.  The default (one stream,
-    /// everything synchronous) reproduces the legacy serial accumulation
-    /// bit-for-bit.
-    #[serde(default)]
-    pub timeline: crate::timeline::TimelineOptions,
     /// Flush-plan memoization ([`crate::plan_cache`]): structurally
     /// repeated pending windows are served by remapping a frozen plan
     /// instead of re-running the scheduler.  Off by default — the paper
@@ -111,7 +105,6 @@ impl Default for RuntimeOptions {
             checked: false,
             retry: crate::resilience::RetryPolicy::default(),
             max_in_flight: 0,
-            timeline: crate::timeline::TimelineOptions::default(),
             plan_cache: false,
             broker: false,
             backend: KernelBackendKind::Interp,

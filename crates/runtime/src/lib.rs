@@ -53,7 +53,6 @@ pub mod plan_cache;
 pub mod resilience;
 pub mod scheduler;
 pub mod stats;
-pub mod timeline;
 
 pub use check::FlushChecker;
 pub use context::ExecutionContext;
@@ -65,4 +64,3 @@ pub use plan_cache::{CacheConfig, CacheOutcome, CachedPlan, PlanCache, PlanL1};
 pub use resilience::{CancelToken, Deadline, RetryPolicy};
 pub use scheduler::SchedulerKind;
 pub use stats::RuntimeStats;
-pub use timeline::{DeviceTimeline, TimelineOptions};

@@ -21,12 +21,6 @@ pub struct RuntimeStats {
     pub cuda_api_us: f64,
     /// Host time in fiber context switches, µs.
     pub fiber_us: f64,
-    /// Modeled time recovered by device-timeline overlap (multi-stream,
-    /// copy engine, host/device concurrency — [`crate::timeline`]), µs.
-    /// Exactly `0.0` in the default serialized configuration, where the
-    /// critical path equals the serial sum of charges.
-    #[serde(default)]
-    pub overlap_saved_us: f64,
 
     /// DFG nodes constructed.
     pub nodes: u64,
@@ -127,13 +121,7 @@ pub struct RuntimeStats {
 }
 
 impl RuntimeStats {
-    /// Total modeled latency, µs: the per-account charges minus the time
-    /// recovered by timeline overlap ([`crate::timeline`]) — i.e. the
-    /// critical path through host lane, compute streams and copy engine.
-    ///
-    /// With overlap disabled (the default: one stream, no copy engine,
-    /// synchronous host) `overlap_saved_us` is exactly `0.0` and this is
-    /// the plain serial sum, as in the original scalar accumulator.
+    /// Total modeled latency, µs: the serial sum of the seven accounts.
     pub fn total_us(&self) -> f64 {
         self.dfg_construction_us
             + self.scheduling_us
@@ -142,7 +130,6 @@ impl RuntimeStats {
             + self.cuda_api_us
             + self.fiber_us
             + self.retry_backoff_us
-            - self.overlap_saved_us
     }
 
     /// Total modeled latency in milliseconds.
@@ -201,7 +188,6 @@ field_table! {
     kernel_time_us: TIME_SUM,
     cuda_api_us: TIME_SUM,
     fiber_us: TIME_SUM,
-    overlap_saved_us: TIME_SUM,
     nodes: COUNT_SUM,
     kernel_launches: COUNT_SUM,
     gather_copies: COUNT_SUM,
@@ -320,9 +306,9 @@ mod tests {
     macro_rules! fields {
         ($s:ident: $($f:ident)*) => { [$(&mut $s.$f),*] };
     }
-    fn times(s: &mut RuntimeStats) -> [&mut f64; 12] {
+    fn times(s: &mut RuntimeStats) -> [&mut f64; 11] {
         fields!(s: dfg_construction_us scheduling_us memcpy_us kernel_time_us cuda_api_us fiber_us
-            overlap_saved_us retry_backoff_us plan_sig_us host_wall_us exec_wall_us program_host_us)
+            retry_backoff_us plan_sig_us host_wall_us exec_wall_us program_host_us)
     }
     fn counts(s: &mut RuntimeStats) -> [&mut u64; 21] {
         fields!(s: nodes kernel_launches gather_copies gather_bytes contiguous_hits memcpy_ops
@@ -361,13 +347,13 @@ mod tests {
     proptest! {
         #[test]
         fn split_parts_merge_back_to_the_total(
-            vals in proptest::collection::vec(0u64..u64::MAX, 35),
+            vals in proptest::collection::vec(0u64..u64::MAX, 34),
             weights in proptest::collection::vec(0usize..5, 1..6),
         ) {
             // Counts span 0 .. 2^40 (so `total < members` occurs), times are
             // non-dyadic so every share rounds.
-            let count = |i: usize| (vals[12 + i] >> 24) >> (vals[12 + i] % 41);
-            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[33], vals[34]);
+            let count = |i: usize| (vals[11 + i] >> 24) >> (vals[11 + i] % 41);
+            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[32], vals[33]);
             let parts = total.split(&weights);
             prop_assert_eq!(total.split(&weights[..1]), vec![total], "a lone member gets the total");
             let mut merged = RuntimeStats::default();
@@ -400,21 +386,6 @@ mod tests {
         assert!((a.total_us() - 160.0).abs() < 1e-9);
         let avg = a.scaled(2.0);
         assert_eq!(avg.kernel_time_us, 75.0);
-    }
-
-    #[test]
-    fn overlap_saved_reduces_total() {
-        let s = RuntimeStats {
-            kernel_time_us: 100.0,
-            memcpy_us: 40.0,
-            overlap_saved_us: 30.0,
-            ..Default::default()
-        };
-        assert!((s.total_us() - 110.0).abs() < 1e-12);
-        let mut a = s;
-        a.merge(&s);
-        assert_eq!(a.overlap_saved_us, 60.0);
-        assert_eq!(a.scaled(2.0).overlap_saved_us, 30.0);
     }
 
     #[test]

@@ -331,6 +331,11 @@ impl Executable {
         let exec_start = Instant::now();
         let (values, mut ctx) = self.drive(run, ctx, instance_args, keys);
         let result = values.and_then(|values| {
+            // A run poisoned by a failed eager launch reports that failure,
+            // not whatever draining its half-executed DFG would raise.
+            if let Some(e) = run.poisoned() {
+                return Err(e.into());
+            }
             // Drain: flush the remaining work.  The hub is per-run, so its
             // switch count is exactly this run's fiber activity.
             ctx.flush()?;

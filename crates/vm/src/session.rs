@@ -197,10 +197,12 @@ impl Prng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Uniform integer in `[lo, hi]`.
+    /// Uniform integer in `[lo, hi]`.  Total: the span is taken modulo 2^64
+    /// (`0` stands for the full `i64` range), so no `lo`/`hi` overflows.
     pub fn next_range(&mut self, lo: i64, hi: i64) -> i64 {
-        let span = (hi - lo + 1) as u64;
-        lo + (self.next_u64() % span) as i64
+        let span = (hi.wrapping_sub(lo) as u64).wrapping_add(1);
+        let draw = self.next_u64();
+        lo.wrapping_add(draw.checked_rem(span).unwrap_or(draw) as i64)
     }
 }
 
@@ -696,11 +698,14 @@ impl<'s> RunSession<'s> {
                 arg_ids,
                 unit_head,
             );
-            if rt.options().eager {
+            if rt.options().eager && self.poisoned().is_none() {
                 // PyTorch-style eager execution: every operator runs
                 // immediately as its own launch — no auto-batching (§E.3
-                // baseline).
-                rt.flush().expect("eager flush failed");
+                // baseline).  A failed launch poisons the run, which stops
+                // flushing eagerly and fails at its next sync or its drain.
+                if let Err(e) = rt.flush() {
+                    self.poison(e);
+                }
             }
             outs
         });

@@ -13,10 +13,19 @@ use acrobat_tensor::Tensor;
 use acrobat_vm::{BackendKind, Executable, InputValue, OutputValue};
 
 fn build(src: &str, kind: BackendKind, opts: AnalysisOptions) -> Executable {
+    build_with(src, kind, opts, RuntimeOptions::default())
+}
+
+fn build_with(
+    src: &str,
+    kind: BackendKind,
+    opts: AnalysisOptions,
+    runtime: RuntimeOptions,
+) -> Executable {
     let m = typeck::check_module(parse_module(src).unwrap()).unwrap();
     let a = Arc::new(analyze(m, opts).unwrap());
     let lib = KernelLibrary::build(&a);
-    let engine = Engine::new(a, lib, DeviceModel::default(), RuntimeOptions::default());
+    let engine = Engine::new(a, lib, DeviceModel::default(), runtime);
     Executable::new(engine, kind, 42).unwrap()
 }
 
@@ -344,17 +353,35 @@ fn wrong_instance_arity_is_input_error() {
 
 #[test]
 fn device_oom_surfaces_as_error() {
-    let m = typeck::check_module(parse_module(SIMPLE).unwrap()).unwrap();
-    let a = Arc::new(analyze(m, AnalysisOptions::default()).unwrap());
-    let lib = KernelLibrary::build(&a);
-    let engine = Engine::new(
-        a,
-        lib,
-        DeviceModel::default(),
-        RuntimeOptions { device_memory: 5, ..Default::default() },
-    );
-    let exe = Executable::new(engine, BackendKind::Aot, 0).unwrap();
+    let options = RuntimeOptions { device_memory: 5, ..Default::default() };
+    let exe = build_with(SIMPLE, BackendKind::Aot, AnalysisOptions::default(), options);
     let params = BTreeMap::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
     let err = exe.run(&params, &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
     assert!(err.is_err(), "5-element device must OOM");
+}
+
+#[test]
+fn eager_device_oom_is_a_typed_error_like_batched() {
+    use acrobat_tensor::TensorError;
+    use acrobat_vm::VmError;
+    const MLP: &str = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)])
+        -> Tensor[(1, 2)] { relu(matmul(relu(matmul(%x, $w1)), $w2)) }";
+    let params = BTreeMap::from([
+        ("w1".to_string(), Tensor::zeros(&[2, 2])),
+        ("w2".to_string(), Tensor::zeros(&[2, 2])),
+    ]);
+    let instances = vec![vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]; 2];
+    for eager in [false, true] {
+        // 8 weight + 4 input elements fill the device: the first launch OOMs.
+        let options = RuntimeOptions { device_memory: 12, eager, ..Default::default() };
+        let exe = build_with(MLP, BackendKind::Aot, AnalysisOptions::default(), options);
+        let err = exe.run(&params, &instances).unwrap_err();
+        assert!(
+            matches!(err, VmError::Tensor(TensorError::DeviceOom { .. })),
+            "eager={eager}: {err:?}"
+        );
+        assert_eq!(exe.session.quarantined_count(), 1, "eager={eager}");
+        assert_eq!(exe.session.outcomes().failed, 1, "eager={eager}");
+        assert_eq!(exe.session.runs_completed(), 0, "eager={eager}");
+    }
 }

@@ -40,9 +40,6 @@ RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test chaos_serving
 echo "==> chaos smoke (seeded 50-case storm/deadline/cancel mix)"
 cargo run --release -p acrobat-bench --bin chaos_sweep -- --smoke --cases 50 --seed 1
 
-echo "==> timeline smoke (quick suite, asserts streams=1 vs streams=4 outputs identical)"
-cargo run --release -p acrobat-bench --bin timeline_overlap -- --quick
-
 echo "==> plan-cache smoke (steady-state hit rate >= 90%, cache-on == cache-off bit-for-bit)"
 cargo test -q -p acrobat-bench --test plan_cache
 
@@ -76,6 +73,18 @@ fi
 if [ "$(grep -rn 'run_pinned(' crates/vm/src | grep -vc 'fn run_pinned(')" != 1 ]; then
   echo "run_pinned must have exactly one call site (run_group)"; exit 1
 fi
+
+echo "==> one modeled-time ledger (RuntimeStats is the only clock; no device-timeline what-if simulator)"
+if grep -rnE 'TimelineOptions|DeviceTimeline|overlap_saved_us|timeline_overlap' crates tests; then
+  echo "the device timeline is gone: every modeled charge is one += on its RuntimeStats account"; exit 1
+fi
+
+echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"
+for artifact in table5 fig5; do
+  cargo run --release -q -p acrobat-bench --bin "$artifact" \
+    | diff - "bench_results/$artifact.txt" \
+    || { echo "$artifact no longer regenerates bench_results/$artifact.txt"; exit 1; }
+done
 
 echo "==> benchmark unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
