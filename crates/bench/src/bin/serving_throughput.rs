@@ -26,8 +26,11 @@
 //! Wall-clock time is also recorded for reference only: the wall-clock
 //! story of this profile is `benchmark/` (`birnn_serve2`, `benchmark/README.md`).
 //!
-//! Writes `bench_results/serving_throughput.txt`; with `--json` the same
-//! rows additionally land in `bench_results/BENCH_serving_throughput.json`.
+//! A full run writes `bench_results/serving_throughput.txt`; with `--json`
+//! the same rows additionally land in
+//! `bench_results/BENCH_serving_throughput.json`.  `--quick` (the
+//! `scripts/check.sh` smoke) prints the table, checks the scaling gate and
+//! leaves the recorded artifacts alone.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -280,6 +283,9 @@ fn main() {
         .unwrap();
     }
 
+    if quick {
+        return;
+    }
     std::fs::create_dir_all("bench_results").expect("bench_results dir");
     std::fs::write("bench_results/serving_throughput.txt", out)
         .expect("write bench_results/serving_throughput.txt");

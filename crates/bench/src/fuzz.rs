@@ -285,11 +285,9 @@ impl FuzzCase {
 /// gate (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
 /// routes every run through `BatchBroker::submit` and the cohort path
 /// (`acrobat_vm::broker`), which must be equally invisible.  The backend
-/// axis (`be=spec`) compiles every kernel from its first launch
-/// (threshold 1 — the generated kernels are straight-line `@main` code
-/// whose static hotness would otherwise gate compilation out) and, being
-/// checked, cross-executes every compiled launch against the interpreter
-/// on top of the host-reference comparison the fuzz driver performs.
+/// axis (`be=spec`) runs every launch compiled and, being checked,
+/// cross-executes each one against the interpreter on top of the
+/// host-reference comparison the fuzz driver performs.
 pub fn config_matrix() -> Vec<(String, CompileOptions)> {
     let mut out = Vec::new();
     for scheduler in
@@ -307,7 +305,6 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
                             o.runtime.plan_cache = plan_cache;
                             o.runtime.broker = broker;
                             o.runtime.backend = backend;
-                            o.runtime.spec_threshold = 1;
                             let be = match backend {
                                 KernelBackendKind::Interp => "interp",
                                 KernelBackendKind::Spec => "spec",

@@ -4,33 +4,31 @@
 //! ([`crate::exec::prepare_batched_kernel_with`] — sequential, performs the
 //! gather/allocation effects) and *execution* (pure per-lane compute, which
 //! [`Selection::execute_lanes`] can split across threads by lane range).
-//! This module abstracts the execution phase behind the [`KernelBackend`]
-//! trait:
+//! This module chooses how the execution phase runs ([`Selection`]):
 //!
-//! * [`InterpBackend`] — the reference per-instruction interpreter
-//!   ([`crate::exec::execute_prepared`]), always available, default.
-//! * [`SpecializedBackend`] — PGO-gated compilation of hot
-//!   `(kernel, batch-size-class)` pairs into monomorphized allocation-free
-//!   closures ([`crate::spec::CompiledKernel`]).  Per-kernel launch counters
-//!   are pre-seeded from hotness estimates (static frequency analysis, or
-//!   the aggregated PGO profile after retuning), so kernels that the
-//!   profile says are hot compile on their first post-retune launch while
-//!   cold kernels never pay compilation.
+//! * the reference per-instruction interpreter
+//!   ([`crate::exec::execute_prepared`]) — always available, the default
+//!   ([`KernelBackendKind::Interp`]), and what checked mode compares
+//!   against;
+//! * [`SpecializedBackend`] ([`KernelBackendKind::Spec`]) — a compile-once
+//!   cache: a kernel is lowered on its first launch into a monomorphized
+//!   allocation-free [`crate::spec::CompiledKernel`] and every later launch
+//!   of any lane count reuses it.  Lowering one kernel costs about a
+//!   microsecond (DESIGN §11), so nothing rations it.
 //!
-//! Every backend must produce bit-for-bit the same arena contents as the
-//! interpreter; checked mode enforces this at runtime by re-executing each
-//! compiled launch through the interpreter and comparing output bits.
+//! Compiled execution must produce bit-for-bit the same arena contents as
+//! the interpreter; checked mode enforces this at runtime by re-executing
+//! each compiled launch through the interpreter and comparing output bits.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use acrobat_tensor::arena::ExecView;
 use acrobat_tensor::TensorError;
 use serde::{Deserialize, Serialize};
 
 use crate::exec::{execute_prepared, ExecScratch, PreparedLaunch};
-use crate::kernel::{KernelId, KernelProgram};
+use crate::kernel::KernelProgram;
 use crate::spec::CompiledKernel;
 
 /// Which kernel-execution backend the runtime drives.
@@ -43,76 +41,28 @@ pub enum KernelBackendKind {
     /// The reference per-instruction interpreter.
     #[default]
     Interp,
-    /// PGO-gated specialized execution with an interpreter fallback for
-    /// cold kernels.
+    /// Specialized execution: every kernel is compiled on its first launch
+    /// ([`SpecializedBackend`]).
     Spec,
 }
 
-/// Number of batch-size classes a kernel can be specialized for.
-pub const NUM_SIZE_CLASSES: usize = 8;
-
-/// Floor-log2 bucket of the lane count, capped at
-/// [`NUM_SIZE_CLASSES`]` - 1`: 1 → 0, 2–3 → 1, 4–7 → 2, …, ≥128 → 7.
-///
-/// Class only selects loop tiling in the compiled kernel; it never changes
-/// results.
-pub fn size_class(lanes: usize) -> usize {
-    let lanes = lanes.max(1);
-    ((usize::BITS - 1 - lanes.leading_zeros()) as usize).min(NUM_SIZE_CLASSES - 1)
-}
-
-/// Execution-phase strategy for batched kernel launches.
-///
-/// Implementations are engine-resident: shared immutably (`Send + Sync`)
-/// across every pooled execution context, with interior mutability for
-/// launch counters and compiled-kernel caches.  The contract is strict
-/// bit-for-bit agreement with the reference interpreter on the arena
-/// contents of every launch.
-pub trait KernelBackend: std::fmt::Debug + Send + Sync {
-    /// Short stable name for logs and bench output.
-    fn name(&self) -> &'static str;
-
-    /// Decides how the execution phase of one launch of `program` over
-    /// `lanes` lanes should run, updating hotness counters as a side
-    /// effect.
-    fn select(&self, program: &KernelProgram, lanes: usize) -> Selection;
-
-    /// Number of `(kernel, size-class)` pairs compiled so far.
-    fn compiled_count(&self) -> usize {
-        0
-    }
-}
-
-/// The reference backend: every launch executes through the
-/// per-instruction interpreter.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InterpBackend;
-
-impl KernelBackend for InterpBackend {
-    fn name(&self) -> &'static str {
-        "interp"
-    }
-
-    fn select(&self, _program: &KernelProgram, _lanes: usize) -> Selection {
-        Selection::Interp
-    }
-}
-
-/// Outcome of [`KernelBackend::select`] for one launch.
-#[derive(Debug, Clone)]
-pub enum Selection {
+/// How the execution phase of one launch runs: the outcome of
+/// [`SpecializedBackend::select`], or [`Selection::Interp`] when the engine
+/// has no specialized backend.
+#[derive(Debug, Clone, Copy)]
+pub enum Selection<'k> {
     /// Execute through the reference interpreter.
     Interp,
     /// Execute through a compiled kernel.
     Compiled {
-        /// The monomorphized kernel for this `(kernel, size-class)` pair.
-        kernel: Arc<CompiledKernel>,
+        /// The kernel's monomorphized form, shared by every lane count.
+        kernel: &'k CompiledKernel,
         /// Whether this launch triggered the compilation (for stats).
         fresh: bool,
     },
 }
 
-impl Selection {
+impl Selection<'_> {
     /// Whether this selection runs the compiled path.
     pub fn is_compiled(&self) -> bool {
         matches!(self, Selection::Compiled { .. })
@@ -283,94 +233,42 @@ pub struct BackendScratch {
     check: Vec<f32>,
 }
 
-/// PGO-gated specialized backend.
+/// The specialized backend: a compile-once cache of [`CompiledKernel`]s
+/// indexed by [`crate::KernelId`].
 ///
-/// Per-kernel launch counters decide when a kernel is hot enough to
-/// compile; counters are pre-seeded with hotness estimates so that a good
-/// profile (static frequency analysis at engine build, the aggregated PGO
-/// profile after retuning) makes hot kernels compile on their first launch.
-/// Compiled kernels are cached per `(kernel, batch-size-class)` in
-/// lock-free [`OnceLock`] cells shared by all pooled contexts; retuning
-/// builds a fresh backend, which is exactly the invalidation the plan
-/// cache already follows.
+/// A kernel is lowered on its first launch and every later launch — of any
+/// lane count, from any pooled context — borrows it from a lock-free
+/// [`OnceLock`] cell.  Retuning builds a fresh backend, which is exactly
+/// the invalidation the plan cache already follows.
 #[derive(Debug)]
 pub struct SpecializedBackend {
-    threshold: u64,
-    counters: Vec<AtomicU64>,
-    cache: Vec<[OnceLock<Arc<CompiledKernel>>; NUM_SIZE_CLASSES]>,
+    cache: Vec<OnceLock<CompiledKernel>>,
 }
 
 impl SpecializedBackend {
-    /// Creates a backend for a library of `kernels` kernels that compiles a
-    /// kernel once its launch count reaches `threshold` (minimum 1).
-    pub fn new(kernels: usize, threshold: u64) -> SpecializedBackend {
-        SpecializedBackend {
-            threshold: threshold.max(1),
-            counters: (0..kernels).map(|_| AtomicU64::new(0)).collect(),
-            cache: (0..kernels).map(|_| std::array::from_fn(|_| OnceLock::new())).collect(),
-        }
+    /// Creates an empty backend for a library of `kernels` kernels.
+    pub fn new(kernels: usize) -> SpecializedBackend {
+        SpecializedBackend { cache: (0..kernels).map(|_| OnceLock::new()).collect() }
     }
 
-    /// Pre-seeds the launch counter of `kernel` with an estimated hotness
-    /// weight, as if it had already launched `weight` times.
-    pub fn seed(&mut self, kernel: KernelId, weight: u64) {
-        if let Some(counter) = self.counters.get_mut(kernel.0 as usize) {
-            let c = counter.get_mut();
-            *c = (*c).max(weight.min(self.threshold));
-        }
-    }
-
-    /// The compile-gating launch-count threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-}
-
-impl KernelBackend for SpecializedBackend {
-    fn name(&self) -> &'static str {
-        "spec"
-    }
-
-    fn select(&self, program: &KernelProgram, lanes: usize) -> Selection {
-        let id = program.id.0 as usize;
-        let Some(counter) = self.counters.get(id) else {
-            // Defensive: a program outside the library this backend was
-            // sized for always interprets.
-            return Selection::Interp;
-        };
-        let count = counter.fetch_add(1, Ordering::Relaxed) + 1;
-        if count < self.threshold {
-            return Selection::Interp;
-        }
-        let class = size_class(lanes);
+    /// The compiled form of `program`, lowering it if this is its first
+    /// launch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` is not from the library this backend was sized
+    /// for.
+    pub fn select(&self, program: &KernelProgram) -> Selection<'_> {
         let mut fresh = false;
-        let kernel = self.cache[id][class].get_or_init(|| {
+        let kernel = self.cache[program.id.0 as usize].get_or_init(|| {
             fresh = true;
-            Arc::new(CompiledKernel::compile(program, class))
+            CompiledKernel::compile(program)
         });
-        Selection::Compiled { kernel: Arc::clone(kernel), fresh }
+        Selection::Compiled { kernel, fresh }
     }
 
-    fn compiled_count(&self) -> usize {
-        self.cache.iter().flat_map(|classes| classes.iter()).filter(|c| c.get().is_some()).count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn size_classes_bucket_by_log2() {
-        assert_eq!(size_class(0), 0);
-        assert_eq!(size_class(1), 0);
-        assert_eq!(size_class(2), 1);
-        assert_eq!(size_class(3), 1);
-        assert_eq!(size_class(4), 2);
-        assert_eq!(size_class(7), 2);
-        assert_eq!(size_class(8), 3);
-        assert_eq!(size_class(64), 6);
-        assert_eq!(size_class(128), 7);
-        assert_eq!(size_class(100_000), 7);
+    /// Number of kernels compiled so far.
+    pub fn compiled_count(&self) -> usize {
+        self.cache.iter().filter(|c| c.get().is_some()).count()
     }
 }

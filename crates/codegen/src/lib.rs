@@ -14,11 +14,11 @@
 //! * [`exec`] — the reference executor for kernel programs, supporting both
 //!   batched-argument access styles of §5.2: explicit gather and gather
 //!   fusion;
-//! * [`backend`] / [`spec`] — the execution phase abstracted behind the
-//!   [`backend::KernelBackend`] trait, with a PGO-gated
-//!   [`backend::SpecializedBackend`] that compiles hot
-//!   `(kernel, batch-size-class)` pairs into monomorphized allocation-free
-//!   execution plans bit-identical to the interpreter;
+//! * [`backend`] / [`spec`] — the choice of how a launch's execution phase
+//!   runs: the reference interpreter, or a [`backend::SpecializedBackend`]
+//!   that compiles each kernel once, on its first launch, into a
+//!   monomorphized allocation-free execution plan bit-identical to the
+//!   interpreter;
 //! * [`autosched`] — a simulation of TVM's auto-scheduler (§D.1): a
 //!   randomized search over tiling/vectorization/unrolling parameters
 //!   against an analytical cost model, with an iteration budget that can be
@@ -35,10 +35,7 @@ pub mod library;
 pub mod spec;
 
 pub use autosched::{autoschedule, Schedule, ScheduleOptions};
-pub use backend::{
-    size_class, BackendScratch, InterpBackend, KernelBackend, KernelBackendKind, Selection,
-    SpecializedBackend, NUM_SIZE_CLASSES,
-};
+pub use backend::{BackendScratch, KernelBackendKind, Selection, SpecializedBackend};
 pub use exec::{
     execute_prepared, finish_prepared, prepare_batched_kernel_with, run_batched_kernel_with,
     ExecScratch, KernelLaunchStats, PreparedLaunch,

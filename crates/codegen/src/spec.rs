@@ -1,9 +1,8 @@
 //! Specialized kernel compilation: monomorphized, allocation-free execution
 //! of hot kernel programs.
 //!
-//! [`CompiledKernel::compile`] lowers a [`KernelProgram`] once — per
-//! batch-size class — into a form the executor can run without touching
-//! the allocator:
+//! [`CompiledKernel::compile`] lowers a [`KernelProgram`] once into a form
+//! the executor can run at any lane count without touching the allocator:
 //!
 //! * **Register allocation.**  Every materialized virtual register gets a
 //!   fixed offset in one flat per-launch scratch buffer; no intermediate
@@ -13,10 +12,10 @@
 //!   whole launch in one pass and escaping registers leave as one
 //!   `memcpy` per output (the reserved output regions are lane-major too).
 //! * **Elementwise fusion.**  Straight-line chains of strict same-shape
-//!   elementwise instructions collapse into a single pass of `tile_w`-element
-//!   chunks over all `lanes × numel` elements at once: interior temporaries
-//!   live in small tile buffers and never touch the flat scratch, and each
-//!   step is a `chunks_exact` loop over the tile
+//!   elementwise instructions collapse into a single pass of
+//!   [`tile_width`]-element chunks over all `lanes × numel` elements at
+//!   once: interior temporaries live in small tile buffers and never touch
+//!   the flat scratch, and each step is a `chunks_exact` loop over the tile
 //!   ([`acrobat_tensor::map_unary`] / [`acrobat_tensor::map_binary`]) the
 //!   optimizer can vectorize.  Input slots consumed by fused segments are
 //!   materialized lane-major once per launch (shared operands broadcast),
@@ -108,19 +107,30 @@ enum Segment {
     Single { op: PrimOp, args: Vec<(Src, Shape)>, out: usize, out_len: usize },
 }
 
-/// A kernel program compiled for one batch-size class, ready to execute
-/// lanes against a [`PreparedLaunch`] without allocating.
+/// Chunk width of fused segments for a launch of `lanes` lanes.  Larger
+/// batches amortize loop overhead over more lanes, so they get wider tiles
+/// (fused chunks span the whole lanes × numel range).  Numerically
+/// invisible: elementwise steps are per-element pure, so any width
+/// computes the same bits.
+pub(crate) fn tile_width(lanes: usize) -> usize {
+    match lanes {
+        0..=3 => 32,
+        4..=15 => 64,
+        _ => 128,
+    }
+}
+
+/// A compiled kernel program, ready to execute lanes against a
+/// [`PreparedLaunch`] of any lane count without allocating.
 #[derive(Debug)]
 pub struct CompiledKernel {
     segments: Vec<Segment>,
     /// Total flat-scratch length in *per-lane* elements (the buffer is
     /// `flat_len × lanes` at execution time).
     flat_len: usize,
-    /// Tile-buffer length: max fused-segment depth × tile width.
-    tiles_len: usize,
-    /// Chunk width of fused segments (the size-class specialization axis —
-    /// numerically invisible: elementwise steps are per-element pure).
-    tile_w: usize,
+    /// Deepest fused segment, in steps: the tile buffer holds one
+    /// [`tile_width`] tile per step.
+    max_depth: usize,
     /// Element count per input slot, parallel to `KernelProgram::inputs`.
     input_numels: Vec<usize>,
     /// Per-lane offset of each input slot's lane-major materialization in
@@ -136,19 +146,10 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Lowers `program` for the given batch-size class.  Total: every
-    /// instruction either fuses, monomorphizes or falls back to the shared
-    /// reference implementation, so compilation cannot fail.
-    pub(crate) fn compile(program: &KernelProgram, size_class: usize) -> CompiledKernel {
-        // Larger steady-state batches amortize loop overhead over more
-        // lanes, so they get wider tiles (fused chunks span the whole
-        // lanes × numel range).  Any width computes the same bits.
-        let tile_w = match size_class {
-            0 | 1 => 32,
-            2 | 3 => 64,
-            _ => 128,
-        };
-
+    /// Lowers `program`.  Total: every instruction either fuses,
+    /// monomorphizes or falls back to the shared reference implementation,
+    /// so compilation cannot fail.
+    pub(crate) fn compile(program: &KernelProgram) -> CompiledKernel {
         let max_reg = program
             .instrs
             .iter()
@@ -432,8 +433,7 @@ impl CompiledKernel {
         CompiledKernel {
             segments,
             flat_len,
-            tiles_len: max_depth * tile_w,
-            tile_w,
+            max_depth,
             input_numels,
             input_off,
             inputs_len,
@@ -476,8 +476,9 @@ impl CompiledKernel {
         if lanes == 0 {
             return Ok(());
         }
+        let tile_w = tile_width(prep.batch);
         flat.resize(self.flat_len * lanes, 0.0);
-        tiles.resize(self.tiles_len, 0.0);
+        tiles.resize(self.max_depth * tile_w, 0.0);
         inputs.resize(self.inputs_len * lanes, 0.0);
 
         // Materialize fused-consumed input slots lane-major (shared
@@ -525,9 +526,9 @@ impl CompiledKernel {
                     let total = numel * lanes;
                     let mut chunk = 0;
                     while chunk < total {
-                        let len = (total - chunk).min(self.tile_w);
+                        let len = (total - chunk).min(tile_w);
                         for (si, step) in steps.iter().enumerate() {
-                            let (before, cur) = tiles.split_at_mut(si * self.tile_w);
+                            let (before, cur) = tiles.split_at_mut(si * tile_w);
                             // Sinked steps write their flat region directly;
                             // their operands' flat offsets are strictly
                             // smaller (registers allocate in instruction
@@ -550,9 +551,7 @@ impl CompiledKernel {
                                         let base = off * lanes;
                                         &flat_lo[base + chunk..base + chunk + len]
                                     }
-                                    Src::Tile(step) => {
-                                        &before[step * self.tile_w..step * self.tile_w + len]
-                                    }
+                                    Src::Tile(step) => &before[step * tile_w..step * tile_w + len],
                                 }
                             };
                             match step.op {
@@ -680,7 +679,7 @@ mod tests {
     use acrobat_tensor::batch::BatchMode;
     use acrobat_tensor::{DeviceMem, Tensor};
 
-    use crate::backend::{BackendScratch, KernelBackend, SpecializedBackend};
+    use crate::backend::{BackendScratch, SpecializedBackend};
     use crate::exec::{finish_prepared, prepare_batched_kernel_with};
     use crate::kernel::KernelId;
 
@@ -689,6 +688,16 @@ mod tests {
         let a = analyze(m, AnalysisOptions::default()).unwrap();
         let lib = crate::KernelLibrary::build(&a);
         (a, lib)
+    }
+
+    /// The tile width steps up at 4 and at 16 lanes and nowhere else.
+    #[test]
+    fn tile_width_has_three_lane_bands() {
+        for (lanes, width) in [(1..=3, 32), (4..=15, 64), (16..=4096, 128)] {
+            for n in lanes {
+                assert_eq!(super::tile_width(n), width, "{n} lanes");
+            }
+        }
     }
 
     /// The compiled path must agree with the interpreter bit for bit on a
@@ -738,19 +747,19 @@ mod tests {
 
             // Checked execution re-runs the launch through the interpreter
             // and panics on any output-bit divergence.
-            let backend = SpecializedBackend::new(lib.len(), 1);
+            let backend = SpecializedBackend::new(lib.len());
             let prep =
                 prepare_batched_kernel_with(&mut mem, program, batch, mode, |l, s| &lanes[l][s])
                     .unwrap();
-            let sel = backend.select(program, batch);
-            assert!(sel.is_fresh_compile(), "threshold 1 compiles on first launch");
+            let sel = backend.select(program);
+            assert!(sel.is_fresh_compile(), "the first launch compiles");
             let mut scratch = BackendScratch::default();
             sel.execute(&mem.exec_view(), program, &prep, 0..batch, &mut scratch, true).unwrap();
             let outs = finish_prepared(&mem, &prep).unwrap();
             assert_eq!(outs.len(), 1);
 
             // Second select hits the cache.
-            let sel2 = backend.select(program, batch);
+            let sel2 = backend.select(program);
             assert!(sel2.is_compiled() && !sel2.is_fresh_compile());
             assert_eq!(backend.compiled_count(), 1);
 

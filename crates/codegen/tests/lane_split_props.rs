@@ -7,8 +7,8 @@
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    finish_prepared, prepare_batched_kernel_with, BackendScratch, KernelBackend, KernelId,
-    KernelLibrary, KernelProgram, Selection, SpecializedBackend,
+    finish_prepared, prepare_batched_kernel_with, BackendScratch, KernelId, KernelLibrary,
+    KernelProgram, Selection, SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
 use acrobat_tensor::batch::BatchMode;
@@ -42,7 +42,7 @@ fn random_library(width: usize, ops: &[u8]) -> KernelLibrary {
 /// `parts` lane ranges; returns the output bits in `[slot][lane]` order.
 fn launch_bits(
     program: &KernelProgram,
-    selection: &Selection,
+    selection: &Selection<'_>,
     lanes: usize,
     parts: usize,
     seed: u64,
@@ -99,8 +99,9 @@ proptest! {
         let lib = random_library(width, &ops);
         for k in 0..lib.len() {
             let program = lib.kernel(KernelId(k as u32));
-            let compiled = SpecializedBackend::new(lib.len(), 1).select(program, lanes);
-            prop_assert!(compiled.is_compiled(), "threshold 1 compiles on the first launch");
+            let backend = SpecializedBackend::new(lib.len());
+            let compiled = backend.select(program);
+            prop_assert!(compiled.is_compiled(), "the first launch compiles");
             for selection in [Selection::Interp, compiled] {
                 // One scratch set across all splits: ranges reuse whatever
                 // an earlier, differently shaped split left behind.

@@ -143,13 +143,7 @@ impl Model {
         let session = &self.exe.session;
         let profile = session.take_profile();
         let schedule = self.options.schedule;
-        // The profile drives both the auto-scheduler budget and — through
-        // `retuned_with_profile` — the new engine's backend hotness
-        // counters, so with the specialized backend the kernels the
-        // profile says are hot compile on their first post-retune launch.
-        let retuned = session.engine().retuned_with_profile(Some(&profile), |lib| {
-            autoschedule(lib, schedule, Some(&profile))
-        });
+        let retuned = session.engine().retuned(|lib| autoschedule(lib, schedule, Some(&profile)));
         session.swap_engine(Arc::new(retuned));
         Ok(())
     }

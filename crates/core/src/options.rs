@@ -112,22 +112,14 @@ impl CompileOptions {
 
     /// Select the kernel-execution backend
     /// (`acrobat_codegen::backend`): the default interpreter, or the
-    /// PGO-gated specialized backend that compiles hot
-    /// `(kernel, batch-size-class)` pairs into monomorphized
-    /// allocation-free plans with bit-identical results.
+    /// specialized backend that compiles each kernel on its first launch
+    /// into a monomorphized allocation-free plan with bit-identical
+    /// results.
     pub fn with_kernel_backend(
         mut self,
         backend: acrobat_codegen::KernelBackendKind,
     ) -> CompileOptions {
         self.runtime.backend = backend;
-        self
-    }
-
-    /// Launch-count threshold for the specialized backend's compile gate
-    /// (clamped to ≥ 1; only meaningful with
-    /// [`CompileOptions::with_kernel_backend`] set to `Spec`).
-    pub fn with_spec_threshold(mut self, threshold: u64) -> CompileOptions {
-        self.runtime.spec_threshold = threshold;
         self
     }
 

@@ -57,7 +57,7 @@ pub use ast::{
     ScalarBinOp, ScalarUnOp, SyncKind, Type,
 };
 pub use error::IrError;
-pub use parser::parse_module;
+pub use parser::{parse_module, MAX_NESTING};
 pub use printer::print_module;
 
 /// Result alias for fallible frontend operations.

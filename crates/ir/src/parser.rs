@@ -18,7 +18,8 @@ use crate::{IrError, Result};
 ///
 /// # Errors
 ///
-/// Returns [`IrError::Lex`] / [`IrError::Parse`] with source positions.
+/// Returns [`IrError::Lex`] / [`IrError::Parse`] with source positions;
+/// a program nested deeper than [`MAX_NESTING`] is a parse error.
 ///
 /// ```
 /// let m = acrobat_ir::parse_module("def @main(%x: Int) -> Int { %x + 1 }")?;
@@ -27,7 +28,7 @@ use crate::{IrError, Result};
 /// ```
 pub fn parse_module(src: &str) -> Result<Module> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, module: Module::with_prelude() };
+    let mut p = Parser { tokens, pos: 0, depth: 0, module: Module::with_prelude() };
     while !p.at(&Tok::Eof) {
         if p.at(&Tok::KwType) {
             p.parse_typedef()?;
@@ -40,9 +41,20 @@ pub fn parse_module(src: &str) -> Result<Module> {
     Ok(p.module)
 }
 
+/// Deepest nesting of expressions, types and blocks the parser accepts.
+/// The descent, and every later pass over the tree it builds down to the
+/// tree's `Drop`, recurses once per level, so unbounded nesting is a stack
+/// overflow — which aborts the process instead of returning an error.  48
+/// is over four times the deepest shipped model (StackRNN, 11) and two
+/// thirds of what an unoptimized build parses, checks and analyzes on a
+/// 2 MiB thread (call nesting gives out at 72).
+pub const MAX_NESTING: usize = 48;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of [`Parser::nested`] currently open.
+    depth: usize,
     module: Module,
 }
 
@@ -87,6 +99,19 @@ impl Parser {
     fn err(&self, msg: &str) -> IrError {
         let tok = &self.tokens[self.pos];
         IrError::Parse { line: tok.line, col: tok.col, msg: format!("{msg}, found {:?}", tok.tok) }
+    }
+
+    /// Runs `parse` one nesting level down, or fails once the program nests
+    /// deeper than [`MAX_NESTING`].  Every production that re-enters
+    /// itself goes through here.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn mk(&mut self, kind: ExprKind) -> Expr {
@@ -196,6 +221,10 @@ impl Parser {
     // ---- types -----------------------------------------------------------
 
     fn parse_type(&mut self) -> Result<Type> {
+        self.nested(Parser::parse_type_inner)
+    }
+
+    fn parse_type_inner(&mut self) -> Result<Type> {
         match self.bump() {
             Tok::Ident(name) => match name.as_str() {
                 "Tensor" => {
@@ -282,10 +311,12 @@ impl Parser {
     /// Parses `{ stmt* expr }` where statements are `let`-bindings, `phase;`
     /// markers, or discarded expressions terminated by `;`.
     fn parse_block(&mut self) -> Result<Expr> {
-        self.expect(&Tok::LBrace, "`{`")?;
-        let e = self.parse_stmts()?;
-        self.expect(&Tok::RBrace, "`}`")?;
-        Ok(e)
+        self.nested(|p| {
+            p.expect(&Tok::LBrace, "`{`")?;
+            let e = p.parse_stmts()?;
+            p.expect(&Tok::RBrace, "`}`")?;
+            Ok(e)
+        })
     }
 
     fn parse_stmts(&mut self) -> Result<Expr> {
@@ -360,7 +391,7 @@ impl Parser {
     // ---- expressions -------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Parser::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
@@ -437,13 +468,13 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
-            let operand = self.parse_unary()?;
+            let operand = self.nested(Parser::parse_unary)?;
             return Ok(
                 self.mk(ExprKind::ScalarUn { op: ScalarUnOp::Neg, operand: Box::new(operand) })
             );
         }
         if self.eat(&Tok::Bang) {
-            let operand = self.parse_unary()?;
+            let operand = self.nested(Parser::parse_unary)?;
             return Ok(
                 self.mk(ExprKind::ScalarUn { op: ScalarUnOp::Not, operand: Box::new(operand) })
             );
@@ -584,8 +615,11 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 let then = self.parse_block()?;
                 self.expect(&Tok::KwElse, "`else`")?;
-                let els =
-                    if self.at(&Tok::KwIf) { self.parse_atom()? } else { self.parse_block()? };
+                let els = if self.at(&Tok::KwIf) {
+                    self.nested(Parser::parse_atom)?
+                } else {
+                    self.parse_block()?
+                };
                 Ok(self.mk(ExprKind::If {
                     cond: Box::new(cond),
                     then: Box::new(then),

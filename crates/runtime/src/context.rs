@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use acrobat_analysis::fusion::GroupId;
-use acrobat_codegen::backend::{BackendScratch, KernelBackendKind, Selection};
+use acrobat_codegen::backend::{BackendScratch, Selection};
 use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
 use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
 
@@ -591,8 +591,13 @@ impl ExecutionContext {
                 debug_assert_eq!(node.kernel, kernel_id);
                 dfg.tensor(node.args[slot]).expect("scheduler produced unmet dependency")
             })?;
-        let selection = engine.backend().select(program, lanes);
-        count_selection(&mut self.stats, &selection, options.backend);
+        let selection = engine.backend().map_or(Selection::Interp, |b| b.select(program));
+        match selection {
+            Selection::Compiled { fresh: true, .. } => self.stats.backend_compiles += 1,
+            Selection::Compiled { fresh: false, .. } => self.stats.backend_hits += 1,
+            // The reference interpreter is not a backend event.
+            Selection::Interp => {}
+        }
         // Elapsed wall of the execute phase (a split launch's ranges overlap).
         let exec_wall = std::time::Instant::now();
         selection.execute_lanes(
@@ -712,18 +717,6 @@ impl ExecutionContext {
         let us = switches as f64 * self.engine.model().fiber_switch_cost_us;
         self.stats.fiber_switches += switches;
         self.stats.fiber_us += us;
-    }
-}
-
-/// Folds one launch's backend selection into the stats counters.  The
-/// interpreter-fallback counter only moves under the specialized backend —
-/// the reference interpreter is not a fallback for itself.
-fn count_selection(stats: &mut RuntimeStats, selection: &Selection, kind: KernelBackendKind) {
-    match selection {
-        Selection::Compiled { fresh: true, .. } => stats.backend_compiles += 1,
-        Selection::Compiled { fresh: false, .. } => stats.backend_hits += 1,
-        Selection::Interp if kind == KernelBackendKind::Spec => stats.backend_interp_falls += 1,
-        Selection::Interp => {}
     }
 }
 

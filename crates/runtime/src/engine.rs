@@ -16,13 +16,10 @@
 //! [`Engine::retuned`], producing a fresh engine that new requests pick up
 //! while in-flight requests finish against the old one.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use acrobat_analysis::AnalysisResult;
-use acrobat_codegen::{
-    InterpBackend, KernelBackend, KernelBackendKind, KernelId, KernelLibrary, SpecializedBackend,
-};
+use acrobat_codegen::{KernelBackendKind, KernelLibrary, SpecializedBackend};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -77,21 +74,11 @@ pub struct RuntimeOptions {
     pub broker: bool,
     /// Kernel-execution backend for the execute phase of every launch.
     /// The default interpreter reproduces all published artifacts
-    /// unchanged; [`KernelBackendKind::Spec`] compiles hot
-    /// `(kernel, batch-size-class)` pairs into monomorphized
-    /// allocation-free plans with bit-identical results.
+    /// unchanged; [`KernelBackendKind::Spec`] compiles each kernel on its
+    /// first launch into a monomorphized allocation-free plan with
+    /// bit-identical results.
     #[serde(default)]
     pub backend: KernelBackendKind,
-    /// Launch-count threshold at which the specialized backend compiles a
-    /// kernel.  Counters are pre-seeded from hotness estimates (static
-    /// frequencies, or the PGO profile after retuning), so hot kernels
-    /// reach the threshold immediately while cold ones keep interpreting.
-    #[serde(default = "default_spec_threshold")]
-    pub spec_threshold: u64,
-}
-
-fn default_spec_threshold() -> u64 {
-    4
 }
 
 impl Default for RuntimeOptions {
@@ -108,48 +95,6 @@ impl Default for RuntimeOptions {
             plan_cache: false,
             broker: false,
             backend: KernelBackendKind::Interp,
-            spec_threshold: default_spec_threshold(),
-        }
-    }
-}
-
-/// Builds the kernel backend an engine drives, seeding the specialized
-/// backend's launch counters with per-kernel hotness estimates: the
-/// aggregated PGO `profile` when one is available (post-retune), otherwise
-/// the static invocation-frequency estimates of §D.1 — the same weights
-/// that prioritize the auto-scheduler budget.
-fn build_backend(
-    options: &RuntimeOptions,
-    analysis: &AnalysisResult,
-    library: &KernelLibrary,
-    profile: Option<&BTreeMap<KernelId, u64>>,
-) -> Arc<dyn KernelBackend> {
-    match options.backend {
-        KernelBackendKind::Interp => Arc::new(InterpBackend),
-        KernelBackendKind::Spec => {
-            let mut backend = SpecializedBackend::new(library.len(), options.spec_threshold);
-            match profile {
-                Some(profile) => {
-                    for (&kid, &weight) in profile {
-                        backend.seed(kid, weight);
-                    }
-                }
-                None => {
-                    let freqs = acrobat_analysis::freq::estimate_frequencies(&analysis.module);
-                    for block in &analysis.blocks.blocks {
-                        for group in &block.groups {
-                            let w = group
-                                .sites
-                                .iter()
-                                .map(|s| freqs.get(s).copied().unwrap_or(1))
-                                .max()
-                                .unwrap_or(1);
-                            backend.seed(library.kernel_id_for_group(group.id), w);
-                        }
-                    }
-                }
-            }
-            Arc::new(backend)
         }
     }
 }
@@ -171,13 +116,13 @@ pub struct Engine {
     /// set; engine swaps ([`Engine::retuned`]) build a fresh cache, which
     /// is the wholesale invalidation the PGO path needs.
     plan_cache: crate::plan_cache::PlanCache,
-    /// The kernel-execution backend ([`acrobat_codegen::backend`]).
-    /// Engine-resident for the same reason as the plan cache: its launch
-    /// counters and compiled-kernel cache are shared lock-free by every
-    /// pooled context, and an engine swap ([`Engine::retuned`]) builds a
-    /// fresh backend, which is exactly the invalidation a retuned library
-    /// needs.
-    backend: Arc<dyn KernelBackend>,
+    /// The specialized kernel backend ([`acrobat_codegen::backend`]), under
+    /// [`KernelBackendKind::Spec`]; `None` interprets every launch.
+    /// Engine-resident for the same reason as the plan cache: its
+    /// compiled-kernel cache is shared lock-free by every pooled context,
+    /// and an engine swap ([`Engine::retuned`]) builds a fresh backend,
+    /// which is exactly the invalidation a retuned library needs.
+    backend: Option<SpecializedBackend>,
 }
 
 impl Engine {
@@ -188,7 +133,9 @@ impl Engine {
         model: DeviceModel,
         options: RuntimeOptions,
     ) -> Engine {
-        let backend = build_backend(&options, &analysis, &library, None);
+        // Empty: kernels compile on their first launch.
+        let backend = (options.backend == KernelBackendKind::Spec)
+            .then(|| SpecializedBackend::new(library.len()));
         Engine {
             analysis,
             library: Arc::new(library),
@@ -224,9 +171,10 @@ impl Engine {
         &self.plan_cache
     }
 
-    /// The kernel-execution backend.
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
+    /// The specialized kernel backend, when the engine runs
+    /// [`KernelBackendKind::Spec`].
+    pub fn backend(&self) -> Option<&SpecializedBackend> {
+        self.backend.as_ref()
     }
 
     /// Starts a fresh [`ExecutionContext`] (one mini-batch's mutable state)
@@ -240,34 +188,14 @@ impl Engine {
     /// result.  In-flight contexts keep the old engine alive through their
     /// `Arc`; new requests pick up the retuned one.
     pub fn retuned(&self, retune: impl FnOnce(&mut KernelLibrary)) -> Engine {
-        self.retuned_with_profile(None, retune)
-    }
-
-    /// [`Engine::retuned`] with an aggregated PGO profile (lane counts per
-    /// kernel) that seeds the new engine's backend hotness counters: after
-    /// a PGO retune, kernels the profile says are hot compile on their
-    /// first launch against the new engine.
-    pub fn retuned_with_profile(
-        &self,
-        profile: Option<&BTreeMap<KernelId, u64>>,
-        retune: impl FnOnce(&mut KernelLibrary),
-    ) -> Engine {
         let mut library = (*self.library).clone();
         retune(&mut library);
         // A retuned library can change batch schedules; stale plans and
         // stale compiled kernels must not survive the swap, so the new
-        // engine starts with an empty plan cache and a freshly built
-        // backend (in-flight contexts keep the old engine — and its
+        // engine is built from scratch, with an empty plan cache and an
+        // empty backend (in-flight contexts keep the old engine — and its
         // caches — alive through their `Arc`).
-        let backend = build_backend(&self.options, &self.analysis, &library, profile);
-        Engine {
-            analysis: Arc::clone(&self.analysis),
-            library: Arc::new(library),
-            model: self.model,
-            options: self.options,
-            plan_cache: crate::plan_cache::PlanCache::new(),
-            backend,
-        }
+        Engine::new(Arc::clone(&self.analysis), library, self.model, self.options)
     }
 }
 

@@ -97,9 +97,9 @@ pub struct RuntimeStats {
     /// Launches served by an already-compiled kernel.
     #[serde(default)]
     pub backend_hits: u64,
-    /// Launches the specialized backend declined (kernel still below the
-    /// compile threshold) and routed to the interpreter.  `0` under the
-    /// interpreter backend — the interpreter is not a fallback for itself.
+    /// Launches the specialized backend declined and routed to the
+    /// interpreter.  Always `0`: lowering is total and nothing gates it, so
+    /// the field has no writer (`benchmark/` still reads it).
     #[serde(default)]
     pub backend_interp_falls: u64,
 
@@ -108,7 +108,7 @@ pub struct RuntimeStats {
     /// Measured host wall-clock time, µs.
     pub host_wall_us: f64,
     /// Measured wall-clock time of the kernel *execute* phase (the part a
-    /// [`acrobat_codegen::backend::KernelBackend`] replaces: interpreter
+    /// [`acrobat_codegen::backend::Selection`] chooses: interpreter
     /// dispatch or compiled-kernel execution, excluding prepare/gather,
     /// scheduling and finish), µs.  This is the host time the specialized
     /// backend attacks; the `kernel_backend` bench gates on it.

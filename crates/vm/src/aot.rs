@@ -674,13 +674,13 @@ impl AotBackend {
             Code::ScalarBin { op, lhs, rhs } => {
                 let a = self.exec(lhs, frame, run, rt, ctx)?;
                 let b = self.exec(rhs, frame, run, rt, ctx)?;
-                scalar_bin(*op, &a, &b)
+                scalar_bin(*op, &a, &b)?
             }
             Code::ScalarUn { op, operand } => {
                 let v = self.exec(operand, frame, run, rt, ctx)?;
                 match op {
                     ScalarUnOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
+                        Value::Int(x) => Value::Int(x.wrapping_neg()),
                         Value::Float(x) => Value::Float(-x),
                         other => panic!("neg on {other:?}"),
                     },
@@ -774,14 +774,20 @@ impl AotBackend {
     }
 }
 
-fn scalar_bin(op: ScalarBinOp, a: &Value, b: &Value) -> Value {
+/// Integer arithmetic wraps (the same answer with and without overflow
+/// checks); integer division by zero, or of `i64::MIN` by `-1`, has no
+/// answer and fails the request.
+fn scalar_bin(op: ScalarBinOp, a: &Value, b: &Value) -> Result<Value, VmError> {
     use ScalarBinOp::*;
-    match (a, b) {
+    Ok(match (a, b) {
         (Value::Int(x), Value::Int(y)) => match op {
-            Add => Value::Int(x + y),
-            Sub => Value::Int(x - y),
-            Mul => Value::Int(x * y),
-            Div => Value::Int(x / y),
+            Add => Value::Int(x.wrapping_add(*y)),
+            Sub => Value::Int(x.wrapping_sub(*y)),
+            Mul => Value::Int(x.wrapping_mul(*y)),
+            Div => Value::Int(
+                x.checked_div(*y)
+                    .ok_or_else(|| VmError::Input(format!("integer division {x} / {y}")))?,
+            ),
             Lt => Value::Bool(x < y),
             Le => Value::Bool(x <= y),
             Gt => Value::Bool(x > y),
@@ -811,5 +817,5 @@ fn scalar_bin(op: ScalarBinOp, a: &Value, b: &Value) -> Value {
             _ => panic!("arith on bools"),
         },
         (x, y) => panic!("scalar op {op:?} on {x:?} and {y:?}"),
-    }
+    })
 }

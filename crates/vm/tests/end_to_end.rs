@@ -360,6 +360,41 @@ fn device_oom_surfaces_as_error() {
     assert!(err.is_err(), "5-element device must OOM");
 }
 
+/// Integer division with no answer fails the request with a typed error —
+/// on the executor thread it used to be a panic the caller re-raised — and
+/// costs nothing but that request's context; `+`, `-` (both) and `*` wrap, so
+/// builds with and without overflow checks agree.
+#[test]
+fn integer_division_without_an_answer_is_a_typed_error() {
+    use acrobat_vm::VmError;
+    const DIV: &str = "def @main(%n: Int, %d: Int) -> Int { (-(-(%n + 1)) - 1) * 1 / %d }";
+    let params = BTreeMap::new();
+    let request = |pairs: &[(i64, i64)]| -> Vec<Vec<InputValue>> {
+        pairs.iter().map(|&(n, d)| vec![InputValue::Int(n), InputValue::Int(d)]).collect()
+    };
+    let exe = build(DIV, BackendKind::Aot, AnalysisOptions::default());
+    for (failures, bad) in [(7, 0), (i64::MIN, -1)].into_iter().enumerate() {
+        let err = exe.run(&params, &request(&[(7, 2), bad])).unwrap_err();
+        assert!(
+            matches!(&err, VmError::Input(msg) if msg.contains("integer division")),
+            "{bad:?}: {err:?}"
+        );
+        assert_eq!(exe.session.outcomes().failed, failures as u64 + 1);
+        assert_eq!(exe.session.quarantined_count(), failures as u64 + 1);
+        let clean = exe.run(&params, &request(&[(7, 2)])).expect("the next clean request runs");
+        assert!(matches!(clean.outputs[..], [OutputValue::Int(3)]), "{:?}", clean.outputs);
+    }
+    let wrapped = exe.run(&params, &request(&[(i64::MAX, 1)])).expect("i64::MAX + 1 wraps");
+    assert!(matches!(wrapped.outputs[..], [OutputValue::Int(i64::MAX)]), "{:?}", wrapped.outputs);
+    let vm = build(DIV, BackendKind::Vm, AnalysisOptions::default());
+    let baseline = vm.run(&params, &request(&[(7, 0)])).expect("the VM baseline divides in floats");
+    assert!(
+        matches!(baseline.outputs[..], [OutputValue::Float(q)] if q == f64::INFINITY),
+        "{:?}",
+        baseline.outputs
+    );
+}
+
 #[test]
 fn eager_device_oom_is_a_typed_error_like_batched() {
     use acrobat_tensor::TensorError;

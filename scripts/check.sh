@@ -52,7 +52,7 @@ cargo run --release -p acrobat-bench --bin continuous_batching -- --smoke
 echo "==> backend identity smoke (specialized backend bit-identical to the interpreter, modeled stats invariant)"
 cargo run --release -p acrobat-bench --bin kernel_backend -- --smoke
 
-echo "==> kernel backend regression tests (PGO gating, checked mode, cache sharing, retune invalidation)"
+echo "==> kernel backend regression tests (one compile per kernel at every lane count, checked mode, cache sharing, retune invalidation)"
 cargo test -q -p acrobat-bench --test kernel_backend
 
 echo "==> fiber determinism smoke (lane-canonical signatures invariant across worker counts)"
@@ -77,6 +77,11 @@ fi
 echo "==> one modeled-time ledger (RuntimeStats is the only clock; no device-timeline what-if simulator)"
 if grep -rnE 'TimelineOptions|DeviceTimeline|overlap_saved_us|timeline_overlap' crates tests; then
   echo "the device timeline is gone: every modeled charge is one += on its RuntimeStats account"; exit 1
+fi
+
+echo "==> one kernel-selection rule (Spec compiles a kernel on its first launch; no hotness gate, size classes or backend trait object)"
+if grep -rnE 'spec_threshold|trait KernelBackend|dyn KernelBackend|InterpBackend|NUM_SIZE_CLASSES|size_class|retuned_with_profile|fn build_backend' crates tests; then
+  echo "kernel selection has nothing to tune: under Spec the first launch of a kernel compiles it, every later one reuses it"; exit 1
 fi
 
 echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"

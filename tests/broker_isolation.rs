@@ -301,9 +301,8 @@ fn chaos_member_never_poisons_peers() {
 }
 
 /// The specialized kernel backend under cross-request batching: a 3-member
-/// cohort running with `backend = spec` (threshold 1, so every launch runs
-/// compiled) demuxes to outputs bit-identical to interpreter-backend solo
-/// runs.  Cohort lane layouts differ from solo layouts, so this crosses
+/// cohort running with `backend = spec` (every launch runs compiled)
+/// demuxes to outputs bit-identical to interpreter-backend solo runs.  Cohort lane layouts differ from solo layouts, so this crosses
 /// the backend-identity contract with the co-batching-invisibility
 /// contract in one shot.
 #[test]
@@ -318,9 +317,7 @@ fn cohort_spec_backend_matches_interp_solo() {
 
     let cohort_model = build(
         &spec,
-        &CompileOptions::default()
-            .with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec)
-            .with_spec_threshold(1),
+        &CompileOptions::default().with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec),
     );
     let results = cohort_model.run_cohort(&requests(&spec, &members));
     for (m, result) in results.into_iter().enumerate() {
@@ -330,7 +327,7 @@ fn cohort_spec_backend_matches_interp_solo() {
     let agg = cohort_model.stats();
     assert!(agg.shared_flushes > 0, "cohort co-batched across requests");
     assert!(agg.backend_compiles + agg.backend_hits > 0, "cohort ran compiled kernels");
-    assert_eq!(agg.backend_interp_falls, 0, "threshold 1 never falls back");
+    assert_eq!(agg.backend_interp_falls, 0, "the spec backend never falls back");
 }
 
 /// The background broker queue (`RuntimeOptions::broker`): concurrent

@@ -35,16 +35,14 @@ use acrobat_tensor::TensorError;
 /// flush-plan memoization (the reference stays cache-off, so survivor
 /// equality also proves cache-on ≡ cache-off);
 /// `spec_backend` switches the chaos model to the specialized kernel
-/// backend at threshold 1 (the reference stays on the interpreter, so
-/// survivor equality also proves spec ≡ interp under chaos).
+/// backend (the reference stays on the interpreter, so survivor equality
+/// also proves spec ≡ interp under chaos).
 fn chaos_options(plan_cache: bool, spec_backend: bool) -> CompileOptions {
     let mut options = CompileOptions::default();
     options.runtime.retry = RetryPolicy { max_retries: 3, backoff_base_us: 10.0 };
     options.runtime.plan_cache = plan_cache;
     if spec_backend {
-        options = options
-            .with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec)
-            .with_spec_threshold(1);
+        options = options.with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec);
     }
     options
 }

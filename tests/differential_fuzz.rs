@@ -82,9 +82,6 @@ fn random_dag_workloads_agree_bit_for_bit() {
                             checked: true,
                             plan_cache,
                             backend,
-                            // The generated DAGs run on a fresh engine, so
-                            // compile from the first launch.
-                            spec_threshold: 1,
                             ..RuntimeOptions::default()
                         };
                         let got = dag_outputs(case_seed, &options)

@@ -22,12 +22,8 @@ fn spec_matches_interp_bit_for_bit_across_suite() {
     for spec in suite(ModelSize::Small, true) {
         let instances = (spec.make_instances)(0xBACE, 4);
         let interp = build(&spec, &CompileOptions::default());
-        let specialized = build(
-            &spec,
-            &CompileOptions::default()
-                .with_kernel_backend(KernelBackendKind::Spec)
-                .with_spec_threshold(1),
-        );
+        let specialized =
+            build(&spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
         let want = interp.run(&spec.params, &instances).expect("interp run");
         for round in 0..3 {
             let got = specialized.run(&spec.params, &instances).expect("spec run");
@@ -52,35 +48,46 @@ fn spec_matches_interp_bit_for_bit_across_suite() {
         assert_eq!(want.stats.backend_compiles, 0, "{}: interp compiles", spec.name);
         assert_eq!(want.stats.backend_hits, 0, "{}: interp hits", spec.name);
         assert_eq!(want.stats.backend_interp_falls, 0, "{}: interp falls", spec.name);
-        // ...while with threshold 1 every launch of the specialized model
-        // runs compiled.
+        // ...while every launch of the specialized model runs compiled and
+        // is classified exactly once.
         let agg = specialized.stats();
         assert!(agg.backend_compiles > 0, "{}: specialized backend compiled nothing", spec.name);
         assert!(agg.backend_hits > 0, "{}: compiled kernels were never reused", spec.name);
-        assert_eq!(agg.backend_interp_falls, 0, "{}: threshold 1 must never fall back", spec.name);
+        assert_eq!(agg.backend_interp_falls, 0, "{}: spec must never fall back", spec.name);
+        let classified = agg.backend_compiles + agg.backend_hits + agg.backend_interp_falls;
+        assert_eq!(classified, agg.kernel_launches, "{}: launches classified", spec.name);
     }
 }
 
-/// With the default compile threshold, cold kernels interpret their first
-/// launches (counted as fallbacks) and hot kernels graduate to compiled
-/// execution — all within one serving session, with identical outputs.
+/// Kernels compiled so far by `model`'s current engine.
+fn compiled_count(model: &acrobat_core::Model) -> usize {
+    model.executable().session.engine().backend().expect("a Spec engine").compiled_count()
+}
+
+/// A kernel compiles once, whatever lane counts it is launched at: one
+/// checked `Spec` engine serves the same TreeLSTM at request sizes whose
+/// launches land in all three tile widths, bit-identical to the
+/// interpreter, and only first launches compile.
 #[test]
-fn default_threshold_mixes_interp_and_compiled() {
-    let spec = &suite(ModelSize::Small, true)[0]; // TreeLSTM: recursive, hot kernels
-    let instances = (spec.make_instances)(0x7E57, 4);
+fn one_compile_serves_every_lane_count() {
+    let spec = &suite(ModelSize::Small, true)[0];
     let interp = build(spec, &CompileOptions::default());
-    let specialized =
-        build(spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
-    let want = interp.run(&spec.params, &instances).expect("interp run");
-    for _ in 0..4 {
-        let got = specialized.run(&spec.params, &instances).expect("spec run");
-        assert_bit_identical(spec, &want.outputs, &got.outputs, "default threshold");
+    let specialized = build(
+        spec,
+        &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec).with_checked(true),
+    );
+    let mut compiles = 0;
+    for instances in [1, 3, 4, 15, 16, 64] {
+        let instances = (spec.make_instances)(0x71E5, instances);
+        let want = interp.run(&spec.params, &instances).expect("interp run");
+        let got = specialized.run(&spec.params, &instances).expect("checked spec run");
+        let what = format!("{} instances", instances.len());
+        assert_bit_identical(spec, &want.outputs, &got.outputs, &what);
+        compiles += got.stats.backend_compiles;
+        assert_eq!(compiles, compiled_count(&specialized) as u64, "{what}: one compile per kernel");
     }
-    let agg = specialized.stats();
-    assert!(agg.backend_compiles > 0, "hot kernels compile");
-    assert!(agg.backend_hits > 0, "compiled kernels are reused");
-    let total = agg.backend_compiles + agg.backend_hits + agg.backend_interp_falls;
-    assert_eq!(total, agg.kernel_launches, "every launch is classified exactly once");
+    let kernels = specialized.executable().session.engine().library().len();
+    assert!(compiled_count(&specialized) <= kernels, "more compiled kernels than kernels");
 }
 
 /// Checked mode re-executes every compiled launch through the interpreter
@@ -94,7 +101,6 @@ fn checked_mode_validates_every_compiled_launch() {
             spec,
             &CompileOptions::default()
                 .with_kernel_backend(KernelBackendKind::Spec)
-                .with_spec_threshold(1)
                 .with_checked(true),
         );
         let r = model.run(&spec.params, &instances).expect("checked spec run");
@@ -138,10 +144,7 @@ fn split_launches_match_eager_reference_on_both_backends() {
     let want = build(&spec, &eager).run(&spec.params, &instances).expect("eager reference");
     assert_eq!(want.stats.kernel_launches, want.stats.nodes, "eager: one lane per launch");
     for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
-        let options = CompileOptions::default()
-            .with_checked(true)
-            .with_kernel_backend(backend)
-            .with_spec_threshold(1);
+        let options = CompileOptions::default().with_checked(true).with_kernel_backend(backend);
         let got = build(&spec, &options).run(&spec.params, &instances).expect("batched run");
         assert_split_branch_taken(&got.stats, instances.len());
         assert_bit_identical(&spec, &want.outputs, &got.outputs, &format!("{backend:?} vs eager"));
@@ -158,17 +161,13 @@ fn lane_workers_share_compiled_cache() {
     let want = build(&spec, &CompileOptions::default())
         .run(&spec.params, &instances)
         .expect("interpreter run");
-    let specialized = build(
-        &spec,
-        &CompileOptions::default()
-            .with_kernel_backend(KernelBackendKind::Spec)
-            .with_spec_threshold(1),
-    );
+    let specialized =
+        build(&spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
     let cold = specialized.run(&spec.params, &instances).expect("cold spec run");
     assert_split_branch_taken(&cold.stats, instances.len());
     assert_bit_identical(&spec, &want.outputs, &cold.outputs, "cold split vs interpreter");
-    let compiled = specialized.executable().session.engine().backend().compiled_count();
-    assert_eq!(cold.stats.backend_compiles, compiled as u64, "one compile per cache entry");
+    let compiled = compiled_count(&specialized) as u64;
+    assert_eq!(cold.stats.backend_compiles, compiled, "one compile per cache entry");
     let warm = specialized.run(&spec.params, &instances).expect("warm spec run");
     assert_eq!(warm.stats.backend_compiles, 0, "warm split launches only hit the cache");
     assert_eq!(warm.stats.backend_hits, warm.stats.kernel_launches);
@@ -183,21 +182,15 @@ fn lane_workers_share_compiled_cache() {
 fn retune_invalidates_compiled_kernel_cache() {
     let spec = &suite(ModelSize::Small, true)[0];
     let instances = (spec.make_instances)(0x9107, 4);
-    let mut model = build(
-        spec,
-        &CompileOptions::default()
-            .with_kernel_backend(KernelBackendKind::Spec)
-            .with_spec_threshold(1),
-    );
+    let mut model =
+        build(spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
     let interp = build(spec, &CompileOptions::default());
     let want = interp.run(&spec.params, &instances).expect("interp reference");
 
     // Cold engine: first run compiles.
     let r1 = model.run(&spec.params, &instances).expect("cold run");
     assert!(r1.stats.backend_compiles > 0, "cold run compiles");
-    let session = &model.executable().session;
-    let compiled_before = session.engine().backend().compiled_count();
-    assert!(compiled_before > 0, "engine cache holds compiled kernels");
+    assert!(compiled_count(&model) > 0, "engine cache holds compiled kernels");
 
     // Warm engine: steady state is all cache hits, zero fresh compiles.
     let r2 = model.run(&spec.params, &instances).expect("warm run");
@@ -205,12 +198,11 @@ fn retune_invalidates_compiled_kernel_cache() {
     assert!(r2.stats.backend_hits > 0, "warm run hits the compiled cache");
 
     // PGO retune: swaps the engine; the new backend starts empty (stale
-    // compiled kernels die with the old engine) and is re-seeded from the
-    // aggregated profile, so hot kernels recompile on first launch.
+    // compiled kernels die with the old engine), so kernels recompile on
+    // their first launch.
     model.apply_pgo(&spec.params, &instances).expect("pgo retune");
-    let session = &model.executable().session;
     assert_eq!(
-        session.engine().backend().compiled_count(),
+        compiled_count(&model),
         0,
         "retuned engine starts with an empty compiled-kernel cache"
     );
