@@ -1,15 +1,17 @@
-//! `kernel_backend`: wall-clock comparison of the interpreter and the
-//! specialized kernel backend (`acrobat_codegen::backend`).
+//! `kernel_backend`: wall-clock comparison of the reference interpreter
+//! and the specialized kernel backend (`acrobat_codegen::backend`).
 //!
 //! For every quick-suite model and batch size, the identical request is
 //! served at steady state by two otherwise-identical models:
 //!
 //! * **interp** — the reference interpreter (`execute_prepared`), the
-//!   default backend every figure/table regenerates under;
-//! * **spec** — the specialized backend: every kernel compiles on its
-//!   first launch, so every launch after warmup runs a monomorphized,
-//!   allocation-free compiled kernel (fused elementwise chains, flat
-//!   register scratch).
+//!   oracle, selected explicitly as the baseline column;
+//! * **spec** — the specialized backend, the default: every kernel
+//!   compiles on its first launch, so every launch after warmup runs a
+//!   monomorphized, allocation-free compiled kernel (fused elementwise
+//!   chains, lane-stacked matmuls, flat register scratch).  Both call
+//!   the same `matmul_raw` micro-kernel — the interpreter one lane at a
+//!   time, the compiled kernel on a block of stacked lanes.
 //!
 //! Times are **real wall-clock** (`std::time::Instant`), not modeled
 //! virtual time: the backend only changes how the execute phase runs on

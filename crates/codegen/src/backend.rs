@@ -6,15 +6,15 @@
 //! [`Selection::execute_lanes`] can split across threads by lane range).
 //! This module chooses how the execution phase runs ([`Selection`]):
 //!
+//! * [`SpecializedBackend`] ([`KernelBackendKind::Spec`], the default) — a
+//!   compile-once cache: a kernel is lowered on its first launch into a
+//!   monomorphized allocation-free [`crate::spec::CompiledKernel`] and
+//!   every later launch of any lane count reuses it.  Lowering one kernel
+//!   costs about a microsecond (DESIGN §11), so nothing rations it.
 //! * the reference per-instruction interpreter
-//!   ([`crate::exec::execute_prepared`]) — always available, the default
-//!   ([`KernelBackendKind::Interp`]), and what checked mode compares
-//!   against;
-//! * [`SpecializedBackend`] ([`KernelBackendKind::Spec`]) — a compile-once
-//!   cache: a kernel is lowered on its first launch into a monomorphized
-//!   allocation-free [`crate::spec::CompiledKernel`] and every later launch
-//!   of any lane count reuses it.  Lowering one kernel costs about a
-//!   microsecond (DESIGN §11), so nothing rations it.
+//!   ([`crate::exec::execute_prepared`], [`KernelBackendKind::Interp`]) —
+//!   the oracle: what checked mode re-executes every compiled launch
+//!   through, and the other side of the fuzz/chaos `backend` axis.
 //!
 //! Compiled execution must produce bit-for-bit the same arena contents as
 //! the interpreter; checked mode enforces this at runtime by re-executing
@@ -33,16 +33,17 @@ use crate::spec::CompiledKernel;
 
 /// Which kernel-execution backend the runtime drives.
 ///
-/// The default is the reference interpreter, so all modeled statistics and
-/// published experiment artifacts are reproduced unchanged unless a run
-/// explicitly opts into specialized execution.
+/// The two produce the same bits and the same modeled statistics, so every
+/// published artifact is reproduced unchanged under either; they differ in
+/// host wall-clock only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum KernelBackendKind {
-    /// The reference per-instruction interpreter.
-    #[default]
+    /// The reference per-instruction interpreter: the oracle compiled
+    /// execution is compared against, one lane at a time.
     Interp,
     /// Specialized execution: every kernel is compiled on its first launch
     /// ([`SpecializedBackend`]).
+    #[default]
     Spec,
 }
 
@@ -97,14 +98,7 @@ impl Selection<'_> {
                 execute_prepared(view, program, prep, lane_range, &mut scratch.interp)
             }
             Selection::Compiled { kernel, .. } => {
-                kernel.execute(
-                    view,
-                    prep,
-                    lane_range.clone(),
-                    &mut scratch.flat,
-                    &mut scratch.tiles,
-                    &mut scratch.inputs,
-                )?;
+                kernel.execute(view, prep, lane_range.clone(), scratch)?;
                 if checked {
                     verify_against_interp(view, program, prep, lane_range, scratch)?;
                 }
@@ -219,17 +213,18 @@ fn verify_against_interp(
 /// Reusable per-thread working memory for the execution phase.
 ///
 /// An execution context keeps one instance per lane range it has ever
-/// split a launch into ([`Selection::execute_lanes`]), which kills the
-/// per-launch allocations the interpreter used to make: interpreter
-/// register buffers, the compiled path's flat scratch and tiles, and the
-/// checked-mode snapshot all persist across launches.
+/// split a launch into ([`Selection::execute_lanes`]), so a warm execute
+/// phase allocates nothing: interpreter register buffers, the compiled
+/// path's flat scratch, tiles and materialized inputs (each bounded by the
+/// kernel's footprint × [`crate::spec::LANE_BLOCK`], whatever the launch
+/// width) and the checked-mode snapshot all persist across launches.
 #[derive(Debug, Default)]
 pub struct BackendScratch {
     /// Interpreter register scratch.
     pub interp: ExecScratch,
-    flat: Vec<f32>,
-    tiles: Vec<f32>,
-    inputs: Vec<f32>,
+    pub(crate) flat: Vec<f32>,
+    pub(crate) tiles: Vec<f32>,
+    pub(crate) inputs: Vec<f32>,
     check: Vec<f32>,
 }
 

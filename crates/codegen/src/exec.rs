@@ -17,6 +17,7 @@
 use acrobat_analysis::ArgClass;
 use acrobat_tensor::arena::{batched_shape, ExecView};
 use acrobat_tensor::batch::BatchMode;
+use acrobat_tensor::ops::RawInput;
 use acrobat_tensor::{execute_slices, DeviceMem, DeviceTensor, Shape, TensorError};
 
 use crate::kernel::KernelProgram;
@@ -300,17 +301,52 @@ pub fn prepare_batched_kernel_with<'a>(
     Ok(PreparedLaunch { slots, out_handles, stats, batch })
 }
 
+/// Operands an instruction can bind without touching the allocator (every
+/// operator but a wide `concat` has at most two).
+const INLINE_ARGS: usize = 4;
+
+/// Calls `run` on the operand table `[arg(0), …, arg(n − 1)]`, built on the
+/// stack for up to [`INLINE_ARGS`] operands and on the heap beyond.
+pub(crate) fn with_args<'a, R>(
+    n: usize,
+    mut arg: impl FnMut(usize) -> RawInput<'a>,
+    run: impl FnOnce(&[RawInput<'a>]) -> R,
+) -> R {
+    static UNUSED: Shape = Shape::scalar();
+    if n <= INLINE_ARGS {
+        let mut table: [RawInput<'a>; INLINE_ARGS] = [(&[], &UNUSED); INLINE_ARGS];
+        for (i, entry) in table[..n].iter_mut().enumerate() {
+            *entry = arg(i);
+        }
+        run(&table[..n])
+    } else {
+        run(&(0..n).map(arg).collect::<Vec<_>>())
+    }
+}
+
+/// Where a register's value comes from while the interpreter runs.
+#[derive(Debug, Clone, Copy)]
+enum RegSrc {
+    Unbound,
+    /// External input slot, read from the arena at the lane's offset.
+    Input(usize),
+    /// Output of the instruction at this index, held in the register file.
+    Instr(usize),
+}
+
 /// Reusable per-worker working memory for [`execute_prepared`]: instruction
-/// scratch registers, kept alive across launches so steady-state execution
-/// reallocates nothing once buffer capacities warm up.
+/// scratch registers and the register binding table, kept alive across
+/// launches so steady-state execution allocates nothing once buffer
+/// capacities warm up.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     regs: Vec<Vec<f32>>,
-    reg_shapes: Vec<Option<Shape>>,
+    reg_src: Vec<RegSrc>,
 }
 
 /// Executes the lanes `lane_range` of a prepared launch through a shared
-/// arena view.
+/// arena view, one lane and one instruction at a time through the reference
+/// operators — the oracle compiled execution is held to.
 ///
 /// Pure with respect to the arena apart from writes into the launch's own
 /// reserved output regions at lane-deterministic offsets, so any partition
@@ -337,48 +373,45 @@ pub fn execute_prepared(
         .map(|m| m as usize + 1)
         .unwrap_or(0);
     scratch.regs.resize_with(max_reg, Vec::new);
-    scratch.reg_shapes.clear();
-    scratch.reg_shapes.resize(max_reg, None);
-    for k in &program.instrs {
+    scratch.reg_src.clear();
+    scratch.reg_src.resize(max_reg, RegSrc::Unbound);
+    for (idx, k) in program.instrs.iter().enumerate() {
         let buf = &mut scratch.regs[k.out.0 as usize];
         buf.clear();
         buf.resize(k.shape.numel(), 0.0);
-        scratch.reg_shapes[k.out.0 as usize] = Some(k.shape.clone());
+        scratch.reg_src[k.out.0 as usize] = RegSrc::Instr(idx);
+    }
+    for (slot, input) in program.inputs.iter().enumerate() {
+        scratch.reg_src[input.reg.0 as usize] = RegSrc::Input(slot);
     }
 
-    // One slice table for the whole range, rebound per lane (slot shapes are
-    // lane-invariant, so entries are overwritten in place — no per-lane
-    // allocation, no per-lane `Shape` clones).
-    let mut input_views: Vec<Option<(&[f32], &Shape)>> = vec![None; max_reg];
     for lane in lane_range {
-        // Bind input registers to slices for this lane.  SAFETY: inputs
-        // were fully written before this launch's execution phase (they are
-        // uploads, earlier launches' outputs or gather staging filled
-        // during preparation) and no concurrent lane range writes them — a
-        // launch never reads its own outputs.
-        for (slot, input) in prep.slots.iter().zip(&program.inputs) {
-            let slice = unsafe { view.read(slot.offset(lane), slot.shape.numel()) };
-            input_views[input.reg.0 as usize] = Some((slice, &slot.shape));
-        }
         // Execute instructions into scratch.  Registers are SSA-style (the
         // destination is always fresh), so taking the output buffer out of
         // the register file before borrowing the argument registers is safe.
         for k in &program.instrs {
             let mut out_buf = std::mem::take(&mut scratch.regs[k.out.0 as usize]);
-            {
-                let mut ins: Vec<(&[f32], &Shape)> = Vec::with_capacity(k.args.len());
-                for a in &k.args {
-                    let i = a.0 as usize;
-                    if let Some((slice, shape)) = input_views[i] {
-                        ins.push((slice, shape));
-                    } else {
-                        let shape = scratch.reg_shapes[i].as_ref().expect("register defined");
-                        ins.push((&scratch.regs[i], shape));
+            let (regs, reg_src) = (&scratch.regs, &scratch.reg_src);
+            let operand = |i: usize| -> RawInput<'_> {
+                let reg = k.args[i].0 as usize;
+                match reg_src[reg] {
+                    // SAFETY: inputs were fully written before this launch's
+                    // execution phase (they are uploads, earlier launches'
+                    // outputs or gather staging filled during preparation)
+                    // and no concurrent lane range writes them — a launch
+                    // never reads its own outputs.
+                    RegSrc::Input(slot) => {
+                        let slot = &prep.slots[slot];
+                        (unsafe { view.read(slot.offset(lane), slot.shape.numel()) }, &slot.shape)
                     }
+                    RegSrc::Instr(idx) => (&regs[reg], &program.instrs[idx].shape),
+                    RegSrc::Unbound => panic!("register r{reg} read before it is defined"),
                 }
-                execute_slices(&k.op, &ins, &mut out_buf)?;
-            }
+            };
+            let ran =
+                with_args(k.args.len(), operand, |ins| execute_slices(&k.op, ins, &mut out_buf));
             scratch.regs[k.out.0 as usize] = out_buf;
+            ran?;
         }
         // Copy escaping registers into the reserved output regions.
         // SAFETY: each output region was freshly bump-allocated for this

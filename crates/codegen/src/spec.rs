@@ -1,56 +1,67 @@
 //! Specialized kernel compilation: monomorphized, allocation-free execution
-//! of hot kernel programs.
+//! of kernel programs — the default executor ([`crate::backend`]).
 //!
 //! [`CompiledKernel::compile`] lowers a [`KernelProgram`] once into a form
 //! the executor can run at any lane count without touching the allocator:
 //!
 //! * **Register allocation.**  Every materialized virtual register gets a
-//!   fixed offset in one flat per-launch scratch buffer; no intermediate
+//!   fixed offset in one flat scratch buffer; no intermediate
 //!   `DeviceTensor` or per-instruction `Vec` is allocated at execution time.
-//!   Storage is *batch-flat*: register `r` owns a contiguous
-//!   `lanes × numel` region (lane-major), so elementwise work runs over the
-//!   whole launch in one pass and escaping registers leave as one
-//!   `memcpy` per output (the reserved output regions are lane-major too).
+//!   Storage is *batch-flat*: within a block of lanes, register `r` owns a
+//!   contiguous `lanes × numel` region (lane-major), so elementwise work
+//!   runs over the whole block in one pass and escaping registers leave as
+//!   one `memcpy` per output (the reserved output regions are lane-major
+//!   too).
+//! * **Lane blocking.**  A launch's lane range executes [`LANE_BLOCK`] lanes
+//!   at a time, every segment over one block before the next block starts:
+//!   scratch is bounded by the kernel's own footprint × the block instead
+//!   of the launch width, and a block's registers are still in cache when
+//!   the next segment reads them.
 //! * **Elementwise fusion.**  Straight-line chains of strict same-shape
 //!   elementwise instructions collapse into a single pass of
-//!   [`tile_width`]-element chunks over all `lanes × numel` elements at
-//!   once: interior temporaries live in small tile buffers and never touch
-//!   the flat scratch, and each step is a `chunks_exact` loop over the tile
-//!   ([`acrobat_tensor::map_unary`] / [`acrobat_tensor::map_binary`]) the
-//!   optimizer can vectorize.  Input slots consumed by fused segments are
-//!   materialized lane-major once per launch (shared operands broadcast),
-//!   so every fused operand is one contiguous slice.
+//!   [`tile_width`]-element chunks over all `lanes × numel` elements of a
+//!   block at once: interior temporaries live in small tile buffers and
+//!   never touch the flat scratch, and each step is a `chunks_exact` loop
+//!   over the tile ([`acrobat_tensor::map_unary`] /
+//!   [`acrobat_tensor::map_binary`]) the optimizer can vectorize.  Input
+//!   slots consumed by fused segments are materialized lane-major once per
+//!   block (shared operands broadcast), so every fused operand is one
+//!   contiguous slice.
 //! * **MatMul monomorphization and lane-stacking.**  Matrix dimensions are
 //!   resolved at compile time and the multiply runs through
-//!   [`acrobat_tensor::matmul_raw`] — the exact i-k-j loop of the reference
-//!   executor.  When the right operand is a [`ArgClass::Shared`] input (the
-//!   ubiquitous `activation × weight` orientation), the lane-major layout
-//!   makes all lanes' left matrices one `(lanes·m) × k` stack, so the whole
-//!   batch runs as a *single* `matmul_raw` call: each output row depends
-//!   only on its own left row and the shared right operand, accumulated in
-//!   the same `k` order, so stacking is numerically invisible.  Otherwise
-//!   the multiply runs per lane, reading batched operands straight from the
-//!   arena.
+//!   [`acrobat_tensor::matmul_raw`] — the register-blocked micro-kernel the
+//!   reference executor calls too.  When the right operand is a
+//!   [`ArgClass::Shared`] input (the ubiquitous `activation × weight`
+//!   orientation), the lane-major layout makes a block's left matrices one
+//!   `(lanes·m) × k` stack, so the block runs as a *single* `matmul_raw`
+//!   call that reuses every weight tile across the stacked rows: each
+//!   output row depends only on its own left row and the shared right
+//!   operand, accumulated in the same `k` order, so stacking is numerically
+//!   invisible.  Otherwise the multiply runs per lane, reading batched
+//!   operands straight from the arena.
 //!
 //! Bit-for-bit identity with the reference interpreter is structural, not
 //! accidental: fused steps apply the same scalar functions
 //! ([`acrobat_tensor::UnaryKind::apply`] / [`acrobat_tensor::BinaryKind::apply`])
 //! in the same per-element order (fusion is only attempted when every
 //! operand has exactly the output shape, so the index maps are the
-//! identity), matmul shares the reference loop verbatim, and every other
-//! instruction is routed through [`acrobat_tensor::execute_slices`] — the
-//! same implementation the interpreter calls.
+//! identity), matmul is the same function computing every row from the
+//! same operation sequence whatever rows it is stacked with, and every
+//! other instruction is routed through [`acrobat_tensor::execute_slices`] —
+//! the same implementation the interpreter calls.
 
 use std::ops::Range;
 
 use acrobat_analysis::ArgClass;
 use acrobat_tensor::arena::ExecView;
+use acrobat_tensor::ops::RawInput;
 use acrobat_tensor::{
-    execute_slices, map_binary, map_unary, matmul_raw, matmul_raw_blocked, BinaryKind, PrimOp,
-    Shape, TensorError, UnaryKind,
+    execute_slices, map_binary, map_unary, matmul_raw, BinaryKind, PrimOp, Shape, TensorError,
+    UnaryKind,
 };
 
-use crate::exec::{PreparedLaunch, SlotOffsets};
+use crate::backend::BackendScratch;
+use crate::exec::{with_args, PreparedLaunch, SlotOffsets};
 use crate::kernel::{KInstr, KernelProgram};
 
 /// Where an operand of a compiled step comes from.
@@ -117,6 +128,22 @@ pub(crate) fn tile_width(lanes: usize) -> usize {
         0..=3 => 32,
         4..=15 => 64,
         _ => 128,
+    }
+}
+
+/// Lanes a compiled kernel executes at a time.  Large enough that a stacked
+/// matmul reuses each weight tile across [`LANE_BLOCK`] left rows, small
+/// enough that the block's lane-major registers stay cache-resident from
+/// one segment to the next and that scratch does not scale with the launch
+/// (a TreeLSTM leaf launch is over a thousand lanes).  Numerically
+/// invisible, like any other partition of the lane range.
+pub(crate) const LANE_BLOCK: usize = 32;
+
+/// Grows `buf` to at least `len` elements, to exactly the capacity needed.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, 0.0);
     }
 }
 
@@ -442,20 +469,17 @@ impl CompiledKernel {
     }
 
     /// Executes the lanes `lane_range` of `prep` through a shared arena
-    /// view, using `flat`/`tiles`/`inputs` as the (reused) working memory.
-    ///
-    /// Registers and materialized inputs are stored *batch-flat*: register
-    /// `r` at per-lane offset `off` owns `flat[off × L .. (off + numel) × L]`
-    /// (lane-major, `L` = lane count of this work unit), so fused segments
-    /// sweep all lanes in one chunked pass and escaping registers leave as
-    /// a single copy per output (reserved output regions are lane-major
-    /// with exactly the same layout).
+    /// view, [`LANE_BLOCK`] lanes at a time, using `scratch` as the (reused)
+    /// working memory — sized by the kernel's footprint × the block, never
+    /// by the launch width.
     ///
     /// Pure with respect to the arena apart from writes into the launch's
     /// own reserved output regions at lane-deterministic offsets — the same
-    /// contract as [`crate::exec::execute_prepared`], so any partition of
-    /// the lane range across workers produces identical memory contents
-    /// (elementwise steps are per-element pure; matmul runs per lane).
+    /// contract as [`crate::exec::execute_prepared`].  Every lane's values
+    /// depend only on that lane's operands (elementwise steps are
+    /// per-element pure, a matmul row only reads its own left row), so any
+    /// partition of the lane range across workers, and any placement of the
+    /// block boundaries inside a range, produces identical memory contents.
     ///
     /// # Errors
     ///
@@ -465,21 +489,41 @@ impl CompiledKernel {
         view: &ExecView<'_>,
         prep: &PreparedLaunch,
         lane_range: Range<usize>,
-        flat: &mut Vec<f32>,
-        tiles: &mut Vec<f32>,
-        inputs: &mut Vec<f32>,
+        scratch: &mut BackendScratch,
     ) -> Result<(), TensorError> {
         debug_assert!(lane_range.end <= prep.batch);
         debug_assert_eq!(prep.slots.len(), self.input_numels.len());
+        let tile_w = tile_width(prep.batch);
+        let block = lane_range.len().min(LANE_BLOCK);
+        grow(&mut scratch.flat, self.flat_len * block);
+        grow(&mut scratch.tiles, self.max_depth * tile_w);
+        grow(&mut scratch.inputs, self.inputs_len * block);
+        for l0 in lane_range.clone().step_by(LANE_BLOCK) {
+            let lanes = l0..lane_range.end.min(l0 + LANE_BLOCK);
+            self.execute_block(view, prep, lanes, tile_w, scratch)?;
+        }
+        Ok(())
+    }
+
+    /// One block of lanes through every segment.
+    ///
+    /// Registers and materialized inputs are stored *batch-flat*: register
+    /// `r` at per-lane offset `off` owns `flat[off × L .. (off + numel) × L]`
+    /// (lane-major, `L` = lane count of this block), so fused segments
+    /// sweep all lanes in one chunked pass and escaping registers leave as
+    /// a single copy per output (reserved output regions are lane-major
+    /// with exactly the same layout).
+    fn execute_block(
+        &self,
+        view: &ExecView<'_>,
+        prep: &PreparedLaunch,
+        lane_range: Range<usize>,
+        tile_w: usize,
+        scratch: &mut BackendScratch,
+    ) -> Result<(), TensorError> {
+        let BackendScratch { flat, tiles, inputs, .. } = scratch;
         let l0 = lane_range.start;
         let lanes = lane_range.len();
-        if lanes == 0 {
-            return Ok(());
-        }
-        let tile_w = tile_width(prep.batch);
-        flat.resize(self.flat_len * lanes, 0.0);
-        tiles.resize(self.max_depth * tile_w, 0.0);
-        inputs.resize(self.inputs_len * lanes, 0.0);
 
         // Materialize fused-consumed input slots lane-major (shared
         // operands broadcast), so every fused operand below is one
@@ -586,7 +630,7 @@ impl CompiledKernel {
                             Src::Input(slot) => input_slice(*slot, l0, k * n),
                             _ => unreachable!("stacked matmul rhs is a shared input"),
                         };
-                        matmul_raw_blocked(sa, sb, &mut hi[..lanes * m * n], lanes * m, *k, *n);
+                        matmul_raw(sa, sb, &mut hi[..lanes * m * n], lanes * m, *k, *n);
                     } else {
                         for l in 0..lanes {
                             let sa = match a {
@@ -605,12 +649,12 @@ impl CompiledKernel {
                 }
                 Segment::Const { op, args, out, out_len } => {
                     let region = &mut flat[*out * lanes..][..lanes * out_len];
-                    let ins: Vec<(&[f32], &Shape)> = args
-                        .iter()
-                        .map(|(slot, sh)| (input_slice(*slot, l0, sh.numel()), sh))
-                        .collect();
-                    execute_slices(op, &ins, &mut region[..*out_len])?;
                     let (first, rest) = region.split_at_mut(*out_len);
+                    let operand = |i: usize| -> RawInput<'_> {
+                        let (slot, sh) = &args[i];
+                        (input_slice(*slot, l0, sh.numel()), sh)
+                    };
+                    with_args(args.len(), operand, |ins| execute_slices(op, ins, first))?;
                     for chunk in rest.chunks_exact_mut(*out_len) {
                         chunk.copy_from_slice(first);
                     }
@@ -639,22 +683,17 @@ impl CompiledKernel {
                 Segment::Single { op, args, out, out_len } => {
                     let (lo, hi) = flat.split_at_mut(*out * lanes);
                     for l in 0..lanes {
-                        let ins: Vec<(&[f32], &Shape)> = args
-                            .iter()
-                            .map(|(s, sh)| {
-                                let sl = match s {
-                                    Src::Input(slot) => input_slice(*slot, l0 + l, sh.numel()),
-                                    Src::Flat(off) => {
-                                        &lo[off * lanes + l * sh.numel()..][..sh.numel()]
-                                    }
-                                    Src::Tile(_) => {
-                                        unreachable!("tiles never cross segments")
-                                    }
-                                };
-                                (sl, sh)
-                            })
-                            .collect();
-                        execute_slices(op, &ins, &mut hi[l * out_len..][..*out_len])?;
+                        let operand = |i: usize| -> RawInput<'_> {
+                            let (s, sh) = &args[i];
+                            let sl = match s {
+                                Src::Input(slot) => input_slice(*slot, l0 + l, sh.numel()),
+                                Src::Flat(off) => &lo[off * lanes + l * sh.numel()..][..sh.numel()],
+                                Src::Tile(_) => unreachable!("tiles never cross segments"),
+                            };
+                            (sl, sh)
+                        };
+                        let lane_out = &mut hi[l * out_len..][..*out_len];
+                        with_args(args.len(), operand, |ins| execute_slices(op, ins, lane_out))?;
                     }
                 }
             }
@@ -674,12 +713,13 @@ impl CompiledKernel {
 
 #[cfg(test)]
 mod tests {
-    use acrobat_analysis::{analyze, AnalysisOptions};
+    use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
     use acrobat_ir::{parse_module, typeck};
     use acrobat_tensor::batch::BatchMode;
-    use acrobat_tensor::{DeviceMem, Tensor};
+    use acrobat_tensor::{DeviceMem, Shape, Tensor};
 
-    use crate::backend::{BackendScratch, SpecializedBackend};
+    use super::{tile_width, LANE_BLOCK};
+    use crate::backend::{BackendScratch, Selection, SpecializedBackend};
     use crate::exec::{finish_prepared, prepare_batched_kernel_with};
     use crate::kernel::KernelId;
 
@@ -775,6 +815,88 @@ mod tests {
                 let got = mem.download(out).unwrap();
                 assert!(got.allclose(&th, 1e-6), "lane {l} diverged from host reference");
             }
+        }
+    }
+
+    /// A TreeLSTM-leaf-shaped kernel (three gate matmuls against shared
+    /// weights, fused gate arithmetic, a constant fill) at a leaf launch's
+    /// width: scratch is bounded by the kernel's footprint × one lane
+    /// block, checked mode holds every block to the interpreter's bits, and
+    /// lane ranges that start and end mid-block leave the same bits as one
+    /// range.
+    #[test]
+    fn wide_launch_runs_in_lane_blocks() {
+        const D: usize = 16;
+        const LANES: usize = 1100;
+        let (_, lib) = compile(&format!(
+            "def @main($wi: Tensor[({D}, {D})], $wo: Tensor[({D}, {D})], $wu: Tensor[({D}, {D})], \
+                       $bi: Tensor[(1, {D})], $bo: Tensor[(1, {D})], $bu: Tensor[(1, {D})], \
+                       %e: Tensor[(1, {D})]) -> (Tensor[(1, {D})], Tensor[(1, {D})]) {{
+                let %i = sigmoid(add(matmul(%e, $wi), $bi));
+                let %o = sigmoid(add(matmul(%e, $wo), $bo));
+                let %u = tanh(add(matmul(%e, $wu), $bu));
+                let %c = add(mul(%i, %u), zeros[shape=(1, {D})]());
+                (mul(%o, tanh(%c)), %c)
+            }}"
+        ));
+        let backend = SpecializedBackend::new(lib.len());
+        for id in 0..lib.len() {
+            let program = lib.kernel(KernelId(id as u32));
+            let selection = backend.select(program);
+            let Selection::Compiled { kernel, .. } = selection else { unreachable!() };
+
+            // One launch executed as `ranges`, in checked mode; output bits.
+            let run = |ranges: &[std::ops::Range<usize>], scratch: &mut BackendScratch| {
+                let mut mem = DeviceMem::new(1 << 20);
+                let value = |slot: usize, lane: usize, i: usize| {
+                    ((slot * 31 + lane * 17 + i * 7) % 23) as f32 / 11.0 - 1.0
+                };
+                let shared: Vec<_> = program
+                    .inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(s, inp)| {
+                        mem.upload(&Tensor::from_fn(inp.shape.dims(), |i| value(s, 0, i))).unwrap()
+                    })
+                    .collect();
+                let batched: Vec<Vec<_>> = (0..LANES)
+                    .map(|lane| {
+                        mem.alloc(&Shape::new(&[1 + lane % 3])).unwrap(); // scatter the lanes
+                        let upload = |(s, inp): (usize, &crate::KernelInput)| {
+                            let t = Tensor::from_fn(inp.shape.dims(), |i| value(s, lane + 1, i));
+                            (inp.class == ArgClass::Batched).then(|| mem.upload(&t).unwrap())
+                        };
+                        program.inputs.iter().enumerate().map(upload).collect()
+                    })
+                    .collect();
+                let prep = prepare_batched_kernel_with(
+                    &mut mem,
+                    program,
+                    LANES,
+                    BatchMode::GatherFused,
+                    |l, s| batched[l][s].as_ref().unwrap_or(&shared[s]),
+                )
+                .unwrap();
+                for range in ranges {
+                    let view = mem.exec_view();
+                    selection.execute(&view, program, &prep, range.clone(), scratch, true).unwrap();
+                }
+                let outs = finish_prepared(&mem, &prep).unwrap();
+                let bits = |t| mem.read(t).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                outs.iter().flatten().flat_map(bits).collect::<Vec<u32>>()
+            };
+
+            let mut scratch = BackendScratch::default();
+            let whole = run(std::slice::from_ref(&(0..LANES)), &mut scratch);
+            assert_eq!(whole.len(), LANES * D * program.outputs.len());
+            assert!(kernel.flat_len > 0 && scratch.flat.capacity() <= kernel.flat_len * LANE_BLOCK);
+            assert!(scratch.inputs.capacity() <= kernel.inputs_len * LANE_BLOCK);
+            assert!(scratch.tiles.capacity() <= kernel.max_depth * tile_width(LANES));
+
+            let mut scratch = BackendScratch::default();
+            let ranges = [0..17, 17..50, 50..50, 50..LANES - 1, LANES - 1..LANES];
+            assert_eq!(run(&ranges, &mut scratch), whole, "kernel `{}`", program.name);
+            assert!(scratch.flat.capacity() <= kernel.flat_len * LANE_BLOCK);
         }
     }
 }

@@ -3,7 +3,8 @@
 //! 1..=9 and both execution strategies (the interpreter, and a compiled
 //! kernel in checked mode, which also cross-executes every range through
 //! the interpreter), splitting a launch into `parts ∈ 1..=4` lane ranges —
-//! including more parts than lanes — leaves bit-identical outputs.
+//! including more parts than lanes, and ranges that cut the compiled path's
+//! lane blocks — leaves bit-identical outputs.
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
@@ -86,6 +87,40 @@ fn launch_bits(
     outs.iter().flatten().flat_map(|t| mem.read(t).unwrap().iter().map(|v| v.to_bits())).collect()
 }
 
+/// Every kernel of a random program, on both execution strategies: `parts`
+/// lane ranges leave the bits one range leaves.
+fn assert_splits_match_one_range(
+    width: usize,
+    ops: &[u8],
+    lanes: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let lib = random_library(width, ops);
+    for k in 0..lib.len() {
+        let program = lib.kernel(KernelId(k as u32));
+        let backend = SpecializedBackend::new(lib.len());
+        let compiled = backend.select(program);
+        assert!(compiled.is_compiled(), "the first launch compiles");
+        for selection in [Selection::Interp, compiled] {
+            // One scratch set across all splits: ranges reuse whatever
+            // an earlier, differently shaped split left behind.
+            let mut scratch = Vec::new();
+            let whole = launch_bits(program, &selection, lanes, 1, seed, &mut scratch);
+            assert!(!whole.is_empty());
+            for parts in 2..=4 {
+                let split = launch_bits(program, &selection, lanes, parts, seed, &mut scratch);
+                if split != whole {
+                    return Err(format!(
+                        "kernel {} lanes {lanes} parts {parts} ({selection:?})",
+                        program.name
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -96,26 +131,25 @@ proptest! {
         lanes in 1usize..=9,
         seed in 0u64..1000,
     ) {
-        let lib = random_library(width, &ops);
-        for k in 0..lib.len() {
-            let program = lib.kernel(KernelId(k as u32));
-            let backend = SpecializedBackend::new(lib.len());
-            let compiled = backend.select(program);
-            prop_assert!(compiled.is_compiled(), "the first launch compiles");
-            for selection in [Selection::Interp, compiled] {
-                // One scratch set across all splits: ranges reuse whatever
-                // an earlier, differently shaped split left behind.
-                let mut scratch = Vec::new();
-                let whole = launch_bits(program, &selection, lanes, 1, seed, &mut scratch);
-                prop_assert!(!whole.is_empty());
-                for parts in 2..=4 {
-                    let split = launch_bits(program, &selection, lanes, parts, seed, &mut scratch);
-                    prop_assert_eq!(
-                        &split, &whole,
-                        "kernel {} lanes {} parts {} ({:?})", program.name, lanes, parts, selection
-                    );
-                }
-            }
-        }
+        let outcome = assert_splits_match_one_range(width, &ops, lanes, seed);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Launches wider than the compiled path's 32-lane block: an even
+    /// split into 2..=4 ranges starts and ends ranges mid-block, so block
+    /// boundaries fall on different lanes than in the one-range run.
+    #[test]
+    fn splits_unaligned_to_lane_blocks_are_bit_identical(
+        width in 0usize..3,
+        ops in proptest::collection::vec(0u8..6, 1..7),
+        lanes in 33usize..=75,
+        seed in 0u64..1000,
+    ) {
+        let outcome = assert_splits_match_one_range(width, &ops, lanes, seed);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }

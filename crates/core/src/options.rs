@@ -111,10 +111,10 @@ impl CompileOptions {
     }
 
     /// Select the kernel-execution backend
-    /// (`acrobat_codegen::backend`): the default interpreter, or the
-    /// specialized backend that compiles each kernel on its first launch
-    /// into a monomorphized allocation-free plan with bit-identical
-    /// results.
+    /// (`acrobat_codegen::backend`): the default specialized backend, which
+    /// compiles each kernel on its first launch into a monomorphized
+    /// allocation-free plan, or the reference interpreter it is
+    /// bit-identical to — the oracle, for tests and baselines.
     pub fn with_kernel_backend(
         mut self,
         backend: acrobat_codegen::KernelBackendKind,

@@ -722,9 +722,10 @@ impl ExecutionContext {
 
 /// Launch size, in FLOPs, from which the execute phase of one launch is
 /// split across cores: spawning and joining a scoped helper thread costs
-/// tens of microseconds, a launch this size runs for hundreds (DESIGN §9 has
-/// the measurements and the per-workload launch sizes on either side).
-pub const SPLIT_MIN_FLOPS: u64 = 2_000_000;
+/// tens of microseconds (up to ≈ 95 µs at p99), a launch this size runs for
+/// ≈ 350 µs on the compiled executor (DESIGN §9 has the measurements and
+/// the per-workload launch sizes on either side).
+pub const SPLIT_MIN_FLOPS: u64 = 8_000_000;
 
 /// The lane-split policy: how many lane ranges one launch's execute phase
 /// runs as ([`Selection::execute_lanes`]) — a function of the launch's own
@@ -1476,10 +1477,11 @@ mod tests {
     #[test]
     fn parallel_path_faults_roll_back_and_resume_bit_for_bit() {
         use acrobat_tensor::FaultPlan;
-        // Two chained 16-lane launches of 2·256·256 FLOPs per lane: each is
-        // over the split constant, so its lanes execute on several threads.
+        // Two chained launches of 2·256·256 FLOPs per lane, just wide enough
+        // that each is over the split constant, so its lanes execute on
+        // several threads.
         const D: usize = 256;
-        const LANES: usize = 16;
+        const LANES: usize = SPLIT_MIN_FLOPS as usize / (2 * D * D) + 1;
         let src = format!(
             "def @main($w1: Tensor[({D}, {D})], $w2: Tensor[({D}, {D})], %x: Tensor[(1, {D})]) \
              -> Tensor[(1, {D})] {{ matmul(matmul(%x, $w1), $w2) }}"

@@ -73,10 +73,12 @@ pub struct RuntimeOptions {
     #[serde(default)]
     pub broker: bool,
     /// Kernel-execution backend for the execute phase of every launch.
-    /// The default interpreter reproduces all published artifacts
-    /// unchanged; [`KernelBackendKind::Spec`] compiles each kernel on its
-    /// first launch into a monomorphized allocation-free plan with
-    /// bit-identical results.
+    /// The default, [`KernelBackendKind::Spec`], compiles each kernel on
+    /// its first launch into a monomorphized allocation-free plan;
+    /// [`KernelBackendKind::Interp`] is the reference interpreter kept as
+    /// the oracle (checked mode re-executes every compiled launch through
+    /// it).  Results and every modeled statistic are bit-identical, so all
+    /// published artifacts are reproduced unchanged under either.
     #[serde(default)]
     pub backend: KernelBackendKind,
 }
@@ -94,7 +96,7 @@ impl Default for RuntimeOptions {
             max_in_flight: 0,
             plan_cache: false,
             broker: false,
-            backend: KernelBackendKind::Interp,
+            backend: KernelBackendKind::Spec,
         }
     }
 }

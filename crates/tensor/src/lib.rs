@@ -50,7 +50,7 @@ pub use batch::{BatchMode, BatchStats};
 pub use error::{FaultClass, TensorError};
 pub use ops::{
     execute, execute_into, execute_slices, flops, infer_shape, map_binary, map_unary, matmul_raw,
-    matmul_raw_blocked, BinaryKind, PrimOp, UnaryKind,
+    matmul_raw_instantiations, BinaryKind, MatmulFn, PrimOp, UnaryKind,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -132,10 +132,10 @@ pub(crate) fn binary(
     out: &mut [f32],
     f: impl Fn(f32, f32) -> f32,
 ) -> Result<()> {
-    let out_shape = lhs.1.broadcast(rhs.1)?;
+    let out_shape = lhs.1.broadcast_ref(rhs.1)?;
     debug_assert_eq!(out.len(), out_shape.numel());
-    let lmap = lhs.1.broadcast_index(&out_shape);
-    let rmap = rhs.1.broadcast_index(&out_shape);
+    let lmap = lhs.1.broadcast_index(out_shape);
+    let rmap = rhs.1.broadcast_index(out_shape);
     // Fast path: both operands already have the output shape.
     if lhs.0.len() == out.len() && rhs.0.len() == out.len() {
         for (i, o) in out.iter_mut().enumerate() {

@@ -26,7 +26,7 @@ impl Shape {
     }
 
     /// The scalar (rank-0) shape.
-    pub fn scalar() -> Self {
+    pub const fn scalar() -> Self {
         Shape(Vec::new())
     }
 
@@ -113,14 +113,20 @@ impl Shape {
     /// Returns [`TensorError::ShapeMismatch`] if the shapes are not
     /// broadcast-compatible under these rules.
     pub fn broadcast(&self, other: &Shape) -> Result<Shape> {
+        self.broadcast_ref(other).cloned()
+    }
+
+    /// [`Shape::broadcast`] without the copy: the broadcast of two shapes
+    /// is always one of them, so the kernels borrow it.
+    pub(crate) fn broadcast_ref<'a>(&'a self, other: &'a Shape) -> Result<&'a Shape> {
         if self == other {
-            return Ok(self.clone());
+            return Ok(self);
         }
         if self.numel() == 1 {
-            return Ok(other.clone());
+            return Ok(other);
         }
         if other.numel() == 1 {
-            return Ok(self.clone());
+            return Ok(self);
         }
         // Row-vector broadcast: [1, n] or [n] vs [m, n].
         let row_of = |s: &Shape| -> Option<usize> {
@@ -132,21 +138,21 @@ impl Shape {
         };
         if let (Some(n), true) = (row_of(self), other.rank() == 2) {
             if other.dim(1) == n {
-                return Ok(other.clone());
+                return Ok(other);
             }
         }
         if let (Some(n), true) = (row_of(other), self.rank() == 2) {
             if self.dim(1) == n {
-                return Ok(self.clone());
+                return Ok(self);
             }
         }
         // Column broadcast: [m, 1] vs [m, n].
         if self.rank() == 2 && other.rank() == 2 && self.dim(0) == other.dim(0) {
             if self.dim(1) == 1 {
-                return Ok(other.clone());
+                return Ok(other);
             }
             if other.dim(1) == 1 {
-                return Ok(self.clone());
+                return Ok(self);
             }
         }
         Err(TensorError::ShapeMismatch { op: "broadcast", lhs: self.clone(), rhs: other.clone() })

@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel bodies that ship are the optimised ones)"
+cargo test -q --release -p acrobat-tensor -p acrobat-codegen
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -49,10 +52,10 @@ RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test broker_isolation
 echo "==> continuous batching smoke (open-loop Poisson trace: broker-on p99 + throughput strictly beat broker-off, ledger balances)"
 cargo run --release -p acrobat-bench --bin continuous_batching -- --smoke
 
-echo "==> backend identity smoke (specialized backend bit-identical to the interpreter, modeled stats invariant)"
+echo "==> backend identity smoke (compiled by default: bit-identical to the interpreter oracle, modeled stats invariant)"
 cargo run --release -p acrobat-bench --bin kernel_backend -- --smoke
 
-echo "==> kernel backend regression tests (one compile per kernel at every lane count, checked mode, cache sharing, retune invalidation)"
+echo "==> kernel backend regression tests (compiled by default, one compile per kernel at every lane count, checked mode, cache sharing, retune invalidation)"
 cargo test -q -p acrobat-bench --test kernel_backend
 
 echo "==> fiber determinism smoke (lane-canonical signatures invariant across worker counts)"
@@ -84,6 +87,11 @@ if grep -rnE 'spec_threshold|trait KernelBackend|dyn KernelBackend|InterpBackend
   echo "kernel selection has nothing to tune: under Spec the first launch of a kernel compiles it, every later one reuses it"; exit 1
 fi
 
+echo "==> one matrix multiply (matmul_raw is the register-blocked micro-kernel; no second row-blocked copy)"
+if grep -rn matmul_raw_blocked crates tests; then
+  echo "matmul_raw_blocked is gone: matmul_raw is the one micro-kernel, for one lane and for a lane stack"; exit 1
+fi
+
 echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"
 for artifact in table5 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \
@@ -101,7 +109,7 @@ if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$
   echo "benchmark smoke failed: $bench_line"; exit 1
 fi
 
-echo "==> benchmark smoke (birnn_serve2, 2 s: submit -> run_cohort -> run_group under plan cache + spec backend)"
+echo "==> benchmark smoke (birnn_serve2, 2 s: submit -> run_cohort -> run_group under plan cache + broker)"
 bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload birnn_serve2 --seed 1 --seconds 2 --trace 0 | tail -n 1)
 if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then

@@ -311,14 +311,12 @@ fn cohort_spec_backend_matches_interp_solo() {
         .into_iter()
         .find(|s| s.properties.tensor_dependent)
         .expect("a tensor-dependent quick model");
-    let reference_model = build(&spec, &CompileOptions::default());
+    use acrobat_codegen::KernelBackendKind::{Interp, Spec};
+    let reference_model = build(&spec, &CompileOptions::default().with_kernel_backend(Interp));
     let members = member_batches(&spec, 3, 2);
     let solo = solo_references(&reference_model, &spec.params, &members);
 
-    let cohort_model = build(
-        &spec,
-        &CompileOptions::default().with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec),
-    );
+    let cohort_model = build(&spec, &CompileOptions::default().with_kernel_backend(Spec));
     let results = cohort_model.run_cohort(&requests(&spec, &members));
     for (m, result) in results.into_iter().enumerate() {
         let result = result.unwrap_or_else(|e| panic!("spec cohort member {m} failed: {e}"));

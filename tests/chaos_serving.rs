@@ -34,17 +34,16 @@ use acrobat_tensor::TensorError;
 /// so outputs are comparable bit for bit.  `plan_cache` turns on
 /// flush-plan memoization (the reference stays cache-off, so survivor
 /// equality also proves cache-on ≡ cache-off);
-/// `spec_backend` switches the chaos model to the specialized kernel
-/// backend (the reference stays on the interpreter, so survivor equality
-/// also proves spec ≡ interp under chaos).
+/// `spec_backend` runs the chaos model on the specialized kernel backend
+/// and otherwise on the reference interpreter (the reference always stays
+/// on the interpreter, so survivor equality also proves spec ≡ interp
+/// under chaos).
 fn chaos_options(plan_cache: bool, spec_backend: bool) -> CompileOptions {
+    use acrobat_codegen::KernelBackendKind::{Interp, Spec};
     let mut options = CompileOptions::default();
     options.runtime.retry = RetryPolicy { max_retries: 3, backoff_base_us: 10.0 };
     options.runtime.plan_cache = plan_cache;
-    if spec_backend {
-        options = options.with_kernel_backend(acrobat_codegen::KernelBackendKind::Spec);
-    }
-    options
+    options.with_kernel_backend(if spec_backend { Spec } else { Interp })
 }
 
 fn splitmix(state: &mut u64) -> u64 {

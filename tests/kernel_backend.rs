@@ -1,9 +1,11 @@
 //! Integration tests for the kernel-backend abstraction
-//! (`acrobat_codegen::backend`): specialized execution is bit-for-bit
-//! identical to the reference interpreter across the model suite, modeled
-//! statistics are backend-invariant, checked mode cross-validates every
-//! compiled launch, and an engine retune (PGO) invalidates the
-//! compiled-kernel cache exactly like it invalidates the plan cache.
+//! (`acrobat_codegen::backend`): specialized execution — the default — is
+//! bit-for-bit identical to the reference interpreter across the model
+//! suite, modeled statistics are backend-invariant, checked mode
+//! cross-validates every compiled launch, and an engine retune (PGO)
+//! invalidates the compiled-kernel cache exactly like it invalidates the
+//! plan cache.  Every reference model here names the interpreter
+//! explicitly ([`interp_options`]).
 
 use acrobat_bench::suite;
 use acrobat_codegen::KernelBackendKind;
@@ -11,6 +13,11 @@ use acrobat_core::CompileOptions;
 use acrobat_models::testkit::{assert_outputs_equal as assert_bit_identical, build};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::context::{lane_parts, SPLIT_MIN_FLOPS};
+
+/// The oracle: the reference interpreter, which no default selects.
+fn interp_options() -> CompileOptions {
+    CompileOptions::default().with_kernel_backend(KernelBackendKind::Interp)
+}
 
 /// The specialized backend must be bit-for-bit identical to the
 /// interpreter over the whole quick suite — on the cold request (kernels
@@ -21,7 +28,7 @@ use acrobat_runtime::context::{lane_parts, SPLIT_MIN_FLOPS};
 fn spec_matches_interp_bit_for_bit_across_suite() {
     for spec in suite(ModelSize::Small, true) {
         let instances = (spec.make_instances)(0xBACE, 4);
-        let interp = build(&spec, &CompileOptions::default());
+        let interp = build(&spec, &interp_options());
         let specialized =
             build(&spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
         let want = interp.run(&spec.params, &instances).expect("interp run");
@@ -59,6 +66,36 @@ fn spec_matches_interp_bit_for_bit_across_suite() {
     }
 }
 
+/// `CompileOptions::default()` runs compiled: every launch of a default
+/// model is a compile or a cache hit, its outputs are the interpreter's
+/// bits over the quick suite, and every modeled account — the whole
+/// `RuntimeStats` ledger the paper artifacts are printed from — is equal to
+/// the digit.
+#[test]
+fn default_backend_is_compiled() {
+    for spec in suite(ModelSize::Small, true) {
+        let instances = (spec.make_instances)(0xDEFA, 4);
+        let want = build(&spec, &interp_options()).run(&spec.params, &instances).expect("interp");
+        let got =
+            build(&spec, &CompileOptions::default()).run(&spec.params, &instances).expect("run");
+        assert_bit_identical(&spec, &want.outputs, &got.outputs, "default vs interpreter");
+        let (w, g) = (&want.stats, &got.stats);
+        assert_eq!(g.backend_hits + g.backend_compiles, g.kernel_launches, "{}", spec.name);
+        assert_eq!(w.backend_hits + w.backend_compiles, 0, "{}: the oracle compiles", spec.name);
+        // Everything but the measured wall-clock fields and the backend's
+        // own two counters.
+        let modeled = |s: &acrobat_core::RuntimeStats| acrobat_core::RuntimeStats {
+            host_wall_us: 0.0,
+            exec_wall_us: 0.0,
+            program_host_us: 0.0,
+            backend_compiles: 0,
+            backend_hits: 0,
+            ..*s
+        };
+        assert_eq!(modeled(w), modeled(g), "{}: modeled accounts and counts", spec.name);
+    }
+}
+
 /// Kernels compiled so far by `model`'s current engine.
 fn compiled_count(model: &acrobat_core::Model) -> usize {
     model.executable().session.engine().backend().expect("a Spec engine").compiled_count()
@@ -71,7 +108,7 @@ fn compiled_count(model: &acrobat_core::Model) -> usize {
 #[test]
 fn one_compile_serves_every_lane_count() {
     let spec = &suite(ModelSize::Small, true)[0];
-    let interp = build(spec, &CompileOptions::default());
+    let interp = build(spec, &interp_options());
     let specialized = build(
         spec,
         &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec).with_checked(true),
@@ -112,14 +149,14 @@ fn checked_mode_validates_every_compiled_launch() {
     }
 }
 
-/// TreeLSTM at the paper's Small hidden size: with 8 instances the gate
-/// launches carry ≈ 4 MFLOP each, over `SPLIT_MIN_FLOPS`, so their lanes
+/// TreeLSTM at the paper's Small hidden size: with 24 instances the gate
+/// launches carry ≈ 12 MFLOP each, over `SPLIT_MIN_FLOPS`, so their lanes
 /// execute as a split ([`Selection::execute_lanes`]) on a multi-core host.
 ///
 /// [`Selection::execute_lanes`]: acrobat_codegen::Selection::execute_lanes
 fn over_threshold_workload() -> (ModelSpec, Vec<Vec<acrobat_vm::InputValue>>) {
     let spec = acrobat_models::treelstm::spec_with(256, 5);
-    let instances = (spec.make_instances)(0x5917, 8);
+    let instances = (spec.make_instances)(0x5917, 24);
     (spec, instances)
 }
 
@@ -158,9 +195,8 @@ fn split_launches_match_eager_reference_on_both_backends() {
 #[test]
 fn lane_workers_share_compiled_cache() {
     let (spec, instances) = over_threshold_workload();
-    let want = build(&spec, &CompileOptions::default())
-        .run(&spec.params, &instances)
-        .expect("interpreter run");
+    let want =
+        build(&spec, &interp_options()).run(&spec.params, &instances).expect("interpreter run");
     let specialized =
         build(&spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
     let cold = specialized.run(&spec.params, &instances).expect("cold spec run");
@@ -184,7 +220,7 @@ fn retune_invalidates_compiled_kernel_cache() {
     let instances = (spec.make_instances)(0x9107, 4);
     let mut model =
         build(spec, &CompileOptions::default().with_kernel_backend(KernelBackendKind::Spec));
-    let interp = build(spec, &CompileOptions::default());
+    let interp = build(spec, &interp_options());
     let want = interp.run(&spec.params, &instances).expect("interp reference");
 
     // Cold engine: first run compiles.
