@@ -181,6 +181,14 @@ impl Model {
         &self.exe
     }
 
+    /// The AOT backend's register code for this model, disassembled: one
+    /// instruction per line, every DFG `emit` with its pre-resolved kernel,
+    /// input and output registers and depth rule.  `None` under
+    /// [`acrobat_vm::BackendKind::Vm`], which interprets the syntax tree.
+    pub fn disassemble(&self) -> Option<String> {
+        self.exe.disassemble()
+    }
+
     /// The static-analysis results behind this model.
     pub fn analysis(&self) -> &AnalysisResult {
         &self.analysis

@@ -80,13 +80,13 @@ impl FlushChecker {
                     "checked mode: batch mixes (kernel, shared_sig) classes"
                 );
                 assert!(!n.executed, "checked mode: plan schedules an executed node");
-                for &v in &n.outputs {
+                for v in n.outputs() {
                     assert!(
                         dfg.tensor(v).is_none(),
                         "checked mode: planned node {id:?} already has a Ready output"
                     );
                 }
-                for a in &n.args {
+                for a in dfg.args(id) {
                     if let Some(p) = dfg.producer(*a) {
                         assert!(
                             done.contains(&p),
@@ -130,7 +130,7 @@ impl FlushChecker {
             let n = dfg.node(id);
             assert!(n.executed, "checked mode: completed node {id:?} not marked executed");
             assert!(!dfg.is_pending(id), "checked mode: completed node {id:?} still pending");
-            for &v in &n.outputs {
+            for v in n.outputs() {
                 assert!(
                     dfg.tensor(v).is_some(),
                     "checked mode: completed node {id:?} output {v:?} not materialized"

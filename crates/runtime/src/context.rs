@@ -14,7 +14,7 @@ use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
 use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
 
 use crate::dfg::{Dfg, NodeId, ValueId};
-use crate::engine::Engine;
+use crate::engine::{Engine, Unit};
 use crate::plan_cache::{CacheConfig, CacheOutcome};
 use crate::resilience::{CancelToken, Deadline};
 use crate::scheduler::{self, Plan, SchedulerKind, SchedulerScratch};
@@ -192,7 +192,7 @@ impl ExecutionContext {
         self.mem.reset();
         self.mem.clear_fault();
         let _ = self.mem.take_stats();
-        self.dfg = Dfg::new();
+        self.dfg.reset();
         self.dfg.set_signature_tracking(self.engine.options().plan_cache);
         // `plan_l1` is NOT cleared: frozen plans are engine-scoped (the
         // context is pinned to its engine by the pool's `Arc::ptr_eq`
@@ -262,6 +262,8 @@ impl ExecutionContext {
     /// and scheduling overheads are then charged once per block.
     ///
     /// Returns the node's output values (one per kernel output slot).
+    /// Convenience form of [`ExecutionContext::add_unit_in_lane`] for
+    /// callers that name the group and hold their arguments in a `Vec`.
     pub fn add_unit(
         &mut self,
         group: GroupId,
@@ -271,37 +273,39 @@ impl ExecutionContext {
         args: Vec<ValueId>,
         unit_head: bool,
     ) -> Vec<ValueId> {
+        let engine = Arc::clone(&self.engine);
+        let unit = engine.unit(group);
         let lane = crate::dfg::lane::root(instance);
-        self.add_unit_in_lane(group, instance, lane, depth, phase, args, unit_head)
+        let first = self.add_unit_in_lane(unit, instance, lane, depth, phase, &args, unit_head);
+        (0..unit.outputs as u64).map(|k| ValueId(first.0 + k)).collect()
     }
 
-    /// [`ExecutionContext::add_unit`] with an explicit fiber-lane key (see
-    /// [`crate::dfg::lane`]): fiber-mode drivers pass each fiber's
-    /// fork-path lane so lane-canonical window signing is invariant to the
-    /// OS interleaving of fibers.
+    /// Appends one scheduling unit on an explicit fiber lane (see
+    /// [`crate::dfg::lane`]; fiber-mode drivers pass each fiber's fork-path
+    /// lane so lane-canonical window signing is invariant to the OS
+    /// interleaving of fibers) and returns its first output value — output
+    /// slot `k` is `ValueId(first.0 + k)`, for `k < unit.outputs`.
+    ///
+    /// This is the per-node hot path of program drive: `unit` was resolved
+    /// once per engine ([`Engine::unit`]), `args` is borrowed, and nothing
+    /// here allocates once the DFG's buffers have grown.
     #[allow(clippy::too_many_arguments)]
     pub fn add_unit_in_lane(
         &mut self,
-        group: GroupId,
+        unit: &Unit,
         instance: usize,
         lane: u64,
         depth: u64,
         phase: u32,
-        args: Vec<ValueId>,
+        args: &[ValueId],
         unit_head: bool,
-    ) -> Vec<ValueId> {
-        let library = self.engine.library();
-        let kernel = library.kernel_id_for_group(group);
-        let program = library.kernel(kernel);
-        let outputs = program.outputs.len();
+    ) -> ValueId {
         // Shared-operand signature: nodes batch only when their shared
         // kernel operands are identical tensors.
         let mut shared_sig = 0xcbf29ce484222325u64;
-        for (input, arg) in program.inputs.iter().zip(&args) {
-            if input.class == acrobat_analysis::ArgClass::Shared {
-                shared_sig ^= arg.0.wrapping_add(0x9E3779B97F4A7C15);
-                shared_sig = shared_sig.wrapping_mul(0x100000001b3);
-            }
+        for &slot in &*unit.shared_slots {
+            shared_sig ^= args[slot as usize].0.wrapping_add(0x9E3779B97F4A7C15);
+            shared_sig = shared_sig.wrapping_mul(0x100000001b3);
         }
         let charge = !self.engine.options().coarsen || unit_head;
         if charge {
@@ -309,11 +313,18 @@ impl ExecutionContext {
             let cost = self.engine.model().dfg_node_cost_us;
             self.stats.dfg_construction_us += cost;
         }
-        let (_, outs) = self
-            .dfg
-            .add_node_in_lane(kernel, instance, lane, depth, phase, shared_sig, args, outputs);
+        let (_, first) = self.dfg.add_node_in_lane(
+            unit.kernel,
+            instance,
+            lane,
+            depth,
+            phase,
+            shared_sig,
+            args,
+            unit.outputs as usize,
+        );
         self.stats.nodes = self.dfg.node_count();
-        outs
+        first
     }
 
     /// Enables lane-canonical window signing on this context's DFG (see
@@ -356,9 +367,12 @@ impl ExecutionContext {
     ///
     /// Propagates flush and transfer errors.
     pub fn download(&mut self, v: ValueId) -> Result<Tensor, TensorError> {
-        let t = self.force(v)?;
+        if self.dfg.tensor(v).is_none() {
+            self.flush()?;
+        }
+        let t = self.dfg.tensor(v).ok_or(TensorError::StaleHandle)?;
         let before = self.mem.stats();
-        let host = self.mem.download(&t)?;
+        let host = self.mem.download(t)?;
         let bytes = self.mem.stats().download_bytes - before.download_bytes;
         let model = self.engine.model();
         let transfer_us = model.memcpy_time_us(bytes, 1);
@@ -587,9 +601,9 @@ impl ExecutionContext {
         let dfg = &self.dfg;
         let prep =
             prepare_batched_kernel_with(&mut self.mem, program, lanes, mode, |lane, slot| {
-                let node = dfg.node(chunk[lane]);
-                debug_assert_eq!(node.kernel, kernel_id);
-                dfg.tensor(node.args[slot]).expect("scheduler produced unmet dependency")
+                debug_assert_eq!(dfg.node(chunk[lane]).kernel, kernel_id);
+                dfg.tensor(dfg.args(chunk[lane])[slot])
+                    .expect("scheduler produced unmet dependency")
             })?;
         let selection = engine.backend().map_or(Selection::Interp, |b| b.select(program));
         match selection {

@@ -33,7 +33,11 @@ pub enum ValueState {
 }
 
 /// One scheduling unit: a batched-kernel invocation for one instance.
-#[derive(Debug, Clone)]
+///
+/// A node owns no heap memory: its arguments are a range of the graph's
+/// flat argument array ([`Dfg::args`]) and its outputs are consecutive
+/// [`ValueId`]s ([`Dfg::outputs`]), so appending a node allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct DfgNode {
     /// Node id.
     pub id: NodeId,
@@ -51,12 +55,30 @@ pub struct DfgNode {
     /// (e.g. the two weight sets of a duplicated BiRNN cell) must launch
     /// separately.
     pub shared_sig: u64,
-    /// Argument values, one per kernel input slot.
-    pub args: Vec<ValueId>,
-    /// Output values, one per kernel output slot.
-    pub outputs: Vec<ValueId>,
+    /// Start of the node's arguments in the graph's flat argument array.
+    args_start: u32,
+    /// Number of arguments, one per kernel input slot.
+    args_len: u32,
+    /// First output value; output slot `k` is `ValueId(first_output.0 + k)`.
+    first_output: ValueId,
+    /// Number of outputs, one per kernel output slot.
+    output_count: u32,
     /// Whether the node has been executed.
     pub executed: bool,
+}
+
+impl DfgNode {
+    /// The value produced at output `slot`.
+    pub fn output(&self, slot: usize) -> ValueId {
+        debug_assert!(slot < self.output_count as usize, "output slot out of range");
+        ValueId(self.first_output.0 + slot as u64)
+    }
+
+    /// Output values in slot order (always consecutive ids).
+    pub fn outputs(&self) -> impl ExactSizeIterator<Item = ValueId> {
+        let first = self.first_output.0;
+        (0..self.output_count).map(move |k| ValueId(first + k as u64))
+    }
 }
 
 /// Sentinel for "not in the pending set" in [`Dfg::pending_pos`].
@@ -218,6 +240,9 @@ struct CanonState {
 #[derive(Debug, Default)]
 pub struct Dfg {
     nodes: Vec<DfgNode>,
+    /// Every node's arguments, back to back in creation order
+    /// (`DfgNode::args_start .. + args_len`).
+    node_args: Vec<ValueId>,
     values: Vec<ValueState>,
     /// Nodes not yet executed.
     pending: Vec<NodeId>,
@@ -230,6 +255,10 @@ pub struct Dfg {
     /// scheduler's flush-time job degenerates to emitting the non-empty
     /// buckets in key order (§4.1's "scheduling is a bucket lookup").
     buckets: Vec<InlineBucket>,
+    /// How many of `buckets` the current mini-batch uses; the rest are
+    /// emptied leftovers of earlier ones ([`Dfg::reset`]) whose member
+    /// vectors the next new keys take over.
+    live_buckets: usize,
     /// Grouping key → index into `buckets`.
     bucket_lookup: std::collections::HashMap<(u128, u64), u32>,
     /// Per node, its bucket index (dense, parallel to `nodes`).
@@ -281,11 +310,37 @@ impl Dfg {
         id
     }
 
+    /// Returns the graph to the state of [`Dfg::new`] — empty, signature
+    /// tracking and lane-canonical signing off — keeping every buffer's
+    /// capacity, so a pooled context reuses one `Dfg` across mini-batches
+    /// without re-growing it.
+    pub fn reset(&mut self) {
+        self.nodes.clear();
+        self.node_args.clear();
+        self.values.clear();
+        self.pending.clear();
+        self.pending_pos.clear();
+        for b in &mut self.buckets[..self.live_buckets] {
+            b.ids.clear();
+            b.pending = 0;
+        }
+        self.live_buckets = 0;
+        self.bucket_lookup.clear();
+        self.bucket_of.clear();
+        (self.win_sig, self.win_check, self.win_base) = (0, 0, 0);
+        (self.win_dirty, self.win_track, self.lane_canon) = (false, false, false);
+        self.lanes.clear();
+        self.lane_slots.clear();
+        self.node_lane.clear();
+        self.canon.valid = false;
+        self.canon.win = None;
+    }
+
     /// Appends a node; returns its output [`ValueId`]s (one per slot).
     ///
-    /// Sequential-model entry point: the node is signed on the root lane
-    /// of its instance.  Fiber-mode callers use [`Dfg::add_node_in_lane`]
-    /// with a fork-path lane key instead.
+    /// Convenience wrapper over [`Dfg::add_node_in_lane`] for callers that
+    /// hold their arguments in a `Vec` and want the outputs as one: the node
+    /// is signed on the root lane of its instance.
     #[allow(clippy::too_many_arguments)]
     pub fn add_node(
         &mut self,
@@ -298,11 +353,24 @@ impl Dfg {
         output_slots: usize,
     ) -> (NodeId, Vec<ValueId>) {
         let lane = lane::root(instance);
-        self.add_node_in_lane(kernel, instance, lane, depth, phase, shared_sig, args, output_slots)
+        let (id, _) = self.add_node_in_lane(
+            kernel,
+            instance,
+            lane,
+            depth,
+            phase,
+            shared_sig,
+            &args,
+            output_slots,
+        );
+        (id, self.nodes[id.0 as usize].outputs().collect())
     }
 
-    /// Appends a node on an explicit fiber lane (see [`lane`]); returns its
-    /// output [`ValueId`]s (one per slot).
+    /// Appends a node on an explicit fiber lane (see [`lane`]), copying
+    /// `args` into the graph's flat argument array; returns the node and
+    /// its first output value — output slot `k` is `ValueId(first.0 + k)`
+    /// (see [`DfgNode::outputs`]).  Allocation-free once the graph's
+    /// buffers have grown.
     ///
     /// In lane-canonical mode the node's signature tokens are folded into
     /// its *lane's* private accumulator rather than the arrival-ordered
@@ -317,9 +385,9 @@ impl Dfg {
         depth: u64,
         phase: u32,
         shared_sig: u64,
-        args: Vec<ValueId>,
+        args: &[ValueId],
         output_slots: usize,
-    ) -> (NodeId, Vec<ValueId>) {
+    ) -> (NodeId, ValueId) {
         let id = NodeId(self.nodes.len() as u64);
         if self.win_track {
             if self.pending.is_empty() {
@@ -334,7 +402,7 @@ impl Dfg {
             }
             if !self.win_dirty {
                 if self.lane_canon {
-                    self.fold_lane_tokens(id, lane, kernel, depth, phase, shared_sig, &args);
+                    self.fold_lane_tokens(id, lane, kernel, depth, phase, shared_sig, args);
                 } else {
                     let mut s0 = self.win_sig;
                     let mut s1 = self.win_check;
@@ -346,7 +414,7 @@ impl Dfg {
                     fold(depth);
                     fold(shared_sig);
                     fold(args.len() as u64);
-                    for a in &args {
+                    for a in args {
                         // Dependency topology in window-relative
                         // coordinates: a pending argument folds the
                         // distance to its producer (id-delta), a
@@ -365,13 +433,12 @@ impl Dfg {
             self.canon.valid = false;
             self.canon.win = None;
         }
-        let outputs: Vec<ValueId> = (0..output_slots)
-            .map(|slot| {
-                let vid = ValueId(self.values.len() as u64);
-                self.values.push(ValueState::Pending { producer: id, slot });
-                vid
-            })
-            .collect();
+        let first_output = ValueId(self.values.len() as u64);
+        self.values
+            .extend((0..output_slots).map(|slot| ValueState::Pending { producer: id, slot }));
+        let args_start = self.node_args.len();
+        self.node_args.extend_from_slice(args);
+        assert!(self.node_args.len() <= u32::MAX as usize, "DFG argument array overflow");
         self.nodes.push(DfgNode {
             id,
             kernel,
@@ -379,8 +446,10 @@ impl Dfg {
             depth,
             phase,
             shared_sig,
-            args,
-            outputs: outputs.clone(),
+            args_start: args_start as u32,
+            args_len: args.len() as u32,
+            first_output,
+            output_count: output_slots as u32,
             executed: false,
         });
         debug_assert!(self.pending.len() < NOT_PENDING as usize, "pending set overflow");
@@ -388,14 +457,18 @@ impl Dfg {
         self.pending.push(id);
         let key = (inline_key(phase, depth, kernel.0), shared_sig);
         let bucket = *self.bucket_lookup.entry(key).or_insert_with(|| {
-            self.buckets.push(InlineBucket { key, ..Default::default() });
-            (self.buckets.len() - 1) as u32
+            if self.live_buckets == self.buckets.len() {
+                self.buckets.push(InlineBucket::default());
+            }
+            self.buckets[self.live_buckets].key = key;
+            self.live_buckets += 1;
+            (self.live_buckets - 1) as u32
         });
         let b = &mut self.buckets[bucket as usize];
         b.ids.push(id);
         b.pending += 1;
         self.bucket_of.push(bucket);
-        (id, outputs)
+        (id, first_output)
     }
 
     /// Folds one node's signature tokens into its lane accumulator
@@ -481,6 +554,12 @@ impl Dfg {
         &self.nodes[id.0 as usize]
     }
 
+    /// Argument values of `id`, one per kernel input slot.
+    pub fn args(&self, id: NodeId) -> &[ValueId] {
+        let n = &self.nodes[id.0 as usize];
+        &self.node_args[n.args_start as usize..][..n.args_len as usize]
+    }
+
     /// All nodes (executed and pending).
     pub fn nodes(&self) -> &[DfgNode] {
         &self.nodes
@@ -524,10 +603,7 @@ impl Dfg {
 
     /// True when all arguments of `node` are materialized.
     pub fn args_ready(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize]
-            .args
-            .iter()
-            .all(|a| matches!(self.values[a.0 as usize], ValueState::Ready(_)))
+        self.args(node).iter().all(|a| matches!(self.values[a.0 as usize], ValueState::Ready(_)))
     }
 
     /// Removes `node` from the pending set in O(1) via swap-remove, and
@@ -577,7 +653,7 @@ impl Dfg {
 
     /// The incremental inline-scheduling bucket index.
     pub(crate) fn inline_buckets(&self) -> &[InlineBucket] {
-        &self.buckets
+        &self.buckets[..self.live_buckets]
     }
 
     /// Marks a node executed, materializing its outputs.
@@ -587,11 +663,10 @@ impl Dfg {
     /// Panics if output counts disagree (internal error).
     pub fn complete_node(&mut self, node: NodeId, outputs: Vec<DeviceTensor>) {
         let n = &mut self.nodes[node.0 as usize];
-        assert_eq!(n.outputs.len(), outputs.len(), "output arity mismatch");
+        assert_eq!(n.outputs().len(), outputs.len(), "output arity mismatch");
         assert!(!n.executed, "node executed twice");
         n.executed = true;
-        let out_ids = n.outputs.clone();
-        for (vid, t) in out_ids.into_iter().zip(outputs) {
+        for (vid, t) in n.outputs().zip(outputs) {
             self.values[vid.0 as usize] = ValueState::Ready(t);
         }
         self.remove_pending(node);
@@ -616,7 +691,7 @@ impl Dfg {
         let slots = outputs.len();
         for &id in batch {
             let n = &self.nodes[id.0 as usize];
-            assert_eq!(n.outputs.len(), slots, "output arity mismatch");
+            assert_eq!(n.outputs().len(), slots, "output arity mismatch");
             assert!(!n.executed, "node executed twice");
         }
         for (slot, lanes) in outputs.iter().enumerate() {
@@ -624,8 +699,7 @@ impl Dfg {
         }
         for (slot, lanes) in outputs.into_iter().enumerate() {
             for (lane, t) in lanes.into_iter().enumerate() {
-                let node = &self.nodes[batch[lane].0 as usize];
-                let vid = node.outputs[slot];
+                let vid = self.nodes[batch[lane].0 as usize].output(slot);
                 self.values[vid.0 as usize] = ValueState::Ready(t);
             }
         }
@@ -674,7 +748,7 @@ impl Dfg {
                     return Err(format!("node {idx} neither pending nor executed"));
                 }
                 // Executed nodes must have every output materialized.
-                for &v in &node.outputs {
+                for v in node.outputs() {
                     if matches!(self.values[v.0 as usize], ValueState::Pending { .. }) {
                         return Err(format!("executed node {idx} has pending output {v:?}"));
                     }
@@ -699,7 +773,7 @@ impl Dfg {
             return Err("bucket_of not parallel to nodes".into());
         }
         let mut bucket_pending_total = 0u64;
-        for (bi, b) in self.buckets.iter().enumerate() {
+        for (bi, b) in self.inline_buckets().iter().enumerate() {
             bucket_pending_total += b.pending as u64;
             if self.bucket_lookup.get(&b.key) != Some(&(bi as u32)) {
                 return Err(format!("bucket {bi} not found under its key in bucket_lookup"));
@@ -746,7 +820,7 @@ impl Dfg {
                     Some(n) => n,
                     None => return Err(format!("value {vi} names missing producer {producer:?}")),
                 };
-                if node.outputs.get(*slot) != Some(&ValueId(vi as u64)) {
+                if node.outputs().nth(*slot) != Some(ValueId(vi as u64)) {
                     return Err(format!("value {vi} slot {slot} not an output of {producer:?}"));
                 }
             }
@@ -1113,6 +1187,136 @@ mod tests {
         assert!(!dfg.has_canonical_order());
         assert_eq!(dfg.canon_pos(NodeId(1)), 1);
         assert_eq!(dfg.id_at_canon(0), NodeId(0));
+    }
+
+    /// Two-input, two-output nodes chained `links` deep per instance: each
+    /// consumes the previous node's outputs (the shared ready input first).
+    fn flat_window(dfg: &mut Dfg, x: ValueId, links: u64) -> Vec<(NodeId, [ValueId; 2])> {
+        let mut built = Vec::new();
+        for instance in 0..3 {
+            let mut ins = [x, x];
+            for depth in 0..links {
+                let (id, first) = dfg.add_node_in_lane(
+                    acrobat_codegen::KernelId(depth as u32 % 2),
+                    instance,
+                    lane::root(instance),
+                    depth,
+                    0,
+                    0,
+                    &ins,
+                    2,
+                );
+                built.push((id, ins));
+                ins = [first, ValueId(first.0 + 1)];
+            }
+        }
+        built
+    }
+
+    fn drain(dfg: &mut Dfg, mem: &mut DeviceMem) {
+        let mut pending = dfg.pending().to_vec();
+        pending.sort_unstable();
+        for id in pending {
+            let outs = (0..2).map(|_| mem.upload(&Tensor::ones(&[1])).unwrap()).collect();
+            dfg.complete_node(id, outs);
+        }
+    }
+
+    #[test]
+    fn flat_args_and_outputs_round_trip() {
+        let mut mem = DeviceMem::new(1 << 12);
+        let mut dfg = Dfg::new();
+        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[1])).unwrap());
+        let built = flat_window(&mut dfg, x, 3);
+        for (id, ins) in &built {
+            assert_eq!(dfg.args(*id), ins, "{id:?}");
+            let outs: Vec<ValueId> = dfg.node(*id).outputs().collect();
+            assert_eq!(outs.len(), 2);
+            assert_eq!(outs[1], ValueId(outs[0].0 + 1), "outputs are consecutive");
+            assert_eq!(dfg.node(*id).output(1), outs[1]);
+            for (slot, v) in outs.iter().enumerate() {
+                let ValueState::Pending { producer, slot: s } = dfg.value(*v) else {
+                    panic!("fresh output must be pending");
+                };
+                assert_eq!((*producer, *s), (*id, slot));
+            }
+        }
+        dfg.verify_consistent().unwrap();
+    }
+
+    #[test]
+    fn flat_ranges_survive_drain_window_reset_and_thaw() {
+        use crate::plan_cache::{plan_cached, CacheConfig, CacheOutcome, PlanCache, PlanL1};
+        use crate::scheduler::{Plan, SchedulerKind, SchedulerScratch};
+        let mut mem = DeviceMem::new(1 << 12);
+        let mut dfg = Dfg::new();
+        dfg.set_signature_tracking(true);
+        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[1])).unwrap());
+        let cfg = CacheConfig {
+            kind: SchedulerKind::InlineDepth,
+            gather_fusion: true,
+            coarsen: true,
+            lane_cap: 0,
+            share: true,
+        };
+        let (cache, mut l1) = (PlanCache::new(), PlanL1::new());
+        let (mut scratch, mut plan) = (SchedulerScratch::new(), Plan::default());
+
+        // Window 1 misses; after a drain, window 2 — same structure at new
+        // ids, appended to the same flat argument array — thaws its plan.
+        let first = flat_window(&mut dfg, x, 2);
+        let out = plan_cached(&cfg, &mut dfg, &mut scratch, &mut l1, &cache, &mut plan);
+        assert!(matches!(out, CacheOutcome::Miss { .. }));
+        drain(&mut dfg, &mut mem);
+        let second = flat_window(&mut dfg, x, 2);
+        let out = plan_cached(&cfg, &mut dfg, &mut scratch, &mut l1, &cache, &mut plan);
+        assert_eq!(out, CacheOutcome::Hit);
+        for (id, ins) in first.iter().chain(&second) {
+            assert_eq!(dfg.args(*id), ins, "{id:?} after the second window");
+        }
+        dfg.verify_consistent().unwrap();
+
+        // `reset` is `new` with the buffers kept: ids restart at zero and
+        // the ranges of the rebuilt window are the rebuilt window's.
+        drain(&mut dfg, &mut mem);
+        dfg.reset();
+        assert_eq!((dfg.node_count(), dfg.value_count()), (0, 0));
+        assert!(dfg.window_signature().is_none(), "tracking is off after reset");
+        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[1])).unwrap());
+        let rebuilt = flat_window(&mut dfg, x, 2);
+        assert_eq!(rebuilt[0].0, NodeId(0));
+        for (id, ins) in &rebuilt {
+            assert_eq!(dfg.args(*id), ins, "{id:?} after reset");
+        }
+        dfg.verify_consistent().unwrap();
+    }
+
+    #[test]
+    fn vec_add_node_wrapper_matches_the_slice_entry_point() {
+        // The `Vec` form returns the node and *all* its output ids, root
+        // lane, exactly as before outputs became a `(first, count)` pair.
+        let build = |wrapper: bool| {
+            let mut mem = DeviceMem::new(64);
+            let mut dfg = Dfg::new();
+            dfg.set_signature_tracking(true);
+            let x = dfg.ready_value(mem.upload(&Tensor::ones(&[1])).unwrap());
+            let k = acrobat_codegen::KernelId(3);
+            let outs = if wrapper {
+                let (id, outs) = dfg.add_node(k, 1, 4, 2, 9, vec![x, x], 3);
+                assert_eq!(id, NodeId(0));
+                outs
+            } else {
+                let (_, first) = dfg.add_node_in_lane(k, 1, lane::root(1), 4, 2, 9, &[x, x], 3);
+                (0..3).map(|s| ValueId(first.0 + s)).collect()
+            };
+            let n = *dfg.node(NodeId(0));
+            ((n.kernel, n.instance, n.depth, n.phase, n.shared_sig), outs, dfg.window_signature())
+        };
+        assert_eq!(build(true), build(false));
+        assert_eq!(build(true).1, vec![ValueId(1), ValueId(2), ValueId(3)]);
+        let mut dfg = Dfg::new();
+        let (_, none) = dfg.add_node(acrobat_codegen::KernelId(0), 0, 0, 0, 0, vec![], 0);
+        assert!(none.is_empty());
     }
 
     #[test]

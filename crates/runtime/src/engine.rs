@@ -16,10 +16,14 @@
 //! [`Engine::retuned`], producing a fresh engine that new requests pick up
 //! while in-flight requests finish against the old one.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use acrobat_analysis::AnalysisResult;
-use acrobat_codegen::{KernelBackendKind, KernelLibrary, SpecializedBackend};
+use acrobat_analysis::fusion::GroupId;
+use acrobat_analysis::{AnalysisResult, ArgClass};
+use acrobat_codegen::{
+    KernelBackendKind, KernelId, KernelLibrary, KernelProgram, SpecializedBackend,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -101,6 +105,33 @@ impl Default for RuntimeOptions {
     }
 }
 
+/// One fusion group as the DFG sees it — its kernel, its output arity and
+/// which of its input slots are shared operands — resolved once per engine
+/// ([`Engine::unit`]) rather than once per appended node.  Group → kernel
+/// bindings are a function of the analysis alone, so a re-tuned engine
+/// ([`Engine::retuned`]) resolves every group to an equal `Unit`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Unit {
+    /// The batched kernel that executes the group.
+    pub kernel: KernelId,
+    /// Number of kernel output slots.
+    pub outputs: u32,
+    /// Input slots classified [`acrobat_analysis::ArgClass::Shared`],
+    /// ascending: the operands folded into a node's `shared_sig`.
+    pub shared_slots: Box<[u16]>,
+}
+
+impl Unit {
+    fn of(program: &KernelProgram) -> Unit {
+        let shared_slots = (0u16..)
+            .zip(&program.inputs)
+            .filter(|(_, input)| input.class == ArgClass::Shared)
+            .map(|(slot, _)| slot)
+            .collect();
+        Unit { kernel: program.id, outputs: program.outputs.len() as u32, shared_slots }
+    }
+}
+
 /// The immutable compiled artifact shared by all concurrent mini-batches.
 ///
 /// Everything in here is request-invariant: the kernel library generated by
@@ -111,6 +142,8 @@ impl Default for RuntimeOptions {
 pub struct Engine {
     analysis: Arc<AnalysisResult>,
     library: Arc<KernelLibrary>,
+    /// Per fusion group, its pre-resolved [`Unit`].
+    units: BTreeMap<GroupId, Unit>,
     model: DeviceModel,
     options: RuntimeOptions,
     /// The shared flush-plan cache ([`crate::plan_cache`]).  Engine-resident
@@ -138,9 +171,12 @@ impl Engine {
         // Empty: kernels compile on their first launch.
         let backend = (options.backend == KernelBackendKind::Spec)
             .then(|| SpecializedBackend::new(library.len()));
+        let groups = analysis.blocks.blocks.iter().flat_map(|b| &b.groups);
+        let units = groups.map(|g| (g.id, Unit::of(library.kernel_for_group(g.id)))).collect();
         Engine {
             analysis,
             library: Arc::new(library),
+            units,
             model,
             options,
             plan_cache: crate::plan_cache::PlanCache::new(),
@@ -156,6 +192,15 @@ impl Engine {
     /// The kernel library.
     pub fn library(&self) -> &KernelLibrary {
         &self.library
+    }
+
+    /// The pre-resolved scheduling unit of a fusion group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is not from this engine's analysis.
+    pub fn unit(&self, group: GroupId) -> &Unit {
+        &self.units[&group]
     }
 
     /// The device cost model.

@@ -240,9 +240,8 @@ impl SchedulerScratch {
         self.depths.resize(n, 0);
         let mut decisions = 0u64;
         for i in 0..n {
-            let node = dfg.node(self.ids[i]);
             let mut d = 0u64;
-            for a in &node.args {
+            for a in dfg.args(self.ids[i]) {
                 decisions += per_arg;
                 if let Some(p) = dfg.producer(*a) {
                     if let Some(pp) = self.pending_pos(p) {
@@ -478,7 +477,7 @@ fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
     scratch.cons_start.clear();
     scratch.cons_start.resize(n + 1, 0);
     for i in 0..n {
-        for a in &dfg.node(scratch.ids[i]).args {
+        for a in dfg.args(scratch.ids[i]) {
             if let Some(p) = dfg.producer(*a) {
                 if let Some(pp) = scratch.pending_pos(p) {
                     scratch.cons_start[pp as usize + 1] += 1;
@@ -494,7 +493,7 @@ fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
     scratch.consumers.resize(scratch.cons_start[n] as usize, 0);
     // Fill edges using the offsets as cursors; a reverse pass restores them.
     for i in 0..n {
-        for a in &dfg.node(scratch.ids[i]).args {
+        for a in dfg.args(scratch.ids[i]) {
             if let Some(p) = dfg.producer(*a) {
                 if let Some(pp) = scratch.pending_pos(p) {
                     let cursor = &mut scratch.cons_start[pp as usize];
@@ -636,9 +635,8 @@ pub mod reference {
         let mut depth: BTreeMap<NodeId, u64> = BTreeMap::new();
         let mut decisions = 0u64;
         for &id in &pending {
-            let n = dfg.node(id);
             let mut d = 0u64;
-            for a in &n.args {
+            for a in dfg.args(id) {
                 decisions += 1;
                 if let Some(p) = dfg.producer(*a) {
                     if pending_set.contains(&p) {
@@ -670,9 +668,8 @@ pub mod reference {
 
         let mut depth: BTreeMap<NodeId, u64> = BTreeMap::new();
         for &id in &pending {
-            let n = dfg.node(id);
             let mut d = 0u64;
-            for a in &n.args {
+            for a in dfg.args(id) {
                 if let Some(p) = dfg.producer(*a) {
                     if pending_set.contains(&p) {
                         d = d.max(depth.get(&p).copied().unwrap_or(0) + 1);
@@ -691,7 +688,7 @@ pub mod reference {
             for &id in &remaining {
                 decisions += 1;
                 let n = dfg.node(id);
-                let ready = n.args.iter().all(|a| match dfg.producer(*a) {
+                let ready = dfg.args(id).iter().all(|a| match dfg.producer(*a) {
                     Some(p) => !pending_set.contains(&p) || done.contains(&p),
                     None => true,
                 });
@@ -752,7 +749,7 @@ mod tests {
         let mut done = std::collections::BTreeSet::new();
         for batch in plan.batches() {
             for &id in batch {
-                for a in &dfg.node(id).args {
+                for a in dfg.args(id) {
                     if let Some(p) = dfg.producer(*a) {
                         assert!(done.contains(&p), "dependency violated");
                     }

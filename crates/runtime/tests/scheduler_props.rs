@@ -57,7 +57,7 @@ fn check_plan(dfg: &Dfg, kind: SchedulerKind) {
             assert_eq!(n.kernel, first.kernel, "{kind:?}: mixed kernels in a batch");
             assert_eq!(n.shared_sig, first.shared_sig, "{kind:?}: mixed shared operands");
             // Dependences already executed.
-            for a in &n.args {
+            for a in dfg.args(id) {
                 if let Some(p) = dfg.producer(*a) {
                     assert!(done.contains(&p), "{kind:?}: dependence violated");
                 }

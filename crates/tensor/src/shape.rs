@@ -6,8 +6,12 @@ use crate::{Result, TensorError};
 
 /// A dense, row-major tensor shape.
 ///
-/// Shapes are small (rank ≤ 4 in every model the paper evaluates) so they are
-/// stored inline in a `Vec<usize>`; scalars are rank-0 shapes with volume 1.
+/// Every per-instance tensor of every model the paper evaluates is a
+/// scalar, a vector or a matrix, and a shape rides on every host tensor and
+/// every device handle — so ranks 0–2 are stored inline (a shape is three
+/// words either way, and cloning one allocates nothing); only higher ranks
+/// (lane-stacked batches) own a heap slice.  Scalars are rank-0 shapes with
+/// volume 1.  Equality, ordering and hashing are those of the extent list.
 ///
 /// ```
 /// use acrobat_tensor::Shape;
@@ -16,28 +20,44 @@ use crate::{Result, TensorError};
 /// assert_eq!(s.numel(), 6);
 /// assert_eq!(s.strides(), vec![3, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Shape(Vec<usize>);
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Shape(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Rank ≤ 2: the extents in `dims[..rank]`, the rest zero.
+    Inline { dims: [usize; 2], rank: u8 },
+    /// Rank ≥ 3.
+    Heap(Box<[usize]>),
+}
 
 impl Shape {
     /// Creates a shape from extents.
     pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        Shape(match *dims {
+            [] => Repr::Inline { dims: [0, 0], rank: 0 },
+            [n] => Repr::Inline { dims: [n, 0], rank: 1 },
+            [m, n] => Repr::Inline { dims: [m, n], rank: 2 },
+            _ => Repr::Heap(dims.into()),
+        })
     }
 
     /// The scalar (rank-0) shape.
     pub const fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape(Repr::Inline { dims: [0, 0], rank: 0 })
     }
 
     /// Number of axes.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.dims().len()
     }
 
     /// Extents of all axes.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        match &self.0 {
+            Repr::Inline { dims, rank } => &dims[..*rank as usize],
+            Repr::Heap(dims) => dims,
+        }
     }
 
     /// Extent of axis `i`.
@@ -46,12 +66,12 @@ impl Shape {
     ///
     /// Panics if `i >= self.rank()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// Total number of elements (1 for scalars).
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Size of the shape in bytes when stored as `f32`.
@@ -61,9 +81,10 @@ impl Shape {
 
     /// Row-major strides, one per axis.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
     }
@@ -79,7 +100,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::Rank`] for ranks above 2.
     pub fn as_matrix(&self) -> Result<(usize, usize)> {
-        match self.0.as_slice() {
+        match self.dims() {
             [] => Ok((1, 1)),
             [n] => Ok((1, *n)),
             [m, n] => Ok((*m, *n)),
@@ -90,7 +111,7 @@ impl Shape {
     /// The number of rows when viewed as a matrix of rows (product of all
     /// axes but the last); scalars have one row.
     pub fn rows(&self) -> usize {
-        match self.0.split_last() {
+        match self.dims().split_last() {
             Some((_, lead)) => lead.iter().product::<usize>().max(1),
             None => 1,
         }
@@ -98,7 +119,7 @@ impl Shape {
 
     /// The extent of the last axis (1 for scalars).
     pub fn last_dim(&self) -> usize {
-        self.0.last().copied().unwrap_or(1)
+        self.dims().last().copied().unwrap_or(1)
     }
 
     /// Computes the elementwise broadcast of two shapes.
@@ -130,7 +151,7 @@ impl Shape {
         }
         // Row-vector broadcast: [1, n] or [n] vs [m, n].
         let row_of = |s: &Shape| -> Option<usize> {
-            match s.0.as_slice() {
+            match s.dims() {
                 [n] => Some(*n),
                 [1, n] => Some(*n),
                 _ => None,
@@ -170,7 +191,7 @@ impl Shape {
             return BroadcastMap::Scalar;
         }
         let n = out.last_dim();
-        match self.0.as_slice() {
+        match self.dims() {
             [k] if *k == n => BroadcastMap::Row(n),
             [1, k] if *k == n => BroadcastMap::Row(n),
             [m, 1] if out.rank() == 2 && out.dim(0) == *m => BroadcastMap::Col(n),
@@ -205,10 +226,42 @@ impl BroadcastMap {
     }
 }
 
+impl PartialEq for Shape {
+    fn eq(&self, other: &Shape) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for Shape {}
+
+impl PartialOrd for Shape {
+    fn partial_cmp(&self, other: &Shape) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Shape {
+    fn cmp(&self, other: &Shape) -> std::cmp::Ordering {
+        self.dims().cmp(other.dims())
+    }
+}
+
+impl std::hash::Hash for Shape {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
+    }
+}
+
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, d) in self.0.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -226,13 +279,13 @@ impl From<&[usize]> for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::new(&dims)
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape(dims.to_vec())
+        Shape::new(&dims)
     }
 }
 
@@ -318,5 +371,31 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Shape::new(&[1, 256]).to_string(), "(1, 256)");
+        assert_eq!(format!("{:?}", Shape::new(&[1, 256])), "Shape([1, 256])");
+    }
+
+    #[test]
+    fn inline_and_heap_shapes_are_one_type() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        // Three words whatever the rank; ranks 0–2 own no heap memory.
+        assert_eq!(std::mem::size_of::<Shape>(), std::mem::size_of::<Vec<usize>>());
+        let lists: [&[usize]; 7] = [&[], &[5], &[1, 0], &[1, 5], &[2], &[1, 2, 3], &[9, 9, 9, 9]];
+        for a in lists {
+            let s = Shape::new(a);
+            assert_eq!((s.dims(), s.rank(), s.clone()), (a, a.len(), Shape::from(a.to_vec())));
+            for b in lists {
+                // Equality, order and hash are the extent list's.
+                let t = Shape::new(b);
+                assert_eq!(s == t, a == b);
+                assert_eq!(s.cmp(&t), a.cmp(b), "{a:?} vs {b:?}");
+            }
+            let hash = |v: &dyn Fn(&mut DefaultHasher)| {
+                let mut h = DefaultHasher::new();
+                v(&mut h);
+                h.finish()
+            };
+            assert_eq!(hash(&|h| s.hash(h)), hash(&|h| a.to_vec().hash(h)));
+        }
     }
 }

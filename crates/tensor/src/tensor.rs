@@ -20,7 +20,7 @@ use crate::{Result, Shape, TensorError};
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Box<[f32]>,
 }
 
 impl Tensor {
@@ -35,7 +35,7 @@ impl Tensor {
         if data.len() != shape.numel() {
             return Err(TensorError::DataLength { got: data.len(), expected: shape.numel() });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor { shape, data: data.into() })
     }
 
     /// Creates a tensor of zeros.
@@ -51,13 +51,13 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn fill(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        let data = vec![value; shape.numel()];
+        let data = vec![value; shape.numel()].into();
         Tensor { shape, data }
     }
 
     /// Creates a rank-0 scalar tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor { shape: Shape::scalar(), data: Box::new([value]) }
     }
 
     /// Creates a tensor whose elements are produced by `f(flat_index)`.
@@ -84,7 +84,7 @@ impl Tensor {
 
     /// Consumes the tensor, returning its buffer and shape.
     pub fn into_parts(self) -> (Vec<f32>, Shape) {
-        (self.data, self.shape)
+        (self.data.into_vec(), self.shape)
     }
 
     /// The scalar value of a single-element tensor.

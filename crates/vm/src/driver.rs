@@ -7,6 +7,17 @@
 //! it does (§4.2) — flushing the DFG at sync points, then drain the final
 //! DFG and download the results.
 //!
+//! Where the program runs depends on the backend.  The AOT executor
+//! ([`crate::aot`]) keeps its call stack in heap frames, so a sequential
+//! run drives every instance inline on the calling thread, and a
+//! fiber-mode run gives each instance a default-size thread.  The
+//! Relay-VM interpreter ([`crate::interp`]) recurses natively and alone
+//! still runs on a big-stack thread.  The boundary conversions follow the
+//! same split: request inputs become arena words and result words become
+//! [`OutputValue`]s once per request ([`crate::aot::AotProgram::bind`] /
+//! [`crate::aot::AotProgram::output`]); the interpreter keeps its boxed
+//! [`Value`]s.
+//!
 //! Each `run` call is self-contained: it pins the session's current
 //! [`Engine`](acrobat_runtime::Engine), acquires a private
 //! [`ExecutionContext`] (pooled across mini-batches), and executes without
@@ -20,13 +31,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acrobat_ir::{ExprKind, ParamKind};
-use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats};
+use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats, ValueId};
 use acrobat_tensor::{FaultPlan, Tensor, TensorError};
 
-use crate::aot::AotBackend;
+use crate::aot::{AotBackend, Scratch};
 use crate::broker::{BatchBroker, BrokerStats};
 use crate::interp::VmBackend;
-use crate::session::{ExecCtx, RtHandle, RunSession, Session, VmError};
+use crate::session::{ExecCtx, Handle, RunSession, Session, VmError};
 use crate::value::{InputValue, OutputValue, TensorRef, Value};
 
 /// Which execution backend to use.
@@ -40,22 +51,7 @@ pub enum BackendKind {
 
 enum BackendImpl {
     Vm(VmBackend),
-    Aot(AotBackend),
-}
-
-impl BackendImpl {
-    fn run_instance(
-        &self,
-        run: &RunSession<'_>,
-        rt: &mut RtHandle<'_>,
-        ectx: &mut ExecCtx,
-        args: Vec<Value>,
-    ) -> Result<Value, VmError> {
-        match self {
-            BackendImpl::Vm(b) => b.run_instance(run, rt, ectx, args),
-            BackendImpl::Aot(b) => b.run_instance(run, rt, ectx, args),
-        }
-    }
+    Aot(Box<AotBackend>),
 }
 
 /// A ready-to-run model: session plus backend.
@@ -155,9 +151,21 @@ impl Executable {
         let session = Session::new(engine, seed, fiber_mode);
         let backend = match kind {
             BackendKind::Vm => BackendImpl::Vm(VmBackend::new(Arc::new(analysis.module.clone()))),
-            BackendKind::Aot => BackendImpl::Aot(AotBackend::compile(&analysis.module, &session)?),
+            BackendKind::Aot => {
+                BackendImpl::Aot(Box::new(AotBackend::compile(&analysis.module, &session)?))
+            }
         };
         Ok(Executable { session: Arc::new(session), backend, broker })
+    }
+
+    /// The AOT backend's lowered program, disassembled — one instruction per
+    /// line, each `Emit` with its pre-resolved descriptor.  `None` for the
+    /// Relay-VM backend, which interprets the syntax tree.
+    pub fn disassemble(&self) -> Option<String> {
+        match &self.backend {
+            BackendImpl::Vm(_) => None,
+            BackendImpl::Aot(aot) => Some(aot.program().to_string()),
+        }
     }
 
     /// Queue-level broker counters, when cross-request batching is enabled
@@ -309,9 +317,9 @@ impl Executable {
         out.into_iter().map(|r| r.expect("every member settled")).collect()
     }
 
-    /// Executes one admitted mini-batch on its pinned engine: bind → drive
-    /// → drain → collect.  Returns the context alongside the result (it
-    /// moves by value across the drive step's thread scope) so the caller
+    /// Executes one admitted mini-batch on its pinned engine: upload → bind
+    /// → drive → drain → collect.  Returns the context alongside the result
+    /// (it moves by value across the fiber-mode thread scope) so the caller
     /// can pool or quarantine it from every exit.
     ///
     /// `instances` is a slice of references so a group can concatenate its
@@ -324,78 +332,177 @@ impl Executable {
         instances: &[&Vec<InputValue>],
         keys: &[u64],
     ) -> (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext) {
-        let instance_args = match bind_inputs(run, &mut ctx, params, instances) {
-            Ok(args) => args,
+        let uploaded = match upload(run, &mut ctx, params, instances) {
+            Ok(uploaded) => uploaded,
             Err(e) => return (Err(e), ctx),
         };
-        let exec_start = Instant::now();
-        let (values, mut ctx) = self.drive(run, ctx, instance_args, keys);
-        let result = values.and_then(|values| {
-            // A run poisoned by a failed eager launch reports that failure,
-            // not whatever draining its half-executed DFG would raise.
-            if let Some(e) = run.poisoned() {
-                return Err(e.into());
+        match &self.backend {
+            BackendImpl::Vm(vm) => run_vm(vm, run, ctx, &uploaded, instances, keys),
+            BackendImpl::Aot(aot) => {
+                let mut scratch = aot.acquire();
+                let (result, ctx) =
+                    run_aot(aot, &mut scratch, run, ctx, &uploaded, instances, keys);
+                // A failed run's machine is dropped with its context.
+                if result.is_ok() {
+                    aot.release(scratch);
+                }
+                (result, ctx)
             }
-            // Drain: flush the remaining work.  The hub is per-run, so its
-            // switch count is exactly this run's fiber activity.
-            ctx.flush()?;
-            ctx.charge_fiber_switches(run.hub.switch_count());
-            let program_host_us = exec_start.elapsed().as_secs_f64() * 1e6;
-            collect(run, &mut ctx, &values, program_host_us)
+        }
+    }
+}
+
+/// The interpreter recurses natively and model recursion depth is
+/// input-dependent (long sequences, deep trees), so the Relay-VM baseline
+/// runs on a thread with a generous stack.
+const VM_STACK: usize = 64 << 20;
+
+/// Fiber-hub watchdog: a hub that reaches neither a flush point nor
+/// termination for this long fails the run with a structured
+/// [`VmError::DriveTimeout`] instead of hanging.  A constant, not an option:
+/// nothing ever set another value.
+const DRIVE_STALL: Duration = Duration::from_secs(60);
+
+/// What [`upload`] put on the device for one mini-batch.
+struct Uploaded {
+    /// Per `@main` parameter: the weight's DFG value for a `$` parameter,
+    /// `None` for a `%` one.
+    weights: Vec<Option<ValueId>>,
+    /// Every instance's input tensors, in instance then traversal order.
+    tensors: Vec<ValueId>,
+}
+
+/// Uploads a mini-batch to its context: the weights, then every instance's
+/// input tensors as one batched transfer; validates names and arity.
+fn upload(
+    session: &Session,
+    ctx: &mut ExecutionContext,
+    params: &BTreeMap<String, Tensor>,
+    instances: &[&Vec<InputValue>],
+) -> Result<Uploaded, VmError> {
+    let main = session.analysis.module.functions.get("main").expect("main exists");
+
+    // Upload weights (outside the per-batch accounting, as weights persist
+    // across mini-batches in a serving system).
+    let mut weights = Vec::with_capacity(main.params.len());
+    for p in &main.params {
+        weights.push(match p.kind {
+            ParamKind::Input => None,
+            ParamKind::Model => {
+                let host = params.get(&p.name).ok_or_else(|| {
+                    VmError::Input(format!("missing model parameter ${}", p.name))
+                })?;
+                let dev = ctx.mem_mut().upload(host)?;
+                Some(ctx.ready_value(dev))
+            }
         });
-        (result, ctx)
     }
 
-    /// Executes the unbatched program for every instance: sequentially on
-    /// one big-stack thread, or — when the model has tensor-dependent
-    /// control flow — concurrently on one fiber per instance, flushing
-    /// whenever every fiber is parked at a sync point.
-    fn drive(
-        &self,
-        run: &RunSession<'_>,
-        mut ctx: ExecutionContext,
-        instance_args: Vec<Vec<Value>>,
-        keys: &[u64],
-    ) -> (Result<Vec<Value>, VmError>, ExecutionContext) {
-        let backend = &self.backend;
-        let run_instance = move |rt: &mut RtHandle<'_>, i: usize, args: Vec<Value>| {
-            let mut ectx = ExecCtx::new(i, keys[i], run.seed, run.hoist_base);
-            backend.run_instance(run, rt, &mut ectx, args)
-        };
-        let big_stack = || std::thread::Builder::new().stack_size(FIBER_STACK);
-        if !run.fiber_mode {
-            let values = std::thread::scope(|scope| {
-                let ctx = &mut ctx;
-                let program = move || {
-                    let each = instance_args.into_iter().enumerate();
-                    each.map(|(i, args)| run_instance(&mut RtHandle::Own(&mut *ctx), i, args))
-                        .collect()
-                };
-                let executor = big_stack().spawn_scoped(scope, program).expect("spawn executor");
-                executor.join().expect("executor panicked")
-            });
-            return (values, ctx);
+    // Upload all instance input tensors as one batched transfer.
+    let input_count = weights.iter().filter(|w| w.is_none()).count();
+    let mut all_tensors: Vec<&Tensor> = Vec::new();
+    for (i, inst) in instances.iter().enumerate() {
+        if inst.len() != input_count {
+            return Err(VmError::Input(format!(
+                "instance {i} provides {} inputs, @main expects {input_count}",
+                inst.len()
+            )));
         }
+        for v in inst.iter() {
+            v.tensors(&mut all_tensors);
+        }
+    }
+    Ok(Uploaded { weights, tensors: ctx.upload_inputs(&all_tensors)? })
+}
+
+/// Drains a driven run: flushes the remaining work and closes the run's
+/// statistics.  The hub is per-run, so its switch count is exactly this
+/// run's fiber activity.
+fn drain(
+    run: &RunSession<'_>,
+    ctx: &mut ExecutionContext,
+    exec_start: Instant,
+) -> Result<f64, VmError> {
+    // A run poisoned by a failed eager launch reports that failure, not
+    // whatever draining its half-executed DFG would raise.
+    if let Some(e) = run.poisoned() {
+        return Err(e.into());
+    }
+    ctx.flush()?;
+    ctx.charge_fiber_switches(run.hub.switch_count());
+    Ok(exec_start.elapsed().as_secs_f64() * 1e6)
+}
+
+/// The run's statistics, with program host time excluding the time spent
+/// inside flush (measured separately as `host_wall_us`).
+fn closed_stats(ctx: &ExecutionContext, program_host_us: f64) -> RuntimeStats {
+    let mut stats = *ctx.stats();
+    stats.program_host_us = (program_host_us - stats.host_wall_us).max(0.0);
+    stats
+}
+
+type Outcome = (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext);
+
+/// The AOT path: bind the inputs to arena words, run `@main` per instance
+/// — inline on this thread, or one fiber per instance when the model has
+/// tensor-dependent control flow — drain, convert the result words.
+fn run_aot(
+    aot: &AotBackend,
+    scratch: &mut Scratch,
+    run: &RunSession<'_>,
+    mut ctx: ExecutionContext,
+    uploaded: &Uploaded,
+    instances: &[&Vec<InputValue>],
+    keys: &[u64],
+) -> Outcome {
+    let program = aot.program();
+    let weights = &uploaded.weights;
+    let mut tensors = uploaded.tensors.iter().copied();
+    for inst in instances {
+        let (arena, args) = (&mut scratch.arena, &mut scratch.main_args);
+        if let Err(e) = program.bind(weights, inst, &mut tensors, arena, args) {
+            return (Err(e), ctx);
+        }
+    }
+    let n = weights.len();
+    let main_args = &scratch.main_args;
+    let args_of = |i: usize| &main_args[i * n..(i + 1) * n];
+    let exec_start = Instant::now();
+    let words: Result<Vec<u64>, VmError> = if !run.fiber_mode {
+        let (mut rt, mut heap) = (Handle::Own(&mut ctx), Handle::Own(&mut scratch.arena));
+        let machine = &mut scratch.machine;
+        let each = keys.iter().enumerate().map(|(i, &key)| {
+            let mut ectx = ExecCtx::new(i, key, run.seed, run.hoist_base);
+            program.run_main(run, &mut rt, &mut heap, &mut ectx, machine, args_of(i))
+        });
+        each.collect()
+    } else {
         // Fiber interleaving is nondeterministic, so window signatures must
         // be order-invariant: switch the DFG to lane-canonical signing
         // ([`acrobat_runtime::Dfg::set_lane_canonical`]) before any fiber
         // appends.  Sequential runs keep the cheaper arrival-order chain
         // (their arrival order is deterministic).
         ctx.set_lane_canonical(true);
-        // The run's instance fibers share this run's context behind a
-        // run-local mutex; other concurrent runs have their own.
+        // The run's instance fibers share this run's context and arena
+        // behind run-local locks; other concurrent runs have their own.
         let cell = parking_lot::Mutex::new(ctx);
-        let values = std::thread::scope(|scope| {
-            let mut fibers = Vec::with_capacity(instance_args.len());
-            for (i, args) in instance_args.into_iter().enumerate() {
+        let heap = parking_lot::Mutex::new(std::mem::take(&mut scratch.arena));
+        let words = std::thread::scope(|scope| {
+            let mut fibers = Vec::with_capacity(instances.len());
+            for (i, &key) in keys.iter().enumerate() {
                 run.hub.register();
-                let cell = &cell;
+                let (cell, heap, args) = (&cell, &heap, args_of(i));
                 let fiber = move || {
-                    let value = run_instance(&mut RtHandle::Shared(cell), i, args);
+                    let (mut rt, mut heap) = (Handle::Shared(cell), Handle::Shared(heap));
+                    let mut ectx = ExecCtx::new(i, key, run.seed, run.hoist_base);
+                    let mut machine = Default::default();
+                    let word =
+                        program.run_main(run, &mut rt, &mut heap, &mut ectx, &mut machine, args);
                     run.hub.finish();
-                    value
+                    word
                 };
-                fibers.push(big_stack().spawn_scoped(scope, fiber).expect("spawn fiber"));
+                let spawned = std::thread::Builder::new().spawn_scoped(scope, fiber);
+                fibers.push(spawned.expect("spawn fiber"));
             }
             let flush = || {
                 let mut rt = cell.lock();
@@ -412,104 +519,74 @@ impl Executable {
                 run.poison(TensorError::Cancelled);
                 run.hub.cancel();
             }
-            let values: Vec<_> =
+            let words: Vec<_> =
                 fibers.into_iter().map(|f| f.join().expect("fiber panicked")).collect();
             match stalled {
                 Some(timeout) => Err(VmError::DriveTimeout(timeout)),
-                None => values.into_iter().collect(),
+                None => words.into_iter().collect(),
             }
         });
-        (values, cell.into_inner())
-    }
+        scratch.arena = heap.into_inner();
+        ctx = cell.into_inner();
+        words
+    };
+    let result = words.and_then(|words| {
+        let program_host_us = drain(run, &mut ctx, exec_start)?;
+        let outputs = words.iter().map(|w| program.output(*w, &scratch.arena, &mut ctx));
+        Ok((outputs.collect::<Result<_, _>>()?, closed_stats(&ctx, program_host_us)))
+    });
+    (result, ctx)
 }
 
-/// Model recursion depth is input-dependent (long sequences, deep trees), so
-/// execution threads get a generous stack — the AOT-to-C++ path in the paper
-/// likewise relies on native recursion.
-const FIBER_STACK: usize = 64 << 20;
-
-/// Fiber-hub watchdog: a hub that reaches neither a flush point nor
-/// termination for this long fails the run with a structured
-/// [`VmError::DriveTimeout`] instead of hanging.  A constant, not an option:
-/// nothing ever set another value.
-const DRIVE_STALL: Duration = Duration::from_secs(60);
-
-/// Binds a mini-batch to its context: uploads the weights and every
-/// instance's input tensors, validates the bindings, and builds one `@main`
-/// argument vector per instance.
-fn bind_inputs(
-    session: &Session,
-    ctx: &mut ExecutionContext,
-    params: &BTreeMap<String, Tensor>,
+/// The Relay-VM path: box the inputs as [`Value`]s, interpret `@main` per
+/// instance sequentially on one big-stack thread, drain, unbox the results.
+fn run_vm(
+    vm: &VmBackend,
+    run: &RunSession<'_>,
+    mut ctx: ExecutionContext,
+    uploaded: &Uploaded,
     instances: &[&Vec<InputValue>],
-) -> Result<Vec<Vec<Value>>, VmError> {
-    let main = session.analysis.module.functions.get("main").expect("main exists");
-
-    // Upload weights (outside the per-batch accounting, as weights persist
-    // across mini-batches in a serving system).
-    let mut param_values: BTreeMap<&str, Value> = BTreeMap::new();
-    for p in main.params.iter().filter(|p| p.kind == ParamKind::Model) {
-        let host = params
-            .get(&p.name)
-            .ok_or_else(|| VmError::Input(format!("missing model parameter ${}", p.name)))?;
-        let dev = ctx.mem_mut().upload(host)?;
-        let vid = ctx.ready_value(dev);
-        param_values.insert(&p.name, Value::Tensor(TensorRef::ready(vid)));
-    }
-
-    // Upload all instance input tensors as one batched transfer.
-    let input_count = main.params.iter().filter(|p| p.kind == ParamKind::Input).count();
-    let mut all_tensors: Vec<&Tensor> = Vec::new();
-    for (i, inst) in instances.iter().enumerate() {
-        if inst.len() != input_count {
-            return Err(VmError::Input(format!(
-                "instance {i} provides {} inputs, @main expects {input_count}",
-                inst.len()
-            )));
-        }
-        for v in inst.iter() {
-            v.tensors(&mut all_tensors);
-        }
-    }
-    let mut ids = ctx.upload_inputs(&all_tensors)?.into_iter();
-    let mut instance_args: Vec<Vec<Value>> = Vec::with_capacity(instances.len());
-    for inst in instances {
-        let mut args = Vec::with_capacity(main.params.len());
-        let mut inputs = inst.iter();
-        for p in &main.params {
-            match p.kind {
-                ParamKind::Model => args.push(param_values[p.name.as_str()].clone()),
-                ParamKind::Input => {
-                    let iv = inputs.next().expect("arity checked");
-                    args.push(convert_input(iv, session, &mut ids));
-                }
-            }
-        }
-        instance_args.push(args);
-    }
-    Ok(instance_args)
-}
-
-/// Downloads the outputs and closes the run's statistics.
-fn collect(
-    session: &Session,
-    ctx: &mut ExecutionContext,
-    values: &[Value],
-    program_host_us: f64,
-) -> Result<(Vec<OutputValue>, RuntimeStats), VmError> {
-    let outputs =
-        values.iter().map(|v| convert_output(v, session, ctx)).collect::<Result<_, _>>()?;
-    let mut stats = *ctx.stats();
-    // Program host time excludes time spent inside flush (measured
-    // separately as host_wall_us).
-    stats.program_host_us = (program_host_us - stats.host_wall_us).max(0.0);
-    Ok((outputs, stats))
+    keys: &[u64],
+) -> Outcome {
+    let mut ids = uploaded.tensors.iter().copied();
+    let instance_args: Vec<Vec<Value>> = instances
+        .iter()
+        .map(|inst| {
+            let mut inputs = inst.iter();
+            let arg = |w: &Option<ValueId>| match w {
+                Some(weight) => Value::Tensor(TensorRef::ready(*weight)),
+                None => convert_input(inputs.next().expect("arity checked"), run, &mut ids),
+            };
+            uploaded.weights.iter().map(arg).collect()
+        })
+        .collect();
+    let exec_start = Instant::now();
+    let values: Result<Vec<Value>, VmError> = std::thread::scope(|scope| {
+        let ctx = &mut ctx;
+        let program = move || {
+            let mut rt = Handle::Own(ctx);
+            let each = instance_args.into_iter().enumerate().map(|(i, args)| {
+                let mut ectx = ExecCtx::new(i, keys[i], run.seed, run.hoist_base);
+                vm.run_instance(run, &mut rt, &mut ectx, args)
+            });
+            each.collect()
+        };
+        let big_stack = std::thread::Builder::new().stack_size(VM_STACK);
+        let executor = big_stack.spawn_scoped(scope, program).expect("spawn executor");
+        executor.join().expect("executor panicked")
+    });
+    let result = values.and_then(|values| {
+        let program_host_us = drain(run, &mut ctx, exec_start)?;
+        let outputs = values.iter().map(|v| convert_output(v, run, &mut ctx));
+        Ok((outputs.collect::<Result<_, _>>()?, closed_stats(&ctx, program_host_us)))
+    });
+    (result, ctx)
 }
 
 fn convert_input(
     v: &InputValue,
     session: &Session,
-    ids: &mut std::vec::IntoIter<acrobat_runtime::ValueId>,
+    ids: &mut impl Iterator<Item = ValueId>,
 ) -> Value {
     match v {
         InputValue::Tensor(_) => {

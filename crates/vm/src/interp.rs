@@ -283,7 +283,7 @@ impl VmBackend {
             }
             ExprKind::Sync { kind, tensor } => {
                 let t = self.eval(tensor, env, run, rt, ctx)?;
-                let r = t.as_tensor();
+                let r = t.as_tensor().get().expect("tensor forced before its fusion group closed");
                 let v = match kind {
                     SyncKind::Item => run.item(rt, r)?,
                     SyncKind::Sample => run.sample(rt, ctx, r)?,

@@ -8,14 +8,18 @@
 //!   control-flow-heavy models, exactly like the paper's Relay VM baseline
 //!   (Table 7).
 //! * [`aot::AotBackend`] — the AOT-compiled path (§D.2): the program is
-//!   lowered at compile time to slot-resolved code with native scalars,
+//!   lowered at compile time to flat, typed register code — one instruction
+//!   array per function, registers that are plain words, calls that push
+//!   heap frames, and one pre-resolved `Emit` per fusion group (an operator
+//!   site that does not close its group is no code at all) — with
 //!   compiled-in inline depth computation, ghost-operator bumps and phase
 //!   boundaries, and fiber-based concurrency for tensor-dependent control
-//!   flow (§4.2).
+//!   flow (§4.2).  `Executable::disassemble` prints it.
 //!
-//! Both backends drive the same lazy-DFG session ([`session::Session`]);
-//! batching behaviour is identical, so measured differences isolate
-//! program-execution overhead.
+//! Both backends append to the same lazy DFG through one function
+//! ([`session::RunSession`]'s `emit_unit`), so measured differences isolate
+//! program-execution overhead: the interpreter resolves per call what the
+//! lowering resolved once.
 //!
 //! The top-level entry point is [`Executable`]: build with
 //! [`Executable::new`], run mini-batches with [`Executable::run`].
@@ -32,6 +36,6 @@ pub mod value;
 pub use broker::{BrokerStats, CohortRequest};
 pub use driver::{module_has_sync, BackendKind, Executable, RunOptions, RunResult};
 pub use session::{
-    AdmitPermit, ExecCtx, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError,
+    AdmitPermit, ExecCtx, Handle, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError,
 };
 pub use value::{InputValue, OutputValue, TensorRef, Value};

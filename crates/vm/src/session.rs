@@ -10,14 +10,20 @@
 //!
 //! An [`ExecCtx`] is the per-fiber execution state holding the *inline
 //! depth counter* of §4.1, the program-phase counter, the per-instance
-//! pseudo-random stream (§E.1) and the open fusion-group accumulators.
+//! pseudo-random stream (§E.1) and — for the Relay-VM baseline only — the
+//! open fusion-group accumulators.
 //!
-//! The central entry point is [`RunSession::exec_op_site`]: called by an
-//! executor whenever the unbatched program invokes a tensor operator.  It
-//! does **not** execute anything — it records the operator's arguments into
-//! its fusion group and, when the group's last site executes, emits one DFG
-//! node via `ExecutionContext::add_unit` (this is the lazy DFG construction
-//! of §2.2, at the granularity the static analysis chose).
+//! Neither executor executes a tensor operator: each appends one DFG node
+//! per fusion group, when the group's last site runs (the lazy DFG
+//! construction of §2.2, at the granularity the static analysis chose).
+//! What they share is the append itself, `RunSession::emit_unit`: depth
+//! choice, scheduling-unit head, `ExecutionContext::add_unit_in_lane`, the
+//! eager-mode flush.  How they get there is the Table 7 comparison.  The
+//! AOT lowering knows at compile time which registers feed and receive
+//! every group ([`crate::aot`]); the interpreter calls
+//! [`RunSession::exec_op_site`] at every operator site, which looks the
+//! site up, accumulates its operands and searches the bindings when the
+//! group closes.
 //!
 //! How the context is threaded depends on the mode, via [`RtHandle`]:
 //! sequential execution passes `RtHandle::Own(&mut ctx)` — direct mutable
@@ -35,7 +41,9 @@ use acrobat_analysis::blocks::BlockId;
 use acrobat_analysis::fusion::GroupId;
 use acrobat_analysis::AnalysisResult;
 use acrobat_ir::ExprId;
-use acrobat_runtime::{ContextPool, Engine, ExecutionContext, FiberHub, RuntimeStats};
+use acrobat_runtime::{
+    ContextPool, Engine, ExecutionContext, FiberHub, RuntimeStats, Unit, ValueId,
+};
 use acrobat_tensor::{DeviceTensor, TensorError};
 use parking_lot::Mutex;
 
@@ -73,6 +81,13 @@ pub enum VmError {
     /// The fiber hub stalled past its watchdog budget; the run was
     /// cancelled and drained instead of hanging.
     DriveTimeout(acrobat_runtime::DriveTimeout),
+    /// The program's call depth exceeded the AOT executor's frame-stack
+    /// budget ([`crate::aot::MAX_FRAMES`]): deep or runaway recursion fails
+    /// its own request instead of overflowing a native stack.
+    DepthExceeded {
+        /// The budget, in live frames per fiber.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for VmError {
@@ -89,6 +104,9 @@ impl fmt::Display for VmError {
                 write!(f, "overloaded: {in_flight} runs in flight (limit {limit}), request shed")
             }
             VmError::DriveTimeout(t) => write!(f, "{t}"),
+            VmError::DepthExceeded { limit } => {
+                write!(f, "call depth exceeded: more than {limit} live frames")
+            }
         }
     }
 }
@@ -270,46 +288,32 @@ impl ExecCtx {
     }
 }
 
-/// How an executor reaches the run's [`ExecutionContext`].
+/// How an executor reaches a piece of per-run state.
 ///
-/// Sequential runs own the context outright (`Own`) — method calls compile
-/// to direct field access, no synchronization.  Fiber-mode runs share one
-/// context among the run's instance fibers behind a mutex that belongs to
-/// *this run only* (`Shared`); other concurrent mini-batches have their own
-/// contexts and never touch it.
+/// Sequential runs own it outright (`Own`) — method calls compile to
+/// direct field access, no synchronization.  Fiber-mode runs share it among
+/// the run's fibers behind a lock that belongs to *this run only*
+/// (`Shared`); other concurrent mini-batches have their own and never touch
+/// it.
 #[derive(Debug)]
-pub enum RtHandle<'a> {
+pub enum Handle<'a, T> {
     /// Exclusive access (sequential execution) — lock-free.
-    Own(&'a mut ExecutionContext),
+    Own(&'a mut T),
     /// Per-run shared access (fiber mode).
-    Shared(&'a Mutex<ExecutionContext>),
+    Shared(&'a Mutex<T>),
 }
 
-impl<'a> RtHandle<'a> {
-    /// Runs `f` with mutable access to the context (locking only in fiber
-    /// mode, and only the run-local mutex).
+/// How an executor reaches the run's [`ExecutionContext`].
+pub type RtHandle<'a> = Handle<'a, ExecutionContext>;
+
+impl<T> Handle<'_, T> {
+    /// Runs `f` with mutable access (locking only in fiber mode, and only
+    /// the run-local lock).
     #[inline]
-    pub fn with<R>(&mut self, f: impl FnOnce(&mut ExecutionContext) -> R) -> R {
+    pub fn with<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
         match self {
-            RtHandle::Own(rt) => f(rt),
-            RtHandle::Shared(m) => f(&mut m.lock()),
-        }
-    }
-
-    /// Reborrows the handle for a nested call.
-    pub fn reborrow(&mut self) -> RtHandle<'_> {
-        match self {
-            RtHandle::Own(rt) => RtHandle::Own(rt),
-            RtHandle::Shared(m) => RtHandle::Shared(m),
-        }
-    }
-
-    /// The shared cell, when in fiber mode (child fibers build their own
-    /// handles from it).
-    pub fn shared(&self) -> Option<&'a Mutex<ExecutionContext>> {
-        match self {
-            RtHandle::Own(_) => None,
-            RtHandle::Shared(m) => Some(m),
+            Handle::Own(own) => f(own),
+            Handle::Shared(m) => f(&mut m.lock()),
         }
     }
 }
@@ -522,6 +526,15 @@ impl Session {
         ctx.depth = self.hoist_base;
     }
 
+    /// The static depth of a fusion group made of `sites` (in execution
+    /// order): groups whose sites are all hoisted run at the first one's
+    /// hoist index (§B.1); `None` for everything else, which takes the
+    /// inline depth counter.
+    pub fn static_depth(&self, mut sites: impl Iterator<Item = ExprId>) -> Option<u64> {
+        let depth = *self.hoist_index.get(&sites.next()?)?;
+        sites.all(|s| self.hoist_index.contains_key(&s)).then_some(depth)
+    }
+
     /// Whether a `let` site is a phase boundary.
     pub fn is_phase_boundary(&self, let_site: ExprId) -> bool {
         self.analysis.phase_boundaries.contains(&let_site)
@@ -619,7 +632,12 @@ impl<'s> RunSession<'s> {
         self.poison.lock().clone()
     }
 
-    /// Executes (records) one tensor-operator call site.
+    /// Executes (records) one tensor-operator call site — the Relay-VM
+    /// baseline's path, deliberately dynamic: every call looks the site up,
+    /// accumulates its operands into the open group and, on the group's
+    /// last site, searches the bindings.  The AOT lowering resolves all of
+    /// that at compile time ([`crate::aot`]) and shares only
+    /// [`RunSession::emit_unit`].
     ///
     /// `args` are the evaluated operand values.  Returns the site's (lazy)
     /// tensor result.
@@ -671,31 +689,51 @@ impl<'s> RunSession<'s> {
             });
             arg_ids.push(vid);
         }
+        let static_depth = self.session.static_depth(accum.results.iter().map(|(s, _)| *s));
+        let unit = self.engine.unit(group);
+        let first = self.emit_unit(rt, ctx, unit, static_depth, block, closes_block, &arg_ids);
 
-        // Depth: statically hoisted groups use their static depth and do not
-        // advance the dynamic counter (§B.1); everything else takes the
-        // inline counter and bumps it.
-        let all_hoisted =
-            accum.results.iter().all(|(s, _)| self.session.hoist_index.contains_key(s));
-        let depth = if all_hoisted {
-            self.session.hoist_index[&accum.results[0].0]
-        } else {
-            let d = ctx.depth;
+        // Fill the escaping results.
+        for (slot, site) in output_sites.iter().enumerate() {
+            let (_, r) =
+                accum.results.iter().find(|(s, _)| s == site).expect("output site recorded");
+            r.set(ValueId(first.0 + slot as u64));
+        }
+    }
+
+    /// Appends the DFG node of a fusion group whose last site just ran —
+    /// the one step both executors share.  Returns the node's first output
+    /// value (output slot `k` is `ValueId(first.0 + k)`).
+    ///
+    /// Depth: a statically hoisted group uses its static depth and does not
+    /// advance the dynamic counter (§B.1); everything else takes the inline
+    /// counter and bumps it.  The node heads a scheduling unit unless the
+    /// previous node of this fiber left the same static block open (§B.2).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn emit_unit(
+        &self,
+        rt: &mut RtHandle<'_>,
+        ctx: &mut ExecCtx,
+        unit: &Unit,
+        static_depth: Option<u64>,
+        block: BlockId,
+        closes_block: bool,
+        args: &[ValueId],
+    ) -> ValueId {
+        let depth = static_depth.unwrap_or_else(|| {
             ctx.depth += 1;
-            d
-        };
-
+            ctx.depth - 1
+        });
         let unit_head = ctx.current_block != Some(block);
         ctx.current_block = if closes_block { None } else { Some(block) };
-
-        let outs = rt.with(|rt| {
-            let outs = rt.add_unit_in_lane(
-                group,
+        rt.with(|rt| {
+            let first = rt.add_unit_in_lane(
+                unit,
                 ctx.instance,
                 ctx.lane,
                 depth,
                 ctx.phase,
-                arg_ids,
+                args,
                 unit_head,
             );
             if rt.options().eager && self.poisoned().is_none() {
@@ -707,15 +745,8 @@ impl<'s> RunSession<'s> {
                     self.poison(e);
                 }
             }
-            outs
-        });
-
-        // Fill the escaping results.
-        for (site, vid) in output_sites.iter().zip(outs) {
-            let (_, r) =
-                accum.results.iter().find(|(s, _)| s == site).expect("output site recorded");
-            r.set(vid);
-        }
+            first
+        })
     }
 
     /// Forces a tensor value: blocks (fiber mode) or flushes (sequential)
@@ -724,37 +755,27 @@ impl<'s> RunSession<'s> {
     /// # Errors
     ///
     /// Propagates flush errors.
-    pub fn force(&self, rt: &mut RtHandle<'_>, r: &TensorRef) -> Result<DeviceTensor, VmError> {
-        enum Got {
-            Ready(DeviceTensor),
-            Flushed,
-            Pending,
-        }
+    pub fn force(&self, rt: &mut RtHandle<'_>, v: ValueId) -> Result<DeviceTensor, VmError> {
         loop {
             if let Some(e) = self.poisoned() {
                 return Err(e.into());
             }
-            if let Some(vid) = r.get() {
-                let got = rt.with(|rt| -> Result<Got, VmError> {
-                    if let Some(t) = rt.tensor(vid) {
-                        return Ok(Got::Ready(t.clone()));
-                    }
-                    if !self.fiber_mode {
-                        rt.flush()?;
-                        return Ok(Got::Flushed);
-                    }
-                    Ok(Got::Pending)
-                })?;
-                match got {
-                    Got::Ready(t) => return Ok(t),
-                    Got::Flushed => continue,
-                    Got::Pending => {}
+            let ready = rt.with(|rt| -> Result<Option<DeviceTensor>, VmError> {
+                if let Some(t) = rt.tensor(v) {
+                    return Ok(Some(t.clone()));
                 }
-            } else if !self.fiber_mode {
-                panic!("tensor forced before its fusion group closed");
+                if !self.fiber_mode {
+                    rt.flush()?;
+                }
+                Ok(None)
+            })?;
+            match ready {
+                Some(t) => return Ok(t),
+                // Sequential: the flush above materialized it.
+                None if !self.fiber_mode => {}
+                // Fiber mode: suspend until the driver flushes.
+                None => self.hub.wait_for_flush(),
             }
-            // Fiber mode: suspend until the driver flushes.
-            self.hub.wait_for_flush();
         }
     }
 
@@ -763,8 +784,8 @@ impl<'s> RunSession<'s> {
     /// # Errors
     ///
     /// Propagates flush/read errors.
-    pub fn item(&self, rt: &mut RtHandle<'_>, r: &TensorRef) -> Result<f64, VmError> {
-        let t = self.force(rt, r)?;
+    pub fn item(&self, rt: &mut RtHandle<'_>, v: ValueId) -> Result<f64, VmError> {
+        let t = self.force(rt, v)?;
         let v = rt.with(|rt| -> Result<f64, VmError> { Ok(rt.mem_mut().read(&t)?[0] as f64) })?;
         Ok(v)
     }
@@ -779,9 +800,9 @@ impl<'s> RunSession<'s> {
         &self,
         rt: &mut RtHandle<'_>,
         ctx: &mut ExecCtx,
-        r: &TensorRef,
+        v: ValueId,
     ) -> Result<f64, VmError> {
-        let _ = self.force(rt, r)?;
+        let _ = self.force(rt, v)?;
         Ok(ctx.rng.next_f64())
     }
 }

@@ -1,17 +1,20 @@
-//! Runtime values shared by both execution backends.
+//! The request boundary ([`InputValue`], [`OutputValue`]) and the boxed
+//! runtime values of the Relay-VM baseline ([`Value`]).
 //!
-//! Tensor values are *lazy*: a [`TensorRef`] names a DFG value that may not
-//! have been computed yet (dynamic batching defers kernel execution).  The
-//! reference is filled exactly once, when the producing fusion group's DFG
-//! node is created.
+//! The interpreter's tensor values are *lazy*: a [`TensorRef`] names a DFG
+//! value that may not exist yet (dynamic batching defers kernel execution).
+//! The reference is filled exactly once, when the producing fusion group's
+//! DFG node is created.
 //!
-//! Scalar representation is where the two backends differ, reproducing the
-//! paper's §D.2/§E.2 comparison: the AOT backend stores native
-//! [`Value::Int`]/[`Value::Float`]/[`Value::Bool`], while the Relay-VM-style
-//! interpreter boxes every scalar as a heap-allocated zero-dimensional
-//! tensor ([`Value::BoxedScalar`]) — exactly what Relay's VM does, and a
-//! major source of its control-flow overhead.
+//! Value representation is where the two backends differ, reproducing the
+//! paper's §D.2/§E.2 comparison: the AOT backend has no `Value` at all —
+//! its registers are plain words whose meaning is fixed at lowering time
+//! ([`crate::aot`]) — while the Relay-VM-style interpreter boxes every
+//! scalar as a heap-allocated zero-dimensional tensor
+//! ([`Value::BoxedScalar`]), exactly what Relay's VM does and a major
+//! source of its control-flow overhead.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use acrobat_ir::Expr;
@@ -68,11 +71,11 @@ pub struct Closure {
 pub enum Value {
     /// A (lazy) device tensor.
     Tensor(TensorRef),
-    /// Native integer (AOT backend).
+    /// Native integer (a request input, before the interpreter boxes it).
     Int(i64),
-    /// Native float (AOT backend).
+    /// Native float (a request input).
     Float(f64),
-    /// Native boolean (AOT backend).
+    /// Native boolean (a request input).
     Bool(bool),
     /// A scalar boxed as a heap-allocated zero-dim tensor (Relay-VM
     /// backend; §D.2).
@@ -151,8 +154,10 @@ pub enum InputValue {
     Tuple(Vec<InputValue>),
     /// ADT value by constructor name.
     Adt {
-        /// Constructor name (e.g. `Cons`).
-        ctor: String,
+        /// Constructor name (e.g. `Cons`).  Names are almost always
+        /// literals, and an input tree carries one per node: borrowing the
+        /// literal (`"Cons".into()`) keeps a heap string off every node.
+        ctor: Cow<'static, str>,
         /// Field inputs.
         fields: Vec<InputValue>,
     },

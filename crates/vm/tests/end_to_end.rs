@@ -420,3 +420,171 @@ fn eager_device_oom_is_a_typed_error_like_batched() {
         assert_eq!(exe.session.runs_completed(), 0, "eager={eager}");
     }
 }
+
+fn try_build(src: &str) -> Result<Executable, acrobat_vm::VmError> {
+    let m = typeck::check_module(parse_module(src).unwrap()).unwrap();
+    let a = Arc::new(analyze(m, AnalysisOptions::default()).unwrap());
+    let lib = KernelLibrary::build(&a);
+    let engine = Engine::new(a, lib, DeviceModel::default(), RuntimeOptions::default());
+    Executable::new(engine, BackendKind::Aot, 42)
+}
+
+const COUNT: &str = "
+    def @count(%n: Int) -> Int { if %n <= 0 { 0 } else { 1 + @count(%n - 1) } }
+    def @loop(%n: Int) -> Int { @loop(%n + 1) }
+    def @main(%n: Int) -> Int { if %n < 0 { @loop(%n) } else { @count(%n) } }";
+
+/// Program calls push heap frames, so recursion depth is not bounded by the
+/// native stack of whichever thread submits the request: the parent commit
+/// returned at `@count(30_000)` and aborted the *process* at 50 000 on its
+/// 64 MiB executor thread.
+#[test]
+fn deep_recursion_runs_on_heap_frames_not_the_native_stack() {
+    let exe = build(COUNT, BackendKind::Aot, AnalysisOptions::default());
+    let small_stack = std::thread::Builder::new().stack_size(256 << 10);
+    let request = move || exe.run(&BTreeMap::new(), &[vec![InputValue::Int(500_000)]]);
+    let result = small_stack.spawn(request).unwrap().join().unwrap().expect("deep recursion");
+    assert!(matches!(result.outputs[..], [OutputValue::Int(500_000)]), "{:?}", result.outputs);
+}
+
+/// Runaway recursion costs its own request — a typed error, one quarantined
+/// context — and nothing else: the process survives and the next request on
+/// the same executable runs.
+#[test]
+fn runaway_recursion_is_a_typed_error_on_a_process_that_survives() {
+    use acrobat_vm::VmError;
+    let exe = build(COUNT, BackendKind::Aot, AnalysisOptions::default());
+    let err = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(-1)]]).unwrap_err();
+    assert!(
+        matches!(err, VmError::DepthExceeded { limit } if limit == acrobat_vm::aot::MAX_FRAMES),
+        "{err:?}"
+    );
+    let outcomes = exe.session.outcomes();
+    assert_eq!((outcomes.failed, outcomes.completed, outcomes.total()), (1, 0, 1));
+    assert_eq!(exe.session.quarantined_count(), 1);
+    let next = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(3)]]).expect("the next request");
+    assert!(matches!(next.outputs[..], [OutputValue::Int(3)]), "{:?}", next.outputs);
+    assert_eq!(exe.session.outcomes().completed, 1);
+}
+
+/// What the lowering cannot resolve is an error from `Executable::new`,
+/// naming the construct — never a panic inside a request.
+#[test]
+fn unlowerable_constructs_are_compile_time_errors() {
+    use acrobat_vm::VmError;
+    let cases = [
+        (
+            "a lambda outside `map`",
+            "def @main(%x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
+                let %f = fn(%y: Tensor[(1, 2)]) { %y };
+                %x
+             }",
+        ),
+        (
+            "first-class closure call `%f(…)`",
+            "def @apply(%f: fn(Tensor[(1, 2)]) -> Tensor[(1, 2)], %x: Tensor[(1, 2)])
+                -> Tensor[(1, 2)] { %f(%x) }
+             def @main(%x: Tensor[(1, 2)]) -> Tensor[(1, 2)] { %x }",
+        ),
+        (
+            "`map` over a function value that is not a lambda",
+            "def @each(%f: fn(Tensor[(1, 2)]) -> Tensor[(1, 2)], %xs: List[Tensor[(1, 2)]])
+                -> List[Tensor[(1, 2)]] { map(%f, %xs) }
+             def @main(%x: Tensor[(1, 2)]) -> Tensor[(1, 2)] { %x }",
+        ),
+    ];
+    for (construct, src) in cases {
+        match try_build(src) {
+            Err(VmError::Unsupported(msg)) => assert!(msg.contains(construct), "{msg}"),
+            other => panic!("{construct}: expected Unsupported, got {other:?}"),
+        }
+    }
+}
+
+/// A tuple can capture a tensor whose fusion group has not emitted yet:
+/// `%i` and `%f` are one horizontally fused kernel that launches at `%f`,
+/// after `%t` was built.  The cell is patched right after the emit, and a
+/// projection inside the function reads the component register, not the
+/// cell.
+#[test]
+fn tuple_capturing_a_tensor_of_an_open_group_is_patched_after_the_emit() {
+    const LATE: &str = "
+    def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)])
+        -> ((Tensor[(1, 2)], Tensor[(1, 2)]), Tensor[(1, 2)]) {
+        let %i = matmul(%x, $w1);
+        let %t = ((%i, %x), %x);
+        let %f = matmul(%x, $w2);
+        let %inner = %t.0;
+        (%inner, add(%f, %x))
+    }";
+    let (w1, w2) = (
+        Tensor::from_fn(&[2, 2], |i| i as f32 - 1.0),
+        Tensor::from_fn(&[2, 2], |i| 0.5 * i as f32),
+    );
+    let x = Tensor::from_vec(vec![3.0, -2.0], &[1, 2]).unwrap();
+    let params = BTreeMap::from([("w1".to_string(), w1.clone()), ("w2".to_string(), w2.clone())]);
+    let instances = vec![vec![InputValue::Tensor(x.clone())]];
+    let aot = build(LATE, BackendKind::Aot, AnalysisOptions::default());
+    let listing = aot.disassemble().unwrap();
+    let emit = listing.lines().position(|l| l.contains("emit")).expect("one fused emit");
+    let patch = listing.lines().nth(emit + 1).unwrap();
+    assert!(patch.contains(".0 = r"), "the line after the emit patches the cell:\n{listing}");
+    let got = aot.run(&params, &instances).unwrap().outputs;
+    let vm = build(LATE, BackendKind::Vm, AnalysisOptions::default());
+    assert_eq!(got, vm.run(&params, &instances).unwrap().outputs);
+    let tensors = got[0].tensors();
+    assert_eq!(tensors[0].data(), [-5.0, -4.0], "%i = %x · $w1, read through the cell");
+    assert_eq!(tensors[1].data(), x.data());
+}
+
+/// The disassembly is the review surface of the lowering: recursion is a
+/// `call`, `match` a tag test, `parallel` in-place branches behind a `fork`,
+/// the Leaf arm's lone operator and the Node arm's four fused operators one
+/// `emit` each, and `@main` compiles to a call.
+#[test]
+fn disassembly_of_a_recursive_model_is_stable() {
+    const TREE: &str = "
+    type Tree[a] { Leaf(a), Node(Tree[a], Tree[a]) }
+    def @sum(%t: Tree[Tensor[(1, 2)]], $w: Tensor[(2, 2)], $b: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
+        match %t {
+            Leaf(%e) => relu(%e),
+            Node(%l, %r) => {
+                let (%a, %c) = parallel(@sum(%l, $w, $b), @sum(%r, $w, $b));
+                tanh(add(matmul(add(%a, %c), $w), $b))
+            }
+        }
+    }
+    def @main($w: Tensor[(2, 2)], $b: Tensor[(1, 2)], %t: Tree[Tensor[(1, 2)]]) -> Tensor[(1, 2)] {
+        @sum(%t, $w, $b)
+    }";
+    const LISTING: &str = "\
+fn @main(r0, r1, r2) regs=4
+  0000  r3 = call @sum(r2, r0, r1)
+  0001  ret r3
+
+fn @sum(r0, r1, r2) regs=13
+  0000  unless r0 is Leaf jump @0004
+  0001  r4 = r0.0
+  0002  emit k0 <- r4 -> r3 depth=0 block=b0 closes_block
+  0003  jump @0019
+  0004  r4 = r0.0
+  0005  r5 = r0.1
+  0006  fork @0010->r8 @0014->r9 join @0018
+  0007  r6 = depth
+  0008  r7 = depth
+  0009  depth = r6
+  0010  r8 = call @sum(r4, r1, r2)
+  0011  end of branch 0
+  0012  r7 = max r7, depth
+  0013  depth = r6
+  0014  r9 = call @sum(r5, r1, r2)
+  0015  end of branch 1
+  0016  r7 = max r7, depth
+  0017  depth = r7
+  0018  emit k1 <- r8 r9 $r1 $r2 -> r3 depth=inline block=b1 closes_block
+  0019  ret r3
+";
+    let exe = build(TREE, BackendKind::Aot, AnalysisOptions::default());
+    assert_eq!(exe.disassemble().unwrap(), LISTING);
+    assert!(build(TREE, BackendKind::Vm, AnalysisOptions::default()).disassemble().is_none());
+}

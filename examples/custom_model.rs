@@ -3,7 +3,8 @@
 //!
 //! Shows the surface language (ADTs, recursion, `parallel`, overloaded
 //! tensor arithmetic), the analysis artifacts (argument classes, fusion
-//! groups, hoisted operators) and the Fig. 5-style ablation knobs.
+//! groups, hoisted operators), the AOT backend's register code and the
+//! Fig. 5-style ablation knobs.
 //!
 //! ```sh
 //! cargo run --release -p acrobat-bench --example custom_model
@@ -77,6 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         groups,
         model.kernel_count()
     );
+
+    // What does the unbatched program look like once lowered?  Flat register
+    // code: `match` is a tag test, the recursion a `call`, and each fusion
+    // group one `emit` naming its kernel and the registers it reads/writes.
+    println!("\nAOT register code:\n{}", model.disassemble().expect("AOT backend"));
 
     // Run a batch of random trees.
     let params = BTreeMap::from([

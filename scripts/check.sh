@@ -10,8 +10,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel bodies that ship are the optimised ones)"
-cargo test -q --release -p acrobat-tensor -p acrobat-codegen
+echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel bodies that ship are the optimised ones; vm: the execute loop's wrapping arithmetic and the depth budget)"
+cargo test -q --release -p acrobat-tensor -p acrobat-codegen -p acrobat-vm
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -90,6 +90,21 @@ fi
 echo "==> one matrix multiply (matmul_raw is the register-blocked micro-kernel; no second row-blocked copy)"
 if grep -rn matmul_raw_blocked crates tests; then
   echo "matmul_raw_blocked is gone: matmul_raw is the one micro-kernel, for one lane and for a lane stack"; exit 1
+fi
+
+echo "==> one AOT executor (flat register code on heap frames; no Code tree, no boxed branch jobs, no per-request big stack, no panic! on the request path)"
+if grep -rnE 'enum Code\b|Box<Code>|fn run_branches|64 << 20' crates/vm/src/aot.rs crates/vm/src/driver.rs \
+    | grep -v 'const VM_STACK: usize = 64 << 20;'; then
+  echo "the Code-tree walker is gone: only the Relay-VM interpreter keeps a big stack (VM_STACK)"; exit 1
+fi
+if grep -n 'TensorRef\|OnceLock\|Arc<' crates/vm/src/aot.rs; then
+  echo "aot.rs registers are plain words: no refcounted or lazily-set values in the lowering or the execute loop"; exit 1
+fi
+if grep -n 'panic!' crates/vm/src/aot.rs; then
+  echo "what the lowering cannot resolve is a VmError::Unsupported from Executable::new, never a panic in a request"; exit 1
+fi
+if [ "$(grep -rn 'exec_op_site(' crates tests | grep -v 'fn exec_op_site(' | grep -vc '^crates/vm/src/interp.rs')" != 0 ]; then
+  echo "exec_op_site is the Relay-VM baseline's dynamic path: interp.rs is its only caller"; exit 1
 fi
 
 echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"
