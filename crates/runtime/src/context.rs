@@ -192,7 +192,7 @@ impl ExecutionContext {
         self.mem.reset();
         self.mem.clear_fault();
         let _ = self.mem.take_stats();
-        self.dfg.reset();
+        self.dfg = Dfg::new();
         self.dfg.set_signature_tracking(self.engine.options().plan_cache);
         // `plan_l1` is NOT cleared: frozen plans are engine-scoped (the
         // context is pinned to its engine by the pool's `Arc::ptr_eq`

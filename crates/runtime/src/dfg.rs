@@ -255,10 +255,6 @@ pub struct Dfg {
     /// scheduler's flush-time job degenerates to emitting the non-empty
     /// buckets in key order (§4.1's "scheduling is a bucket lookup").
     buckets: Vec<InlineBucket>,
-    /// How many of `buckets` the current mini-batch uses; the rest are
-    /// emptied leftovers of earlier ones ([`Dfg::reset`]) whose member
-    /// vectors the next new keys take over.
-    live_buckets: usize,
     /// Grouping key → index into `buckets`.
     bucket_lookup: std::collections::HashMap<(u128, u64), u32>,
     /// Per node, its bucket index (dense, parallel to `nodes`).
@@ -308,32 +304,6 @@ impl Dfg {
         let id = ValueId(self.values.len() as u64);
         self.values.push(ValueState::Ready(tensor));
         id
-    }
-
-    /// Returns the graph to the state of [`Dfg::new`] — empty, signature
-    /// tracking and lane-canonical signing off — keeping every buffer's
-    /// capacity, so a pooled context reuses one `Dfg` across mini-batches
-    /// without re-growing it.
-    pub fn reset(&mut self) {
-        self.nodes.clear();
-        self.node_args.clear();
-        self.values.clear();
-        self.pending.clear();
-        self.pending_pos.clear();
-        for b in &mut self.buckets[..self.live_buckets] {
-            b.ids.clear();
-            b.pending = 0;
-        }
-        self.live_buckets = 0;
-        self.bucket_lookup.clear();
-        self.bucket_of.clear();
-        (self.win_sig, self.win_check, self.win_base) = (0, 0, 0);
-        (self.win_dirty, self.win_track, self.lane_canon) = (false, false, false);
-        self.lanes.clear();
-        self.lane_slots.clear();
-        self.node_lane.clear();
-        self.canon.valid = false;
-        self.canon.win = None;
     }
 
     /// Appends a node; returns its output [`ValueId`]s (one per slot).
@@ -457,12 +427,8 @@ impl Dfg {
         self.pending.push(id);
         let key = (inline_key(phase, depth, kernel.0), shared_sig);
         let bucket = *self.bucket_lookup.entry(key).or_insert_with(|| {
-            if self.live_buckets == self.buckets.len() {
-                self.buckets.push(InlineBucket::default());
-            }
-            self.buckets[self.live_buckets].key = key;
-            self.live_buckets += 1;
-            (self.live_buckets - 1) as u32
+            self.buckets.push(InlineBucket { key, ..Default::default() });
+            (self.buckets.len() - 1) as u32
         });
         let b = &mut self.buckets[bucket as usize];
         b.ids.push(id);
@@ -653,7 +619,7 @@ impl Dfg {
 
     /// The incremental inline-scheduling bucket index.
     pub(crate) fn inline_buckets(&self) -> &[InlineBucket] {
-        &self.buckets[..self.live_buckets]
+        &self.buckets
     }
 
     /// Marks a node executed, materializing its outputs.
@@ -773,7 +739,7 @@ impl Dfg {
             return Err("bucket_of not parallel to nodes".into());
         }
         let mut bucket_pending_total = 0u64;
-        for (bi, b) in self.inline_buckets().iter().enumerate() {
+        for (bi, b) in self.buckets.iter().enumerate() {
             bucket_pending_total += b.pending as u64;
             if self.bucket_lookup.get(&b.key) != Some(&(bi as u32)) {
                 return Err(format!("bucket {bi} not found under its key in bucket_lookup"));
@@ -1273,20 +1239,6 @@ mod tests {
         assert_eq!(out, CacheOutcome::Hit);
         for (id, ins) in first.iter().chain(&second) {
             assert_eq!(dfg.args(*id), ins, "{id:?} after the second window");
-        }
-        dfg.verify_consistent().unwrap();
-
-        // `reset` is `new` with the buffers kept: ids restart at zero and
-        // the ranges of the rebuilt window are the rebuilt window's.
-        drain(&mut dfg, &mut mem);
-        dfg.reset();
-        assert_eq!((dfg.node_count(), dfg.value_count()), (0, 0));
-        assert!(dfg.window_signature().is_none(), "tracking is off after reset");
-        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[1])).unwrap());
-        let rebuilt = flat_window(&mut dfg, x, 2);
-        assert_eq!(rebuilt[0].0, NodeId(0));
-        for (id, ins) in &rebuilt {
-            assert_eq!(dfg.args(*id), ins, "{id:?} after reset");
         }
         dfg.verify_consistent().unwrap();
     }

@@ -23,7 +23,7 @@ use crate::{Result, TensorError};
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Shape(Repr);
 
-#[derive(Clone)]
+#[derive(Clone, Serialize, Deserialize)]
 enum Repr {
     /// Rank ≤ 2: the extents in `dims[..rank]`, the rest zero.
     Inline { dims: [usize; 2], rank: u8 },

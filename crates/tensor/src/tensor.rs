@@ -8,7 +8,10 @@ use crate::{Result, Shape, TensorError};
 ///
 /// Host tensors are used for model weights, input embeddings and reference
 /// results in tests; runtime intermediates live in the simulated device
-/// arena ([`crate::DeviceMem`]) instead.
+/// arena ([`crate::DeviceMem`]) instead.  The buffer is a boxed slice — a
+/// host tensor never grows, and a pool of input trees holds thousands of
+/// them — so a `Vec` handed in with spare capacity gives the spare back
+/// (one `realloc`); every constructor here builds an exact-size buffer.
 ///
 /// ```
 /// use acrobat_tensor::Tensor;

@@ -48,10 +48,10 @@
 //! a [`Machine`]: one growable register buffer in which frames are
 //! windows, and an explicit stack of return frames — a program call is
 //! "push frame, jump", never Rust recursion, so recursion depth is bounded
-//! by [`MAX_FRAMES`] ([`VmError::DepthExceeded`]) rather than by the
-//! native stack.  Tuple and ADT cells live in a per-run arena that is
-//! cleared, not freed, between requests.  Steady state allocates nothing
-//! per DFG node.
+//! by [`MAX_FRAMES`] and [`MAX_REG_WORDS`] ([`VmError::DepthExceeded`])
+//! rather than by the native stack.  Tuple and ADT cells live in a per-run
+//! arena that is cleared, not freed, between requests.  Steady state
+//! allocates nothing per DFG node.
 //!
 //! The boundary with the outside world is [`AotProgram::bind`] (request
 //! inputs → words, validated against `@main`'s parameter types) and
@@ -77,6 +77,13 @@ use crate::value::{InputValue, OutputValue};
 /// not an option — it bounds what a runaway recursion can cost (frames are
 /// heap words, a few dozen bytes each) without limiting any real model.
 pub const MAX_FRAMES: usize = 1 << 20;
+
+/// Register-stack budget of one fiber, in words (128 MiB): what
+/// [`MAX_FRAMES`] frames of a 16-register function come to.  A function
+/// with more registers reaches this first, and fails the same way — the
+/// frame count alone would let a runaway recursion through a 100-register
+/// function ask for most of a gigabyte before it was stopped.
+pub const MAX_REG_WORDS: usize = 1 << 24;
 
 /// A frame-relative register index.
 type Reg = u16;
@@ -304,9 +311,12 @@ struct Body {
     awaiting: HashMap<Reg, Vec<(Reg, u16)>>,
     /// Results fused away inside their kernel: never written, never read.
     fused: HashSet<Reg>,
-    /// Component registers of every tuple cell built in this function: a
-    /// projection reads the component, never the cell — whose field may not
-    /// have been patched yet.
+    /// Component registers of the tuple cells built into a *fresh* register
+    /// (one this region writes exactly once): a projection reads the
+    /// component, never the cell — whose field may not have been patched
+    /// yet.  A cell delivered `into` a register shared by sibling arms is
+    /// not recorded: which arm built it is only known when the program
+    /// runs, so a projection after the merge loads from the cell.
     tuples: HashMap<Reg, Vec<Reg>>,
 }
 
@@ -500,9 +510,6 @@ impl<'m> Lowering<'m> {
                 None => drop(b.readable(*r)?),
             }
         }
-        if tag == TUPLE {
-            b.tuples.insert(dst, fields.to_vec());
-        }
         let fields = self.span(fields)?;
         b.code.push(Instr::MakeCell { dst, tag, fields });
         Ok(())
@@ -516,6 +523,7 @@ impl<'m> Lowering<'m> {
             Val::Tuple(parts) => {
                 let dst = b.fresh()?;
                 self.make_cell(b, dst, TUPLE, &parts)?;
+                b.tuples.insert(dst, parts);
                 Ok(dst)
             }
         }
@@ -745,8 +753,9 @@ impl<'m> Lowering<'m> {
     }
 
     /// Component `index` of a tuple: a register the lowering already knows
-    /// — the tuple never became a cell, or the cell was built in this
-    /// function — or else a load from the tuple's cell.
+    /// — the tuple never became a cell, or became one in a fresh register of
+    /// this region ([`Body::tuples`]) — or else a load from the tuple's cell
+    /// (a parameter, a call result, the merged value of `if`/`match` arms).
     fn project(
         &mut self,
         b: &mut Body,
@@ -1069,13 +1078,14 @@ pub(crate) struct Scratch {
 const POOLED_WORDS: usize = 1 << 16;
 
 impl Machine {
-    /// Grows the register stack to hold a frame ending at `end`.
+    /// Grows the register stack to hold a frame ending at `end`, within
+    /// [`MAX_REG_WORDS`].
     fn reserve(&mut self, end: usize) -> Result<(), VmError> {
-        if end > u32::MAX as usize {
-            return Err(VmError::DepthExceeded { limit: MAX_FRAMES });
+        if end > MAX_REG_WORDS {
+            return Err(VmError::DepthExceeded { limit: self.frames.len() });
         }
         if self.regs.len() < end {
-            self.regs.resize(end.max(2 * self.regs.len()), 0);
+            self.regs.resize(end.max(2 * self.regs.len()).min(MAX_REG_WORDS), 0);
         }
         Ok(())
     }

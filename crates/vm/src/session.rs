@@ -82,10 +82,12 @@ pub enum VmError {
     /// cancelled and drained instead of hanging.
     DriveTimeout(acrobat_runtime::DriveTimeout),
     /// The program's call depth exceeded the AOT executor's frame-stack
-    /// budget ([`crate::aot::MAX_FRAMES`]): deep or runaway recursion fails
-    /// its own request instead of overflowing a native stack.
+    /// budget ([`crate::aot::MAX_FRAMES`] frames, or fewer of a function
+    /// wide enough to fill [`crate::aot::MAX_REG_WORDS`] first): deep or
+    /// runaway recursion fails its own request instead of overflowing a
+    /// native stack or exhausting memory.
     DepthExceeded {
-        /// The budget, in live frames per fiber.
+        /// The number of live frames the fiber was not allowed to exceed.
         limit: usize,
     },
 }

@@ -467,6 +467,33 @@ fn runaway_recursion_is_a_typed_error_on_a_process_that_survives() {
     assert_eq!(exe.session.outcomes().completed, 1);
 }
 
+/// The budget is on memory, not only on the frame count: a runaway
+/// recursion through a function of over a hundred registers is stopped when
+/// its register stack reaches `MAX_REG_WORDS` (128 MiB), long before
+/// `MAX_FRAMES` such frames would have asked for gigabytes.
+#[test]
+fn runaway_recursion_of_a_wide_function_is_bounded_in_memory() {
+    use acrobat_vm::aot::{MAX_FRAMES, MAX_REG_WORDS};
+    use acrobat_vm::VmError;
+    // 120 parameters: a wide frame without a deeply nested body.
+    let list = |item: &dyn Fn(usize) -> String| (0..120).map(item).collect::<Vec<_>>().join(", ");
+    let wide = format!(
+        "def @wide({params}) -> Int {{ @wide({rotated}) }}
+         def @main(%n: Int) -> Int {{ if %n < 0 {{ @wide({first}) }} else {{ %n }} }}",
+        params = list(&|i| format!("%p{i}: Int")),
+        rotated = list(&|i| format!("%p{}", (i + 1) % 120)),
+        first = list(&|_| "%n".to_string()),
+    );
+    let exe = build(&wide, BackendKind::Aot, AnalysisOptions::default());
+    let err = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(-1)]]).unwrap_err();
+    let VmError::DepthExceeded { limit } = err else { panic!("{err:?}") };
+    // ≥ 120 registers a frame: the word budget, not the frame budget.
+    assert!(limit > 1_000 && limit <= MAX_REG_WORDS / 120 && limit < MAX_FRAMES, "{limit}");
+    assert_eq!(exe.session.quarantined_count(), 1);
+    let next = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(3)]]).expect("the next request");
+    assert!(matches!(next.outputs[..], [OutputValue::Int(3)]), "{:?}", next.outputs);
+}
+
 /// What the lowering cannot resolve is an error from `Executable::new`,
 /// naming the construct — never a panic inside a request.
 #[test]
@@ -535,6 +562,49 @@ fn tuple_capturing_a_tensor_of_an_open_group_is_patched_after_the_emit() {
     let tensors = got[0].tensors();
     assert_eq!(tensors[0].data(), [-5.0, -4.0], "%i = %x · $w1, read through the cell");
     assert_eq!(tensors[1].data(), x.data());
+}
+
+/// A tuple built by one of several `if`/`match` arms lands in the register
+/// the arms share, and which arm built it is known only when the program
+/// runs: a projection after the merge loads from the cell.  (The lowering
+/// used to remember the components of the arm it lowered last, so `%t.0`
+/// was `%b` whichever arm ran — a wrong tensor, no error.)  Every shape
+/// takes every arm, against the values themselves and the VM baseline.
+#[test]
+fn projection_after_a_tuple_valued_merge_reads_the_arm_that_ran() {
+    const PICK: &str = "
+    def @swap(%a: Tensor[(1, 2)], %b: Tensor[(1, 2)]) -> (Tensor[(1, 2)], Tensor[(1, 2)]) {
+        (%b, %a)
+    }
+    def @main(%c: Bool, %l: List[Int], %a: Tensor[(1, 2)], %b: Tensor[(1, 2)])
+        -> (Tensor[(1, 2)], Tensor[(1, 2)], Tensor[(1, 2)], Tensor[(1, 2)], Tensor[(1, 2)]) {
+        let %both = if %c { (%a, %b) } else { (%b, %a) };
+        let %call = if %c { @swap(%a, %b) } else { (%a, %b) };
+        let %arm = match %l { Nil => (%a, %b), Cons(%h, %t) => (%b, %a) };
+        let %nest = if %c { if %c { (%b, %b) } else { (%b, %a) } } else { (%a, %a) };
+        let %par = parallel((%a, %b), (%b, %a));
+        let %second = %par.1;
+        (%both.0, %call.0, %arm.1, %nest.1, %second.0)
+    }";
+    let a = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
+    let b = Tensor::from_vec(vec![-3.0, 4.0], &[1, 2]).unwrap();
+    let instance = |c: bool, len: i64| {
+        vec![
+            InputValue::Bool(c),
+            InputValue::list((0..len).map(InputValue::Int).collect()),
+            InputValue::Tensor(a.clone()),
+            InputValue::Tensor(b.clone()),
+        ]
+    };
+    let instances = vec![instance(true, 0), instance(false, 2)];
+    let aot = build(PICK, BackendKind::Aot, AnalysisOptions::default());
+    let got = aot.run(&BTreeMap::new(), &instances).unwrap().outputs;
+    let picked = |o: &OutputValue| o.tensors().into_iter().cloned().collect::<Vec<Tensor>>();
+    let (ta, tb) = (a.clone(), b.clone());
+    assert_eq!(picked(&got[0]), [&ta, &tb, &tb, &tb, &tb].map(Tensor::clone), "%c, %l empty");
+    assert_eq!(picked(&got[1]), [&tb, &ta, &ta, &ta, &tb].map(Tensor::clone), "!%c, %l non-empty");
+    let vm = build(PICK, BackendKind::Vm, AnalysisOptions::default());
+    assert_eq!(got, vm.run(&BTreeMap::new(), &instances).unwrap().outputs);
 }
 
 /// The disassembly is the review surface of the lowering: recursion is a

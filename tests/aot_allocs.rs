@@ -12,17 +12,20 @@
 //! | model, batch | nodes | allocations / request | per node |
 //! |---|---|---|---|
 //! | TreeLSTM(16), 8 — parent | 934 | 22 715 | 24.32 |
-//! | TreeLSTM(16), 8 | 934 | 455 | 0.49 |
+//! | TreeLSTM(16), 8 | 934 | 666 | 0.71 |
 //! | BiRNN(64), 16 — parent | 1 384 | 31 527 | 22.78 |
-//! | BiRNN(64), 16 | 1 384 | 1 795 | 1.30 |
+//! | BiRNN(64), 16 | 1 384 | 2 098 | 1.52 |
 //!
-//! The program drive allocates nothing once its buffers have grown.  What
-//! is left is the drain flush's per-launch buffers (≈ 0.35 per node; a
-//! rank ≤ 2 `Shape` is inline, so the one device handle per node output is
-//! no allocation) and the request boundary: uploads, and on the way out
-//! three allocations per output tensor — its data, and for a list element
-//! the `OutputValue::Adt`'s name and fields — which is why BiRNN, whose
-//! result is a 346-element list, carries the larger bound
+//! The execute loop allocates nothing once its buffers have grown.  What
+//! is left is the request's own `Dfg` growing its node, value, argument
+//! and bucket vectors from empty (211 and 303 of the above: a pooled
+//! context starts every request on `Dfg::new()`), the drain flush's
+//! per-launch buffers (≈ 0.35 per node; a rank ≤ 2 `Shape` is inline, so
+//! the one device handle per node output is no allocation) and the request
+//! boundary: uploads, and on the way out three allocations per output
+//! tensor — its data, and for a list element the `OutputValue::Adt`'s name
+//! and fields — which is why BiRNN, whose result is a 346-element list,
+//! carries the larger bound
 //! (EXPERIMENTS.md, "Allocations per DFG node").
 
 use std::alloc::{GlobalAlloc, Layout, System};
