@@ -114,18 +114,12 @@ pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Whether `--json` was passed on the command line (machine-readable
-/// bench output in addition to the text tables).
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
 /// One machine-readable benchmark datum for `bench_results/BENCH_<name>.json`.
 #[derive(Debug, Clone)]
 pub struct JsonRecord {
-    /// Configuration label, e.g. `"treelstm/streams=4+copy"`.
+    /// Configuration label, e.g. `"TreeLSTM/batch=64"`.
     pub config: String,
-    /// Metric name, e.g. `"modeled_ms"`.
+    /// Metric name, e.g. `"spec_kexec_ms"`.
     pub metric: String,
     /// Metric value.
     pub value: f64,
@@ -155,8 +149,8 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Writes `bench_results/BENCH_<bench>.json`: a JSON array of
-/// `{bench, config, metric, value}` objects — the perf-trajectory record.
-/// The workspace has no JSON dependency, so the document is emitted by
+/// `{bench, config, metric, value}` objects, the machine-readable twin of
+/// the bench's text table.  The workspace has no JSON dependency, so the document is emitted by
 /// hand (non-finite values become `null`).
 pub fn write_bench_json(bench: &str, records: &[JsonRecord]) {
     let mut out = String::from("[\n");
@@ -172,9 +166,6 @@ pub fn write_bench_json(bench: &str, records: &[JsonRecord]) {
         ));
     }
     out.push_str("]\n");
-    // Anchor on the workspace root: criterion benches run with CWD = the
-    // crate directory, bins with CWD = the invocation directory; both must
-    // land in the repo-level bench_results/.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     std::fs::create_dir_all(&dir).expect("bench_results dir");
     let path = dir.join(format!("BENCH_{bench}.json"));

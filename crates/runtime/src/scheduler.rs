@@ -585,8 +585,7 @@ fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
 /// Straight transcriptions of the original (seed) scheduler algorithms,
 /// retained as the behavioral reference: the optimized implementations must
 /// produce the same batch partitions and charge the same decision counts.
-/// Used by equivalence tests and the `flush_hot_path` benchmark; not on any
-/// hot path.
+/// Used by equivalence tests and checked mode; not on any hot path.
 pub mod reference {
     use std::collections::{BTreeMap, BTreeSet};
 

@@ -228,17 +228,18 @@ fn chaos_member_never_poisons_peers() {
         }
     }
 
-    // Round 2: zero deadline on one member.  The strictest member budget
-    // gates the cohort, so the merged run aborts and every member re-runs
-    // solo: the deadline member misses deterministically, the peers
-    // complete bit-identically.
-    {
+    // Round 2: zero deadline on one member, the peers without a budget and
+    // then with a generous one.  The strictest member budget gates the
+    // cohort, so the merged run aborts and every member re-runs solo: the
+    // deadline member misses deterministically, the peers complete
+    // bit-identically.
+    for peer_budget in [None, Some(1e12)] {
         let mut requests: Vec<CohortRequest<'_>> = members
             .iter()
             .map(|inst| CohortRequest {
                 params: &spec.params,
                 instances: inst,
-                opts: RunOptions::default(),
+                opts: RunOptions { deadline_us: peer_budget, ..RunOptions::default() },
             })
             .collect();
         requests[1].opts.deadline_us = Some(0.0);
@@ -248,10 +249,12 @@ fn chaos_member_never_poisons_peers() {
         let disrupted = results.remove(1);
         assert!(
             matches!(disrupted, Err(VmError::DeadlineExceeded { .. })),
-            "zero-deadline member must miss, got {disrupted:?}"
+            "zero-deadline member must miss (peer budget {peer_budget:?}), got {disrupted:?}"
         );
         for (m, result) in [0usize, 2].into_iter().zip(results) {
-            let result = result.unwrap_or_else(|e| panic!("deadline round peer {m} failed: {e}"));
+            let result = result.unwrap_or_else(|e| {
+                panic!("deadline round peer {m} (budget {peer_budget:?}) failed: {e}")
+            });
             assert_outputs_equal(&spec, &solo[m], &result.outputs, "deadline-round survivor");
         }
     }
@@ -284,17 +287,17 @@ fn chaos_member_never_poisons_peers() {
     }
 
     // Ledger balance: every submitted request in exactly one bucket, only
-    // completions merged, and the deadline + fault cohort aborts (plus the
-    // disrupted solo re-runs) quarantined their contexts.
+    // completions merged, and the two deadline + one fault cohort aborts
+    // (plus the disrupted solo re-runs) quarantined their contexts.
     let outcomes = model.outcomes();
     assert_eq!(outcomes.total(), submitted, "every request lands in one outcome bucket");
     assert_eq!(outcomes.completed, expect_completed, "survivor completions");
     assert_eq!(outcomes.cancelled, 1, "one cancellation");
-    assert_eq!(outcomes.deadline_exceeded, 1, "one deadline miss");
+    assert_eq!(outcomes.deadline_exceeded, 2, "one deadline miss per round-2 cohort");
     assert_eq!(outcomes.failed, 1, "one injected fault");
     assert_eq!(model.runs_completed(), expect_completed, "stats merged once per completion");
     assert!(
-        model.quarantined_count() >= 2,
+        model.quarantined_count() >= 3,
         "cohort aborts must quarantine the shared context, saw {}",
         model.quarantined_count()
     );

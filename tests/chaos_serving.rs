@@ -13,7 +13,8 @@
 //!   injected tensor error;
 //! * every request that completes — including storm-hit requests rescued by
 //!   transient-fault retry — is bit-for-bit identical to a fault-free
-//!   serial reference execution;
+//!   serial reference execution, and a clean one never retries (no storm
+//!   leaks into it through a recycled context);
 //! * the aggregate ledger is consistent: outcome counters sum to the total
 //!   request count, `runs_completed` equals the completed count, the
 //!   aggregate statistics equal the per-run sum over completed runs only
@@ -144,6 +145,13 @@ fn chaos_round(
                                     &result.outputs,
                                     "chaos survivor",
                                 );
+                                if disruption == Disruption::Clean {
+                                    assert_eq!(
+                                        result.stats.retries, 0,
+                                        "{}: clean retry",
+                                        spec.name
+                                    );
+                                }
                                 tally.completed.push(result.stats);
                             }
                             Err(e) => match disruption {
