@@ -45,7 +45,7 @@ impl From<VmError> for CompileError {
 
 /// Alias for the serving-side reading of [`CompileError`]: every error a
 /// [`crate::Model::run`] call can return, including the resilience
-/// outcomes (load shedding, cancellation, deadline misses).
+/// outcomes (cancellation, deadline misses).
 pub type RunError = CompileError;
 
 impl CompileError {
@@ -55,11 +55,6 @@ impl CompileError {
             CompileError::Execution(e) => Some(e),
             CompileError::Frontend(_) => None,
         }
-    }
-
-    /// Whether the request was shed at admission ([`VmError::Overloaded`]).
-    pub fn is_overloaded(&self) -> bool {
-        self.as_vm().is_some_and(VmError::is_overloaded)
     }
 
     /// Whether the request was cooperatively cancelled.

@@ -48,8 +48,7 @@ pub use options::{CompileOptions, OptLevel};
 pub use acrobat_analysis::{AnalysisOptions, AnalysisResult, ArgClass};
 pub use acrobat_codegen::{Schedule, ScheduleOptions};
 pub use acrobat_runtime::{
-    CancelToken, Deadline, DeviceModel, Engine, RetryPolicy, RuntimeOptions, RuntimeStats,
-    SchedulerKind,
+    CancelToken, Deadline, DeviceModel, Engine, RuntimeOptions, RuntimeStats, SchedulerKind,
 };
 pub use acrobat_tensor::{FaultKind, FaultMode, FaultPlan, FaultSite, Shape, Tensor};
 pub use acrobat_vm::{

@@ -98,7 +98,7 @@ impl Model {
     }
 
     /// Terminal-outcome counters for every request submitted to this model
-    /// (completed, failed, cancelled, deadline-exceeded, shed, timed out).
+    /// (completed, failed, cancelled, deadline-exceeded, timed out).
     pub fn outcomes(&self) -> acrobat_vm::ServeOutcomes {
         self.exe.session.outcomes()
     }
@@ -176,7 +176,7 @@ impl Model {
     }
 
     /// The underlying executable (session access for serving-layer tests
-    /// and tooling: admission gate, outcome counters, engine swap).
+    /// and tooling: outcome counters, engine swap).
     pub fn executable(&self) -> &Executable {
         &self.exe
     }

@@ -60,14 +60,6 @@ pub struct ExecutionContext {
     /// miss.  A tainted context is quarantined by [`crate::ContextPool`]:
     /// dropped on release, never recycled into another request.
     tainted: bool,
-    /// Flushes aborted by a device fault since the last clean flush;
-    /// drives the graceful-degradation batch-size downshift.
-    consecutive_aborts: u32,
-    /// Maximum lanes per batched launch (0 = unlimited).  Halved after
-    /// repeated aborted flushes, restored after clean ones; chunking a
-    /// planned batch is bit-for-bit neutral because kernels are
-    /// lane-independent.
-    lane_cap: usize,
     /// Broker-cohort request partition: member start offsets over the
     /// merged instance index space (e.g. `[0, 4, 6]` for three requests of
     /// 4, 2 and N−6 instances).  When set, every clean flush is classified
@@ -100,8 +92,6 @@ impl ExecutionContext {
             deadline: Deadline::Unlimited,
             cancel: None,
             tainted: false,
-            consecutive_aborts: 0,
-            lane_cap: 0,
             instance_partition: None,
             backend_scratch: Vec::new(),
         }
@@ -128,12 +118,6 @@ impl ExecutionContext {
     /// happens outside the flush path, e.g. a poisoned fiber run).
     pub fn mark_tainted(&mut self) {
         self.tainted = true;
-    }
-
-    /// Current per-launch lane cap (0 = unlimited); lowered by the
-    /// graceful-degradation downshift after repeated aborted flushes.
-    pub fn lane_cap(&self) -> usize {
-        self.lane_cap
     }
 
     /// Raises [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
@@ -204,8 +188,6 @@ impl ExecutionContext {
         self.deadline = Deadline::Unlimited;
         self.cancel = None;
         self.tainted = false;
-        self.consecutive_aborts = 0;
-        self.lane_cap = 0;
         self.instance_partition = None;
     }
 
@@ -385,15 +367,15 @@ impl ExecutionContext {
     }
 
     /// Executes all pending DFG nodes in batched kernel launches, retrying
-    /// transient faults per the engine's [`crate::resilience::RetryPolicy`].
+    /// transient faults up to the engine's `max_retries` times.
     ///
     /// The flush boundary is also the request's interrupt point: the
     /// deadline and cancellation token are checked on entry and between
     /// batched launches, and an interrupt surfaces as
     /// [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
     /// (class [`FaultClass::Interrupt`] — never retried).  Transient
-    /// faults are retried up to `max_retries` times with exponential
-    /// backoff charged as virtual time to this context's statistics; the
+    /// faults are retried after an exponential backoff (`backoff_us`)
+    /// charged as virtual time to this context's statistics; the
     /// retry replans the aborted plan's pending suffix, which is
     /// bit-for-bit equivalent to an uninterrupted flush.
     ///
@@ -404,19 +386,19 @@ impl ExecutionContext {
     /// a bug and panics.
     pub fn flush(&mut self) -> Result<(), TensorError> {
         self.check_interrupt()?;
-        let retry = self.engine.options().retry;
+        let max_retries = self.engine.options().max_retries;
         let mut attempt = 0u32;
         loop {
             let e = match self.flush_once() {
                 Ok(()) => return Ok(()),
                 Err(e) => e,
             };
-            if e.fault_class() != FaultClass::Transient || attempt >= retry.max_retries {
+            if e.fault_class() != FaultClass::Transient || attempt >= max_retries {
                 self.tainted = true;
                 return Err(e);
             }
             attempt += 1;
-            let backoff = retry.backoff_us(attempt);
+            let backoff = crate::resilience::backoff_us(attempt);
             self.stats.retries += 1;
             self.stats.retry_backoff_us += backoff;
             // The backoff counts against a virtual deadline; a request that
@@ -450,7 +432,7 @@ impl ExecutionContext {
     /// ([`crate::plan_cache`]): probe the per-context L1 then the engine's
     /// shared cache on the window's structural signature; a hit remaps the
     /// frozen plan onto the current window, a miss schedules fresh and (for
-    /// healthy, undownshifted contexts) publishes the result.
+    /// healthy contexts) publishes the result.
     fn plan_window(&mut self, plan: &mut Plan) -> Option<CacheOutcome> {
         let options = self.engine.options();
         if !options.plan_cache {
@@ -466,7 +448,7 @@ impl ExecutionContext {
             scheduler::plan_into(options.scheduler, &self.dfg, &mut self.sched_scratch, plan);
             return None;
         }
-        let cfg = CacheConfig::from_options(options, self.lane_cap, self.tainted);
+        let cfg = CacheConfig::from_options(options, self.tainted);
         let outcome = crate::plan_cache::plan_cached(
             &cfg,
             &mut self.dfg,
@@ -541,8 +523,8 @@ impl ExecutionContext {
         self.stats.scheduling_us += sig_us + decision_us;
     }
 
-    /// Stage 3 — the single walk over `plan`: one batched launch per batch
-    /// (per lane-cap chunk on a downshifted context), in plan order.
+    /// Stage 3 — the single walk over `plan`: one batched launch per batch,
+    /// in plan order.
     ///
     /// The fault contract, whatever stops the walk — a fault or error while
     /// a launch prepares or executes, or an interrupt between batches (a
@@ -565,12 +547,7 @@ impl ExecutionContext {
             if b > 0 {
                 self.check_interrupt()?;
             }
-            // Graceful degradation: a downshifted context chunks each planned
-            // batch to its lane cap (more launches, identical values).
-            let cap = if self.lane_cap == 0 { batch.len() } else { self.lane_cap };
-            for chunk in batch.chunks(cap) {
-                self.launch_chunk(&engine, chunk, &mut checker)?;
-            }
+            self.launch_batch(&engine, batch, &mut checker)?;
         }
         if let Some(c) = checker {
             c.finish(&self.dfg);
@@ -578,18 +555,18 @@ impl ExecutionContext {
         Ok(())
     }
 
-    /// One batched launch over the nodes of `chunk`: prepare → select →
+    /// One batched launch over the nodes of `batch`: prepare → select →
     /// execute lanes → finish → account → complete → check.  Nothing is
     /// accounted or materialized unless every step before it succeeded.
-    fn launch_chunk(
+    fn launch_batch(
         &mut self,
         engine: &Engine,
-        chunk: &[NodeId],
+        batch: &[NodeId],
         checker: &mut Option<crate::check::FlushChecker>,
     ) -> Result<(), TensorError> {
         let options = engine.options();
-        let lanes = chunk.len();
-        let kernel_id = self.dfg.node(chunk[0]).kernel;
+        let lanes = batch.len();
+        let kernel_id = self.dfg.node(batch[0]).kernel;
         let program = engine.library().kernel(kernel_id);
         let mode = if options.gather_fusion {
             acrobat_tensor::batch::BatchMode::GatherFused
@@ -601,8 +578,8 @@ impl ExecutionContext {
         let dfg = &self.dfg;
         let prep =
             prepare_batched_kernel_with(&mut self.mem, program, lanes, mode, |lane, slot| {
-                debug_assert_eq!(dfg.node(chunk[lane]).kernel, kernel_id);
-                dfg.tensor(dfg.args(chunk[lane])[slot])
+                debug_assert_eq!(dfg.node(batch[lane]).kernel, kernel_id);
+                dfg.tensor(dfg.args(batch[lane])[slot])
                     .expect("scheduler produced unmet dependency")
             })?;
         let selection = engine.backend().map_or(Selection::Interp, |b| b.select(program));
@@ -629,9 +606,9 @@ impl ExecutionContext {
         // launches — the paper prioritizes by execution frequency (§D.1).
         *self.profile.entry(kernel_id).or_default() += lanes as u64;
         self.account_launch(lanes, &prep.stats, program.schedule.as_ref());
-        self.dfg.complete_batch(chunk, outs);
+        self.dfg.complete_batch(batch, outs);
         if let Some(c) = checker {
-            c.after_batch(&self.dfg, chunk);
+            c.after_batch(&self.dfg, batch);
         }
         Ok(())
     }
@@ -660,42 +637,19 @@ impl ExecutionContext {
     }
 
     /// Stage 4 — settles the attempt.  An abort (the context stays
-    /// well-defined and resumable, see [`Self::execute_plan`]) is recorded,
-    /// taints the context and — device faults only, not interrupts — feeds
-    /// the lane-cap downshift.  A clean flush resets the abort streak, doubles
-    /// the lane cap back toward unlimited and is counted (and, in a broker
+    /// well-defined and resumable, see [`Self::execute_plan`]) is recorded
+    /// and taints the context.  A clean flush is counted (and, in a broker
     /// cohort, classified).
     fn settle(&mut self, plan: &Plan, run: Result<(), TensorError>) -> Result<(), TensorError> {
-        let max_planned_batch = plan.batches().map(<[NodeId]>::len).max().unwrap_or(0);
         if let Err(e) = run {
             self.stats.aborted_flushes += 1;
             self.tainted = true;
-            if e.fault_class() != FaultClass::Interrupt {
-                // Downshift: repeated device faults halve the lane cap so a
-                // flaky accelerator sees smaller launches (and a one-lane
-                // floor), trading modeled throughput for progress.
-                self.consecutive_aborts += 1;
-                if self.consecutive_aborts >= 2 {
-                    let current =
-                        if self.lane_cap == 0 { max_planned_batch } else { self.lane_cap };
-                    let next = (current / 2).max(1);
-                    if next < current || self.lane_cap == 0 {
-                        self.lane_cap = next;
-                        self.stats.downshifts += 1;
-                    }
-                }
-            }
             if self.engine.options().checked {
                 if let Err(msg) = self.dfg.verify_consistent() {
                     panic!("checked mode: DFG inconsistent after aborted flush: {msg}");
                 }
             }
             return Err(e);
-        }
-        self.consecutive_aborts = 0;
-        if self.lane_cap != 0 {
-            let doubled = self.lane_cap.saturating_mul(2);
-            self.lane_cap = if doubled >= max_planned_batch { 0 } else { doubled };
         }
         self.stats.flushes += 1;
         // Cross-request flush classification (broker cohorts): did this
@@ -782,6 +736,19 @@ mod tests {
         relu(matmul(%x, $w))
     }";
 
+    /// The arguments of one unit of `group`: `x` in each batched input
+    /// slot, `w` in each shared one.
+    fn program_args(lib: &KernelLibrary, group: GroupId, x: ValueId, w: ValueId) -> Vec<ValueId> {
+        use acrobat_analysis::ArgClass;
+        let inputs = lib.kernel_for_group(group).inputs.iter();
+        inputs
+            .map(|inp| match inp.class {
+                ArgClass::Batched => x,
+                ArgClass::Shared => w,
+            })
+            .collect()
+    }
+
     #[test]
     fn manual_batch_execution() {
         let (a, mut rt) = setup(PROGRAM, RuntimeOptions::default());
@@ -795,17 +762,9 @@ mod tests {
         let xvs = rt.upload_inputs(&refs).unwrap();
 
         // Input slot order: discover batched-vs-shared from the kernel.
-        let kernel = rt.library().kernel_for_group(group).clone();
         let mut outs = Vec::new();
         for (i, xv) in xvs.iter().enumerate() {
-            let args: Vec<ValueId> = kernel
-                .inputs
-                .iter()
-                .map(|inp| match inp.class {
-                    acrobat_analysis::ArgClass::Batched => *xv,
-                    acrobat_analysis::ArgClass::Shared => wv,
-                })
-                .collect();
+            let args = program_args(rt.library(), group, *xv, wv);
             let o = rt.add_unit(group, i, 0, 0, args, true);
             outs.push(o[0]);
         }
@@ -829,15 +788,7 @@ mod tests {
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
         let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let kernel = rt.library().kernel_for_group(group).clone();
-        let args: Vec<ValueId> = kernel
-            .inputs
-            .iter()
-            .map(|inp| match inp.class {
-                acrobat_analysis::ArgClass::Batched => x,
-                acrobat_analysis::ArgClass::Shared => wv,
-            })
-            .collect();
+        let args = program_args(rt.library(), group, x, wv);
         let o = rt.add_unit(group, 0, 0, 0, args, true);
         assert!(rt.tensor(o[0]).is_none());
         let t = rt.force(o[0]).unwrap();
@@ -856,20 +807,12 @@ mod tests {
             let group = a.blocks.blocks[0].groups[0].id;
             let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32)).unwrap();
             let wv = rt.ready_value(w);
-            let kernel = rt.library().kernel_for_group(group).clone();
             let mut outs = Vec::new();
             for i in 0..3 {
                 // Interleave pad allocations to scatter instance tensors.
                 let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap()[0];
                 rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[3 + i])).unwrap();
-                let args: Vec<ValueId> = kernel
-                    .inputs
-                    .iter()
-                    .map(|inp| match inp.class {
-                        acrobat_analysis::ArgClass::Batched => x,
-                        acrobat_analysis::ArgClass::Shared => wv,
-                    })
-                    .collect();
+                let args = program_args(rt.library(), group, x, wv);
                 outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
             }
             rt.flush().unwrap();
@@ -913,18 +856,10 @@ mod tests {
         let run_units = |rt: &mut ExecutionContext| -> Result<Vec<Tensor>, TensorError> {
             let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32))?;
             let wv = rt.ready_value(w);
-            let kernel = rt.library().kernel_for_group(group).clone();
             let mut outs = Vec::new();
             for i in 0..4 {
                 let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)])?[0];
-                let args: Vec<ValueId> = kernel
-                    .inputs
-                    .iter()
-                    .map(|inp| match inp.class {
-                        acrobat_analysis::ArgClass::Batched => x,
-                        acrobat_analysis::ArgClass::Shared => wv,
-                    })
-                    .collect();
+                let args = program_args(rt.library(), group, x, wv);
                 outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
             }
             rt.flush()?;
@@ -983,20 +918,12 @@ mod tests {
                     let group = a.blocks.blocks[0].groups[0].id;
                     let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32)).unwrap();
                     let wv = rt.ready_value(w);
-                    let kernel = rt.library().kernel_for_group(group).clone();
                     let mut outs = Vec::new();
                     for i in 0..4 {
                         let x =
                             rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap()[0];
                         rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[1 + i])).unwrap();
-                        let args: Vec<ValueId> = kernel
-                            .inputs
-                            .iter()
-                            .map(|inp| match inp.class {
-                                acrobat_analysis::ArgClass::Batched => x,
-                                acrobat_analysis::ArgClass::Shared => wv,
-                            })
-                            .collect();
+                        let args = program_args(rt.library(), group, x, wv);
                         outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
                     }
                     rt.flush().unwrap();
@@ -1086,19 +1013,11 @@ mod tests {
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32)).unwrap();
         let wv = rt.ready_value(w);
-        let kernel = rt.library().kernel_for_group(group).clone();
         let mut outs = Vec::new();
         for i in 0..3 {
             let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap()[0];
             rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[3 + i])).unwrap();
-            let args: Vec<ValueId> = kernel
-                .inputs
-                .iter()
-                .map(|inp| match inp.class {
-                    acrobat_analysis::ArgClass::Batched => x,
-                    acrobat_analysis::ArgClass::Shared => wv,
-                })
-                .collect();
+            let args = program_args(rt.library(), group, x, wv);
             outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
         }
         rt.mem_mut().arm_fault(FaultPlan::parse("gather:0:oom").unwrap());
@@ -1175,7 +1094,6 @@ mod tests {
 
     #[test]
     fn transient_faults_retry_with_backoff_bit_for_bit() {
-        use crate::resilience::RetryPolicy;
         let src = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
             matmul(matmul(%x, $w1), $w2)
         }";
@@ -1203,8 +1121,8 @@ mod tests {
 
         // A one-shot kernel fault is transient: the retry replans the
         // pending suffix and the run completes bit-for-bit.
-        let retry = RetryPolicy { max_retries: 2, backoff_base_us: 50.0 };
-        let (mut rt, outs) = build(RuntimeOptions { checked: true, retry, ..Default::default() });
+        let retrying = RuntimeOptions { checked: true, max_retries: 2, ..Default::default() };
+        let (mut rt, outs) = build(retrying);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:1:kernel").unwrap());
         rt.flush().expect("transient fault retried to success");
         assert_eq!(rt.stats().retries, 1);
@@ -1217,13 +1135,13 @@ mod tests {
         }
 
         // Fatal faults (OOM) are never retried.
-        let (mut rt, _) = build(RuntimeOptions { checked: true, retry, ..Default::default() });
+        let (mut rt, _) = build(retrying);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:1:oom").unwrap());
         assert!(matches!(rt.flush(), Err(TensorError::DeviceOom { .. })));
         assert_eq!(rt.stats().retries, 0, "fatal faults surface immediately");
 
         // A permanent transient fault exhausts the retry budget.
-        let (mut rt, _) = build(RuntimeOptions { checked: true, retry, ..Default::default() });
+        let (mut rt, _) = build(retrying);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::storm(
             acrobat_tensor::FaultSite::Launch,
             1_000_000,
@@ -1245,7 +1163,6 @@ mod tests {
     /// double-charge `sched_sig_cost_us` for folding that never happened.
     #[test]
     fn retry_bypass_charges_no_signing_cost() {
-        use crate::resilience::RetryPolicy;
         let src = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
             matmul(matmul(%x, $w1), $w2)
         }";
@@ -1265,8 +1182,12 @@ mod tests {
             }
             (rt, outs)
         };
-        let retry = RetryPolicy { max_retries: 2, backoff_base_us: 50.0 };
-        let opts = RuntimeOptions { plan_cache: true, checked: true, retry, ..Default::default() };
+        let opts = RuntimeOptions {
+            plan_cache: true,
+            checked: true,
+            max_retries: 2,
+            ..Default::default()
+        };
 
         // Clean reference: one signed miss covering the 6-node window.
         let (mut clean, outs) = build(opts);
@@ -1308,15 +1229,7 @@ mod tests {
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
         let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let kernel = rt.library().kernel_for_group(group).clone();
-        let args: Vec<ValueId> = kernel
-            .inputs
-            .iter()
-            .map(|inp| match inp.class {
-                acrobat_analysis::ArgClass::Batched => x,
-                acrobat_analysis::ArgClass::Shared => wv,
-            })
-            .collect();
+        let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         let token = CancelToken::new();
         rt.set_cancel(token.clone());
@@ -1328,13 +1241,7 @@ mod tests {
 
         // A zero virtual budget trips deterministically on the first check;
         // the interrupt is not a device fault and is never retried.
-        let (_, mut rt) = setup(
-            PROGRAM,
-            RuntimeOptions {
-                retry: crate::resilience::RetryPolicy { max_retries: 3, backoff_base_us: 50.0 },
-                ..Default::default()
-            },
-        );
+        let (_, mut rt) = setup(PROGRAM, RuntimeOptions { max_retries: 3, ..Default::default() });
         rt.set_deadline(Deadline::virtual_us(0.0));
         assert!(matches!(rt.flush(), Err(TensorError::DeadlineExceeded { .. })));
         assert_eq!(rt.stats().retries, 0, "interrupts are never retried");
@@ -1342,59 +1249,47 @@ mod tests {
     }
 
     #[test]
-    fn repeated_aborts_downshift_then_recover_bit_for_bit() {
+    fn retried_aborts_launch_each_planned_batch_once_bit_for_bit() {
+        use acrobat_tensor::{DeviceMem, FaultKind, FaultPlan, FaultSite};
         let build = || {
-            let (a, mut rt) =
-                setup(PROGRAM, RuntimeOptions { checked: true, ..Default::default() });
+            let options = RuntimeOptions { checked: true, max_retries: 2, ..Default::default() };
+            let (a, mut rt) = setup(PROGRAM, options);
             let group = a.blocks.blocks[0].groups[0].id;
             let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32)).unwrap();
             let wv = rt.ready_value(w);
-            let kernel = rt.library().kernel_for_group(group).clone();
             let mut outs = Vec::new();
             for i in 0..4 {
                 let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap()[0];
-                let args: Vec<ValueId> = kernel
-                    .inputs
-                    .iter()
-                    .map(|inp| match inp.class {
-                        acrobat_analysis::ArgClass::Batched => x,
-                        acrobat_analysis::ArgClass::Shared => wv,
-                    })
-                    .collect();
+                let args = program_args(rt.library(), group, x, wv);
                 outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
             }
             (rt, outs)
         };
         let (mut rt, outs) = build();
         rt.flush().unwrap();
-        assert_eq!(rt.stats().kernel_launches, 1, "4 lanes, one launch at full batch");
+        let planned_batches = rt.stats().kernel_launches;
+        assert_eq!(planned_batches, 1, "4 lanes, one planned batch");
         let want: Vec<Tensor> = outs.iter().map(|o| rt.download(*o).unwrap()).collect();
 
-        // An always-on launch storm aborts every flush; the second
-        // consecutive abort starts halving the lane cap.
+        // A seeded storm whose first two launches fault and whose third
+        // succeeds: the flush aborts twice in a row, then its second retry
+        // runs the same 4-lane batch as one launch.
+        let storm = |seed| FaultPlan::storm(FaultSite::Launch, 500_000, seed, FaultKind::Kernel);
+        let trips = |seed| {
+            let mut mem = DeviceMem::new(0);
+            mem.arm_fault(storm(seed));
+            [(); 3].map(|()| mem.trip_fault(FaultSite::Launch).is_err())
+        };
+        let seed = (0..).find(|&seed| trips(seed) == [true, true, false]).unwrap();
         let (mut rt, outs) = build();
-        rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::storm(
-            acrobat_tensor::FaultSite::Launch,
-            1_000_000,
-            1,
-            acrobat_tensor::FaultKind::Kernel,
-        ));
-        assert!(rt.flush().is_err());
-        assert_eq!(rt.lane_cap(), 0, "one abort is not a trend");
-        assert!(rt.flush().is_err());
-        assert_eq!(rt.lane_cap(), 2, "second consecutive abort halves the 4-lane batch");
-        assert!(rt.flush().is_err());
-        assert_eq!(rt.lane_cap(), 1, "third abort halves again, to the one-lane floor");
-        assert_eq!(rt.stats().downshifts, 2);
-
-        // Downshifted execution is chunked (more launches) but bit-for-bit.
-        rt.mem_mut().clear_fault();
-        rt.flush().unwrap();
-        assert_eq!(rt.stats().kernel_launches, 4, "cap 1: one launch per lane");
+        rt.mem_mut().arm_fault(storm(seed));
+        rt.flush().expect("the second retry succeeds");
+        let s = rt.stats();
+        assert_eq!((s.aborted_flushes, s.retries, s.flushes), (2, 2, 1));
+        assert_eq!(s.kernel_launches, planned_batches, "each planned batch launches once");
         for (o, w) in outs.iter().zip(&want) {
-            assert_eq!(rt.download(*o).unwrap().data(), w.data(), "chunking is value-neutral");
+            assert_eq!(rt.download(*o).unwrap().data(), w.data(), "retry is bit-for-bit");
         }
-        assert_eq!(rt.lane_cap(), 2, "a clean flush doubles the cap back toward unlimited");
     }
 
     #[test]
@@ -1407,15 +1302,7 @@ mod tests {
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
         let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let kernel = rt.library().kernel_for_group(group).clone();
-        let args: Vec<ValueId> = kernel
-            .inputs
-            .iter()
-            .map(|inp| match inp.class {
-                acrobat_analysis::ArgClass::Batched => x,
-                acrobat_analysis::ArgClass::Shared => wv,
-            })
-            .collect();
+        let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:0:kernel").unwrap());
         assert!(rt.flush().is_err());
@@ -1450,15 +1337,7 @@ mod tests {
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
         let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let kernel = rt.library().kernel_for_group(group).clone();
-        let args: Vec<ValueId> = kernel
-            .inputs
-            .iter()
-            .map(|inp| match inp.class {
-                acrobat_analysis::ArgClass::Batched => x,
-                acrobat_analysis::ArgClass::Shared => wv,
-            })
-            .collect();
+        let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:5:kernel").unwrap());
         assert!(!rt.tainted());
@@ -1554,15 +1433,7 @@ mod tests {
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
         let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let kernel = rt.library().kernel_for_group(group).clone();
-        let args: Vec<ValueId> = kernel
-            .inputs
-            .iter()
-            .map(|inp| match inp.class {
-                acrobat_analysis::ArgClass::Batched => x,
-                acrobat_analysis::ArgClass::Shared => wv,
-            })
-            .collect();
+        let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         rt.flush().unwrap();
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("upload:0:oom").unwrap());

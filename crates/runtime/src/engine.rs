@@ -53,15 +53,12 @@ pub struct RuntimeOptions {
     /// magnitude slower; costs the hot path one branch per flush when off.
     #[serde(default)]
     pub checked: bool,
-    /// Transient-fault retry policy for the flush path (default: retry
-    /// disabled — every fault surfaces to the caller).
+    /// Retries per flush of a transient device fault, each after an
+    /// exponential backoff charged as modeled time (50 µs, doubling per
+    /// retry).  Fatal faults and interrupts are never retried.  0 (the
+    /// default) disables retry: every fault surfaces to the caller.
     #[serde(default)]
-    pub retry: crate::resilience::RetryPolicy,
-    /// Admission limit: maximum concurrently executing runs per session
-    /// before new requests are load-shed with an `Overloaded` error
-    /// (0 = unlimited).
-    #[serde(default)]
-    pub max_in_flight: usize,
+    pub max_retries: u32,
     /// Flush-plan memoization ([`crate::plan_cache`]): structurally
     /// repeated pending windows are served by remapping a frozen plan
     /// instead of re-running the scheduler.  Off by default — the paper
@@ -96,8 +93,7 @@ impl Default for RuntimeOptions {
             eager: false,
             device_memory: 64 << 20, // 256 MB
             checked: false,
-            retry: crate::resilience::RetryPolicy::default(),
-            max_in_flight: 0,
+            max_retries: 0,
             plan_cache: false,
             broker: false,
             backend: KernelBackendKind::Spec,

@@ -61,6 +61,6 @@ pub use dfg::{lane, Dfg, NodeId, ValueId, WindowSig};
 pub use engine::{ContextPool, Engine, RuntimeOptions, Unit};
 pub use fiber::{DriveTimeout, FiberHub, JoinId};
 pub use plan_cache::{CacheConfig, CacheOutcome, CachedPlan, PlanCache, PlanL1};
-pub use resilience::{CancelToken, Deadline, RetryPolicy};
+pub use resilience::{CancelToken, Deadline};
 pub use scheduler::SchedulerKind;
 pub use stats::RuntimeStats;

@@ -25,15 +25,14 @@
 //! # Keying and invalidation
 //!
 //! The probe key mixes the signature with every configuration bit the plan
-//! depends on — `(SchedulerKind, gather_fusion, coarsen, lane-cap
-//! downshift state)` — so a resilience downshift or an ablation sweep can
-//! never be served another configuration's plan.  The shared cache lives on
-//! the [`crate::Engine`]; [`crate::Engine::retuned`] builds a *new* engine
-//! (and with it a fresh cache), which is wholesale invalidation for free.
-//! Contexts that observed a fault ([`crate::ExecutionContext::tainted`]) or
-//! run downshifted keep read access but never publish
-//! ([`CacheConfig::share`]), so a quarantined context cannot poison the
-//! shared cache.
+//! depends on — `(SchedulerKind, gather_fusion, coarsen, lane_cap)` — so an
+//! ablation sweep can never be served another configuration's plan.  The
+//! shared cache lives on the [`crate::Engine`]; [`crate::Engine::retuned`]
+//! builds a *new* engine (and with it a fresh cache), which is wholesale
+//! invalidation for free.  Contexts that observed a fault
+//! ([`crate::ExecutionContext::tainted`]) keep read access but never
+//! publish ([`CacheConfig::share`]), so a quarantined context cannot poison
+//! the shared cache.
 //!
 //! # Concurrency
 //!
@@ -75,24 +74,25 @@ pub struct CacheConfig {
     pub gather_fusion: bool,
     /// Grain-size coarsening setting.
     pub coarsen: bool,
-    /// Active graceful-degradation lane cap (0 = none): a downshifted
-    /// context must not share plans with full-size ones.
+    /// Lane cap the plan was made under (0 = none).  The runtime launches
+    /// every planned batch whole and always keys 0; a nonzero cap keys a
+    /// separate set of entries.
     pub lane_cap: usize,
     /// Whether misses may publish into the shared cache.  `false` for
-    /// tainted (quarantined) or downshifted contexts.
+    /// tainted (quarantined) contexts.
     pub share: bool,
 }
 
 impl CacheConfig {
-    /// Derives the config from resolved runtime options plus the
-    /// context's resilience state.
-    pub fn from_options(options: &crate::RuntimeOptions, lane_cap: usize, tainted: bool) -> Self {
+    /// Derives the config from resolved runtime options plus whether the
+    /// context is tainted.
+    pub fn from_options(options: &crate::RuntimeOptions, tainted: bool) -> Self {
         CacheConfig {
             kind: options.scheduler,
             gather_fusion: options.gather_fusion,
             coarsen: options.coarsen,
-            lane_cap,
-            share: !tainted && lane_cap == 0,
+            lane_cap: 0,
+            share: !tainted,
         }
     }
 
@@ -152,9 +152,8 @@ pub struct CachedPlan {
     /// Coarsening setting the plan was produced under.
     coarsen: bool,
     /// Full-width lane cap the plan was produced under.  `bits()` packs
-    /// this into 48 key bits, so after a deep lane-cap downshift two
-    /// different caps can alias to one probe key — this field is what
-    /// actually rejects the stale entry.
+    /// this into 48 key bits, so two different caps can alias to one probe
+    /// key — this field is what actually rejects the stale entry.
     lane_cap: usize,
     /// *Canonical window positions* of [`Plan::nodes`]: entry `i` is
     /// `canon_pos(plan.nodes[i])` — the window offset for sequential
@@ -508,8 +507,8 @@ mod tests {
             let out = plan_cached(&cfg(kind), &mut dfg, &mut scratch, &mut l1, &cache, &mut plan);
             assert!(matches!(out, CacheOutcome::Miss { .. }), "{kind:?} must miss");
         }
-        // A downshifted context (lane_cap != 0) probes a different key and
-        // must not publish.
+        // A nonzero lane cap probes a different key; a no-share config must
+        // not publish.
         let mut l1 = PlanL1::new();
         let down = CacheConfig { lane_cap: 2, share: false, ..cfg(SchedulerKind::InlineDepth) };
         let out = plan_cached(&down, &mut dfg, &mut scratch, &mut l1, &cache, &mut plan);

@@ -1,5 +1,5 @@
 //! Request-lifecycle resilience: deadlines, cooperative cancellation and
-//! transient-fault retry policy.
+//! the transient-fault retry backoff.
 //!
 //! ACROBAT's lazy-DFG runtime interleaves many requests' tensor work into
 //! shared flushes, so one faulty or slow request can poison its neighbours
@@ -11,18 +11,19 @@
 //!   boundaries and between batched launches;
 //! * [`Deadline`] — a latency budget in *virtual* time (compared against
 //!   the device model's accumulated time, deterministic and reproducible);
-//! * [`RetryPolicy`] — bounded retry with exponential backoff for
-//!   *transient* device faults ([`acrobat_tensor::FaultClass::Transient`]),
-//!   reusing the aborted-flush replan machinery: a failed flush leaves the
-//!   unexecuted suffix of the plan pending, so a retry simply replans and
-//!   reruns it, bit-for-bit.  Backoff is charged as virtual time to the
-//!   device cost model rather than slept.
+//! * `backoff_us` — the exponential backoff before each retry of a flush
+//!   that hit a *transient* device fault
+//!   ([`acrobat_tensor::FaultClass::Transient`]; the retry budget is
+//!   [`crate::RuntimeOptions::max_retries`]).  A retry reuses the
+//!   aborted-flush replan machinery: a failed flush leaves the unexecuted
+//!   suffix of the plan pending, so a retry simply replans and reruns it,
+//!   bit-for-bit.  Backoff is charged as virtual time to the device cost
+//!   model rather than slept.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use acrobat_tensor::TensorError;
-use serde::{Deserialize, Serialize};
 
 /// Cooperative cancellation flag shared between a request's submitter and
 /// its execution context.
@@ -98,34 +99,15 @@ impl Deadline {
     }
 }
 
-/// Bounded retry-with-backoff policy for transient device faults.
-///
-/// `max_retries == 0` (the default) disables retry entirely: every fault
-/// surfaces to the caller, preserving the pre-resilience behaviour.  With
-/// retries enabled, only faults classified
-/// [`acrobat_tensor::FaultClass::Transient`] are retried; fatal faults and
-/// interrupts (cancellation, deadline) surface immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts per flush (0 = retry disabled).
-    pub max_retries: u32,
-    /// Backoff before retry attempt `n` is `backoff_base_us * 2^(n-1)`
-    /// modeled microseconds, charged to the context's statistics (and thus
-    /// counted against any virtual deadline) rather than slept.
-    pub backoff_base_us: f64,
-}
+/// Backoff before the first retry of a flush, modeled µs.
+pub(crate) const BACKOFF_BASE_US: f64 = 50.0;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 0, backoff_base_us: 50.0 }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged before the `attempt`-th retry (1-based), µs.
-    pub fn backoff_us(&self, attempt: u32) -> f64 {
-        self.backoff_base_us * f64::from(2u32.saturating_pow(attempt.saturating_sub(1)))
-    }
+/// Backoff charged before the `attempt`-th retry (1-based) of a flush:
+/// `BACKOFF_BASE_US * 2^(attempt-1)` modeled µs, charged to the context's
+/// statistics (and thus counted against any virtual deadline) rather than
+/// slept.
+pub(crate) fn backoff_us(attempt: u32) -> f64 {
+    BACKOFF_BASE_US * f64::from(2u32.saturating_pow(attempt.saturating_sub(1)))
 }
 
 #[cfg(test)]
@@ -156,10 +138,9 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential() {
-        let p = RetryPolicy { max_retries: 3, backoff_base_us: 50.0 };
-        assert_eq!(p.backoff_us(1), 50.0);
-        assert_eq!(p.backoff_us(2), 100.0);
-        assert_eq!(p.backoff_us(3), 200.0);
-        assert_eq!(RetryPolicy::default().max_retries, 0, "retry is opt-in");
+        assert_eq!(backoff_us(1), BACKOFF_BASE_US);
+        assert_eq!(backoff_us(2), 2.0 * BACKOFF_BASE_US);
+        assert_eq!(backoff_us(3), 4.0 * BACKOFF_BASE_US);
+        assert_eq!(crate::RuntimeOptions::default().max_retries, 0, "retry is opt-in");
     }
 }

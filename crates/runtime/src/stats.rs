@@ -50,9 +50,6 @@ pub struct RuntimeStats {
     pub retries: u64,
     /// Modeled retry backoff charged as virtual time, µs.
     pub retry_backoff_us: f64,
-    /// Graceful-degradation lane-cap reductions (batch-size downshifts)
-    /// taken after repeated aborted flushes.
-    pub downshifts: u64,
     /// Flushes served by remapping a frozen plan ([`crate::plan_cache`]).
     #[serde(default)]
     pub plan_cache_hits: u64,
@@ -90,8 +87,9 @@ pub struct RuntimeStats {
     /// broker cohorts, like [`RuntimeStats::shared_flushes`].
     #[serde(default)]
     pub solo_flushes: u64,
-    /// Launches whose selection compiled a `(kernel, size-class)` pair on
-    /// the spot (specialized backend only; `0` under the interpreter).
+    /// Launches whose selection compiled their kernel on the spot — the
+    /// kernel's first launch (specialized backend only; `0` under the
+    /// interpreter).
     #[serde(default)]
     pub backend_compiles: u64,
     /// Launches served by an already-compiled kernel.
@@ -201,7 +199,6 @@ field_table! {
     fiber_switches: COUNT_SUM,
     retries: COUNT_SUM,
     retry_backoff_us: TIME_SUM,
-    downshifts: COUNT_SUM,
     plan_cache_hits: COUNT_SUM,
     plan_cache_misses: COUNT_SUM,
     plan_cache_evictions: COUNT_SUM,
@@ -310,11 +307,11 @@ mod tests {
         fields!(s: dfg_construction_us scheduling_us memcpy_us kernel_time_us cuda_api_us fiber_us
             retry_backoff_us plan_sig_us host_wall_us exec_wall_us program_host_us)
     }
-    fn counts(s: &mut RuntimeStats) -> [&mut u64; 21] {
+    fn counts(s: &mut RuntimeStats) -> [&mut u64; 20] {
         fields!(s: nodes kernel_launches gather_copies gather_bytes contiguous_hits memcpy_ops
-            memcpy_bytes flops flushes aborted_flushes fiber_switches retries downshifts
-            plan_cache_hits plan_cache_misses plan_cache_evictions shared_flushes solo_flushes
-            backend_compiles backend_hits backend_interp_falls)
+            memcpy_bytes flops flushes aborted_flushes fiber_switches retries plan_cache_hits
+            plan_cache_misses plan_cache_evictions shared_flushes solo_flushes backend_compiles
+            backend_hits backend_interp_falls)
     }
     fn filled(
         time: impl Fn(usize) -> f64,
@@ -347,13 +344,13 @@ mod tests {
     proptest! {
         #[test]
         fn split_parts_merge_back_to_the_total(
-            vals in proptest::collection::vec(0u64..u64::MAX, 34),
+            vals in proptest::collection::vec(0u64..u64::MAX, 33),
             weights in proptest::collection::vec(0usize..5, 1..6),
         ) {
             // Counts span 0 .. 2^40 (so `total < members` occurs), times are
             // non-dyadic so every share rounds.
             let count = |i: usize| (vals[11 + i] >> 24) >> (vals[11 + i] % 41);
-            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[32], vals[33]);
+            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[31], vals[32]);
             let parts = total.split(&weights);
             prop_assert_eq!(total.split(&weights[..1]), vec![total], "a lone member gets the total");
             let mut merged = RuntimeStats::default();

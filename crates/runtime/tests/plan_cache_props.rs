@@ -165,8 +165,8 @@ proptest! {
     /// Probe keys truncate `lane_cap` to 48 bits, so two distinct
     /// `(scheduler, lane_cap)` configurations can alias to one key (the
     /// routing key is lossy by design).  An aliased entry must fail the
-    /// full-field verify and re-schedule — a lane-cap downshift must never
-    /// be served the full-size frozen plan.
+    /// full-field verify and re-schedule — a plan frozen under one lane cap
+    /// must never be served under another.
     #[test]
     fn lane_cap_probe_key_aliasing_is_rejected(
         n in 1usize..30,

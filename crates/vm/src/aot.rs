@@ -257,9 +257,10 @@ struct CtorLayout {
 
 /// The types reachable from `@main`'s signature, flattened once so that
 /// converting a request's inputs and outputs instantiates no generic ADT
-/// and allocates nothing of its own.
+/// and allocates nothing of its own.  Both backends check request inputs
+/// against them ([`Layouts::check`]).
 #[derive(Debug, Default)]
-struct Layouts {
+pub(crate) struct Layouts {
     table: Vec<Layout>,
     /// Layout of each `@main` parameter; `None` for `$` model parameters.
     params: Vec<Option<u32>>,
@@ -1421,8 +1422,20 @@ fn scalar_bin(op: BinOp, a: u64, b: u64) -> Result<u64, VmError> {
 // The request boundary
 // ---------------------------------------------------------------------------
 
+/// One level of a request input resolved against its layout
+/// ([`Layouts::resolve`]).
+enum Resolved<'a> {
+    /// A tensor: the next uploaded input tensor.
+    Tensor,
+    /// A scalar, as its register word.
+    Word(u64),
+    /// A tuple or constructor cell: its tag and its fields with their
+    /// layouts.
+    Cell { tag: u32, layouts: &'a [u32], fields: &'a [InputValue] },
+}
+
 impl Layouts {
-    fn of_main(module: &Module, session: &Session) -> Result<Layouts, VmError> {
+    pub(crate) fn of_main(module: &Module, session: &Session) -> Result<Layouts, VmError> {
         let main = module.functions.get("main").ok_or_else(|| unsupported("no @main"))?;
         let mut layouts = Layouts::default();
         let mut ids = HashMap::new();
@@ -1479,6 +1492,55 @@ impl Layouts {
             Type::Fn { .. } | Type::Var(_) => Layout::Opaque,
         };
         id
+    }
+
+    /// Checks one instance's `%` inputs, as many as `@main` takes, against
+    /// their parameter types.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Input`] for a value that does not have its parameter's
+    /// type (an unknown constructor among them).
+    pub(crate) fn check(&self, inputs: &[InputValue]) -> Result<(), VmError> {
+        let params = self.params.iter().flatten();
+        params.zip(inputs).try_for_each(|(&layout, value)| self.check_value(layout, value))
+    }
+
+    fn check_value(&self, layout: u32, value: &InputValue) -> Result<(), VmError> {
+        match self.resolve(layout, value)? {
+            Resolved::Cell { layouts, fields, .. } => {
+                layouts.iter().zip(fields).try_for_each(|(&l, field)| self.check_value(l, field))
+            }
+            Resolved::Tensor | Resolved::Word(_) => Ok(()),
+        }
+    }
+
+    /// Resolves the outermost level of `value` against `layout` — the one
+    /// place an input is matched against its type, for both backends.
+    fn resolve<'a>(&'a self, layout: u32, value: &'a InputValue) -> Result<Resolved<'a>, VmError> {
+        let mismatch = |want: &str| VmError::Input(format!("expected {want}, got {value:?}"));
+        match (&self.table[layout as usize], value) {
+            (Layout::Tensor, InputValue::Tensor(_)) => Ok(Resolved::Tensor),
+            (Layout::Int, InputValue::Int(x)) => Ok(Resolved::Word(*x as u64)),
+            (Layout::Float, InputValue::Float(x)) => Ok(Resolved::Word(x.to_bits())),
+            (Layout::Bool, InputValue::Bool(x)) => Ok(Resolved::Word(u64::from(*x))),
+            (Layout::Tuple(layouts), InputValue::Tuple(parts)) if layouts.len() == parts.len() => {
+                Ok(Resolved::Cell { tag: TUPLE, layouts, fields: parts })
+            }
+            (Layout::Adt(ctors), InputValue::Adt { ctor, fields }) => {
+                match ctors.iter().find(|c| c.name == *ctor && c.fields.len() == fields.len()) {
+                    Some(c) => Ok(Resolved::Cell { tag: c.tag, layouts: &c.fields, fields }),
+                    None => Err(mismatch("a constructor of the parameter's type")),
+                }
+            }
+            (Layout::Tensor, _) => Err(mismatch("a tensor")),
+            (Layout::Int, _) => Err(mismatch("an Int")),
+            (Layout::Float, _) => Err(mismatch("a Float")),
+            (Layout::Bool, _) => Err(mismatch("a Bool")),
+            (Layout::Tuple(parts), _) => Err(mismatch(&format!("a {}-tuple", parts.len()))),
+            (Layout::Adt(_), _) => Err(mismatch("an ADT value")),
+            (Layout::Opaque, _) => Err(mismatch("a value of a first-order type")),
+        }
     }
 }
 
@@ -1542,40 +1604,21 @@ impl AotProgram {
         tensors: &mut impl Iterator<Item = ValueId>,
         arena: &mut Vec<u64>,
     ) -> Result<u64, VmError> {
-        let mismatch = |want: &str| VmError::Input(format!("expected {want}, got {value:?}"));
-        let mut cell = |tag: u32, layouts: &[u32], fields: &[InputValue]| {
-            // The cell first, then its fields in place: no scratch buffer.
-            let at = new_cell(arena, tag, layouts.iter().map(|_| 0)) as usize;
-            for (i, (layout, field)) in layouts.iter().zip(fields).enumerate() {
-                let word = self.input_word(*layout, field, tensors, arena)?;
-                arena[at + 1 + i] = word;
-            }
-            Ok(at as u64)
-        };
-        match (&self.layouts.table[layout as usize], value) {
-            (Layout::Tensor, InputValue::Tensor(_)) => tensors
+        match self.layouts.resolve(layout, value)? {
+            Resolved::Tensor => tensors
                 .next()
                 .map(|v| v.0)
                 .ok_or_else(|| VmError::Input("tensor not uploaded".into())),
-            (Layout::Int, InputValue::Int(x)) => Ok(*x as u64),
-            (Layout::Float, InputValue::Float(x)) => Ok(x.to_bits()),
-            (Layout::Bool, InputValue::Bool(x)) => Ok(u64::from(*x)),
-            (Layout::Tuple(layouts), InputValue::Tuple(parts)) if layouts.len() == parts.len() => {
-                cell(TUPLE, layouts, parts)
-            }
-            (Layout::Adt(ctors), InputValue::Adt { ctor, fields }) => {
-                match ctors.iter().find(|c| c.name == *ctor && c.fields.len() == fields.len()) {
-                    Some(c) => cell(c.tag, &c.fields, fields),
-                    None => Err(mismatch("a constructor of the parameter's type")),
+            Resolved::Word(word) => Ok(word),
+            Resolved::Cell { tag, layouts, fields } => {
+                // The cell first, then its fields in place: no scratch buffer.
+                let at = new_cell(arena, tag, layouts.iter().map(|_| 0)) as usize;
+                for (i, (layout, field)) in layouts.iter().zip(fields).enumerate() {
+                    let word = self.input_word(*layout, field, tensors, arena)?;
+                    arena[at + 1 + i] = word;
                 }
+                Ok(at as u64)
             }
-            (Layout::Tensor, _) => Err(mismatch("a tensor")),
-            (Layout::Int, _) => Err(mismatch("an Int")),
-            (Layout::Float, _) => Err(mismatch("a Float")),
-            (Layout::Bool, _) => Err(mismatch("a Bool")),
-            (Layout::Tuple(parts), _) => Err(mismatch(&format!("a {}-tuple", parts.len()))),
-            (Layout::Adt(_), _) => Err(mismatch("an ADT value")),
-            (Layout::Opaque, _) => Err(mismatch("a value of a first-order type")),
         }
     }
 

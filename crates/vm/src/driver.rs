@@ -34,7 +34,7 @@ use acrobat_ir::{ExprKind, ParamKind};
 use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats, ValueId};
 use acrobat_tensor::{FaultPlan, Tensor, TensorError};
 
-use crate::aot::{AotBackend, Scratch};
+use crate::aot::{AotBackend, Layouts, Scratch};
 use crate::broker::{BatchBroker, BrokerStats};
 use crate::interp::VmBackend;
 use crate::session::{ExecCtx, Handle, RunSession, Session, VmError};
@@ -50,7 +50,9 @@ pub enum BackendKind {
 }
 
 enum BackendImpl {
-    Vm(VmBackend),
+    /// The interpreter, and `@main`'s parameter layouts to check its
+    /// inputs against (the AOT program carries its own).
+    Vm(VmBackend, Layouts),
     Aot(Box<AotBackend>),
 }
 
@@ -71,7 +73,7 @@ impl std::fmt::Debug for Executable {
             .field(
                 "backend",
                 &match self.backend {
-                    BackendImpl::Vm(_) => "vm",
+                    BackendImpl::Vm(..) => "vm",
                     BackendImpl::Aot(_) => "aot",
                 },
             )
@@ -150,7 +152,10 @@ impl Executable {
         let broker = engine.options().broker.then(BatchBroker::default);
         let session = Session::new(engine, seed, fiber_mode);
         let backend = match kind {
-            BackendKind::Vm => BackendImpl::Vm(VmBackend::new(Arc::new(analysis.module.clone()))),
+            BackendKind::Vm => BackendImpl::Vm(
+                VmBackend::new(Arc::new(analysis.module.clone())),
+                Layouts::of_main(&analysis.module, &session)?,
+            ),
             BackendKind::Aot => {
                 BackendImpl::Aot(Box::new(AotBackend::compile(&analysis.module, &session)?))
             }
@@ -163,7 +168,7 @@ impl Executable {
     /// Relay-VM backend, which interprets the syntax tree.
     pub fn disassemble(&self) -> Option<String> {
         match &self.backend {
-            BackendImpl::Vm(_) => None,
+            BackendImpl::Vm(..) => None,
             BackendImpl::Aot(aot) => Some(aot.program().to_string()),
         }
     }
@@ -197,7 +202,7 @@ impl Executable {
     /// # Errors
     ///
     /// As [`Executable::run`], plus [`VmError::Input`] when `opts.keys` has
-    /// the wrong arity.
+    /// the wrong arity or `opts.deadline_us` is NaN.
     pub fn run_with(
         &self,
         params: &BTreeMap<String, Tensor>,
@@ -212,11 +217,11 @@ impl Executable {
     }
 
     /// The request lifecycle, for `k >= 1` requests sharing one execution
-    /// context: validate and admit each member, arm one context, execute
-    /// the admitted members' concatenated instances as one mini-batch,
-    /// settle and record.  A solo run is a group of one.  `partitioned` is
-    /// set by [`Executable::run_cohort`] alone and makes the context
-    /// classify its flushes as shared or solo across the members.
+    /// context: validate each member, arm one context, execute the valid
+    /// members' concatenated instances as one mini-batch, settle and record.
+    /// A solo run is a group of one.  `partitioned` is set by
+    /// [`Executable::run_cohort`] alone and makes the context classify its
+    /// flushes as shared or solo across the members.
     ///
     /// The contract, for every exit: a run that succeeds is merged into the
     /// session aggregate once per member (statistics split by instance
@@ -224,9 +229,9 @@ impl Executable {
     /// run that fails quarantines its context and merges nothing; each
     /// request lands in exactly one outcome bucket.  A failed group of one
     /// *is* that request's genuine outcome.  A failed group of several is
-    /// never recorded: its admission slots are released and every member
-    /// re-runs alone, so the trigger reproduces its own error and the peers
-    /// their exact solo results.  Nothing here touches the broker queue.
+    /// never recorded: every member re-runs alone, so the trigger reproduces
+    /// its own error and the peers their exact solo results.  Nothing here
+    /// touches the broker queue.
     pub(crate) fn run_group(
         &self,
         members: &[Member<'_>],
@@ -238,46 +243,43 @@ impl Executable {
             session.record_outcome(&result);
             out[i] = Some(result);
         };
-        // Pin the engine and pass the admission gate before acquiring any
-        // per-run resources; a rejected request touches nothing but a
-        // counter.  Admission is per member, so `max_in_flight` bounds
-        // *requests*, not contexts.
+        // Pin the engine and validate every member before acquiring any
+        // per-run resources; a malformed request touches nothing but a
+        // counter.
         let run = RunSession::new(session);
-        let limit = run.engine().options().max_in_flight;
-        let (mut admitted, mut permits) = (Vec::new(), Vec::new());
+        let mut accepted = Vec::new();
         let (mut counts, mut starts) = (Vec::new(), Vec::new());
         let (mut inst_refs, mut keys) = (Vec::new(), Vec::new());
         for (i, m) in members.iter().enumerate() {
             let n = m.instances.len();
             let given = m.opts.keys.as_ref().map_or(n, Vec::len);
-            let admission = if given == n {
-                session.try_admit(limit)
-            } else {
-                Err(VmError::Input(format!("{given} rng keys for {n} instances")))
-            };
-            match admission {
-                Ok(permit) => {
-                    admitted.push(i);
-                    permits.push(permit);
-                    counts.push(n);
-                    starts.push(inst_refs.len());
-                    inst_refs.extend(m.instances);
-                    // Member-relative keys: instance j draws the random
-                    // streams it draws solo, whatever its merged slot.
-                    match &m.opts.keys {
-                        Some(given) => keys.extend(given),
-                        None => keys.extend(0..n as u64),
-                    }
-                }
-                Err(e) => settle(i, Err(e)),
+            if given != n {
+                settle(i, Err(VmError::Input(format!("{given} rng keys for {n} instances"))));
+                continue;
+            }
+            // `spent >= NaN` never trips: a NaN budget would silently mean
+            // "no deadline".
+            if m.opts.deadline_us.is_some_and(f64::is_nan) {
+                settle(i, Err(VmError::Input("the deadline budget is NaN".into())));
+                continue;
+            }
+            accepted.push(i);
+            counts.push(n);
+            starts.push(inst_refs.len());
+            inst_refs.extend(m.instances);
+            // Member-relative keys: instance j draws the random streams it
+            // draws solo, whatever its merged slot.
+            match &m.opts.keys {
+                Some(given) => keys.extend(given),
+                None => keys.extend(0..n as u64),
             }
         }
-        if let Some(&first) = admitted.first() {
+        if let Some(&first) = accepted.first() {
             // Take a private execution context and arm its lifecycle state:
             // at most one fault plan, the strictest budget (on success every
             // member's share of the time is below the total, hence below
             // its own budget), the first cancel token.
-            let opts = || admitted.iter().map(|&i| members[i].opts);
+            let opts = || accepted.iter().map(|&i| members[i].opts);
             let mut ctx = run.acquire_context();
             if let Some(fault) = opts().find_map(|o| o.fault) {
                 ctx.mem_mut().arm_fault(fault);
@@ -296,18 +298,17 @@ impl Executable {
                     let shares = stats.split(&counts);
                     run.finish(ctx, &shares);
                     let mut outputs = outputs.into_iter();
-                    for ((&i, n), stats) in admitted.iter().zip(counts).zip(shares) {
+                    for ((&i, n), stats) in accepted.iter().zip(counts).zip(shares) {
                         let outputs = outputs.by_ref().take(n).collect();
                         settle(i, Ok(RunResult { outputs, stats }));
                     }
                 }
                 (Err(e), ctx) => {
                     run.abandon(ctx);
-                    if admitted.len() == 1 {
+                    if accepted.len() == 1 {
                         settle(first, Err(e));
                     } else {
-                        drop(permits);
-                        for &i in &admitted {
+                        for &i in &accepted {
                             out[i] = self.run_group(&members[i..=i], false).pop();
                         }
                     }
@@ -317,7 +318,7 @@ impl Executable {
         out.into_iter().map(|r| r.expect("every member settled")).collect()
     }
 
-    /// Executes one admitted mini-batch on its pinned engine: upload → bind
+    /// Executes one validated mini-batch on its pinned engine: upload → bind
     /// → drive → drain → collect.  Returns the context alongside the result
     /// (it moves by value across the fiber-mode thread scope) so the caller
     /// can pool or quarantine it from every exit.
@@ -337,7 +338,9 @@ impl Executable {
             Err(e) => return (Err(e), ctx),
         };
         match &self.backend {
-            BackendImpl::Vm(vm) => run_vm(vm, run, ctx, &uploaded, instances, keys),
+            BackendImpl::Vm(vm, layouts) => {
+                run_vm(vm, layouts, run, ctx, &uploaded, instances, keys)
+            }
             BackendImpl::Aot(aot) => {
                 let mut scratch = aot.acquire();
                 let (result, ctx) =
@@ -538,16 +541,21 @@ fn run_aot(
     (result, ctx)
 }
 
-/// The Relay-VM path: box the inputs as [`Value`]s, interpret `@main` per
-/// instance sequentially on one big-stack thread, drain, unbox the results.
+/// The Relay-VM path: check the inputs against `@main`'s types, box them as
+/// [`Value`]s, interpret `@main` per instance sequentially on one big-stack
+/// thread, drain, unbox the results.
 fn run_vm(
     vm: &VmBackend,
+    layouts: &Layouts,
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
     uploaded: &Uploaded,
     instances: &[&Vec<InputValue>],
     keys: &[u64],
 ) -> Outcome {
+    if let Err(e) = instances.iter().try_for_each(|inst| layouts.check(inst)) {
+        return (Err(e), ctx);
+    }
     let mut ids = uploaded.tensors.iter().copied();
     let instance_args: Vec<Vec<Value>> = instances
         .iter()

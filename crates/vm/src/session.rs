@@ -70,14 +70,6 @@ pub enum VmError {
         /// The request's budget in microseconds.
         budget_us: f64,
     },
-    /// Load shedding: the session's admission limit was reached, so the
-    /// request was rejected without acquiring an execution context.
-    Overloaded {
-        /// Runs in flight when the request arrived.
-        in_flight: usize,
-        /// The session's `max_in_flight` limit.
-        limit: usize,
-    },
     /// The fiber hub stalled past its watchdog budget; the run was
     /// cancelled and drained instead of hanging.
     DriveTimeout(acrobat_runtime::DriveTimeout),
@@ -102,9 +94,6 @@ impl fmt::Display for VmError {
             VmError::DeadlineExceeded { spent_us, budget_us } => {
                 write!(f, "deadline exceeded: spent {spent_us:.1}us of {budget_us:.1}us budget")
             }
-            VmError::Overloaded { in_flight, limit } => {
-                write!(f, "overloaded: {in_flight} runs in flight (limit {limit}), request shed")
-            }
             VmError::DriveTimeout(t) => write!(f, "{t}"),
             VmError::DepthExceeded { limit } => {
                 write!(f, "call depth exceeded: more than {limit} live frames")
@@ -128,11 +117,6 @@ impl From<TensorError> for VmError {
 }
 
 impl VmError {
-    /// Whether this is the load-shedding rejection.
-    pub fn is_overloaded(&self) -> bool {
-        matches!(self, VmError::Overloaded { .. })
-    }
-
     /// Whether this is a cooperative-cancellation outcome.
     pub fn is_cancelled(&self) -> bool {
         matches!(self, VmError::Cancelled)
@@ -169,7 +153,8 @@ impl CtorTable {
     ///
     /// # Panics
     ///
-    /// Panics on unknown names (prevented by type checking).
+    /// Panics on unknown names (prevented by type checking, and for request
+    /// inputs by the layout check both backends run).
     pub fn tag(&self, name: &str) -> u32 {
         self.by_name[name]
     }
@@ -330,9 +315,9 @@ struct Aggregate {
 }
 
 /// Terminal-outcome counters for every request submitted to a session,
-/// including requests that never acquired an execution context (shed at
-/// admission).  Completed runs are the only ones that contribute runtime
-/// statistics to [`Session::aggregate_stats`].
+/// including requests rejected before they acquired an execution context
+/// (malformed options count as failed).  Completed runs are the only ones
+/// that contribute runtime statistics to [`Session::aggregate_stats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOutcomes {
     /// Runs that finished and merged their statistics.
@@ -343,8 +328,6 @@ pub struct ServeOutcomes {
     pub cancelled: u64,
     /// Runs that exceeded their deadline budget.
     pub deadline_exceeded: u64,
-    /// Requests rejected at admission (load shedding).
-    pub shed: u64,
     /// Runs aborted by the fiber-hub stall watchdog.
     pub timed_out: u64,
 }
@@ -353,23 +336,7 @@ impl ServeOutcomes {
     /// Total requests observed (every submitted request lands in exactly
     /// one counter).
     pub fn total(&self) -> u64 {
-        self.completed
-            + self.failed
-            + self.cancelled
-            + self.deadline_exceeded
-            + self.shed
-            + self.timed_out
-    }
-}
-
-/// RAII admission permit: holds one slot of the session's `max_in_flight`
-/// budget and releases it on drop.
-#[derive(Debug)]
-pub struct AdmitPermit<'s>(&'s std::sync::atomic::AtomicUsize);
-
-impl Drop for AdmitPermit<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+        self.completed + self.failed + self.cancelled + self.deadline_exceeded + self.timed_out
     }
 }
 
@@ -400,8 +367,6 @@ pub struct Session {
     hoist_index: BTreeMap<ExprId, u64>,
     /// Statistics and PGO profile merged across completed runs.
     aggregate: Mutex<Aggregate>,
-    /// Admitted runs currently executing (admission-gate occupancy).
-    in_flight: std::sync::atomic::AtomicUsize,
 }
 
 impl fmt::Debug for Session {
@@ -435,7 +400,6 @@ impl Session {
             hoist_base,
             hoist_index,
             aggregate: Mutex::new(Aggregate::default()),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -473,32 +437,10 @@ impl Session {
         self.aggregate.lock().outcomes
     }
 
-    /// Admitted runs currently executing.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(std::sync::atomic::Ordering::Acquire)
-    }
-
     /// Contexts the pool has quarantined (dropped instead of recycled)
     /// because a run observed a fault, cancellation, or deadline miss.
     pub fn quarantined_count(&self) -> u64 {
         self.pool.quarantined_count()
-    }
-
-    /// Admission gate: claims an in-flight slot, or sheds the request when
-    /// `limit` (0 = unlimited) is already saturated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::Overloaded`] when the limit is reached; no
-    /// execution context is acquired in that case.
-    pub fn try_admit(&self, limit: usize) -> Result<AdmitPermit<'_>, VmError> {
-        use std::sync::atomic::Ordering;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if limit != 0 && prev >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Err(VmError::Overloaded { in_flight: prev, limit });
-        }
-        Ok(AdmitPermit(&self.in_flight))
     }
 
     /// Buckets a finished request into its terminal-outcome counter.
@@ -508,7 +450,6 @@ impl Session {
             Ok(_) => o.completed += 1,
             Err(VmError::Cancelled) => o.cancelled += 1,
             Err(VmError::DeadlineExceeded { .. }) => o.deadline_exceeded += 1,
-            Err(VmError::Overloaded { .. }) => o.shed += 1,
             Err(VmError::DriveTimeout(_)) => o.timed_out += 1,
             Err(_) => o.failed += 1,
         }

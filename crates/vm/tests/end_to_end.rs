@@ -351,6 +351,45 @@ fn wrong_instance_arity_is_input_error() {
     assert!(matches!(err, Err(acrobat_vm::VmError::Input(_))));
 }
 
+/// A malformed request fails itself with a typed error on either backend:
+/// an unknown constructor, a tensor where `@main` takes an `Int`, and a NaN
+/// deadline budget (which `spent >= NaN` would read as "no deadline").  The
+/// Relay VM used to panic on the first two.
+#[test]
+fn malformed_requests_are_input_errors_on_both_backends() {
+    use acrobat_vm::{RunOptions, VmError};
+    const PICKY: &str = "
+    def @main($w: Tensor[(1, 2)], %l: List[Tensor[(1, 2)]], %n: Int) -> Tensor[(1, 2)] {
+        match %l { Nil => $w, Cons(%h, %t) => add(%h, $w) }
+    }";
+    let params = BTreeMap::from([("w".to_string(), Tensor::ones(&[1, 2]))]);
+    let list = InputValue::list(vec![InputValue::Tensor(Tensor::ones(&[1, 2]))]);
+    // One-instance batches.
+    let good = [vec![list.clone(), InputValue::Int(2)]];
+    let unknown_ctor =
+        [vec![InputValue::Adt { ctor: "Bogus".into(), fields: vec![] }, InputValue::Int(2)]];
+    let tensor_for_int = [vec![list, InputValue::Tensor(Tensor::ones(&[1, 2]))]];
+    let budget = |us| RunOptions { deadline_us: Some(us), ..Default::default() };
+    for kind in [BackendKind::Aot, BackendKind::Vm] {
+        let exe = build(PICKY, kind, AnalysisOptions::default());
+        let requests = [
+            (&unknown_ctor, RunOptions::default()),
+            (&tensor_for_int, RunOptions::default()),
+            (&good, budget(f64::NAN)),
+        ];
+        for (failed, (batch, opts)) in requests.into_iter().enumerate() {
+            let err = exe.run_with(&params, batch, &opts).unwrap_err();
+            assert!(matches!(err, VmError::Input(_)), "{kind:?} request {failed}: {err:?}");
+            assert_eq!(exe.session.outcomes().failed, failed as u64 + 1, "{kind:?}");
+        }
+        // An infinite budget is unlimited; a zero budget trips at once.
+        let result = exe.run_with(&params, &good, &budget(f64::INFINITY)).unwrap();
+        assert_eq!(result.outputs[0].tensors()[0].data(), [2.0, 2.0], "{kind:?}");
+        let err = exe.run_with(&params, &good, &budget(0.0)).unwrap_err();
+        assert!(err.is_deadline_exceeded(), "{kind:?}: {err:?}");
+    }
+}
+
 #[test]
 fn device_oom_surfaces_as_error() {
     let options = RuntimeOptions { device_memory: 5, ..Default::default() };

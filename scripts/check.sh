@@ -65,6 +65,11 @@ if [ "$(grep -rn 'run_pinned(' crates/vm/src | grep -vc 'fn run_pinned(')" != 1 
   echo "run_pinned must have exactly one call site (run_group)"; exit 1
 fi
 
+echo "==> resilience keeps what recovers (retry with one knob, quarantine, interrupts; no lane-cap downshift, no admission gate)"
+if grep -rnE 'max_in_flight|try_admit|AdmitPermit|Overloaded|downshift|consecutive_aborts|RetryPolicy|backoff_base_us' crates tests; then
+  echo "the downshift and the admission gate are gone: each planned batch is one launch, every request runs, and retry is RuntimeOptions::max_retries alone"; exit 1
+fi
+
 echo "==> one modeled-time ledger (RuntimeStats is the only clock; no device-timeline what-if simulator)"
 if grep -rnE 'TimelineOptions|DeviceTimeline|overlap_saved_us|timeline_overlap' crates tests; then
   echo "the device timeline is gone: every modeled charge is one += on its RuntimeStats account"; exit 1

@@ -10,16 +10,14 @@
 //! tallied in the outcome ledger and quarantining their context.
 
 use acrobat_bench::suite;
-use acrobat_core::{
-    compile, CompileOptions, FaultPlan, Model, RetryPolicy, RunOptions, RuntimeStats,
-};
+use acrobat_core::{compile, CompileOptions, FaultPlan, Model, RunOptions, RuntimeStats};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::CancelToken;
 use proptest::prelude::*;
 
 fn build_retrying(spec: &ModelSpec) -> Model {
     let mut options = CompileOptions::default();
-    options.runtime.retry = RetryPolicy { max_retries: 3, backoff_base_us: 10.0 };
+    options.runtime.max_retries = 3;
     compile(&spec.source, &options).unwrap_or_else(|e| panic!("{} compiles: {e}", spec.name))
 }
 
@@ -108,7 +106,6 @@ proptest! {
         sum_check!(flushes);
         sum_check!(aborted_flushes);
         sum_check!(retries);
-        sum_check!(downshifts);
         let backoff: f64 = completed.iter().map(|s| s.retry_backoff_us).sum();
         prop_assert!(
             (agg.retry_backoff_us - backoff).abs() < 1e-9,
