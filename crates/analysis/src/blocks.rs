@@ -66,11 +66,6 @@ pub struct BlockMap {
 }
 
 impl BlockMap {
-    /// Looks up the block containing an operator site.
-    pub fn block_of(&self, site: ExprId) -> Option<&StaticBlock> {
-        self.blocks.iter().find(|b| b.sites.iter().any(|s| s.site == site))
-    }
-
     /// Total number of operator sites across all blocks.
     pub fn site_count(&self) -> usize {
         self.blocks.iter().map(|b| b.sites.len()).sum()

@@ -121,8 +121,6 @@ impl ComputationGraph {
             vector: 1,
             unroll: 1,
             quality: cfg.kernel_quality,
-            tuned_batch: 1,
-            local_padding: true,
             iterations_spent: 0,
         };
         ComputationGraph {

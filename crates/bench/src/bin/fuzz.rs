@@ -1,8 +1,9 @@
-//! Differential fuzzer driver: random IR programs + random DAG workloads
-//! through every scheduler/ablation combination in checked mode, compared
-//! bit-for-bit against the host reference, unbatched eager execution, and
-//! the DyNet-sim baseline — plus a checked-mode sweep of the full model
-//! suite.
+//! Differential fuzzer driver: random IR programs through every
+//! `config_matrix()` entry and random DAG workloads through every
+//! `dag_config_matrix()` entry — the same two lists the
+//! `differential_fuzz` test runs — compared bit-for-bit against the host
+//! reference, checked eager execution, and the DyNet-sim baseline, plus a
+//! checked-mode sweep of the full model suite under every scheduler.
 //!
 //! ```text
 //! cargo run --release -p acrobat-bench --bin fuzz -- [--cases N] [--seed S] [--skip-suite]
@@ -10,16 +11,12 @@
 //!
 //! Exits non-zero on the first mismatch or invariant violation.
 
-use acrobat_bench::fuzz::{config_matrix, dag_outputs, FuzzCase};
+use acrobat_bench::fuzz::{bits, config_matrix, dag_config_matrix, dag_outputs, FuzzCase};
 use acrobat_bench::{run_acrobat, suite};
 use acrobat_core::{CompileOptions, OptLevel};
 use acrobat_models::ModelSize;
 use acrobat_runtime::{RuntimeOptions, SchedulerKind};
 use acrobat_tensor::Tensor;
-
-fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
-    ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
-}
 
 fn first_diff(a: &[Tensor], b: &[Tensor]) -> String {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -45,6 +42,7 @@ fn main() {
     }
 
     let configs = config_matrix();
+    let dag_configs = dag_config_matrix();
     let mut failures = 0u64;
 
     // -- phase 1: random IR programs -------------------------------------
@@ -108,31 +106,19 @@ fn main() {
         )
         .expect("eager DAG reference");
         let want = bits(&reference);
-        for scheduler in
-            [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-        {
-            for gather_fusion in [false, true] {
-                let options = RuntimeOptions {
-                    scheduler,
-                    gather_fusion,
-                    checked: true,
-                    ..RuntimeOptions::default()
-                };
-                match dag_outputs(case_seed, &options) {
-                    Ok(got) if bits(&got) == want => {}
-                    Ok(got) => {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL dag seed={case_seed} {scheduler:?}/gf={gather_fusion}: {}",
-                            first_diff(&reference, &got)
-                        );
-                    }
-                    Err(e) => {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL dag seed={case_seed} {scheduler:?}/gf={gather_fusion}: {e}"
-                        );
-                    }
+        for (name, options) in &dag_configs {
+            match dag_outputs(case_seed, options) {
+                Ok(got) if bits(&got) == want => {}
+                Ok(got) => {
+                    failures += 1;
+                    eprintln!(
+                        "FAIL dag seed={case_seed} config={name}: {}",
+                        first_diff(&reference, &got)
+                    );
+                }
+                Err(e) => {
+                    failures += 1;
+                    eprintln!("FAIL dag seed={case_seed} config={name}: {e}");
                 }
             }
         }
@@ -141,19 +127,18 @@ fn main() {
             std::process::exit(1);
         }
     }
-    println!("dag workloads: {dag_cases} cases x 3 schedulers x gather-fusion vs checked eager");
+    println!("dag workloads: {dag_cases} cases x {} configs vs checked eager", dag_configs.len());
 
     // -- phase 3: checked-mode model-suite sweep -------------------------
     if !skip_suite {
         let mut runs = 0u64;
-        for spec in suite(ModelSize::Small, true) {
+        let specs = suite(ModelSize::Small, true);
+        for spec in &specs {
             for level in OptLevel::ALL {
-                for scheduler in
-                    [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-                {
+                for scheduler in SchedulerKind::ALL {
                     let mut options = CompileOptions::at_level(level).with_checked(true);
                     options.runtime.scheduler = scheduler;
-                    match run_acrobat(&spec, &options, 8, seed) {
+                    match run_acrobat(spec, &options, 8, seed) {
                         Ok(_) => runs += 1,
                         Err(e) => {
                             failures += 1;
@@ -167,7 +152,12 @@ fn main() {
                 }
             }
         }
-        println!("model suite: {runs} checked runs (7 models x 6 opt levels x 3 schedulers)");
+        println!(
+            "model suite: {runs} checked runs ({} models x {} opt levels x {} schedulers)",
+            specs.len(),
+            OptLevel::ALL.len(),
+            SchedulerKind::ALL.len()
+        );
     }
 
     if failures > 0 {

@@ -12,7 +12,7 @@
 //! * [`dag_outputs`] — random DAG workloads driven directly through
 //!   [`Runtime::add_unit`] with random cross-instance dependences and two
 //!   shared-operand signatures, exercising the schedulers on graph shapes
-//!   the frontend never emits.
+//!   the frontend never emits, under every [`dag_config_matrix`] entry.
 //!
 //! Bit-for-bit equality is the soundness bar: batched execution must be
 //! *semantically invisible* (DESIGN.md), so `1e-6`-style tolerances would
@@ -53,6 +53,11 @@ impl Rng {
     fn unit(&mut self) -> f32 {
         (self.below(201) as f32 - 100.0) / 100.0
     }
+}
+
+/// The bit patterns of `ts`, for bit-for-bit comparison.
+pub fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
+    ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
 }
 
 /// One straight-line op over previously defined values (index 0 is `%x`).
@@ -275,8 +280,18 @@ impl FuzzCase {
     }
 }
 
-/// The scheduler/ablation matrix every fuzz case runs under: all three
-/// schedulers × gather-fusion × coarsening × {plan cache off, on} ×
+/// The kernel backends every fuzz configuration crosses.
+const BACKENDS: [KernelBackendKind; 2] = [KernelBackendKind::Interp, KernelBackendKind::Spec];
+
+fn backend_label(backend: KernelBackendKind) -> &'static str {
+    match backend {
+        KernelBackendKind::Interp => "interp",
+        KernelBackendKind::Spec => "spec",
+    }
+}
+
+/// The scheduler/ablation matrix every fuzz case runs under: every
+/// scheduler × gather-fusion × coarsening × {plan cache off, on} ×
 /// {broker off, on} × {interpreter, specialized kernel backend}, all in
 /// checked mode, plus the unbatched eager configuration (also checked,
 /// both cache settings).  The plan-cache axis must be bit-for-bit
@@ -290,14 +305,12 @@ impl FuzzCase {
 /// host-reference comparison the fuzz driver performs.
 pub fn config_matrix() -> Vec<(String, CompileOptions)> {
     let mut out = Vec::new();
-    for scheduler in
-        [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-    {
+    for scheduler in SchedulerKind::ALL {
         for gather_fusion in [false, true] {
             for coarsen in [false, true] {
                 for plan_cache in [false, true] {
                     for broker in [false, true] {
-                        for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
+                        for backend in BACKENDS {
                             let mut o = CompileOptions::default().with_checked(true);
                             o.runtime.scheduler = scheduler;
                             o.runtime.gather_fusion = gather_fusion;
@@ -305,10 +318,7 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
                             o.runtime.plan_cache = plan_cache;
                             o.runtime.broker = broker;
                             o.runtime.backend = backend;
-                            let be = match backend {
-                                KernelBackendKind::Interp => "interp",
-                                KernelBackendKind::Spec => "spec",
-                            };
+                            let be = backend_label(backend);
                             out.push((
                                 format!(
                                     "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
@@ -327,6 +337,37 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
         eager.runtime.eager = true;
         eager.runtime.plan_cache = plan_cache;
         out.push((format!("eager/pc={plan_cache}"), eager));
+    }
+    out
+}
+
+/// The runtime configurations every [`dag_outputs`] workload runs under,
+/// each compared against checked eager execution: every scheduler ×
+/// gather-fusion × plan cache {off, on} × kernel backend {interp, spec},
+/// all in checked mode.
+pub fn dag_config_matrix() -> Vec<(String, RuntimeOptions)> {
+    let mut out = Vec::new();
+    for scheduler in SchedulerKind::ALL {
+        for gather_fusion in [false, true] {
+            for plan_cache in [false, true] {
+                for backend in BACKENDS {
+                    out.push((
+                        format!(
+                            "{scheduler:?}/gf={gather_fusion}/pc={plan_cache}/be={}",
+                            backend_label(backend)
+                        ),
+                        RuntimeOptions {
+                            scheduler,
+                            gather_fusion,
+                            checked: true,
+                            plan_cache,
+                            backend,
+                            ..RuntimeOptions::default()
+                        },
+                    ));
+                }
+            }
+        }
     }
     out
 }

@@ -14,7 +14,7 @@
 //! the kernel's ideal execution time in the device cost model.  Variable
 //! batch extents are handled as in the paper: the schedule is tuned for one
 //! static extent and applied to all extents, with DietCode-style local
-//! padding optionally removing the misalignment penalty.
+//! padding shrinking the misalignment penalty.
 
 use std::collections::BTreeMap;
 
@@ -34,12 +34,6 @@ pub struct Schedule {
     pub unroll: u32,
     /// Schedule quality in `(0, 1]`; execution time scales as `1/quality`.
     pub quality: f64,
-    /// Batch extent the schedule was tuned for (§D.1 "Handling Variable
-    /// Loop Extents": the variable-extent kernel reuses this schedule).
-    pub tuned_batch: usize,
-    /// Whether DietCode-style local padding is applied when the dynamic
-    /// extent misaligns with the tile.
-    pub local_padding: bool,
     /// Iterations the search spent on this kernel.
     pub iterations_spent: u64,
 }
@@ -50,30 +44,21 @@ pub const UNTUNED_QUALITY: f64 = 0.25;
 impl Schedule {
     /// The schedule of a kernel that was never auto-scheduled.
     pub fn untuned() -> Schedule {
-        Schedule {
-            tile: 1,
-            vector: 1,
-            unroll: 1,
-            quality: UNTUNED_QUALITY,
-            tuned_batch: 1,
-            local_padding: false,
-            iterations_spent: 0,
-        }
+        Schedule { tile: 1, vector: 1, unroll: 1, quality: UNTUNED_QUALITY, iterations_spent: 0 }
     }
 
     /// Effective quality at a dynamic batch extent.
     ///
     /// When the extent is not a multiple of the tile, the generated kernel
     /// needs bounds checks, which the paper notes are "severely detrimental"
-    /// unless eliminated by local padding / partitioning (§D.1).
+    /// unless eliminated by local padding / partitioning (§D.1).  ACROBAT
+    /// always pads, so a misaligned extent costs only the padded lanes.
     pub fn quality_at(&self, batch: usize) -> f64 {
         let tile = self.tile.max(1) as usize;
         if batch.is_multiple_of(tile) {
             self.quality
-        } else if self.local_padding {
-            self.quality * 0.97
         } else {
-            self.quality * 0.72
+            self.quality * 0.97
         }
     }
 }
@@ -85,15 +70,11 @@ pub struct ScheduleOptions {
     pub iterations: u64,
     /// Search seed.
     pub seed: u64,
-    /// Batch extent to tune for.
-    pub tuned_batch: usize,
-    /// Apply DietCode local padding for misaligned dynamic extents.
-    pub local_padding: bool,
 }
 
 impl Default for ScheduleOptions {
     fn default() -> Self {
-        ScheduleOptions { iterations: 500, seed: 0, tuned_batch: 64, local_padding: true }
+        ScheduleOptions { iterations: 500, seed: 0 }
     }
 }
 
@@ -192,8 +173,6 @@ pub fn autoschedule(
         let opt = optimum(&sig, options.seed);
         let mut st = hash_str(&sig) ^ options.seed.wrapping_add(1).wrapping_mul(0x2545F4914F6CDD1D);
         let mut best = Schedule::untuned();
-        best.tuned_batch = options.tuned_batch;
-        best.local_padding = options.local_padding;
         for _ in 0..budget {
             let cand = sample_candidate(&mut st);
             let q = candidate_quality(cand, opt);
@@ -203,8 +182,6 @@ pub fn autoschedule(
                     vector: cand.1,
                     unroll: cand.2,
                     quality: q,
-                    tuned_batch: options.tuned_batch,
-                    local_padding: options.local_padding,
                     iterations_spent: 0,
                 };
             }
@@ -281,11 +258,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut lib = library(TWO_KERNELS);
-            autoschedule(
-                &mut lib,
-                ScheduleOptions { iterations: 50, seed, ..Default::default() },
-                None,
-            );
+            autoschedule(&mut lib, ScheduleOptions { iterations: 50, seed }, None);
             lib.iter().map(|k| k.schedule.unwrap().quality).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -294,18 +267,8 @@ mod tests {
 
     #[test]
     fn misaligned_extent_penalty_and_padding() {
-        let s = Schedule {
-            tile: 8,
-            vector: 1,
-            unroll: 1,
-            quality: 0.9,
-            tuned_batch: 64,
-            local_padding: false,
-            iterations_spent: 0,
-        };
+        let s = Schedule { tile: 8, vector: 1, unroll: 1, quality: 0.9, iterations_spent: 0 };
         assert_eq!(s.quality_at(64), 0.9);
-        assert!(s.quality_at(63) < 0.7);
-        let padded = Schedule { local_padding: true, ..s };
-        assert!(padded.quality_at(63) > 0.85, "local padding recovers quality");
+        assert_eq!(s.quality_at(63), 0.9 * 0.97, "local padding keeps 97 % of the quality");
     }
 }

@@ -209,21 +209,6 @@ impl ScalarBinOp {
             ScalarBinOp::Or => "||",
         }
     }
-
-    /// Whether the result is `Bool`.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            ScalarBinOp::Lt
-                | ScalarBinOp::Le
-                | ScalarBinOp::Gt
-                | ScalarBinOp::Ge
-                | ScalarBinOp::Eq
-                | ScalarBinOp::Ne
-                | ScalarBinOp::And
-                | ScalarBinOp::Or
-        )
-    }
 }
 
 /// Scalar unary operators.

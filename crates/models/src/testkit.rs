@@ -55,28 +55,6 @@ pub fn check_acrobat_vs_dynet(spec: &ModelSpec, batch: usize, seed: u64) {
     }
 }
 
-/// Runs a spec through ACROBAT only (for models without a DyNet
-/// counterpart) and sanity-checks the outputs are finite.
-///
-/// # Panics
-///
-/// Panics on compile/run errors or non-finite outputs.
-pub fn check_acrobat_runs(spec: &ModelSpec, batch: usize, seed: u64) {
-    let instances = (spec.make_instances)(seed, batch);
-    let options = CompileOptions { seed, ..Default::default() };
-    let model = compile(&spec.source, &options)
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", spec.name));
-    let result = model
-        .run(&spec.params, &instances)
-        .unwrap_or_else(|e| panic!("{}: run failed: {e}", spec.name));
-    assert_eq!(result.outputs.len(), batch);
-    for out in &result.outputs {
-        for t in (spec.flatten_output)(out) {
-            assert!(t.data().iter().all(|v| v.is_finite()), "{}: non-finite output", spec.name);
-        }
-    }
-}
-
 /// Compiles a spec for an integration test.
 ///
 /// # Panics

@@ -493,7 +493,6 @@ impl ExecutionContext {
         let model = self.engine.model();
         let per_decision = match options.scheduler {
             SchedulerKind::InlineDepth => model.sched_inline_cost_us,
-            SchedulerKind::DynamicDepth => model.sched_dyn_depth_cost_us,
             SchedulerKind::Agenda => model.sched_agenda_cost_us,
         };
         let unit_ratio = if options.coarsen && self.dfg.node_count() > 0 {
@@ -902,8 +901,7 @@ mod tests {
 
     #[test]
     fn checked_mode_passes_and_matches_unchecked() {
-        for kind in [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-        {
+        for kind in SchedulerKind::ALL {
             for gather_fusion in [true, false] {
                 let run = |checked: bool| {
                     let (a, mut rt) = setup(

@@ -40,7 +40,8 @@ pub struct DeviceModel {
     /// Host cost of one inline-depth scheduling decision, µs (bucket
     /// insert).
     pub sched_inline_cost_us: f64,
-    /// Host cost per node of dynamic depth computation, µs.
+    /// Host cost per node of the DyNet simulator's depth-based scheduler
+    /// (`acrobat_baselines::dynet`), µs.
     pub sched_dyn_depth_cost_us: f64,
     /// Host cost per node of agenda-based scheduling, µs.
     pub sched_agenda_cost_us: f64,
@@ -176,15 +177,7 @@ mod tests {
     fn better_schedule_is_faster() {
         let m = DeviceModel::default();
         let s = stats(1_000_000, 0, 0, 100);
-        let tuned = Schedule {
-            tile: 1,
-            vector: 1,
-            unroll: 1,
-            quality: 0.9,
-            tuned_batch: 64,
-            local_padding: true,
-            iterations_spent: 100,
-        };
+        let tuned = Schedule { tile: 1, vector: 1, unroll: 1, quality: 0.9, iterations_spent: 100 };
         let fast = m.kernel_time_us(&s, Some(&tuned), 64);
         let slow = m.kernel_time_us(&s, None, 64);
         assert!(fast < slow, "tuned {fast} vs untuned {slow}");

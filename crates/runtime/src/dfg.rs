@@ -675,11 +675,6 @@ impl Dfg {
         }
     }
 
-    /// Number of values ever created (ready and pending).
-    pub fn value_count(&self) -> u64 {
-        self.values.len() as u64
-    }
-
     /// Exhaustively cross-checks the pending set, the `pending_pos` index
     /// and the incremental inline-bucket index against each other and
     /// against the node table.  O(nodes); meant for the runtime's checked

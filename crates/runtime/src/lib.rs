@@ -16,16 +16,17 @@
 //! each in-flight mini-batch owns a private [`ExecutionContext`] with all
 //! mutable flush state, so the hot path takes no shared locks.
 //!
-//! Three schedulers are provided, matching the paper's comparison space:
+//! Two schedulers are provided:
 //!
 //! * [`scheduler::SchedulerKind::InlineDepth`] — ACROBAT's scheme (§4.1):
 //!   depths were computed *while building* the DFG (by AOT-generated code),
 //!   so scheduling is a near-free bucket sort by `(phase, depth, kernel)`;
-//! * [`scheduler::SchedulerKind::DynamicDepth`] — DyNet's depth-based
-//!   scheme: depths are recomputed from the graph topology at flush time;
 //! * [`scheduler::SchedulerKind::Agenda`] — DyNet's agenda-based scheme:
 //!   repeatedly pick the available kernel class with the lowest average
-//!   depth; more parallelism-friendly, higher overhead.
+//!   depth, recomputed from the graph topology at flush time.
+//!
+//! DyNet's depth-based scheme is modeled by the DyNet baseline simulator
+//! (`acrobat-baselines`), which Table 4 compares against.
 //!
 //! Tensor-dependent control flow is handled with fibers ([`fiber`]): all
 //! instances of the mini-batch execute concurrently; when an instance needs

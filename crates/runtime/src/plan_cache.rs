@@ -48,7 +48,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use acrobat_codegen::KernelId;
 use parking_lot::RwLock;
 
 use crate::dfg::{Dfg, WindowSig};
@@ -100,7 +99,6 @@ impl CacheConfig {
     fn bits(&self) -> u64 {
         let kind = match self.kind {
             SchedulerKind::InlineDepth => 1u64,
-            SchedulerKind::DynamicDepth => 2,
             SchedulerKind::Agenda => 3,
         };
         kind | (self.gather_fusion as u64) << 8
@@ -137,8 +135,7 @@ pub enum CacheOutcome {
     Bypass,
 }
 
-/// A plan frozen in window-relative coordinates, plus its batch-binding
-/// layout template (the kernel launched per batch).
+/// A plan frozen in window-relative coordinates.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// Signature of the origin window (`base` is not used for matching —
@@ -161,9 +158,6 @@ pub struct CachedPlan {
     nodes: Box<[u32]>,
     /// Flat-CSR batch boundaries, copied verbatim.
     offsets: Box<[u32]>,
-    /// Per-batch kernel — the binding-layout template a hit dispatches
-    /// with, and what checked mode verifies against the live DFG.
-    kernels: Box<[KernelId]>,
     /// Modeled elementary decisions of the frozen plan (the decisions
     /// contract survives memoization unchanged).
     decisions: u64,
@@ -185,7 +179,6 @@ impl CachedPlan {
             lane_cap: cfg.lane_cap,
             nodes: plan.nodes.iter().map(|id| dfg.canon_pos(*id)).collect(),
             offsets: plan.offsets.clone().into_boxed_slice(),
-            kernels: plan.batches().map(|b| dfg.node(b[0]).kernel).collect(),
             decisions: plan.decisions,
         }
     }
@@ -214,11 +207,6 @@ impl CachedPlan {
         out.nodes.extend(self.nodes.iter().map(|&p| dfg.id_at_canon(p)));
         out.offsets.extend_from_slice(&self.offsets);
         out.decisions = self.decisions;
-    }
-
-    /// The per-batch kernel template.
-    pub fn batch_kernels(&self) -> &[KernelId] {
-        &self.kernels
     }
 }
 
@@ -499,8 +487,7 @@ mod tests {
         let cache = PlanCache::new();
         let mut scratch = SchedulerScratch::new();
         let mut plan = Plan::default();
-        for kind in [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-        {
+        for kind in SchedulerKind::ALL {
             // Fresh L1 per config: the probe must miss in the *shared*
             // cache, not be saved by L1 slot separation.
             let mut l1 = PlanL1::new();
@@ -513,7 +500,7 @@ mod tests {
         let down = CacheConfig { lane_cap: 2, share: false, ..cfg(SchedulerKind::InlineDepth) };
         let out = plan_cached(&down, &mut dfg, &mut scratch, &mut l1, &cache, &mut plan);
         assert!(matches!(out, CacheOutcome::Miss { .. }));
-        assert_eq!(cache.entry_count(), 3, "no-share miss must not publish");
+        assert_eq!(cache.entry_count(), SchedulerKind::ALL.len(), "no-share miss must not publish");
     }
 
     #[test]

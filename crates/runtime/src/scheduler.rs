@@ -2,7 +2,7 @@
 //!
 //! Given the pending nodes of a [`Dfg`], a scheduler produces an ordered
 //! list of *batches* — sets of nodes that launch as one batched kernel.
-//! All three schedulers respect dependences (G.1) and try to maximize batch
+//! Both schedulers respect dependences (G.1) and try to maximize batch
 //! sizes (G.2); they differ in how much work they do and how well they
 //! exploit the statically-provided metadata:
 //!
@@ -10,13 +10,13 @@
 //!   computed during DFG construction by AOT-generated code, so scheduling
 //!   degenerates to a sort-based grouping by `(phase, depth, kernel,
 //!   shared_sig)`.
-//! * [`SchedulerKind::DynamicDepth`] — DyNet's depth scheme: topological
-//!   depths are recomputed from the graph at flush time, and there are no
-//!   phases — the eager-batching pathologies of Fig. 4 / §B.3 apply.
 //! * [`SchedulerKind::Agenda`] — DyNet's agenda scheme: iteratively pick the
 //!   available kernel class with the smallest average depth and batch
-//!   everything available of that class.  Better batches than the depth
-//!   scheme in irregular graphs, at a higher per-node cost.
+//!   everything available of that class.  Topological depths are recomputed
+//!   from the graph at flush time and there are no phases.
+//!
+//! DyNet's other flush-time scheme, depth-based batching, is modeled once,
+//! by the DyNet baseline simulator (`acrobat_baselines::dynet`).
 //!
 //! # The flush hot path
 //!
@@ -47,10 +47,13 @@ use crate::dfg::{Dfg, NodeId};
 pub enum SchedulerKind {
     /// ACROBAT's inline depth computation (§4.1).
     InlineDepth,
-    /// DyNet-style dynamic depth-based batching.
-    DynamicDepth,
     /// DyNet-style agenda-based batching.
     Agenda,
+}
+
+impl SchedulerKind {
+    /// Every scheduler, for sweeps and differential tests.
+    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::InlineDepth, SchedulerKind::Agenda];
 }
 
 /// A scheduling plan: ordered batches plus the number of elementary
@@ -150,12 +153,10 @@ pub struct SchedulerScratch {
     node_group: Vec<u32>,
     /// Per discovered group, its grouping key.
     group_keys: Vec<(u128, u64)>,
-    /// Per discovered group, its member count.
-    group_counts: Vec<u32>,
-    /// Group indices sorted by key (batch launch order).
+    /// Group indices sorted by key (inline: bucket launch order).
     group_order: Vec<u32>,
-    /// Per group, the write cursor during batch emission.
-    group_cursor: Vec<u32>,
+    /// Per discovered group, its rank in key order (agenda class index).
+    group_rank: Vec<u32>,
     /// Open-addressing key→group table; valid iff the stamp matches.
     table: Vec<u32>,
     /// Epoch stamps for `table`.
@@ -232,9 +233,9 @@ impl SchedulerScratch {
     }
 
     /// Computes topological depths over the pending subgraph into
-    /// `self.depths`, charging `per_arg` decisions per argument probe and
-    /// `per_node` per node, and returns the charge.
-    fn pending_depths(&mut self, dfg: &Dfg, per_arg: u64, per_node: u64) -> u64 {
+    /// `self.depths`, charging one decision per argument probe, and returns
+    /// the charge.
+    fn pending_depths(&mut self, dfg: &Dfg) -> u64 {
         let n = self.ids.len();
         self.depths.clear();
         self.depths.resize(n, 0);
@@ -242,7 +243,7 @@ impl SchedulerScratch {
         for i in 0..n {
             let mut d = 0u64;
             for a in dfg.args(self.ids[i]) {
-                decisions += per_arg;
+                decisions += 1;
                 if let Some(p) = dfg.producer(*a) {
                     if let Some(pp) = self.pending_pos(p) {
                         d = d.max(self.depths[pp as usize] + 1);
@@ -250,13 +251,12 @@ impl SchedulerScratch {
                 }
             }
             self.depths[i] = d;
-            decisions += per_node;
         }
         decisions
     }
 
     /// Groups `self.keys` by equality with an epoch-stamped open-addressing
-    /// table: fills `node_group`, `group_keys` and `group_counts`.  O(n)
+    /// table: fills `node_group` and `group_keys`.  O(n)
     /// with no per-call allocation in steady state — unlike both a keyed
     /// map (per-node tree probes) and a full comparison sort (n·log n over
     /// all nodes), this costs one hash probe per node regardless of how
@@ -275,7 +275,6 @@ impl SchedulerScratch {
             self.table_epoch = 1;
         }
         self.group_keys.clear();
-        self.group_counts.clear();
         self.node_group.clear();
         for i in 0..n {
             let (k, s) = self.keys[i];
@@ -286,7 +285,6 @@ impl SchedulerScratch {
                     let g = self.group_keys.len() as u32;
                     self.table[slot] = g;
                     self.group_keys.push((k, s));
-                    self.group_counts.push(0);
                     break g;
                 }
                 let g = self.table[slot];
@@ -296,43 +294,20 @@ impl SchedulerScratch {
                 slot = (slot + 1) & mask;
             };
             self.node_group.push(g);
-            self.group_counts[g as usize] += 1;
         }
     }
 
-    /// Sorts the discovered groups by key into `group_order` and fills
-    /// `group_cursor` with each group's start offset in that order.
-    /// Returns the total node count.
-    fn order_groups(&mut self) -> usize {
+    /// Ranks the discovered groups by key into `group_rank`.
+    fn rank_groups(&mut self) {
         let g = self.group_keys.len();
         self.group_order.clear();
         self.group_order.extend(0..g as u32);
         let keys = &self.group_keys;
         self.group_order.sort_unstable_by_key(|&i| keys[i as usize]);
-        self.group_cursor.clear();
-        self.group_cursor.resize(g, 0);
-        let mut start = 0u32;
-        for &gi in &self.group_order {
-            self.group_cursor[gi as usize] = start;
-            start += self.group_counts[gi as usize];
-        }
-        start as usize
-    }
-
-    /// Emits the grouped nodes as batches in key order, preserving creation
-    /// order within each batch (positions are iterated ascending).
-    fn emit_groups(&mut self, out: &mut Plan) {
-        let n = self.order_groups();
-        out.nodes.resize(n, NodeId(0));
-        for i in 0..n {
-            let g = self.node_group[i] as usize;
-            out.nodes[self.group_cursor[g] as usize] = self.ids[i];
-            self.group_cursor[g] += 1;
-        }
-        let mut total = 0u32;
-        for &gi in &self.group_order {
-            total += self.group_counts[gi as usize];
-            out.offsets.push(total);
+        self.group_rank.clear();
+        self.group_rank.resize(g, 0);
+        for (rank, &gi) in self.group_order.iter().enumerate() {
+            self.group_rank[gi as usize] = rank as u32;
         }
     }
 }
@@ -365,7 +340,6 @@ pub fn plan_into(kind: SchedulerKind, dfg: &Dfg, scratch: &mut SchedulerScratch,
     out.begin();
     match kind {
         SchedulerKind::InlineDepth => plan_inline(dfg, scratch, out),
-        SchedulerKind::DynamicDepth => plan_dynamic_depth(dfg, scratch, out),
         SchedulerKind::Agenda => plan_agenda(dfg, scratch, out),
     }
     canonicalize(dfg, out);
@@ -375,7 +349,7 @@ pub fn plan_into(kind: SchedulerKind, dfg: &Dfg, scratch: &mut SchedulerScratch,
 /// ([`Dfg::canon_pos`]), making the emitted plan invariant to the order in
 /// which fiber lanes reached the DFG.
 ///
-/// Batch-level structure is already interleave-invariant in all three
+/// Batch-level structure is already interleave-invariant in both
 /// schedulers (bucket/group key sorts, deterministic agenda rounds with
 /// exact tie-breaks); only *within-batch* member order followed arrival
 /// order via `NodeId`s.  Members of one batch are mutually independent
@@ -422,34 +396,14 @@ fn plan_inline(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
     out.decisions = decisions;
 }
 
-fn plan_dynamic_depth(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
-    // Recompute topological depths over the pending subgraph, then group by
-    // (depth, kernel, shared operands).  Dense position-indexed vectors and
-    // the O(n) hash grouper replace the keyed maps of the first
-    // implementation.
-    let n = scratch.index_pending(dfg);
-    let mut decisions = scratch.pending_depths(dfg, 1, 1);
-    scratch.keys.clear();
-    for i in 0..n {
-        let node = dfg.node(scratch.ids[i]);
-        scratch
-            .keys
-            .push((((scratch.depths[i] as u128) << 32) | node.kernel.0 as u128, node.shared_sig));
-        decisions += 1;
-    }
-    scratch.assign_groups();
-    scratch.emit_groups(out);
-    out.decisions = decisions;
-}
-
 fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
     let n = scratch.index_pending(dfg);
     // Topological depths (used by the average-depth heuristic); the modeled
     // algorithm charges one decision per argument probe.
-    let mut decisions = scratch.pending_depths(dfg, 1, 0);
+    let mut decisions = scratch.pending_depths(dfg);
 
     // Assign kernel classes by (kernel, shared_sig) via the hash grouper,
-    // then rank the classes by key (`order_groups`) so class indices are
+    // then rank the classes by key (`rank_groups`) so class indices are
     // ascending in (kernel, shared_sig) — the deterministic tie-break below
     // is then "smallest class index wins".
     scratch.keys.clear();
@@ -458,15 +412,10 @@ fn plan_agenda(dfg: &Dfg, scratch: &mut SchedulerScratch, out: &mut Plan) {
         scratch.keys.push((node.kernel.0 as u128, node.shared_sig));
     }
     scratch.assign_groups();
-    scratch.order_groups();
-    // Rank of each discovered group in key order; reuse `group_cursor`'s
-    // sibling storage (`group_counts` is still needed, `group_cursor` not).
-    for (rank, &gi) in scratch.group_order.iter().enumerate() {
-        scratch.group_cursor[gi as usize] = rank as u32;
-    }
+    scratch.rank_groups();
     scratch.class_of.clear();
     for i in 0..n {
-        scratch.class_of.push(scratch.group_cursor[scratch.node_group[i] as usize]);
+        scratch.class_of.push(scratch.group_rank[scratch.node_group[i] as usize]);
     }
     let num_classes = scratch.group_keys.len() as u32;
 
@@ -598,7 +547,6 @@ pub mod reference {
     pub fn plan(kind: SchedulerKind, dfg: &Dfg) -> Plan {
         let mut p = match kind {
             SchedulerKind::InlineDepth => plan_inline(dfg),
-            SchedulerKind::DynamicDepth => plan_dynamic_depth(dfg),
             SchedulerKind::Agenda => plan_agenda(dfg),
         };
         super::canonicalize(dfg, &mut p);
@@ -622,34 +570,6 @@ pub mod reference {
         for id in sorted_pending(dfg) {
             let n = dfg.node(id);
             buckets.entry((n.phase, n.depth, n.kernel.0, n.shared_sig)).or_default().push(id);
-            decisions += 1;
-        }
-        Plan::from_batches(buckets.into_values().collect(), decisions)
-    }
-
-    /// Seed dynamic-depth scheduler with `BTreeMap` bookkeeping.
-    pub fn plan_dynamic_depth(dfg: &Dfg) -> Plan {
-        let pending = sorted_pending(dfg);
-        let pending_set: BTreeSet<NodeId> = pending.iter().copied().collect();
-        let mut depth: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let mut decisions = 0u64;
-        for &id in &pending {
-            let mut d = 0u64;
-            for a in dfg.args(id) {
-                decisions += 1;
-                if let Some(p) = dfg.producer(*a) {
-                    if pending_set.contains(&p) {
-                        d = d.max(depth.get(&p).copied().unwrap_or(0) + 1);
-                    }
-                }
-            }
-            depth.insert(id, d);
-            decisions += 1;
-        }
-        let mut buckets: BTreeMap<(u64, u32, u64), Vec<NodeId>> = BTreeMap::new();
-        for &id in &pending {
-            let n = dfg.node(id);
-            buckets.entry((depth[&id], n.kernel.0, n.shared_sig)).or_default().push(id);
             decisions += 1;
         }
         Plan::from_batches(buckets.into_values().collect(), decisions)
@@ -771,24 +691,13 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_depth_matches_on_chains() {
-        let dfg = chain_dfg(8);
-        let p = plan(SchedulerKind::DynamicDepth, &dfg);
-        assert_eq!(p.num_batches(), 2);
-        batch_respects_deps(&dfg, &p);
-        // …but it does more work per node than inline.
-        let pi = plan(SchedulerKind::InlineDepth, &dfg);
-        assert!(p.decisions > pi.decisions);
-    }
-
-    #[test]
     fn agenda_matches_on_chains_with_more_decisions() {
         let dfg = chain_dfg(8);
         let p = plan(SchedulerKind::Agenda, &dfg);
         assert_eq!(p.num_batches(), 2);
         batch_respects_deps(&dfg, &p);
-        let pd = plan(SchedulerKind::DynamicDepth, &dfg);
-        assert!(p.decisions > pd.decisions);
+        let pi = plan(SchedulerKind::InlineDepth, &dfg);
+        assert!(p.decisions > pi.decisions);
     }
 
     #[test]
@@ -797,9 +706,7 @@ mod tests {
         let mut out = Plan::default();
         for instances in [1, 3, 8, 17] {
             let dfg = chain_dfg(instances);
-            for kind in
-                [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-            {
+            for kind in SchedulerKind::ALL {
                 plan_into(kind, &dfg, &mut scratch, &mut out);
                 let fresh = plan(kind, &dfg);
                 assert_eq!(out.to_batches(), fresh.to_batches(), "{kind:?} x{instances}");
@@ -834,21 +741,13 @@ mod tests {
         assert_eq!(out_batches.len(), 1);
         assert_eq!(out_batches[0].len(), 2);
         batch_respects_deps(&dfg, &p);
-
-        // The dynamic-depth scheduler (no phases) splits them.
-        let pd = plan(SchedulerKind::DynamicDepth, &dfg);
-        let out_batches: Vec<_> = pd
-            .batches()
-            .filter(|b| b.iter().any(|id| dfg.node(*id).kernel == KernelId(1)))
-            .collect();
-        assert_eq!(out_batches.len(), 2, "no phases → split output batches");
     }
 
     #[test]
-    fn agenda_beats_dynamic_depth_on_fig4_shape() {
+    fn inline_and_agenda_keep_fig4_opb_in_one_launch() {
         // Fig. 4: two instances run opA (kernel 0) then opB (kernel 1); two
         // others run opB directly.  Depth batching splits opB; agenda
-        // scheduling (and ghost ops under inline) keeps it together.
+        // scheduling and ghost ops under inline keep it together.
         let mut mem = acrobat_tensor::DeviceMem::new(1 << 12);
         let mut dfg = Dfg::new();
         for i in 0..2 {
@@ -861,23 +760,19 @@ mod tests {
             // Ghost bump applied by ACROBAT: depth 1 instead of 0.
             dfg.add_node(KernelId(1), i, 1, 0, 0, vec![x], 1);
         }
-        // Inline depth with the ghost bump: opB all at depth 1 → one batch.
-        let p = plan(SchedulerKind::InlineDepth, &dfg);
-        let opb: Vec<_> = p
-            .batches()
-            .filter(|b| b.iter().any(|id| dfg.node(*id).kernel == KernelId(1)))
-            .collect();
-        assert_eq!(opb.len(), 1);
-        assert_eq!(opb[0].len(), 4);
-
-        // Dynamic depth (recomputed: topology says the direct opBs are depth
-        // 0) splits opB into two launches — the Fig. 4 upper-pane schedule.
-        let pd = plan(SchedulerKind::DynamicDepth, &dfg);
-        let opb: Vec<_> = pd
-            .batches()
-            .filter(|b| b.iter().any(|id| dfg.node(*id).kernel == KernelId(1)))
-            .collect();
-        assert_eq!(opb.len(), 2);
+        // Inline depth with the ghost bump puts every opB at depth 1; the
+        // agenda retires both opAs first (tie on average depth, smaller
+        // kernel wins), after which all four opBs are ready together.
+        for kind in SchedulerKind::ALL {
+            let p = plan(kind, &dfg);
+            let opb: Vec<_> = p
+                .batches()
+                .filter(|b| b.iter().any(|id| dfg.node(*id).kernel == KernelId(1)))
+                .collect();
+            assert_eq!(opb.len(), 1, "{kind:?}");
+            assert_eq!(opb[0].len(), 4, "{kind:?}");
+            batch_respects_deps(&dfg, &p);
+        }
     }
 
     #[test]
@@ -921,9 +816,7 @@ mod tests {
                 dfg.add_node(KernelId(0), i, 0, 0, 0, vec![x], 1);
             }
             dfg.window_signature().expect("clean window");
-            for kind in
-                [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-            {
+            for kind in SchedulerKind::ALL {
                 let p = plan(kind, &dfg);
                 let r = reference::plan(kind, &dfg);
                 assert_eq!(p.to_batches(), r.to_batches(), "{kind:?}");
@@ -941,9 +834,7 @@ mod tests {
     fn optimized_matches_reference_on_fixtures() {
         for instances in [1, 2, 8, 13] {
             let dfg = chain_dfg(instances);
-            for kind in
-                [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-            {
+            for kind in SchedulerKind::ALL {
                 let opt = plan(kind, &dfg);
                 let refp = reference::plan(kind, &dfg);
                 assert_eq!(opt.to_batches(), refp.to_batches(), "{kind:?} x{instances}");

@@ -1,6 +1,6 @@
 //! Property tests for flush-plan memoization: plans served from a warmed
 //! cache are bit-identical to freshly scheduled ones, across random DAGs,
-//! all three schedulers, shifted id bases, and pathologically small cache
+//! both schedulers, shifted id bases, and pathologically small cache
 //! geometries (forced evictions).
 
 use acrobat_codegen::KernelId;
@@ -11,9 +11,6 @@ use acrobat_runtime::scheduler::{self, Plan, SchedulerScratch};
 use acrobat_runtime::{Dfg, SchedulerKind};
 use acrobat_tensor::{DeviceMem, Tensor};
 use proptest::prelude::*;
-
-const KINDS: [SchedulerKind; 3] =
-    [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda];
 
 fn cache_cfg(kind: SchedulerKind) -> CacheConfig {
     CacheConfig { kind, gather_fusion: true, coarsen: true, lane_cap: 0, share: true }
@@ -76,7 +73,7 @@ proptest! {
         sigs in proptest::collection::vec(0u64..8, 1..8),
         prefix in 1usize..6,
     ) {
-        for kind in KINDS {
+        for kind in SchedulerKind::ALL {
             let cache = PlanCache::new();
             let mut l1 = PlanL1::new();
             let mut scratch = SchedulerScratch::new();

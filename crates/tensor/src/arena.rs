@@ -78,13 +78,6 @@ pub struct MemStats {
     pub peak_elements: u64,
 }
 
-impl MemStats {
-    /// Total bytes moved across all categories.
-    pub fn total_bytes(&self) -> u64 {
-        self.upload_bytes + self.download_bytes + self.gather_bytes
-    }
-}
-
 /// Operation class a [`FaultPlan`] can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
@@ -265,11 +258,6 @@ impl DeviceMem {
             fault_counts: [0; 3],
             fault_rng: 0,
         }
-    }
-
-    /// Creates an arena with a byte capacity (rounded down to whole `f32`s).
-    pub fn with_capacity_bytes(bytes: usize) -> Self {
-        DeviceMem::new(bytes / std::mem::size_of::<f32>())
     }
 
     /// Elements currently allocated.

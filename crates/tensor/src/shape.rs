@@ -89,11 +89,6 @@ impl Shape {
         strides
     }
 
-    /// Returns `true` if this shape is rank 2.
-    pub fn is_matrix(&self) -> bool {
-        self.rank() == 2
-    }
-
     /// Interprets the shape as `(rows, cols)`, treating rank-1 as a single row.
     ///
     /// # Errors

@@ -85,11 +85,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer and shape.
-    pub fn into_parts(self) -> (Vec<f32>, Shape) {
-        (self.data.into_vec(), self.shape)
-    }
-
     /// The scalar value of a single-element tensor.
     ///
     /// # Errors

@@ -105,6 +105,11 @@ if grep -rnE 'serving_throughput|continuous_batching|chaos_sweep|flush_hot_path|
   echo "the modeled serving benches and criterion suites are gone: speed is benchmark/'s, correctness is tests/'"; exit 1
 fi
 
+echo "==> one flush-time depth scheme, DyNet-sim's (the runtime schedules InlineDepth or Agenda; the auto-scheduler always pads)"
+if grep -rnE 'DynamicDepth|plan_dynamic_depth|tuned_batch|local_padding' crates tests; then
+  echo "DyNet's depth scheduler lives in acrobat_baselines::dynet alone, and Schedule has no unread tuning fields"; exit 1
+fi
+
 echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"
 for artifact in table5 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \

@@ -1,25 +1,21 @@
 //! Differential fuzzing (bounded corpus, fixed seeds) — the CI-sized twin
 //! of the `fuzz` binary in `acrobat-bench`.
 //!
-//! Every generated program/workload must agree **bit-for-bit** across:
-//! the host reference evaluator, all three schedulers × gather-fusion ×
-//! coarsening × plan-cache {off, on} × broker {off, on} × kernel backend
-//! {interp, spec} (checked mode — every cache hit is gated by the cached
-//! ≡ freshly-scheduled invariant, broker-on routes through
+//! Every generated program must agree **bit-for-bit** across: the host
+//! reference evaluator, every `config_matrix()` entry — both schedulers ×
+//! gather-fusion × coarsening × plan-cache {off, on} × broker {off, on} ×
+//! kernel backend {interp, spec} in checked mode (every cache hit is gated
+//! by the cached ≡ freshly-scheduled invariant, broker-on routes through
 //! `BatchBroker::submit` + the cohort path, and spec-backend launches are
-//! each re-executed through the interpreter and bit-compared),
-//! unbatched eager execution, a two-member `run_cohort` split of the
-//! instance stream, and the DyNet-sim baseline.  The `fuzz` binary runs
-//! the same generators at larger scale (`--cases 500` by default).
+//! each re-executed through the interpreter and bit-compared) plus
+//! unbatched eager execution — a two-member `run_cohort` split of the
+//! instance stream, and the DyNet-sim baseline.  Every random DAG workload
+//! must agree across every `dag_config_matrix()` entry and checked eager
+//! execution.  The `fuzz` binary runs the same generators over the same
+//! two matrices at larger scale (`--cases 500` by default).
 
-use acrobat_bench::fuzz::{config_matrix, dag_outputs, FuzzCase};
-use acrobat_codegen::KernelBackendKind;
-use acrobat_runtime::{RuntimeOptions, SchedulerKind};
-use acrobat_tensor::Tensor;
-
-fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
-    ts.iter().map(|t| t.data().iter().map(|v| v.to_bits()).collect()).collect()
-}
+use acrobat_bench::fuzz::{bits, config_matrix, dag_config_matrix, dag_outputs, FuzzCase};
+use acrobat_runtime::RuntimeOptions;
 
 #[test]
 fn random_ir_programs_agree_bit_for_bit() {
@@ -70,31 +66,10 @@ fn random_dag_workloads_agree_bit_for_bit() {
         )
         .expect("eager reference");
         let want = bits(&reference);
-        for scheduler in
-            [SchedulerKind::InlineDepth, SchedulerKind::DynamicDepth, SchedulerKind::Agenda]
-        {
-            for gather_fusion in [false, true] {
-                for plan_cache in [false, true] {
-                    for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
-                        let options = RuntimeOptions {
-                            scheduler,
-                            gather_fusion,
-                            checked: true,
-                            plan_cache,
-                            backend,
-                            ..RuntimeOptions::default()
-                        };
-                        let got = dag_outputs(case_seed, &options)
-                            .unwrap_or_else(|e| panic!("seed {case_seed} {scheduler:?}: {e}"));
-                        assert_eq!(
-                            bits(&got),
-                            want,
-                            "seed {case_seed} {scheduler:?}/gf={gather_fusion}\
-                             /pc={plan_cache}/be={backend:?} diverged from eager"
-                        );
-                    }
-                }
-            }
+        for (name, options) in &dag_config_matrix() {
+            let got = dag_outputs(case_seed, options)
+                .unwrap_or_else(|e| panic!("seed {case_seed} {name}: {e}"));
+            assert_eq!(bits(&got), want, "seed {case_seed} {name} diverged from eager");
         }
     }
 }
