@@ -26,9 +26,10 @@
 
 use std::collections::BTreeMap;
 
+use acrobat_analysis::ArgClass;
 use acrobat_codegen::autosched::Schedule;
+use acrobat_codegen::{run_batched_kernel_with, BatchMode, KernelProgram};
 use acrobat_runtime::{DeviceModel, RuntimeStats};
-use acrobat_tensor::batch::{run_batched_prim, run_prim, BatchArg, BatchMode};
 use acrobat_tensor::{DeviceMem, DeviceTensor, PrimOp, Shape, Tensor, TensorError};
 
 /// DyNet's two auto-batching schedulers (Neubig et al. 2017b).
@@ -385,50 +386,44 @@ impl ComputationGraph {
         Ok(())
     }
 
-    /// Launches one batch (possibly a singleton) as a vendor kernel.
+    /// Launches one batch (possibly a singleton) as a vendor kernel: a
+    /// one-instruction kernel program through codegen's batched launch in
+    /// explicit-gather mode.  An argument is shared when every lane passes
+    /// the same tensor, so a singleton launch reads every argument shared;
+    /// only a singleton reshape is a zero-copy view instead of a launch.
     fn launch(&mut self, batch: &[NodeRef]) -> Result<(), TensorError> {
         let node0 = self.nodes[batch[0]].clone();
         let lanes = batch.len();
+        let arg =
+            |n: NodeRef, j: usize| self.values[self.nodes[n].args[j]].as_ref().expect("ready");
 
-        if lanes == 1 {
-            // Sequential (unbatched) vendor-kernel call.
-            let args: Vec<DeviceTensor> =
-                node0.args.iter().map(|&a| self.values[a].clone().expect("ready")).collect();
-            let arg_refs: Vec<&DeviceTensor> = args.iter().collect();
-            let out = run_prim(&mut self.mem, &node0.op, &arg_refs)?;
+        if lanes == 1 && matches!(node0.op, PrimOp::Reshape { .. }) {
+            let view = arg(batch[0], 0).reshaped(&node0.shape)?;
             self.charge_launch(&node0, lanes, 0, 0);
-            self.values[batch[0]] = Some(out);
+            self.values[batch[0]] = Some(view);
             return Ok(());
         }
 
-        // Classify argument positions: shared iff every lane passes the
-        // same tensor.
-        let nargs = node0.args.len();
-        let mut args: Vec<BatchArg> = Vec::with_capacity(nargs);
-        for j in 0..nargs {
-            let first = self.values[self.nodes[batch[0]].args[j]].clone().expect("ready");
-            let shared =
-                batch.iter().all(|&n| self.values[self.nodes[n].args[j]].as_ref() == Some(&first));
-            if shared {
-                args.push(BatchArg::Shared(first));
-            } else {
-                args.push(BatchArg::Batched(
-                    batch
-                        .iter()
-                        .map(|&n| self.values[self.nodes[n].args[j]].clone().expect("ready"))
-                        .collect(),
-                ));
-            }
-        }
-        let before = self.mem.stats();
-        let (outs, bstats) =
-            run_batched_prim(&mut self.mem, &node0.op, &args, lanes, BatchMode::ExplicitGather)?;
-        let after = self.mem.stats();
-        self.stats.gather_bytes += after.gather_bytes - before.gather_bytes;
-        self.stats.gather_copies += bstats.gather_copies;
-        self.stats.contiguous_hits += bstats.contiguous_hits;
-        self.charge_launch(&node0, lanes, bstats.gather_bytes, bstats.gather_copies);
-        for (&n, out) in batch.iter().zip(outs) {
+        let inputs = (0..node0.args.len())
+            .map(|j| {
+                let shared = batch.iter().all(|&n| arg(n, j) == arg(batch[0], j));
+                let class = if shared { ArgClass::Shared } else { ArgClass::Batched };
+                (class, self.nodes[node0.args[j]].shape.clone())
+            })
+            .collect();
+        let program = KernelProgram::single_op(node0.op.clone(), inputs, node0.shape.clone());
+        let (mut outs, launch) = run_batched_kernel_with(
+            &mut self.mem,
+            &program,
+            lanes,
+            BatchMode::ExplicitGather,
+            |lane, j| arg(batch[lane], j),
+        )?;
+        self.stats.gather_bytes += launch.gather_bytes;
+        self.stats.gather_copies += launch.gather_copies;
+        self.stats.contiguous_hits += launch.contiguous_hits;
+        self.charge_launch(&node0, lanes, launch.gather_bytes, launch.gather_copies);
+        for (&n, out) in batch.iter().zip(outs.swap_remove(0)) {
             self.values[n] = Some(out);
         }
         Ok(())
@@ -555,6 +550,31 @@ mod tests {
         };
         assert_eq!(run(false), 6, "stock heuristic: sequential execution");
         assert_eq!(run(true), 1, "DN++ batches by shape");
+    }
+
+    #[test]
+    fn singleton_reshape_is_a_view_and_batched_reshape_copies() {
+        let reshape = PrimOp::Reshape { shape: Shape::new(&[3, 2]) };
+        let mut cg = ComputationGraph::new(DynetConfig::default());
+        let x = cg.input(&Tensor::from_fn(&[2, 3], |i| i as f32)).unwrap();
+        let r = cg.apply(reshape.clone(), &[x]).unwrap();
+        let used = cg.mem.used();
+        assert_eq!(cg.forward(r).unwrap().data(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(cg.mem.used(), used, "a singleton reshape allocates nothing");
+        assert_eq!(
+            cg.values[r].as_ref().unwrap().offset(),
+            cg.values[x].as_ref().unwrap().offset()
+        );
+
+        let rs: Vec<NodeRef> = (0..2)
+            .map(|_| {
+                let x = cg.input(&Tensor::ones(&[2, 3])).unwrap();
+                cg.apply(reshape.clone(), &[x]).unwrap()
+            })
+            .collect();
+        cg.execute_pending().unwrap();
+        assert_eq!(cg.stats().kernel_launches, 2, "one view, one batched copy");
+        assert_eq!(cg.shape(rs[1]), &Shape::new(&[3, 2]));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use acrobat_analysis::ArgClass;
 use acrobat_tensor::arena::{batched_shape, ExecView};
-use acrobat_tensor::batch::BatchMode;
 use acrobat_tensor::ops::RawInput;
 use acrobat_tensor::{execute_slices, DeviceMem, DeviceTensor, Shape, TensorError};
 
@@ -45,26 +44,11 @@ pub struct KernelLaunchStats {
     pub output_bytes: u64,
 }
 
-impl KernelLaunchStats {
-    /// Accumulates another launch.
-    pub fn merge(&mut self, o: &KernelLaunchStats) {
-        self.launches += o.launches;
-        self.gather_bytes += o.gather_bytes;
-        self.gather_copies += o.gather_copies;
-        self.contiguous_hits += o.contiguous_hits;
-        self.indirect_reads += o.indirect_reads;
-        self.flops += o.flops;
-        self.shared_bytes += o.shared_bytes;
-        self.batched_bytes += o.batched_bytes;
-        self.output_bytes += o.output_bytes;
-    }
-}
-
-/// Convenience for tests and embedders: one whole launch of `program` over
-/// `batch` lanes on the calling thread —
+/// One whole launch of `program` over `batch` lanes on the calling thread —
 /// [`prepare_batched_kernel_with`] + [`execute_prepared`] over every lane +
 /// [`finish_prepared`], the same three phases the runtime's flush path
-/// drives.
+/// drives.  DyNet-sim (`acrobat_baselines::dynet`) launches every vendor
+/// kernel through it in [`BatchMode::ExplicitGather`].
 ///
 /// Returns `outputs[slot][lane]` device tensors (each slot's lanes share one
 /// contiguous allocation, so downstream gathers hit the contiguous fast
@@ -156,6 +140,16 @@ enum OffsetPattern {
     Same,
     Strided,
     Scattered,
+}
+
+/// How a launch reads its batched (per-instance) operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BatchMode {
+    /// Copy scattered operands into contiguous staging first (DyNet-style).
+    ExplicitGather,
+    /// Read scattered operands in place through an offset table
+    /// (ACROBAT-style gather-operator fusion).
+    GatherFused,
 }
 
 /// Resolves arguments, performs explicit gathers and reserves outputs for

@@ -89,6 +89,42 @@ impl KernelProgram {
         }
         s
     }
+
+    /// A one-instruction program: `op` over inputs of the given classes and
+    /// per-instance shapes, in argument order, producing one `shape` output
+    /// — the dense vendor kernel of a framework without fusion (DyNet-sim)
+    /// as a launchable program.
+    pub fn single_op(op: PrimOp, inputs: Vec<(ArgClass, Shape)>, shape: Shape) -> KernelProgram {
+        let n = inputs.len() as u32;
+        let out = RegId(n);
+        let shapes: Vec<&Shape> = inputs.iter().map(|(_, s)| s).collect();
+        let flops = acrobat_tensor::flops(&op, &shapes);
+        let input_bytes = shapes.iter().map(|s| s.byte_size() as u64).sum();
+        KernelProgram {
+            id: KernelId(0),
+            name: op.name().to_string(),
+            instrs: vec![KInstr {
+                args: (0..n).map(RegId).collect(),
+                op,
+                out,
+                shape: shape.clone(),
+            }],
+            inputs: (0..)
+                .zip(inputs)
+                .map(|(i, (class, shape))| KernelInput {
+                    reg: RegId(i),
+                    class,
+                    shape,
+                    binding: (ExprId(0), i as usize),
+                })
+                .collect(),
+            output_bytes_per_instance: shape.byte_size() as u64,
+            outputs: vec![(ExprId(0), out, shape)],
+            flops_per_instance: flops,
+            input_bytes_per_instance: input_bytes,
+            schedule: None,
+        }
+    }
 }
 
 /// Compiles one fusion group of a static block into a kernel program.

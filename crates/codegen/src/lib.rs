@@ -38,7 +38,7 @@ pub use autosched::{autoschedule, Schedule, ScheduleOptions};
 pub use backend::{BackendScratch, KernelBackendKind, Selection, SpecializedBackend};
 pub use exec::{
     execute_prepared, finish_prepared, prepare_batched_kernel_with, run_batched_kernel_with,
-    ExecScratch, KernelLaunchStats, PreparedLaunch,
+    BatchMode, ExecScratch, KernelLaunchStats, PreparedLaunch,
 };
 pub use kernel::{KInstr, KernelId, KernelInput, KernelProgram, RegId};
 pub use library::KernelLibrary;

@@ -713,9 +713,9 @@ impl CompiledKernel {
 
 #[cfg(test)]
 mod tests {
+    use crate::BatchMode;
     use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
     use acrobat_ir::{parse_module, typeck};
-    use acrobat_tensor::batch::BatchMode;
     use acrobat_tensor::{DeviceMem, Shape, Tensor};
 
     use super::{tile_width, LANE_BLOCK};

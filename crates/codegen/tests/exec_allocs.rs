@@ -9,11 +9,10 @@ use std::cell::Cell;
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    prepare_batched_kernel_with, BackendScratch, KernelId, KernelLibrary, Selection,
+    prepare_batched_kernel_with, BackendScratch, BatchMode, KernelId, KernelLibrary, Selection,
     SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
-use acrobat_tensor::batch::BatchMode;
 use acrobat_tensor::{DeviceMem, Tensor};
 
 thread_local! {

@@ -8,11 +8,10 @@
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    finish_prepared, prepare_batched_kernel_with, BackendScratch, KernelId, KernelLibrary,
-    KernelProgram, Selection, SpecializedBackend,
+    finish_prepared, prepare_batched_kernel_with, BackendScratch, BatchMode, KernelId,
+    KernelLibrary, KernelProgram, Selection, SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
-use acrobat_tensor::batch::BatchMode;
 use acrobat_tensor::{DeviceMem, DeviceTensor, Shape, Tensor};
 use proptest::prelude::*;
 

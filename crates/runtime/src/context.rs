@@ -568,9 +568,9 @@ impl ExecutionContext {
         let kernel_id = self.dfg.node(batch[0]).kernel;
         let program = engine.library().kernel(kernel_id);
         let mode = if options.gather_fusion {
-            acrobat_tensor::batch::BatchMode::GatherFused
+            acrobat_codegen::BatchMode::GatherFused
         } else {
-            acrobat_tensor::batch::BatchMode::ExplicitGather
+            acrobat_codegen::BatchMode::ExplicitGather
         };
         // Prepare straight out of the DFG value table — no per-lane
         // tensor-handle clones and no per-launch argument vectors.

@@ -450,17 +450,6 @@ impl DeviceMem {
         Ok(&mut self.buf[t.offset..t.offset + t.numel()])
     }
 
-    /// Splits the arena into the region below `at` (shared, read-only) and
-    /// the region starting at `at` (exclusive).
-    ///
-    /// Kernel executors use this to read input tensors while writing freshly
-    /// allocated outputs: bump allocation guarantees outputs sit above all
-    /// previously allocated inputs.
-    pub fn split_at_mut(&mut self, at: usize) -> (&[f32], &mut [f32]) {
-        let (lo, hi) = self.buf.split_at_mut(at);
-        (lo, hi)
-    }
-
     /// A raw shared view of the whole arena for the execute phase of a
     /// kernel launch ([`ExecView`]).  All output regions must have been
     /// reserved (bump allocated) *before* taking the view — the view cannot

@@ -9,17 +9,12 @@
 //! * [`DeviceMem`] / [`DeviceTensor`] — an arena-allocated simulated device
 //!   memory with explicit byte accounting for uploads, gathers and copies,
 //! * [`PrimOp`] — the primitive tensor operators the frontend language can
-//!   invoke, with shape inference, FLOP counting and a reference executor,
-//! * [`batch`] — batched kernel execution in the two styles the paper
-//!   compares: *explicit gather* (DyNet-style: copy scattered operands into a
-//!   contiguous staging buffer, then run a dense batched kernel) and *gather
-//!   fusion* (ACROBAT-style: the kernel reads operands through an
-//!   offset-indirection table, §5.2 of the paper).
+//!   invoke, with shape inference, FLOP counting and a reference executor.
 //!
-//! Numerical results of the two batched paths are bit-identical; their cost
-//! difference (bytes moved, kernel launches) is surfaced through
-//! [`batch::BatchStats`] and consumed by the simulated accelerator in
-//! `acrobat-runtime`.
+//! Batched launches live one layer up, in `acrobat-codegen`'s `exec`: one
+//! launch runs a kernel program for every lane, reading batched operands
+//! either through an explicit gather ([`DeviceMem::gather`], DyNet-style)
+//! or in place through their offsets (ACROBAT's gather fusion, §5.2).
 //!
 //! # Example
 //!
@@ -37,7 +32,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod arena;
-pub mod batch;
 mod error;
 pub mod ops;
 mod shape;
@@ -46,7 +40,6 @@ mod tensor;
 pub use arena::{
     DeviceMem, DeviceTensor, ExecView, FaultKind, FaultMode, FaultPlan, FaultSite, MemStats,
 };
-pub use batch::{BatchMode, BatchStats};
 pub use error::{FaultClass, TensorError};
 pub use ops::{
     execute, execute_into, execute_slices, flops, infer_shape, map_binary, map_unary, matmul_raw,

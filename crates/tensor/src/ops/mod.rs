@@ -396,13 +396,6 @@ pub type RawInput<'a> = (&'a [f32], &'a Shape);
 ///
 /// Propagates shape-inference and kernel errors.
 pub fn execute_slices(op: &PrimOp, inputs: &[RawInput<'_>], out: &mut [f32]) -> Result<()> {
-    execute_raw(op, inputs, out)
-}
-
-/// Executes `op` on raw slices, writing into `out` (length must equal the
-/// inferred output volume).  Core entry point shared by the unbatched and
-/// batched paths.
-pub(crate) fn execute_raw(op: &PrimOp, inputs: &[RawInput<'_>], out: &mut [f32]) -> Result<()> {
     match op {
         PrimOp::Relu
         | PrimOp::Sigmoid
@@ -462,7 +455,7 @@ pub fn execute(op: &PrimOp, inputs: &[&Tensor]) -> Result<Tensor> {
     let out_shape = infer_shape(op, &shapes)?;
     let mut out = vec![0.0f32; out_shape.numel()];
     let raw: Vec<RawInput<'_>> = inputs.iter().map(|t| (t.data(), t.shape())).collect();
-    execute_raw(op, &raw, &mut out)?;
+    execute_slices(op, &raw, &mut out)?;
     Tensor::from_vec(out, out_shape.dims())
 }
 
@@ -479,7 +472,7 @@ pub fn execute_into(op: &PrimOp, inputs: &[&Tensor], out: &mut [f32]) -> Result<
         return Err(TensorError::DataLength { got: out.len(), expected: out_shape.numel() });
     }
     let raw: Vec<RawInput<'_>> = inputs.iter().map(|t| (t.data(), t.shape())).collect();
-    execute_raw(op, &raw, out)?;
+    execute_slices(op, &raw, out)?;
     Ok(out_shape)
 }
 

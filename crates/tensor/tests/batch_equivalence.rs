@@ -1,12 +1,8 @@
-//! Property tests for the tensor substrate.
-//!
-//! The key invariants the rest of the system relies on:
-//! 1. gather-fused batched execution ≡ explicit-gather batched execution,
-//! 2. batched execution ≡ N independent unbatched executions,
-//! 3. kernel algebraic identities (softmax rows sum to 1, relu idempotent…),
-//! 4. gather byte accounting is exact.
+//! Property tests for the tensor substrate: kernel algebraic identities
+//! (softmax rows sum to 1, relu idempotent…) and exact gather byte
+//! accounting.  Batched-launch equivalences are the codegen crate's
+//! (`acrobat-codegen/tests/batch_equivalence.rs`).
 
-use acrobat_tensor::batch::{run_batched_prim, run_prim, BatchArg, BatchMode};
 use acrobat_tensor::{DeviceMem, PrimOp, Shape, Tensor};
 use proptest::prelude::*;
 
@@ -27,69 +23,6 @@ fn small_dims() -> impl Strategy<Value = Vec<usize>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fused_equals_gathered_binary(
-        dims in small_dims(),
-        batch in 1usize..6,
-        seed_a in proptest::collection::vec(finite_f32(), 1..32),
-    ) {
-        let _ = seed_a;
-        let mut mem = DeviceMem::new(1 << 16);
-        // Scattered per-instance operands with pads in between.
-        let mut lhs = Vec::new();
-        let mut rhs = Vec::new();
-        for b in 0..batch {
-            let t = Tensor::from_fn(&dims, |i| (i + b) as f32 * 0.25 - 1.0);
-            lhs.push(mem.upload(&t).unwrap());
-            mem.alloc(&Shape::new(&[1 + b % 3])).unwrap();
-            let u = Tensor::from_fn(&dims, |i| 1.0 - (i * (b + 1)) as f32 * 0.125);
-            rhs.push(mem.upload(&u).unwrap());
-        }
-        let args = vec![BatchArg::Batched(lhs), BatchArg::Batched(rhs)];
-        for op in [PrimOp::Add, PrimOp::Sub, PrimOp::Mul, PrimOp::Maximum] {
-            let (f, _) = run_batched_prim(&mut mem, &op, &args, batch, BatchMode::GatherFused).unwrap();
-            let (g, _) = run_batched_prim(&mut mem, &op, &args, batch, BatchMode::ExplicitGather).unwrap();
-            for (a, b) in f.iter().zip(&g) {
-                prop_assert_eq!(mem.read(a).unwrap(), mem.read(b).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn batched_equals_sequential_matmul(
-        m in 1usize..4, k in 1usize..5, n in 1usize..5, batch in 1usize..5,
-    ) {
-        let mut mem = DeviceMem::new(1 << 16);
-        let w = mem.upload(&Tensor::from_fn(&[k, n], |i| (i as f32 * 0.37).sin())).unwrap();
-        let mut xs = Vec::new();
-        for b in 0..batch {
-            mem.alloc(&Shape::new(&[2 + b])).unwrap(); // scatter
-            xs.push(mem.upload(&Tensor::from_fn(&[m, k], |i| ((i + 3 * b) as f32 * 0.21).cos())).unwrap());
-        }
-        let args = vec![BatchArg::Batched(xs.clone()), BatchArg::Shared(w.clone())];
-        let (outs, stats) = run_batched_prim(&mut mem, &PrimOp::MatMul, &args, batch, BatchMode::GatherFused).unwrap();
-        prop_assert_eq!(stats.launches, 1);
-        for (x, o) in xs.iter().zip(&outs) {
-            let seq = run_prim(&mut mem, &PrimOp::MatMul, &[x, &w]).unwrap();
-            prop_assert_eq!(mem.read(&seq).unwrap(), mem.read(o).unwrap());
-        }
-    }
-
-    #[test]
-    fn device_prim_equals_host_execute(dims in small_dims(), t in small_dims().prop_flat_map(tensor_of)) {
-        let _ = dims;
-        let mut mem = DeviceMem::new(1 << 16);
-        let d = mem.upload(&t).unwrap();
-        for op in [PrimOp::Relu, PrimOp::Sigmoid, PrimOp::Tanh, PrimOp::Neg, PrimOp::SoftmaxRows, PrimOp::SumRows, PrimOp::ArgmaxRows] {
-            let dev = run_prim(&mut mem, &op, &[&d]).unwrap();
-            let host = acrobat_tensor::execute(&op, &[&t]).unwrap();
-            let got = mem.read(&dev).unwrap();
-            for (a, b) in got.iter().zip(host.data()) {
-                prop_assert!((a - b).abs() <= 1e-6, "{op}: {a} vs {b}");
-            }
-        }
-    }
 
     #[test]
     fn softmax_rows_sum_to_one(t in small_dims().prop_flat_map(tensor_of)) {

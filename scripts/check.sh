@@ -110,8 +110,13 @@ if grep -rnE 'DynamicDepth|plan_dynamic_depth|tuned_batch|local_padding' crates 
   echo "DyNet's depth scheduler lives in acrobat_baselines::dynet alone, and Schedule has no unread tuning fields"; exit 1
 fi
 
-echo "==> paper artifacts regenerate byte-identical (table5, fig5 vs bench_results/)"
-for artifact in table5 fig5; do
+echo "==> one batched launch (DyNet-sim runs its vendor kernels through codegen's run_batched_kernel_with; no second executor in acrobat_tensor)"
+if grep -rnE 'run_batched_prim|BatchArg|BatchStats|tensor::batch|fn run_prim' crates tests; then
+  echo "acrobat_tensor::batch is gone: every batched launch is prepare -> execute -> finish in acrobat_codegen::exec"; exit 1
+fi
+
+echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
+for artifact in table4 table5 table8 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \
     | diff - "bench_results/$artifact.txt" \
     || { echo "$artifact no longer regenerates bench_results/$artifact.txt"; exit 1; }
