@@ -330,12 +330,10 @@ mod tests {
             compile(&program(lo, hi), &options).unwrap().run(&BTreeMap::new(), &instances).unwrap()
         };
         let (aot, vm) = (run(BackendKind::Aot), run(BackendKind::Vm));
-        for (a, v) in aot.outputs.iter().zip(&vm.outputs) {
-            let OutputValue::Int(a) = *a else { panic!("AOT keeps integers unboxed: {a:?}") };
+        assert_eq!(aot.outputs, vm.outputs, "same draws on both backends");
+        for a in &aot.outputs {
+            let OutputValue::Int(a) = *a else { panic!("an Int @main returns an Int: {a:?}") };
             assert!((lo..=hi).contains(&a), "{a} outside [{lo}, {hi}]");
-            // The Relay-VM baseline boxes every scalar as an f32 tensor.
-            let OutputValue::Float(v) = *v else { panic!("VM boxes scalars: {v:?}") };
-            assert_eq!(v, f64::from(a as f32), "same draw on both backends");
         }
     }
 

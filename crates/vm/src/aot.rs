@@ -438,7 +438,7 @@ impl AotProgram {
 }
 
 /// The typed instruction for `op` on operands of type `ty`.
-fn bin_op(op: ScalarBinOp, ty: &Type) -> Option<BinOp> {
+pub(crate) fn bin_op(op: ScalarBinOp, ty: &Type) -> Option<BinOp> {
     use ScalarBinOp::*;
     Some(match (ty, op) {
         (Type::Int, Add) => BinOp::IAdd,
@@ -465,6 +465,17 @@ fn bin_op(op: ScalarBinOp, ty: &Type) -> Option<BinOp> {
         (Type::Bool, Or) => BinOp::BOr,
         (Type::Bool, Eq) => BinOp::BEq,
         (Type::Bool, Ne) => BinOp::BNe,
+        _ => return None,
+    })
+}
+
+/// The typed instruction for `op` on an operand of type `ty`.
+pub(crate) fn un_op(op: ScalarUnOp, ty: &Type) -> Option<UnOp> {
+    Some(match (op, ty) {
+        (ScalarUnOp::Neg, Type::Int) => UnOp::INeg,
+        (ScalarUnOp::Neg, Type::Float) => UnOp::FNeg,
+        (ScalarUnOp::Not, Type::Bool) => UnOp::Not,
+        (ScalarUnOp::ToFloat, Type::Int) => UnOp::IToF,
         _ => return None,
     })
 }
@@ -720,13 +731,8 @@ impl<'m> Lowering<'m> {
             }
             ExprKind::ScalarUn { op, operand } => {
                 let ty = self.type_of(operand)?;
-                let op = match (op, ty) {
-                    (ScalarUnOp::Neg, Type::Int) => UnOp::INeg,
-                    (ScalarUnOp::Neg, Type::Float) => UnOp::FNeg,
-                    (ScalarUnOp::Not, Type::Bool) => UnOp::Not,
-                    (ScalarUnOp::ToFloat, Type::Int) => UnOp::IToF,
-                    _ => return Err(unsupported(format!("scalar {op:?} on {ty}"))),
-                };
+                let op =
+                    un_op(*op, ty).ok_or_else(|| unsupported(format!("scalar {op:?} on {ty}")))?;
                 let v = self.lower(b, operand, None)?;
                 let a = self.word(b, v)?;
                 let dst = b.dst(into)?;
@@ -1170,13 +1176,7 @@ impl AotProgram {
                     m.regs[base + dst as usize] = scalar_bin(op, a, b)?;
                 }
                 Instr::Un { op, dst, a } => {
-                    let a = m.regs[base + a as usize];
-                    m.regs[base + dst as usize] = match op {
-                        UnOp::INeg => (a as i64).wrapping_neg() as u64,
-                        UnOp::FNeg => (-f64::from_bits(a)).to_bits(),
-                        UnOp::Not => a ^ 1,
-                        UnOp::IToF => (a as i64 as f64).to_bits(),
-                    };
+                    m.regs[base + dst as usize] = scalar_un(op, m.regs[base + a as usize]);
                 }
                 Instr::Rand { dst, lo, hi } => {
                     let (lo, hi) = (m.regs[base + lo as usize], m.regs[base + hi as usize]);
@@ -1386,7 +1386,7 @@ struct Shared<'a, 's> {
     heap: &'a Mutex<Vec<u64>>,
 }
 
-fn scalar_bin(op: BinOp, a: u64, b: u64) -> Result<u64, VmError> {
+pub(crate) fn scalar_bin(op: BinOp, a: u64, b: u64) -> Result<u64, VmError> {
     let (x, y) = (a as i64, b as i64);
     let (p, q) = (f64::from_bits(a), f64::from_bits(b));
     Ok(match op {
@@ -1416,6 +1416,15 @@ fn scalar_bin(op: BinOp, a: u64, b: u64) -> Result<u64, VmError> {
         BinOp::BAnd => a & b,
         BinOp::BOr => a | b,
     })
+}
+
+pub(crate) fn scalar_un(op: UnOp, a: u64) -> u64 {
+    match op {
+        UnOp::INeg => (a as i64).wrapping_neg() as u64,
+        UnOp::FNeg => (-f64::from_bits(a)).to_bits(),
+        UnOp::Not => a ^ 1,
+        UnOp::IToF => (a as i64 as f64).to_bits(),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acrobat_ir::{ExprKind, ParamKind};
+use acrobat_ir::ParamKind;
 use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats, ValueId};
 use acrobat_tensor::{FaultPlan, Tensor, TensorError};
 
@@ -38,7 +38,7 @@ use crate::aot::{AotBackend, Layouts, Scratch};
 use crate::broker::{BatchBroker, BrokerStats};
 use crate::interp::VmBackend;
 use crate::session::{ExecCtx, Handle, RunSession, Session, VmError};
-use crate::value::{InputValue, OutputValue, TensorRef, Value};
+use crate::value::{InputValue, OutputValue, TensorRef, Value, Word};
 
 /// Which execution backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +124,7 @@ pub(crate) struct Member<'a> {
 
 /// Whether the module contains tensor-dependent control flow.
 pub fn module_has_sync(module: &acrobat_ir::Module) -> bool {
-    module.functions.values().any(|f| {
-        let mut found = false;
-        acrobat_ir::ast::visit_exprs(&f.body, &mut |e| {
-            if matches!(e.kind, ExprKind::Sync { .. }) {
-                found = true;
-            }
-        });
-        found
-    })
+    module.functions.values().any(|f| f.body.contains_sync())
 }
 
 impl Executable {
@@ -600,9 +592,9 @@ fn convert_input(
         InputValue::Tensor(_) => {
             Value::Tensor(TensorRef::ready(ids.next().expect("uploaded tensor id")))
         }
-        InputValue::Int(x) => Value::Int(*x),
-        InputValue::Float(x) => Value::Float(*x),
-        InputValue::Bool(x) => Value::Bool(*x),
+        InputValue::Int(x) => Value::scalar(Word::Int(*x)),
+        InputValue::Float(x) => Value::scalar(Word::Float(*x)),
+        InputValue::Bool(x) => Value::scalar(Word::Bool(*x)),
         InputValue::Tuple(parts) => {
             Value::Tuple(Arc::new(parts.iter().map(|p| convert_input(p, session, ids)).collect()))
         }
@@ -623,10 +615,11 @@ fn convert_output(
             let vid = r.get().ok_or_else(|| VmError::Input("dangling tensor in output".into()))?;
             OutputValue::Tensor(ctx.download(vid)?)
         }
-        Value::Int(x) => OutputValue::Int(*x),
-        Value::Float(x) => OutputValue::Float(*x),
-        Value::Bool(x) => OutputValue::Bool(*x),
-        Value::BoxedScalar(t) => OutputValue::Float(t.item()? as f64),
+        Value::BoxedScalar(w) => match **w {
+            Word::Int(x) => OutputValue::Int(x),
+            Word::Float(x) => OutputValue::Float(x),
+            Word::Bool(x) => OutputValue::Bool(x),
+        },
         Value::Tuple(parts) => OutputValue::Tuple(
             parts.iter().map(|p| convert_output(p, session, ctx)).collect::<Result<_, _>>()?,
         ),

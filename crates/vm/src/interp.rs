@@ -4,8 +4,10 @@
 //! machine does (the paper's §E.2 baseline — up to 13.45× slower than AOT
 //! compilation):
 //!
-//! * every scalar is **boxed** as a heap-allocated zero-dimensional tensor
-//!   and every scalar operation allocates a fresh box (§D.2);
+//! * every scalar is **boxed** on the heap and every scalar operation
+//!   allocates a fresh box (§D.2) — the box holds the typed word an AOT
+//!   register holds, and the operation is the AOT executor's own
+//!   ([`crate::aot::scalar_bin`]), so only the boxing differs;
 //! * variables live in an association-list environment searched linearly by
 //!   *string comparison*;
 //! * global calls re-resolve the callee by name on every invocation;
@@ -22,11 +24,11 @@
 
 use std::sync::Arc;
 
-use acrobat_ir::{Arm, Callee, Expr, ExprKind, Module, Pattern, ScalarBinOp, ScalarUnOp, SyncKind};
-use acrobat_tensor::Tensor;
+use acrobat_ir::{Arm, Callee, Expr, ExprKind, Module, Pattern, SyncKind, Type};
 
+use crate::aot::{bin_op, scalar_bin, scalar_un, un_op};
 use crate::session::{ExecCtx, RtHandle, RunSession, VmError};
-use crate::value::{Closure, Value};
+use crate::value::{Closure, Value, Word};
 
 /// The interpreter backend.
 #[derive(Debug)]
@@ -85,8 +87,19 @@ impl VmBackend {
         panic!("unbound variable %{name} (typeck admitted it)")
     }
 
-    fn boxed(v: f64) -> Value {
-        Value::BoxedScalar(Arc::new(Tensor::scalar(v as f32)))
+    fn type_of(&self, e: &Expr) -> Result<&Type, VmError> {
+        self.module
+            .expr_types
+            .get(&e.id)
+            .ok_or_else(|| VmError::Unsupported(format!("untyped expression {}", e.id)))
+    }
+
+    /// Boxes the register bits `bits` of `e`'s result.
+    fn boxed(&self, e: &Expr, bits: u64) -> Result<Value, VmError> {
+        let ty = self.type_of(e)?;
+        let word = Word::from_bits(ty, bits)
+            .ok_or_else(|| VmError::Unsupported(format!("a scalar of type {ty}")))?;
+        Ok(Value::scalar(word))
     }
 
     fn eval(
@@ -99,11 +112,13 @@ impl VmBackend {
     ) -> Result<Value, VmError> {
         match &expr.kind {
             ExprKind::Var(name) => Ok(Self::lookup(env, name)),
-            ExprKind::IntLit(v) => Ok(Self::boxed(*v as f64)),
-            ExprKind::FloatLit(v) => Ok(Self::boxed(*v)),
-            ExprKind::BoolLit(v) => Ok(Self::boxed(if *v { 1.0 } else { 0.0 })),
-            ExprKind::PhaseBoundary => Ok(Self::boxed(0.0)),
-            ExprKind::RandRange { lo, hi } => Ok(Self::boxed(ctx.rng.next_range(*lo, *hi) as f64)),
+            ExprKind::IntLit(v) => Ok(Value::scalar(Word::Int(*v))),
+            ExprKind::FloatLit(v) => Ok(Value::scalar(Word::Float(*v))),
+            ExprKind::BoolLit(v) => Ok(Value::scalar(Word::Bool(*v))),
+            ExprKind::PhaseBoundary => Ok(Value::scalar(Word::Int(0))),
+            ExprKind::RandRange { lo, hi } => {
+                Ok(Value::scalar(Word::Int(ctx.rng.next_range(*lo, *hi))))
+            }
             ExprKind::Let { pat, value, body } => {
                 let v = self.eval(value, env, run, rt, ctx)?;
                 if run.is_phase_boundary(expr.id) {
@@ -127,7 +142,7 @@ impl VmBackend {
                 Ok(r)
             }
             ExprKind::If { cond, then, els } => {
-                let c = self.eval(cond, env, run, rt, ctx)?.as_bool();
+                let c = self.eval(cond, env, run, rt, ctx)?.bits() != 0;
                 let (taken, skipped) = if c { (then, els) } else { (els, then) };
                 let r = self.eval(taken, env, run, rt, ctx)?;
                 run.apply_ghosts(ctx, taken.id);
@@ -254,32 +269,20 @@ impl VmBackend {
                 Ok(Value::Tuple(Arc::new(vs)))
             }
             ExprKind::ScalarBin { op, lhs, rhs } => {
-                let a = self.eval(lhs, env, run, rt, ctx)?.as_float();
-                let b = self.eval(rhs, env, run, rt, ctx)?.as_float();
-                let r = match op {
-                    ScalarBinOp::Add => a + b,
-                    ScalarBinOp::Sub => a - b,
-                    ScalarBinOp::Mul => a * b,
-                    ScalarBinOp::Div => a / b,
-                    ScalarBinOp::Lt => f64::from(a < b),
-                    ScalarBinOp::Le => f64::from(a <= b),
-                    ScalarBinOp::Gt => f64::from(a > b),
-                    ScalarBinOp::Ge => f64::from(a >= b),
-                    ScalarBinOp::Eq => f64::from(a == b),
-                    ScalarBinOp::Ne => f64::from(a != b),
-                    ScalarBinOp::And => f64::from(a != 0.0 && b != 0.0),
-                    ScalarBinOp::Or => f64::from(a != 0.0 || b != 0.0),
-                };
-                Ok(Self::boxed(r))
+                let ty = self.type_of(lhs)?;
+                let op = bin_op(*op, ty).ok_or_else(|| {
+                    VmError::Unsupported(format!("scalar `{}` on {ty}", op.symbol()))
+                })?;
+                let a = self.eval(lhs, env, run, rt, ctx)?.bits();
+                let b = self.eval(rhs, env, run, rt, ctx)?.bits();
+                self.boxed(expr, scalar_bin(op, a, b)?)
             }
             ExprKind::ScalarUn { op, operand } => {
-                let v = self.eval(operand, env, run, rt, ctx)?.as_float();
-                let r = match op {
-                    ScalarUnOp::Neg => -v,
-                    ScalarUnOp::Not => f64::from(v == 0.0),
-                    ScalarUnOp::ToFloat => v,
-                };
-                Ok(Self::boxed(r))
+                let ty = self.type_of(operand)?;
+                let op = un_op(*op, ty)
+                    .ok_or_else(|| VmError::Unsupported(format!("scalar {op:?} on {ty}")))?;
+                let a = self.eval(operand, env, run, rt, ctx)?.bits();
+                self.boxed(expr, scalar_un(op, a))
             }
             ExprKind::Sync { kind, tensor } => {
                 let t = self.eval(tensor, env, run, rt, ctx)?;
@@ -288,7 +291,7 @@ impl VmBackend {
                     SyncKind::Item => run.item(rt, r)?,
                     SyncKind::Sample => run.sample(rt, ctx, r)?,
                 };
-                Ok(Self::boxed(v))
+                Ok(Value::scalar(Word::Float(v)))
             }
         }
     }

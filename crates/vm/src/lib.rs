@@ -36,4 +36,4 @@ pub mod value;
 pub use broker::{BrokerStats, CohortRequest};
 pub use driver::{module_has_sync, BackendKind, Executable, RunOptions, RunResult};
 pub use session::{ExecCtx, Handle, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError};
-pub use value::{InputValue, OutputValue, TensorRef, Value};
+pub use value::{InputValue, OutputValue, TensorRef, Value, Word};

@@ -10,14 +10,15 @@
 //! paper's §D.2/§E.2 comparison: the AOT backend has no `Value` at all —
 //! its registers are plain words whose meaning is fixed at lowering time
 //! ([`crate::aot`]) — while the Relay-VM-style interpreter boxes every
-//! scalar as a heap-allocated zero-dimensional tensor
-//! ([`Value::BoxedScalar`]), exactly what Relay's VM does and a major
-//! source of its control-flow overhead.
+//! scalar on the heap ([`Value::BoxedScalar`]), exactly what Relay's VM
+//! does and a major source of its control-flow overhead.  The box holds the
+//! same typed word an AOT register holds, so both backends compute the same
+//! scalars.
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
-use acrobat_ir::Expr;
+use acrobat_ir::{Expr, Type};
 use acrobat_runtime::ValueId;
 use acrobat_tensor::Tensor;
 
@@ -66,20 +67,46 @@ pub struct Closure {
     pub env: Vec<(String, Value)>,
 }
 
+/// A scalar register word with its type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Word {
+    /// `Int`.
+    Int(i64),
+    /// `Float`.
+    Float(f64),
+    /// `Bool`.
+    Bool(bool),
+}
+
+impl Word {
+    /// The `ty` word whose register bits are `bits`; `None` when `ty` is
+    /// not a scalar type.
+    pub fn from_bits(ty: &Type, bits: u64) -> Option<Word> {
+        Some(match ty {
+            Type::Int => Word::Int(bits as i64),
+            Type::Float => Word::Float(f64::from_bits(bits)),
+            Type::Bool => Word::Bool(bits != 0),
+            _ => return None,
+        })
+    }
+
+    /// The register bits, as the AOT executor stores them.
+    pub fn bits(self) -> u64 {
+        match self {
+            Word::Int(x) => x as u64,
+            Word::Float(x) => x.to_bits(),
+            Word::Bool(x) => u64::from(x),
+        }
+    }
+}
+
 /// A runtime value.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A (lazy) device tensor.
     Tensor(TensorRef),
-    /// Native integer (a request input, before the interpreter boxes it).
-    Int(i64),
-    /// Native float (a request input).
-    Float(f64),
-    /// Native boolean (a request input).
-    Bool(bool),
-    /// A scalar boxed as a heap-allocated zero-dim tensor (Relay-VM
-    /// backend; §D.2).
-    BoxedScalar(Arc<Tensor>),
+    /// A scalar, boxed on the heap (Relay-VM backend; §D.2).
+    BoxedScalar(Arc<Word>),
     /// Tuple.
     Tuple(Arc<Vec<Value>>),
     /// ADT value with a resolved constructor tag.
@@ -106,35 +133,20 @@ impl Value {
         }
     }
 
-    /// Native integer view (unboxes and converts as needed).
-    pub fn as_int(&self) -> i64 {
-        match self {
-            Value::Int(v) => *v,
-            Value::Float(v) => *v as i64,
-            Value::Bool(v) => i64::from(*v),
-            Value::BoxedScalar(t) => t.item().expect("boxed scalar") as i64,
-            other => panic!("expected int, got {other:?}"),
-        }
+    /// Boxes a scalar.
+    pub fn scalar(word: Word) -> Value {
+        Value::BoxedScalar(Arc::new(word))
     }
 
-    /// Native float view (unboxes and converts as needed).
-    pub fn as_float(&self) -> f64 {
+    /// The register bits of a boxed scalar.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is not a scalar (type checking prevents this).
+    pub fn bits(&self) -> u64 {
         match self {
-            Value::Float(v) => *v,
-            Value::Int(v) => *v as f64,
-            Value::Bool(v) => f64::from(u8::from(*v)),
-            Value::BoxedScalar(t) => t.item().expect("boxed scalar") as f64,
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
-    /// Native bool view (unboxes if needed; boxed scalars use 0.0/1.0).
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(v) => *v,
-            Value::Int(v) => *v != 0,
-            Value::BoxedScalar(t) => t.item().expect("boxed scalar") != 0.0,
-            other => panic!("expected bool, got {other:?}"),
+            Value::BoxedScalar(w) => w.bits(),
+            other => panic!("expected scalar value, got {other:?}"),
         }
     }
 }
@@ -273,10 +285,14 @@ mod tests {
 
     #[test]
     fn boxed_scalar_views() {
-        let v = Value::BoxedScalar(Arc::new(Tensor::scalar(2.0)));
-        assert_eq!(v.as_int(), 2);
-        assert_eq!(v.as_float(), 2.0);
-        assert!(v.as_bool());
+        for (ty, word) in [
+            (Type::Int, Word::Int(16_777_217)),
+            (Type::Float, Word::Float(-0.1)),
+            (Type::Bool, Word::Bool(true)),
+        ] {
+            let v = Value::scalar(word);
+            assert_eq!(Word::from_bits(&ty, v.bits()), Some(word));
+        }
     }
 
     #[test]

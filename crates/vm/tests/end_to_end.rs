@@ -425,13 +425,29 @@ fn integer_division_without_an_answer_is_a_typed_error() {
     }
     let wrapped = exe.run(&params, &request(&[(i64::MAX, 1)])).expect("i64::MAX + 1 wraps");
     assert!(matches!(wrapped.outputs[..], [OutputValue::Int(i64::MAX)]), "{:?}", wrapped.outputs);
-    let vm = build(DIV, BackendKind::Vm, AnalysisOptions::default());
-    let baseline = vm.run(&params, &request(&[(7, 0)])).expect("the VM baseline divides in floats");
-    assert!(
-        matches!(baseline.outputs[..], [OutputValue::Float(q)] if q == f64::INFINITY),
-        "{:?}",
-        baseline.outputs
-    );
+}
+
+/// The Relay-VM baseline boxes every scalar but computes it with the AOT
+/// executor's semantics: integer division truncates, ÷ 0 is the same typed
+/// error, 2^24 + 1 stays exact, and an `Int` `@main` returns an `Int`.
+#[test]
+fn relay_vm_scalars_have_the_aot_semantics() {
+    use acrobat_vm::VmError;
+    const DIV: &str = "def @main(%n: Int, %d: Int) -> Int { %n / %d }";
+    let params = BTreeMap::new();
+    let request = |n: i64, d: i64| vec![vec![InputValue::Int(n), InputValue::Int(d)]];
+    for kind in [BackendKind::Aot, BackendKind::Vm] {
+        let exe = build(DIV, kind, AnalysisOptions::default());
+        for (n, d, q) in [(7, 2, 3), (16_777_217, 1, 16_777_217), (-7, 2, -3)] {
+            let out = exe.run(&params, &request(n, d)).unwrap().outputs;
+            assert_eq!(out, [OutputValue::Int(q)], "{kind:?}: {n} / {d}");
+        }
+        let err = exe.run(&params, &request(7, 0)).unwrap_err();
+        assert!(
+            matches!(&err, VmError::Input(msg) if msg.contains("integer division")),
+            "{kind:?}: {err:?}"
+        );
+    }
 }
 
 #[test]
