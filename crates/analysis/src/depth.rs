@@ -50,10 +50,7 @@ pub fn hoistable_sites(module: &Module) -> BTreeSet<ExprId> {
     let op_free = op_free_formals(module);
     let mut out = BTreeSet::new();
     for (name, f) in &module.functions {
-        if !is_self_recursive(name, &f.body) {
-            continue;
-        }
-        if contains_sync(&f.body) {
+        if !f.body.calls(name) || f.body.contains_sync() {
             continue;
         }
         let mut carried = carried_formals(module, name);
@@ -83,7 +80,7 @@ fn op_free_formals(module: &Module) -> HashMap<String, Vec<bool>> {
     loop {
         let mut changed = false;
         for (name, f) in &module.functions {
-            let mut eval = OpFreeEval { module, flags: &flags, observations: Vec::new() };
+            let mut eval = OpFreeEval { observations: Vec::new() };
             let mut env: HashMap<String, bool> = HashMap::new();
             for (i, p) in f.params.iter().enumerate() {
                 // @main's inputs and weights are resident before execution.
@@ -108,14 +105,12 @@ fn op_free_formals(module: &Module) -> HashMap<String, Vec<bool>> {
     }
 }
 
-struct OpFreeEval<'m> {
-    module: &'m Module,
-    flags: &'m HashMap<String, Vec<bool>>,
+struct OpFreeEval {
     /// (callee, arg position, value-is-op-free) per call site visit.
     observations: Vec<(String, usize, bool)>,
 }
 
-impl<'m> OpFreeEval<'m> {
+impl OpFreeEval {
     fn eval(&mut self, expr: &Expr, env: &mut HashMap<String, bool>) -> bool {
         match &expr.kind {
             ExprKind::Var(n) => env.get(n).copied().unwrap_or(false),
@@ -166,7 +161,6 @@ impl<'m> OpFreeEval<'m> {
                         }
                         // A function's *result* is op-free only if its body
                         // performs no ops at all — approximate as false.
-                        let _ = self.flags;
                         false
                     }
                     Callee::Ctor(_) => vals.into_iter().all(|v| v),
@@ -177,10 +171,7 @@ impl<'m> OpFreeEval<'m> {
                 es.iter().map(|e| self.eval(e, env)).collect::<Vec<_>>().into_iter().all(|b| b)
             }
             ExprKind::Proj { tuple, .. } => self.eval(tuple, env),
-            ExprKind::Lambda { body, .. } => {
-                let _ = self.module;
-                self.eval(body, env)
-            }
+            ExprKind::Lambda { body, .. } => self.eval(body, env),
             ExprKind::Map { func, list } => {
                 let l = self.eval(list, env);
                 if let ExprKind::Lambda { params, body } = &func.kind {
@@ -205,28 +196,6 @@ impl<'m> OpFreeEval<'m> {
     }
 }
 
-fn is_self_recursive(name: &str, body: &Expr) -> bool {
-    let mut found = false;
-    acrobat_ir::ast::visit_exprs(body, &mut |e| {
-        if let ExprKind::Call { callee: Callee::Global(n), .. } = &e.kind {
-            if n == name {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
-fn contains_sync(body: &Expr) -> bool {
-    let mut found = false;
-    acrobat_ir::ast::visit_exprs(body, &mut |e| {
-        if matches!(e.kind, ExprKind::Sync { .. }) {
-            found = true;
-        }
-    });
-    found
-}
-
 /// Fixpoint computation of the carried-formal set for `name`.
 fn carried_formals(module: &Module, name: &str) -> BTreeSet<usize> {
     let f = &module.functions[name];
@@ -237,7 +206,6 @@ fn carried_formals(module: &Module, name: &str) -> BTreeSet<usize> {
             env: HashMap::new(),
             self_call_actuals: Vec::new(),
             hoistable: None,
-            module,
             in_conditional: 0,
         };
         for (i, p) in f.params.iter().enumerate() {
@@ -273,7 +241,6 @@ fn collect_hoistable(
         env: HashMap::new(),
         self_call_actuals: Vec::new(),
         hoistable: Some(BTreeSet::new()),
-        module,
         in_conditional: 0,
     };
     for (i, p) in f.params.iter().enumerate() {
@@ -289,7 +256,6 @@ struct DepEval<'m> {
     env: HashMap<String, Dep>,
     self_call_actuals: Vec<Vec<Dep>>,
     hoistable: Option<BTreeSet<ExprId>>,
-    module: &'m Module,
     in_conditional: u32,
 }
 
@@ -364,10 +330,7 @@ impl<'m> DepEval<'m> {
                 es.iter().map(|e| self.eval(e)).fold(Dep::Clean, Dep::join)
             }
             ExprKind::Proj { tuple, .. } => self.eval(tuple),
-            ExprKind::Lambda { body, .. } => {
-                let _ = self.module;
-                self.eval(body)
-            }
+            ExprKind::Lambda { body, .. } => self.eval(body),
             ExprKind::Map { func, list } => {
                 let l = self.eval(list);
                 if let ExprKind::Lambda { params, body } = &func.kind {

@@ -80,17 +80,7 @@ pub fn duplicate_for_reuse(
 
     // Drop originals that are no longer referenced.
     for func in &conflicting {
-        let referenced = module.functions.values().any(|f| {
-            let mut hit = false;
-            acrobat_ir::ast::visit_exprs(&f.body, &mut |e| {
-                if let ExprKind::Call { callee: Callee::Global(n), .. } = &e.kind {
-                    if n == func && f.name != *func {
-                        hit = true;
-                    }
-                }
-            });
-            hit
-        });
+        let referenced = module.functions.values().any(|f| f.name != *func && f.body.calls(func));
         if !referenced {
             module.functions.remove(func);
         }
@@ -109,61 +99,13 @@ fn retarget_calls(expr: &mut Expr, rename: &dyn Fn(acrobat_ir::ExprId, &str) -> 
             *name = new_name;
         }
     }
-    for_each_child_mut(expr, &mut |c| retarget_calls(c, rename));
+    expr.for_each_child_mut(|c| retarget_calls(c, rename));
 }
 
 /// Assigns fresh ids to every node of a cloned expression tree.
 fn refresh_ids(expr: &mut Expr, module: &mut Module) {
     expr.id = module.fresh_id();
-    for_each_child_mut(expr, &mut |c| refresh_ids(c, module));
-}
-
-fn for_each_child_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match &mut expr.kind {
-        ExprKind::Var(_)
-        | ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::RandRange { .. }
-        | ExprKind::PhaseBoundary => {}
-        ExprKind::Let { value, body, .. } => {
-            f(value);
-            f(body);
-        }
-        ExprKind::If { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            f(scrutinee);
-            for arm in arms {
-                f(&mut arm.body);
-            }
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                f(a);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Parallel(es) => {
-            for e in es {
-                f(e);
-            }
-        }
-        ExprKind::Proj { tuple, .. } => f(tuple),
-        ExprKind::Lambda { body, .. } => f(body),
-        ExprKind::Map { func, list } => {
-            f(func);
-            f(list);
-        }
-        ExprKind::ScalarBin { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::ScalarUn { operand, .. } => f(operand),
-        ExprKind::Sync { tensor, .. } => f(tensor),
-    }
+    expr.for_each_child_mut(|c| refresh_ids(c, module));
 }
 
 #[cfg(test)]

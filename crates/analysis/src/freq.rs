@@ -25,17 +25,7 @@ pub fn estimate_frequencies(module: &Module) -> BTreeMap<ExprId, u64> {
     let recursive: Vec<&str> = module
         .functions
         .iter()
-        .filter(|(name, f)| {
-            let mut rec = false;
-            acrobat_ir::ast::visit_exprs(&f.body, &mut |e| {
-                if let ExprKind::Call { callee: Callee::Global(n), .. } = &e.kind {
-                    if n == *name {
-                        rec = true;
-                    }
-                }
-            });
-            rec
-        })
+        .filter(|(name, f)| f.body.calls(name))
         .map(|(n, _)| n.as_str())
         .collect();
 
@@ -89,9 +79,7 @@ fn collect_calls<'m>(
                 stack.push((list, w));
                 stack.push((func, w.saturating_mul(NOMINAL_TRIP)));
             }
-            _ => {
-                each_child(e, |c| stack.push((c, w)));
-            }
+            _ => e.for_each_child(|c| stack.push((c, w))),
         }
     }
 }
@@ -110,43 +98,8 @@ fn record_sites(e: &Expr, weight: u64, out: &mut BTreeMap<ExprId, u64>) {
                 stack.push((list, w));
                 stack.push((func, w.saturating_mul(NOMINAL_TRIP)));
             }
-            _ => each_child(e, |c| stack.push((c, w))),
+            _ => e.for_each_child(|c| stack.push((c, w))),
         }
-    }
-}
-
-fn each_child<'m>(e: &'m Expr, mut f: impl FnMut(&'m Expr)) {
-    match &e.kind {
-        ExprKind::Let { value, body, .. } => {
-            f(value);
-            f(body);
-        }
-        ExprKind::If { cond, then, els } => {
-            f(cond);
-            f(then);
-            f(els);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            f(scrutinee);
-            for arm in arms {
-                f(&arm.body);
-            }
-        }
-        ExprKind::Call { args, .. } => args.iter().for_each(f),
-        ExprKind::Tuple(es) | ExprKind::Parallel(es) => es.iter().for_each(f),
-        ExprKind::Proj { tuple, .. } => f(tuple),
-        ExprKind::Lambda { body, .. } => f(body),
-        ExprKind::Map { func, list } => {
-            f(func);
-            f(list);
-        }
-        ExprKind::ScalarBin { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::ScalarUn { operand, .. } => f(operand),
-        ExprKind::Sync { tensor, .. } => f(tensor),
-        _ => {}
     }
 }
 

@@ -37,7 +37,7 @@ pub fn phase_boundaries(module: &Module) -> BTreeSet<ExprId> {
     let recursive: BTreeSet<&str> = module
         .functions
         .iter()
-        .filter(|(name, f)| calls_function(&f.body, name))
+        .filter(|(name, f)| f.body.calls(name))
         .map(|(name, _)| name.as_str())
         .collect();
 
@@ -79,18 +79,6 @@ pub fn phase_boundaries(module: &Module) -> BTreeSet<ExprId> {
         }
     }
     boundaries
-}
-
-fn calls_function(body: &Expr, name: &str) -> bool {
-    let mut found = false;
-    acrobat_ir::ast::visit_exprs(body, &mut |e| {
-        if let ExprKind::Call { callee: Callee::Global(n), .. } = &e.kind {
-            if n == name {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 #[cfg(test)]

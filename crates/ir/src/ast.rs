@@ -482,54 +482,102 @@ impl Module {
     }
 }
 
+impl Expr {
+    /// Calls `f` on each direct child, in evaluation order.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match &self.kind {
+            ExprKind::Var(_)
+            | ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::RandRange { .. }
+            | ExprKind::PhaseBoundary => {}
+            ExprKind::Let { value, body, .. } => {
+                f(value);
+                f(body);
+            }
+            ExprKind::If { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            ExprKind::Match { scrutinee, arms } => {
+                f(scrutinee);
+                arms.iter().for_each(|arm| f(&arm.body));
+            }
+            ExprKind::Call { args: es, .. } | ExprKind::Tuple(es) | ExprKind::Parallel(es) => {
+                es.iter().for_each(f)
+            }
+            ExprKind::Proj { tuple: e, .. }
+            | ExprKind::Lambda { body: e, .. }
+            | ExprKind::ScalarUn { operand: e, .. }
+            | ExprKind::Sync { tensor: e, .. } => f(e),
+            ExprKind::Map { func: a, list: b } | ExprKind::ScalarBin { lhs: a, rhs: b, .. } => {
+                f(a);
+                f(b);
+            }
+        }
+    }
+
+    /// Calls `f` on each direct child, mutably, in evaluation order.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match &mut self.kind {
+            ExprKind::Var(_)
+            | ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::RandRange { .. }
+            | ExprKind::PhaseBoundary => {}
+            ExprKind::Let { value, body, .. } => {
+                f(value);
+                f(body);
+            }
+            ExprKind::If { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            ExprKind::Match { scrutinee, arms } => {
+                f(scrutinee);
+                arms.iter_mut().for_each(|arm| f(&mut arm.body));
+            }
+            ExprKind::Call { args: es, .. } | ExprKind::Tuple(es) | ExprKind::Parallel(es) => {
+                es.iter_mut().for_each(f)
+            }
+            ExprKind::Proj { tuple: e, .. }
+            | ExprKind::Lambda { body: e, .. }
+            | ExprKind::ScalarUn { operand: e, .. }
+            | ExprKind::Sync { tensor: e, .. } => f(e),
+            ExprKind::Map { func: a, list: b } | ExprKind::ScalarBin { lhs: a, rhs: b, .. } => {
+                f(a);
+                f(b);
+            }
+        }
+    }
+
+    /// Whether the expression calls the global function `@name`.
+    pub fn calls(&self, name: &str) -> bool {
+        let mut found = false;
+        visit_exprs(self, &mut |e| {
+            found |=
+                matches!(&e.kind, ExprKind::Call { callee: Callee::Global(n), .. } if n == name)
+        });
+        found
+    }
+
+    /// Whether the expression contains a sync point (`item`/`sample`), i.e.
+    /// tensor-dependent control flow.
+    pub fn contains_sync(&self) -> bool {
+        let mut found = false;
+        visit_exprs(self, &mut |e| found |= matches!(e.kind, ExprKind::Sync { .. }));
+        found
+    }
+}
+
 /// Walks an expression tree, calling `f` on every node (pre-order).
 pub fn visit_exprs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(expr);
-    match &expr.kind {
-        ExprKind::Var(_)
-        | ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::RandRange { .. }
-        | ExprKind::PhaseBoundary => {}
-        ExprKind::Let { value, body, .. } => {
-            visit_exprs(value, f);
-            visit_exprs(body, f);
-        }
-        ExprKind::If { cond, then, els } => {
-            visit_exprs(cond, f);
-            visit_exprs(then, f);
-            visit_exprs(els, f);
-        }
-        ExprKind::Match { scrutinee, arms } => {
-            visit_exprs(scrutinee, f);
-            for arm in arms {
-                visit_exprs(&arm.body, f);
-            }
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                visit_exprs(a, f);
-            }
-        }
-        ExprKind::Tuple(es) | ExprKind::Parallel(es) => {
-            for e in es {
-                visit_exprs(e, f);
-            }
-        }
-        ExprKind::Proj { tuple, .. } => visit_exprs(tuple, f),
-        ExprKind::Lambda { body, .. } => visit_exprs(body, f),
-        ExprKind::Map { func, list } => {
-            visit_exprs(func, f);
-            visit_exprs(list, f);
-        }
-        ExprKind::ScalarBin { lhs, rhs, .. } => {
-            visit_exprs(lhs, f);
-            visit_exprs(rhs, f);
-        }
-        ExprKind::ScalarUn { operand, .. } => visit_exprs(operand, f),
-        ExprKind::Sync { tensor, .. } => visit_exprs(tensor, f),
-    }
+    expr.for_each_child(|c| visit_exprs(c, f));
 }
 
 #[cfg(test)]
