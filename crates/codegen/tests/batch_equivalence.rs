@@ -37,11 +37,10 @@ fn launch(
     let out = acrobat_tensor::infer_shape(&op, &shapes).unwrap();
     let inputs = classes.iter().zip(&shapes).map(|(&c, &s)| (c, s.clone())).collect();
     let program = KernelProgram::single_op(op, inputs, out);
-    let (mut outs, stats) = run_batched_kernel_with(mem, &program, batch, mode, |lane, slot| {
-        let lanes = &args[slot];
-        &lanes[lane.min(lanes.len() - 1)]
-    })
-    .unwrap();
+    // A shared slot is resolved at lane 0 only, so it holds one tensor.
+    let (mut outs, stats) =
+        run_batched_kernel_with(mem, &program, batch, mode, |lane, slot| &args[slot][lane])
+            .unwrap();
     assert_eq!(stats.launches, 1);
     outs.swap_remove(0)
 }
