@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use acrobat_ir::{Arm, Callee, Expr, ExprId, ExprKind, Module, Pattern};
+use acrobat_ir::{Arm, Callee, Expr, ExprId, ExprKind, Module};
 
 /// Dependence level of a value inside a recursive body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -121,16 +121,8 @@ impl OpFreeEval {
             | ExprKind::PhaseBoundary => true,
             ExprKind::Let { pat, value, body } => {
                 let v = self.eval(value, env);
-                match pat {
-                    Pattern::Var(n) => {
-                        env.insert(n.clone(), v);
-                    }
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(ns) => {
-                        for n in ns {
-                            env.insert(n.clone(), v);
-                        }
-                    }
+                for n in pat.names() {
+                    env.insert(n.clone(), v);
                 }
                 self.eval(body, env)
             }
@@ -270,16 +262,8 @@ impl<'m> DepEval<'m> {
             | ExprKind::PhaseBoundary => Dep::Clean,
             ExprKind::Let { pat, value, body } => {
                 let v = self.eval(value);
-                match pat {
-                    Pattern::Var(n) => {
-                        self.env.insert(n.clone(), v);
-                    }
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(ns) => {
-                        for n in ns {
-                            self.env.insert(n.clone(), v);
-                        }
-                    }
+                for n in pat.names() {
+                    self.env.insert(n.clone(), v);
                 }
                 self.eval(body)
             }

@@ -29,6 +29,7 @@
 
 pub mod autosched;
 pub mod backend;
+#[cfg(test)]
 mod batch;
 pub mod exec;
 pub mod kernel;

@@ -275,6 +275,17 @@ pub enum Pattern {
     Wildcard,
 }
 
+impl Pattern {
+    /// The variables the pattern binds, in order.
+    pub fn names(&self) -> &[String] {
+        match self {
+            Pattern::Var(n) => std::slice::from_ref(n),
+            Pattern::Tuple(ns) => ns,
+            Pattern::Wildcard => &[],
+        }
+    }
+}
+
 /// One arm of a `match`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Arm {

@@ -993,11 +993,7 @@ fn collect_free_vars(body: &Expr, bound: &[String], out: &mut Vec<String>) {
             ExprKind::Let { pat, value, body } => {
                 walk(value, bound, out);
                 let mark = bound.len();
-                match pat {
-                    Pattern::Var(n) => bound.push(n.clone()),
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(ns) => bound.extend(ns.iter().cloned()),
-                }
+                bound.extend(pat.names().iter().cloned());
                 walk(body, bound, out);
                 bound.truncate(mark);
             }

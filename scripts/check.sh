@@ -111,7 +111,7 @@ if grep -rnE 'DynamicDepth|plan_dynamic_depth|tuned_batch|local_padding' crates 
 fi
 
 echo "==> one batched launch (DyNet-sim runs its vendor kernels through codegen's run_batched_kernel_with; no second executor in acrobat_tensor)"
-if grep -rnE 'run_batched_prim|BatchArg|BatchStats|tensor::batch|fn run_prim' crates tests; then
+if grep -rnE 'run_batched_prim|BatchArg|BatchStats|tensor::batch|fn run_prim\b|\brun_prim\(' crates tests; then
   echo "acrobat_tensor::batch is gone: every batched launch is prepare -> execute -> finish in acrobat_codegen::exec"; exit 1
 fi
 
