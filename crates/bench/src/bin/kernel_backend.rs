@@ -144,7 +144,7 @@ fn measure(
 /// The host a run measures: CPUs available and the widest matmul
 /// micro-kernel instantiation it dispatches to.
 fn host() -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpus = acrobat_runtime::cores();
     let isa = acrobat_tensor::matmul_raw_instantiations()[0].0;
     format!("{cpus} CPUs, {}, matmul {isa}", std::env::consts::ARCH)
 }

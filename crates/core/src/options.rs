@@ -101,10 +101,12 @@ impl CompileOptions {
     }
 
     /// Enable or disable cross-request continuous batching
-    /// (`acrobat_vm::broker`): concurrent `run` calls queue at a
-    /// `BatchBroker` and merge into shared flush plans and shared batched
-    /// kernel launches.  Off by default — each request batches only within
-    /// itself, exactly the pre-broker behaviour.
+    /// (`acrobat_vm::broker`): concurrent `run` calls pass a
+    /// `BatchBroker` that admits one dispatch per core; a request arriving
+    /// while every core runs one queues and merges with its queued peers
+    /// into shared flush plans and shared batched kernel launches.  Off by
+    /// default — each request batches only within itself, exactly the
+    /// pre-broker behaviour.
     pub fn with_broker(mut self, on: bool) -> CompileOptions {
         self.runtime.broker = on;
         self

@@ -694,17 +694,22 @@ impl ExecutionContext {
 /// the per-workload launch sizes on either side).
 pub const SPLIT_MIN_FLOPS: u64 = 8_000_000;
 
+/// The machine's available parallelism, measured once per process: the
+/// one core count every policy reads ([`lane_parts`], the VM's broker
+/// slots).  A machine property, never an option.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The lane-split policy: how many lane ranges one launch's execute phase
 /// runs as ([`Selection::execute_lanes`]) — a function of the launch's own
-/// `flops` and lane count and of the machine's available parallelism
-/// (measured once per process), never of an option.
+/// `flops` and lane count and of [`cores`], never of an option.
 pub fn lane_parts(flops: u64, lanes: usize) -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if flops < SPLIT_MIN_FLOPS {
         return 1;
     }
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    cores.min(lanes)
+    cores().min(lanes)
 }
 
 // Contexts move between serving threads (and sit inside per-run mutexes in

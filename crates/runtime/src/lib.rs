@@ -56,7 +56,7 @@ pub mod scheduler;
 pub mod stats;
 
 pub use check::FlushChecker;
-pub use context::ExecutionContext;
+pub use context::{cores, ExecutionContext};
 pub use device::DeviceModel;
 pub use dfg::{lane, Dfg, NodeId, ValueId, WindowSig};
 pub use engine::{ContextPool, Engine, RuntimeOptions, Unit};

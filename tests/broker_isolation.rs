@@ -330,15 +330,17 @@ fn cohort_spec_backend_matches_interp_solo() {
 /// The background broker queue (`RuntimeOptions::broker`): concurrent
 /// `run` calls routed through `BatchBroker::submit` return bit-identical
 /// outputs to a broker-off model, and every request passes through exactly
-/// one dispatch.
+/// one dispatch.  Eight submitters outnumber the dispatch slots (one per
+/// core) on small hosts, so the queue fills and cohorts merge.
 #[test]
 fn broker_queue_preserves_outputs() {
+    const SUBMITTERS: usize = 8;
     let spec = suite(ModelSize::Small, true)
         .into_iter()
         .find(|s| s.properties.tensor_dependent)
         .expect("a tensor-dependent quick model");
     let reference_model = build(&spec, &CompileOptions::default());
-    let members = member_batches(&spec, 4, 2);
+    let members = member_batches(&spec, SUBMITTERS, 2);
     let solo = solo_references(&reference_model, &spec.params, &members);
 
     let model = build(&spec, &CompileOptions::default().with_broker(true));
@@ -359,7 +361,7 @@ fn broker_queue_preserves_outputs() {
     let stats = model.broker_stats().expect("broker enabled");
     assert!(stats.dispatches >= 1, "at least one dispatch");
     let dispatched: u64 = stats.cohort_sizes.iter().map(|(size, n)| *size as u64 * n).sum();
-    assert_eq!(dispatched, 4, "every request passed through exactly one dispatch");
-    assert_eq!(model.outcomes().completed, 4, "ledger counts each request once");
-    assert_eq!(model.runs_completed(), 4, "one merged run per request");
+    assert_eq!(dispatched, SUBMITTERS as u64, "every request passed through exactly one dispatch");
+    assert_eq!(model.outcomes().completed, SUBMITTERS as u64, "ledger counts each request once");
+    assert_eq!(model.runs_completed(), SUBMITTERS as u64, "one merged run per request");
 }
