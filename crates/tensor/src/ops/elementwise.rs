@@ -1,6 +1,6 @@
 //! Unary and binary elementwise kernels with lightweight broadcasting.
 
-use super::RawInput;
+use super::{transcendental, RawInput};
 use crate::Result;
 
 /// Scalar semantics of a unary elementwise operator.
@@ -35,9 +35,9 @@ impl UnaryKind {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             UnaryKind::Relu => x.max(0.0),
-            UnaryKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            UnaryKind::Tanh => x.tanh(),
-            UnaryKind::Exp => x.exp(),
+            UnaryKind::Sigmoid => transcendental::sigmoid(x),
+            UnaryKind::Tanh => transcendental::tanh(x),
+            UnaryKind::Exp => transcendental::exp(x),
             UnaryKind::Log => x.ln(),
             UnaryKind::Neg => -x,
             UnaryKind::Sqrt => x.sqrt(),
@@ -162,7 +162,8 @@ mod tests {
         assert!((s.data()[1] - 0.5).abs() < 1e-6);
         assert!(s.data()[0] < 0.5 && s.data()[2] > 0.5);
         let t = execute(&PrimOp::Tanh, &[&x]).unwrap();
-        assert!((t.data()[2] - (2.0f32).tanh()).abs() < 1e-6);
+        // Within 2 ulp of the exact value (tanh(2) is in [0.5, 1): ulp 2⁻²⁴).
+        assert!((t.data()[2] as f64 - 2f64.tanh()).abs() <= 2.0 * 2f64.powi(-24));
     }
 
     #[test]

@@ -12,6 +12,7 @@ mod matmul;
 mod nn;
 mod reduce;
 mod shape_ops;
+pub mod transcendental;
 
 use std::fmt;
 use std::hash::{Hash, Hasher};

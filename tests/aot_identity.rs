@@ -31,20 +31,20 @@ const BATCHES: [usize; 2] = [8, 64];
 
 /// `model/batch bits structure`.
 const PARENT: &str = "\
-TreeLSTM/8 677719997da1db45 0e4c6574ade0022e
-TreeLSTM/64 0ec3541713763695 6910bf6f415050e0
-MV-RNN/8 d8300eb06da8fe31 783621f63f097fbc
-MV-RNN/64 f12de2fb29b0dd15 e65ff02d92655c3e
-BiRNN/8 7fcb09e01a05fdd1 32d86b667197479a
-BiRNN/64 ebed30a25f53c5dd 9824ac25f578785a
-NestedRNN/8 f375ae66ebb55d69 d81e09c8d16be532
-NestedRNN/64 e21ef87e789e2b61 5277cc86041a1021
-DRNN/8 9654fd4ec52c84a1 eb56be0802062e8d
-DRNN/64 ec96f17817c574c5 416bb725d8cead79
-Berxit/8 ebaf61dc9db7bfad 41265953cabdc055
-Berxit/64 80b5ff8f8863c1ed 82b224580150171b
-StackRNN/8 221400ecbb9aff25 8c2767f7482dd09a
-StackRNN/64 879424bf218ae591 14955bfc90b33e9d
+TreeLSTM/8 a47452cfd37e4115 0e4c6574ade0022e
+TreeLSTM/64 9578ba663ba2d69d 6910bf6f415050e0
+MV-RNN/8 ff04cf2c79aff239 783621f63f097fbc
+MV-RNN/64 6c99e7ddb9dfab45 e65ff02d92655c3e
+BiRNN/8 5842c7c9d9856535 32d86b667197479a
+BiRNN/64 7332cac70f1638d5 9824ac25f578785a
+NestedRNN/8 5fd45c5449707c9d d81e09c8d16be532
+NestedRNN/64 c964e5cd7bf07419 5277cc86041a1021
+DRNN/8 ab43854795480e65 eb56be0802062e8d
+DRNN/64 2e6ae3d85c6b334d 416bb725d8cead79
+Berxit/8 e308e8ad5d604439 41265953cabdc055
+Berxit/64 afd50cbd4f5df3ed 82b224580150171b
+StackRNN/8 be638a078d47aa15 8c2767f7482dd09a
+StackRNN/64 164f84515ae02251 14955bfc90b33e9d
 ";
 
 fn fold(h: &mut u64, v: u64) {

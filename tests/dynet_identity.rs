@@ -27,34 +27,34 @@ const BATCHES: [usize; 2] = [8, 64];
 
 /// `model/batch/config bits structure`.
 const PARENT: &str = "\
-TreeLSTM/8/stock cd6d9aabad4559c2 21602c45d8ee00e6
-TreeLSTM/8/dn++ cd6d9aabad4559c2 9706855d4e533408
-TreeLSTM/64/stock 4de9b2c696a7528b 4c2320ad71f94550
-TreeLSTM/64/dn++ 4de9b2c696a7528b 72fb0c89ff77ae1f
-MV-RNN/8/stock df9d138e80f37372 15884f0f9a5d29fe
-MV-RNN/8/dn++ df9d138e80f37372 c790f6002fe5ea97
-MV-RNN/64/stock 74595cc72e488af6 d8c2ff9c549a2077
-MV-RNN/64/dn++ 74595cc72e488af6 48da7008ab9d844e
-BiRNN/8/stock b17c6efde2dcaacf 32a9c747e44340e5
-BiRNN/8/dn++ b17c6efde2dcaacf 32a9c747e44340e5
-BiRNN/64/stock 11e55ef447085c0a 993e5d761aea756c
-BiRNN/64/dn++ 11e55ef447085c0a 993e5d761aea756c
-NestedRNN/8/stock 4d7d50b72223e477 5d0bb32f9781140e
-NestedRNN/8/dn++ 4d7d50b72223e477 d0f0f55baa0d2215
-NestedRNN/64/stock 042102fc9801185c 63489e8a2fb93bd8
-NestedRNN/64/dn++ 042102fc9801185c 5fdd92a5359df95d
-DRNN/8/stock 9878c3fb61aa9d78 e8c644ea92031fca
-DRNN/8/dn++ 9878c3fb61aa9d78 84a8189025d139b5
-DRNN/64/stock 25f0ee91c6763c56 1569abbc3c305579
-DRNN/64/dn++ 25f0ee91c6763c56 528ca92335245810
-Berxit/8/stock 657fac40a46da1da e3cea2cbcd7e9a6f
-Berxit/8/dn++ 657fac40a46da1da eef08e2e547fe4cb
-Berxit/64/stock c954d8adcefadd45 aea5120ea96c0448
-Berxit/64/dn++ c954d8adcefadd45 94345cd5c1b70117
-StackRNN/8/stock 922918ad419476d7 f9febe2d360b54c8
-StackRNN/8/dn++ 922918ad419476d7 f9febe2d360b54c8
-StackRNN/64/stock 92a7f44759198736 2efa259a58ba16e2
-StackRNN/64/dn++ 92a7f44759198736 2efa259a58ba16e2
+TreeLSTM/8/stock f9f668f503b189d6 21602c45d8ee00e6
+TreeLSTM/8/dn++ f9f668f503b189d6 9706855d4e533408
+TreeLSTM/64/stock 50c3d191596e1a2a 4c2320ad71f94550
+TreeLSTM/64/dn++ 50c3d191596e1a2a 72fb0c89ff77ae1f
+MV-RNN/8/stock 47a8bbe421e40e7e 15884f0f9a5d29fe
+MV-RNN/8/dn++ 47a8bbe421e40e7e c790f6002fe5ea97
+MV-RNN/64/stock 61a69b216e68a475 d8c2ff9c549a2077
+MV-RNN/64/dn++ 61a69b216e68a475 48da7008ab9d844e
+BiRNN/8/stock a2c7606ad4c83c0d 32a9c747e44340e5
+BiRNN/8/dn++ a2c7606ad4c83c0d 32a9c747e44340e5
+BiRNN/64/stock 378ad8681ab2141d 993e5d761aea756c
+BiRNN/64/dn++ 378ad8681ab2141d 993e5d761aea756c
+NestedRNN/8/stock 2d381819ca721a2c 5d0bb32f9781140e
+NestedRNN/8/dn++ 2d381819ca721a2c d0f0f55baa0d2215
+NestedRNN/64/stock 5a147096c62e1393 63489e8a2fb93bd8
+NestedRNN/64/dn++ 5a147096c62e1393 5fdd92a5359df95d
+DRNN/8/stock d557d1952d4db653 e8c644ea92031fca
+DRNN/8/dn++ d557d1952d4db653 84a8189025d139b5
+DRNN/64/stock 6d0bb6d385a8daf5 1569abbc3c305579
+DRNN/64/dn++ 6d0bb6d385a8daf5 528ca92335245810
+Berxit/8/stock f084ea06cd1ef950 e3cea2cbcd7e9a6f
+Berxit/8/dn++ f084ea06cd1ef950 eef08e2e547fe4cb
+Berxit/64/stock 46f78790cb45eafc aea5120ea96c0448
+Berxit/64/dn++ 46f78790cb45eafc 94345cd5c1b70117
+StackRNN/8/stock 369ba0f658349f13 f9febe2d360b54c8
+StackRNN/8/dn++ 369ba0f658349f13 f9febe2d360b54c8
+StackRNN/64/stock 6a7c51e5f45859c8 2efa259a58ba16e2
+StackRNN/64/dn++ 6a7c51e5f45859c8 2efa259a58ba16e2
 ";
 
 fn fold(h: &mut u64, v: u64) {
