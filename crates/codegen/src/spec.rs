@@ -21,9 +21,9 @@
 //!   elementwise instructions collapse into a single pass of
 //!   [`tile_width`]-element chunks over all `lanes × numel` elements of a
 //!   block at once: interior temporaries live in small tile buffers and
-//!   never touch the flat scratch, and each step is a `chunks_exact` loop
-//!   over the tile ([`acrobat_tensor::map_unary`] /
-//!   [`acrobat_tensor::map_binary`]) the optimizer can vectorize.  Input
+//!   never touch the flat scratch, and each step is one loop over the
+//!   tile ([`acrobat_tensor::map_unary`], vectorised per instruction set,
+//!   or [`acrobat_tensor::map_binary`]).  Input
 //!   slots consumed by fused segments are materialized lane-major once per
 //!   block (shared operands broadcast), so every fused operand is one
 //!   contiguous slice.

@@ -42,8 +42,9 @@ pub use arena::{
 };
 pub use error::{FaultClass, TensorError};
 pub use ops::{
-    execute, execute_into, execute_slices, flops, infer_shape, map_binary, map_unary, matmul_raw,
-    matmul_raw_instantiations, BinaryKind, MatmulFn, PrimOp, UnaryKind,
+    execute, execute_into, execute_slices, flops, infer_shape, map_binary, map_unary,
+    map_unary_instantiations, matmul_raw, matmul_raw_instantiations, BinaryKind, MapUnaryFn,
+    MatmulFn, PrimOp, UnaryKind,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

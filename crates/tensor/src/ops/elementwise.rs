@@ -1,5 +1,7 @@
 //! Unary and binary elementwise kernels with lightweight broadcasting.
 
+use std::sync::OnceLock;
+
 use super::{transcendental, RawInput};
 use crate::Result;
 
@@ -76,20 +78,94 @@ impl BinaryKind {
     }
 }
 
-/// Slice-level unary kernel: `out[i] = kind.apply(input[i])`, with a
-/// `chunks_exact` main loop the optimizer can unroll and vectorize.  Both
+/// Slice-level unary kernel: `out[i] = kind.apply(input[i])`.  Both
 /// slices must have the same length.
+///
+/// This is the widest of [`map_unary_instantiations`]: the same loop
+/// compiled for AVX-512F, AVX2 or the baseline instruction set, chosen
+/// once.  [`UnaryKind::apply`] is branch-free IEEE arithmetic with nothing
+/// fused (`Log` alone calls libm, the same function everywhere), so each
+/// instantiation is the scalar function's bits, whatever width the
+/// compiler vectorises it to (`tests/transcendental_bits.rs`).
 pub fn map_unary(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(input.len(), out.len());
-    const W: usize = 8;
-    let main = input.len() - input.len() % W;
-    for (oc, ic) in out[..main].chunks_exact_mut(W).zip(input[..main].chunks_exact(W)) {
-        for (o, &x) in oc.iter_mut().zip(ic) {
-            *o = kind.apply(x);
+    static WIDEST: OnceLock<MapUnaryFn> = OnceLock::new();
+    WIDEST.get_or_init(|| map_unary_instantiations()[0].1)(kind, input, out)
+}
+
+/// The signature of [`map_unary`] and of each of its instantiations.
+pub type MapUnaryFn = fn(UnaryKind, &[f32], &mut [f32]);
+
+/// Every instantiation of [`map_unary`] this host can run, widest first,
+/// the portable one last (the list mirrors
+/// [`crate::matmul_raw_instantiations`]).
+#[doc(hidden)]
+pub fn map_unary_instantiations() -> Vec<(&'static str, MapUnaryFn)> {
+    let mut all: Vec<(&'static str, MapUnaryFn)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            all.push(("avx512f", x86::avx512f));
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            all.push(("avx2", x86::avx2));
         }
     }
-    for (o, &x) in out[main..].iter_mut().zip(&input[main..]) {
-        *o = kind.apply(x);
+    all.push(("portable", map_each));
+    all
+}
+
+/// The one body behind every instantiation: one loop per kind, so each
+/// loop body is a single straight-line function the compiler can
+/// vectorise.
+#[inline(always)]
+fn map_each(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
+    assert_eq!(input.len(), out.len(), "map_unary: input and output lengths differ");
+    macro_rules! each {
+        ($($k:ident),*) => {
+            match kind {
+                $(UnaryKind::$k => {
+                    for (o, &x) in out.iter_mut().zip(input) {
+                        *o = UnaryKind::$k.apply(x);
+                    }
+                })*
+            }
+        };
+    }
+    each!(Relu, Sigmoid, Tanh, Exp, Log, Neg, Sqrt, Gelu)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The AVX2 and AVX-512F instantiations: [`super::map_each`] compiled
+    //! with the wider registers enabled.  No intrinsics — the compiler
+    //! vectorises the scalar body, and it cannot fuse a multiply with an
+    //! add because Rust never permits contraction.
+
+    use super::{map_each, UnaryKind};
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn map_avx2(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
+        map_each(kind, input, out)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    unsafe fn map_avx512f(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
+        map_each(kind, input, out)
+    }
+
+    /// Listed by [`super::map_unary_instantiations`] only where AVX2 was
+    /// detected.
+    pub(super) fn avx2(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
+        // SAFETY: reachable only through the instantiation list, which
+        // names it after detecting AVX2.
+        unsafe { map_avx2(kind, input, out) }
+    }
+
+    /// Listed by [`super::map_unary_instantiations`] only where AVX-512F
+    /// was detected.
+    pub(super) fn avx512f(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
+        // SAFETY: as for `avx2`, after detecting AVX-512F.
+        unsafe { map_avx512f(kind, input, out) }
     }
 }
 

@@ -19,7 +19,9 @@ use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-pub use elementwise::{map_binary, map_unary, BinaryKind, UnaryKind};
+pub use elementwise::{
+    map_binary, map_unary, map_unary_instantiations, BinaryKind, MapUnaryFn, UnaryKind,
+};
 pub use matmul::{matmul_raw, matmul_raw_instantiations, MatmulFn};
 
 use crate::{Result, Shape, Tensor, TensorError};

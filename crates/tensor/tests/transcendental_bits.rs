@@ -1,15 +1,33 @@
 //! The workspace's `exp`, `tanh` and `sigmoid` (`acrobat_tensor::ops::
-//! transcendental`): within 2 ulp of an `f64` reference over every finite
-//! `f32`, with zeros, infinities, NaNs and saturation exact.
+//! transcendental`).
 //!
-//! The sweep is exhaustive in release (`cargo test --release -p
-//! acrobat-tensor --test transcendental_bits`, about a minute per function
-//! and core) and a strided subset in debug.
+//! * Bits: every `map_unary` instantiation this host can run — AVX-512F
+//!   and AVX2 where detected, and always the portable one — produces the
+//!   scalar `UnaryKind::apply`'s bits for every unary kind, over lengths
+//!   0–33 and inputs that include ±0, ±inf, two NaN payloads, subnormals
+//!   and both sides of every branch threshold.
+//! * Accuracy: within 2 ulp of an `f64` reference over every finite `f32`,
+//!   with zeros, infinities, NaNs and saturation exact.  The sweep is
+//!   exhaustive in release (`cargo test --release -p acrobat-tensor --test
+//!   transcendental_bits`, about two core-minutes per function) and a
+//!   strided subset in debug.
 
 use acrobat_tensor::ops::transcendental::{
-    exp, sigmoid, tanh, EXP_OVERFLOW, EXP_TINY, EXP_UNDERFLOW, TANH_SATURATE, TANH_TINY,
+    exp, sigmoid, tanh, EXP_OVERFLOW, EXP_TINY, EXP_UNDERFLOW, TANH_POLY_MAX, TANH_SATURATE,
+    TANH_TINY,
 };
-use acrobat_tensor::UnaryKind;
+use acrobat_tensor::{map_unary, map_unary_instantiations, UnaryKind};
+
+const KINDS: [UnaryKind; 8] = [
+    UnaryKind::Relu,
+    UnaryKind::Sigmoid,
+    UnaryKind::Tanh,
+    UnaryKind::Exp,
+    UnaryKind::Log,
+    UnaryKind::Neg,
+    UnaryKind::Sqrt,
+    UnaryKind::Gelu,
+];
 
 /// The NaN this machine's arithmetic produces (`inf − inf`), computed where
 /// the optimizer cannot fold it.  On x86 it differs from `f32::NAN` in
@@ -131,5 +149,95 @@ fn unary_kinds_are_these_functions() {
         assert_eq!(UnaryKind::Exp.apply(x).to_bits(), exp(x).to_bits());
         assert_eq!(UnaryKind::Tanh.apply(x).to_bits(), tanh(x).to_bits());
         assert_eq!(UnaryKind::Sigmoid.apply(x).to_bits(), sigmoid(x).to_bits());
+    }
+}
+
+/// Every special class, and each branch threshold with its neighbours on
+/// both sides and both signs, then ordinary values.
+fn inputs() -> Vec<f32> {
+    let mut xs = vec![
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        hardware_nan(),
+        f32::from_bits(1),
+        f32::MIN_POSITIVE * 0.375,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+    ];
+    let thresholds = [
+        EXP_UNDERFLOW,
+        EXP_OVERFLOW,
+        EXP_TINY,
+        TANH_TINY,
+        TANH_POLY_MAX,
+        TANH_SATURATE,
+        // exp's result leaves the normal range, overflows, rounds to 0.
+        -87.336_54,
+        88.722_84,
+        -103.972_08,
+        // tanh's exp(2|x|) crosses the same points; sigmoid saturates.
+        44.361_42,
+        17.328_68,
+    ];
+    for t in thresholds {
+        for x in [t.next_down(), t, t.next_up()] {
+            xs.extend([x, -x]);
+        }
+    }
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    xs.extend((0..64).map(|i| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let unit = (state >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0;
+        unit * if i % 2 == 0 { 12.0 } else { 120.0 }
+    }));
+    xs
+}
+
+#[test]
+fn every_instantiation_matches_the_scalar_bits() {
+    let all = map_unary_instantiations();
+    assert_eq!(all.last().map(|(name, _)| *name), Some("portable"));
+    let pool = inputs();
+    for (name, map) in all {
+        for kind in KINDS {
+            for len in 0..=33 {
+                // Slide the window so every input lands in every lane
+                // position of the vector body and of the tail.
+                for start in 0..pool.len() - len {
+                    let xs = &pool[start..start + len];
+                    // Stale contents must be overwritten.
+                    let mut got = vec![f32::NAN; len];
+                    map(kind, xs, &mut got);
+                    for (&x, g) in xs.iter().zip(&got) {
+                        let want = kind.apply(x);
+                        assert_eq!(
+                            g.to_bits(),
+                            want.to_bits(),
+                            "{name} {kind:?} at {x:e} ({:#010x}), len {len}: {g:e} vs {want:e}",
+                            x.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `map_unary` itself is the widest instantiation listed.
+#[test]
+fn map_unary_is_the_first_instantiation() {
+    let xs = inputs();
+    for kind in KINDS {
+        let mut first = vec![0.0; xs.len()];
+        let mut shipped = vec![0.0; xs.len()];
+        map_unary_instantiations()[0].1(kind, &xs, &mut first);
+        map_unary(kind, &xs, &mut shipped);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&shipped), "{kind:?}");
     }
 }
