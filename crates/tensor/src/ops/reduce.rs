@@ -21,10 +21,10 @@ pub(crate) enum Reduction {
 }
 
 pub(crate) fn reduce(input: RawInput<'_>, out: &mut [f32], red: Reduction) -> Result<()> {
-    let n = input.1.last_dim().max(1);
-    let rows = input.1.rows();
-    debug_assert_eq!(out.len(), rows);
-    for (r, slot) in out.iter_mut().enumerate().take(rows) {
+    // One output slot per row; a zero-width last axis reduces empty rows
+    // (sum 0, max -inf).
+    let n = input.1.last_dim();
+    for (r, slot) in out.iter_mut().enumerate() {
         let row = &input.0[r * n..(r + 1) * n];
         *slot = match red {
             Reduction::Sum => row.iter().sum(),
@@ -73,6 +73,16 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 9.0, 9.0, 7.0, 7.0, 2.0], &[2, 3]).unwrap();
         // Ties resolve to the first (strictly-greater comparison).
         assert_eq!(execute(&PrimOp::ArgmaxRows, &[&x]).unwrap().data(), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_width_rows_reduce_to_identities() {
+        let x = Tensor::zeros(&[2, 0]);
+        assert_eq!(execute(&PrimOp::SumRows, &[&x]).unwrap().data(), &[0.0, 0.0]);
+        assert_eq!(execute(&PrimOp::MaxRows, &[&x]).unwrap().data(), &[f32::NEG_INFINITY; 2]);
+        assert_eq!(execute(&PrimOp::ArgmaxRows, &[&x]).unwrap().data(), &[0.0, 0.0]);
+        assert!(execute(&PrimOp::MeanRows, &[&x]).unwrap().data().iter().all(|m| m.is_nan()));
+        assert!(execute(&PrimOp::SumRows, &[&Tensor::zeros(&[0, 3])]).unwrap().data().is_empty());
     }
 
     #[test]

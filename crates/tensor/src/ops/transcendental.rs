@@ -4,9 +4,10 @@
 //! own polynomials instead of calling the vendor libm; these are this
 //! repository's.  Each is a branch-free `#[inline(always)] fn(f32) -> f32`
 //! built from IEEE additions, multiplications, divisions, comparisons,
-//! selects and bit moves, in a fixed order and with nothing fused (`fma` is
-//! never enabled and no `mul_add` is called).  Such a body has one result
-//! per input whatever the compiler does with it, so the reference
+//! selects and bit moves, in a fixed order and with nothing fused (no
+//! `mul_add` is called, and Rust never contracts a multiply and an add,
+//! whatever target features are enabled).  Such a body has one result per
+//! input whatever the compiler does with it, so the reference
 //! interpreter's scalar loop and every vectorised instantiation of
 //! [`crate::map_unary`] produce the same bits (`tests/transcendental_bits.rs`).
 //!
@@ -44,7 +45,7 @@ pub const TANH_SATURATE: f32 = 9.1;
 /// integer, which then sits in the low mantissa bits.
 const ROUND_SHIFT: f32 = 12_582_912.0;
 /// `ln 2` split Cody–Waite style: `LN2_HI` has 15 significant bits, so
-/// `k·LN2_HI` is exact for every `|k| ≤ 151` this reduction produces.
+/// `k·LN2_HI` is exact for every `|k| ≤ 150` this reduction produces.
 const LN2_HI: f32 = f32::from_bits(0x3f31_7200);
 const LN2_LO: f32 = f32::from_bits(0x35bf_be8e);
 /// `exp(r) ≈ 1 + r + r²·(E2 + r·(E3 + r·(E4 + r·(E5 + r·E6))))` on
@@ -62,16 +63,16 @@ const T7: f32 = f32::from_bits(0xbd5c_1e2d);
 const T9: f32 = f32::from_bits(0x3ca9_134c);
 const T11: f32 = f32::from_bits(0xbbba_f0df);
 
-/// `exp(x)` as an unevaluated sum `hi + lo` (`hi` correctly rounded to
-/// within 0.78 ulp, `lo` the rest to ≈ 2⁻⁴⁰ relative), for finite or
-/// infinite `x`.  A NaN `x` gives an unspecified pair.
+/// `exp(x)` as an unevaluated sum `hi + lo`: `hi` within 0.78 ulp of the
+/// exact value, `hi + lo` within ≈ 2⁻²⁸ of it relatively (the polynomial's
+/// error).  A NaN `x` gives an unspecified pair.
 ///
 /// `x = k·ln 2 + r`, `|r| ≤ ln 2 / 2`, with `k` rounded by [`ROUND_SHIFT`]
 /// and `r` reduced in two steps against [`LN2_HI`] and [`LN2_LO`] (the
 /// second step's rounding error is kept as `rl`).  `exp(r)` is
 /// `1 + r + r²·P(r)`, with the two leading additions carried in double
 /// length so the sum rounds once.  `2ᵏ` is applied as `2^⌊k/2⌋ · 2^⌈k/2⌉`:
-/// both factors are normal for every `k` in `[-151, 129]`, the first
+/// both factors are normal for every `k` in `[-150, 128]`, the first
 /// product is exact, and the second rounds once — into the subnormal range
 /// or to `+inf` where the result lies there.
 #[inline(always)]
