@@ -10,7 +10,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel bodies that ship are the optimised ones; vm: the execute loop's wrapping arithmetic and the depth budget)"
+echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel and map_unary bodies that ship are the optimised ones, and transcendental_bits sweeps exp/tanh/sigmoid over every finite f32; vm: the execute loop's wrapping arithmetic and the depth budget)"
 cargo test -q --release -p acrobat-tensor -p acrobat-codegen -p acrobat-vm
 
 echo "==> cargo clippy -- -D warnings"
@@ -113,6 +113,15 @@ fi
 echo "==> one batched launch (DyNet-sim runs its vendor kernels through codegen's run_batched_kernel_with; no second executor in acrobat_tensor)"
 if grep -rnE 'run_batched_prim|BatchArg|BatchStats|tensor::batch|fn run_prim\b|\brun_prim\(' crates tests; then
   echo "acrobat_tensor::batch is gone: every batched launch is prepare -> execute -> finish in acrobat_codegen::exec"; exit 1
+fi
+
+echo "==> one transcendental implementation (exp/tanh/sigmoid are acrobat_tensor::ops::transcendental; no libm call in a kernel)"
+libm_calls=$(for f in $(find crates/tensor/src crates/codegen/src crates/baselines/src -name '*.rs'); do
+  sed -n '1,/^mod tests {/p' "$f" | grep -nE '\.(exp|tanh)\(\)|f32::(exp|tanh)\b' | sed "s|^|$f:|"
+done)
+if [ -n "$libm_calls" ]; then
+  echo "$libm_calls"
+  echo "f32 exp/tanh outside tests go through acrobat_tensor::ops::transcendental, the one implementation every executor shares"; exit 1
 fi
 
 echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
