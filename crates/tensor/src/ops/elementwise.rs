@@ -119,7 +119,7 @@ pub fn map_unary_instantiations() -> Vec<(&'static str, MapUnaryFn)> {
 /// vectorise.
 #[inline(always)]
 fn map_each(kind: UnaryKind, input: &[f32], out: &mut [f32]) {
-    assert_eq!(input.len(), out.len(), "map_unary: input and output lengths differ");
+    debug_assert_eq!(input.len(), out.len());
     macro_rules! each {
         ($($k:ident),*) => {
             match kind {
