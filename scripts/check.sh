@@ -117,7 +117,7 @@ fi
 
 echo "==> one transcendental implementation (exp/tanh/sigmoid are acrobat_tensor::ops::transcendental; no libm call in a kernel)"
 libm_calls=$(for f in $(find crates/tensor/src crates/codegen/src crates/baselines/src -name '*.rs'); do
-  sed -n '1,/^mod tests {/p' "$f" | grep -nE '\.(exp|tanh)\(\)|f32::(exp|tanh)\b' | sed "s|^|$f:|"
+  sed -n '1,/^mod tests {/p' "$f" | grep -nE '\.(exp|tanh)\(\)|f32::(exp|tanh)\b' | sed "s|^|$f:|" || true
 done)
 if [ -n "$libm_calls" ]; then
   echo "$libm_calls"
