@@ -5,13 +5,13 @@
 //! tile's accumulators held in vector registers across the whole `k` sweep
 //! ([`tile`]): vectorised across output *columns*, rows of `b` read in
 //! place, left-operand scalars broadcast.  Each lane of each accumulator is
-//! one output element receiving `aᵢₖ·bₖⱼ` for `k = 0, 1, …` by a rounded
-//! multiply and a rounded add — the arithmetic of the scalar i-k-j loop, so
-//! AVX-512F, AVX2 and the portable instantiation, every tile shape and
-//! every row/column tail produce that loop's bits
-//! (`tests/matmul_bits.rs`).  Nothing is fused: `fma` is never enabled and
-//! no `mul_add` is called, because a fused multiply-add rounds once where
-//! the reference rounds twice.
+//! one output element receiving `aᵢₖ·bₖⱼ` for `k = 0, 1, …` by one fused
+//! multiply-add, rounded once — the arithmetic of the scalar i-k-j loop
+//! `out = a.mul_add(b, out)`, so AVX-512F + FMA, AVX2 + FMA and the
+//! portable instantiation, every tile shape and every row/column tail
+//! produce that loop's bits (`tests/matmul_bits.rs`).  This file is the
+//! only place in the kernels that fuses: the transcendentals' error bounds
+//! were proved for separately rounded steps (`scripts/check.sh` guards it).
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -54,12 +54,14 @@ pub(crate) fn matmul(lhs: RawInput<'_>, rhs: RawInput<'_>, out: &mut [f32]) -> R
 /// interpreter reaches it one lane at a time through [`matmul`]; compiled
 /// kernels call it on whole lane stacks (`m` = lanes × rows).
 ///
-/// Every output element is `((0 + a₀·b₀ⱼ) + a₁·b₁ⱼ) + …` in `k` order, each
-/// step a separately rounded multiply and add (never fused), whatever `m`,
+/// Every output element is `fma(a₁, b₁ⱼ, fma(a₀, b₀ⱼ, +0.0))…` in `k`
+/// order, each step one fused multiply-add rounded once, whatever `m`,
 /// `n`, the tile an element lands in or the instruction set the host
 /// offers — so a row's bits do not depend on how many rows are multiplied
 /// with it, which is what makes lane stacking and lane splitting
-/// numerically invisible.
+/// numerically invisible.  Where the host has no FMA unit the portable
+/// instantiation's `f32::mul_add` is libm's correctly rounded `fmaf`: the
+/// same bits, only slower.
 ///
 /// # Panics
 ///
@@ -81,11 +83,13 @@ pub fn matmul_raw_instantiations() -> Vec<(&'static str, MatmulFn)> {
     let mut all: Vec<(&'static str, MatmulFn)> = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            all.push(("avx512f", x86::avx512f));
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            all.push(("avx2", x86::avx2));
+        if std::arch::is_x86_feature_detected!("fma") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                all.push(("avx512f", x86::avx512f));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                all.push(("avx2", x86::avx2));
+            }
         }
     }
     all.push(("portable", portable));
@@ -139,11 +143,11 @@ trait Lanes: Copy {
     /// # Safety
     /// As [`Lanes::splat`], and `p` must be valid for writing `W` elements.
     unsafe fn store(self, p: *mut f32);
-    /// `acc + a·b` per lane: a rounded multiply, then a rounded add.
+    /// `a·b + acc` per lane, fused: rounded once.
     ///
     /// # Safety
     /// As [`Lanes::splat`].
-    unsafe fn mul_then_add(acc: Self, a: Self, b: Self) -> Self;
+    unsafe fn fused_mul_add(acc: Self, a: Self, b: Self) -> Self;
 }
 
 impl Lanes for f32 {
@@ -161,8 +165,8 @@ impl Lanes for f32 {
         *p = self;
     }
     #[inline(always)]
-    unsafe fn mul_then_add(acc: f32, a: f32, b: f32) -> f32 {
-        acc + a * b
+    unsafe fn fused_mul_add(acc: f32, a: f32, b: f32) -> f32 {
+        a.mul_add(b, acc)
     }
 }
 
@@ -186,8 +190,8 @@ impl Lanes for Quad {
         p.cast::<[f32; 4]>().write_unaligned(self.0);
     }
     #[inline(always)]
-    unsafe fn mul_then_add(acc: Quad, a: Quad, b: Quad) -> Quad {
-        Quad(std::array::from_fn(|i| acc.0[i] + a.0[i] * b.0[i]))
+    unsafe fn fused_mul_add(acc: Quad, a: Quad, b: Quad) -> Quad {
+        Quad(std::array::from_fn(|i| a.0[i].mul_add(b.0[i], acc.0[i])))
     }
 }
 
@@ -218,7 +222,7 @@ unsafe fn tile<V: Lanes, const MR: usize, const NV: usize>(
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let a_rk = V::splat(*a.add(r * k + kk));
             for (acc, &b_kj) in acc_row.iter_mut().zip(&b_row) {
-                *acc = V::mul_then_add(*acc, a_rk, b_kj);
+                *acc = V::fused_mul_add(*acc, a_rk, b_kj);
             }
         }
     }
@@ -298,9 +302,8 @@ unsafe fn gemm<V: Lanes, const NV4: usize, const NV2: usize, const NV1: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2 and AVX-512F instantiations.  `fma` is never enabled and
-    //! nothing here calls a fused intrinsic: a fused multiply-add rounds
-    //! once where the reference rounds twice.
+    //! The AVX2 and AVX-512F instantiations, each compiled with `fma` so
+    //! the scalar column tail's `f32::mul_add` is one instruction too.
 
     use std::arch::x86_64::*;
 
@@ -321,8 +324,8 @@ mod x86 {
             _mm256_storeu_ps(p, self);
         }
         #[inline(always)]
-        unsafe fn mul_then_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
-            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+        unsafe fn fused_mul_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
+            _mm256_fmadd_ps(a, b, acc)
         }
     }
 
@@ -341,39 +344,39 @@ mod x86 {
             _mm512_storeu_ps(p, self);
         }
         #[inline(always)]
-        unsafe fn mul_then_add(acc: __m512, a: __m512, b: __m512) -> __m512 {
-            _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+        unsafe fn fused_mul_add(acc: __m512, a: __m512, b: __m512) -> __m512 {
+            _mm512_fmadd_ps(a, b, acc)
         }
     }
 
     /// 8 of the 16 `ymm` registers accumulate: 4 × 16, 2 × 32, 1 × 64 tiles.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn gemm_avx2(operands: Operands, m: usize, k: usize, n: usize) {
         gemm::<__m256, 2, 4, 8>(operands, m, k, n);
     }
 
     /// 16 of the 32 `zmm` registers accumulate: 4 × 64, 2 × 128, 1 × 256
     /// tiles.
-    #[target_feature(enable = "avx512f")]
+    #[target_feature(enable = "avx512f,fma")]
     unsafe fn gemm_avx512f(operands: Operands, m: usize, k: usize, n: usize) {
         gemm::<__m512, 4, 8, 16>(operands, m, k, n);
     }
 
-    /// Listed by [`super::matmul_raw_instantiations`] only where AVX2 was
-    /// detected.
+    /// Listed by [`super::matmul_raw_instantiations`] only where AVX2 and
+    /// FMA were detected.
     pub(super) fn avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         let operands = checked_operands(a, b, out, m, k, n);
         // SAFETY: `checked_operands` established the lengths `gemm`
         // requires, and this function is reachable only through the
-        // instantiation list, which names it after detecting AVX2.
+        // instantiation list, which names it after detecting AVX2 and FMA.
         unsafe { gemm_avx2(operands, m, k, n) }
     }
 
     /// Listed by [`super::matmul_raw_instantiations`] only where AVX-512F
-    /// was detected.
+    /// and FMA were detected.
     pub(super) fn avx512f(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         let operands = checked_operands(a, b, out, m, k, n);
-        // SAFETY: as for `avx2`, after detecting AVX-512F.
+        // SAFETY: as for `avx2`, after detecting AVX-512F and FMA.
         unsafe { gemm_avx512f(operands, m, k, n) }
     }
 }

@@ -1,21 +1,25 @@
 //! `matmul_raw` bit identity: every instantiation of the micro-kernel this
-//! host can run — AVX-512F and AVX2 where detected, and always the portable
-//! one — produces exactly the bits of the plain scalar i-k-j loop kept
-//! below, over shapes that exercise every row tile (4, 2, 1), every column
-//! panel width and both column tails, and over operands that include signed
-//! zeros, infinities, NaNs, subnormals and products that overflow.
+//! host can run — AVX-512F and AVX2 where detected with FMA, and always
+//! the portable one — produces exactly the bits of the plain scalar fused
+//! i-k-j loop kept below, over shapes that exercise every row tile, every
+//! column panel width and both column tails, and over operands that
+//! include signed zeros, infinities, NaNs, subnormals and products that
+//! overflow.
 
 use acrobat_tensor::matmul_raw_instantiations;
 use proptest::prelude::*;
 
-/// The reference: each output element is `((0 + a₀·b₀ⱼ) + a₁·b₁ⱼ) + …` in
-/// `k` order, one rounded multiply and one rounded add per step.
+/// The reference: each output element is `fma(a₁, b₁ⱼ, fma(a₀, b₀ⱼ, +0.0))…`
+/// in `k` order, one fused multiply-add rounded once per step.  Outside a
+/// `target_feature` region `f32::mul_add` is libm's correctly rounded
+/// `fmaf`, so the reference does not depend on how the kernel is compiled.
 fn reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for i in 0..m {
         for kk in 0..k {
             for j in 0..n {
-                out[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                let acc = &mut out[i * n + j];
+                *acc = a[i * k + kk].mul_add(b[kk * n + j], *acc);
             }
         }
     }
@@ -30,9 +34,8 @@ fn hardware_nan() -> f32 {
 
 /// Mostly ordinary magnitudes, with every special class mixed in.  Two NaN
 /// payloads are in play — the hardware's own and `f32::NAN` (they differ in
-/// sign on x86) — so a sum that meets both also checks that every
-/// instantiation keeps the operand order `acc + a·b`: the hardware
-/// propagates the first NaN operand's payload.
+/// sign on x86) — so a step that meets both also checks that every
+/// instantiation propagates the payload the reference's `fmaf` does.
 fn operand(code: u64) -> f32 {
     let x = (code >> 8) as u32 as f32 / u32::MAX as f32 * 2.0 - 1.0;
     match code % 64 {
@@ -90,11 +93,24 @@ fn check(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The shapes the models multiply: one lane of a TreeLSTM gate, a stacked
-/// block, and sizes with every kind of tail.
+/// The shapes the models multiply — one lane of a TreeLSTM gate, the
+/// stacked gate blocks `tree_kernel` launches (32 and 20 lanes against one
+/// gate weight) and a whole batch — sizes with every kind of tail, and the
+/// row and column tails around the widest tile (8 rows × 48 columns).
 #[test]
 fn fixed_shapes_match_reference_bits() {
-    for (m, k, n) in [(1, 256, 256), (1, 512, 256), (64, 256, 1024), (7, 33, 100), (9, 9, 137)] {
+    let models = [
+        (1, 256, 256),
+        (1, 512, 256),
+        (32, 512, 256),
+        (32, 256, 256),
+        (20, 512, 256),
+        (64, 256, 1024),
+        (7, 33, 100),
+        (9, 9, 137),
+    ];
+    let tile_tails = [8, 15, 17].into_iter().flat_map(|m| [47, 48, 49, 257].map(|n| (m, 21, n)));
+    for (m, k, n) in models.into_iter().chain(tile_tails) {
         for seed in 1..=3 {
             check(m, k, n, seed).unwrap();
         }

@@ -31,20 +31,20 @@ const BATCHES: [usize; 2] = [8, 64];
 
 /// `model/batch bits structure`.
 const PARENT: &str = "\
-TreeLSTM/8 a47452cfd37e4115 0e4c6574ade0022e
-TreeLSTM/64 9578ba663ba2d69d 6910bf6f415050e0
-MV-RNN/8 ff04cf2c79aff239 783621f63f097fbc
-MV-RNN/64 6c99e7ddb9dfab45 e65ff02d92655c3e
-BiRNN/8 5842c7c9d9856535 32d86b667197479a
-BiRNN/64 7332cac70f1638d5 9824ac25f578785a
-NestedRNN/8 5fd45c5449707c9d d81e09c8d16be532
-NestedRNN/64 c964e5cd7bf07419 5277cc86041a1021
-DRNN/8 ab43854795480e65 eb56be0802062e8d
-DRNN/64 2e6ae3d85c6b334d 416bb725d8cead79
-Berxit/8 e308e8ad5d604439 41265953cabdc055
-Berxit/64 afd50cbd4f5df3ed 82b224580150171b
-StackRNN/8 be638a078d47aa15 8c2767f7482dd09a
-StackRNN/64 164f84515ae02251 14955bfc90b33e9d
+TreeLSTM/8 26e62df00c8753f5 0e4c6574ade0022e
+TreeLSTM/64 d721e1a35e242465 6910bf6f415050e0
+MV-RNN/8 eb469f9cda5104fd 783621f63f097fbc
+MV-RNN/64 ed6ced1529e56a25 e65ff02d92655c3e
+BiRNN/8 1f0c5fc12298235d 32d86b667197479a
+BiRNN/64 1c5e934dabc9999d 9824ac25f578785a
+NestedRNN/8 f19a9f9a01beb2d9 d81e09c8d16be532
+NestedRNN/64 4e5f6dd2e0629541 5277cc86041a1021
+DRNN/8 666dc0bd6f673c3d eb56be0802062e8d
+DRNN/64 7fb4af7c41a3f869 416bb725d8cead79
+Berxit/8 9dd1d78f360ee435 41265953cabdc055
+Berxit/64 da987146b33b5925 82b224580150171b
+StackRNN/8 81fe9ea085488e25 8c2767f7482dd09a
+StackRNN/64 9827785f26227121 14955bfc90b33e9d
 ";
 
 fn fold(h: &mut u64, v: u64) {

@@ -27,34 +27,34 @@ const BATCHES: [usize; 2] = [8, 64];
 
 /// `model/batch/config bits structure`.
 const PARENT: &str = "\
-TreeLSTM/8/stock f9f668f503b189d6 21602c45d8ee00e6
-TreeLSTM/8/dn++ f9f668f503b189d6 9706855d4e533408
-TreeLSTM/64/stock 50c3d191596e1a2a 4c2320ad71f94550
-TreeLSTM/64/dn++ 50c3d191596e1a2a 72fb0c89ff77ae1f
-MV-RNN/8/stock 47a8bbe421e40e7e 15884f0f9a5d29fe
-MV-RNN/8/dn++ 47a8bbe421e40e7e c790f6002fe5ea97
-MV-RNN/64/stock 61a69b216e68a475 d8c2ff9c549a2077
-MV-RNN/64/dn++ 61a69b216e68a475 48da7008ab9d844e
-BiRNN/8/stock a2c7606ad4c83c0d 32a9c747e44340e5
-BiRNN/8/dn++ a2c7606ad4c83c0d 32a9c747e44340e5
-BiRNN/64/stock 378ad8681ab2141d 993e5d761aea756c
-BiRNN/64/dn++ 378ad8681ab2141d 993e5d761aea756c
-NestedRNN/8/stock 2d381819ca721a2c 5d0bb32f9781140e
-NestedRNN/8/dn++ 2d381819ca721a2c d0f0f55baa0d2215
-NestedRNN/64/stock 5a147096c62e1393 63489e8a2fb93bd8
-NestedRNN/64/dn++ 5a147096c62e1393 5fdd92a5359df95d
-DRNN/8/stock d557d1952d4db653 e8c644ea92031fca
-DRNN/8/dn++ d557d1952d4db653 84a8189025d139b5
-DRNN/64/stock 6d0bb6d385a8daf5 1569abbc3c305579
-DRNN/64/dn++ 6d0bb6d385a8daf5 528ca92335245810
-Berxit/8/stock f084ea06cd1ef950 e3cea2cbcd7e9a6f
-Berxit/8/dn++ f084ea06cd1ef950 eef08e2e547fe4cb
-Berxit/64/stock 46f78790cb45eafc aea5120ea96c0448
-Berxit/64/dn++ 46f78790cb45eafc 94345cd5c1b70117
-StackRNN/8/stock 369ba0f658349f13 f9febe2d360b54c8
-StackRNN/8/dn++ 369ba0f658349f13 f9febe2d360b54c8
-StackRNN/64/stock 6a7c51e5f45859c8 2efa259a58ba16e2
-StackRNN/64/dn++ 6a7c51e5f45859c8 2efa259a58ba16e2
+TreeLSTM/8/stock 50b2e99bd645af94 21602c45d8ee00e6
+TreeLSTM/8/dn++ 50b2e99bd645af94 9706855d4e533408
+TreeLSTM/64/stock bc8c1dab5ed0e411 4c2320ad71f94550
+TreeLSTM/64/dn++ bc8c1dab5ed0e411 72fb0c89ff77ae1f
+MV-RNN/8/stock ecf25eee7839847c 15884f0f9a5d29fe
+MV-RNN/8/dn++ ecf25eee7839847c c790f6002fe5ea97
+MV-RNN/64/stock 808d16580fdf08b5 d8c2ff9c549a2077
+MV-RNN/64/dn++ 808d16580fdf08b5 48da7008ab9d844e
+BiRNN/8/stock 06baba4ae6851087 32a9c747e44340e5
+BiRNN/8/dn++ 06baba4ae6851087 32a9c747e44340e5
+BiRNN/64/stock 89498d9e10078cb2 993e5d761aea756c
+BiRNN/64/dn++ 89498d9e10078cb2 993e5d761aea756c
+NestedRNN/8/stock 4dd6dc0266161b90 5d0bb32f9781140e
+NestedRNN/8/dn++ 4dd6dc0266161b90 d0f0f55baa0d2215
+NestedRNN/64/stock e26c05058465ca95 63489e8a2fb93bd8
+NestedRNN/64/dn++ e26c05058465ca95 5fdd92a5359df95d
+DRNN/8/stock 4506ff78e5a7b46d e8c644ea92031fca
+DRNN/8/dn++ 4506ff78e5a7b46d 84a8189025d139b5
+DRNN/64/stock e2bf48496705e0b6 1569abbc3c305579
+DRNN/64/dn++ e2bf48496705e0b6 528ca92335245810
+Berxit/8/stock 8faa7492c9aa40cb e3cea2cbcd7e9a6f
+Berxit/8/dn++ 8faa7492c9aa40cb eef08e2e547fe4cb
+Berxit/64/stock 325cae0e971fb670 aea5120ea96c0448
+Berxit/64/dn++ 325cae0e971fb670 94345cd5c1b70117
+StackRNN/8/stock 13159032da7f961d f9febe2d360b54c8
+StackRNN/8/dn++ 13159032da7f961d f9febe2d360b54c8
+StackRNN/64/stock 81ee0b84df7885cf 2efa259a58ba16e2
+StackRNN/64/dn++ 81ee0b84df7885cf 2efa259a58ba16e2
 ";
 
 fn fold(h: &mut u64, v: u64) {
