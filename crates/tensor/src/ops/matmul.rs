@@ -99,7 +99,7 @@ pub fn matmul_raw_instantiations() -> Vec<(&'static str, MatmulFn)> {
 fn portable(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let operands = checked_operands(a, b, out, m, k, n);
     // SAFETY: `checked_operands` established the lengths `gemm` requires.
-    unsafe { gemm::<Quad, 2, 4, 8>(operands, m, k, n) }
+    unsafe { gemm::<Quad, 2, 4, 8>(operands, (k, n), 0..m) }
 }
 
 /// Left operand, right operand, output: valid for `m·k` reads, `k·n` reads
@@ -257,9 +257,10 @@ unsafe fn panels<V: Lanes, const MR: usize, const NV: usize>(
     j
 }
 
-/// All columns of the rows `rows`, `MR` rows at a time: `NV`-register
-/// panels, then one-register panels, then the last `< W` columns on scalar
-/// registers.
+/// All columns of the leading whole multiple of `MR` rows of `rows`, `MR`
+/// rows at a time: `NV`-register panels, then one-register panels, then the
+/// last `< W` columns on scalar registers.  Returns the `< MR` rows left
+/// over.
 ///
 /// # Safety
 ///
@@ -269,35 +270,37 @@ unsafe fn row_tiles<V: Lanes, const MR: usize, const NV: usize>(
     operands: Operands,
     dims: (usize, usize),
     rows: Range<usize>,
-) {
-    let j = panels::<V, MR, NV>(operands, dims, rows.clone(), 0);
-    let j = panels::<V, MR, 1>(operands, dims, rows.clone(), j);
-    let j = panels::<f32, MR, 4>(operands, dims, rows.clone(), j);
-    panels::<f32, MR, 1>(operands, dims, rows, j);
+) -> Range<usize> {
+    let rest = rows.end - rows.len() % MR;
+    let tiled = rows.start..rest;
+    let j = panels::<V, MR, NV>(operands, dims, tiled.clone(), 0);
+    let j = panels::<V, MR, 1>(operands, dims, tiled.clone(), j);
+    let j = panels::<f32, MR, 4>(operands, dims, tiled.clone(), j);
+    panels::<f32, MR, 1>(operands, dims, tiled, j);
+    rest..rows.end
 }
 
-/// The whole product from one register type with an `R`-register
-/// accumulator budget per tile, given as the three tile widths `NV4 = R/4`,
-/// `NV2 = R/2`, `NV1 = R`: rows go four at a time in `4 × NV4` tiles, then
-/// the two- and one-row tails in `2 × NV2` and `1 × NV1` tiles — fewer rows
-/// spend the same registers on a wider panel, so a single row (the
-/// reference interpreter's `[1 × k] · [k × n]`) streams whole rows of `b`.
+/// The rows `rows` of the product from one register type with an
+/// `R`-register accumulator budget per tile, given as the three tile widths
+/// `NV4 = R/4`, `NV2 = R/2`, `NV1 = R`: rows go four at a time in `4 × NV4`
+/// tiles, then the two- and one-row tails in `2 × NV2` and `1 × NV1` tiles
+/// — fewer rows spend the same registers on a wider panel, so a single row
+/// (the reference interpreter's `[1 × k] · [k × n]`) streams whole rows of
+/// `b`.
 ///
 /// # Safety
 ///
-/// `operands` must be valid as [`Operands`] describes for these `m`, `k`,
-/// `n`, and `V`'s instruction set must be available.
+/// `operands` must be valid as [`Operands`] describes for `m >= rows.end`
+/// and these `k`, `n`, and `V`'s instruction set must be available.
 #[inline(always)]
 unsafe fn gemm<V: Lanes, const NV4: usize, const NV2: usize, const NV1: usize>(
     operands: Operands,
-    m: usize,
-    k: usize,
-    n: usize,
+    dims: (usize, usize),
+    rows: Range<usize>,
 ) {
-    let (by4, by2) = (m - m % 4, m - m % 2);
-    row_tiles::<V, 4, NV4>(operands, (k, n), 0..by4);
-    row_tiles::<V, 2, NV2>(operands, (k, n), by4..by2);
-    row_tiles::<V, 1, NV1>(operands, (k, n), by2..m);
+    let rows = row_tiles::<V, 4, NV4>(operands, dims, rows);
+    let rows = row_tiles::<V, 2, NV2>(operands, dims, rows);
+    row_tiles::<V, 1, NV1>(operands, dims, rows);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -307,7 +310,7 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::{checked_operands, gemm, Lanes, Operands};
+    use super::{checked_operands, gemm, row_tiles, Lanes, Operands};
 
     impl Lanes for __m256 {
         const W: usize = 8;
@@ -352,14 +355,17 @@ mod x86 {
     /// 8 of the 16 `ymm` registers accumulate: 4 × 16, 2 × 32, 1 × 64 tiles.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn gemm_avx2(operands: Operands, m: usize, k: usize, n: usize) {
-        gemm::<__m256, 2, 4, 8>(operands, m, k, n);
+        gemm::<__m256, 2, 4, 8>(operands, (k, n), 0..m);
     }
 
-    /// 16 of the 32 `zmm` registers accumulate: 4 × 64, 2 × 128, 1 × 256
-    /// tiles.
+    /// Rows go eight at a time in 8 × 48 tiles — 24 of the 32 `zmm`
+    /// registers accumulate, so each row of a `b` panel loaded from cache
+    /// serves eight output rows — then the row tail in 4 × 64, 2 × 128 and
+    /// 1 × 256 tiles (16 registers).
     #[target_feature(enable = "avx512f,fma")]
     unsafe fn gemm_avx512f(operands: Operands, m: usize, k: usize, n: usize) {
-        gemm::<__m512, 4, 8, 16>(operands, m, k, n);
+        let rows = row_tiles::<__m512, 8, 3>(operands, (k, n), 0..m);
+        gemm::<__m512, 4, 8, 16>(operands, (k, n), rows);
     }
 
     /// Listed by [`super::matmul_raw_instantiations`] only where AVX2 and
