@@ -530,10 +530,10 @@ impl CompiledKernel {
         // contiguous slice.  SAFETY: inputs were fully written before this
         // launch's execution phase (uploads, earlier flushes' outputs,
         // gather staging filled during preparation) and no concurrent work
-        // unit writes them.
+        // unit writes them.  Zero-element operands have nothing to copy.
         for ((slot, &numel), off) in prep.slots.iter().zip(&self.input_numels).zip(&self.input_off)
         {
-            let Some(off) = off else { continue };
+            let Some(off) = off.filter(|_| numel > 0) else { continue };
             let base = off * lanes;
             match &slot.offsets {
                 // Lane-contiguous in the arena (gather staging, the packed
@@ -655,8 +655,10 @@ impl CompiledKernel {
                         (input_slice(*slot, l0, sh.numel()), sh)
                     };
                     with_args(args.len(), operand, |ins| execute_slices(op, ins, first))?;
-                    for chunk in rest.chunks_exact_mut(*out_len) {
-                        chunk.copy_from_slice(first);
+                    if *out_len > 0 {
+                        for chunk in rest.chunks_exact_mut(*out_len) {
+                            chunk.copy_from_slice(first);
+                        }
                     }
                 }
                 Segment::Concat { args, outer, out, out_len } => {

@@ -246,3 +246,43 @@ fn retune_invalidates_compiled_kernel_cache() {
     assert!(r3.stats.backend_compiles > 0, "post-retune run recompiles");
     assert_bit_identical(spec, &want.outputs, &r3.outputs, "post-retune outputs");
 }
+
+/// Zero-element operands — a `(1, 0)` input, a `(1, 0) × (0, 4)` matmul
+/// (an empty sum: `+0.0` everywhere) and a `(1, 0)` constant — run on both
+/// backends in checked mode, over two instances so shared operands and
+/// constants are broadcast to a second lane.
+#[test]
+fn zero_element_operands_run_on_both_backends() {
+    use acrobat_vm::{InputValue, OutputValue};
+    let empty = || acrobat_core::Tensor::from_vec(vec![], &[1, 0]).unwrap();
+    let cases: [(&str, Vec<InputValue>, &[usize]); 3] = [
+        (
+            "def @main(%x: Tensor[(1, 0)]) -> Tensor[(1, 0)] { relu(%x) }",
+            vec![InputValue::Tensor(empty())],
+            &[1, 0],
+        ),
+        (
+            "def @main($w: Tensor[(0, 4)], %x: Tensor[(1, 0)]) -> Tensor[(1, 4)] {
+                matmul(%x, $w)
+             }",
+            vec![InputValue::Tensor(empty())],
+            &[1, 4],
+        ),
+        ("def @main() -> Tensor[(1, 0)] { zeros[shape=(1, 0)]() }", vec![], &[1, 0]),
+    ];
+    let params: std::collections::BTreeMap<String, acrobat_core::Tensor> =
+        [("w".to_string(), acrobat_core::Tensor::from_vec(vec![], &[0, 4]).unwrap())].into();
+    for (src, inputs, dims) in cases {
+        for backend in [KernelBackendKind::Interp, KernelBackendKind::Spec] {
+            let options = CompileOptions::default().with_checked(true).with_kernel_backend(backend);
+            let model = acrobat_core::compile(src, &options).expect("compiles");
+            let run = model.run(&params, &[inputs.clone(), inputs.clone()]).expect("runs");
+            assert_eq!(run.outputs.len(), 2, "{backend:?}: {src}");
+            for out in &run.outputs {
+                let OutputValue::Tensor(t) = out else { panic!("{backend:?}: {out:?}") };
+                assert_eq!(t.shape().dims(), dims, "{backend:?}: {src}");
+                assert!(t.data().iter().all(|v| v.to_bits() == 0), "{backend:?}: {src}");
+            }
+        }
+    }
+}
