@@ -30,6 +30,7 @@ pub struct Model {
 pub fn compile(source: &str, options: &CompileOptions) -> Result<Model, CompileError> {
     let module = typeck::check_module(parse_module(source)?)?;
     let analysis = Arc::new(analyze(module, options.analysis)?);
+    acrobat_vm::aot::check_lambdas(&analysis.module)?;
     let mut library = KernelLibrary::build(&analysis);
     autoschedule(&mut library, options.schedule, None);
     let kernel_count = library.len();
@@ -253,6 +254,18 @@ mod tests {
             })
             .collect();
         (params, instances)
+    }
+
+    /// The AOT lowering's typed error, returned before kernels are built:
+    /// the kernel library would find no operand classes for `relu(%y)`.
+    #[test]
+    fn operator_in_a_lambda_outside_map_is_a_compile_error() {
+        let src = "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
+            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
+            %f(%x)
+        }";
+        let err = compile(src, &CompileOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("AOT lowering: a lambda outside `map`"), "{err}");
     }
 
     #[test]

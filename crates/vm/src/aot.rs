@@ -285,6 +285,40 @@ fn unsupported(what: impl fmt::Display) -> VmError {
     VmError::Unsupported(format!("AOT lowering: {what}"))
 }
 
+/// Rejects a lambda anywhere but as `map`'s function, with the error
+/// [`AotProgram::compile`] gives it.  The analysis classifies operator
+/// operands only inside `map` lambdas, and the kernel library reads those
+/// classes, so the pipeline runs this module-only check before it builds
+/// kernels.
+///
+/// # Errors
+///
+/// [`VmError::Unsupported`] naming "a lambda outside `map`".
+pub fn check_lambdas(module: &Module) -> Result<(), VmError> {
+    fn walk(e: &Expr) -> Result<(), VmError> {
+        match &e.kind {
+            ExprKind::Lambda { .. } => Err(unsupported("a lambda outside `map`")),
+            ExprKind::Map { func, list } => {
+                match &func.kind {
+                    ExprKind::Lambda { body, .. } => walk(body)?,
+                    _ => walk(func)?,
+                }
+                walk(list)
+            }
+            _ => {
+                let mut result = Ok(());
+                e.for_each_child(|c| {
+                    if result.is_ok() {
+                        result = walk(c);
+                    }
+                });
+                result
+            }
+        }
+    }
+    module.functions.values().try_for_each(|f| walk(&f.body))
+}
+
 // ---------------------------------------------------------------------------
 // Lowering
 // ---------------------------------------------------------------------------

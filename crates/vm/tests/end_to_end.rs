@@ -476,9 +476,12 @@ fn eager_device_oom_is_a_typed_error_like_batched() {
     }
 }
 
+/// The pipeline of `acrobat_core::compile`: the lambda check runs before
+/// the kernel library is built.
 fn try_build(src: &str) -> Result<Executable, acrobat_vm::VmError> {
     let m = typeck::check_module(parse_module(src).unwrap()).unwrap();
     let a = Arc::new(analyze(m, AnalysisOptions::default()).unwrap());
+    acrobat_vm::aot::check_lambdas(&a.module)?;
     let lib = KernelLibrary::build(&a);
     let engine = Engine::new(a, lib, DeviceModel::default(), RuntimeOptions::default());
     Executable::new(engine, BackendKind::Aot, 42)
@@ -579,6 +582,38 @@ fn unlowerable_constructs_are_compile_time_errors() {
         match try_build(src) {
             Err(VmError::Unsupported(msg)) => assert!(msg.contains(construct), "{msg}"),
             other => panic!("{construct}: expected Unsupported, got {other:?}"),
+        }
+    }
+}
+
+/// A lambda outside `map` whose body applies an operator is the same
+/// typed error as one without: the analysis classifies no operands inside
+/// it, so the error comes before kernels are built (which used to panic
+/// looking those classes up) — whether the lambda is unused, mapped or
+/// called.
+#[test]
+fn operators_in_a_lambda_outside_map_are_compile_time_errors() {
+    use acrobat_vm::VmError;
+    let programs = [
+        "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
+            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
+            %x
+         }",
+        "def @main(%xs: List[Tensor[(1, 4)]]) -> List[Tensor[(1, 4)]] {
+            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
+            map(%f, %xs)
+         }",
+        "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
+            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
+            %f(%x)
+         }",
+    ];
+    for src in programs {
+        match try_build(src) {
+            Err(VmError::Unsupported(msg)) => {
+                assert!(msg.contains("a lambda outside `map`"), "{src}: {msg}")
+            }
+            other => panic!("{src}: expected Unsupported, got {other:?}"),
         }
     }
 }
