@@ -10,7 +10,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel and map_unary bodies that ship are the optimised ones, and transcendental_bits sweeps exp/tanh/sigmoid over every finite f32; vm: the execute loop's wrapping arithmetic and the depth budget)"
+echo "==> cargo test -q --release (tensor + codegen: the SIMD micro-kernel and map_unary bodies that ship are the optimised ones, matmul_bits holds every matmul instantiation to the scalar fused loop and transcendental_bits sweeps exp/tanh/sigmoid over every finite f32; vm: the execute loop's wrapping arithmetic and the depth budget)"
 cargo test -q --release -p acrobat-tensor -p acrobat-codegen -p acrobat-vm
 
 echo "==> cargo clippy -- -D warnings"
@@ -122,6 +122,15 @@ done)
 if [ -n "$libm_calls" ]; then
   echo "$libm_calls"
   echo "f32 exp/tanh outside tests go through acrobat_tensor::ops::transcendental, the one implementation every executor shares"; exit 1
+fi
+
+echo "==> fused multiply-add only in the matmul (the exp/tanh/sigmoid ulp bounds were proved for separately rounded steps)"
+fused=$(for f in $(find crates/tensor/src crates/codegen/src crates/baselines/src -name '*.rs' ! -path crates/tensor/src/ops/matmul.rs); do
+  sed -n '1,/^mod tests {/p' "$f" | grep -nE 'mul_add|fmadd|target_feature.*\bfma\b' | grep -vE '^[0-9]+:\s*//' | sed "s|^|$f:|" || true
+done)
+if [ -n "$fused" ]; then
+  echo "$fused"
+  echo "only acrobat_tensor::ops::matmul fuses a multiply and an add; every other kernel rounds each step"; exit 1
 fi
 
 echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
