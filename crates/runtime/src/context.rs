@@ -690,8 +690,9 @@ impl ExecutionContext {
 /// Launch size, in FLOPs, from which the execute phase of one launch is
 /// split across cores: spawning and joining a scoped helper thread costs
 /// tens of microseconds (up to ≈ 95 µs at p99), a launch this size runs for
-/// ≈ 350 µs on the compiled executor (DESIGN §9 has the measurements and
-/// the per-workload launch sizes on either side).
+/// ≈ 120 µs on the compiled executor with the fused matmul, on a 2-vCPU
+/// AVX-512 Xeon (DESIGN §9 has the measurements and the per-workload
+/// launch sizes on either side).
 pub const SPLIT_MIN_FLOPS: u64 = 8_000_000;
 
 /// The machine's available parallelism, measured once per process: the

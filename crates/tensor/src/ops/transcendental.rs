@@ -14,7 +14,10 @@
 //! Accuracy, measured over every finite `f32` against an `f64` reference
 //! (`tests/transcendental_bits.rs`, exhaustive in release): [`exp`] ≤ 0.78
 //! ulp, [`tanh`] ≤ 1.35 ulp, [`sigmoid`] ≤ 1.15 ulp.  Zeros, infinities and
-//! saturation are exact, and a NaN input comes back as the same NaN.
+//! saturation are exact, and a NaN input comes back as the same NaN.  The
+//! bounds hold for this unfused evaluation order; a fused step would be a
+//! different function, which is why `scripts/check.sh` allows fused
+//! arithmetic in the matmul alone.
 //!
 //! The polynomial coefficients are minimax fits (Lawson's iteration on a
 //! Chebyshev grid, relative error) rounded to `f32`.

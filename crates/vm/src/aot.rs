@@ -299,11 +299,11 @@ pub fn check_lambdas(module: &Module) -> Result<(), VmError> {
         match &e.kind {
             ExprKind::Lambda { .. } => Err(unsupported("a lambda outside `map`")),
             ExprKind::Map { func, list } => {
-                match &func.kind {
-                    ExprKind::Lambda { body, .. } => walk(body)?,
-                    _ => walk(func)?,
-                }
-                walk(list)
+                let func = match &func.kind {
+                    ExprKind::Lambda { body, .. } => body,
+                    _ => func,
+                };
+                walk(func).and_then(|()| walk(list))
             }
             _ => {
                 let mut result = Ok(());

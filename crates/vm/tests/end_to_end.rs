@@ -552,11 +552,20 @@ fn runaway_recursion_of_a_wide_function_is_bounded_in_memory() {
     assert!(matches!(next.outputs[..], [OutputValue::Int(3)]), "{:?}", next.outputs);
 }
 
-/// What the lowering cannot resolve is an error from `Executable::new`,
-/// naming the construct — never a panic inside a request.
+/// What the lowering cannot resolve is an error before any request runs,
+/// naming the construct — never a panic inside a request.  A lambda
+/// outside `map` is rejected before kernels are built, whether or not its
+/// body applies an operator and however it is used: the analysis
+/// classifies no operands inside it, and building its kernels panicked.
 #[test]
 fn unlowerable_constructs_are_compile_time_errors() {
     use acrobat_vm::VmError;
+    let lambda = "let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };";
+    let unused = format!("def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {{ {lambda} %x }}");
+    let mapped = format!(
+        "def @main(%xs: List[Tensor[(1, 4)]]) -> List[Tensor[(1, 4)]] {{ {lambda} map(%f, %xs) }}"
+    );
+    let called = format!("def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {{ {lambda} %f(%x) }}");
     let cases = [
         (
             "a lambda outside `map`",
@@ -565,6 +574,9 @@ fn unlowerable_constructs_are_compile_time_errors() {
                 %x
              }",
         ),
+        ("a lambda outside `map`", unused.as_str()),
+        ("a lambda outside `map`", mapped.as_str()),
+        ("a lambda outside `map`", called.as_str()),
         (
             "first-class closure call `%f(…)`",
             "def @apply(%f: fn(Tensor[(1, 2)]) -> Tensor[(1, 2)], %x: Tensor[(1, 2)])
@@ -582,38 +594,6 @@ fn unlowerable_constructs_are_compile_time_errors() {
         match try_build(src) {
             Err(VmError::Unsupported(msg)) => assert!(msg.contains(construct), "{msg}"),
             other => panic!("{construct}: expected Unsupported, got {other:?}"),
-        }
-    }
-}
-
-/// A lambda outside `map` whose body applies an operator is the same
-/// typed error as one without: the analysis classifies no operands inside
-/// it, so the error comes before kernels are built (which used to panic
-/// looking those classes up) — whether the lambda is unused, mapped or
-/// called.
-#[test]
-fn operators_in_a_lambda_outside_map_are_compile_time_errors() {
-    use acrobat_vm::VmError;
-    let programs = [
-        "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
-            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
-            %x
-         }",
-        "def @main(%xs: List[Tensor[(1, 4)]]) -> List[Tensor[(1, 4)]] {
-            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
-            map(%f, %xs)
-         }",
-        "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
-            let %f = fn(%y: Tensor[(1, 4)]) { relu(%y) };
-            %f(%x)
-         }",
-    ];
-    for src in programs {
-        match try_build(src) {
-            Err(VmError::Unsupported(msg)) => {
-                assert!(msg.contains("a lambda outside `map`"), "{src}: {msg}")
-            }
-            other => panic!("{src}: expected Unsupported, got {other:?}"),
         }
     }
 }
