@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_baselines::dynet::{run_minibatch, DynetConfig, NodeRef};
-use acrobat_codegen::{KernelBackendKind, KernelLibrary};
+use acrobat_codegen::KernelLibrary;
 use acrobat_core::{compile, CompileOptions};
 use acrobat_ir::{parse_module, typeck};
 use acrobat_runtime::{DeviceModel, Engine, RuntimeOptions, SchedulerKind, ValueId};
@@ -280,29 +280,22 @@ impl FuzzCase {
     }
 }
 
-/// The kernel backends every fuzz configuration crosses.
-const BACKENDS: [KernelBackendKind; 2] = [KernelBackendKind::Interp, KernelBackendKind::Spec];
-
-fn backend_label(backend: KernelBackendKind) -> &'static str {
-    match backend {
-        KernelBackendKind::Interp => "interp",
-        KernelBackendKind::Spec => "spec",
-    }
-}
-
 /// The scheduler/ablation matrix every fuzz case runs under: every
 /// scheduler × gather-fusion × coarsening × {plan cache off, on} ×
-/// {broker off, on} × {interpreter, specialized kernel backend}, all in
-/// checked mode, plus the unbatched eager configuration (also checked,
-/// both cache settings).  The plan-cache axis must be bit-for-bit
-/// invisible — and because every configuration is checked, every cache hit
-/// the fuzzer produces passes the cached ≡ freshly-scheduled bit-identity
-/// gate (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
+/// {broker off, on}, all in checked mode, plus the unbatched eager
+/// configuration (also checked, both cache settings).  The plan-cache axis
+/// must be bit-for-bit invisible — and because every configuration is
+/// checked, every cache hit the fuzzer produces passes the cached ≡
+/// freshly-scheduled bit-identity gate
+/// (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
 /// routes every run through `BatchBroker::submit` and the cohort path
-/// (`acrobat_vm::broker`), which must be equally invisible.  The backend
-/// axis (`be=spec`) runs every launch compiled and, being checked,
-/// cross-executes each one against the interpreter on top of the
-/// host-reference comparison the fuzz driver performs.
+/// (`acrobat_vm::broker`), which must be equally invisible.
+///
+/// There is no kernel-executor axis, and none is needed: checked mode
+/// re-executes every compiled launch through the reference interpreter,
+/// compares the output bits and leaves the interpreter's bits in memory,
+/// so each configuration's run is the interpreter's run plus one
+/// comparison per launch.
 pub fn config_matrix() -> Vec<(String, CompileOptions)> {
     let mut out = Vec::new();
     for scheduler in SchedulerKind::ALL {
@@ -310,23 +303,19 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
             for coarsen in [false, true] {
                 for plan_cache in [false, true] {
                     for broker in [false, true] {
-                        for backend in BACKENDS {
-                            let mut o = CompileOptions::default().with_checked(true);
-                            o.runtime.scheduler = scheduler;
-                            o.runtime.gather_fusion = gather_fusion;
-                            o.runtime.coarsen = coarsen;
-                            o.runtime.plan_cache = plan_cache;
-                            o.runtime.broker = broker;
-                            o.runtime.backend = backend;
-                            let be = backend_label(backend);
-                            out.push((
-                                format!(
-                                    "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
-                                     /pc={plan_cache}/br={broker}/be={be}"
-                                ),
-                                o,
-                            ));
-                        }
+                        let mut o = CompileOptions::default().with_checked(true);
+                        o.runtime.scheduler = scheduler;
+                        o.runtime.gather_fusion = gather_fusion;
+                        o.runtime.coarsen = coarsen;
+                        o.runtime.plan_cache = plan_cache;
+                        o.runtime.broker = broker;
+                        out.push((
+                            format!(
+                                "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
+                                 /pc={plan_cache}/br={broker}"
+                            ),
+                            o,
+                        ));
                     }
                 }
             }
@@ -343,29 +332,23 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
 
 /// The runtime configurations every [`dag_outputs`] workload runs under,
 /// each compared against checked eager execution: every scheduler ×
-/// gather-fusion × plan cache {off, on} × kernel backend {interp, spec},
-/// all in checked mode.
+/// gather-fusion × plan cache {off, on}, all in checked mode (so, as in
+/// [`config_matrix`], every launch is also held to the interpreter).
 pub fn dag_config_matrix() -> Vec<(String, RuntimeOptions)> {
     let mut out = Vec::new();
     for scheduler in SchedulerKind::ALL {
         for gather_fusion in [false, true] {
             for plan_cache in [false, true] {
-                for backend in BACKENDS {
-                    out.push((
-                        format!(
-                            "{scheduler:?}/gf={gather_fusion}/pc={plan_cache}/be={}",
-                            backend_label(backend)
-                        ),
-                        RuntimeOptions {
-                            scheduler,
-                            gather_fusion,
-                            checked: true,
-                            plan_cache,
-                            backend,
-                            ..RuntimeOptions::default()
-                        },
-                    ));
-                }
+                out.push((
+                    format!("{scheduler:?}/gf={gather_fusion}/pc={plan_cache}"),
+                    RuntimeOptions {
+                        scheduler,
+                        gather_fusion,
+                        checked: true,
+                        plan_cache,
+                        ..RuntimeOptions::default()
+                    },
+                ));
             }
         }
     }

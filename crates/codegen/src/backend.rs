@@ -1,85 +1,53 @@
-//! Kernel execution backends.
+//! Kernel execution.
 //!
 //! Batched kernel launches always go through two phases: *preparation*
 //! ([`crate::exec::prepare_batched_kernel_with`] — sequential, performs the
 //! gather/allocation effects) and *execution* (pure per-lane compute, which
-//! [`Selection::execute_lanes`] can split across threads by lane range).
-//! This module chooses how the execution phase runs ([`Selection`]):
+//! [`CompiledKernel::execute_lanes`] can split across threads by lane
+//! range).  Execution always runs a compiled kernel: [`SpecializedBackend`]
+//! is a compile-once cache — a kernel is lowered on its first launch into a
+//! monomorphized allocation-free [`CompiledKernel`] and every later launch
+//! of any lane count reuses it.  Lowering one kernel costs about a
+//! microsecond (DESIGN §11), so nothing rations it.
 //!
-//! * [`SpecializedBackend`] ([`KernelBackendKind::Spec`], the default) — a
-//!   compile-once cache: a kernel is lowered on its first launch into a
-//!   monomorphized allocation-free [`crate::spec::CompiledKernel`] and
-//!   every later launch of any lane count reuses it.  Lowering one kernel
-//!   costs about a microsecond (DESIGN §11), so nothing rations it.
-//! * the reference per-instruction interpreter
-//!   ([`crate::exec::execute_prepared`], [`KernelBackendKind::Interp`]) —
-//!   the oracle: what checked mode re-executes every compiled launch
-//!   through, and the other side of the fuzz/chaos `backend` axis.
-//!
-//! Compiled execution must produce bit-for-bit the same arena contents as
-//! the interpreter; checked mode enforces this at runtime by re-executing
-//! each compiled launch through the interpreter and comparing output bits.
+//! The reference per-instruction interpreter
+//! ([`crate::exec::execute_prepared`]) is the oracle: compiled execution
+//! must produce bit-for-bit the same arena contents, and checked mode
+//! enforces this by re-executing each compiled launch through it and
+//! comparing output bits.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use acrobat_tensor::arena::ExecView;
 use acrobat_tensor::TensorError;
-use serde::{Deserialize, Serialize};
 
 use crate::exec::{execute_prepared, ExecScratch, PreparedLaunch};
 use crate::kernel::KernelProgram;
 use crate::spec::CompiledKernel;
 
-/// Which kernel-execution backend the runtime drives.
+/// The kernel executor, of which there is one: every launch runs a
+/// compiled kernel ([`SpecializedBackend`]).
 ///
-/// The two produce the same bits and the same modeled statistics, so every
-/// published artifact is reproduced unchanged under either; they differ in
-/// host wall-clock only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Kept only because the frozen benchmark harness
+/// (`benchmark/src/profiles.rs`) still names it through
+/// `CompileOptions::with_kernel_backend`, its last caller; the harness
+/// change that retires that file deletes both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum KernelBackendKind {
-    /// The reference per-instruction interpreter: the oracle compiled
-    /// execution is compared against, one lane at a time.
-    Interp,
-    /// Specialized execution: every kernel is compiled on its first launch
-    /// ([`SpecializedBackend`]).
+    /// Compiled execution.
     #[default]
     Spec,
 }
 
-/// How the execution phase of one launch runs: the outcome of
-/// [`SpecializedBackend::select`], or [`Selection::Interp`] when the engine
-/// has no specialized backend.
-#[derive(Debug, Clone, Copy)]
-pub enum Selection<'k> {
-    /// Execute through the reference interpreter.
-    Interp,
-    /// Execute through a compiled kernel.
-    Compiled {
-        /// The kernel's monomorphized form, shared by every lane count.
-        kernel: &'k CompiledKernel,
-        /// Whether this launch triggered the compilation (for stats).
-        fresh: bool,
-    },
-}
-
-impl Selection<'_> {
-    /// Whether this selection runs the compiled path.
-    pub fn is_compiled(&self) -> bool {
-        matches!(self, Selection::Compiled { .. })
-    }
-
-    /// Whether this selection compiled its kernel on this launch.
-    pub fn is_fresh_compile(&self) -> bool {
-        matches!(self, Selection::Compiled { fresh: true, .. })
-    }
-
-    /// Runs the execution phase for `lane_range` of a prepared launch.
+impl CompiledKernel {
+    /// Runs the execution phase for `lane_range` of a prepared launch of
+    /// `program`, the kernel this was compiled from.
     ///
-    /// With `checked` set and a compiled selection, the launch is
-    /// re-executed through the reference interpreter and the output
-    /// regions are compared bit for bit; any divergence panics with the
-    /// kernel name (backend bugs are not recoverable data faults).
+    /// With `checked` set, the launch is re-executed through the reference
+    /// interpreter and the output regions are compared bit for bit; any
+    /// divergence panics with the kernel name (executor bugs are not
+    /// recoverable data faults).
     ///
     /// # Errors
     ///
@@ -93,18 +61,11 @@ impl Selection<'_> {
         scratch: &mut BackendScratch,
         checked: bool,
     ) -> Result<(), TensorError> {
-        match self {
-            Selection::Interp => {
-                execute_prepared(view, program, prep, lane_range, &mut scratch.interp)
-            }
-            Selection::Compiled { kernel, .. } => {
-                kernel.execute(view, prep, lane_range.clone(), scratch)?;
-                if checked {
-                    verify_against_interp(view, program, prep, lane_range, scratch)?;
-                }
-                Ok(())
-            }
+        self.run_lanes(view, prep, lane_range.clone(), scratch)?;
+        if checked {
+            verify_against_interp(view, program, prep, lane_range, scratch)?;
         }
+        Ok(())
     }
 
     /// Runs the whole execution phase of a prepared launch, split into
@@ -213,14 +174,14 @@ fn verify_against_interp(
 /// Reusable per-thread working memory for the execution phase.
 ///
 /// An execution context keeps one instance per lane range it has ever
-/// split a launch into ([`Selection::execute_lanes`]), so a warm execute
-/// phase allocates nothing: interpreter register buffers, the compiled
-/// path's flat scratch, tiles and materialized inputs (each bounded by the
-/// kernel's footprint × [`crate::spec::LANE_BLOCK`], whatever the launch
-/// width) and the checked-mode snapshot all persist across launches.
+/// split a launch into ([`CompiledKernel::execute_lanes`]), so a warm
+/// execute phase allocates nothing: the compiled kernel's flat scratch,
+/// tiles and materialized inputs (each bounded by the kernel's footprint ×
+/// [`crate::spec::LANE_BLOCK`], whatever the launch width) and checked
+/// mode's snapshot and interpreter registers all persist across launches.
 #[derive(Debug, Default)]
 pub struct BackendScratch {
-    /// Interpreter register scratch.
+    /// Interpreter register scratch (checked mode's oracle).
     pub interp: ExecScratch,
     pub(crate) flat: Vec<f32>,
     pub(crate) tiles: Vec<f32>,
@@ -247,19 +208,19 @@ impl SpecializedBackend {
     }
 
     /// The compiled form of `program`, lowering it if this is its first
-    /// launch.
+    /// launch, and whether this call compiled it (for stats).
     ///
     /// # Panics
     ///
     /// Panics if `program` is not from the library this backend was sized
     /// for.
-    pub fn select(&self, program: &KernelProgram) -> Selection<'_> {
+    pub fn select(&self, program: &KernelProgram) -> (&CompiledKernel, bool) {
         let mut fresh = false;
         let kernel = self.cache[program.id.0 as usize].get_or_init(|| {
             fresh = true;
             CompiledKernel::compile(program)
         });
-        Selection::Compiled { kernel, fresh }
+        (kernel, fresh)
     }
 
     /// Number of kernels compiled so far.

@@ -340,7 +340,8 @@ pub struct ExecScratch {
 
 /// Executes the lanes `lane_range` of a prepared launch through a shared
 /// arena view, one lane and one instruction at a time through the reference
-/// operators — the oracle compiled execution is held to.
+/// operators — the oracle compiled execution is held to (checked mode), and
+/// DyNet-sim's executor ([`run_batched_kernel_with`]).
 ///
 /// Pure with respect to the arena apart from writes into the launch's own
 /// reserved output regions at lane-deterministic offsets, so any partition

@@ -11,14 +11,14 @@
 //!   exactly as the batched kernel ③ in the paper's Fig. 1;
 //! * [`library`] — deduplicates structurally identical programs into a
 //!   [`library::KernelLibrary`] (duplicated functions share kernels);
-//! * [`exec`] — the reference executor for kernel programs, supporting both
-//!   batched-argument access styles of §5.2: explicit gather and gather
-//!   fusion;
-//! * [`backend`] / [`spec`] — the choice of how a launch's execution phase
-//!   runs: the reference interpreter, or a [`backend::SpecializedBackend`]
-//!   that compiles each kernel once, on its first launch, into a
-//!   monomorphized allocation-free execution plan bit-identical to the
-//!   interpreter;
+//! * [`exec`] — a launch's preparation for both batched-argument access
+//!   styles of §5.2 (explicit gather and gather fusion), and the reference
+//!   interpreter for kernel programs: checked mode's oracle and DyNet-sim's
+//!   executor;
+//! * [`backend`] / [`spec`] — the kernel executor: a
+//!   [`backend::SpecializedBackend`] compiles each kernel once, on its
+//!   first launch, into a monomorphized allocation-free execution plan
+//!   bit-identical to the interpreter;
 //! * [`autosched`] — a simulation of TVM's auto-scheduler (§D.1): a
 //!   randomized search over tiling/vectorization/unrolling parameters
 //!   against an analytical cost model, with an iteration budget that can be
@@ -37,7 +37,7 @@ pub mod library;
 pub mod spec;
 
 pub use autosched::{autoschedule, Schedule, ScheduleOptions};
-pub use backend::{BackendScratch, KernelBackendKind, Selection, SpecializedBackend};
+pub use backend::{BackendScratch, KernelBackendKind, SpecializedBackend};
 pub use exec::{
     execute_prepared, finish_prepared, prepare_batched_kernel_with, run_batched_kernel_with,
     BatchMode, ExecScratch, KernelLaunchStats, PreparedLaunch,

@@ -1,5 +1,5 @@
 //! Specialized kernel compilation: monomorphized, allocation-free execution
-//! of kernel programs — the default executor ([`crate::backend`]).
+//! of kernel programs — the kernel executor ([`crate::backend`]).
 //!
 //! [`CompiledKernel::compile`] lowers a [`KernelProgram`] once into a form
 //! the executor can run at any lane count without touching the allocator:
@@ -484,7 +484,7 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Returns [`TensorError`] on kernel failures.
-    pub(crate) fn execute(
+    pub(crate) fn run_lanes(
         &self,
         view: &ExecView<'_>,
         prep: &PreparedLaunch,
@@ -721,7 +721,7 @@ mod tests {
     use acrobat_tensor::{DeviceMem, Shape, Tensor};
 
     use super::{tile_width, LANE_BLOCK};
-    use crate::backend::{BackendScratch, Selection, SpecializedBackend};
+    use crate::backend::{BackendScratch, SpecializedBackend};
     use crate::exec::{finish_prepared, prepare_batched_kernel_with};
     use crate::kernel::KernelId;
 
@@ -793,16 +793,15 @@ mod tests {
             let prep =
                 prepare_batched_kernel_with(&mut mem, program, batch, mode, |l, s| &lanes[l][s])
                     .unwrap();
-            let sel = backend.select(program);
-            assert!(sel.is_fresh_compile(), "the first launch compiles");
+            let (kernel, fresh) = backend.select(program);
+            assert!(fresh, "the first launch compiles");
             let mut scratch = BackendScratch::default();
-            sel.execute(&mem.exec_view(), program, &prep, 0..batch, &mut scratch, true).unwrap();
+            kernel.execute(&mem.exec_view(), program, &prep, 0..batch, &mut scratch, true).unwrap();
             let outs = finish_prepared(&mem, &prep).unwrap();
             assert_eq!(outs.len(), 1);
 
             // Second select hits the cache.
-            let sel2 = backend.select(program);
-            assert!(sel2.is_compiled() && !sel2.is_fresh_compile());
+            assert!(!backend.select(program).1, "the second launch hits the cache");
             assert_eq!(backend.compiled_count(), 1);
 
             // Sanity: outputs match a host-side reference within tolerance.
@@ -844,8 +843,7 @@ mod tests {
         let backend = SpecializedBackend::new(lib.len());
         for id in 0..lib.len() {
             let program = lib.kernel(KernelId(id as u32));
-            let selection = backend.select(program);
-            let Selection::Compiled { kernel, .. } = selection else { unreachable!() };
+            let (kernel, _) = backend.select(program);
 
             // One launch executed as `ranges`, in checked mode; output bits.
             let run = |ranges: &[std::ops::Range<usize>], scratch: &mut BackendScratch| {
@@ -881,7 +879,7 @@ mod tests {
                 .unwrap();
                 for range in ranges {
                     let view = mem.exec_view();
-                    selection.execute(&view, program, &prep, range.clone(), scratch, true).unwrap();
+                    kernel.execute(&view, program, &prep, range.clone(), scratch, true).unwrap();
                 }
                 let outs = finish_prepared(&mem, &prep).unwrap();
                 let bits = |t| mem.read(t).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -1,16 +1,18 @@
 //! The execute phase of a warm launch does not touch the allocator, on
 //! either executor: a counting `#[global_allocator]` sees zero heap
-//! allocations during the second `Selection::execute` of a kernel that has
-//! a stacked matmul, a fused elementwise chain and a `Single` segment
-//! (softmax, routed through the reference operator per lane).
+//! allocations during the second `CompiledKernel::execute` — or the second
+//! `execute_prepared`, the interpreter checked mode holds it to — of a
+//! kernel that has a stacked matmul, a fused elementwise chain and a
+//! `Single` segment (softmax, routed through the reference operator per
+//! lane).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    prepare_batched_kernel_with, BackendScratch, BatchMode, KernelId, KernelLibrary, Selection,
-    SpecializedBackend,
+    execute_prepared, prepare_batched_kernel_with, BackendScratch, BatchMode, KernelId,
+    KernelLibrary, SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
 use acrobat_tensor::{DeviceMem, Tensor};
@@ -72,7 +74,8 @@ fn warm_execute_allocates_nothing_on_either_executor() {
 
     for k in 0..lib.len() {
         let program = lib.kernel(KernelId(k as u32));
-        for selection in [Selection::Interp, backend.select(program)] {
+        let (kernel, _) = backend.select(program);
+        for (executor, compiled) in [("interpreter", false), ("compiled", true)] {
             let mut scratch = BackendScratch::default();
             let mut counts = Vec::new();
             for _launch in 0..2 {
@@ -92,11 +95,16 @@ fn warm_execute_allocates_nothing_on_either_executor() {
                 .unwrap();
                 let view = mem.exec_view();
                 let before = ALLOCS.with(Cell::get);
-                selection.execute(&view, program, &prep, 0..LANES, &mut scratch, false).unwrap();
+                let run = if compiled {
+                    kernel.execute(&view, program, &prep, 0..LANES, &mut scratch, false)
+                } else {
+                    execute_prepared(&view, program, &prep, 0..LANES, &mut scratch.interp)
+                };
+                run.unwrap();
                 counts.push(ALLOCS.with(Cell::get) - before);
             }
-            assert!(counts[0] > 0, "the cold launch sizes its scratch ({selection:?})");
-            assert_eq!(counts[1], 0, "kernel `{}`, warm launch under {selection:?}", program.name);
+            assert!(counts[0] > 0, "the cold launch sizes its scratch ({executor})");
+            assert_eq!(counts[1], 0, "kernel `{}`, warm launch under {executor}", program.name);
         }
     }
 }

@@ -1,15 +1,16 @@
 //! Property test for the lane-split execute mechanism
-//! ([`Selection::execute_lanes`]): over random fused kernels, lane counts
-//! 1..=9 and both execution strategies (the interpreter, and a compiled
-//! kernel in checked mode, which also cross-executes every range through
-//! the interpreter), splitting a launch into `parts ∈ 1..=4` lane ranges —
-//! including more parts than lanes, and ranges that cut the compiled path's
-//! lane blocks — leaves bit-identical outputs.
+//! ([`CompiledKernel::execute_lanes`]): over random fused kernels, lane
+//! counts 1..=9 and both executors (a compiled kernel in checked mode, which
+//! also cross-executes every range through the interpreter, and the
+//! interpreter alone, [`execute_prepared`], range by range), splitting a
+//! launch into `parts ∈ 1..=4` lane ranges — including more parts than
+//! lanes, and ranges that cut the compiled path's lane blocks — leaves
+//! bit-identical outputs.
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    finish_prepared, prepare_batched_kernel_with, BackendScratch, BatchMode, KernelId,
-    KernelLibrary, KernelProgram, Selection, SpecializedBackend,
+    execute_prepared, finish_prepared, prepare_batched_kernel_with, BackendScratch, BatchMode,
+    CompiledKernel, KernelId, KernelLibrary, KernelProgram, SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
 use acrobat_tensor::{DeviceMem, DeviceTensor, Shape, Tensor};
@@ -39,10 +40,11 @@ fn random_library(width: usize, ops: &[u8]) -> KernelLibrary {
 }
 
 /// One launch of `program` over `lanes` scattered lanes, executed as
-/// `parts` lane ranges; returns the output bits in `[slot][lane]` order.
+/// `parts` lane ranges by `kernel`, or by the interpreter when `None`;
+/// returns the output bits in `[slot][lane]` order.
 fn launch_bits(
     program: &KernelProgram,
-    selection: &Selection<'_>,
+    kernel: Option<&CompiledKernel>,
     lanes: usize,
     parts: usize,
     seed: u64,
@@ -81,13 +83,25 @@ fn launch_bits(
             &args[l][s]
         })
         .unwrap();
-    selection.execute_lanes(&mem.exec_view(), program, &prep, parts, scratch, true).unwrap();
+    let view = mem.exec_view();
+    match kernel {
+        Some(kernel) => kernel.execute_lanes(&view, program, &prep, parts, scratch, true).unwrap(),
+        None => {
+            // The even split `execute_lanes` makes, one range after another.
+            let parts = parts.clamp(1, lanes);
+            scratch.resize_with(scratch.len().max(1), BackendScratch::default);
+            for p in 0..parts {
+                let range = p * lanes / parts..(p + 1) * lanes / parts;
+                execute_prepared(&view, program, &prep, range, &mut scratch[0].interp).unwrap();
+            }
+        }
+    }
     let outs = finish_prepared(&mem, &prep).unwrap();
     outs.iter().flatten().flat_map(|t| mem.read(t).unwrap().iter().map(|v| v.to_bits())).collect()
 }
 
-/// Every kernel of a random program, on both execution strategies: `parts`
-/// lane ranges leave the bits one range leaves.
+/// Every kernel of a random program, on both executors: `parts` lane
+/// ranges leave the bits one range leaves.
 fn assert_splits_match_one_range(
     width: usize,
     ops: &[u8],
@@ -98,19 +112,19 @@ fn assert_splits_match_one_range(
     for k in 0..lib.len() {
         let program = lib.kernel(KernelId(k as u32));
         let backend = SpecializedBackend::new(lib.len());
-        let compiled = backend.select(program);
-        assert!(compiled.is_compiled(), "the first launch compiles");
-        for selection in [Selection::Interp, compiled] {
+        let (compiled, fresh) = backend.select(program);
+        assert!(fresh, "the first launch compiles");
+        for (executor, kernel) in [("interpreter", None), ("compiled", Some(compiled))] {
             // One scratch set across all splits: ranges reuse whatever
             // an earlier, differently shaped split left behind.
             let mut scratch = Vec::new();
-            let whole = launch_bits(program, &selection, lanes, 1, seed, &mut scratch);
+            let whole = launch_bits(program, kernel, lanes, 1, seed, &mut scratch);
             assert!(!whole.is_empty());
             for parts in 2..=4 {
-                let split = launch_bits(program, &selection, lanes, parts, seed, &mut scratch);
+                let split = launch_bits(program, kernel, lanes, parts, seed, &mut scratch);
                 if split != whole {
                     return Err(format!(
-                        "kernel {} lanes {lanes} parts {parts} ({selection:?})",
+                        "kernel {} lanes {lanes} parts {parts} ({executor})",
                         program.name
                     ));
                 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use acrobat_analysis::fusion::GroupId;
-use acrobat_codegen::backend::{BackendScratch, Selection};
+use acrobat_codegen::backend::BackendScratch;
 use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
 use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
 
@@ -66,8 +66,8 @@ pub struct ExecutionContext {
     /// as shared (its plan touched ≥ 2 members) or solo; `None` — every
     /// non-cohort run — leaves both counters at zero.
     instance_partition: Option<Vec<usize>>,
-    /// Kernel-backend working memory (interpreter registers, compiled-path
-    /// flat scratch and tiles, checked-mode snapshot), one per lane range a
+    /// Kernel-executor working memory (compiled-path flat scratch and
+    /// tiles, checked mode's snapshot and oracle registers), one per lane range a
     /// launch was ever split into (`[0]`: the flushing thread's), kept across
     /// launches so the steady-state execute phase performs no allocations.
     backend_scratch: Vec<BackendScratch>,
@@ -581,16 +581,15 @@ impl ExecutionContext {
                 dfg.tensor(dfg.args(batch[lane])[slot])
                     .expect("scheduler produced unmet dependency")
             })?;
-        let selection = engine.backend().map_or(Selection::Interp, |b| b.select(program));
-        match selection {
-            Selection::Compiled { fresh: true, .. } => self.stats.backend_compiles += 1,
-            Selection::Compiled { fresh: false, .. } => self.stats.backend_hits += 1,
-            // The reference interpreter is not a backend event.
-            Selection::Interp => {}
+        let (kernel, fresh) = engine.backend().select(program);
+        if fresh {
+            self.stats.backend_compiles += 1;
+        } else {
+            self.stats.backend_hits += 1;
         }
         // Elapsed wall of the execute phase (a split launch's ranges overlap).
         let exec_wall = std::time::Instant::now();
-        selection.execute_lanes(
+        kernel.execute_lanes(
             &self.mem.exec_view(),
             program,
             &prep,
@@ -704,7 +703,7 @@ pub fn cores() -> usize {
 }
 
 /// The lane-split policy: how many lane ranges one launch's execute phase
-/// runs as ([`Selection::execute_lanes`]) — a function of the launch's own
+/// runs as ([`acrobat_codegen::CompiledKernel::execute_lanes`]) — a function of the launch's own
 /// `flops` and lane count and of [`cores`], never of an option.
 pub fn lane_parts(flops: u64, lanes: usize) -> usize {
     if flops < SPLIT_MIN_FLOPS {

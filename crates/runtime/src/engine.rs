@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 use acrobat_analysis::fusion::GroupId;
 use acrobat_analysis::{AnalysisResult, ArgClass};
-use acrobat_codegen::{
-    KernelBackendKind, KernelId, KernelLibrary, KernelProgram, SpecializedBackend,
-};
+use acrobat_codegen::{KernelId, KernelLibrary, KernelProgram, SpecializedBackend};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -73,15 +71,6 @@ pub struct RuntimeOptions {
     /// batches only within itself, exactly the pre-broker behaviour.
     #[serde(default)]
     pub broker: bool,
-    /// Kernel-execution backend for the execute phase of every launch.
-    /// The default, [`KernelBackendKind::Spec`], compiles each kernel on
-    /// its first launch into a monomorphized allocation-free plan;
-    /// [`KernelBackendKind::Interp`] is the reference interpreter kept as
-    /// the oracle (checked mode re-executes every compiled launch through
-    /// it).  Results and every modeled statistic are bit-identical, so all
-    /// published artifacts are reproduced unchanged under either.
-    #[serde(default)]
-    pub backend: KernelBackendKind,
 }
 
 impl Default for RuntimeOptions {
@@ -96,7 +85,6 @@ impl Default for RuntimeOptions {
             max_retries: 0,
             plan_cache: false,
             broker: false,
-            backend: KernelBackendKind::Spec,
         }
     }
 }
@@ -147,13 +135,13 @@ pub struct Engine {
     /// set; engine swaps ([`Engine::retuned`]) build a fresh cache, which
     /// is the wholesale invalidation the PGO path needs.
     plan_cache: crate::plan_cache::PlanCache,
-    /// The specialized kernel backend ([`acrobat_codegen::backend`]), under
-    /// [`KernelBackendKind::Spec`]; `None` interprets every launch.
-    /// Engine-resident for the same reason as the plan cache: its
+    /// The kernel executor's compiled-kernel cache
+    /// ([`acrobat_codegen::backend`]).  Engine-resident for the same reason
+    /// as the plan cache: its
     /// compiled-kernel cache is shared lock-free by every pooled context,
     /// and an engine swap ([`Engine::retuned`]) builds a fresh backend,
     /// which is exactly the invalidation a retuned library needs.
-    backend: Option<SpecializedBackend>,
+    backend: SpecializedBackend,
 }
 
 impl Engine {
@@ -165,8 +153,7 @@ impl Engine {
         options: RuntimeOptions,
     ) -> Engine {
         // Empty: kernels compile on their first launch.
-        let backend = (options.backend == KernelBackendKind::Spec)
-            .then(|| SpecializedBackend::new(library.len()));
+        let backend = SpecializedBackend::new(library.len());
         let groups = analysis.blocks.blocks.iter().flat_map(|b| &b.groups);
         let units = groups.map(|g| (g.id, Unit::of(library.kernel_for_group(g.id)))).collect();
         Engine {
@@ -214,10 +201,9 @@ impl Engine {
         &self.plan_cache
     }
 
-    /// The specialized kernel backend, when the engine runs
-    /// [`KernelBackendKind::Spec`].
-    pub fn backend(&self) -> Option<&SpecializedBackend> {
-        self.backend.as_ref()
+    /// The kernel executor's compiled-kernel cache.
+    pub fn backend(&self) -> &SpecializedBackend {
+        &self.backend
     }
 
     /// Starts a fresh [`ExecutionContext`] (one mini-batch's mutable state)

@@ -87,17 +87,16 @@ pub struct RuntimeStats {
     /// broker cohorts, like [`RuntimeStats::shared_flushes`].
     #[serde(default)]
     pub solo_flushes: u64,
-    /// Launches whose selection compiled their kernel on the spot — the
-    /// kernel's first launch (specialized backend only; `0` under the
-    /// interpreter).
+    /// Launches that compiled their kernel on the spot — the kernel's
+    /// first launch.  Every other launch is a [`RuntimeStats::backend_hits`].
     #[serde(default)]
     pub backend_compiles: u64,
     /// Launches served by an already-compiled kernel.
     #[serde(default)]
     pub backend_hits: u64,
-    /// Launches the specialized backend declined and routed to the
-    /// interpreter.  Always `0`: lowering is total and nothing gates it, so
-    /// the field has no writer (`benchmark/` still reads it).
+    /// Launches routed to the interpreter instead of a compiled kernel.
+    /// Always `0`: every launch runs compiled, so the field has no writer
+    /// (the frozen benchmark harness, `benchmark/`, still reads it).
     #[serde(default)]
     pub backend_interp_falls: u64,
 
@@ -105,11 +104,9 @@ pub struct RuntimeStats {
     pub device_peak_elements: u64,
     /// Measured host wall-clock time, µs.
     pub host_wall_us: f64,
-    /// Measured wall-clock time of the kernel *execute* phase (the part a
-    /// [`acrobat_codegen::backend::Selection`] chooses: interpreter
-    /// dispatch or compiled-kernel execution, excluding prepare/gather,
-    /// scheduling and finish), µs.  This is the host time the specialized
-    /// backend attacks; the `kernel_backend` bench gates on it.
+    /// Measured wall-clock time of the kernel *execute* phase (the compiled
+    /// kernels' run, excluding prepare/gather, scheduling and finish), µs.
+    /// The `kernel_backend` bench gates on it.
     #[serde(default)]
     pub exec_wall_us: f64,
     /// Measured wall-clock time of unbatched-program execution (the

@@ -40,10 +40,10 @@ cargo test -q -p acrobat-bench --test plan_cache
 echo "==> broker isolation (cohort == solo bit-for-bit across the quick suite, chaos peers survive)"
 RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test broker_isolation
 
-echo "==> backend identity smoke (compiled by default: bit-identical to the interpreter oracle, modeled stats invariant)"
+echo "==> kernel executor smoke (each quick-suite model once in checked mode: every compiled launch bit-identical to the interpreter oracle)"
 cargo run --release -p acrobat-bench --bin kernel_backend -- --smoke
 
-echo "==> kernel backend regression tests (compiled by default, one compile per kernel at every lane count, checked mode, cache sharing, retune invalidation)"
+echo "==> kernel executor regression tests (unchecked == checked with the modeled ledger equal, one compile per kernel at every lane count, cache sharing, retune invalidation)"
 cargo test -q -p acrobat-bench --test kernel_backend
 
 echo "==> fiber determinism smoke (lane-canonical signatures invariant across worker counts)"
@@ -78,6 +78,11 @@ fi
 echo "==> one kernel-selection rule (Spec compiles a kernel on its first launch; no hotness gate, size classes or backend trait object)"
 if grep -rnE 'spec_threshold|trait KernelBackend|dyn KernelBackend|InterpBackend|NUM_SIZE_CLASSES|size_class|retuned_with_profile|fn build_backend' crates tests; then
   echo "kernel selection has nothing to tune: under Spec the first launch of a kernel compiles it, every later one reuses it"; exit 1
+fi
+
+echo "==> one kernel executor (every launch runs a compiled kernel; the interpreter is checked mode's oracle, not a backend)"
+if grep -rnE 'KernelBackendKind::Interp|Selection::|runtime\.backend' crates tests; then
+  echo "the interpreter is no longer selectable: SpecializedBackend::select returns the compiled kernel, checked mode re-executes it through execute_prepared"; exit 1
 fi
 
 echo "==> one matrix multiply (matmul_raw is the register-blocked micro-kernel; no second row-blocked copy)"

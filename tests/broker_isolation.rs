@@ -52,7 +52,9 @@ fn solo_references(
 /// Every quick-suite model: a 3-member cohort's per-member outputs equal
 /// the members' solo runs bit for bit, and (since all members share one
 /// context) at least one flush plan actually co-batched nodes across
-/// requests.
+/// requests.  The cohort runs in checked mode, so every compiled launch of
+/// its merged lane layouts — which differ from the solo layouts — is also
+/// held to the reference interpreter.
 #[test]
 fn cohort_outputs_match_solo_across_suite() {
     for spec in suite(ModelSize::Small, true) {
@@ -60,7 +62,7 @@ fn cohort_outputs_match_solo_across_suite() {
         let members = member_batches(&spec, 3, 2);
         let solo = solo_references(&model, &spec.params, &members);
 
-        let cohort_model = build(&spec, &CompileOptions::default());
+        let cohort_model = build(&spec, &CompileOptions::default().with_checked(true));
         let results = cohort_model.run_cohort(&requests(&spec, &members));
         assert_eq!(results.len(), 3, "{}: one result per member", spec.name);
         let mut shared = 0;
@@ -297,34 +299,6 @@ fn chaos_member_never_poisons_peers() {
         "cohort aborts must quarantine the shared context, saw {}",
         model.quarantined_count()
     );
-}
-
-/// The specialized kernel backend under cross-request batching: a 3-member
-/// cohort running with `backend = spec` (every launch runs compiled)
-/// demuxes to outputs bit-identical to interpreter-backend solo runs.  Cohort lane layouts differ from solo layouts, so this crosses
-/// the backend-identity contract with the co-batching-invisibility
-/// contract in one shot.
-#[test]
-fn cohort_spec_backend_matches_interp_solo() {
-    let spec = suite(ModelSize::Small, true)
-        .into_iter()
-        .find(|s| s.properties.tensor_dependent)
-        .expect("a tensor-dependent quick model");
-    use acrobat_codegen::KernelBackendKind::{Interp, Spec};
-    let reference_model = build(&spec, &CompileOptions::default().with_kernel_backend(Interp));
-    let members = member_batches(&spec, 3, 2);
-    let solo = solo_references(&reference_model, &spec.params, &members);
-
-    let cohort_model = build(&spec, &CompileOptions::default().with_kernel_backend(Spec));
-    let results = cohort_model.run_cohort(&requests(&spec, &members));
-    for (m, result) in results.into_iter().enumerate() {
-        let result = result.unwrap_or_else(|e| panic!("spec cohort member {m} failed: {e}"));
-        assert_outputs_equal(&spec, &solo[m], &result.outputs, "spec cohort member");
-    }
-    let agg = cohort_model.stats();
-    assert!(agg.shared_flushes > 0, "cohort co-batched across requests");
-    assert!(agg.backend_compiles + agg.backend_hits > 0, "cohort ran compiled kernels");
-    assert_eq!(agg.backend_interp_falls, 0, "the spec backend never falls back");
 }
 
 /// The background broker queue (`RuntimeOptions::broker`): concurrent

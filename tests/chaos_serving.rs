@@ -34,17 +34,12 @@ use acrobat_tensor::TensorError;
 /// default.  Both the chaos model and the fault-free reference use these,
 /// so outputs are comparable bit for bit.  `plan_cache` turns on
 /// flush-plan memoization (the reference stays cache-off, so survivor
-/// equality also proves cache-on ≡ cache-off);
-/// `spec_backend` runs the chaos model on the specialized kernel backend
-/// and otherwise on the reference interpreter (the reference always stays
-/// on the interpreter, so survivor equality also proves spec ≡ interp
-/// under chaos).
-fn chaos_options(plan_cache: bool, spec_backend: bool) -> CompileOptions {
-    use acrobat_codegen::KernelBackendKind::{Interp, Spec};
+/// equality also proves cache-on ≡ cache-off).
+fn chaos_options(plan_cache: bool) -> CompileOptions {
     let mut options = CompileOptions::default();
     options.runtime.max_retries = 3;
     options.runtime.plan_cache = plan_cache;
-    options.with_kernel_backend(if spec_backend { Spec } else { Interp })
+    options
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -95,14 +90,14 @@ fn chaos_round(
     runs_per_thread: usize,
     seed: u64,
     plan_cache: bool,
-    spec_backend: bool,
 ) {
-    let options = chaos_options(plan_cache, spec_backend);
-    // Fault-free serial reference on a separate cache-off, interpreter-only
-    // model, so the chaos model's outcome ledger stays exactly the chaos
-    // traffic — and, with `plan_cache` or `spec_backend`, survivors
-    // additionally prove cache-on ≡ cache-off and spec ≡ interp.
-    let reference_model = build(spec, &chaos_options(false, false));
+    let options = chaos_options(plan_cache);
+    // Fault-free serial reference on a separate cache-off, checked model,
+    // so the chaos model's outcome ledger stays exactly the chaos traffic
+    // and its outputs are the interpreter's bits (checked mode re-executes
+    // every compiled launch through it) — survivors additionally prove
+    // compiled ≡ interpreter and, with `plan_cache`, cache-on ≡ cache-off.
+    let reference_model = build(spec, &chaos_options(false).with_checked(true));
     let instances = (spec.make_instances)(0xC8A0, 4);
     let reference =
         reference_model.run(&spec.params, &instances).expect("fault-free reference").outputs;
@@ -249,14 +244,12 @@ fn chaos_round(
     sum_eq!(plan_cache_evictions);
     sum_eq!(backend_compiles);
     sum_eq!(backend_hits);
-    sum_eq!(backend_interp_falls);
-    if spec_backend {
-        assert!(
-            agg.backend_compiles + agg.backend_hits > 0,
-            "{}: the spec-backend round actually ran compiled kernels",
-            spec.name
-        );
-    }
+    assert_eq!(
+        agg.backend_compiles + agg.backend_hits,
+        agg.kernel_launches,
+        "{}: every completed launch ran a compiled kernel",
+        spec.name
+    );
 
     // The model stays healthy after the storm.
     let after = model.run(&spec.params, &instances).expect("run after chaos").outputs;
@@ -264,19 +257,23 @@ fn chaos_round(
 }
 
 /// Chaos over the sequential recursive model (TreeLSTM: no
-/// tensor-dependent control flow, pure flush-path lifecycle).
+/// tensor-dependent control flow, pure flush-path lifecycle).  Survivors
+/// (including storm-hit requests rescued by retry) stay bit-for-bit the
+/// checked reference's, and aborted flushes roll the compile/hit launch
+/// counters back with the rest of the per-run statistics.
 #[test]
 fn chaos_serving_sequential_model() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0001, false, false);
+    chaos_round(&spec, 4, 6, 0xC0A5_0001, false);
 }
 
 /// Chaos over the fiber-mode model (DRNN: tensor-dependent control flow,
-/// so cancellation/deadline/fault poison must drain suspended fibers).
+/// so cancellation/deadline/fault poison must drain suspended fibers)
+/// while concurrent requests race on the shared compiled-kernel cache.
 #[test]
 fn chaos_serving_fiber_model() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0002, false, false);
+    chaos_round(&spec, 3, 4, 0xC0A5_0002, false);
 }
 
 /// The sequential-model chaos round with flush-plan memoization on: every
@@ -286,34 +283,14 @@ fn chaos_serving_fiber_model() {
 #[test]
 fn chaos_serving_sequential_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0005, true, false);
+    chaos_round(&spec, 4, 6, 0xC0A5_0005, true);
 }
 
 /// The fiber-model chaos round with flush-plan memoization on.
 #[test]
 fn chaos_serving_fiber_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0006, true, false);
-}
-
-/// The sequential-model chaos round on the specialized kernel backend:
-/// survivors (including storm-hit requests rescued by retry) must stay
-/// bit-for-bit identical to the *interpreter* fault-free reference, and
-/// aborted flushes must roll the backend launch counters back with the
-/// rest of the per-run statistics.
-#[test]
-fn chaos_serving_sequential_model_spec_backend() {
-    let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0007, false, true);
-}
-
-/// The fiber-model chaos round on the specialized kernel backend:
-/// concurrent requests race on the shared compiled-kernel cache while
-/// disruptions poison suspended fibers.
-#[test]
-fn chaos_serving_fiber_model_spec_backend() {
-    let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0008, false, true);
+    chaos_round(&spec, 3, 4, 0xC0A5_0006, true);
 }
 
 /// Aggregate-stat spot check reused from the storm path: a storm-heavy
@@ -323,10 +300,10 @@ fn chaos_serving_fiber_model_spec_backend() {
 #[test]
 fn serial_fault_storm_sweep_is_classified_and_consistent() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    let model = build(&spec, &chaos_options(false, false));
+    let model = build(&spec, &chaos_options(false));
     let instances = (spec.make_instances)(0x5707, 3);
     let reference = {
-        let clean = build(&spec, &chaos_options(false, false));
+        let clean = build(&spec, &chaos_options(false).with_checked(true));
         clean.run(&spec.params, &instances).expect("reference").outputs
     };
 

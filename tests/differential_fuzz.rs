@@ -3,11 +3,11 @@
 //!
 //! Every generated program must agree **bit-for-bit** across: the host
 //! reference evaluator, every `config_matrix()` entry — both schedulers ×
-//! gather-fusion × coarsening × plan-cache {off, on} × broker {off, on} ×
-//! kernel backend {interp, spec} in checked mode (every cache hit is gated
-//! by the cached ≡ freshly-scheduled invariant, broker-on routes through
-//! `BatchBroker::submit` + the cohort path, and spec-backend launches are
-//! each re-executed through the interpreter and bit-compared) plus
+//! gather-fusion × coarsening × plan-cache {off, on} × broker {off, on} in
+//! checked mode (every cache hit is gated by the cached ≡
+//! freshly-scheduled invariant, broker-on routes through
+//! `BatchBroker::submit` + the cohort path, and every compiled launch is
+//! re-executed through the reference interpreter and bit-compared) plus
 //! unbatched eager execution — a two-member `run_cohort` split of the
 //! instance stream, and the DyNet-sim baseline.  Every random DAG workload
 //! must agree across every `dag_config_matrix()` entry and checked eager
