@@ -33,10 +33,9 @@ use crate::spec::CompiledKernel;
 /// (`benchmark/src/profiles.rs`) still names it through
 /// `CompileOptions::with_kernel_backend`, its last caller; the harness
 /// change that retires that file deletes both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum KernelBackendKind {
     /// Compiled execution.
-    #[default]
     Spec,
 }
 
