@@ -44,6 +44,11 @@ use acrobat_models::{ModelSize, ModelSpec};
 /// Instance batch sizes per request (the steady-state sweep).
 const BATCH_SIZES: [usize; 2] = [8, 64];
 
+/// Unmeasured runs before timing (they absorb the first-launch compiles),
+/// then measured runs per row.
+const WARMUP: usize = 4;
+const REPEATS: usize = 31;
+
 /// [`host`] as it reads on the machine [`SPEC_KEXEC_BOUND_MS`] was
 /// recorded on.
 const RECORDED_HOST: &str = "2 CPUs, x86_64, matmul avx512f";
@@ -88,21 +93,19 @@ fn build(spec: &ModelSpec, checked: bool) -> Model {
 }
 
 /// Median (kernel-execute wall ms, flush host wall ms, end-to-end wall ms)
-/// over `repeats` steady-state runs (after `warmup` unmeasured runs).
+/// over [`REPEATS`] steady-state runs (after [`WARMUP`] unmeasured runs).
 fn measure(
     model: &Model,
     spec: &ModelSpec,
     instances: &[Vec<acrobat_vm::InputValue>],
-    warmup: usize,
-    repeats: usize,
 ) -> (f64, f64, f64) {
-    for _ in 0..warmup {
+    for _ in 0..WARMUP {
         model.run(&spec.params, instances).expect("warmup run");
     }
-    let mut kexec = Vec::with_capacity(repeats);
-    let mut flush = Vec::with_capacity(repeats);
-    let mut e2e = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
+    let mut kexec = Vec::with_capacity(REPEATS);
+    let mut flush = Vec::with_capacity(REPEATS);
+    let mut e2e = Vec::with_capacity(REPEATS);
+    for _ in 0..REPEATS {
         let t0 = Instant::now();
         let r = model.run(&spec.params, instances).expect("measured run");
         e2e.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -132,7 +135,6 @@ fn median(xs: &mut [f64]) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (warmup, repeats) = (4, 31);
 
     let mut rows: Vec<Row> = Vec::new();
     for spec in suite(ModelSize::Small, true) {
@@ -147,7 +149,7 @@ fn main() {
         for &batch in &BATCH_SIZES {
             let instances = (spec.make_instances)(0xBE2C ^ batch as u64, batch);
             let model = build(&spec, false);
-            let (kexec_ms, flush_ms, e2e_ms) = measure(&model, &spec, &instances, warmup, repeats);
+            let (kexec_ms, flush_ms, e2e_ms) = measure(&model, &spec, &instances);
             let compiled = model.executable().session.engine().backend().compiled_count();
             assert!(compiled > 0, "{}: nothing compiled", spec.name);
             rows.push(Row { model: spec.name, batch, kexec_ms, flush_ms, e2e_ms, compiled });
@@ -165,7 +167,7 @@ fn main() {
         .unwrap();
     writeln!(
         out,
-        "# Host: {}; median of {repeats} steady-state runs after {warmup} warmups \
+        "# Host: {}; median of {REPEATS} steady-state runs after {WARMUP} warmups \
          (warmup absorbs the first-launch compiles).",
         host()
     )

@@ -67,9 +67,10 @@ pub struct ExecutionContext {
     /// non-cohort run — leaves both counters at zero.
     instance_partition: Option<Vec<usize>>,
     /// Kernel-executor working memory (compiled-path flat scratch and
-    /// tiles, checked mode's snapshot and oracle registers), one per lane range a
-    /// launch was ever split into (`[0]`: the flushing thread's), kept across
-    /// launches so the steady-state execute phase performs no allocations.
+    /// tiles, checked mode's snapshot and oracle registers), one per lane
+    /// range a launch was ever split into (`[0]`: the flushing thread's),
+    /// kept across launches so the steady-state execute phase performs no
+    /// allocations.
     backend_scratch: Vec<BackendScratch>,
 }
 
@@ -703,8 +704,9 @@ pub fn cores() -> usize {
 }
 
 /// The lane-split policy: how many lane ranges one launch's execute phase
-/// runs as ([`acrobat_codegen::CompiledKernel::execute_lanes`]) — a function of the launch's own
-/// `flops` and lane count and of [`cores`], never of an option.
+/// runs as ([`acrobat_codegen::CompiledKernel::execute_lanes`]) — a
+/// function of the launch's own `flops` and lane count and of [`cores`],
+/// never of an option.
 pub fn lane_parts(flops: u64, lanes: usize) -> usize {
     if flops < SPLIT_MIN_FLOPS {
         return 1;

@@ -137,10 +137,9 @@ pub struct Engine {
     plan_cache: crate::plan_cache::PlanCache,
     /// The kernel executor's compiled-kernel cache
     /// ([`acrobat_codegen::backend`]).  Engine-resident for the same reason
-    /// as the plan cache: its
-    /// compiled-kernel cache is shared lock-free by every pooled context,
-    /// and an engine swap ([`Engine::retuned`]) builds a fresh backend,
-    /// which is exactly the invalidation a retuned library needs.
+    /// as the plan cache: it is shared lock-free by every pooled context,
+    /// and an engine swap ([`Engine::retuned`]) builds a fresh one, which
+    /// is exactly the invalidation a retuned library needs.
     backend: SpecializedBackend,
 }
 
