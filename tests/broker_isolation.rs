@@ -301,6 +301,38 @@ fn chaos_member_never_poisons_peers() {
     );
 }
 
+/// The compiled kernels under cross-request batching: a 3-member cohort
+/// running unchecked (every launch runs compiled, nothing re-executed)
+/// demuxes to outputs bit-identical to solo runs of the checked oracle,
+/// whose outputs are the interpreter's bits.  Cohort lane layouts differ
+/// from solo layouts, so this crosses the compiled ≡ interpreter contract
+/// with the co-batching-invisibility contract in one shot.
+#[test]
+fn cohort_spec_backend_matches_interp_solo() {
+    let spec = suite(ModelSize::Small, true)
+        .into_iter()
+        .find(|s| s.properties.tensor_dependent)
+        .expect("a tensor-dependent quick model");
+    let reference_model = build(&spec, &CompileOptions::default().with_checked(true));
+    let members = member_batches(&spec, 3, 2);
+    let solo = solo_references(&reference_model, &spec.params, &members);
+
+    let cohort_model = build(&spec, &CompileOptions::default());
+    let results = cohort_model.run_cohort(&requests(&spec, &members));
+    for (m, result) in results.into_iter().enumerate() {
+        let result = result.unwrap_or_else(|e| panic!("cohort member {m} failed: {e}"));
+        assert_outputs_equal(&spec, &solo[m], &result.outputs, "unchecked cohort member");
+    }
+    let agg = cohort_model.stats();
+    assert!(agg.shared_flushes > 0, "cohort co-batched across requests");
+    assert!(agg.backend_compiles > 0, "cohort ran compiled kernels");
+    assert_eq!(
+        agg.backend_compiles + agg.backend_hits,
+        agg.kernel_launches,
+        "every launch compiled"
+    );
+}
+
 /// The background broker queue (`RuntimeOptions::broker`): concurrent
 /// `run` calls routed through `BatchBroker::submit` return bit-identical
 /// outputs to a broker-off model, and every request passes through exactly

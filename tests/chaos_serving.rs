@@ -84,14 +84,16 @@ struct Tally {
 }
 
 /// One chaos round over one model spec; asserts all lifecycle properties.
+/// `checked` runs the chaos model itself in checked mode.
 fn chaos_round(
     spec: &ModelSpec,
     threads: usize,
     runs_per_thread: usize,
     seed: u64,
     plan_cache: bool,
+    checked: bool,
 ) {
-    let options = chaos_options(plan_cache);
+    let options = chaos_options(plan_cache).with_checked(checked);
     // Fault-free serial reference on a separate cache-off, checked model,
     // so the chaos model's outcome ledger stays exactly the chaos traffic
     // and its outputs are the interpreter's bits (checked mode re-executes
@@ -264,7 +266,7 @@ fn chaos_round(
 #[test]
 fn chaos_serving_sequential_model() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0001, false);
+    chaos_round(&spec, 4, 6, 0xC0A5_0001, false, false);
 }
 
 /// Chaos over the fiber-mode model (DRNN: tensor-dependent control flow,
@@ -273,7 +275,7 @@ fn chaos_serving_sequential_model() {
 #[test]
 fn chaos_serving_fiber_model() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0002, false);
+    chaos_round(&spec, 3, 4, 0xC0A5_0002, false, false);
 }
 
 /// The sequential-model chaos round with flush-plan memoization on: every
@@ -283,14 +285,36 @@ fn chaos_serving_fiber_model() {
 #[test]
 fn chaos_serving_sequential_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    chaos_round(&spec, 4, 6, 0xC0A5_0005, true);
+    chaos_round(&spec, 4, 6, 0xC0A5_0005, true, false);
 }
 
 /// The fiber-model chaos round with flush-plan memoization on.
 #[test]
 fn chaos_serving_fiber_model_plan_cache() {
     let spec = suite(ModelSize::Small, true).remove(4);
-    chaos_round(&spec, 3, 4, 0xC0A5_0006, true);
+    chaos_round(&spec, 3, 4, 0xC0A5_0006, true, false);
+}
+
+/// The sequential-model chaos round with the chaos model itself in checked
+/// mode: every compiled launch it makes — including those of storm-hit
+/// flushes that abort and retry — is re-executed through the interpreter
+/// and bit-compared, survivors stay bit-for-bit the reference's, and
+/// aborted flushes roll the compile/hit launch counters back with the rest
+/// of the per-run statistics.
+#[test]
+fn chaos_serving_sequential_model_spec_backend() {
+    let spec = suite(ModelSize::Small, true).remove(0);
+    chaos_round(&spec, 4, 6, 0xC0A5_0007, false, true);
+}
+
+/// The fiber-model chaos round with the chaos model in checked mode:
+/// concurrent requests race on the shared compiled-kernel cache while
+/// disruptions poison suspended fibers, and every compiled launch is held
+/// to the interpreter.
+#[test]
+fn chaos_serving_fiber_model_spec_backend() {
+    let spec = suite(ModelSize::Small, true).remove(4);
+    chaos_round(&spec, 3, 4, 0xC0A5_0008, false, true);
 }
 
 /// Aggregate-stat spot check reused from the storm path: a storm-heavy
