@@ -3,11 +3,12 @@
 //! Batched kernel launches always go through two phases: *preparation*
 //! ([`crate::exec::prepare_batched_kernel_with`] — sequential, performs the
 //! gather/allocation effects) and *execution* (pure per-lane compute, which
-//! [`CompiledKernel::execute_lanes`] can split across threads by lane
-//! range).  Execution always runs a compiled kernel: [`SpecializedBackend`]
-//! is a compile-once cache — a kernel is lowered on its first launch into a
-//! monomorphized allocation-free [`CompiledKernel`] and every later launch
-//! of any lane count reuses it.  Lowering one kernel costs about a
+//! [`CompiledKernel::execute_lanes`] can split by lane range across the
+//! parked helper threads of a [`LaneExecutor`]).  Execution always runs a
+//! compiled kernel: [`SpecializedBackend`] is a compile-once cache — a
+//! kernel is lowered on its first launch into a monomorphized
+//! allocation-free [`CompiledKernel`] and every later launch of any lane
+//! count reuses it.  Lowering one kernel costs about a
 //! microsecond (DESIGN §11), so nothing rations it.
 //!
 //! The reference per-instruction interpreter
@@ -25,6 +26,8 @@ use acrobat_tensor::TensorError;
 use crate::exec::{execute_prepared, ExecScratch, PreparedLaunch};
 use crate::kernel::KernelProgram;
 use crate::spec::CompiledKernel;
+
+mod helpers;
 
 /// The kernel executor, of which there is one: every launch runs a
 /// compiled kernel ([`SpecializedBackend`]).
@@ -70,15 +73,17 @@ impl CompiledKernel {
     /// Runs the whole execution phase of a prepared launch, split into
     /// `parts` contiguous lane ranges (clamped to `1..=lanes`).
     ///
-    /// The calling thread takes range 0 with `scratch[0]`; ranges
-    /// `1..parts` run on scoped threads with `scratch[1..parts]` (grown on
-    /// first use and kept by the caller, so a steady-state split allocates
-    /// no working memory).  Each range writes its own slice of the
-    /// launch's reserved outputs and reads only data produced before the
-    /// launch — the [`ExecView`] contract — so the arena contents are
-    /// bit-identical for every `parts`.  Every range runs to completion;
-    /// when several fail, the lowest range's error is returned, whatever
-    /// the thread timing.
+    /// The calling thread takes range 0 with `exec`'s own scratch; ranges
+    /// `1..parts` run on `exec`'s helper threads, each with its own
+    /// (started on `exec`'s first split launch and parked between
+    /// launches, so a steady-state split spawns nothing and allocates no
+    /// working memory).  Each range writes its own slice of the launch's
+    /// reserved outputs and reads only data produced before the launch —
+    /// the [`ExecView`] contract — so the arena contents are bit-identical
+    /// for every `parts`.  Every range runs to completion; when several
+    /// fail, the lowest range's error is returned, whatever the thread
+    /// timing, and a helper's panic (a checked-mode divergence) is
+    /// re-raised on the caller with its own message.
     ///
     /// # Errors
     ///
@@ -89,38 +94,33 @@ impl CompiledKernel {
         program: &KernelProgram,
         prep: &PreparedLaunch,
         parts: usize,
-        scratch: &mut Vec<BackendScratch>,
+        exec: &mut LaneExecutor,
         checked: bool,
     ) -> Result<(), TensorError> {
         let lanes = prep.batch;
         let parts = parts.clamp(1, lanes);
-        if scratch.len() < parts {
-            scratch.resize_with(parts, BackendScratch::default);
-        }
-        let (own, helpers) = scratch.split_first_mut().expect("parts >= 1");
         if parts == 1 {
-            return self.execute(view, program, prep, 0..lanes, own, checked);
+            return self.execute(view, program, prep, 0..lanes, &mut exec.scratch, checked);
         }
         // Even contiguous split; every range is non-empty as parts <= lanes.
         let range = move |p: usize| p * lanes / parts..(p + 1) * lanes / parts;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = helpers[..parts - 1]
-                .iter_mut()
-                .enumerate()
-                .map(|(i, s)| {
-                    scope.spawn(move || self.execute(view, program, prep, range(i + 1), s, checked))
-                })
-                .collect();
-            let mut result = self.execute(view, program, prep, range(0), own, checked);
-            // Joined in range order, so the first error kept is the lowest
-            // range's.  A helper's panic (a checked-mode divergence) is
-            // re-raised with its own message.
-            for handle in handles {
-                result = result.and(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-            result
-        })
+        let job = |p: usize, scratch: &mut BackendScratch| {
+            self.execute(view, program, prep, range(p), scratch, checked)
+        };
+        exec.helpers.run(parts, &mut exec.scratch, &job)
     }
+}
+
+/// What one execution context keeps for the execute phase across launches:
+/// its own working memory, which runs every launch's range 0, and the
+/// helper threads that run ranges `1..parts` of a split launch
+/// ([`CompiledKernel::execute_lanes`]).  The helpers are started on the
+/// first split launch, park between launches and are joined on drop.
+#[derive(Debug, Default)]
+pub struct LaneExecutor {
+    /// The calling thread's working memory.
+    pub scratch: BackendScratch,
+    helpers: helpers::LaneHelpers,
 }
 
 /// Snapshots the compiled outputs for `lane_range`, re-executes through the
@@ -172,10 +172,10 @@ fn verify_against_interp(
 
 /// Reusable per-thread working memory for the execution phase.
 ///
-/// An execution context keeps one instance per lane range it has ever
-/// split a launch into ([`CompiledKernel::execute_lanes`]), so a warm
-/// execute phase allocates nothing: the compiled kernel's flat scratch,
-/// tiles and materialized inputs (each bounded by the kernel's footprint ×
+/// An execution context keeps one for its own thread and each of its
+/// helpers keeps one ([`LaneExecutor`]), so a warm execute phase allocates
+/// nothing: the compiled kernel's flat scratch, tiles and materialized
+/// inputs (each bounded by the kernel's footprint ×
 /// [`crate::spec::LANE_BLOCK`], whatever the launch width) and checked
 /// mode's snapshot and interpreter registers all persist across launches.
 #[derive(Debug, Default)]

@@ -37,7 +37,7 @@ pub mod library;
 pub mod spec;
 
 pub use autosched::{autoschedule, Schedule, ScheduleOptions};
-pub use backend::{BackendScratch, KernelBackendKind, SpecializedBackend};
+pub use backend::{BackendScratch, KernelBackendKind, LaneExecutor, SpecializedBackend};
 pub use exec::{
     execute_prepared, finish_prepared, prepare_batched_kernel_with, run_batched_kernel_with,
     BatchMode, ExecScratch, KernelLaunchStats, PreparedLaunch,

@@ -9,8 +9,8 @@
 
 use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
 use acrobat_codegen::{
-    execute_prepared, finish_prepared, prepare_batched_kernel_with, BackendScratch, BatchMode,
-    CompiledKernel, KernelId, KernelLibrary, KernelProgram, SpecializedBackend,
+    execute_prepared, finish_prepared, prepare_batched_kernel_with, BatchMode, CompiledKernel,
+    KernelId, KernelLibrary, KernelProgram, LaneExecutor, SpecializedBackend,
 };
 use acrobat_ir::{parse_module, typeck};
 use acrobat_tensor::{DeviceMem, DeviceTensor, Shape, Tensor};
@@ -48,7 +48,7 @@ fn launch_bits(
     lanes: usize,
     parts: usize,
     seed: u64,
-    scratch: &mut Vec<BackendScratch>,
+    exec: &mut LaneExecutor,
 ) -> Vec<u32> {
     let mut mem = DeviceMem::new(1 << 20);
     let value = |slot: usize, lane: usize, i: usize| {
@@ -85,14 +85,13 @@ fn launch_bits(
         .unwrap();
     let view = mem.exec_view();
     match kernel {
-        Some(kernel) => kernel.execute_lanes(&view, program, &prep, parts, scratch, true).unwrap(),
+        Some(kernel) => kernel.execute_lanes(&view, program, &prep, parts, exec, true).unwrap(),
         None => {
             // The even split `execute_lanes` makes, one range after another.
             let parts = parts.clamp(1, lanes);
-            scratch.resize_with(scratch.len().max(1), BackendScratch::default);
             for p in 0..parts {
                 let range = p * lanes / parts..(p + 1) * lanes / parts;
-                execute_prepared(&view, program, &prep, range, &mut scratch[0].interp).unwrap();
+                execute_prepared(&view, program, &prep, range, &mut exec.scratch.interp).unwrap();
             }
         }
     }
@@ -115,13 +114,14 @@ fn assert_splits_match_one_range(
         let (compiled, fresh) = backend.select(program);
         assert!(fresh, "the first launch compiles");
         for (executor, kernel) in [("interpreter", None), ("compiled", Some(compiled))] {
-            // One scratch set across all splits: ranges reuse whatever
-            // an earlier, differently shaped split left behind.
-            let mut scratch = Vec::new();
-            let whole = launch_bits(program, kernel, lanes, 1, seed, &mut scratch);
+            // One executor across all splits: ranges reuse the helpers
+            // and whatever an earlier, differently shaped split left in
+            // their scratch.
+            let mut exec = LaneExecutor::default();
+            let whole = launch_bits(program, kernel, lanes, 1, seed, &mut exec);
             assert!(!whole.is_empty());
             for parts in 2..=4 {
-                let split = launch_bits(program, kernel, lanes, parts, seed, &mut scratch);
+                let split = launch_bits(program, kernel, lanes, parts, seed, &mut exec);
                 if split != whole {
                     return Err(format!(
                         "kernel {} lanes {lanes} parts {parts} ({executor})",
@@ -164,5 +164,46 @@ proptest! {
     ) {
         let outcome = assert_splits_match_one_range(width, &ops, lanes, seed);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+/// Two executors splitting launches of the same compiled kernel at the
+/// same time — two contexts, each with its own parked helpers — leave the
+/// bits one range leaves, launch after launch.
+#[test]
+fn concurrent_executors_same_bits() {
+    const LANES: usize = 40;
+    let lib = random_library(2, &[5, 1, 4, 5, 2]);
+    let backend = SpecializedBackend::new(lib.len());
+    for k in 0..lib.len() {
+        let program = lib.kernel(KernelId(k as u32));
+        let (compiled, _) = backend.select(program);
+        let want = launch_bits(program, Some(compiled), LANES, 1, 7, &mut LaneExecutor::default());
+        std::thread::scope(|s| {
+            let contexts: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut exec = LaneExecutor::default();
+                        (0..12)
+                            .map(|round| {
+                                launch_bits(
+                                    program,
+                                    Some(compiled),
+                                    LANES,
+                                    2 + round % 3,
+                                    7,
+                                    &mut exec,
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for context in contexts {
+                for (round, bits) in context.join().unwrap().into_iter().enumerate() {
+                    assert_eq!(bits, want, "kernel {} round {round}", program.name);
+                }
+            }
+        });
     }
 }

@@ -319,40 +319,38 @@ impl Parser {
         })
     }
 
+    /// Parses a statement sequence into its `let` spine.  The spine is a
+    /// loop, not a recursion, so its length is not nesting: the bindings
+    /// are collected in order and folded from the tail, which assigns
+    /// expression ids in the same (innermost-`Let`-first) order a
+    /// recursive descent would.
     fn parse_stmts(&mut self) -> Result<Expr> {
-        if self.eat(&Tok::KwLet) {
-            let pat = self.parse_pattern()?;
-            self.expect(&Tok::Assign, "`=`")?;
-            let value = self.parse_expr()?;
-            self.expect(&Tok::Semi, "`;` after let")?;
-            let body = self.parse_stmts()?;
-            return Ok(self.mk(ExprKind::Let {
-                pat,
-                value: Box::new(value),
-                body: Box::new(body),
-            }));
-        }
-        if self.at(&Tok::KwPhase) && self.peek2() == &Tok::Semi {
-            self.bump();
-            self.bump();
-            let marker = self.mk(ExprKind::PhaseBoundary);
-            let body = self.parse_stmts()?;
-            return Ok(self.mk(ExprKind::Let {
-                pat: Pattern::Wildcard,
-                value: Box::new(marker),
-                body: Box::new(body),
-            }));
-        }
-        let e = self.parse_expr()?;
-        if self.eat(&Tok::Semi) {
-            let body = self.parse_stmts()?;
-            return Ok(self.mk(ExprKind::Let {
-                pat: Pattern::Wildcard,
-                value: Box::new(e),
-                body: Box::new(body),
-            }));
-        }
-        Ok(e)
+        let mut bindings: Vec<(Pattern, Expr)> = Vec::new();
+        let tail = loop {
+            if self.eat(&Tok::KwLet) {
+                let pat = self.parse_pattern()?;
+                self.expect(&Tok::Assign, "`=`")?;
+                let value = self.parse_expr()?;
+                self.expect(&Tok::Semi, "`;` after let")?;
+                bindings.push((pat, value));
+                continue;
+            }
+            if self.at(&Tok::KwPhase) && self.peek2() == &Tok::Semi {
+                self.bump();
+                self.bump();
+                let marker = self.mk(ExprKind::PhaseBoundary);
+                bindings.push((Pattern::Wildcard, marker));
+                continue;
+            }
+            let e = self.parse_expr()?;
+            if !self.eat(&Tok::Semi) {
+                break e;
+            }
+            bindings.push((Pattern::Wildcard, e));
+        };
+        Ok(bindings.into_iter().rev().fold(tail, |body, (pat, value)| {
+            self.mk(ExprKind::Let { pat, value: Box::new(value), body: Box::new(body) })
+        }))
     }
 
     fn parse_pattern(&mut self) -> Result<Pattern> {

@@ -87,6 +87,10 @@ pub fn check_module(mut module: Module) -> Result<Module> {
     Ok(module)
 }
 
+/// The bindings one `let` pattern shadowed: each name with the type it
+/// had before, restored when the binding's scope ends.
+type Shadowed = Vec<(String, Option<Type>)>;
+
 struct Ctx<'a> {
     adts: &'a BTreeMap<String, Adt>,
     fn_sigs: &'a BTreeMap<String, (Vec<Type>, Type)>,
@@ -256,7 +260,59 @@ impl<'a> Ctx<'a> {
         ty
     }
 
+    /// Checks a `let` spine as a loop: its length is not nesting, and one
+    /// `check` frame per binding overflows a 2 MiB stack within a few
+    /// dozen bindings in debug builds.  Values are checked and patterns
+    /// bound in order, then the tail; the bindings are then unwound
+    /// innermost first, each `Let` taking its body's type — the same
+    /// fresh variables, unifications and recorded types, in the same
+    /// order, as a recursion.
+    fn check_let_spine(
+        &mut self,
+        expr: &mut Expr,
+        env: &mut HashMap<String, Type>,
+    ) -> Result<Type> {
+        let mut frames: Vec<(ExprId, Shadowed)> = Vec::new();
+        let mut cur = expr;
+        while matches!(cur.kind, ExprKind::Let { .. }) {
+            let id = cur.id;
+            let ExprKind::Let { pat, value, body } = &mut cur.kind else { unreachable!() };
+            let vty = self.check(value, env)?;
+            let mut shadowed = Shadowed::new();
+            match pat {
+                Pattern::Var(name) => {
+                    shadowed.push((name.clone(), env.insert(name.clone(), vty)));
+                }
+                Pattern::Wildcard => {}
+                Pattern::Tuple(names) => {
+                    let parts: Vec<Type> = (0..names.len()).map(|_| self.fresh()).collect();
+                    self.unify(&vty, &Type::Tuple(parts.clone()))
+                        .map_err(|e| self.error(format!("tuple pattern: {e}")))?;
+                    for (n, t) in names.iter().zip(parts) {
+                        shadowed.push((n.clone(), env.insert(n.clone(), t)));
+                    }
+                }
+            }
+            frames.push((id, shadowed));
+            cur = body;
+        }
+        let mut ty = self.check(cur, env)?;
+        for (id, shadowed) in frames.into_iter().rev() {
+            for (name, old) in shadowed {
+                match old {
+                    Some(t) => env.insert(name, t),
+                    None => env.remove(&name),
+                };
+            }
+            ty = self.record(id, ty);
+        }
+        Ok(ty)
+    }
+
     fn check(&mut self, expr: &mut Expr, env: &mut HashMap<String, Type>) -> Result<Type> {
+        if matches!(expr.kind, ExprKind::Let { .. }) {
+            return self.check_let_spine(expr, env);
+        }
         let id = expr.id;
         let ty = match &mut expr.kind {
             ExprKind::Var(name) => env
@@ -279,32 +335,7 @@ impl<'a> Ctx<'a> {
                 }
                 Type::Int
             }
-            ExprKind::Let { pat, value, body } => {
-                let vty = self.check(value, env)?;
-                let mut shadowed: Vec<(String, Option<Type>)> = Vec::new();
-                match pat {
-                    Pattern::Var(name) => {
-                        shadowed.push((name.clone(), env.insert(name.clone(), vty)));
-                    }
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(names) => {
-                        let parts: Vec<Type> = (0..names.len()).map(|_| self.fresh()).collect();
-                        self.unify(&vty, &Type::Tuple(parts.clone()))
-                            .map_err(|e| self.error(format!("tuple pattern: {e}")))?;
-                        for (n, t) in names.iter().zip(parts) {
-                            shadowed.push((n.clone(), env.insert(n.clone(), t)));
-                        }
-                    }
-                }
-                let bty = self.check(body, env)?;
-                for (name, old) in shadowed {
-                    match old {
-                        Some(t) => env.insert(name, t),
-                        None => env.remove(&name),
-                    };
-                }
-                bty
-            }
+            ExprKind::Let { .. } => unreachable!("let spines are checked by check_let_spine"),
             ExprKind::If { cond, then, els } => {
                 let cty = self.check(cond, env)?;
                 self.unify(&cty, &Type::Bool)

@@ -41,3 +41,28 @@ fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
     let lists = format!("%x: {}Int{}", "List[".repeat(1_000_000), "]".repeat(1_000_000));
     assert_nesting_error(&main_with(&lists, "Int", "1"), "type arguments");
 }
+
+/// A `let` spine is a sequence, not nesting: 2 000 chained `let`s parse,
+/// type-check and drop on a thread with a 2 MiB stack.
+#[test]
+fn let_spine_2000_deep() {
+    const LETS: usize = 2_000;
+    let mut body = String::from("let %v0 = relu(%x);\n");
+    for i in 1..LETS {
+        body.push_str(&format!("let %v{i} = relu(%v{});\n", i - 1));
+    }
+    body.push_str(&format!("%v{}", LETS - 1));
+    let src = main_with("%x: Tensor[(1, 2)]", "Tensor[(1, 2)]", &body);
+    let outcome = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let module = parse_module(&src).map_err(|e| e.to_string())?;
+            let module = typeck::check_module(module).map_err(|e| e.to_string())?;
+            drop(module);
+            Ok::<(), String>(())
+        })
+        .expect("spawns")
+        .join()
+        .expect("no panic");
+    assert_eq!(outcome, Ok(()));
+}

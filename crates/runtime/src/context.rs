@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use acrobat_analysis::fusion::GroupId;
-use acrobat_codegen::backend::BackendScratch;
+use acrobat_codegen::backend::LaneExecutor;
 use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
 use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
 
@@ -66,12 +66,13 @@ pub struct ExecutionContext {
     /// as shared (its plan touched ≥ 2 members) or solo; `None` — every
     /// non-cohort run — leaves both counters at zero.
     instance_partition: Option<Vec<usize>>,
-    /// Kernel-executor working memory (compiled-path flat scratch and
-    /// tiles, checked mode's snapshot and oracle registers), one per lane
-    /// range a launch was ever split into (`[0]`: the flushing thread's),
-    /// kept across launches so the steady-state execute phase performs no
-    /// allocations.
-    backend_scratch: Vec<BackendScratch>,
+    /// Kernel-executor state kept across launches: the flushing thread's
+    /// working memory (compiled-path flat scratch and tiles, checked
+    /// mode's snapshot and oracle registers) and the lane-split helper
+    /// threads, each with its own — started on this context's first split
+    /// launch, parked between launches, joined when the context drops.  So
+    /// the steady-state execute phase allocates nothing and spawns nothing.
+    lanes: LaneExecutor,
 }
 
 impl ExecutionContext {
@@ -94,7 +95,7 @@ impl ExecutionContext {
             cancel: None,
             tainted: false,
             instance_partition: None,
-            backend_scratch: Vec::new(),
+            lanes: LaneExecutor::default(),
         }
     }
 
@@ -172,12 +173,14 @@ impl ExecutionContext {
     }
 
     /// Clears the DFG, device memory, fault plan and statistics for a fresh
-    /// mini-batch (called on pool reuse).
+    /// mini-batch (called on pool reuse).  The DFG keeps its buffers
+    /// ([`Dfg::clear`]) and the arena is not re-zeroed, so a warm request
+    /// repeats none of the previous one's setup.
     pub fn reset(&mut self) {
         self.mem.reset();
         self.mem.clear_fault();
         let _ = self.mem.take_stats();
-        self.dfg = Dfg::new();
+        self.dfg.clear();
         self.dfg.set_signature_tracking(self.engine.options().plan_cache);
         // `plan_l1` is NOT cleared: frozen plans are engine-scoped (the
         // context is pinned to its engine by the pool's `Arc::ptr_eq`
@@ -595,7 +598,7 @@ impl ExecutionContext {
             program,
             &prep,
             lane_parts(prep.stats.flops, lanes),
-            &mut self.backend_scratch,
+            &mut self.lanes,
             options.checked,
         )?;
         self.stats.exec_wall_us += exec_wall.elapsed().as_secs_f64() * 1e6;
@@ -688,12 +691,13 @@ impl ExecutionContext {
 }
 
 /// Launch size, in FLOPs, from which the execute phase of one launch is
-/// split across cores: spawning and joining a scoped helper thread costs
-/// tens of microseconds (up to ≈ 95 µs at p99), a launch this size runs for
-/// ≈ 120 µs on the compiled executor with the fused matmul, on a 2-vCPU
-/// AVX-512 Xeon (DESIGN §9 has the measurements and the per-workload
-/// launch sizes on either side).
-pub const SPLIT_MIN_FLOPS: u64 = 8_000_000;
+/// split across cores: handing a range to a parked helper and joining it
+/// costs 4–8 µs at the median (9–50 µs at p99), and from this size a split
+/// returns 26–47 µs of a ≈ 90 µs launch on a 2-vCPU AVX-512 Xeon whose two
+/// vCPUs often share one core, so split ranges run 1.3–1.7×, not 2×,
+/// faster (DESIGN §9 has the measurements and the per-workload launch
+/// sizes on either side).
+pub const SPLIT_MIN_FLOPS: u64 = 6_000_000;
 
 /// The machine's available parallelism, measured once per process: the
 /// one core count every policy reads ([`lane_parts`], the VM's broker
@@ -1370,6 +1374,11 @@ mod tests {
         assert_eq!(lane_parts(SPLIT_MIN_FLOPS, 64), cores.min(64));
         assert_eq!(lane_parts(u64::MAX, 3), cores.min(3));
         assert_eq!(lane_parts(SPLIT_MIN_FLOPS, 1), 1, "one lane has nothing to split");
+        // The largest launches of the host-bound benchmark workloads
+        // (`tree_host`, `drnn_fiber`, `birnn_serve2`; DESIGN §9) never split.
+        for largest_launch in [334_000, 574_000, 552_000] {
+            assert_eq!(lane_parts(largest_launch, 64), 1, "{largest_launch} FLOP");
+        }
     }
 
     #[test]

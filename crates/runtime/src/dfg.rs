@@ -180,7 +180,7 @@ pub(crate) fn inline_key(phase: u32, depth: u64, kernel: u32) -> u128 {
 
 /// One bucket of the incremental inline-scheduling index: every node whose
 /// `(phase, depth, kernel, shared_sig)` matches `key`, in creation order.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct InlineBucket {
     /// Packed `(inline_key, shared_sig)` grouping key.
     pub(crate) key: (u128, u64),
@@ -291,12 +291,73 @@ pub struct Dfg {
     node_lane: Vec<(u32, u32)>,
     /// Lazily-built canonical ordering + combined signature.
     canon: CanonState,
+    /// Emptied id lists of the buckets [`Dfg::clear`] dropped, handed to
+    /// the next buckets created so a warm request regrows none of them.
+    spare_ids: Vec<Vec<NodeId>>,
 }
 
 impl Dfg {
     /// Creates an empty graph.
     pub fn new() -> Dfg {
         Dfg::default()
+    }
+
+    /// Empties the graph to the state of [`Dfg::new`] — signature tracking
+    /// and lane-canonical signing off, so callers re-arm them as on a new
+    /// graph — while keeping the capacity of every vector, map and bucket
+    /// id list, so a pooled context's next request regrows nothing.
+    ///
+    /// The destructuring below names every field (no `..`): a field added
+    /// to `Dfg` does not compile until it is cleared here too.
+    pub fn clear(&mut self) {
+        let Dfg {
+            nodes,
+            node_args,
+            values,
+            pending,
+            pending_pos,
+            buckets,
+            bucket_lookup,
+            bucket_of,
+            win_sig,
+            win_check,
+            win_base,
+            win_dirty,
+            win_track,
+            lane_canon,
+            lanes,
+            lane_slots,
+            node_lane,
+            canon,
+            spare_ids,
+        } = self;
+        nodes.clear();
+        node_args.clear();
+        values.clear();
+        pending.clear();
+        pending_pos.clear();
+        spare_ids.extend(buckets.drain(..).map(|mut b| {
+            b.ids.clear();
+            b.ids
+        }));
+        bucket_lookup.clear();
+        bucket_of.clear();
+        *win_sig = 0;
+        *win_check = 0;
+        *win_base = 0;
+        *win_dirty = false;
+        *win_track = false;
+        *lane_canon = false;
+        lanes.clear();
+        lane_slots.clear();
+        node_lane.clear();
+        let CanonState { valid, rank, order, lane_order, lane_start, win } = canon;
+        *valid = false;
+        rank.clear();
+        order.clear();
+        lane_order.clear();
+        lane_start.clear();
+        *win = None;
     }
 
     /// Registers an already-materialized tensor (program input, constant).
@@ -427,7 +488,8 @@ impl Dfg {
         self.pending.push(id);
         let key = (inline_key(phase, depth, kernel.0), shared_sig);
         let bucket = *self.bucket_lookup.entry(key).or_insert_with(|| {
-            self.buckets.push(InlineBucket { key, ..Default::default() });
+            let ids = self.spare_ids.pop().unwrap_or_default();
+            self.buckets.push(InlineBucket { key, ids, pending: 0 });
             (self.buckets.len() - 1) as u32
         });
         let b = &mut self.buckets[bucket as usize];
@@ -1275,5 +1337,117 @@ mod tests {
         let t = mem.upload(&Tensor::ones(&[1])).unwrap();
         dfg.complete_node(n, vec![t.clone()]);
         dfg.complete_node(n, vec![t]);
+    }
+
+    /// What a request leaves observable on a graph: per window its
+    /// signature, the inline buckets' keys in creation order and the plan
+    /// each scheduler makes; and the XOR chain of window tokens
+    /// (`plan_sig_chain`).
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        sigs: Vec<Option<WindowSig>>,
+        bucket_keys: Vec<Vec<(u128, u64)>>,
+        plans: Vec<crate::scheduler::Plan>,
+        sig_chain: u64,
+    }
+
+    /// Drives `dfg` through a fixed three-window request: two clean
+    /// windows flushed whole, then one left dirty by a partial completion.
+    /// Each window chains `depth` nodes per instance over two kernels, on
+    /// each instance's root lane, appended round-robin over instances.
+    fn drive_request(dfg: &mut Dfg, mem: &mut DeviceMem, lane_canon: bool) -> Trace {
+        use crate::scheduler::{plan_into, Plan, SchedulerKind, SchedulerScratch};
+        dfg.set_signature_tracking(true);
+        dfg.set_lane_canonical(lane_canon);
+        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[2])).unwrap());
+        let mut trace = Trace { sigs: vec![], bucket_keys: vec![], plans: vec![], sig_chain: 0 };
+        let mut scratch = SchedulerScratch::new();
+        for (window, (instances, depth)) in [(4usize, 3u64), (3, 5), (5, 2)].into_iter().enumerate()
+        {
+            let mut last = vec![x; instances];
+            for d in 0..depth {
+                for (inst, arg) in last.iter_mut().enumerate() {
+                    let kernel = acrobat_codegen::KernelId((d % 2) as u32);
+                    let lane = lane::root(inst);
+                    let (_, out) = dfg.add_node_in_lane(kernel, inst, lane, d, 0, 0, &[*arg], 1);
+                    *arg = out;
+                }
+            }
+            let sig = dfg.window_signature();
+            trace.sig_chain ^= sig.map_or(0, |w| w.chain_token());
+            trace.sigs.push(sig);
+            trace.bucket_keys.push(dfg.inline_buckets().iter().map(|b| b.key).collect());
+            let mut plans: Vec<Plan> = SchedulerKind::ALL
+                .iter()
+                .map(|&kind| {
+                    let mut plan = Plan::default();
+                    plan_into(kind, dfg, &mut scratch, &mut plan);
+                    plan
+                })
+                .collect();
+            let plan = plans.remove(0);
+            let batches: Vec<Vec<NodeId>> = plan.batches().map(|b| b.to_vec()).collect();
+            trace.plans.push(plan);
+            trace.plans.extend(plans);
+            // The last window completes its first batch alone first: the
+            // window goes dirty and the rest drains one node at a time.
+            for (b, batch) in batches.iter().enumerate() {
+                let t = mem.upload(&Tensor::ones(&[2])).unwrap();
+                if window == 2 && b > 0 {
+                    for &id in batch {
+                        dfg.complete_node(id, vec![t.clone()]);
+                    }
+                } else {
+                    dfg.complete_batch(batch, vec![vec![t; batch.len()]]);
+                }
+                dfg.verify_consistent().unwrap();
+                if window == 2 && b == 0 {
+                    assert_eq!(dfg.window_signature(), None, "a partial completion dirties");
+                }
+            }
+            assert!(!dfg.has_pending());
+        }
+        trace
+    }
+
+    /// A cleared graph is a new graph: equal to [`Dfg::new`] field for
+    /// field (capacity aside), and a request driven on it — both signing
+    /// modes — leaves the same plans, bucket order, window signatures and
+    /// signature chain as on a new graph, consistent throughout.
+    #[test]
+    fn cleared_graph_behaves_as_new() {
+        for lane_canon in [false, true] {
+            let mut mem = DeviceMem::new(1 << 16);
+            let mut reused = Dfg::new();
+            // An earlier request, abandoned with part of it completed.
+            reused.set_signature_tracking(true);
+            reused.set_lane_canonical(!lane_canon);
+            let x = reused.ready_value(mem.upload(&Tensor::ones(&[2])).unwrap());
+            let mut ids = Vec::new();
+            for i in 0..6 {
+                let kernel = acrobat_codegen::KernelId(7 + i as u32 % 3);
+                ids.push(reused.add_node(kernel, i, i as u64, 1, 9, vec![x], 1).0);
+            }
+            let _ = reused.window_signature();
+            let t = mem.upload(&Tensor::ones(&[2])).unwrap();
+            reused.complete_batch(&ids[..2], vec![vec![t.clone(), t]]);
+            assert!(reused.has_pending());
+
+            reused.clear();
+            assert!(!reused.spare_ids.is_empty(), "bucket id lists are kept for reuse");
+            let spare = std::mem::take(&mut reused.spare_ids);
+            assert_eq!(format!("{reused:?}"), format!("{:?}", Dfg::new()), "clear() is new()");
+            reused.spare_ids = spare;
+
+            let mut fresh = Dfg::new();
+            let want = drive_request(&mut fresh, &mut mem, lane_canon);
+            let got = drive_request(&mut reused, &mut mem, lane_canon);
+            assert_eq!(got, want, "lane_canon {lane_canon}");
+            assert!(want.sigs[..2].iter().all(Option::is_some), "clean windows are signed");
+
+            // And again after a clear that follows a whole request.
+            reused.clear();
+            assert_eq!(drive_request(&mut reused, &mut mem, lane_canon), want);
+        }
     }
 }

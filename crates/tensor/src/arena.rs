@@ -246,6 +246,11 @@ impl fmt::Debug for DeviceMem {
     }
 }
 
+/// The NaN debug builds fill every fresh [`DeviceMem::alloc`] region
+/// with (a quiet NaN with a recognizable payload): any element read before
+/// it is written propagates to the outputs.
+pub const POISON: f32 = f32::from_bits(0x7FC0_BAD0);
+
 impl DeviceMem {
     /// Creates an arena holding `capacity` `f32` elements.
     pub fn new(capacity: usize) -> Self {
@@ -352,7 +357,15 @@ impl DeviceMem {
         }
     }
 
-    /// Allocates an uninitialized (zeroed) tensor.
+    /// Reserves a tensor's region without initializing it: the region
+    /// holds whatever the arena held there before, and the caller must
+    /// overwrite every element before anything reads it.  Every writer
+    /// does — an upload copies the whole host tensor, a gather fills its
+    /// whole staging block, and a launch writes each reserved output in
+    /// full — so a warm request zero-fills nothing.  Debug builds fill the
+    /// region with [`POISON`] instead, so a read of an element nobody
+    /// wrote surfaces as a NaN in every test, like a failed
+    /// `debug_assert!`.
     ///
     /// # Errors
     ///
@@ -370,7 +383,9 @@ impl DeviceMem {
         let offset = self.top;
         self.top += n;
         self.stats.peak_elements = self.stats.peak_elements.max(self.top as u64);
-        self.buf[offset..offset + n].fill(0.0);
+        if cfg!(debug_assertions) {
+            self.buf[offset..offset + n].fill(POISON);
+        }
         Ok(DeviceTensor { offset, shape: shape.clone(), generation: self.generation })
     }
 
@@ -856,6 +871,24 @@ mod tests {
         let (g, copied) = mem.gather(&[&a, &b]).unwrap();
         assert!(copied);
         assert_eq!(mem.read(&g).unwrap(), &[1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn alloc_poisons_in_debug() {
+        let mut mem = DeviceMem::new(16);
+        let fresh = mem.alloc(&Shape::new(&[8])).unwrap();
+        if cfg!(debug_assertions) {
+            let bits: Vec<u32> = mem.read(&fresh).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, [POISON.to_bits(); 8]);
+        }
+        // Reused regions are not cleared: every writer overwrites its own.
+        mem.reset();
+        let a = mem.upload(&Tensor::fill(&[3], 1.0)).unwrap();
+        let _gap = mem.alloc(&Shape::new(&[2])).unwrap();
+        let b = mem.upload(&Tensor::fill(&[3], 2.0)).unwrap();
+        let (g, copied) = mem.gather(&[&a, &b]).unwrap();
+        assert!(copied);
+        assert_eq!(mem.read(&g).unwrap(), &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

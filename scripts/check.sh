@@ -138,6 +138,22 @@ if [ -n "$fused" ]; then
   echo "only acrobat_tensor::ops::matmul fuses a multiply and an add; every other kernel rounds each step"; exit 1
 fi
 
+echo "==> a warm request repeats no setup (split ranges go to parked helpers, reset keeps the DFG's buffers, alloc does not zero-fill)"
+if grep -nE 'thread::(scope|spawn)' crates/codegen/src/backend.rs; then
+  echo "backend.rs hands split ranges to the parked helpers of backend/helpers.rs: no launch spawns a thread"; exit 1
+fi
+reset_body=$(sed -n '/    pub fn reset(&mut self) {/,/^    }/p' crates/runtime/src/context.rs)
+alloc_body=$(sed -n '/    pub fn alloc(&mut self, shape: &Shape)/,/^    }/p' crates/tensor/src/arena.rs)
+if [ -z "$reset_body" ] || [ -z "$alloc_body" ]; then
+  echo "ExecutionContext::reset or DeviceMem::alloc moved: point these guards at them"; exit 1
+fi
+if grep -n 'Dfg::new()' <<<"$reset_body"; then
+  echo "ExecutionContext::reset calls Dfg::clear, which keeps the capacity of every DFG buffer"; exit 1
+fi
+if grep -n 'fill(0\.0)' <<<"$alloc_body"; then
+  echo "DeviceMem::alloc does not zero-fill: every writer overwrites its whole reservation (debug builds poison it)"; exit 1
+fi
+
 echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
 for artifact in table4 table5 table8 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \

@@ -174,6 +174,33 @@ fn lane_workers_share_compiled_cache() {
     assert_bit_identical(&spec, &want.outputs, &warm.outputs, "warm split vs oracle");
 }
 
+/// Two requests splitting launches at the same time, each on its own
+/// pooled context with its own parked helpers, return the checked
+/// oracle's bits, request after request.
+#[test]
+fn concurrent_contexts_oracle_bits() {
+    let (spec, instances) = over_threshold_workload();
+    let want = build(&spec, &checked_options()).run(&spec.params, &instances).expect("oracle");
+    let model = build(&spec, &CompileOptions::default());
+    std::thread::scope(|s| {
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..2)
+                        .map(|_| model.run(&spec.params, &instances).expect("run"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for request in requests {
+            for got in request.join().unwrap() {
+                assert_split_branch_taken(&got.stats, instances.len());
+                assert_bit_identical(&spec, &want.outputs, &got.outputs, "concurrent split");
+            }
+        }
+    });
+}
+
 /// An engine retune (PGO) must invalidate the compiled-kernel cache: the
 /// retuned library can carry different schedules, so stale compiled
 /// kernels must not survive the swap.  Mirrors the plan-cache
