@@ -2,9 +2,9 @@
 //!
 //! A split launch hands ranges `1..parts` to helpers and runs range 0 on
 //! the calling thread.  Helpers start on their owner's first split launch,
-//! spin for [`SPIN`] after each range and then park, and are joined when
-//! their owner drops: no launch spawns or joins a thread.  This module is
-//! the one place in the backend that does either.
+//! park between ranges, and are joined when their owner drops: no launch
+//! spawns or joins a thread.  This module is the one place in the backend
+//! that does either.
 //!
 //! The one `unsafe` is the hand-off of a borrowed job: the job's lifetime
 //! is erased to cross into a helper, and a drop guard ([`Handoff`]) makes
@@ -15,7 +15,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle, Thread};
-use std::time::{Duration, Instant};
 
 use acrobat_tensor::TensorError;
 
@@ -29,19 +28,6 @@ pub(super) type RangeJob<'a> =
 /// What a helper reports for its range: the range's result, or the panic
 /// that stopped it.
 type Outcome = thread::Result<Result<(), TensorError>>;
-
-/// How long a waiting side — a helper between ranges, the caller waiting
-/// for helpers — spins before it parks.  Long enough to span the prepare
-/// and commit work between two back-to-back split launches, so a helper
-/// kept busy is woken without a futex; short enough that an idle helper
-/// does not hold its core (DESIGN §9).
-const SPIN: Duration = Duration::from_micros(50);
-
-/// Spin iterations between two yields of the waiting thread.  The OS may
-/// place a helper on its caller's core; a pure spin there holds the core
-/// from the very thread it waits for until the spin runs out, a yield
-/// hands it over.
-const YIELD_EVERY: u32 = 64;
 
 /// A helper's protocol state.
 const IDLE: u8 = 0;
@@ -73,21 +59,11 @@ struct Helper {
     thread: JoinHandle<()>,
 }
 
-/// Spins on `ready` for up to [`SPIN`], yielding every [`YIELD_EVERY`]
-/// iterations, then parks until it holds.  Any `unpark` (or a spurious
-/// wake-up) just re-tests the condition.
+/// Parks until `ready` holds.  Any `unpark` (or a spurious wake-up) just
+/// re-tests the condition.
 fn wait_until(ready: impl Fn() -> bool) {
-    let start = Instant::now();
-    let mut spins = 0u32;
     while !ready() {
-        spins = spins.wrapping_add(1);
-        if !spins.is_multiple_of(YIELD_EVERY) {
-            std::hint::spin_loop();
-        } else if start.elapsed() < SPIN {
-            thread::yield_now();
-        } else {
-            thread::park();
-        }
+        thread::park();
     }
 }
 

@@ -692,11 +692,11 @@ impl ExecutionContext {
 
 /// Launch size, in FLOPs, from which the execute phase of one launch is
 /// split across cores: handing a range to a parked helper and joining it
-/// costs 4–8 µs at the median (9–50 µs at p99), and from this size a split
-/// returns 26–47 µs of a ≈ 90 µs launch on a 2-vCPU AVX-512 Xeon whose two
-/// vCPUs often share one core, so split ranges run 1.3–1.7×, not 2×,
-/// faster (DESIGN §9 has the measurements and the per-workload launch
-/// sizes on either side).
+/// costs 2–20 µs at the median, and from this size a split returns
+/// 26–47 µs of a ≈ 90 µs launch on a 2-vCPU AVX-512 Xeon whose two vCPUs
+/// often share one core, so split ranges run 1.3–1.7×, not 2×, faster
+/// (DESIGN §9 has the measurements and the per-workload launch sizes on
+/// either side).
 pub const SPLIT_MIN_FLOPS: u64 = 6_000_000;
 
 /// The machine's available parallelism, measured once per process: the

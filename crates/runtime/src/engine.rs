@@ -261,18 +261,30 @@ impl ContextPool {
 
     /// Acquires a context for `engine`: reuses (and resets) an idle context
     /// belonging to the same engine `Arc`, otherwise constructs a fresh one.
+    ///
+    /// Contexts are dropped only after the pool lock is released: dropping
+    /// one joins its lane-split helper threads.
     pub fn acquire(&self, engine: &Arc<Engine>) -> ExecutionContext {
+        let mut superseded = Vec::new();
+        let mut reused = None;
         let mut idle = self.idle.lock();
-        while let Some(mut ctx) = idle.pop() {
+        while let Some(ctx) = idle.pop() {
             if Arc::ptr_eq(ctx.engine(), engine) {
-                drop(idle);
-                ctx.reset();
-                return ctx;
+                reused = Some(ctx);
+                break;
             }
             // Built against a superseded engine: drop it.
+            superseded.push(ctx);
         }
         drop(idle);
-        engine.new_context()
+        drop(superseded);
+        match reused {
+            Some(mut ctx) => {
+                ctx.reset();
+                ctx
+            }
+            None => engine.new_context(),
+        }
     }
 
     /// Returns a context to the pool (dropped if the pool is full, or
@@ -285,12 +297,17 @@ impl ContextPool {
         let mut idle = self.idle.lock();
         if idle.len() < MAX_IDLE_CONTEXTS {
             idle.push(ctx);
+            return;
         }
+        drop(idle);
+        drop(ctx);
     }
 
-    /// Drops every idle context (called after an engine swap).
+    /// Drops every idle context (called after an engine swap), after the
+    /// pool lock is released.
     pub fn clear(&self) {
-        self.idle.lock().clear();
+        let idle = std::mem::take(&mut *self.idle.lock());
+        drop(idle);
     }
 
     /// Number of idle contexts currently pooled.

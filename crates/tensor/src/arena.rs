@@ -247,9 +247,23 @@ impl fmt::Debug for DeviceMem {
 }
 
 /// The NaN debug builds fill every fresh [`DeviceMem::alloc`] region
-/// with (a quiet NaN with a recognizable payload): any element read before
-/// it is written propagates to the outputs.
+/// with (a quiet NaN with a recognizable payload).  Every read of arena
+/// elements — [`DeviceMem::read`], [`DeviceMem::download`], a gather's
+/// sources, [`ExecView::read`] — asserts in debug builds that none holds
+/// these bits, so an element read before it is written fails there and
+/// then, whatever operator would have consumed it.
 pub const POISON: f32 = f32::from_bits(0x7FC0_BAD0);
+
+/// Debug builds: panics if `elems` holds an element [`DeviceMem::alloc`]
+/// reserved and nobody has written since ([`POISON`]).  Release builds
+/// check nothing.
+fn debug_assert_written(elems: &[f32]) {
+    if cfg!(debug_assertions) {
+        if let Some(i) = elems.iter().position(|v| v.to_bits() == POISON.to_bits()) {
+            panic!("arena read of an element nobody wrote (element {i} of {})", elems.len());
+        }
+    }
+}
 
 impl DeviceMem {
     /// Creates an arena holding `capacity` `f32` elements.
@@ -363,9 +377,9 @@ impl DeviceMem {
     /// does — an upload copies the whole host tensor, a gather fills its
     /// whole staging block, and a launch writes each reserved output in
     /// full — so a warm request zero-fills nothing.  Debug builds fill the
-    /// region with [`POISON`] instead, so a read of an element nobody
-    /// wrote surfaces as a NaN in every test, like a failed
-    /// `debug_assert!`.
+    /// region with [`POISON`] instead, and every arena read asserts it
+    /// finds none: a read of an element nobody wrote panics in every debug
+    /// test, like a failed `debug_assert!`.
     ///
     /// # Errors
     ///
@@ -442,7 +456,9 @@ impl DeviceMem {
     pub fn download(&mut self, t: &DeviceTensor) -> Result<Tensor> {
         self.check(t)?;
         self.stats.download_bytes += t.shape().byte_size() as u64;
-        Tensor::from_vec(self.buf[t.offset..t.offset + t.numel()].to_vec(), t.shape().dims())
+        let elems = &self.buf[t.offset..t.offset + t.numel()];
+        debug_assert_written(elems);
+        Tensor::from_vec(elems.to_vec(), t.shape().dims())
     }
 
     /// Borrows the tensor's elements.
@@ -452,7 +468,9 @@ impl DeviceMem {
     /// Returns [`TensorError::StaleHandle`] for handles from before a reset.
     pub fn read(&self, t: &DeviceTensor) -> Result<&[f32]> {
         self.check(t)?;
-        Ok(&self.buf[t.offset..t.offset + t.numel()])
+        let elems = &self.buf[t.offset..t.offset + t.numel()];
+        debug_assert_written(elems);
+        Ok(elems)
     }
 
     /// Mutably borrows the tensor's elements.
@@ -538,7 +556,9 @@ impl DeviceMem {
         let staging = self.alloc(&batched_shape)?;
         for (i, t) in tensors.iter().enumerate() {
             let (lo, hi) = self.buf.split_at_mut(staging.offset);
-            hi[i * n..(i + 1) * n].copy_from_slice(&lo[t.offset..t.offset + n]);
+            let src = &lo[t.offset..t.offset + n];
+            debug_assert_written(src);
+            hi[i * n..(i + 1) * n].copy_from_slice(src);
         }
         self.stats.gather_bytes += (tensors.len() * shape.byte_size()) as u64;
         self.stats.gather_ops += 1;
@@ -612,7 +632,9 @@ impl ExecView<'_> {
     /// contract: reads target data produced before the execute phase).
     pub unsafe fn read(&self, offset: usize, len: usize) -> &[f32] {
         debug_assert!(offset + len <= self.len, "ExecView read out of bounds");
-        unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) }
+        let elems = unsafe { std::slice::from_raw_parts(self.ptr.add(offset), len) };
+        debug_assert_written(elems);
+        elems
     }
 
     /// Mutably accesses `len` elements at `offset`.
@@ -878,8 +900,34 @@ mod tests {
         let mut mem = DeviceMem::new(16);
         let fresh = mem.alloc(&Shape::new(&[8])).unwrap();
         if cfg!(debug_assertions) {
-            let bits: Vec<u32> = mem.read(&fresh).unwrap().iter().map(|v| v.to_bits()).collect();
+            let bits: Vec<u32> = mem.write(&fresh).unwrap().iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, [POISON.to_bits(); 8]);
+            // Every read path refuses a region with one unwritten
+            // element, whatever the others hold.
+            let refused = |read: &dyn Fn(&mut DeviceMem, &DeviceTensor)| {
+                let mut mem = DeviceMem::new(32);
+                let t = mem.alloc(&Shape::new(&[8])).unwrap();
+                mem.write(&t).unwrap()[..7].fill(1.0);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&mut mem, &t)))
+                    .is_err()
+            };
+            assert!(refused(&|m, t| {
+                let _ = m.read(t);
+            }));
+            assert!(refused(&|m, t| {
+                let _ = m.download(t);
+            }));
+            assert!(refused(&|m, t| {
+                let other = m.upload(&Tensor::ones(&[8])).unwrap();
+                let _ = m.gather(&[&other, t]);
+            }));
+            assert!(refused(&|m, t| {
+                let view = m.exec_view();
+                // SAFETY: nothing else touches the arena.
+                let _ = unsafe { view.read(t.offset(), 8) };
+            }));
+            mem.write(&fresh).unwrap().fill(1.0);
+            assert_eq!(mem.read(&fresh).unwrap(), &[1.0; 8]);
         }
         // Reused regions are not cleared: every writer overwrites its own.
         mem.reset();
