@@ -281,15 +281,15 @@ impl FuzzCase {
 }
 
 /// The scheduler/ablation matrix every fuzz case runs under: every
-/// scheduler × gather-fusion × coarsening × {plan cache off, on} ×
-/// {broker off, on}, all in checked mode, plus the unbatched eager
-/// configuration (also checked, both cache settings).  The plan-cache axis
-/// must be bit-for-bit invisible — and because every configuration is
-/// checked, every cache hit the fuzzer produces passes the cached ≡
+/// scheduler × gather-fusion × coarsening × {plan cache off, on}, all in
+/// checked mode, plus the unbatched eager configuration (also checked,
+/// both cache settings) — 18 entries.  The plan-cache axis must be
+/// bit-for-bit invisible — and because every configuration is checked,
+/// every cache hit the fuzzer produces passes the cached ≡
 /// freshly-scheduled bit-identity gate
-/// (`acrobat_runtime::check::validate_cached_plan`).  The broker axis
-/// routes every run through `BatchBroker::submit` and the cohort path
-/// (`acrobat_vm::broker`), which must be equally invisible.
+/// (`acrobat_runtime::check::validate_cached_plan`).  The cohort path
+/// (`acrobat_vm::cohort`) is not an axis: it is an API, and each case runs
+/// it once ([`FuzzCase::run_acrobat_cohort`]).
 ///
 /// There is no kernel-executor axis, and none is needed: checked mode
 /// re-executes every compiled launch through the reference interpreter,
@@ -302,21 +302,15 @@ pub fn config_matrix() -> Vec<(String, CompileOptions)> {
         for gather_fusion in [false, true] {
             for coarsen in [false, true] {
                 for plan_cache in [false, true] {
-                    for broker in [false, true] {
-                        let mut o = CompileOptions::default().with_checked(true);
-                        o.runtime.scheduler = scheduler;
-                        o.runtime.gather_fusion = gather_fusion;
-                        o.runtime.coarsen = coarsen;
-                        o.runtime.plan_cache = plan_cache;
-                        o.runtime.broker = broker;
-                        out.push((
-                            format!(
-                                "{scheduler:?}/gf={gather_fusion}/co={coarsen}\
-                                 /pc={plan_cache}/br={broker}"
-                            ),
-                            o,
-                        ));
-                    }
+                    let mut o = CompileOptions::default().with_checked(true);
+                    o.runtime.scheduler = scheduler;
+                    o.runtime.gather_fusion = gather_fusion;
+                    o.runtime.coarsen = coarsen;
+                    o.runtime.plan_cache = plan_cache;
+                    out.push((
+                        format!("{scheduler:?}/gf={gather_fusion}/co={coarsen}/pc={plan_cache}"),
+                        o,
+                    ));
                 }
             }
         }

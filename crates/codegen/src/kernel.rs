@@ -1,5 +1,7 @@
 //! Kernel programs: the compiled form of a fusion group.
 
+use std::collections::HashMap;
+
 use acrobat_analysis::{AnalysisResult, ArgClass};
 use acrobat_ir::{ExprId, Type};
 use acrobat_tensor::{PrimOp, Shape};
@@ -149,19 +151,25 @@ pub fn compile_group(
         r
     };
 
-    // Site index lookup within the block.
-    let site_index = |site: ExprId| -> usize {
-        block.sites.iter().position(|s| s.site == site).expect("site in block")
-    };
-    let in_group = |idx: usize| -> bool { group.sites.iter().any(|&s| site_index(s) == idx) };
+    // The group's sites as block indices, and a membership mask over the
+    // block, built once: every lookup below is O(1).
+    let mut block_index: HashMap<ExprId, usize> = HashMap::with_capacity(block.sites.len());
+    for (i, s) in block.sites.iter().enumerate() {
+        block_index.entry(s.site).or_insert(i);
+    }
+    let indices: Vec<usize> =
+        group.sites.iter().map(|site| *block_index.get(site).expect("site in block")).collect();
+    let mut in_group = vec![false; block.sites.len()];
+    for &idx in &indices {
+        in_group[idx] = true;
+    }
 
     let mut inputs: Vec<KernelInput> = Vec::new();
     let mut instrs: Vec<KInstr> = Vec::new();
-    let mut site_reg: std::collections::BTreeMap<usize, RegId> = Default::default();
+    let mut site_reg: Vec<Option<RegId>> = vec![None; block.sites.len()];
     let mut names: Vec<&'static str> = Vec::new();
 
-    for &site in &group.sites {
-        let idx = site_index(site);
+    for (&site, &idx) in group.sites.iter().zip(&indices) {
         let node = &block.sites[idx];
         let prim = module.op_prims[&site].clone();
         names.push(prim.name());
@@ -169,7 +177,7 @@ pub fn compile_group(
         let mut args = Vec::with_capacity(node.arg_exprs.len());
         for (a, arg_expr) in node.arg_exprs.iter().enumerate() {
             let reg = match node.arg_sources[a] {
-                Some(p) if in_group(p) => site_reg[&p],
+                Some(p) if in_group[p] => site_reg[p].expect("producer precedes consumer"),
                 _ => {
                     // External input: class from taint analysis, except
                     // cross-group intermediates which are always per-instance.
@@ -193,35 +201,32 @@ pub fn compile_group(
             Some(Type::Tensor(s)) => s.clone(),
             _ => Shape::scalar(),
         };
-        site_reg.insert(idx, out);
+        site_reg[idx] = Some(out);
         instrs.push(KInstr { op: prim, args, out, shape });
     }
 
-    // Outputs: results consumed outside the group.
+    // Outputs: results consumed outside the group.  `internal_consumers[i]`
+    // counts the argument slots of group members that read block site `i`.
+    let mut internal_consumers = vec![0usize; block.sites.len()];
+    for &j in &indices {
+        for &p in block.sites[j].arg_sources.iter().flatten() {
+            internal_consumers[p] += 1;
+        }
+    }
     let mut outputs = Vec::new();
-    for &site in &group.sites {
-        let idx = site_index(site);
+    for ((&site, &idx), instr) in group.sites.iter().zip(&indices).zip(&instrs) {
         let node = &block.sites[idx];
-        let internal_consumers: usize = block
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| in_group(*j))
-            .map(|(_, s)| s.arg_sources.iter().flatten().filter(|&&p| p == idx).count())
-            .sum();
-        let escapes_group = node.escapes || node.internal_uses > internal_consumers;
-        if escapes_group || internal_consumers == 0 {
-            let reg = site_reg[&idx];
-            let shape = instrs.iter().find(|k| k.out == reg).expect("instr exists").shape.clone();
-            outputs.push((site, reg, shape));
+        let escapes_group = node.escapes || node.internal_uses > internal_consumers[idx];
+        if escapes_group || internal_consumers[idx] == 0 {
+            outputs.push((site, instr.out, instr.shape.clone()));
         }
     }
 
     let flops: u64 = group
         .sites
         .iter()
-        .map(|&site| {
-            let idx = site_index(site);
+        .zip(&indices)
+        .map(|(&site, &idx)| {
             let node = &block.sites[idx];
             let shapes: Vec<Shape> = node
                 .arg_exprs

@@ -159,4 +159,26 @@ mod tests {
         let (_, lib) = build(src);
         assert_eq!(lib.len(), 2);
     }
+
+    /// Building is linear in a fusion group's size: a 2 000-op `let` chain
+    /// (one fused group) builds one 2 000-instruction kernel.  The analysis
+    /// still recurses per `let`, hence the big-stack thread.
+    #[test]
+    fn long_let_chain_builds_one_kernel() {
+        const OPS: usize = 2_000;
+        let mut body = String::from("let %v0 = relu(%x);\n");
+        for i in 1..OPS {
+            body.push_str(&format!("let %v{i} = relu(%v{});\n", i - 1));
+        }
+        let src =
+            format!("def @main(%x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {{\n{body}%v{}\n}}", OPS - 1);
+        let lib = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || build(&src).1)
+            .expect("spawns")
+            .join()
+            .expect("no panic");
+        assert_eq!(lib.len(), 1, "the chain is one fused group");
+        assert_eq!(lib.kernel(KernelId(0)).instrs.len(), OPS);
+    }
 }

@@ -110,16 +110,15 @@ impl Model {
         self.exe.session.quarantined_count()
     }
 
-    /// Queue-level continuous-batching counters (dispatches, merged
-    /// requests, cohort-size histogram), when the model was compiled with
-    /// the broker enabled ([`CompileOptions::with_broker`]).
+    /// Always `None`: there is no request queue.  Kept only for the frozen
+    /// benchmark harness (`benchmark/src/run.rs`), its last caller.
     pub fn broker_stats(&self) -> Option<acrobat_vm::BrokerStats> {
-        self.exe.broker_stats()
+        None
     }
 
-    /// Runs several requests as one broker cohort sharing flush plans and
-    /// batched launches (see `acrobat_vm::broker`); usable with or without
-    /// the background broker queue.
+    /// Runs several requests as one cohort sharing flush plans and batched
+    /// launches (see `acrobat_vm::cohort`).  The only way requests batch
+    /// together: concurrent [`Model::run`] calls never merge.
     pub fn run_cohort(
         &self,
         requests: &[acrobat_vm::CohortRequest<'_>],

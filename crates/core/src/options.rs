@@ -100,15 +100,12 @@ impl CompileOptions {
         self
     }
 
-    /// Enable or disable cross-request continuous batching
-    /// (`acrobat_vm::broker`): concurrent `run` calls pass a
-    /// `BatchBroker` that admits one dispatch per core; a request arriving
-    /// while every core runs one queues and merges with its queued peers
-    /// into shared flush plans and shared batched kernel launches.  Off by
-    /// default — each request batches only within itself, exactly the
-    /// pre-broker behaviour.
-    pub fn with_broker(mut self, on: bool) -> CompileOptions {
-        self.runtime.broker = on;
+    /// Sets nothing: every `run` batches only within its own request, and
+    /// a caller holding several requests batches them with
+    /// [`crate::Model::run_cohort`].  Kept only because the frozen benchmark
+    /// harness (`benchmark/src/profiles.rs`) is its last caller; the harness
+    /// change that retires that file deletes it.
+    pub fn with_broker(self, _: bool) -> CompileOptions {
         self
     }
 

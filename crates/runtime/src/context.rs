@@ -60,7 +60,7 @@ pub struct ExecutionContext {
     /// miss.  A tainted context is quarantined by [`crate::ContextPool`]:
     /// dropped on release, never recycled into another request.
     tainted: bool,
-    /// Broker-cohort request partition: member start offsets over the
+    /// Cohort request partition: member start offsets over the
     /// merged instance index space (e.g. `[0, 4, 6]` for three requests of
     /// 4, 2 and N−6 instances).  When set, every clean flush is classified
     /// as shared (its plan touched ≥ 2 members) or solo; `None` — every
@@ -195,7 +195,7 @@ impl ExecutionContext {
         self.instance_partition = None;
     }
 
-    /// Installs the broker-cohort request partition (member start offsets
+    /// Installs the cohort request partition (member start offsets
     /// over the merged instance index space, strictly increasing, starting
     /// at 0).  Flushes are then classified into
     /// [`RuntimeStats::shared_flushes`] / [`RuntimeStats::solo_flushes`]
@@ -640,7 +640,7 @@ impl ExecutionContext {
 
     /// Stage 4 — settles the attempt.  An abort (the context stays
     /// well-defined and resumable, see [`Self::execute_plan`]) is recorded
-    /// and taints the context.  A clean flush is counted (and, in a broker
+    /// and taints the context.  A clean flush is counted (and, in a
     /// cohort, classified).
     fn settle(&mut self, plan: &Plan, run: Result<(), TensorError>) -> Result<(), TensorError> {
         if let Err(e) = run {
@@ -654,7 +654,7 @@ impl ExecutionContext {
             return Err(e);
         }
         self.stats.flushes += 1;
-        // Cross-request flush classification (broker cohorts): did this
+        // Cross-request flush classification (cohorts): did this
         // plan co-batch nodes from two or more member requests?  Outside a
         // cohort no partition is installed and neither counter moves.
         if let Some(starts) = &self.instance_partition {
@@ -700,8 +700,9 @@ impl ExecutionContext {
 pub const SPLIT_MIN_FLOPS: u64 = 6_000_000;
 
 /// The machine's available parallelism, measured once per process: the
-/// one core count every policy reads ([`lane_parts`], the VM's broker
-/// slots).  A machine property, never an option.
+/// one core count every policy reads ([`lane_parts`]; `kernel_backend`
+/// prints it as its host's CPU count).  A machine property, never an
+/// option.
 pub fn cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))

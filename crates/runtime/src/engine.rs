@@ -64,13 +64,6 @@ pub struct RuntimeOptions {
     /// are produced with the cache off.
     #[serde(default)]
     pub plan_cache: bool,
-    /// Cross-request continuous batching: route concurrent `run` calls
-    /// through a `BatchBroker` that coalesces compatible in-flight requests
-    /// into shared flush plans (one merged DFG, one kernel launch per
-    /// batched group across requests).  Off by default — each request
-    /// batches only within itself, exactly the pre-broker behaviour.
-    #[serde(default)]
-    pub broker: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -84,7 +77,6 @@ impl Default for RuntimeOptions {
             checked: false,
             max_retries: 0,
             plan_cache: false,
-            broker: false,
         }
     }
 }

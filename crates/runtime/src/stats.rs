@@ -76,15 +76,15 @@ pub struct RuntimeStats {
     #[serde(default)]
     pub plan_sig_chain: u64,
     /// Flushes whose plan co-batched DFG nodes from two or more distinct
-    /// requests of a broker cohort (cross-request continuous batching).
-    /// Exactly `0` outside broker cohorts — a context only classifies its
-    /// flushes when the cohort driver installs a request partition
+    /// requests of one cohort (`Executable::run_cohort`).  Exactly `0`
+    /// outside cohorts — a context only classifies its flushes when the
+    /// cohort driver installs a request partition
     /// ([`crate::ExecutionContext::set_instance_partition`]).
     #[serde(default)]
     pub shared_flushes: u64,
-    /// Flushes inside a broker dispatch whose plan touched a single
-    /// request (no cross-request sharing at that sync point).  `0` outside
-    /// broker cohorts, like [`RuntimeStats::shared_flushes`].
+    /// Flushes inside a cohort whose plan touched a single request (no
+    /// cross-request sharing at that sync point).  `0` outside cohorts,
+    /// like [`RuntimeStats::shared_flushes`].
     #[serde(default)]
     pub solo_flushes: u64,
     /// Launches that compiled their kernel on the spot — the kernel's

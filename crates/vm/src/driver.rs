@@ -24,7 +24,7 @@
 //! taking any shared lock on the hot path — so any number of mini-batches
 //! may run concurrently against one [`Executable`].  That lifecycle is
 //! written once, in `Executable::run_group`: a solo run is a group of one
-//! request, a broker cohort ([`crate::broker`]) a group of several.
+//! request, a cohort ([`crate::cohort`]) a group of several.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeSt
 use acrobat_tensor::{FaultPlan, Tensor, TensorError};
 
 use crate::aot::{AotBackend, Layouts, Scratch};
-use crate::broker::{BatchBroker, BrokerStats};
 use crate::interp::VmBackend;
 use crate::session::{ExecCtx, Handle, RunSession, Session, VmError};
 use crate::value::{InputValue, OutputValue, TensorRef, Value, Word};
@@ -61,10 +60,6 @@ pub struct Executable {
     /// The shared session.
     pub session: Arc<Session>,
     backend: BackendImpl,
-    /// Cross-request continuous batching queue
-    /// ([`crate::broker::BatchBroker`]); present exactly when the engine
-    /// was compiled with `RuntimeOptions::broker`.
-    broker: Option<BatchBroker>,
 }
 
 impl std::fmt::Debug for Executable {
@@ -77,7 +72,6 @@ impl std::fmt::Debug for Executable {
                     BackendImpl::Aot(_) => "aot",
                 },
             )
-            .field("broker", &self.broker.is_some())
             .finish()
     }
 }
@@ -141,7 +135,6 @@ impl Executable {
         let engine = Arc::new(engine);
         let analysis = engine.analysis().clone();
         let fiber_mode = kind == BackendKind::Aot && module_has_sync(&analysis.module);
-        let broker = engine.options().broker.then(BatchBroker::default);
         let session = Session::new(engine, seed, fiber_mode);
         let backend = match kind {
             BackendKind::Vm => BackendImpl::Vm(
@@ -152,7 +145,7 @@ impl Executable {
                 BackendImpl::Aot(Box::new(AotBackend::compile(&analysis.module, &session)?))
             }
         };
-        Ok(Executable { session: Arc::new(session), backend, broker })
+        Ok(Executable { session: Arc::new(session), backend })
     }
 
     /// The AOT backend's lowered program, disassembled — one instruction per
@@ -163,12 +156,6 @@ impl Executable {
             BackendImpl::Vm(..) => None,
             BackendImpl::Aot(aot) => Some(aot.program().to_string()),
         }
-    }
-
-    /// Queue-level broker counters, when cross-request batching is enabled
-    /// (`RuntimeOptions::broker`).
-    pub fn broker_stats(&self) -> Option<BrokerStats> {
-        self.broker.as_ref().map(BatchBroker::stats)
     }
 
     /// Runs one mini-batch.
@@ -201,9 +188,6 @@ impl Executable {
         instances: &[Vec<InputValue>],
         opts: &RunOptions,
     ) -> Result<RunResult, VmError> {
-        if let Some(broker) = &self.broker {
-            return broker.submit(self, params, instances, opts);
-        }
         let solo = self.run_group(&[Member { params, instances, opts }], false).pop();
         solo.expect("one result per member")
     }
@@ -222,8 +206,7 @@ impl Executable {
     /// request lands in exactly one outcome bucket.  A failed group of one
     /// *is* that request's genuine outcome.  A failed group of several is
     /// never recorded: every member re-runs alone, so the trigger reproduces
-    /// its own error and the peers their exact solo results.  Nothing here
-    /// touches the broker queue.
+    /// its own error and the peers their exact solo results.
     pub(crate) fn run_group(
         &self,
         members: &[Member<'_>],

@@ -37,7 +37,7 @@ RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test chaos_serving
 echo "==> plan-cache smoke (steady-state hit rate >= 90%, cache-on == cache-off bit-for-bit)"
 cargo test -q -p acrobat-bench --test plan_cache
 
-echo "==> broker isolation (cohort == solo bit-for-bit across the quick suite, chaos peers survive)"
+echo "==> cohort isolation (cohort == solo bit-for-bit across the quick suite, chaos peers survive)"
 RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test broker_isolation
 
 echo "==> kernel executor smoke (each quick-suite model once in checked mode: every compiled launch bit-identical to the interpreter oracle)"
@@ -103,6 +103,11 @@ if grep -n 'panic!' crates/vm/src/aot.rs; then
 fi
 if [ "$(grep -rn 'exec_op_site(' crates tests | grep -v 'fn exec_op_site(' | grep -vc '^crates/vm/src/interp.rs')" != 0 ]; then
   echo "exec_op_site is the Relay-VM baseline's dynamic path: interp.rs is its only caller"; exit 1
+fi
+
+echo "==> one request path (run/run_with is run_group of one; several requests batch only through run_cohort, no background queue)"
+if grep -rnE 'BatchBroker|runtime\.broker|\.broker\s*=|fn submit\b' crates tests; then
+  echo "the broker queue is gone: it never merged with one dispatch per core, and run_cohort is the explicit multi-request API"; exit 1
 fi
 
 echo "==> one performance harness (benchmark/ owns wall-clock speed; no modeled serving benches or criterion suites)"
@@ -171,7 +176,7 @@ if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$
   echo "benchmark smoke failed: $bench_line"; exit 1
 fi
 
-echo "==> benchmark smoke (birnn_serve2, 2 s: submit -> run_cohort -> run_group under plan cache + broker)"
+echo "==> benchmark smoke (birnn_serve2, 2 s: two concurrent clients, each run a group of one, under the plan cache)"
 bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload birnn_serve2 --seed 1 --seconds 2 --trace 0 | tail -n 1)
 if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then

@@ -1,7 +1,7 @@
-//! Cross-request continuous batching: cohort-vs-solo bit-identity and
-//! fault isolation (`acrobat_vm::broker`).
+//! Request cohorts: cohort-vs-solo bit-identity and fault isolation
+//! (`acrobat_vm::cohort`).
 //!
-//! The broker's contract is that co-batching requests is *invisible* except
+//! A cohort's contract is that co-batching requests is *invisible* except
 //! in the statistics: every cohort member's outputs are bit-for-bit the
 //! outputs of its solo run, even when a co-batched peer is cancelled,
 //! misses its deadline, or fault-storms — the failing member is peeled out
@@ -141,12 +141,13 @@ fn mixed_cohort_lands_each_member_in_one_bucket() {
     assert_eq!(model.quarantined_count(), 0, "nothing failed on a context");
 }
 
-/// A broker-dispatched cohort of one that fails has no peer to isolate: its
-/// error is the request's genuine outcome, executed (and quarantined) once.
+/// A solo run is a request group of one, and one that fails has no peer to
+/// isolate: its error is the request's genuine outcome, executed (and
+/// quarantined) once.
 #[test]
 fn failing_cohort_of_one_runs_once() {
     let spec = suite(ModelSize::Small, true).remove(0);
-    let model = build(&spec, &CompileOptions::default().with_broker(true));
+    let model = build(&spec, &CompileOptions::default());
     let fault = FaultPlan::nth(FaultSite::Launch, 0, FaultKind::Kernel);
     let opts = RunOptions { fault: Some(fault), ..Default::default() };
     let err = model.run_with(&spec.params, &member_batches(&spec, 1, 2)[0], &opts).unwrap_err();
@@ -331,43 +332,4 @@ fn cohort_spec_backend_matches_interp_solo() {
         agg.kernel_launches,
         "every launch compiled"
     );
-}
-
-/// The background broker queue (`RuntimeOptions::broker`): concurrent
-/// `run` calls routed through `BatchBroker::submit` return bit-identical
-/// outputs to a broker-off model, and every request passes through exactly
-/// one dispatch.  Eight submitters outnumber the dispatch slots (one per
-/// core) on small hosts, so the queue fills and cohorts merge.
-#[test]
-fn broker_queue_preserves_outputs() {
-    const SUBMITTERS: usize = 8;
-    let spec = suite(ModelSize::Small, true)
-        .into_iter()
-        .find(|s| s.properties.tensor_dependent)
-        .expect("a tensor-dependent quick model");
-    let reference_model = build(&spec, &CompileOptions::default());
-    let members = member_batches(&spec, SUBMITTERS, 2);
-    let solo = solo_references(&reference_model, &spec.params, &members);
-
-    let model = build(&spec, &CompileOptions::default().with_broker(true));
-    let outputs: Vec<Vec<OutputValue>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = members
-            .iter()
-            .map(|inst| {
-                let model = &model;
-                let params = &spec.params;
-                scope.spawn(move || model.run(params, inst).expect("broker run").outputs)
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("broker thread")).collect()
-    });
-    for (m, got) in outputs.iter().enumerate() {
-        assert_outputs_equal(&spec, &solo[m], got, "broker queue member");
-    }
-    let stats = model.broker_stats().expect("broker enabled");
-    assert!(stats.dispatches >= 1, "at least one dispatch");
-    let dispatched: u64 = stats.cohort_sizes.iter().map(|(size, n)| *size as u64 * n).sum();
-    assert_eq!(dispatched, SUBMITTERS as u64, "every request passed through exactly one dispatch");
-    assert_eq!(model.outcomes().completed, SUBMITTERS as u64, "ledger counts each request once");
-    assert_eq!(model.runs_completed(), SUBMITTERS as u64, "one merged run per request");
 }

@@ -37,16 +37,24 @@ fn run_many_threads(
 }
 
 /// N threads × M mini-batches over the whole (quick) model suite: every
-/// concurrent result equals the single-threaded reference bit for bit.
+/// concurrent result equals the single-threaded reference bit for bit, and
+/// the session ledger counts each request as exactly one completed run.
 #[test]
 fn concurrent_runs_match_serial_across_suite() {
+    const THREADS: usize = 4;
+    const RUNS_PER_THREAD: usize = 2;
     for spec in suite(ModelSize::Small, true) {
         let model = build(&spec, &CompileOptions::default());
         let instances = (spec.make_instances)(0xC0DE, 4);
         let reference = model.run(&spec.params, &instances).expect("serial run").outputs;
-        for outputs in run_many_threads(&model, &spec.params, &instances, 4, 2) {
+        let concurrent =
+            run_many_threads(&model, &spec.params, &instances, THREADS, RUNS_PER_THREAD);
+        for outputs in concurrent {
             assert_outputs_equal(&spec, &reference, &outputs, "4 threads x 2 runs");
         }
+        let requests = 1 + (THREADS * RUNS_PER_THREAD) as u64;
+        assert_eq!(model.outcomes().completed, requests, "ledger counts each request once");
+        assert_eq!(model.runs_completed(), requests, "one run per request");
     }
 }
 

@@ -3,11 +3,10 @@
 //!
 //! Every generated program must agree **bit-for-bit** across: the host
 //! reference evaluator, every `config_matrix()` entry — both schedulers ×
-//! gather-fusion × coarsening × plan-cache {off, on} × broker {off, on} in
-//! checked mode (every cache hit is gated by the cached ≡
-//! freshly-scheduled invariant, broker-on routes through
-//! `BatchBroker::submit` + the cohort path, and every compiled launch is
-//! re-executed through the reference interpreter and bit-compared) plus
+//! gather-fusion × coarsening × plan-cache {off, on} in checked mode
+//! (every cache hit is gated by the cached ≡ freshly-scheduled invariant,
+//! and every compiled launch is re-executed through the reference
+//! interpreter and bit-compared) plus
 //! unbatched eager execution — a two-member `run_cohort` split of the
 //! instance stream, and the DyNet-sim baseline.  Every random DAG workload
 //! must agree across every `dag_config_matrix()` entry and checked eager
@@ -20,6 +19,7 @@ use acrobat_runtime::RuntimeOptions;
 #[test]
 fn random_ir_programs_agree_bit_for_bit() {
     let configs = config_matrix();
+    assert_eq!(configs.len(), 18, "2 schedulers x 2^3 switches + 2 eager");
     for case_seed in 0..100u64 {
         let case = FuzzCase::generate(case_seed);
         let want = bits(&case.host_reference());
