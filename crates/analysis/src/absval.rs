@@ -322,28 +322,35 @@ impl<'m> Analyzer<'m> {
             ExprKind::BoolLit(v) => AbsVal::Inv(format!("lit:b{v}")),
             ExprKind::PhaseBoundary => AbsVal::Inv("lit:phase".into()),
             ExprKind::RandRange { .. } => AbsVal::Instance,
-            ExprKind::Let { pat, value, body } => {
-                let v = self.eval(value, env);
+            ExprKind::Let { .. } => {
+                // A `let` spine is walked as a loop, not a recursion: bind
+                // each value in turn, evaluate the tail, then restore the
+                // shadowed bindings innermost first, as nested frames would.
                 let mut saved = Vec::new();
-                match pat {
-                    Pattern::Var(n) => saved.push((n.clone(), env.insert(n.clone(), v))),
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(ns) => match v {
-                        AbsVal::Tuple(parts) if parts.len() == ns.len() => {
-                            for (n, p) in ns.iter().zip(parts) {
-                                saved.push((n.clone(), env.insert(n.clone(), p)));
+                let mut cur = expr;
+                while let ExprKind::Let { pat, value, body } = &cur.kind {
+                    let v = self.eval(value, env);
+                    match pat {
+                        Pattern::Var(n) => saved.push((n.clone(), env.insert(n.clone(), v))),
+                        Pattern::Wildcard => {}
+                        Pattern::Tuple(ns) => match v {
+                            AbsVal::Tuple(parts) if parts.len() == ns.len() => {
+                                for (n, p) in ns.iter().zip(parts) {
+                                    saved.push((n.clone(), env.insert(n.clone(), p)));
+                                }
                             }
-                        }
-                        other => {
-                            let flat = other.flatten();
-                            for n in ns {
-                                saved.push((n.clone(), env.insert(n.clone(), flat.clone())));
+                            other => {
+                                let flat = other.flatten();
+                                for n in ns {
+                                    saved.push((n.clone(), env.insert(n.clone(), flat.clone())));
+                                }
                             }
-                        }
-                    },
+                        },
+                    }
+                    cur = body;
                 }
-                let r = self.eval(body, env);
-                for (n, old) in saved {
+                let r = self.eval(cur, env);
+                for (n, old) in saved.into_iter().rev() {
                     match old {
                         Some(v) => env.insert(n, v),
                         None => env.remove(&n),

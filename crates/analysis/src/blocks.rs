@@ -172,22 +172,27 @@ impl Finder {
             | ExprKind::BoolLit(_)
             | ExprKind::RandRange { .. }
             | ExprKind::PhaseBoundary => Source::Other,
-            ExprKind::Let { pat, value, body } => {
-                let v = self.walk(value, func);
-                match pat {
-                    Pattern::Var(n) => {
-                        self.env.insert(n.clone(), v);
-                    }
-                    Pattern::Wildcard => self.mark_escape(&v),
-                    Pattern::Tuple(ns) => {
-                        // Tuple components lose site identity (conservative).
-                        self.mark_escape(&v);
-                        for n in ns {
-                            self.env.insert(n.clone(), Source::Other);
+            ExprKind::Let { .. } => {
+                // The spine as a loop: the body is the tail.
+                let mut cur = expr;
+                while let ExprKind::Let { pat, value, body } = &cur.kind {
+                    let v = self.walk(value, func);
+                    match pat {
+                        Pattern::Var(n) => {
+                            self.env.insert(n.clone(), v);
+                        }
+                        Pattern::Wildcard => self.mark_escape(&v),
+                        Pattern::Tuple(ns) => {
+                            // Tuple components lose site identity (conservative).
+                            self.mark_escape(&v);
+                            for n in ns {
+                                self.env.insert(n.clone(), Source::Other);
+                            }
                         }
                     }
+                    cur = body;
                 }
-                self.walk(body, func)
+                self.walk(cur, func)
             }
             ExprKind::If { cond, then, els } => {
                 self.walk_consumed(cond, func);

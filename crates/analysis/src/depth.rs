@@ -119,12 +119,17 @@ impl OpFreeEval {
             | ExprKind::BoolLit(_)
             | ExprKind::RandRange { .. }
             | ExprKind::PhaseBoundary => true,
-            ExprKind::Let { pat, value, body } => {
-                let v = self.eval(value, env);
-                for n in pat.names() {
-                    env.insert(n.clone(), v);
+            ExprKind::Let { .. } => {
+                // The spine as a loop: the body is the tail.
+                let mut cur = expr;
+                while let ExprKind::Let { pat, value, body } = &cur.kind {
+                    let v = self.eval(value, env);
+                    for n in pat.names() {
+                        env.insert(n.clone(), v);
+                    }
+                    cur = body;
                 }
-                self.eval(body, env)
+                self.eval(cur, env)
             }
             ExprKind::If { cond, then, els } => {
                 let c = self.eval(cond, env);
@@ -260,12 +265,17 @@ impl<'m> DepEval<'m> {
             | ExprKind::BoolLit(_)
             | ExprKind::RandRange { .. }
             | ExprKind::PhaseBoundary => Dep::Clean,
-            ExprKind::Let { pat, value, body } => {
-                let v = self.eval(value);
-                for n in pat.names() {
-                    self.env.insert(n.clone(), v);
+            ExprKind::Let { .. } => {
+                // The spine as a loop: the body is the tail.
+                let mut cur = expr;
+                while let ExprKind::Let { pat, value, body } = &cur.kind {
+                    let v = self.eval(value);
+                    for n in pat.names() {
+                        self.env.insert(n.clone(), v);
+                    }
+                    cur = body;
                 }
-                self.eval(body)
+                self.eval(cur)
             }
             ExprKind::If { cond, then, els } => {
                 let c = self.eval(cond);

@@ -144,50 +144,54 @@ impl UnionFind {
 /// group is therefore only executable if no site outside it consumes one of
 /// its results before that point.  The greedy passes can rarely violate this
 /// (an interleaved group consuming a mid-group escaping output); such groups
-/// are split back into singletons.
+/// are split back into singletons.  Each scan is linear: every group's last
+/// site is found once, not once per edge.
 fn repair_pass(block: &StaticBlock, uf: &mut UnionFind, horizontal_roots: &mut [bool]) {
     let n = block.sites.len();
+    let mut last = vec![0; n];
     loop {
-        let mut bad_root: Option<usize> = None;
-        'scan: for consumer in 0..n {
-            for &producer in block.sites[consumer].arg_sources.iter().flatten() {
+        // Sites are in execution order, so a root's last member is the
+        // highest index whose root it is.
+        for i in 0..n {
+            last[uf.find(i)] = i;
+        }
+        let bad_root = (0..n).find_map(|consumer| {
+            let rc = uf.find(consumer);
+            block.sites[consumer].arg_sources.iter().flatten().find_map(|&producer| {
                 let rp = uf.find(producer);
-                if uf.find(consumer) == rp {
-                    continue;
-                }
-                // Last site of the producer's group.
-                let last = (0..n).filter(|&i| uf.find(i) == rp).max().expect("non-empty group");
-                if consumer < last {
-                    bad_root = Some(rp);
-                    break 'scan;
-                }
-            }
+                (rp != rc && consumer < last[rp]).then_some(rp)
+            })
+        });
+        let Some(root) = bad_root else { return };
+        // Split the offending group into singletons (collect members first:
+        // resetting parents invalidates find paths).
+        let members: Vec<usize> = (0..n).filter(|&i| uf.find(i) == root).collect();
+        for i in members {
+            uf.parent[i] = i;
         }
-        match bad_root {
-            None => return,
-            Some(root) => {
-                // Split the offending group into singletons (collect members
-                // first: resetting parents invalidates find paths).
-                let members: Vec<usize> = (0..n).filter(|&i| uf.find(i) == root).collect();
-                for i in members {
-                    uf.parent[i] = i;
-                }
-                horizontal_roots[root] = false;
-            }
-        }
+        horizontal_roots[root] = false;
     }
 }
 
-/// Transitive data-dependence: `reach[i]` = sites feeding site `i`.
-fn reachability(block: &StaticBlock) -> Vec<std::collections::BTreeSet<usize>> {
-    let n = block.sites.len();
-    let mut reach: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
-    for i in 0..n {
-        for src in block.sites[i].arg_sources.iter().flatten() {
-            let preds: Vec<usize> = reach[*src].iter().copied().collect();
-            reach[i].insert(*src);
-            reach[i].extend(preds);
+/// Transitive data-dependence restricted to the `width` candidate sites
+/// (`cand[i]` is site `i`'s candidate index, or `usize::MAX`): bit `c` of
+/// `reach[i]` is set when candidate `c` feeds site `i`.  Linear in the
+/// block for a fixed candidate count.
+fn reachability(block: &StaticBlock, cand: &[usize], width: usize) -> Vec<Vec<u64>> {
+    let words = width.div_ceil(64);
+    let mut reach: Vec<Vec<u64>> = Vec::with_capacity(block.sites.len());
+    for site in &block.sites {
+        let mut bits = vec![0u64; words];
+        for &src in site.arg_sources.iter().flatten() {
+            // A later source (none in practice) has no closure yet.
+            for (w, r) in bits.iter_mut().zip(reach.get(src).into_iter().flatten()) {
+                *w |= r;
+            }
+            if let Some(c) = cand.get(src).copied().filter(|&c| c != usize::MAX) {
+                bits[c / 64] |= 1 << (c % 64);
+            }
         }
+        reach.push(bits);
     }
     reach
 }
@@ -202,7 +206,6 @@ fn horizontal_pass(
     hoist_flags: &[bool],
 ) {
     let n = block.sites.len();
-    let reach = reachability(block);
     let sig = |i: usize| -> Option<String> {
         let site = block.sites[i].site;
         let op = &module.op_prims[&site];
@@ -224,27 +227,45 @@ fn horizontal_pass(
             .filter_map(|(_, v)| v.as_ref())
             .collect()
     };
+    // Only heavy sites sharing a signature with another can merge.  Each
+    // bucket's pairs are tried in the order of a scan over all pairs
+    // `i < j`: unions only ever join one bucket's sites, so a bucket sees
+    // exactly the union-find state it would in that scan.
+    let mut buckets: std::collections::BTreeMap<String, Vec<usize>> = Default::default();
     for i in 0..n {
-        let Some(si) = sig(i) else { continue };
-        for j in (i + 1)..n {
-            if uf.find(i) == uf.find(j) {
-                continue;
+        if let Some(si) = sig(i) {
+            buckets.entry(si).or_default().push(i);
+        }
+    }
+    buckets.retain(|_, sites| sites.len() > 1);
+    if buckets.is_empty() {
+        return;
+    }
+    let mut cand = vec![usize::MAX; n];
+    for (c, &i) in buckets.values().flatten().enumerate() {
+        cand[i] = c;
+    }
+    let reach = reachability(block, &cand, buckets.values().map(Vec::len).sum());
+    let feeds = |a: usize, b: usize| reach[b][cand[a] / 64] & (1 << (cand[a] % 64)) != 0;
+    for sites in buckets.values() {
+        for (at, &i) in sites.iter().enumerate() {
+            for &j in &sites[at + 1..] {
+                if uf.find(i) == uf.find(j) {
+                    continue;
+                }
+                if feeds(i, j) || feeds(j, i) {
+                    continue;
+                }
+                if hoist_flags[i] != hoist_flags[j] {
+                    continue; // never mix hoistable and recursion-carried work
+                }
+                let vi = ext_vars(i);
+                if !ext_vars(j).iter().any(|v| vi.contains(v)) {
+                    continue;
+                }
+                let root = uf.union(i, j);
+                horizontal_roots[root] = true;
             }
-            if sig(j).as_deref() != Some(si.as_str()) {
-                continue;
-            }
-            if reach[j].contains(&i) || reach[i].contains(&j) {
-                continue;
-            }
-            if hoist_flags[i] != hoist_flags[j] {
-                continue; // never mix hoistable and recursion-carried work
-            }
-            let vi = ext_vars(i);
-            if !ext_vars(j).iter().any(|v| vi.contains(v)) {
-                continue;
-            }
-            let root = uf.union(i, j);
-            horizontal_roots[root] = true;
         }
     }
 }

@@ -132,3 +132,33 @@ fn no_main_is_an_error() {
     let m = typeck::check_module(parse_module("def @f(%x: Int) -> Int { %x }").unwrap()).unwrap();
     assert!(matches!(analyze(m, AnalysisOptions::default()), Err(acrobat_ir::IrError::NoMain)));
 }
+
+/// A `let` spine is a sequence, not nesting, to the analyses too: a
+/// 2 000-`let` `relu` chain is parsed, type-checked and analyzed on a
+/// thread with a 2 MiB stack, every `relu` fusing into one kernel of one
+/// block (each pass walks the spine as a loop, and none compares every
+/// site with every other).
+#[test]
+fn let_spine_2000_deep_analyzes() {
+    const LETS: usize = 2_000;
+    let mut src = String::from("def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {\n");
+    src.push_str("let %v0 = relu(%x);\n");
+    for i in 1..LETS {
+        src.push_str(&format!("let %v{i} = relu(%v{});\n", i - 1));
+    }
+    src.push_str(&format!("%v{}\n}}\n", LETS - 1));
+    let outcome = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let module = typeck::check_module(parse_module(&src).map_err(|e| e.to_string())?)
+                .map_err(|e| e.to_string())?;
+            let a = analyze(module, AnalysisOptions::default()).map_err(|e| e.to_string())?;
+            let groups: Vec<usize> =
+                a.blocks.blocks.iter().map(|b| b.groups.len()).filter(|&g| g > 0).collect();
+            Ok::<_, String>((a.site_info.len(), groups))
+        })
+        .expect("spawns")
+        .join()
+        .expect("no panic");
+    assert_eq!(outcome, Ok((LETS, vec![1])));
+}

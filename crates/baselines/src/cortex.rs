@@ -21,10 +21,8 @@
 //! Implemented as the shared pipeline driven with a Cortex-calibrated
 //! overhead model plus explicit accounting of the mandatory leaf copies.
 
-use std::collections::BTreeMap;
-
 use acrobat_core::{
-    compile, CompileError, CompileOptions, DeviceModel, InputValue, Tensor, VmError,
+    compile, CompileError, CompileOptions, DeviceModel, InputValue, Params, VmError,
 };
 use acrobat_ir::{parse_module, typeck, ExprKind};
 use acrobat_vm::RunResult;
@@ -82,7 +80,7 @@ pub fn supports(source: &str) -> Result<bool, CompileError> {
 /// (non-recursive or tensor-dependent), and propagates runtime errors.
 pub fn run(
     source: &str,
-    params: &BTreeMap<String, Tensor>,
+    params: &Params,
     instances: &[Vec<InputValue>],
 ) -> Result<RunResult, CompileError> {
     if !supports(source)? {
@@ -122,6 +120,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acrobat_core::Tensor;
 
     const TREE: &str = r#"
         type Tree[a] { Leaf(a), Node(Tree[a], Tree[a]) }
@@ -163,14 +162,14 @@ mod tests {
 
     #[test]
     fn unsupported_model_is_an_error() {
-        let params = BTreeMap::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
+        let params = Params::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
         let err = run(FEEDFORWARD, &params, &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
         assert!(matches!(err, Err(CompileError::Execution(VmError::Unsupported(_)))));
     }
 
     #[test]
     fn runs_tree_model_with_lower_overheads_but_leaf_copies() {
-        let params = BTreeMap::from([
+        let params = Params::from([
             ("w".to_string(), Tensor::from_fn(&[4, 4], |i| ((i % 5) as f32 - 2.0) * 0.2)),
             ("u".to_string(), Tensor::from_fn(&[4, 4], |i| ((i % 3) as f32 - 1.0) * 0.3)),
         ]);

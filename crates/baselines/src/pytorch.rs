@@ -12,9 +12,7 @@
 
 #![allow(clippy::field_reassign_with_default)] // builder-style option setup reads better
 
-use std::collections::BTreeMap;
-
-use acrobat_core::{compile, AnalysisOptions, CompileError, CompileOptions, InputValue, Tensor};
+use acrobat_core::{compile, AnalysisOptions, CompileError, CompileOptions, InputValue, Params};
 use acrobat_vm::RunResult;
 
 /// Compile options replicating eager PyTorch execution.
@@ -42,7 +40,7 @@ pub fn options() -> CompileOptions {
 /// Propagates compile and runtime errors.
 pub fn run(
     source: &str,
-    params: &BTreeMap<String, Tensor>,
+    params: &Params,
     instances: &[Vec<InputValue>],
 ) -> Result<RunResult, CompileError> {
     let model = compile(source, &options())?;
@@ -52,6 +50,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acrobat_core::Tensor;
 
     const SRC: &str = "def @main($w: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
         relu(matmul(%x, $w))
@@ -59,7 +58,7 @@ mod tests {
 
     #[test]
     fn eager_launches_one_kernel_per_op_per_instance() {
-        let params = BTreeMap::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
+        let params = Params::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
         let instances: Vec<Vec<InputValue>> =
             (0..4).map(|i| vec![InputValue::Tensor(Tensor::fill(&[1, 2], i as f32))]).collect();
         let r = run(SRC, &params, &instances).unwrap();

@@ -26,7 +26,7 @@ use acrobat_codegen::KernelLibrary;
 use acrobat_core::{compile, CompileOptions};
 use acrobat_ir::{parse_module, typeck};
 use acrobat_runtime::{DeviceModel, Engine, RuntimeOptions, SchedulerKind, ValueId};
-use acrobat_tensor::{execute, PrimOp, Tensor, TensorError};
+use acrobat_tensor::{execute, Params, PrimOp, Tensor, TensorError};
 use acrobat_vm::InputValue;
 
 /// splitmix64 — the workspace's standard seeded PRNG recurrence.
@@ -77,7 +77,7 @@ pub struct FuzzCase {
     /// The frontend source of `@main`.
     pub source: String,
     /// Model parameters (`$`-bindings).
-    pub params: BTreeMap<String, Tensor>,
+    pub params: Params,
     /// Per-instance inputs for [`acrobat_core::compile`]d models.
     pub instances: Vec<Vec<InputValue>>,
     ops: Vec<GenOp>,
@@ -167,7 +167,7 @@ impl FuzzCase {
         let xs: Vec<Tensor> =
             (0..batch).map(|_| Tensor::from_fn(&[1, dim], |_| r.unit())).collect();
         let instances = xs.iter().map(|x| vec![InputValue::Tensor(x.clone())]).collect();
-        FuzzCase { source, params, instances, ops, xs, dim }
+        FuzzCase { source, params: Params::new(params), instances, ops, xs, dim }
     }
 
     /// Evaluates every instance with the host reference executor
@@ -183,7 +183,7 @@ impl FuzzCase {
                         GenOp::Bin(p, a, b) => execute(p, &[&vals[*a], &vals[*b]]),
                         GenOp::MatW(w, a) => execute(
                             &PrimOp::MatMul,
-                            &[&vals[*a], &self.params[&format!("w{}", w + 1)]],
+                            &[&vals[*a], &self.params[format!("w{}", w + 1).as_str()]],
                         ),
                         GenOp::ConcatMat(a, b) => {
                             let c = execute(&PrimOp::Concat { axis: 1 }, &[&vals[*a], &vals[*b]])

@@ -16,8 +16,6 @@
 
 pub mod fuzz;
 
-use std::collections::BTreeMap;
-
 use acrobat_baselines::dynet::{DynetConfig, DynetScheduler, Improvements};
 use acrobat_core::{compile, CompileOptions, RuntimeStats};
 use acrobat_models::{
@@ -208,9 +206,6 @@ pub fn ms(v: f64) -> String {
         format!("{v:.2}")
     }
 }
-
-/// Model-parameter map type alias used across the binaries.
-pub type Params = BTreeMap<String, acrobat_core::Tensor>;
 
 /// Convenience: shared instances for a spec.
 pub fn instances_for(spec: &ModelSpec, seed: u64, batch: usize) -> Vec<Vec<InputValue>> {

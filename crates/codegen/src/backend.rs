@@ -174,9 +174,10 @@ fn verify_against_interp(
 ///
 /// An execution context keeps one for its own thread and each of its
 /// helpers keeps one ([`LaneExecutor`]), so a warm execute phase allocates
-/// nothing: the compiled kernel's flat scratch, tiles and materialized
-/// inputs (each bounded by the kernel's footprint ×
-/// [`crate::spec::LANE_BLOCK`], whatever the launch width) and checked
+/// nothing: the compiled kernel's flat scratch, tiles and staged inputs
+/// (each bounded by the kernel's footprint × [`crate::spec::LANE_BLOCK`],
+/// whatever the launch width, plus one period buffer per shared fused
+/// operand) and checked
 /// mode's snapshot and interpreter registers all persist across launches.
 #[derive(Debug, Default)]
 pub struct BackendScratch {
@@ -185,6 +186,7 @@ pub struct BackendScratch {
     pub(crate) flat: Vec<f32>,
     pub(crate) tiles: Vec<f32>,
     pub(crate) inputs: Vec<f32>,
+    pub(crate) fused_in: Vec<crate::spec::FusedIn>,
     check: Vec<f32>,
 }
 

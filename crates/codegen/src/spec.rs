@@ -23,10 +23,12 @@
 //!   block at once: interior temporaries live in small tile buffers and
 //!   never touch the flat scratch, and each step is one loop over the
 //!   tile ([`acrobat_tensor::map_unary`], vectorised per instruction set,
-//!   or [`acrobat_tensor::map_binary`]).  Input
-//!   slots consumed by fused segments are materialized lane-major once per
-//!   block (shared operands broadcast), so every fused operand is one
-//!   contiguous slice.
+//!   or [`acrobat_tensor::map_binary`]).  Every fused operand is one
+//!   contiguous slice per chunk, and an input slot is copied only when it
+//!   has to be ([`FusedIn`]): a lane-contiguous slot is read in place from
+//!   the arena, a shared one (a bias) is repeated once per launch into a
+//!   buffer whose period is its length, and only a slot whose lanes are
+//!   scattered is staged lane-major, once per block.
 //! * **MatMul monomorphization and lane-stacking.**  Matrix dimensions are
 //!   resolved at compile time and the multiply runs through
 //!   [`acrobat_tensor::matmul_raw`] — the register-blocked micro-kernel the
@@ -37,8 +39,11 @@
 //!   call that reuses every weight tile across the stacked rows: each
 //!   output row depends only on its own left row and the shared right
 //!   operand, accumulated in the same `k` order, so stacking is numerically
-//!   invisible.  Otherwise the multiply runs per lane, reading batched
-//!   operands straight from the arena.
+//!   invisible.  When that shared right operand is a resident weight
+//!   ([`ExecView::resident_panels`]) the stack multiplies its pre-packed
+//!   column panels ([`acrobat_tensor::matmul_packed`], the same bits);
+//!   any other one is read row-major in place.  Otherwise the multiply
+//!   runs per lane, reading batched operands straight from the arena.
 //!
 //! Bit-for-bit identity with the reference interpreter is structural, not
 //! accidental: fused steps apply the same scalar functions
@@ -56,8 +61,8 @@ use acrobat_analysis::ArgClass;
 use acrobat_tensor::arena::ExecView;
 use acrobat_tensor::ops::RawInput;
 use acrobat_tensor::{
-    execute_slices, map_binary, map_unary, matmul_raw, BinaryKind, PrimOp, Shape, TensorError,
-    UnaryKind,
+    execute_slices, map_binary, map_unary, matmul_packed, matmul_raw, BinaryKind, PrimOp, Shape,
+    TensorError, UnaryKind,
 };
 
 use crate::backend::BackendScratch;
@@ -118,6 +123,45 @@ enum Segment {
     Single { op: PrimOp, args: Vec<(Src, Shape)>, out: usize, out_len: usize },
 }
 
+/// Where the fused segments and the matmul stacks of one launch read an
+/// input slot from, decided per launch from the slot's lane offsets
+/// ([`SlotOffsets`]): only what cannot be read in place is copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FusedIn {
+    /// Read by no fused segment and no matmul stack (or zero elements).
+    Unused,
+    /// Lane-contiguous in the arena (gather staging, the packed outputs of
+    /// an earlier launch): a block's lanes are read in place.
+    Arena,
+    /// One operand for every lane (a shared bias): repeated once per launch
+    /// into the inputs scratch at this offset, enough times that any
+    /// chunk's elements `c .. c + len` are the run at `c mod numel`.
+    Periodic(usize),
+    /// Lanes scattered over the arena (or a shared left operand of a matmul
+    /// stack): copied lane-major to the inputs scratch at this offset once
+    /// per block.
+    Staged(usize),
+}
+
+/// Which readers of an input slot need a [`FusedIn`] each launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SlotRead {
+    /// Only other instructions, which read the arena per lane.
+    PerLane,
+    /// A fused segment, which reads contiguous chunks of a block.
+    Fused,
+    /// The left stack of a stacked matmul (and maybe fused segments too),
+    /// which needs every lane's rows even when all lanes share one operand.
+    Stack,
+}
+
+/// Length of a [`FusedIn::Periodic`] buffer for a `numel`-element operand
+/// read in chunks of at most `tile_w`: whole periods covering
+/// `numel − 1 + tile_w` elements.
+fn periodic_len(numel: usize, tile_w: usize) -> usize {
+    ((tile_w - 1).div_ceil(numel) + 1) * numel
+}
+
 /// Chunk width of fused segments for a launch of `lanes` lanes.  Larger
 /// batches amortize loop overhead over more lanes, so they get wider tiles
 /// (fused chunks span the whole lanes × numel range).  Numerically
@@ -160,13 +204,8 @@ pub struct CompiledKernel {
     max_depth: usize,
     /// Element count per input slot, parallel to `KernelProgram::inputs`.
     input_numels: Vec<usize>,
-    /// Per-lane offset of each input slot's lane-major materialization in
-    /// the inputs scratch, for slots consumed by fused segments (`None`
-    /// for slots only matmul / fallback instructions read — those read the
-    /// arena directly).
-    input_off: Vec<Option<usize>>,
-    /// Total inputs-scratch length in per-lane elements.
-    inputs_len: usize,
+    /// How each input slot is read, parallel to `KernelProgram::inputs`.
+    slot_reads: Vec<SlotRead>,
     /// `(flat offset, numel)` per program output, parallel to
     /// `KernelProgram::outputs`.
     outputs: Vec<(usize, usize)>,
@@ -416,17 +455,17 @@ impl CompiledKernel {
             .collect();
 
         // Input slots consumed by fused segments — or as the left stack of
-        // a stacked matmul — get a lane-major materialization slot;
+        // a stacked matmul — are resolved per launch to a `FusedIn`;
         // everything else reads the arena directly.
         let input_numels: Vec<usize> = program.inputs.iter().map(|i| i.shape.numel()).collect();
-        let mut materialized = vec![false; program.inputs.len()];
+        let mut slot_reads = vec![SlotRead::PerLane; program.inputs.len()];
         for seg in &segments {
             match seg {
                 Segment::Fused { steps, .. } => {
                     for step in steps {
                         let mut mark = |s: Src| {
                             if let Src::Input(slot) = s {
-                                materialized[slot] = true;
+                                slot_reads[slot] = slot_reads[slot].max(SlotRead::Fused);
                             }
                         };
                         match step.op {
@@ -439,33 +478,13 @@ impl CompiledKernel {
                     }
                 }
                 Segment::MatMul { a: Src::Input(slot), stacked: true, .. } => {
-                    materialized[*slot] = true;
+                    slot_reads[*slot] = SlotRead::Stack;
                 }
                 _ => {}
             }
         }
-        let mut inputs_len = 0usize;
-        let input_off = materialized
-            .iter()
-            .zip(&input_numels)
-            .map(|(&used, &numel)| {
-                used.then(|| {
-                    let off = inputs_len;
-                    inputs_len += numel;
-                    off
-                })
-            })
-            .collect();
 
-        CompiledKernel {
-            segments,
-            flat_len,
-            max_depth,
-            input_numels,
-            input_off,
-            inputs_len,
-            outputs,
-        }
+        CompiledKernel { segments, flat_len, max_depth, input_numels, slot_reads, outputs }
     }
 
     /// Executes the lanes `lane_range` of `prep` through a shared arena
@@ -497,7 +516,7 @@ impl CompiledKernel {
         let block = lane_range.len().min(LANE_BLOCK);
         grow(&mut scratch.flat, self.flat_len * block);
         grow(&mut scratch.tiles, self.max_depth * tile_w);
-        grow(&mut scratch.inputs, self.inputs_len * block);
+        self.plan_fused_inputs(view, prep, tile_w, block, scratch);
         for l0 in lane_range.clone().step_by(LANE_BLOCK) {
             let lanes = l0..lane_range.end.min(l0 + LANE_BLOCK);
             self.execute_block(view, prep, lanes, tile_w, scratch)?;
@@ -505,9 +524,53 @@ impl CompiledKernel {
         Ok(())
     }
 
+    /// Resolves where each fused-read input slot is read from for this
+    /// launch ([`FusedIn`]), lays out the inputs scratch for `block`-lane
+    /// blocks and fills the periodic buffers of shared operands — once per
+    /// launch, not per block.
+    fn plan_fused_inputs(
+        &self,
+        view: &ExecView<'_>,
+        prep: &PreparedLaunch,
+        tile_w: usize,
+        block: usize,
+        scratch: &mut BackendScratch,
+    ) {
+        let BackendScratch { inputs, fused_in, .. } = scratch;
+        fused_in.clear();
+        let mut len = 0;
+        let slots = prep.slots.iter().zip(&self.input_numels).zip(&self.slot_reads);
+        for ((slot, &numel), &read) in slots {
+            let (plan, size) = match &slot.offsets {
+                _ if read == SlotRead::PerLane => (FusedIn::Unused, 0),
+                _ if numel == 0 => (FusedIn::Arena, 0),
+                SlotOffsets::Strided { stride, .. } if *stride == numel => (FusedIn::Arena, 0),
+                SlotOffsets::Same(_) if read == SlotRead::Fused => {
+                    (FusedIn::Periodic(len), periodic_len(numel, tile_w))
+                }
+                _ => (FusedIn::Staged(len), block * numel),
+            };
+            fused_in.push(plan);
+            len += size;
+        }
+        grow(inputs, len);
+        for ((slot, &numel), plan) in prep.slots.iter().zip(&self.input_numels).zip(&*fused_in) {
+            if let FusedIn::Periodic(base) = *plan {
+                // SAFETY: inputs were fully written before this launch's
+                // execution phase and no concurrent work unit writes them.
+                let src = unsafe { view.read(slot.offset(0), numel) };
+                for period in
+                    inputs[base..base + periodic_len(numel, tile_w)].chunks_exact_mut(numel)
+                {
+                    period.copy_from_slice(src);
+                }
+            }
+        }
+    }
+
     /// One block of lanes through every segment.
     ///
-    /// Registers and materialized inputs are stored *batch-flat*: register
+    /// Registers and staged inputs are stored *batch-flat*: register
     /// `r` at per-lane offset `off` owns `flat[off × L .. (off + numel) × L]`
     /// (lane-major, `L` = lane count of this block), so fused segments
     /// sweep all lanes in one chunked pass and escaping registers leave as
@@ -521,43 +584,33 @@ impl CompiledKernel {
         tile_w: usize,
         scratch: &mut BackendScratch,
     ) -> Result<(), TensorError> {
-        let BackendScratch { flat, tiles, inputs, .. } = scratch;
+        let BackendScratch { flat, tiles, inputs, fused_in, .. } = scratch;
         let l0 = lane_range.start;
         let lanes = lane_range.len();
 
-        // Materialize fused-consumed input slots lane-major (shared
-        // operands broadcast), so every fused operand below is one
-        // contiguous slice.  SAFETY: inputs were fully written before this
-        // launch's execution phase (uploads, earlier flushes' outputs,
-        // gather staging filled during preparation) and no concurrent work
-        // unit writes them.  Zero-element operands have nothing to copy.
-        for ((slot, &numel), off) in prep.slots.iter().zip(&self.input_numels).zip(&self.input_off)
-        {
-            let Some(off) = off.filter(|_| numel > 0) else { continue };
-            let base = off * lanes;
-            match &slot.offsets {
-                // Lane-contiguous in the arena (gather staging, the packed
-                // outputs of an earlier batched launch): one copy covers
-                // every lane.
-                SlotOffsets::Strided { stride, .. } if *stride == numel => {
-                    let src = unsafe { view.read(slot.offset(l0), lanes * numel) };
-                    inputs[base..base + lanes * numel].copy_from_slice(src);
-                }
-                // Shared operand: read once, broadcast.
-                SlotOffsets::Same(_) => {
-                    let src = unsafe { view.read(slot.offset(l0), numel) };
-                    for chunk in inputs[base..base + lanes * numel].chunks_exact_mut(numel) {
-                        chunk.copy_from_slice(src);
-                    }
-                }
-                _ => {
-                    for l in 0..lanes {
-                        let src = unsafe { view.read(slot.offset(l0 + l), numel) };
-                        inputs[base + l * numel..base + (l + 1) * numel].copy_from_slice(src);
-                    }
+        // Stage the scattered slots lane-major.  SAFETY (here and for every
+        // arena read below): inputs were fully written before this launch's
+        // execution phase (uploads, earlier flushes' outputs, gather staging
+        // filled during preparation) and no concurrent work unit writes
+        // them.
+        for ((slot, &numel), plan) in prep.slots.iter().zip(&self.input_numels).zip(&*fused_in) {
+            if let FusedIn::Staged(base) = *plan {
+                for (l, lane) in
+                    inputs[base..base + lanes * numel].chunks_exact_mut(numel).enumerate()
+                {
+                    lane.copy_from_slice(unsafe { view.read(slot.offset(l0 + l), numel) });
                 }
             }
         }
+        // A fused-read slot's elements `at .. at + len` of this block.
+        let fused_input = |slot: usize, at: usize, len: usize| -> &[f32] {
+            match fused_in[slot] {
+                FusedIn::Arena => unsafe { view.read(prep.slots[slot].offset(l0) + at, len) },
+                FusedIn::Periodic(base) => &inputs[base + at % self.input_numels[slot]..][..len],
+                FusedIn::Staged(base) => &inputs[base + at..base + at + len],
+                FusedIn::Unused => unreachable!("slot {slot} is read by a fused segment"),
+            }
+        };
 
         let input_slice = |slot: usize, lane: usize, numel: usize| -> &[f32] {
             // SAFETY: as for the materialization loop above.
@@ -586,11 +639,7 @@ impl CompiledKernel {
                             };
                             let src = |s: Src| -> &[f32] {
                                 match s {
-                                    Src::Input(slot) => {
-                                        let base =
-                                            self.input_off[slot].expect("fused input slot") * lanes;
-                                        &inputs[base + chunk..base + chunk + len]
-                                    }
+                                    Src::Input(slot) => fused_input(slot, chunk, len),
                                     Src::Flat(off) => {
                                         let base = off * lanes;
                                         &flat_lo[base + chunk..base + chunk + len]
@@ -618,19 +667,22 @@ impl CompiledKernel {
                         // shared right operand in the same k order, so the
                         // stacked call produces the per-lane bits exactly.
                         let sa = match a {
-                            Src::Input(slot) => {
-                                let base =
-                                    self.input_off[*slot].expect("stacked matmul lhs") * lanes;
-                                &inputs[base..base + lanes * m * k]
-                            }
+                            Src::Input(slot) => fused_input(*slot, 0, lanes * m * k),
                             Src::Flat(off) => &lo[off * lanes..][..lanes * m * k],
                             Src::Tile(_) => unreachable!("tiles never cross segments"),
                         };
-                        let sb = match b {
-                            Src::Input(slot) => input_slice(*slot, l0, k * n),
-                            _ => unreachable!("stacked matmul rhs is a shared input"),
+                        let Src::Input(b) = *b else {
+                            unreachable!("stacked matmul rhs is a shared input")
                         };
-                        matmul_raw(sa, sb, &mut hi[..lanes * m * n], lanes * m, *k, *n);
+                        let out = &mut hi[..lanes * m * n];
+                        // A resident weight multiplies from its packed
+                        // panels: matmul_raw's bits, read contiguously.
+                        match view.resident_panels(prep.slots[b].offset(l0), *k, *n) {
+                            Some(panels) => matmul_packed(sa, panels, out, lanes * m),
+                            None => {
+                                matmul_raw(sa, input_slice(b, l0, k * n), out, lanes * m, *k, *n)
+                            }
+                        }
                     } else {
                         for l in 0..lanes {
                             let sa = match a {
@@ -718,7 +770,7 @@ mod tests {
     use crate::BatchMode;
     use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
     use acrobat_ir::{parse_module, typeck};
-    use acrobat_tensor::{DeviceMem, Shape, Tensor};
+    use acrobat_tensor::{DeviceMem, Params, Shape, Tensor};
 
     use super::{tile_width, LANE_BLOCK};
     use crate::backend::{BackendScratch, SpecializedBackend};
@@ -744,7 +796,9 @@ mod tests {
 
     /// The compiled path must agree with the interpreter bit for bit on a
     /// kernel mixing matmul, a fused same-shape elementwise chain and an
-    /// odd element count that exercises the chunk-loop remainder.
+    /// odd element count that exercises the chunk-loop remainder — with
+    /// the weights uploaded per launch (the stack multiplies them
+    /// row-major) and resident (from their packed panels).
     #[test]
     fn compiled_matches_interp_bits() {
         const D: usize = 37; // > tile width 32: main chunk + remainder tail
@@ -757,16 +811,24 @@ mod tests {
         assert_eq!(lib.len(), 1);
         let program = lib.kernel(KernelId(0));
 
-        for &(batch, mode) in &[
-            (1, BatchMode::GatherFused),
-            (5, BatchMode::GatherFused),
-            (5, BatchMode::ExplicitGather),
+        let w = Tensor::from_fn(&[D, D], |i| ((i as f32) * 0.37).sin());
+        let b = Tensor::from_fn(&[1, D], |i| (i as f32) * 0.05 - 0.3);
+        let params = Params::from([("b".to_string(), b.clone()), ("w".to_string(), w.clone())]);
+        for &(batch, mode, resident) in &[
+            (1, BatchMode::GatherFused, false),
+            (5, BatchMode::GatherFused, false),
+            (5, BatchMode::ExplicitGather, false),
+            (1, BatchMode::GatherFused, true),
+            (5, BatchMode::GatherFused, true),
         ] {
             let mut mem = DeviceMem::new(1 << 20);
-            let w = Tensor::from_fn(&[D, D], |i| ((i as f32) * 0.37).sin());
-            let b = Tensor::from_fn(&[1, D], |i| (i as f32) * 0.05 - 0.3);
-            let dw = mem.upload(&w).unwrap();
-            let db = mem.upload(&b).unwrap();
+            let (dw, db) = if resident {
+                let h = mem.make_resident(&params, &[1, 0]).unwrap();
+                (h[0].clone(), h[1].clone())
+            } else {
+                (mem.upload(&w).unwrap(), mem.upload(&b).unwrap())
+            };
+            assert_eq!(mem.exec_view().resident_panels(dw.offset(), D, D).is_some(), resident);
             let mut lanes = Vec::new();
             for l in 0..batch {
                 let x = Tensor::from_fn(&[1, D], |i| ((i + l) as f32) * 0.11 - 1.0);
@@ -890,7 +952,12 @@ mod tests {
             let whole = run(std::slice::from_ref(&(0..LANES)), &mut scratch);
             assert_eq!(whole.len(), LANES * D * program.outputs.len());
             assert!(kernel.flat_len > 0 && scratch.flat.capacity() <= kernel.flat_len * LANE_BLOCK);
-            assert!(scratch.inputs.capacity() <= kernel.inputs_len * LANE_BLOCK);
+            // Staged or periodic, a fused-read slot needs at most a block's
+            // worth of its elements at this width.
+            let reads = kernel.slot_reads.iter().zip(&kernel.input_numels);
+            let inputs_len: usize =
+                reads.filter(|(&read, _)| read != super::SlotRead::PerLane).map(|(_, n)| n).sum();
+            assert!(scratch.inputs.capacity() <= inputs_len * LANE_BLOCK);
             assert!(scratch.tiles.capacity() <= kernel.max_depth * tile_width(LANES));
 
             let mut scratch = BackendScratch::default();

@@ -16,8 +16,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use acrobat_core::{compile, CompileOptions, InputValue, Tensor};
-//! use std::collections::BTreeMap;
+//! use acrobat_core::{compile, CompileOptions, InputValue, Params, Tensor};
 //!
 //! let model = compile(
 //!     "def @main($w: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
@@ -25,7 +24,7 @@
 //!      }",
 //!     &CompileOptions::default(),
 //! )?;
-//! let params = BTreeMap::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
+//! let params = Params::from([("w".to_string(), Tensor::ones(&[2, 2]))]);
 //! let batch: Vec<Vec<InputValue>> =
 //!     (0..8).map(|i| vec![InputValue::Tensor(Tensor::fill(&[1, 2], i as f32))]).collect();
 //! let result = model.run(&params, &batch)?;
@@ -52,6 +51,6 @@ pub use acrobat_runtime::{
 };
 pub use acrobat_tensor::{FaultKind, FaultMode, FaultPlan, FaultSite, Shape, Tensor};
 pub use acrobat_vm::{
-    BackendKind, BrokerStats, CohortRequest, InputValue, OutputValue, RunOptions, RunResult,
-    ServeOutcomes, VmError,
+    BackendKind, BrokerStats, CohortRequest, InputValue, OutputValue, Params, RunOptions,
+    RunResult, ServeOutcomes, VmError,
 };

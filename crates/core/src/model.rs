@@ -7,8 +7,7 @@ use acrobat_analysis::{analyze, AnalysisResult};
 use acrobat_codegen::{autoschedule, KernelLibrary};
 use acrobat_ir::{parse_module, typeck};
 use acrobat_runtime::{Engine, RuntimeOptions, RuntimeStats};
-use acrobat_tensor::Tensor;
-use acrobat_vm::{Executable, InputValue, RunOptions, RunResult};
+use acrobat_vm::{Executable, InputValue, Params, RunOptions, RunResult};
 
 use crate::{CompileError, CompileOptions};
 
@@ -44,12 +43,17 @@ pub fn compile(source: &str, options: &CompileOptions) -> Result<Model, CompileE
 impl Model {
     /// Runs one mini-batch.
     ///
+    /// `params` is bound once and kept resident: a pooled execution
+    /// context uploads a [`Params`]' weights on the first request that
+    /// brings it and reuses them for every later request bringing a clone
+    /// of it — build one `Params` per weight set and pass it to every run.
+    ///
     /// # Errors
     ///
     /// Propagates input and runtime errors.
     pub fn run(
         &self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
     ) -> Result<RunResult, CompileError> {
         Ok(self.exe.run(params, instances)?)
@@ -63,7 +67,7 @@ impl Model {
     /// Propagates input and runtime errors.
     pub fn run_with(
         &self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
         opts: &RunOptions,
     ) -> Result<RunResult, CompileError> {
@@ -79,7 +83,7 @@ impl Model {
     /// Propagates input and runtime errors.
     pub fn run_keyed(
         &self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
         keys: &[u64],
     ) -> Result<RunResult, CompileError> {
@@ -136,7 +140,7 @@ impl Model {
     /// Propagates errors from the profiling run.
     pub fn apply_pgo(
         &mut self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
     ) -> Result<(), CompileError> {
         let _ = self.exe.run(params, instances)?;
@@ -208,7 +212,7 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OptLevel;
+    use crate::{OptLevel, Tensor};
 
     const RNN: &str = r#"
         def @rnn(%inps: List[Tensor[(1, 8)]], %state: Tensor[(1, 8)],
@@ -231,8 +235,8 @@ mod tests {
         }
     "#;
 
-    fn rnn_setup() -> (BTreeMap<String, Tensor>, Vec<Vec<InputValue>>) {
-        let params = BTreeMap::from([
+    fn rnn_setup() -> (Params, Vec<Vec<InputValue>>) {
+        let params = Params::from([
             ("bias".into(), Tensor::from_fn(&[1, 8], |i| 0.01 * i as f32)),
             ("i_wt".into(), Tensor::from_fn(&[8, 8], |i| ((i % 5) as f32 - 2.0) * 0.1)),
             ("h_wt".into(), Tensor::from_fn(&[8, 8], |i| ((i % 7) as f32 - 3.0) * 0.08)),
@@ -339,7 +343,10 @@ mod tests {
         let instances: Vec<Vec<InputValue>> = (0..8).map(|i| vec![InputValue::Int(i)]).collect();
         let run = |backend| {
             let options = CompileOptions { backend, ..Default::default() };
-            compile(&program(lo, hi), &options).unwrap().run(&BTreeMap::new(), &instances).unwrap()
+            compile(&program(lo, hi), &options)
+                .unwrap()
+                .run(&Params::default(), &instances)
+                .unwrap()
         };
         let (aot, vm) = (run(BackendKind::Aot), run(BackendKind::Vm));
         assert_eq!(aot.outputs, vm.outputs, "same draws on both backends");

@@ -585,10 +585,17 @@ impl Expr {
     }
 }
 
-/// Walks an expression tree, calling `f` on every node (pre-order).
+/// Walks an expression tree, calling `f` on every node (pre-order).  The
+/// walk keeps its own stack of pending subtrees, so a `let` spine (or any
+/// other chain) costs heap, not call-stack frames.
 pub fn visit_exprs<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(expr);
-    expr.for_each_child(|c| visit_exprs(c, f));
+    let mut pending = vec![expr];
+    while let Some(e) = pending.pop() {
+        f(e);
+        let start = pending.len();
+        e.for_each_child(|c| pending.push(c));
+        pending[start..].reverse();
+    }
 }
 
 #[cfg(test)]

@@ -97,7 +97,7 @@ pub fn spec_with(d: usize, f: usize, s: usize, layers: i64) -> ModelSpec {
     ModelSpec {
         name: "Berxit",
         source: source(d, f, s, layers),
-        params,
+        params: acrobat_tensor::Params::new(params),
         make_instances: Box::new(move |seed, batch| {
             (0..batch)
                 .map(|i| {

@@ -89,7 +89,7 @@ pub fn spec_with(d: usize, classes: usize) -> ModelSpec {
     ModelSpec {
         name: "BiRNN",
         source: source(d, classes),
-        params,
+        params: acrobat_tensor::Params::new(params),
         make_instances: Box::new(move |seed, batch| {
             (0..batch)
                 .map(|i| {

@@ -64,7 +64,7 @@ pub fn spec_with(d: usize, depth: i64) -> ModelSpec {
     ModelSpec {
         name: "DRNN",
         source: source(d, depth),
-        params,
+        params: acrobat_tensor::Params::new(params),
         make_instances: Box::new(move |seed, batch| {
             (0..batch)
                 .map(|i| {

@@ -36,11 +36,9 @@ pub mod treelstm;
 #[cfg(test)]
 pub(crate) use testkit as tests_support;
 
-use std::collections::BTreeMap;
-
 use acrobat_baselines::dynet::DynetConfig;
 use acrobat_runtime::RuntimeStats;
-use acrobat_tensor::{Tensor, TensorError};
+use acrobat_tensor::{Params, Tensor, TensorError};
 use acrobat_vm::{InputValue, OutputValue};
 
 /// The two model sizes of the evaluation (§7.1).
@@ -58,8 +56,8 @@ pub struct ModelSpec {
     pub name: &'static str,
     /// The ACROBAT frontend program.
     pub source: String,
-    /// Model parameters (`$`-bindings of `@main`).
-    pub params: BTreeMap<String, Tensor>,
+    /// Model parameters (`$`-bindings of `@main`), bound once.
+    pub params: Params,
     /// Generates a mini-batch of instances (the `%`-bindings per instance).
     #[allow(clippy::type_complexity)]
     pub make_instances: Box<dyn Fn(u64, usize) -> Vec<Vec<InputValue>> + Send + Sync>,

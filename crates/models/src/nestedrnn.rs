@@ -84,7 +84,7 @@ pub fn spec_with(d: usize, bounds: Bounds) -> ModelSpec {
     ModelSpec {
         name: "NestedRNN",
         source: source(d, bounds),
-        params,
+        params: acrobat_tensor::Params::new(params),
         make_instances: Box::new(move |seed, batch| {
             (0..batch)
                 .map(|i| {

@@ -91,7 +91,7 @@ pub fn spec_with(d: usize) -> ModelSpec {
     ModelSpec {
         name: "StackRNN",
         source: source(d),
-        params,
+        params: acrobat_tensor::Params::new(params),
         make_instances: Box::new(move |seed, batch| {
             (0..batch)
                 .map(|i| {

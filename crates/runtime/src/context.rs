@@ -11,7 +11,7 @@ use std::sync::Arc;
 use acrobat_analysis::fusion::GroupId;
 use acrobat_codegen::backend::LaneExecutor;
 use acrobat_codegen::exec::{finish_prepared, prepare_batched_kernel_with};
-use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Tensor, TensorError};
+use acrobat_tensor::{DeviceMem, DeviceTensor, FaultClass, Params, Tensor, TensorError};
 
 use crate::dfg::{Dfg, NodeId, ValueId};
 use crate::engine::{Engine, Unit};
@@ -174,7 +174,8 @@ impl ExecutionContext {
 
     /// Clears the DFG, device memory, fault plan and statistics for a fresh
     /// mini-batch (called on pool reuse).  The DFG keeps its buffers
-    /// ([`Dfg::clear`]) and the arena is not re-zeroed, so a warm request
+    /// ([`Dfg::clear`]), the arena is not re-zeroed and keeps its resident
+    /// parameters ([`ExecutionContext::bind_params`]), so a warm request
     /// repeats none of the previous one's setup.
     pub fn reset(&mut self) {
         self.mem.reset();
@@ -228,11 +229,40 @@ impl ExecutionContext {
         Ok(handles.into_iter().map(|h| self.dfg.ready_value(h)).collect())
     }
 
-    /// Registers an already-resident tensor as a ready value (weights are
-    /// uploaded once and reused across mini-batches in the real system; the
-    /// benchmark harness uploads them outside the timed region).
+    /// Registers a tensor already in this context's arena as a ready value.
+    /// Model weights get theirs from [`ExecutionContext::bind_params`].
     pub fn ready_value(&mut self, tensor: DeviceTensor) -> ValueId {
         self.dfg.ready_value(tensor)
+    }
+
+    /// Binds a request's model parameters: the tensors `entries`
+    /// (positions in `params`) stay resident in this context's arena
+    /// across requests ([`DeviceMem::make_resident`] — uploaded on the
+    /// first request that brings this `params`, and again only when a
+    /// request brings a different one) and are registered as ready values.
+    /// Returns the first: entry `i`'s value is `ValueId(first.0 + i)`.
+    /// Call it first thing in a request, before any other upload.
+    ///
+    /// Like the per-request weight upload it replaces, this charges no
+    /// modeled time — weights persist across mini-batches in a serving
+    /// system — while the arena's high-water mark
+    /// ([`RuntimeStats::device_peak_elements`]) and capacity still count
+    /// the resident weights on every request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::DeviceOom`] or an injected upload fault from
+    /// an upload; nothing is resident then.
+    pub fn bind_params(
+        &mut self,
+        params: &Params,
+        entries: &[usize],
+    ) -> Result<ValueId, TensorError> {
+        let first = ValueId(self.dfg.value_count() as u64);
+        for h in self.mem.make_resident(params, entries)? {
+            self.dfg.ready_value(h.clone());
+        }
+        Ok(first)
     }
 
     /// Direct access to device memory (weight upload, result download,

@@ -851,6 +851,11 @@ impl Dfg {
         Ok(())
     }
 
+    /// Values created so far: the next value is `ValueId(value_count)`.
+    pub fn value_count(&self) -> usize {
+        self.values.len()
+    }
+
     /// Total nodes ever created (the DFG-construction count in Table 5).
     pub fn node_count(&self) -> u64 {
         self.nodes.len() as u64

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{PackedRhs, Params, Result, Shape, Tensor, TensorError};
 
 /// A handle to a tensor resident in [`DeviceMem`].
 ///
@@ -225,6 +225,11 @@ impl FaultPlan {
 pub struct DeviceMem {
     buf: Vec<f32>,
     top: usize,
+    /// Elements of the pinned prefix `[0, pinned)` holding the resident
+    /// parameters; [`DeviceMem::reset`] keeps it.
+    pinned: usize,
+    /// The parameters in the pinned prefix, if any.
+    resident: Option<Resident>,
     generation: u64,
     stats: MemStats,
     /// Armed fault-injection plan, if any.
@@ -235,11 +240,32 @@ pub struct DeviceMem {
     fault_rng: u64,
 }
 
+/// The [`Params`] a [`DeviceMem`] keeps resident: which of its tensors
+/// (`entries`, positions in the `Params`) and the handle of each, in the
+/// order they were uploaded — ascending offsets.
+struct Resident {
+    params: Params,
+    entries: Vec<usize>,
+    handles: Vec<DeviceTensor>,
+}
+
+impl Resident {
+    /// The packed panels of the resident weight at `offset`, if one lives
+    /// there and is a `k × n` matrix.
+    fn panels(&self, offset: usize, k: usize, n: usize) -> Option<&PackedRhs> {
+        // Several start there only if all but the last are empty.
+        let first = self.handles.partition_point(|h| h.offset < offset);
+        let at = self.handles[first..].iter().take_while(|h| h.offset == offset);
+        at.zip(&self.entries[first..]).find_map(|(_, &entry)| self.params.panels(entry, k, n))
+    }
+}
+
 impl fmt::Debug for DeviceMem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DeviceMem")
             .field("capacity", &self.buf.len())
             .field("top", &self.top)
+            .field("pinned", &self.pinned)
             .field("generation", &self.generation)
             .field("stats", &self.stats)
             .finish()
@@ -271,6 +297,8 @@ impl DeviceMem {
         DeviceMem {
             buf: vec![0.0; capacity],
             top: 0,
+            pinned: 0,
+            resident: None,
             generation: 0,
             stats: MemStats::default(),
             fault: None,
@@ -295,16 +323,71 @@ impl DeviceMem {
         self.stats
     }
 
-    /// Returns the accumulated statistics and zeroes the counters.
+    /// Returns the accumulated statistics and zeroes the counters, except
+    /// the high-water mark, which restarts at what is allocated now (the
+    /// resident parameters after a [`DeviceMem::reset`]).
     pub fn take_stats(&mut self) -> MemStats {
-        std::mem::take(&mut self.stats)
+        let live = MemStats { peak_elements: self.top as u64, ..MemStats::default() };
+        std::mem::replace(&mut self.stats, live)
     }
 
-    /// Releases all allocations.  Outstanding [`DeviceTensor`] handles become
-    /// stale.  Statistics are preserved.
+    /// Releases every allocation but the resident parameters
+    /// ([`DeviceMem::make_resident`]).  Outstanding [`DeviceTensor`] handles
+    /// become stale; the resident ones are re-issued.  Statistics are
+    /// preserved.
     pub fn reset(&mut self) {
-        self.top = 0;
+        self.top = self.pinned;
         self.generation += 1;
+        if let Some(resident) = &mut self.resident {
+            for h in &mut resident.handles {
+                h.generation = self.generation;
+            }
+        }
+    }
+
+    /// Makes the tensors `entries` (positions in `params`) resident in a
+    /// pinned prefix of the arena that [`DeviceMem::reset`] keeps, and
+    /// returns their handles, in `entries` order.
+    ///
+    /// If the same `params` (by [`Params::id`]) with the same `entries`
+    /// is already resident this transfers nothing.  Otherwise the arena is
+    /// emptied — the resident set it held, and every handle issued since
+    /// the last reset, are gone — and each tensor is uploaded as by
+    /// [`DeviceMem::upload`] (one transfer and one upload fault-site count
+    /// each), at the offsets a fresh arena gives them.  So call it at the
+    /// start of a request, before anything else is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::DeviceOom`] when the weights do not fit, or an
+    /// injected upload fault; either way nothing stays resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry is out of range for `params`.
+    pub fn make_resident(&mut self, params: &Params, entries: &[usize]) -> Result<&[DeviceTensor]> {
+        let hit = self
+            .resident
+            .as_ref()
+            .is_some_and(|r| r.params.id() == params.id() && r.entries == entries);
+        if !hit {
+            self.resident = None;
+            self.pinned = 0;
+            self.reset();
+            let handles = entries
+                .iter()
+                .map(|&e| self.upload(params.tensor(e)))
+                .collect::<Result<Vec<_>>>()?;
+            self.pinned = self.top;
+            self.resident =
+                Some(Resident { params: params.clone(), entries: entries.to_vec(), handles });
+        }
+        Ok(&self.resident.as_ref().expect("resident after upload").handles)
+    }
+
+    /// Elements held by the resident parameters.
+    pub fn resident_elements(&self) -> usize {
+        self.pinned
     }
 
     /// Arms deterministic fault injection: a one-shot plan fails its `nth`
@@ -492,6 +575,7 @@ impl DeviceMem {
         ExecView {
             ptr: self.buf.as_mut_ptr(),
             len: self.buf.len(),
+            resident: self.resident.as_ref(),
             _life: std::marker::PhantomData,
         }
     }
@@ -608,6 +692,7 @@ impl DeviceMem {
 pub struct ExecView<'a> {
     ptr: *mut f32,
     len: usize,
+    resident: Option<&'a Resident>,
     _life: std::marker::PhantomData<&'a mut f32>,
 }
 
@@ -623,7 +708,7 @@ impl fmt::Debug for ExecView<'_> {
     }
 }
 
-impl ExecView<'_> {
+impl<'a> ExecView<'a> {
     /// Reads `len` elements at `offset`.
     ///
     /// # Safety
@@ -648,6 +733,16 @@ impl ExecView<'_> {
     pub unsafe fn write(&self, offset: usize, len: usize) -> &mut [f32] {
         debug_assert!(offset + len <= self.len, "ExecView write out of bounds");
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(offset), len) }
+    }
+
+    /// The packed panels ([`crate::matmul_packed`]) of the resident weight
+    /// at arena `offset`, as a `k × n` right operand — `None` unless a
+    /// resident tensor ([`DeviceMem::make_resident`]) of that matrix shape
+    /// starts there.  They hold that region's elements: nothing writes the
+    /// pinned prefix after the upload, and the upload and the panels both
+    /// copy the same host tensor.
+    pub fn resident_panels(&self, offset: usize, k: usize, n: usize) -> Option<&'a PackedRhs> {
+        self.resident?.panels(offset, k, n)
     }
 }
 
@@ -689,6 +784,40 @@ mod tests {
         assert_eq!(mem.stats().upload_bytes, 24);
         assert_eq!(mem.stats().download_bytes, 24);
         assert_eq!(mem.stats().upload_ops, 1);
+    }
+
+    /// Resident parameters survive `reset` at the offsets a fresh arena
+    /// gives them, count in the high-water mark of every request, upload
+    /// once per `Params` and are replaced by a different one.
+    #[test]
+    fn resident_params_survive_reset() {
+        let params = Params::from([
+            ("b".to_string(), Tensor::ones(&[1, 3])),
+            ("w".to_string(), Tensor::from_fn(&[3, 3], |i| i as f32)),
+        ]);
+        let mut mem = DeviceMem::new(1024);
+        let first = mem.make_resident(&params, &[1, 0]).unwrap().to_vec();
+        assert_eq!((first[0].offset(), first[1].offset()), (0, 9), "a fresh arena's offsets");
+        assert_eq!((mem.stats().upload_ops, mem.resident_elements()), (2, 12));
+        mem.reset();
+        assert_eq!(mem.take_stats().peak_elements, 12);
+        assert_eq!(mem.stats().peak_elements, 12, "a request's peak starts at the weights");
+        let again = mem.make_resident(&params.clone(), &[1, 0]).unwrap().to_vec();
+        assert_eq!(mem.stats().upload_bytes, 0, "resident: nothing transferred");
+        assert_eq!(mem.read(&again[0]).unwrap(), params["w"].data(), "re-issued, not stale");
+        assert!(matches!(mem.read(&first[0]), Err(TensorError::StaleHandle)));
+        let x = mem.upload(&Tensor::ones(&[2])).unwrap();
+        assert_eq!(x.offset(), 12, "requests allocate after the weights");
+        let view = mem.exec_view();
+        assert!(view.resident_panels(0, 3, 3).is_some(), "w, packed as a 3 × 3 operand");
+        assert!(view.resident_panels(9, 3, 1).is_none(), "b is a 1 × 3 matrix, not 3 × 1");
+        assert!(view.resident_panels(3, 3, 3).is_none(), "no weight starts there");
+        assert!(view.resident_panels(12, 1, 2).is_none(), "nor at a request's upload");
+
+        let copy: Params = params.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
+        mem.make_resident(&copy, &[1, 0]).unwrap();
+        assert_eq!(mem.stats().upload_ops, 3, "another identity uploads again");
+        assert!(matches!(mem.read(&x), Err(TensorError::StaleHandle)), "and empties the arena");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * [`Tensor`] — owned host tensors (model weights, inputs, references),
 //! * [`DeviceMem`] / [`DeviceTensor`] — an arena-allocated simulated device
 //!   memory with explicit byte accounting for uploads, gathers and copies,
+//! * [`Params`] — bound, immutable model weights with an identity, which
+//!   an arena keeps resident across requests,
 //! * [`PrimOp`] — the primitive tensor operators the frontend language can
 //!   invoke, with shape inference, FLOP counting and a reference executor.
 //!
@@ -34,6 +36,7 @@
 pub mod arena;
 mod error;
 pub mod ops;
+mod params;
 mod shape;
 mod tensor;
 
@@ -43,9 +46,11 @@ pub use arena::{
 pub use error::{FaultClass, TensorError};
 pub use ops::{
     execute, execute_into, execute_slices, flops, infer_shape, map_binary, map_unary,
-    map_unary_instantiations, matmul_raw, matmul_raw_instantiations, BinaryKind, MapUnaryFn,
-    MatmulFn, PrimOp, UnaryKind,
+    map_unary_instantiations, matmul_packed, matmul_packed_instantiations, matmul_raw,
+    matmul_raw_instantiations, packed_width, BinaryKind, MapUnaryFn, MatmulFn, PackedMatmulFn,
+    PackedRhs, PrimOp, UnaryKind,
 };
+pub use params::Params;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

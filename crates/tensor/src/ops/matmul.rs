@@ -9,10 +9,14 @@
 //! multiply-add, rounded once — the arithmetic of the scalar i-k-j loop
 //! `out = a.mul_add(b, out)`, so AVX-512F + FMA, AVX2 + FMA and the
 //! portable instantiation, every tile shape and every row/column tail
-//! produce that loop's bits (`tests/matmul_bits.rs`).  This file is the
+//! produce that loop's bits (`tests/matmul_bits.rs`).  [`matmul_packed`]
+//! is the same arithmetic over a right operand repacked once into
+//! contiguous column panels ([`PackedRhs`] — how a resident weight is
+//! multiplied), so it produces those bits too.  This file is the
 //! only place in the kernels that fuses: the transcendentals' error bounds
 //! were proved for separately rounded steps (`scripts/check.sh` guards it).
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -94,6 +98,143 @@ pub fn matmul_raw_instantiations() -> Vec<(&'static str, MatmulFn)> {
     }
     all.push(("portable", portable));
     all
+}
+
+/// A right operand `b[k × n]` repacked into contiguous column panels for
+/// [`matmul_packed`]: panel `p` holds columns `p·width .. (p+1)·width` (the
+/// last panel the `n mod width` columns left over) as `k` consecutive rows,
+/// so a tile streams its `k × width` slab of `b` from one contiguous run
+/// instead of `k` rows `n` elements apart.  Pure data movement: the panels
+/// hold exactly `b`'s elements.
+#[derive(Clone, PartialEq)]
+pub struct PackedRhs {
+    data: Vec<f32>,
+    k: usize,
+    n: usize,
+    width: usize,
+}
+
+impl fmt::Debug for PackedRhs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PackedRhs")
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .field("width", &self.width)
+            .finish()
+    }
+}
+
+impl PackedRhs {
+    /// Packs the row-major `b[k × n]` into panels of `width` columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `b.len() < k * n`.
+    pub fn new(b: &[f32], k: usize, n: usize, width: usize) -> PackedRhs {
+        assert!(width > 0, "PackedRhs: zero panel width");
+        assert!(
+            k.checked_mul(n).is_some_and(|len| b.len() >= len),
+            "PackedRhs: operand holds {} < {k}×{n} elements",
+            b.len()
+        );
+        let mut data = Vec::with_capacity(k * n);
+        for j in (0..n).step_by(width) {
+            let w = width.min(n - j);
+            for row in b.chunks_exact(n.max(1)).take(k) {
+                data.extend_from_slice(&row[j..j + w]);
+            }
+        }
+        PackedRhs { data, k, n, width }
+    }
+
+    /// `(k, n)`: the rows and columns of the packed operand.
+    pub fn dims(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Columns per panel.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+}
+
+/// The signature of [`matmul_packed`] and of each of its instantiations:
+/// left operand, packed right operand, output, rows of the left operand.
+pub type PackedMatmulFn = fn(&[f32], &PackedRhs, &mut [f32], usize);
+
+/// `out[m × n] = a[m × k] · b` for a [`PackedRhs`] packed at
+/// [`packed_width`] — [`matmul_raw`]'s bits, element for element, from the
+/// widest instantiation's packed variant.  The compiled kernels call it for
+/// a lane stack whose right operand is a resident weight, packed once per
+/// weight and reused by every launch.
+///
+/// # Panics
+///
+/// Panics unless `b` was packed at [`packed_width`], `a.len() >= m * k`
+/// and `out.len() == m * n`.
+pub fn matmul_packed(a: &[f32], b: &PackedRhs, out: &mut [f32], m: usize) {
+    widest_packed().2(a, b, out, m)
+}
+
+/// The panel width [`matmul_packed`] expects: the widest instantiation's
+/// tile width (48 columns on AVX-512F, 16 on AVX2, 8 portable).
+pub fn packed_width() -> usize {
+    widest_packed().1
+}
+
+fn widest_packed() -> (&'static str, usize, PackedMatmulFn) {
+    static WIDEST: OnceLock<(&'static str, usize, PackedMatmulFn)> = OnceLock::new();
+    *WIDEST.get_or_init(|| matmul_packed_instantiations()[0])
+}
+
+/// The packed variant of every instantiation [`matmul_raw_instantiations`]
+/// lists, in the same order, each with the panel width it expects.
+#[doc(hidden)]
+pub fn matmul_packed_instantiations() -> Vec<(&'static str, usize, PackedMatmulFn)> {
+    let mut all: Vec<(&'static str, usize, PackedMatmulFn)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("fma") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                all.push(("avx512f", x86::AVX512F_PANEL, x86::avx512f_packed));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                all.push(("avx2", x86::AVX2_PANEL, x86::avx2_packed));
+            }
+        }
+    }
+    all.push(("portable", PORTABLE_PANEL, portable_packed));
+    all
+}
+
+/// Columns per panel of the portable packed variant (2 × [`Quad`]).
+const PORTABLE_PANEL: usize = 8;
+
+fn portable_packed(a: &[f32], b: &PackedRhs, out: &mut [f32], m: usize) {
+    let (operands, dims) = checked_packed(a, b, out, m, PORTABLE_PANEL);
+    // SAFETY: `checked_packed` established the lengths `gemm_packed` requires.
+    unsafe { gemm_packed::<Quad, 2, false>(operands, dims, m) }
+}
+
+/// The length and panel-width checks of a packed multiply, and the
+/// pointers and `(k, n)` they license.
+fn checked_packed(
+    a: &[f32],
+    b: &PackedRhs,
+    out: &mut [f32],
+    m: usize,
+    width: usize,
+) -> (Operands, (usize, usize)) {
+    assert_eq!(b.width, width, "matmul_packed: operand packed for another instantiation");
+    let (k, n) = (b.k, b.n);
+    let fits = m.checked_mul(k).is_some_and(|v| a.len() >= v);
+    assert!(fits, "matmul_packed: left operand holds {} < {m}×{k} elements", a.len());
+    assert!(
+        m.checked_mul(n) == Some(out.len()),
+        "matmul_packed: output holds {} != {m}×{n} elements",
+        out.len()
+    );
+    ((a.as_ptr(), b.data.as_ptr(), out.as_mut_ptr()), (k, n))
 }
 
 fn portable(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -196,7 +337,8 @@ impl Lanes for Quad {
 }
 
 /// The micro-kernel: one `MR × (NV·W)` output tile whose accumulators stay
-/// in registers across the whole `k` sweep.  Vectorised across output
+/// in registers across a sweep of `depth` steps of `k` (all of them, for
+/// [`matmul_raw`]; [`KC`] at a time, for [`matmul_packed`]).  Vectorised across output
 /// *columns* — each lane of each accumulator is one output element taking
 /// its products in `k` order, exactly the scalar loop's arithmetic — with
 /// the row of `b` loaded once per step and shared by the `MR` rows, whose
@@ -205,22 +347,32 @@ impl Lanes for Quad {
 /// # Safety
 ///
 /// `a` must be valid for reading `MR` rows of `k` elements (row stride
-/// `k`), `b` for `k` rows of `NV·W` elements (row stride `n`) and `out` for
-/// writing `MR` rows of `NV·W` elements (row stride `n`); `V`'s instruction
+/// `k`), `b` for `k` rows of `NV·W` elements (row stride `ldb`: `n` for a
+/// row-major right operand, the panel width for a [`PackedRhs`] panel) and
+/// `out` for writing `MR` rows of `NV·W` elements (row stride `n`), `a`
+/// for `depth` steps at row stride `lda`, and — when `resume` — `out` for
+/// reading the accumulators the previous steps stored; `V`'s instruction
 /// set must be available.
 #[inline(always)]
 unsafe fn tile<V: Lanes, const MR: usize, const NV: usize>(
-    a: *const f32,
-    b: *const f32,
+    (a, lda): (*const f32, usize),
+    (b, ldb): (*const f32, usize),
     out: *mut f32,
-    k: usize,
+    (depth, resume): (usize, bool),
     n: usize,
 ) {
     let mut acc = [[V::splat(0.0); NV]; MR];
-    for kk in 0..k {
-        let b_row: [V; NV] = std::array::from_fn(|v| V::load(b.add(kk * n + v * V::W)));
+    if resume {
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let a_rk = V::splat(*a.add(r * k + kk));
+            for (v, acc) in acc_row.iter_mut().enumerate() {
+                *acc = V::load(out.add(r * n + v * V::W));
+            }
+        }
+    }
+    for kk in 0..depth {
+        let b_row: [V; NV] = std::array::from_fn(|v| V::load(b.add(kk * ldb + v * V::W)));
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let a_rk = V::splat(*a.add(r * lda + kk));
             for (acc, &b_kj) in acc_row.iter_mut().zip(&b_row) {
                 *acc = V::fused_mul_add(*acc, a_rk, b_kj);
             }
@@ -250,7 +402,7 @@ unsafe fn panels<V: Lanes, const MR: usize, const NV: usize>(
 ) -> usize {
     while j + NV * V::W <= n {
         for i in rows.clone().step_by(MR) {
-            tile::<V, MR, NV>(a.add(i * k), b.add(j), out.add(i * n + j), k, n);
+            tile::<V, MR, NV>((a.add(i * k), k), (b.add(j), n), out.add(i * n + j), (k, false), n);
         }
         j += NV * V::W;
     }
@@ -303,6 +455,109 @@ unsafe fn gemm<V: Lanes, const NV4: usize, const NV2: usize, const NV1: usize>(
     row_tiles::<V, 1, NV1>(operands, dims, rows);
 }
 
+/// Steps of `k` a packed panel is swept in: every row tile of the panel
+/// takes steps `kc..kc + KC` before any takes the next ones, so that slab
+/// of the panel (`KC × 48` floats, 24 KiB, on AVX-512F) is read from L1 by
+/// every row tile after the first.  A tile resuming at `kc > 0` reloads its
+/// accumulators from the output it stored — an exact round trip — so the
+/// steps still accumulate one by one in `k` order.
+const KC: usize = 128;
+
+/// The rows `rows` of one packed panel (row stride `ldb`) in `MR × NV·W`
+/// tiles over the steps `kc..kc + depth`; returns the `< MR` rows left
+/// over.
+///
+/// # Safety
+///
+/// `a` and `out` as [`Operands`] describes for `m >= rows.end` and these
+/// `k`, `n`, already advanced to the panel's first column; `b` valid for
+/// `k` rows of `NV·W` elements at stride `ldb`; `V`'s instruction set
+/// available.
+#[inline(always)]
+unsafe fn strip<V: Lanes, const MR: usize, const NV: usize>(
+    (a, b, out): Operands,
+    ldb: usize,
+    (k, n): (usize, usize),
+    (kc, depth): (usize, usize),
+    rows: Range<usize>,
+) -> Range<usize> {
+    let rest = rows.end - rows.len() % MR;
+    let (b, steps) = ((b.add(kc * ldb), ldb), (depth, kc > 0));
+    for i in (rows.start..rest).step_by(MR) {
+        tile::<V, MR, NV>((a.add(i * k + kc), k), b, out.add(i * n), steps, n);
+    }
+    rest..rows.end
+}
+
+/// Every row of one packed panel of `NV·W` columns, [`KC`] steps at a
+/// time: eight rows at a time where `EIGHT`, then four, two and one.
+///
+/// # Safety
+///
+/// As [`strip`], for the rows `0..m`.
+#[inline(always)]
+unsafe fn panel_rows<V: Lanes, const NV: usize, const EIGHT: bool>(
+    operands: Operands,
+    ldb: usize,
+    dims: (usize, usize),
+    m: usize,
+) {
+    // One pass even for `k == 0`: its tiles store the empty sums.
+    let mut kc = 0;
+    loop {
+        let chunk = (kc, KC.min(dims.0 - kc));
+        let mut rows = 0..m;
+        if EIGHT {
+            rows = strip::<V, 8, NV>(operands, ldb, dims, chunk, rows);
+        }
+        let rows = strip::<V, 4, NV>(operands, ldb, dims, chunk, rows);
+        let rows = strip::<V, 2, NV>(operands, ldb, dims, chunk, rows);
+        strip::<V, 1, NV>(operands, ldb, dims, chunk, rows);
+        kc += chunk.1;
+        if kc >= dims.0 {
+            break;
+        }
+    }
+}
+
+/// The packed multiply: each full `NV·W`-column panel in whole-panel
+/// tiles, then the last `< NV·W` columns — one panel of that width — in
+/// one-register and scalar tiles.  Same per-element arithmetic as [`gemm`]:
+/// only where `b`'s elements are loaded from differs.
+///
+/// # Safety
+///
+/// `operands` must be valid for `m` rows of `a`, the `k·n` packed elements
+/// of a [`PackedRhs`] of width `NV·W` and `m·n` output elements, and `V`'s
+/// instruction set must be available.
+#[inline(always)]
+unsafe fn gemm_packed<V: Lanes, const NV: usize, const EIGHT: bool>(
+    (a, b, out): Operands,
+    (k, n): (usize, usize),
+    m: usize,
+) {
+    let width = NV * V::W;
+    let mut j = 0;
+    while j + width <= n {
+        panel_rows::<V, NV, EIGHT>((a, b.add(j * k), out.add(j)), width, (k, n), m);
+        j += width;
+    }
+    let (tail, w) = (b.add(j * k), n - j);
+    let mut c = 0;
+    while c + V::W <= w {
+        panel_rows::<V, 1, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
+        c += V::W;
+    }
+    while c + 4 <= w {
+        panel_rows::<f32, 4, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
+        c += 4;
+    }
+    while c < w {
+        panel_rows::<f32, 1, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
+        c += 1;
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The AVX2 and AVX-512F instantiations, each compiled with `fma` so
@@ -310,7 +565,9 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::{checked_operands, gemm, row_tiles, Lanes, Operands};
+    use super::{
+        checked_operands, checked_packed, gemm, gemm_packed, row_tiles, Lanes, Operands, PackedRhs,
+    };
 
     impl Lanes for __m256 {
         const W: usize = 8;
@@ -366,6 +623,39 @@ mod x86 {
     unsafe fn gemm_avx512f(operands: Operands, m: usize, k: usize, n: usize) {
         let rows = row_tiles::<__m512, 8, 3>(operands, (k, n), 0..m);
         gemm::<__m512, 4, 8, 16>(operands, (k, n), rows);
+    }
+
+    /// Panel width of the AVX2 packed variant: the 4 × 16 tile's columns.
+    pub(super) const AVX2_PANEL: usize = 16;
+    /// Panel width of the AVX-512F packed variant: the 8 × 48 tile's
+    /// columns.
+    pub(super) const AVX512F_PANEL: usize = 48;
+
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_packed_avx2(operands: Operands, dims: (usize, usize), m: usize) {
+        gemm_packed::<__m256, 2, false>(operands, dims, m);
+    }
+
+    /// 8 × 48 tiles, then 4-, 2- and 1-row tiles, all over 48-column panels.
+    #[target_feature(enable = "avx512f,fma")]
+    unsafe fn gemm_packed_avx512f(operands: Operands, dims: (usize, usize), m: usize) {
+        gemm_packed::<__m512, 3, true>(operands, dims, m);
+    }
+
+    /// Listed by [`super::matmul_packed_instantiations`] only where AVX2
+    /// and FMA were detected.
+    pub(super) fn avx2_packed(a: &[f32], b: &PackedRhs, out: &mut [f32], m: usize) {
+        let (operands, dims) = checked_packed(a, b, out, m, AVX2_PANEL);
+        // SAFETY: as for `avx2`.
+        unsafe { gemm_packed_avx2(operands, dims, m) }
+    }
+
+    /// Listed by [`super::matmul_packed_instantiations`] only where
+    /// AVX-512F and FMA were detected.
+    pub(super) fn avx512f_packed(a: &[f32], b: &PackedRhs, out: &mut [f32], m: usize) {
+        let (operands, dims) = checked_packed(a, b, out, m, AVX512F_PANEL);
+        // SAFETY: as for `avx512f`.
+        unsafe { gemm_packed_avx512f(operands, dims, m) }
     }
 
     /// Listed by [`super::matmul_raw_instantiations`] only where AVX2 and

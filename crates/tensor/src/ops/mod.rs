@@ -22,7 +22,10 @@ use serde::{Deserialize, Serialize};
 pub use elementwise::{
     map_binary, map_unary, map_unary_instantiations, BinaryKind, MapUnaryFn, UnaryKind,
 };
-pub use matmul::{matmul_raw, matmul_raw_instantiations, MatmulFn};
+pub use matmul::{
+    matmul_packed, matmul_packed_instantiations, matmul_raw, matmul_raw_instantiations,
+    packed_width, MatmulFn, PackedMatmulFn, PackedRhs,
+};
 
 use crate::{Result, Shape, Tensor, TensorError};
 

@@ -4,9 +4,11 @@
 //! i-k-j loop kept below, over shapes that exercise every row tile, every
 //! column panel width and both column tails, and over operands that
 //! include signed zeros, infinities, NaNs, subnormals and products that
-//! overflow.
+//! overflow.  The packed variant of every instantiation (`matmul_packed`,
+//! the right operand repacked into column panels) is held to the same
+//! bits.
 
-use acrobat_tensor::matmul_raw_instantiations;
+use acrobat_tensor::{matmul_packed_instantiations, matmul_raw_instantiations, PackedRhs};
 use proptest::prelude::*;
 
 /// The reference: each output element is `fma(a₁, b₁ⱼ, fma(a₀, b₀ⱼ, +0.0))…`
@@ -66,7 +68,8 @@ fn operands(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Asserts every instantiation against the reference on one shape.
+/// Asserts every instantiation, and its packed variant, against the
+/// reference on one shape.
 fn check(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = operands(m * k, seed);
     let b = operands(k * n, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
@@ -90,7 +93,73 @@ fn check(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
             }
         }
     }
+    for (name, width, matmul) in matmul_packed_instantiations() {
+        let mut got = vec![f32::NAN; m * n];
+        matmul(&a, &PackedRhs::new(&b, k, n, width), &mut got, m);
+        same_bits(name, (m, k, n), &want, &got)?;
+    }
     Ok(())
+}
+
+/// Compares `got` with `want` bit for bit, naming the first difference.
+fn same_bits(
+    name: &str,
+    (m, k, n): (usize, usize, usize),
+    want: &[f32],
+    got: &[f32],
+) -> Result<(), String> {
+    match want.iter().zip(got).position(|(w, g)| w.to_bits() != g.to_bits()) {
+        None => Ok(()),
+        Some(at) => Err(format!(
+            "{name} ({m},{k},{n}): element ({}, {}) is {:?} ({:#010x}), reference {:?} ({:#010x})",
+            at / n,
+            at % n,
+            got[at],
+            got[at].to_bits(),
+            want[at],
+            want[at].to_bits()
+        )),
+    }
+}
+
+/// The packed variant of every instantiation against the reference, over
+/// every panel tail around the widest panel (48 columns) and the narrower
+/// ones (16, 8), every row tail around the 8-, 4-, 2- and 1-row tiles, an
+/// empty and a one-step `k` and the gate shape `tree_kernel` stacks.
+#[test]
+fn packed_variants_match_reference_bits() {
+    let packed = matmul_packed_instantiations();
+    let raw: Vec<_> = matmul_raw_instantiations().into_iter().map(|(name, _)| name).collect();
+    let names: Vec<_> = packed.iter().map(|(name, _, _)| *name).collect();
+    assert_eq!(names, raw, "one packed variant per instantiation, in the same order");
+    for n in [1, 3, 15, 16, 17, 47, 48, 49, 64, 256] {
+        for k in [0, 1, 7, 512] {
+            let b = operands(k * n, (n * 1000 + k) as u64);
+            for m in (1..=9).chain([32]) {
+                let a = operands(m * k, (m * 7919 + n * 31 + k) as u64);
+                let want = reference(&a, &b, m, k, n);
+                for &(name, width, matmul) in &packed {
+                    let rhs = PackedRhs::new(&b, k, n, width);
+                    let mut got = vec![f32::NAN; m * n];
+                    matmul(&a, &rhs, &mut got, m);
+                    same_bits(name, (m, k, n), &want, &got).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// `matmul_packed` is the widest packed variant, at its panel width.
+#[test]
+fn matmul_packed_is_the_first_variant() {
+    let (m, k, n) = (11, 23, 101);
+    let (a, b) = (operands(m * k, 5), operands(k * n, 6));
+    let rhs = PackedRhs::new(&b, k, n, acrobat_tensor::packed_width());
+    assert_eq!(acrobat_tensor::packed_width(), matmul_packed_instantiations()[0].1);
+    let (mut packed, mut raw) = (vec![0.0; m * n], vec![0.0; m * n]);
+    acrobat_tensor::matmul_packed(&a, &rhs, &mut packed, m);
+    acrobat_tensor::matmul_raw(&a, &b, &mut raw, m, k, n);
+    same_bits("matmul_packed", (m, k, n), &raw, &packed).unwrap();
 }
 
 /// The shapes the models multiply — one lane of a TreeLSTM gate, the

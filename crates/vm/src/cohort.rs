@@ -26,9 +26,7 @@
 //!   reproduces its genuine outcome; its peers complete with their exact
 //!   solo results.  No partial cohort state is ever trusted.
 
-use std::collections::BTreeMap;
-
-use acrobat_tensor::Tensor;
+use acrobat_tensor::Params;
 
 use crate::driver::{Executable, Member, RunOptions, RunResult};
 use crate::session::VmError;
@@ -38,9 +36,10 @@ use crate::value::InputValue;
 /// takes, borrowed for the duration of the cohort.
 #[derive(Debug)]
 pub struct CohortRequest<'a> {
-    /// Model parameters.  Members whose parameters differ from member 0's
-    /// cannot share uploads and fall back to solo runs.
-    pub params: &'a BTreeMap<String, Tensor>,
+    /// Model parameters.  Members bound to another [`Params`] than member
+    /// 0's (by identity, not contents) cannot share its resident weights
+    /// and fall back to solo runs.
+    pub params: &'a Params,
     /// Per-instance inputs, exactly as for [`Executable::run`].
     pub instances: &'a [Vec<InputValue>],
     /// Per-member run options (keys are member-relative, as in a solo run).
@@ -57,7 +56,7 @@ impl Executable {
     /// every member had run solo.
     ///
     /// Members that cannot merge run solo instead and still get a faithful
-    /// result: a parameter map differing from member 0's, a second fault
+    /// result: another `Params` than member 0's, a second fault
     /// plan, an already-fired cancel token, or an empty instance list.  If
     /// the merged run fails for any reason (fault, deadline, cancellation,
     /// stall), the shared context is quarantined and *every* merged member
@@ -76,7 +75,7 @@ impl Executable {
     /// [`Executable::run_group`]'s.
     fn run_members(&self, members: &[Member<'_>]) -> Vec<Result<RunResult, VmError>> {
         let Some(reference) = members.first().map(|m| m.params) else { return Vec::new() };
-        // The cohort shares member 0's parameter map (one upload, shared
+        // The cohort shares member 0's `Params` (one resident copy, shared
         // operand ValueIds — the precondition for cross-request windows to
         // batch); at most one fault plan can be armed on the shared
         // context; a pre-cancelled member would abort the whole cohort at
@@ -86,7 +85,7 @@ impl Executable {
         for (i, m) in members.iter().enumerate() {
             let pre_cancelled = m.opts.cancel.as_ref().is_some_and(|t| t.is_cancelled());
             let second_fault = fault_seen && m.opts.fault.is_some();
-            let same_params = std::ptr::eq(m.params, reference) || m.params == reference;
+            let same_params = m.params.id() == reference.id();
             if m.instances.is_empty() || pre_cancelled || second_fault || !same_params {
                 peeled.push(i);
             } else {

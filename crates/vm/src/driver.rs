@@ -1,7 +1,9 @@
 //! Batch execution driver: runs a compiled model over a mini-batch.
 //!
 //! The driver owns the full lifecycle the paper's Fig. 1 runtime half
-//! describes: upload weights and instance inputs (batched transfers),
+//! describes: bind the weights (resident in the context's arena across
+//! requests, uploaded only when a request brings a different [`Params`])
+//! and upload the instance inputs (one batched transfer),
 //! execute the unbatched program for every instance — sequentially when the
 //! model has no tensor-dependent control flow, concurrently on fibers when
 //! it does (§4.2) — flushing the DFG at sync points, then drain the final
@@ -26,13 +28,12 @@
 //! written once, in `Executable::run_group`: a solo run is a group of one
 //! request, a cohort ([`crate::cohort`]) a group of several.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acrobat_ir::ParamKind;
 use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats, ValueId};
-use acrobat_tensor::{FaultPlan, Tensor, TensorError};
+use acrobat_tensor::{FaultPlan, Params, Tensor, TensorError};
 
 use crate::aot::{AotBackend, Layouts, Scratch};
 use crate::interp::VmBackend;
@@ -111,7 +112,7 @@ pub struct RunOptions {
 /// [`Executable::run_with`] takes, borrowed.
 #[derive(Clone, Copy)]
 pub(crate) struct Member<'a> {
-    pub(crate) params: &'a BTreeMap<String, Tensor>,
+    pub(crate) params: &'a Params,
     pub(crate) instances: &'a [Vec<InputValue>],
     pub(crate) opts: &'a RunOptions,
 }
@@ -160,7 +161,9 @@ impl Executable {
 
     /// Runs one mini-batch.
     ///
-    /// `params` binds every `$`-parameter of `@main` by name; `instances`
+    /// `params` binds every `$`-parameter of `@main` by name (a pooled
+    /// context keeps them resident: a request that brings the `Params` the
+    /// context's last request brought uploads no weights); `instances`
     /// provides, per instance, the `%`-parameter values in declaration
     /// order.
     ///
@@ -170,7 +173,7 @@ impl Executable {
     /// propagates runtime errors (including simulated device OOM).
     pub fn run(
         &self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
     ) -> Result<RunResult, VmError> {
         self.run_with(params, instances, &RunOptions::default())
@@ -184,7 +187,7 @@ impl Executable {
     /// the wrong arity or `opts.deadline_us` is NaN.
     pub fn run_with(
         &self,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[Vec<InputValue>],
         opts: &RunOptions,
     ) -> Result<RunResult, VmError> {
@@ -304,7 +307,7 @@ impl Executable {
         &self,
         run: &RunSession<'_>,
         mut ctx: ExecutionContext,
-        params: &BTreeMap<String, Tensor>,
+        params: &Params,
         instances: &[&Vec<InputValue>],
         keys: &[u64],
     ) -> (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext) {
@@ -350,31 +353,33 @@ struct Uploaded {
     tensors: Vec<ValueId>,
 }
 
-/// Uploads a mini-batch to its context: the weights, then every instance's
-/// input tensors as one batched transfer; validates names and arity.
+/// Uploads a mini-batch to its context: binds the weights
+/// ([`ExecutionContext::bind_params`] — resident, so a warm context with
+/// the same `params` transfers none), then uploads every instance's input
+/// tensors as one batched transfer; validates names and arity.
 fn upload(
     session: &Session,
     ctx: &mut ExecutionContext,
-    params: &BTreeMap<String, Tensor>,
+    params: &Params,
     instances: &[&Vec<InputValue>],
 ) -> Result<Uploaded, VmError> {
     let main = session.analysis.module.functions.get("main").expect("main exists");
 
-    // Upload weights (outside the per-batch accounting, as weights persist
-    // across mini-batches in a serving system).
-    let mut weights = Vec::with_capacity(main.params.len());
-    for p in &main.params {
-        weights.push(match p.kind {
-            ParamKind::Input => None,
-            ParamKind::Model => {
-                let host = params.get(&p.name).ok_or_else(|| {
-                    VmError::Input(format!("missing model parameter ${}", p.name))
-                })?;
-                let dev = ctx.mem_mut().upload(host)?;
-                Some(ctx.ready_value(dev))
-            }
-        });
-    }
+    // Resolve every `$` parameter before binding, so a missing one fails
+    // the request before any transfer.
+    let is_weight = |p: &&acrobat_ir::Param| p.kind == ParamKind::Model;
+    let entries = main
+        .params
+        .iter()
+        .filter(is_weight)
+        .map(|p| {
+            let missing = || VmError::Input(format!("missing model parameter ${}", p.name));
+            params.index_of(&p.name).ok_or_else(missing)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut bound = (ctx.bind_params(params, &entries)?.0..).map(ValueId);
+    let weights: Vec<_> =
+        main.params.iter().map(|p| is_weight(&p).then(|| bound.next().expect("endless"))).collect();
 
     // Upload all instance input tensors as one batched transfer.
     let input_count = weights.iter().filter(|w| w.is_none()).count();
@@ -617,4 +622,105 @@ fn convert_output(
             return Err(VmError::Input("closure escaped as a model output".into()))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use acrobat_analysis::{analyze, AnalysisOptions};
+    use acrobat_codegen::KernelLibrary;
+    use acrobat_ir::{parse_module, typeck};
+    use acrobat_runtime::{DeviceModel, RuntimeOptions};
+
+    use super::*;
+
+    const MODEL: &str = "def @main($w: Tensor[(4, 4)], $b: Tensor[(1, 4)], %x: Tensor[(1, 4)]) \
+                         -> Tensor[(1, 4)] { tanh(add($b, matmul(%x, $w))) }";
+    /// Bytes of `MODEL`'s weights and of one instance's input.
+    const WEIGHT_BYTES: u64 = 4 * (16 + 4);
+    const INPUT_BYTES: u64 = 4 * 4;
+
+    fn executable() -> Executable {
+        let module = typeck::check_module(parse_module(MODEL).unwrap()).unwrap();
+        let analysis = Arc::new(analyze(module, AnalysisOptions::default()).unwrap());
+        let library = KernelLibrary::build(&analysis);
+        let engine =
+            Engine::new(analysis, library, DeviceModel::default(), RuntimeOptions::default());
+        Executable::new(engine, BackendKind::Aot, 7).unwrap()
+    }
+
+    fn params(scale: f32) -> Params {
+        Params::from([
+            ("w".to_string(), Tensor::from_fn(&[4, 4], |i| (i as f32 - 7.5) * 0.1 * scale)),
+            ("b".to_string(), Tensor::from_fn(&[1, 4], |i| i as f32 * 0.05)),
+        ])
+    }
+
+    fn instances(n: usize) -> Vec<Vec<InputValue>> {
+        let x = |i: usize| Tensor::from_fn(&[1, 4], move |j| ((i * 5 + j) % 7) as f32 * 0.3);
+        (0..n).map(|i| vec![InputValue::Tensor(x(i))]).collect()
+    }
+
+    /// Host→device bytes of one request's `upload` on a context acquired
+    /// from the executable's pool, which goes back to the pool after.
+    fn uploaded_bytes(exe: &Executable, params: &Params, instances: &[Vec<InputValue>]) -> u64 {
+        let run = RunSession::new(&exe.session);
+        let mut ctx = run.acquire_context();
+        let refs: Vec<&Vec<InputValue>> = instances.iter().collect();
+        upload(&run, &mut ctx, params, &refs).expect("uploads");
+        let bytes = ctx.mem_mut().stats().upload_bytes;
+        run.finish(ctx, &[]);
+        bytes
+    }
+
+    #[test]
+    fn warm_request_uploads_inputs_only() {
+        let exe = executable();
+        let p = params(1.0);
+        let batch = instances(3);
+        assert_eq!(uploaded_bytes(&exe, &p, &batch), WEIGHT_BYTES + 3 * INPUT_BYTES, "cold");
+        for _ in 0..3 {
+            assert_eq!(uploaded_bytes(&exe, &p, &batch), 3 * INPUT_BYTES, "warm: inputs only");
+        }
+        let shared = p.clone();
+        assert_eq!(uploaded_bytes(&exe, &shared, &batch), 3 * INPUT_BYTES, "a clone is the same");
+        assert_eq!(exe.session.pool.idle_count(), 1, "one context served every request");
+    }
+
+    /// Two `Params` with equal contents are two identities: alternating
+    /// them on one context re-uploads the weights on every switch, and
+    /// every request computes the same bits.
+    #[test]
+    fn alternating_params_reupload_and_keep_bits() {
+        let exe = executable();
+        let (a, b) = (params(1.0), params(1.0));
+        let batch = instances(5);
+        let bits = |r: RunResult| -> Vec<u32> {
+            let tensors = r.outputs.iter().flat_map(|o| o.tensors().into_iter().cloned());
+            tensors.flat_map(|t| t.data().to_vec()).map(f32::to_bits).collect()
+        };
+        let reference = bits(exe.run(&a, &batch).unwrap());
+        for p in [&b, &a, &b, &a] {
+            assert_eq!(uploaded_bytes(&exe, p, &batch), WEIGHT_BYTES + 5 * INPUT_BYTES, "switch");
+            assert_eq!(bits(exe.run(p, &batch).unwrap()), reference, "same bits");
+        }
+        assert_eq!(exe.session.pool.idle_count(), 1, "one context served every request");
+    }
+
+    /// An upload fault on a cold context fails the request while the
+    /// weights are being made resident; the context is quarantined, and the
+    /// next request starts on a fresh one and completes.
+    #[test]
+    fn upload_fault_on_a_cold_context_quarantines_it() {
+        let exe = executable();
+        let (p, batch) = (params(1.0), instances(2));
+        let fault = FaultPlan::parse("upload:0:oom").unwrap();
+        let opts = RunOptions { fault: Some(fault), ..RunOptions::default() };
+        let err = exe.run_with(&p, &batch, &opts).unwrap_err();
+        assert!(matches!(err, VmError::Tensor(TensorError::DeviceOom { .. })), "{err}");
+        assert_eq!(exe.session.quarantined_count(), 1);
+        let recovered = exe.run(&p, &batch).expect("the next request recovers");
+        let fresh = executable().run(&p, &batch).unwrap();
+        assert_eq!(recovered.outputs, fresh.outputs);
+        assert_eq!(uploaded_bytes(&exe, &p, &batch), 2 * INPUT_BYTES, "and is resident after");
+    }
 }

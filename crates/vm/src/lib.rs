@@ -33,6 +33,7 @@ pub mod interp;
 pub mod session;
 pub mod value;
 
+pub use acrobat_tensor::Params;
 pub use cohort::{BrokerStats, CohortRequest};
 pub use driver::{module_has_sync, BackendKind, Executable, RunOptions, RunResult};
 pub use session::{ExecCtx, Handle, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError};

@@ -353,7 +353,7 @@ pub struct Session {
     /// ([`Session::swap_engine`]); reads happen once per run.
     engine: std::sync::RwLock<Arc<Engine>>,
     /// Idle execution contexts, reused across mini-batches.
-    pool: ContextPool,
+    pub(crate) pool: ContextPool,
     /// Whether fibers are active (TDC present and backend supports them).
     pub fiber_mode: bool,
     /// Constructor tags.

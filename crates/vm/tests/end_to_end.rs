@@ -2,14 +2,13 @@
 //! checking numerical correctness against hand-computed references,
 //! VM ≡ AOT agreement, batching behaviour and tensor-dependent control flow.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use acrobat_analysis::{analyze, AnalysisOptions};
 use acrobat_codegen::KernelLibrary;
 use acrobat_ir::{parse_module, typeck};
 use acrobat_runtime::{DeviceModel, Engine, RuntimeOptions};
-use acrobat_tensor::Tensor;
+use acrobat_tensor::{Params, Tensor};
 use acrobat_vm::{BackendKind, Executable, InputValue, OutputValue};
 
 fn build(src: &str, kind: BackendKind, opts: AnalysisOptions) -> Executable {
@@ -43,7 +42,7 @@ const SIMPLE: &str = "def @main($w: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tenso
 #[test]
 fn simple_model_correct_on_both_backends() {
     let w = Tensor::from_vec(vec![1.0, -1.0, 2.0, 0.5], &[2, 2]).unwrap();
-    let params = BTreeMap::from([("w".to_string(), w.clone())]);
+    let params = Params::from([("w".to_string(), w.clone())]);
     let instances: Vec<Vec<InputValue>> =
         (0..4).map(|i| vec![InputValue::Tensor(Tensor::fill(&[1, 2], i as f32 - 1.0))]).collect();
 
@@ -83,8 +82,8 @@ const RNN: &str = r#"
     }
 "#;
 
-fn rnn_params() -> BTreeMap<String, Tensor> {
-    BTreeMap::from([
+fn rnn_params() -> Params {
+    Params::from([
         ("bias".into(), Tensor::from_fn(&[1, 4], |i| 0.01 * i as f32)),
         ("i_wt".into(), Tensor::from_fn(&[4, 4], |i| ((i * 7 % 5) as f32 - 2.0) * 0.2)),
         ("h_wt".into(), Tensor::from_fn(&[4, 4], |i| ((i * 3 % 7) as f32 - 3.0) * 0.15)),
@@ -110,7 +109,7 @@ fn rnn_instances(lens: &[usize]) -> Vec<Vec<InputValue>> {
 }
 
 /// Host-side reference RNN.
-fn rnn_reference(params: &BTreeMap<String, Tensor>, inputs: &[Tensor]) -> Vec<Tensor> {
+fn rnn_reference(params: &Params, inputs: &[Tensor]) -> Vec<Tensor> {
     use acrobat_tensor::{execute, PrimOp};
     let mut state = params["init"].clone();
     let mut outs = Vec::new();
@@ -229,7 +228,7 @@ const TDC: &str = r#"
 #[test]
 fn tensor_dependent_control_flow_with_fibers() {
     let params =
-        BTreeMap::from([("w".to_string(), Tensor::from_fn(&[2, 2], |i| (i as f32 - 1.5) * 0.4))]);
+        Params::from([("w".to_string(), Tensor::from_fn(&[2, 2], |i| (i as f32 - 1.5) * 0.4))]);
     let instances: Vec<Vec<InputValue>> =
         (0..8).map(|i| vec![InputValue::Tensor(Tensor::fill(&[1, 2], 0.1 * i as f32))]).collect();
     let exe = build(TDC, BackendKind::Aot, AnalysisOptions::default());
@@ -271,7 +270,7 @@ fn fork_join_instance_parallelism() {
         }
     "#;
     let params =
-        BTreeMap::from([("w".to_string(), Tensor::from_fn(&[2, 2], |i| (i as f32 - 1.5) * 0.3))]);
+        Params::from([("w".to_string(), Tensor::from_fn(&[2, 2], |i| (i as f32 - 1.5) * 0.3))]);
     let instances: Vec<Vec<InputValue>> = (0..4)
         .map(|i| vec![InputValue::Tensor(Tensor::fill(&[1, 2], 0.2 * i as f32 - 0.3))])
         .collect();
@@ -314,7 +313,7 @@ fn treelstm_like_tree_model() {
     fn node(l: InputValue, r: InputValue) -> InputValue {
         InputValue::Adt { ctor: "Node".into(), fields: vec![l, r] }
     }
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("w".to_string(), Tensor::from_fn(&[4, 4], |i| ((i % 5) as f32 - 2.0) * 0.2)),
         ("u".to_string(), Tensor::from_fn(&[4, 4], |i| ((i % 3) as f32 - 1.0) * 0.3)),
     ]);
@@ -339,14 +338,14 @@ fn treelstm_like_tree_model() {
 #[test]
 fn missing_param_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
-    let err = exe.run(&BTreeMap::new(), &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
+    let err = exe.run(&Params::default(), &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
     assert!(matches!(err, Err(acrobat_vm::VmError::Input(_))));
 }
 
 #[test]
 fn wrong_instance_arity_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
-    let params = BTreeMap::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
+    let params = Params::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
     let err = exe.run(&params, &[vec![]]);
     assert!(matches!(err, Err(acrobat_vm::VmError::Input(_))));
 }
@@ -362,7 +361,7 @@ fn malformed_requests_are_input_errors_on_both_backends() {
     def @main($w: Tensor[(1, 2)], %l: List[Tensor[(1, 2)]], %n: Int) -> Tensor[(1, 2)] {
         match %l { Nil => $w, Cons(%h, %t) => add(%h, $w) }
     }";
-    let params = BTreeMap::from([("w".to_string(), Tensor::ones(&[1, 2]))]);
+    let params = Params::from([("w".to_string(), Tensor::ones(&[1, 2]))]);
     let list = InputValue::list(vec![InputValue::Tensor(Tensor::ones(&[1, 2]))]);
     // One-instance batches.
     let good = [vec![list.clone(), InputValue::Int(2)]];
@@ -394,7 +393,7 @@ fn malformed_requests_are_input_errors_on_both_backends() {
 fn device_oom_surfaces_as_error() {
     let options = RuntimeOptions { device_memory: 5, ..Default::default() };
     let exe = build_with(SIMPLE, BackendKind::Aot, AnalysisOptions::default(), options);
-    let params = BTreeMap::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
+    let params = Params::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
     let err = exe.run(&params, &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
     assert!(err.is_err(), "5-element device must OOM");
 }
@@ -407,7 +406,7 @@ fn device_oom_surfaces_as_error() {
 fn integer_division_without_an_answer_is_a_typed_error() {
     use acrobat_vm::VmError;
     const DIV: &str = "def @main(%n: Int, %d: Int) -> Int { (-(-(%n + 1)) - 1) * 1 / %d }";
-    let params = BTreeMap::new();
+    let params = Params::default();
     let request = |pairs: &[(i64, i64)]| -> Vec<Vec<InputValue>> {
         pairs.iter().map(|&(n, d)| vec![InputValue::Int(n), InputValue::Int(d)]).collect()
     };
@@ -434,7 +433,7 @@ fn integer_division_without_an_answer_is_a_typed_error() {
 fn relay_vm_scalars_have_the_aot_semantics() {
     use acrobat_vm::VmError;
     const DIV: &str = "def @main(%n: Int, %d: Int) -> Int { %n / %d }";
-    let params = BTreeMap::new();
+    let params = Params::default();
     let request = |n: i64, d: i64| vec![vec![InputValue::Int(n), InputValue::Int(d)]];
     for kind in [BackendKind::Aot, BackendKind::Vm] {
         let exe = build(DIV, kind, AnalysisOptions::default());
@@ -456,7 +455,7 @@ fn eager_device_oom_is_a_typed_error_like_batched() {
     use acrobat_vm::VmError;
     const MLP: &str = "def @main($w1: Tensor[(2, 2)], $w2: Tensor[(2, 2)], %x: Tensor[(1, 2)])
         -> Tensor[(1, 2)] { relu(matmul(relu(matmul(%x, $w1)), $w2)) }";
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("w1".to_string(), Tensor::zeros(&[2, 2])),
         ("w2".to_string(), Tensor::zeros(&[2, 2])),
     ]);
@@ -500,7 +499,7 @@ const COUNT: &str = "
 fn deep_recursion_runs_on_heap_frames_not_the_native_stack() {
     let exe = build(COUNT, BackendKind::Aot, AnalysisOptions::default());
     let small_stack = std::thread::Builder::new().stack_size(256 << 10);
-    let request = move || exe.run(&BTreeMap::new(), &[vec![InputValue::Int(500_000)]]);
+    let request = move || exe.run(&Params::default(), &[vec![InputValue::Int(500_000)]]);
     let result = small_stack.spawn(request).unwrap().join().unwrap().expect("deep recursion");
     assert!(matches!(result.outputs[..], [OutputValue::Int(500_000)]), "{:?}", result.outputs);
 }
@@ -512,7 +511,7 @@ fn deep_recursion_runs_on_heap_frames_not_the_native_stack() {
 fn runaway_recursion_is_a_typed_error_on_a_process_that_survives() {
     use acrobat_vm::VmError;
     let exe = build(COUNT, BackendKind::Aot, AnalysisOptions::default());
-    let err = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(-1)]]).unwrap_err();
+    let err = exe.run(&Params::default(), &[vec![InputValue::Int(-1)]]).unwrap_err();
     assert!(
         matches!(err, VmError::DepthExceeded { limit } if limit == acrobat_vm::aot::MAX_FRAMES),
         "{err:?}"
@@ -520,7 +519,7 @@ fn runaway_recursion_is_a_typed_error_on_a_process_that_survives() {
     let outcomes = exe.session.outcomes();
     assert_eq!((outcomes.failed, outcomes.completed, outcomes.total()), (1, 0, 1));
     assert_eq!(exe.session.quarantined_count(), 1);
-    let next = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(3)]]).expect("the next request");
+    let next = exe.run(&Params::default(), &[vec![InputValue::Int(3)]]).expect("the next request");
     assert!(matches!(next.outputs[..], [OutputValue::Int(3)]), "{:?}", next.outputs);
     assert_eq!(exe.session.outcomes().completed, 1);
 }
@@ -543,12 +542,12 @@ fn runaway_recursion_of_a_wide_function_is_bounded_in_memory() {
         first = list(&|_| "%n".to_string()),
     );
     let exe = build(&wide, BackendKind::Aot, AnalysisOptions::default());
-    let err = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(-1)]]).unwrap_err();
+    let err = exe.run(&Params::default(), &[vec![InputValue::Int(-1)]]).unwrap_err();
     let VmError::DepthExceeded { limit } = err else { panic!("{err:?}") };
     // ≥ 120 registers a frame: the word budget, not the frame budget.
     assert!(limit > 1_000 && limit <= MAX_REG_WORDS / 120 && limit < MAX_FRAMES, "{limit}");
     assert_eq!(exe.session.quarantined_count(), 1);
-    let next = exe.run(&BTreeMap::new(), &[vec![InputValue::Int(3)]]).expect("the next request");
+    let next = exe.run(&Params::default(), &[vec![InputValue::Int(3)]]).expect("the next request");
     assert!(matches!(next.outputs[..], [OutputValue::Int(3)]), "{:?}", next.outputs);
 }
 
@@ -619,7 +618,7 @@ fn tuple_capturing_a_tensor_of_an_open_group_is_patched_after_the_emit() {
         Tensor::from_fn(&[2, 2], |i| 0.5 * i as f32),
     );
     let x = Tensor::from_vec(vec![3.0, -2.0], &[1, 2]).unwrap();
-    let params = BTreeMap::from([("w1".to_string(), w1.clone()), ("w2".to_string(), w2.clone())]);
+    let params = Params::from([("w1".to_string(), w1.clone()), ("w2".to_string(), w2.clone())]);
     let instances = vec![vec![InputValue::Tensor(x.clone())]];
     let aot = build(LATE, BackendKind::Aot, AnalysisOptions::default());
     let listing = aot.disassemble().unwrap();
@@ -668,13 +667,13 @@ fn projection_after_a_tuple_valued_merge_reads_the_arm_that_ran() {
     };
     let instances = vec![instance(true, 0), instance(false, 2)];
     let aot = build(PICK, BackendKind::Aot, AnalysisOptions::default());
-    let got = aot.run(&BTreeMap::new(), &instances).unwrap().outputs;
+    let got = aot.run(&Params::default(), &instances).unwrap().outputs;
     let picked = |o: &OutputValue| o.tensors().into_iter().cloned().collect::<Vec<Tensor>>();
     let (ta, tb) = (a.clone(), b.clone());
     assert_eq!(picked(&got[0]), [&ta, &tb, &tb, &tb, &tb].map(Tensor::clone), "%c, %l empty");
     assert_eq!(picked(&got[1]), [&tb, &ta, &ta, &ta, &tb].map(Tensor::clone), "!%c, %l non-empty");
     let vm = build(PICK, BackendKind::Vm, AnalysisOptions::default());
-    assert_eq!(got, vm.run(&BTreeMap::new(), &instances).unwrap().outputs);
+    assert_eq!(got, vm.run(&Params::default(), &instances).unwrap().outputs);
 }
 
 /// The disassembly is the review surface of the lowering: recursion is a

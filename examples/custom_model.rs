@@ -10,9 +10,7 @@
 //! cargo run --release -p acrobat-bench --example custom_model
 //! ```
 
-use std::collections::BTreeMap;
-
-use acrobat_core::{compile, ArgClass, CompileOptions, InputValue, OptLevel, Tensor};
+use acrobat_core::{compile, ArgClass, CompileOptions, InputValue, OptLevel, Params, Tensor};
 
 const SOURCE: &str = r#"
     type Tree[a] { Leaf(a), Node(Tree[a], Tree[a]) }
@@ -85,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nAOT register code:\n{}", model.disassemble().expect("AOT backend"));
 
     // Run a batch of random trees.
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("wleaf".to_string(), Tensor::from_fn(&[24, 24], |i| ((i % 9) as f32 - 4.0) * 0.05)),
         ("wg".to_string(), Tensor::from_fn(&[48, 24], |i| ((i % 7) as f32 - 3.0) * 0.04)),
         ("wu".to_string(), Tensor::from_fn(&[48, 24], |i| ((i % 5) as f32 - 2.0) * 0.05)),

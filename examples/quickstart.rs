@@ -5,9 +5,7 @@
 //! cargo run --release -p acrobat-bench --example quickstart
 //! ```
 
-use std::collections::BTreeMap;
-
-use acrobat_core::{compile, CompileOptions, InputValue, Tensor};
+use acrobat_core::{compile, CompileOptions, InputValue, Params, Tensor};
 
 // A sequence model with dynamic control flow: the recursion length depends
 // on each instance's input list. `$`-parameters are model weights (shared
@@ -39,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("compiled {} batched kernels", model.kernel_count());
 
     // 2. Bind the model parameters once.
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("w".to_string(), Tensor::from_fn(&[64, 32], |i| ((i % 13) as f32 - 6.0) * 0.02)),
         ("b".to_string(), Tensor::zeros(&[1, 32])),
         ("h0".to_string(), Tensor::zeros(&[1, 32])),

@@ -159,6 +159,17 @@ if grep -n 'fill(0\.0)' <<<"$alloc_body"; then
   echo "DeviceMem::alloc does not zero-fill: every writer overwrites its whole reservation (debug builds poison it)"; exit 1
 fi
 
+echo "==> weights stay put (a run takes a bound Params, which a pooled context keeps resident; no per-request weight upload)"
+if grep -rnE -A4 'pub fn run[a-z_]*(<[^>]*>)?\(' crates/core/src crates/vm/src | grep -E '&BTreeMap<String, Tensor>'; then
+  echo "Model::run*/Executable::run* take &Params: an identity is what lets a context keep the weights resident"; exit 1
+fi
+if grep -nE -A8 'ParamKind::Model' crates/vm/src/driver.rs | grep -E 'upload(_batched)?\('; then
+  echo "the driver binds weights with ExecutionContext::bind_params, which uploads only when the Params changes"; exit 1
+fi
+if ! grep -q 'bind_params(' crates/vm/src/driver.rs; then
+  echo "driver.rs no longer calls bind_params: point this guard at where weights are bound"; exit 1
+fi
+
 echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
 for artifact in table4 table5 table8 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \

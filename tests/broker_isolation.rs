@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use acrobat_bench::suite;
-use acrobat_core::{CompileOptions, FaultPlan, Model, RunOptions, RuntimeStats, Tensor, VmError};
+use acrobat_core::{CompileOptions, FaultPlan, Model, Params, RunOptions, RuntimeStats, VmError};
 use acrobat_models::testkit::{assert_outputs_equal, build};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::CancelToken;
@@ -43,7 +43,7 @@ fn requests<'a>(
 
 fn solo_references(
     model: &Model,
-    params: &BTreeMap<String, Tensor>,
+    params: &Params,
     members: &[Vec<Vec<InputValue>>],
 ) -> Vec<Vec<OutputValue>> {
     members.iter().map(|inst| model.run(params, inst).expect("solo reference").outputs).collect()
@@ -118,8 +118,10 @@ fn mixed_cohort_lands_each_member_in_one_bucket() {
     let spec = suite(ModelSize::Small, true).remove(0);
     let members = member_batches(&spec, 4, 2);
     let solo = solo_references(&build(&spec, &Default::default()), &spec.params, &members);
-    let mut other_params = spec.params.clone();
+    let mut other_params: BTreeMap<_, _> =
+        spec.params.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
     other_params.values_mut().next().expect("a parameter").data_mut()[0] += 1.0;
+    let other_params = Params::new(other_params);
 
     let model = build(&spec, &CompileOptions::default());
     let mut requests = requests(&spec, &members);
@@ -139,6 +141,38 @@ fn mixed_cohort_lands_each_member_in_one_bucket() {
     assert_eq!(model.outcomes(), expected, "one bucket per member");
     assert_eq!(model.runs_completed(), 3, "only completions are runs");
     assert_eq!(model.quarantined_count(), 0, "nothing failed on a context");
+}
+
+/// Cohort compatibility is `Params` identity: members bound to one `Params`
+/// co-batch, a member bound to an equal-content copy is peeled to a solo
+/// run (it would need its own resident weights), and every member's outputs
+/// are its solo bits either way.
+#[test]
+fn cohort_merges_by_params_identity() {
+    let spec = suite(ModelSize::Small, true).remove(0);
+    let members = member_batches(&spec, 4, 2);
+    let solo = solo_references(&build(&spec, &Default::default()), &spec.params, &members);
+    let copy: Params = spec.params.iter().map(|(n, t)| (n.clone(), t.clone())).collect();
+    let clone = spec.params.clone();
+
+    let model = build(&spec, &CompileOptions::default());
+    let mut requests = requests(&spec, &members);
+    requests[1].params = &clone;
+    requests[2].params = &copy;
+    let results = model.run_cohort(&requests);
+    let mut shared = 0;
+    for (m, result) in results.iter().enumerate() {
+        let result = result.as_ref().unwrap_or_else(|e| panic!("member {m} failed: {e}"));
+        assert_outputs_equal(&spec, &solo[m], &result.outputs, "cohort member");
+        if m == 2 {
+            let classified = result.stats.shared_flushes + result.stats.solo_flushes;
+            assert_eq!(classified, 0, "the copy is peeled: a solo run classifies nothing");
+        } else {
+            shared += result.stats.shared_flushes;
+        }
+    }
+    assert!(shared > 0, "the members sharing one Params co-batched");
+    assert_eq!(model.outcomes(), ServeOutcomes { completed: 4, ..Default::default() });
 }
 
 /// A solo run is a request group of one, and one that fails has no peer to

@@ -7,17 +7,15 @@
 //! that keyed pseudo-random streams make instance outputs independent of
 //! submission order.
 
-use std::collections::BTreeMap;
-
 use acrobat_bench::suite;
-use acrobat_core::{CompileOptions, FaultPlan, Model, RunOptions, Tensor};
+use acrobat_core::{CompileOptions, FaultPlan, Model, Params, RunOptions};
 use acrobat_models::testkit::{assert_outputs_equal, build};
 use acrobat_models::ModelSize;
 use acrobat_vm::{InputValue, OutputValue};
 
 fn run_many_threads(
     model: &Model,
-    params: &BTreeMap<String, Tensor>,
+    params: &Params,
     instances: &[Vec<InputValue>],
     threads: usize,
     runs_per_thread: usize,

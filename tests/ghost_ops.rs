@@ -4,9 +4,7 @@
 //! launches; with ghost operators the short branch is padded and all
 //! instances' `opB` execute as one batch.
 
-use std::collections::BTreeMap;
-
-use acrobat_core::{compile, CompileOptions, InputValue, Tensor};
+use acrobat_core::{compile, CompileOptions, InputValue, Params, Tensor};
 
 const SOURCE: &str = r#"
     def @main($wa: Tensor[(8, 8)], $wb: Tensor[(8, 8)], %x: Tensor[(1, 8)], %c: Bool)
@@ -20,7 +18,7 @@ fn run(ghosts: bool, batch: usize) -> acrobat_core::RuntimeStats {
     let mut options = CompileOptions::default();
     options.analysis.ghost_ops = ghosts;
     let model = compile(SOURCE, &options).unwrap();
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("wa".to_string(), Tensor::from_fn(&[8, 8], |i| ((i % 5) as f32 - 2.0) * 0.1)),
         ("wb".to_string(), Tensor::from_fn(&[8, 8], |i| ((i % 7) as f32 - 3.0) * 0.1)),
     ]);
@@ -51,7 +49,7 @@ fn ghost_operators_merge_the_opb_batch() {
 #[test]
 fn ghost_operators_do_not_change_results() {
     let batch = 6;
-    let params = BTreeMap::from([
+    let params = Params::from([
         ("wa".to_string(), Tensor::from_fn(&[8, 8], |i| ((i % 5) as f32 - 2.0) * 0.1)),
         ("wb".to_string(), Tensor::from_fn(&[8, 8], |i| ((i % 7) as f32 - 3.0) * 0.1)),
     ]);

@@ -259,7 +259,7 @@ fn zero_element_operands_run_on_both_backends() {
         ),
         ("def @main() -> Tensor[(1, 0)] { zeros[shape=(1, 0)]() }", vec![], &[1, 0]),
     ];
-    let params: std::collections::BTreeMap<String, acrobat_core::Tensor> =
+    let params: acrobat_core::Params =
         [("w".to_string(), acrobat_core::Tensor::from_vec(vec![], &[0, 4]).unwrap())].into();
     for (src, inputs, dims) in cases {
         let model = acrobat_core::compile(src, &checked_options()).expect("compiles");

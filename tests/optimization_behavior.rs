@@ -2,9 +2,7 @@
 //! optimization produces — not just that results are unchanged, but that
 //! the launches land where the paper says they land.
 
-use std::collections::BTreeMap;
-
-use acrobat_core::{compile, CompileOptions, InputValue, Tensor};
+use acrobat_core::{compile, CompileOptions, InputValue, Params, Tensor};
 
 const RNN: &str = r#"
     def @rnn(%inps: List[Tensor[(1, 8)]], %state: Tensor[(1, 8)],
@@ -27,8 +25,8 @@ const RNN: &str = r#"
     }
 "#;
 
-fn rnn_setup(lens: &[usize]) -> (BTreeMap<String, Tensor>, Vec<Vec<InputValue>>) {
-    let params = BTreeMap::from([
+fn rnn_setup(lens: &[usize]) -> (Params, Vec<Vec<InputValue>>) {
+    let params = Params::from([
         ("bias".into(), Tensor::from_fn(&[1, 8], |i| 0.01 * i as f32)),
         ("i_wt".into(), Tensor::from_fn(&[8, 8], |i| ((i % 5) as f32 - 2.0) * 0.1)),
         ("h_wt".into(), Tensor::from_fn(&[8, 8], |i| ((i % 7) as f32 - 3.0) * 0.08)),
@@ -115,7 +113,7 @@ fn fiber_mode_oom_poisons_instead_of_deadlocking() {
     // Enough memory for the weights and a few steps, not for 50 × 8.
     o.runtime.device_memory = 64 * 64 + 64 * 40;
     let model = compile(src, &o).unwrap();
-    let params = BTreeMap::from([(
+    let params = Params::from([(
         "w".to_string(),
         Tensor::from_fn(&[64, 64], |i| ((i % 5) as f32 - 2.0) * 0.05),
     )]);
