@@ -613,7 +613,7 @@ impl CompiledKernel {
         };
 
         let input_slice = |slot: usize, lane: usize, numel: usize| -> &[f32] {
-            // SAFETY: as for the materialization loop above.
+            // SAFETY: as for the staging loop above.
             unsafe { view.read(prep.slots[slot].offset(lane), numel) }
         };
 

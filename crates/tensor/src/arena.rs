@@ -385,11 +385,6 @@ impl DeviceMem {
         Ok(&self.resident.as_ref().expect("resident after upload").handles)
     }
 
-    /// Elements held by the resident parameters.
-    pub fn resident_elements(&self) -> usize {
-        self.pinned
-    }
-
     /// Arms deterministic fault injection: a one-shot plan fails its `nth`
     /// operation; a storm plan fails each operation with its seeded
     /// probability.  Site counters (and the storm stream) restart.
@@ -798,8 +793,9 @@ mod tests {
         let mut mem = DeviceMem::new(1024);
         let first = mem.make_resident(&params, &[1, 0]).unwrap().to_vec();
         assert_eq!((first[0].offset(), first[1].offset()), (0, 9), "a fresh arena's offsets");
-        assert_eq!((mem.stats().upload_ops, mem.resident_elements()), (2, 12));
+        assert_eq!((mem.stats().upload_ops, mem.used()), (2, 12));
         mem.reset();
+        assert_eq!(mem.used(), 12, "reset keeps the resident prefix");
         assert_eq!(mem.take_stats().peak_elements, 12);
         assert_eq!(mem.stats().peak_elements, 12, "a request's peak starts at the weights");
         let again = mem.make_resident(&params.clone(), &[1, 0]).unwrap().to_vec();

@@ -151,11 +151,6 @@ impl PackedRhs {
     pub fn dims(&self) -> (usize, usize) {
         (self.k, self.n)
     }
-
-    /// Columns per panel.
-    pub fn width(&self) -> usize {
-        self.width
-    }
 }
 
 /// The signature of [`matmul_packed`] and of each of its instantiations:

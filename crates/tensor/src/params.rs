@@ -64,16 +64,6 @@ impl Params {
         self.0.id
     }
 
-    /// Number of tensors.
-    pub fn len(&self) -> usize {
-        self.0.tensors.len()
-    }
-
-    /// Whether there are no tensors.
-    pub fn is_empty(&self) -> bool {
-        self.0.tensors.is_empty()
-    }
-
     /// Position of the tensor named `name` (the order of [`Params::iter`]).
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.0.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
@@ -129,12 +119,6 @@ impl Default for Params {
     /// No tensors, with a fresh identity.
     fn default() -> Params {
         Params::new(BTreeMap::new())
-    }
-}
-
-impl From<BTreeMap<String, Tensor>> for Params {
-    fn from(tensors: BTreeMap<String, Tensor>) -> Params {
-        Params::new(tensors)
     }
 }
 
