@@ -28,12 +28,24 @@ use acrobat_ir::{Arm, Callee, Expr, ExprId, ExprKind, Module, Param, ParamKind, 
 
 use crate::ArgClass;
 
-/// Symbolic identity of a batch-invariant value.
-///
-/// Identities are canonical strings: `param:w`, `lit:1`, or
-/// `op:<site>(<inputs>)`.  Two values share a kernel argument slot iff their
-/// identities are equal.
-pub type InvId = String;
+/// Symbolic identity of a batch-invariant value: a dense index into the
+/// analysis' identity table.  Two values share a kernel argument slot iff
+/// their identities are equal, and the table interns each distinct
+/// [`Ident`] once, so index equality is structural equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct InvId(u32);
+
+/// What an identity stands for.  A derived value names its operands by
+/// their [`InvId`]s, so interning one costs its arity, not the size of the
+/// expression it denotes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Ident {
+    /// A value with no operands: `param:w`, `lit:i1`, `ctor:<site>`, ….
+    Leaf(String),
+    /// `head(operands…)`: `op:<site>`, `sb:<symbol>` or `su:<op>` applied
+    /// to invariant operands.
+    Node(String, Vec<InvId>),
+}
 
 /// Abstract value of an expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +65,7 @@ impl AbsVal {
     /// the batch.
     pub fn join(&self, other: &AbsVal) -> AbsVal {
         match (self, other) {
-            (AbsVal::Inv(a), AbsVal::Inv(b)) if a == b => AbsVal::Inv(a.clone()),
+            (AbsVal::Inv(a), AbsVal::Inv(b)) if a == b => AbsVal::Inv(*a),
             (AbsVal::Tuple(xs), AbsVal::Tuple(ys)) if xs.len() == ys.len() => {
                 AbsVal::Tuple(xs.iter().zip(ys).map(|(x, y)| x.join(y)).collect())
             }
@@ -79,9 +91,9 @@ impl AbsVal {
         }
     }
 
-    fn inv_id(&self) -> Option<&str> {
+    fn inv_id(&self) -> Option<InvId> {
         match self {
-            AbsVal::Inv(id) => Some(id),
+            AbsVal::Inv(id) => Some(*id),
             _ => None,
         }
     }
@@ -102,9 +114,9 @@ impl SiteArg {
     fn observe(&mut self, v: &AbsVal) {
         let flat = v.flatten();
         *self = match (&*self, &flat) {
-            (SiteArg::Unseen, AbsVal::Inv(id)) => SiteArg::Inv(id.clone()),
+            (SiteArg::Unseen, AbsVal::Inv(id)) => SiteArg::Inv(*id),
             (SiteArg::Unseen, _) => SiteArg::Instance,
-            (SiteArg::Inv(a), AbsVal::Inv(b)) if a == b => SiteArg::Inv(a.clone()),
+            (SiteArg::Inv(a), AbsVal::Inv(b)) if a == b => SiteArg::Inv(*a),
             (SiteArg::Inv(_), AbsVal::Inv(_)) => SiteArg::MultiInv,
             (SiteArg::MultiInv, AbsVal::Inv(_)) => SiteArg::MultiInv,
             (_, _) => SiteArg::Instance,
@@ -142,6 +154,8 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
     let main = module.functions.get("main").expect("module has @main");
     let mut a = Analyzer {
         module,
+        idents: HashMap::new(),
+        table: Vec::new(),
         site_args: BTreeMap::new(),
         memo: HashMap::new(),
         stack: Vec::new(),
@@ -153,7 +167,7 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
         .params
         .iter()
         .map(|p| match p.kind {
-            ParamKind::Model => AbsVal::Inv(format!("param:{}", p.name)),
+            ParamKind::Model => a.leaf(format!("param:{}", p.name)),
             ParamKind::Input => AbsVal::Instance,
         })
         .collect();
@@ -168,7 +182,7 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
         if guard > 1000 {
             break; // widening guarantees termination; belt and braces
         }
-        let key = (func.clone(), canon_args(&args));
+        let key = (func.clone(), binding_vec(&args));
         if !a.memo.contains_key(&key) {
             a.analyze_fn(&func, &args);
         }
@@ -193,8 +207,8 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
         let nargs = bindings.iter().map(Vec::len).max().unwrap_or(0);
         let mut positions = Vec::new();
         for p in 0..nargs {
-            let ids: BTreeSet<&str> =
-                bindings.iter().filter_map(|b| b.get(p).and_then(|o| o.as_deref())).collect();
+            let ids: BTreeSet<InvId> =
+                bindings.iter().filter_map(|b| b.get(p).copied().flatten()).collect();
             if ids.len() >= 2 {
                 positions.push(p);
             }
@@ -205,7 +219,7 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
     }
     for (func, positions) in &conflict_positions {
         let keys: BTreeSet<String> =
-            a.fn_bindings[func].iter().map(|b| restricted_key(b, positions)).collect();
+            a.fn_bindings[func].iter().map(|b| a.restricted_key(b, positions)).collect();
         if keys.len() >= 2 {
             result.conflicts.insert(func.clone(), keys);
         }
@@ -215,49 +229,27 @@ pub fn analyze_reuse(module: &Module) -> ReuseAnalysis {
         if let Some(positions) = conflict_positions.get(callee) {
             result
                 .call_signatures
-                .insert(*site, (callee.clone(), restricted_key(binding, positions)));
+                .insert(*site, (callee.clone(), a.restricted_key(binding, positions)));
         }
     }
     result
 }
 
-fn restricted_key(binding: &BindingVec, positions: &[usize]) -> String {
-    let mut s = String::new();
-    for &p in positions {
-        match binding.get(p).and_then(|o| o.as_deref()) {
-            Some(id) => s.push_str(id),
-            None => s.push('*'),
-        }
-        s.push('|');
-    }
-    s
-}
-
 struct Analyzer<'m> {
     module: &'m Module,
+    /// Interned identities: [`Ident`] → its index in `table`.
+    idents: HashMap<Ident, InvId>,
+    table: Vec<Ident>,
     site_args: BTreeMap<ExprId, Vec<SiteArg>>,
-    /// (func, canonical args) → result.
-    memo: HashMap<(String, String), AbsVal>,
-    /// Functions currently being analyzed: (name, canon key, abstract args).
-    stack: Vec<(String, String, Vec<AbsVal>)>,
+    /// (func, binding vector of the args) → result.
+    memo: HashMap<(String, BindingVec), AbsVal>,
+    /// Functions currently being analyzed: (name, binding vector, abstract
+    /// args).
+    stack: Vec<(String, BindingVec, Vec<AbsVal>)>,
     call_sigs: BTreeMap<ExprId, (String, BindingVec)>,
     fn_bindings: BTreeMap<String, BTreeSet<BindingVec>>,
     /// Widened recursive contexts awaiting analysis.
     queue: Vec<(String, Vec<AbsVal>)>,
-}
-
-fn canon_args(args: &[AbsVal]) -> String {
-    let mut s = String::new();
-    for a in args {
-        match a.flatten() {
-            AbsVal::Inv(id) => {
-                s.push_str(&id);
-            }
-            _ => s.push('*'),
-        }
-        s.push('|');
-    }
-    s
 }
 
 fn binding_vec(args: &[AbsVal]) -> BindingVec {
@@ -270,8 +262,62 @@ fn binding_vec(args: &[AbsVal]) -> BindingVec {
 }
 
 impl<'m> Analyzer<'m> {
+    /// The invariant value whose identity is `ident`, interned.
+    fn intern(&mut self, ident: Ident) -> AbsVal {
+        let next = InvId(self.table.len() as u32);
+        let id = *self.idents.entry(ident).or_insert_with_key(|ident| {
+            self.table.push(ident.clone());
+            next
+        });
+        AbsVal::Inv(id)
+    }
+
+    fn leaf(&mut self, name: String) -> AbsVal {
+        self.intern(Ident::Leaf(name))
+    }
+
+    /// A binding restricted to `positions`, spelled out: each identity's
+    /// canonical string (`param:w`, `op:<site>(<inputs>)`, …), or `*` for
+    /// instance data, each followed by `|`.  The spelling orders a
+    /// function's clones ([`crate::dup`] names them by rank).
+    fn restricted_key(&self, binding: &BindingVec, positions: &[usize]) -> String {
+        let mut s = String::new();
+        for &p in positions {
+            match binding.get(p).copied().flatten() {
+                Some(id) => self.spell(id, &mut s),
+                None => s.push('*'),
+            }
+            s.push('|');
+        }
+        s
+    }
+
+    /// Appends `id`'s canonical string to `out`, from a stack of pending
+    /// identities (`Ok`) and punctuation (`Err`): a derived identity can be
+    /// as deep as the `let` chain behind it.
+    fn spell(&self, id: InvId, out: &mut String) {
+        let mut todo = vec![Ok(id)];
+        while let Some(piece) = todo.pop() {
+            match piece.map(|id| &self.table[id.0 as usize]) {
+                Err(text) => out.push_str(text),
+                Ok(Ident::Leaf(name)) => out.push_str(name),
+                Ok(Ident::Node(head, operands)) => {
+                    out.push_str(head);
+                    out.push('(');
+                    todo.push(Err(")"));
+                    for (i, &operand) in operands.iter().enumerate().rev() {
+                        todo.push(Ok(operand));
+                        if i > 0 {
+                            todo.push(Err(","));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     fn analyze_fn(&mut self, name: &str, args: &[AbsVal]) -> AbsVal {
-        let canon = canon_args(args);
+        let canon = binding_vec(args);
         let key = (name.to_string(), canon.clone());
         if let Some(hit) = self.memo.get(&key) {
             return hit.clone();
@@ -301,8 +347,8 @@ impl<'m> Analyzer<'m> {
             self.queue.push((name.to_string(), widened));
             return AbsVal::Instance;
         }
+        self.fn_bindings.entry(name.to_string()).or_default().insert(canon.clone());
         self.stack.push((name.to_string(), canon, args.to_vec()));
-        self.fn_bindings.entry(name.to_string()).or_default().insert(binding_vec(args));
         let f = &self.module.functions[name];
         let mut env: HashMap<String, AbsVal> = HashMap::new();
         for (p, a) in f.params.iter().zip(args) {
@@ -317,10 +363,10 @@ impl<'m> Analyzer<'m> {
     fn eval(&mut self, expr: &Expr, env: &mut HashMap<String, AbsVal>) -> AbsVal {
         match &expr.kind {
             ExprKind::Var(name) => env.get(name).cloned().unwrap_or(AbsVal::Instance),
-            ExprKind::IntLit(v) => AbsVal::Inv(format!("lit:i{v}")),
-            ExprKind::FloatLit(v) => AbsVal::Inv(format!("lit:f{v}")),
-            ExprKind::BoolLit(v) => AbsVal::Inv(format!("lit:b{v}")),
-            ExprKind::PhaseBoundary => AbsVal::Inv("lit:phase".into()),
+            ExprKind::IntLit(v) => self.leaf(format!("lit:i{v}")),
+            ExprKind::FloatLit(v) => self.leaf(format!("lit:f{v}")),
+            ExprKind::BoolLit(v) => self.leaf(format!("lit:b{v}")),
+            ExprKind::PhaseBoundary => self.leaf("lit:phase".into()),
             ExprKind::RandRange { .. } => AbsVal::Instance,
             ExprKind::Let { .. } => {
                 // A `let` spine is walked as a loop, not a recursion: bind
@@ -402,11 +448,11 @@ impl<'m> Analyzer<'m> {
                         let mut ids = Vec::with_capacity(arg_vals.len());
                         for v in &arg_vals {
                             match v.flatten().inv_id() {
-                                Some(id) => ids.push(id.to_string()),
+                                Some(id) => ids.push(id),
                                 None => return AbsVal::Instance,
                             }
                         }
-                        AbsVal::Inv(format!("op:{}({})", expr.id, ids.join(",")))
+                        self.intern(Ident::Node(format!("op:{}", expr.id), ids))
                     }
                     Callee::Global(name) => {
                         self.call_sigs.insert(expr.id, (name.clone(), binding_vec(&arg_vals)));
@@ -422,7 +468,7 @@ impl<'m> Analyzer<'m> {
                                 Some(a) => a.join(&f),
                             });
                         }
-                        acc.unwrap_or_else(|| AbsVal::Inv(format!("ctor:{}", expr.id)))
+                        acc.unwrap_or_else(|| self.leaf(format!("ctor:{}", expr.id)))
                     }
                     Callee::Var(name) => {
                         // Calling a lambda-typed variable: conservatively
@@ -467,14 +513,16 @@ impl<'m> Analyzer<'m> {
                 let l = self.eval(lhs, env).flatten();
                 let r = self.eval(rhs, env).flatten();
                 match (l.inv_id(), r.inv_id()) {
-                    (Some(a), Some(b)) => AbsVal::Inv(format!("sb:{}({a},{b})", op.symbol())),
+                    (Some(a), Some(b)) => {
+                        self.intern(Ident::Node(format!("sb:{}", op.symbol()), vec![a, b]))
+                    }
                     _ => AbsVal::Instance,
                 }
             }
             ExprKind::ScalarUn { operand, op } => {
                 let v = self.eval(operand, env).flatten();
                 match v.inv_id() {
-                    Some(a) => AbsVal::Inv(format!("su:{op:?}({a})")),
+                    Some(a) => self.intern(Ident::Node(format!("su:{op:?}"), vec![a])),
                     None => AbsVal::Instance,
                 }
             }
@@ -588,7 +636,8 @@ mod tests {
         "#;
         let (m, r) = analyze(src);
         assert!(r.conflicts.contains_key("step"), "conflicts: {:?}", r.conflicts);
-        assert_eq!(r.conflicts["step"].len(), 2);
+        let keys = ["param:wb|", "param:wf|"].map(String::from);
+        assert_eq!(r.conflicts["step"], BTreeSet::from(keys), "keys spell the identities");
         // Without duplication the weight argument must degrade to batched.
         let classes = &r.arg_classes[&op_site(&m, "matmul")];
         assert_eq!(classes[1], ArgClass::Batched);

@@ -2,7 +2,7 @@
 //! programs, including the paper's flagship examples: the RNN of Listing 1
 //! (hoisting + phases) and the BiRNN of §C.1 (duplication).
 
-use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
+use acrobat_analysis::{analyze, AnalysisOptions, AnalysisResult, ArgClass};
 use acrobat_ir::{parse_module, typeck};
 
 const RNN_PROGRAM: &str = r#"
@@ -133,6 +133,25 @@ fn no_main_is_an_error() {
     assert!(matches!(analyze(m, AnalysisOptions::default()), Err(acrobat_ir::IrError::NoMain)));
 }
 
+const LETS: usize = 2_000;
+
+/// Parses, type-checks and analyzes a `LETS`-long `relu` chain over
+/// `@main`'s one parameter `param` on a thread with a 2 MiB stack.
+fn analyze_relu_chain(param: &'static str) -> AnalysisResult {
+    let mut src = format!("def @main({param}: Tensor[(1, 4)]) -> Tensor[(1, 4)] {{\n");
+    src.push_str(&format!("let %v0 = relu({param});\n"));
+    for i in 1..LETS {
+        src.push_str(&format!("let %v{i} = relu(%v{});\n", i - 1));
+    }
+    src.push_str(&format!("%v{}\n}}\n", LETS - 1));
+    let analyzed = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+        let module = typeck::check_module(parse_module(&src).map_err(|e| e.to_string())?)
+            .map_err(|e| e.to_string())?;
+        analyze(module, AnalysisOptions::default()).map_err(|e| e.to_string())
+    });
+    analyzed.expect("spawns").join().expect("no panic").unwrap()
+}
+
 /// A `let` spine is a sequence, not nesting, to the analyses too: a
 /// 2 000-`let` `relu` chain is parsed, type-checked and analyzed on a
 /// thread with a 2 MiB stack, every `relu` fusing into one kernel of one
@@ -140,25 +159,19 @@ fn no_main_is_an_error() {
 /// site with every other).
 #[test]
 fn let_spine_2000_deep_analyzes() {
-    const LETS: usize = 2_000;
-    let mut src = String::from("def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {\n");
-    src.push_str("let %v0 = relu(%x);\n");
-    for i in 1..LETS {
-        src.push_str(&format!("let %v{i} = relu(%v{});\n", i - 1));
-    }
-    src.push_str(&format!("%v{}\n}}\n", LETS - 1));
-    let outcome = std::thread::Builder::new()
-        .stack_size(2 << 20)
-        .spawn(move || {
-            let module = typeck::check_module(parse_module(&src).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            let a = analyze(module, AnalysisOptions::default()).map_err(|e| e.to_string())?;
-            let groups: Vec<usize> =
-                a.blocks.blocks.iter().map(|b| b.groups.len()).filter(|&g| g > 0).collect();
-            Ok::<_, String>((a.site_info.len(), groups))
-        })
-        .expect("spawns")
-        .join()
-        .expect("no panic");
-    assert_eq!(outcome, Ok((LETS, vec![1])));
+    let a = analyze_relu_chain("%x");
+    let groups: Vec<usize> =
+        a.blocks.blocks.iter().map(|b| b.groups.len()).filter(|&g| g > 0).collect();
+    assert_eq!((a.site_info.len(), groups), (LETS, vec![1]));
+}
+
+/// The same chain over a `$` weight is lane-invariant end to end: each
+/// `relu`'s identity names its operand's, 2 000 deep, and every site's
+/// argument is still found shared (an identity costs its arity, so the
+/// reuse analysis stays linear in the chain).
+#[test]
+fn invariant_let_spine_2000_deep_is_shared() {
+    let a = analyze_relu_chain("$w");
+    let classes: Vec<ArgClass> = a.arg_classes.values().flatten().copied().collect();
+    assert_eq!(classes, vec![ArgClass::Shared; LETS]);
 }

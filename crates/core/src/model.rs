@@ -132,8 +132,10 @@ impl Model {
 
     /// Profile-guided re-scheduling (§D.1, Table 9): runs one profiling
     /// mini-batch, aggregates the per-kernel invocation frequencies across
-    /// completed runs, and installs a re-tuned engine.  In-flight runs
-    /// finish on the old engine; subsequent runs pick up the new schedule.
+    /// completed runs, and installs a re-tuned engine.  A step between runs
+    /// (`&mut self`): every later run takes the new schedule, on a fresh
+    /// context, and computes the same bits; [`Model::stats`],
+    /// [`Model::outcomes`] and [`Model::runs_completed`] keep counting.
     ///
     /// # Errors
     ///
@@ -144,11 +146,10 @@ impl Model {
         instances: &[Vec<InputValue>],
     ) -> Result<(), CompileError> {
         let _ = self.exe.run(params, instances)?;
-        let session = &self.exe.session;
+        let session = &mut self.exe.session;
         let profile = session.take_profile();
         let schedule = self.options.schedule;
-        let retuned = session.engine().retuned(|lib| autoschedule(lib, schedule, Some(&profile)));
-        session.swap_engine(Arc::new(retuned));
+        session.retune(|lib| autoschedule(lib, schedule, Some(&profile)));
         Ok(())
     }
 
@@ -158,8 +159,7 @@ impl Model {
     /// accordingly — no profiling run needed.
     pub fn apply_static_priorities(&mut self) {
         let freqs = acrobat_analysis::freq::estimate_frequencies(&self.analysis.module);
-        let session = &self.exe.session;
-        let engine = session.engine();
+        let library = self.exe.session.engine().library();
         let mut prio: BTreeMap<acrobat_codegen::KernelId, u64> = BTreeMap::new();
         for block in &self.analysis.blocks.blocks {
             for group in &block.groups {
@@ -169,18 +169,17 @@ impl Model {
                     .map(|s| freqs.get(s).copied().unwrap_or(1))
                     .max()
                     .unwrap_or(1);
-                let kid = engine.library().kernel_id_for_group(group.id);
+                let kid = library.kernel_id_for_group(group.id);
                 let e = prio.entry(kid).or_insert(0);
                 *e = (*e).max(w);
             }
         }
         let schedule = self.options.schedule;
-        let retuned = engine.retuned(|lib| autoschedule(lib, schedule, Some(&prio)));
-        session.swap_engine(Arc::new(retuned));
+        self.exe.session.retune(|lib| autoschedule(lib, schedule, Some(&prio)));
     }
 
     /// The underlying executable (session access for serving-layer tests
-    /// and tooling: outcome counters, engine swap).
+    /// and tooling: outcome counters, the engine and its caches).
     pub fn executable(&self) -> &Executable {
         &self.exe
     }
@@ -369,6 +368,30 @@ mod tests {
         // time should not get worse by more than noise (it is deterministic
         // here, so: not worse at all).
         assert!(after <= before * 1.2 + 1e-9, "PGO: {after} vs {before}");
+    }
+
+    /// PGO is a step between runs: the run after it computes the bits the
+    /// run before it did, on a context built against the re-tuned engine,
+    /// and the model's counters carry over.
+    #[test]
+    fn apply_pgo_keeps_bits_and_counters() {
+        let bits = |r: &RunResult| -> Vec<u32> {
+            let tensors = r.outputs.iter().flat_map(|o| o.tensors().into_iter().cloned());
+            tensors.flat_map(|t| t.data().to_vec()).map(f32::to_bits).collect()
+        };
+        let mut model = compile(RNN, &CompileOptions::default()).unwrap();
+        let (params, instances) = rnn_setup();
+        let before = model.run(&params, &instances).unwrap();
+        model.apply_pgo(&params, &instances).unwrap();
+        let session = &model.executable().session;
+        assert_eq!(session.idle_count(), 0, "no pooled context predates the re-tune");
+        assert_eq!((model.runs_completed(), model.outcomes().completed), (2, 2));
+        let launches = model.stats().kernel_launches;
+
+        let after = model.run(&params, &instances).unwrap();
+        assert_eq!(bits(&after), bits(&before), "the re-tune changed output bits");
+        assert_eq!((model.runs_completed(), model.outcomes().total()), (3, 3));
+        assert_eq!(model.stats().kernel_launches, launches + after.stats.kernel_launches);
     }
 
     #[test]

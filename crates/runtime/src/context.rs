@@ -25,13 +25,13 @@ use crate::stats::RuntimeStats;
 /// Typical lifecycle per mini-batch: acquire (or [`Engine::new_context`]),
 /// upload inputs, interleave [`ExecutionContext::add_unit`] (from the
 /// executing program) with [`ExecutionContext::flush`] (at sync points),
-/// read results, inspect [`ExecutionContext::stats`], release back to a
-/// [`crate::ContextPool`].
+/// read results, inspect [`ExecutionContext::stats`], then hand it back to
+/// the pool that [`ExecutionContext::reset`]s it for the next mini-batch.
 #[derive(Debug)]
 pub struct ExecutionContext {
     /// The shared immutable engine (kernels, analysis, device model,
-    /// options).  Kept alive by this `Arc` even if a PGO swap retires the
-    /// engine mid-run.
+    /// options).  A context serves this engine for life: a re-tune replaces
+    /// the engine and drops its contexts.
     engine: Arc<Engine>,
     mem: DeviceMem,
     dfg: Dfg,
@@ -57,8 +57,8 @@ pub struct ExecutionContext {
     /// Cooperative cancellation flag, checked at the same points.
     cancel: Option<CancelToken>,
     /// Set once this context observes any fault, cancellation or deadline
-    /// miss.  A tainted context is quarantined by [`crate::ContextPool`]:
-    /// dropped on release, never recycled into another request.
+    /// miss.  A tainted context is quarantined by its pool: dropped on
+    /// release, never recycled into another request.
     tainted: bool,
     /// Cohort request partition: member start offsets over the
     /// merged instance index space (e.g. `[0, 4, 6]` for three requests of
@@ -114,12 +114,6 @@ impl ExecutionContext {
     /// miss and must be quarantined instead of recycled.
     pub fn tainted(&self) -> bool {
         self.tainted
-    }
-
-    /// Marks this context quarantine-only (used by drivers when a failure
-    /// happens outside the flush path, e.g. a poisoned fiber run).
-    pub fn mark_tainted(&mut self) {
-        self.tainted = true;
     }
 
     /// Raises [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
@@ -183,10 +177,10 @@ impl ExecutionContext {
         let _ = self.mem.take_stats();
         self.dfg.clear();
         self.dfg.set_signature_tracking(self.engine.options().plan_cache);
-        // `plan_l1` is NOT cleared: frozen plans are engine-scoped (the
-        // context is pinned to its engine by the pool's `Arc::ptr_eq`
-        // check), so the warm set carries over and the next request's
-        // repeated shapes hit without touching shared state.
+        // `plan_l1` is NOT cleared: frozen plans are engine-scoped and a
+        // context never outlives its engine's pool, so the warm set carries
+        // over and the next request's repeated shapes hit without touching
+        // shared state.
         self.stats = RuntimeStats::default();
         self.units = 0;
         self.profile.clear();
@@ -760,7 +754,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::device::DeviceModel;
-    use crate::engine::{ContextPool, RuntimeOptions};
+    use crate::engine::RuntimeOptions;
     use acrobat_analysis::{analyze, AnalysisOptions, AnalysisResult};
     use acrobat_codegen::KernelLibrary;
     use acrobat_ir::{parse_module, typeck};
@@ -877,68 +871,6 @@ mod tests {
         let _ = a;
         let big = Tensor::zeros(&[32]);
         assert!(matches!(rt.upload_inputs(&[&big]), Err(TensorError::DeviceOom { .. })));
-    }
-
-    #[test]
-    fn pool_quarantines_context_after_aborted_flush() {
-        use acrobat_tensor::FaultPlan;
-        let m = typeck::check_module(parse_module(PROGRAM).unwrap()).unwrap();
-        let a = Arc::new(analyze(m, AnalysisOptions::default()).unwrap());
-        let lib = KernelLibrary::build(&a);
-        let engine = Arc::new(Engine::new(
-            a.clone(),
-            lib,
-            DeviceModel::default(),
-            RuntimeOptions::default(),
-        ));
-        let pool = ContextPool::new();
-        let group = a.blocks.blocks[0].groups[0].id;
-
-        let run_units = |rt: &mut ExecutionContext| -> Result<Vec<Tensor>, TensorError> {
-            let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32))?;
-            let wv = rt.ready_value(w);
-            let mut outs = Vec::new();
-            for i in 0..4 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)])?[0];
-                let args = program_args(rt.library(), group, x, wv);
-                outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
-            }
-            rt.flush()?;
-            outs.iter().map(|o| rt.download(*o)).collect()
-        };
-
-        let mut clean = pool.acquire(&engine);
-        let reference = run_units(&mut clean).unwrap();
-        pool.release(clean);
-        assert_eq!(pool.idle_count(), 1, "clean context is recycled");
-        assert_eq!(pool.quarantined_count(), 0);
-
-        // Abort the recycled context's flush (no retry configured, so the
-        // injected fault surfaces) and audit what the pool does with it.
-        let mut faulty = pool.acquire(&engine);
-        assert_eq!(pool.idle_count(), 0, "acquire reused the idle context");
-        faulty.mem_mut().arm_fault(FaultPlan::parse("launch:0:kernel").unwrap());
-        let err = run_units(&mut faulty).unwrap_err();
-        assert!(matches!(err, TensorError::Injected { .. }), "wrong error: {err}");
-        assert!(faulty.tainted(), "aborted flush must taint the context");
-        assert_eq!(faulty.stats().aborted_flushes, 1);
-        pool.release(faulty);
-        assert_eq!(pool.idle_count(), 0, "tainted context must not be recycled");
-        assert_eq!(pool.quarantined_count(), 1);
-
-        // The next acquire constructs a fresh context — no armed fault, no
-        // stale DFG or stats — and reproduces the reference bit-for-bit.
-        let mut fresh = pool.acquire(&engine);
-        assert!(fresh.mem_mut().armed_fault().is_none(), "fault plan leaked through the pool");
-        assert!(!fresh.tainted());
-        assert_eq!(fresh.stats().nodes, 0);
-        let again = run_units(&mut fresh).unwrap();
-        for (r, g) in reference.iter().zip(&again) {
-            assert_eq!(r.data(), g.data(), "post-quarantine run diverged");
-        }
-        pool.release(fresh);
-        assert_eq!(pool.idle_count(), 1);
-        assert_eq!(pool.quarantined_count(), 1);
     }
 
     #[test]
@@ -1110,26 +1042,6 @@ mod tests {
             rt.stats().dfg_construction_us
         };
         assert!(run(true) < run(false));
-    }
-
-    #[test]
-    fn pool_reuses_same_engine_and_discards_stale_contexts() {
-        let (_, rt) = setup(PROGRAM, RuntimeOptions::default());
-        let engine = rt.engine().clone();
-        let pool = ContextPool::new();
-        pool.release(rt);
-        assert_eq!(pool.idle_count(), 1);
-        let again = pool.acquire(&engine);
-        assert!(Arc::ptr_eq(again.engine(), &engine), "same-engine context is reused");
-        assert_eq!(pool.idle_count(), 0);
-        pool.release(again);
-
-        // A PGO-style engine swap retires pooled contexts: acquiring against
-        // the retuned engine discards the stale one and builds afresh.
-        let retuned = Arc::new(engine.retuned(|_lib| {}));
-        let fresh = pool.acquire(&retuned);
-        assert!(Arc::ptr_eq(fresh.engine(), &retuned));
-        assert_eq!(pool.idle_count(), 0, "stale context was dropped, not reused");
     }
 
     #[test]
@@ -1333,45 +1245,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_quarantines_tainted_contexts() {
-        // Satellite: a context that aborted a flush holds stale pending DFG
-        // nodes, partial device memory and an armed fault plan — the pool
-        // must drop it, never recycle it.
-        let (a, mut rt) = setup(PROGRAM, RuntimeOptions::default());
-        let group = a.blocks.blocks[0].groups[0].id;
-        let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
-        let wv = rt.ready_value(w);
-        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
-        let args = program_args(rt.library(), group, x, wv);
-        rt.add_unit(group, 0, 0, 0, args, true);
-        rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:0:kernel").unwrap());
-        assert!(rt.flush().is_err());
-        assert!(rt.tainted());
-        assert!(rt.mem_mut().armed_fault().is_some(), "fault plan still armed at release");
-
-        let engine = rt.engine().clone();
-        let pool = ContextPool::new();
-        pool.release(rt);
-        assert_eq!(pool.idle_count(), 0, "tainted context dropped");
-        assert_eq!(pool.quarantined_count(), 1);
-
-        // The replacement context the pool hands out is pristine.
-        let mut fresh = pool.acquire(&engine);
-        assert!(fresh.mem_mut().armed_fault().is_none());
-        assert_eq!(fresh.stats(), &RuntimeStats::default());
-        assert!(!fresh.tainted());
-        fresh.flush().unwrap();
-        assert_eq!(fresh.stats().flushes, 0, "no stale pending nodes to execute");
-        pool.release(fresh);
-        assert_eq!(pool.idle_count(), 1, "clean contexts still pool");
-        assert_eq!(pool.quarantined_count(), 1);
-    }
-
-    #[test]
     fn recycled_context_carries_no_stale_pending_nodes() {
         // An *abandoned* (never-flushed, never-faulted) run is not tainted;
-        // recycling it must still not leak its pending DFG nodes, armed
-        // fault plan or device memory into the next request.
+        // recycling it (the `reset` a pool's checkout performs) must still
+        // not leak its pending DFG nodes, armed fault plan or device memory
+        // into the next request.
         let (a, mut rt) = setup(PROGRAM, RuntimeOptions::default());
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
@@ -1382,11 +1260,7 @@ mod tests {
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:5:kernel").unwrap());
         assert!(!rt.tainted());
 
-        let engine = rt.engine().clone();
-        let pool = ContextPool::new();
-        pool.release(rt);
-        assert_eq!(pool.idle_count(), 1, "clean context recycled");
-        let mut rt = pool.acquire(&engine);
+        rt.reset();
         assert!(rt.mem_mut().armed_fault().is_none(), "armed plan cleared");
         let mem = rt.mem_mut().stats();
         assert_eq!((mem.upload_bytes, mem.peak_elements), (0, 0), "device memory cleared");
@@ -1471,6 +1345,8 @@ mod tests {
         }
     }
 
+    /// Pool reuse is `reset`: it clears the statistics, the profile and
+    /// the armed fault plan of the previous request.
     #[test]
     fn pool_reuse_resets_state_and_fault_plan() {
         let (a, mut rt) = setup(PROGRAM, RuntimeOptions::default());
@@ -1483,10 +1359,7 @@ mod tests {
         rt.flush().unwrap();
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("upload:0:oom").unwrap());
 
-        let engine = rt.engine().clone();
-        let pool = ContextPool::new();
-        pool.release(rt);
-        let mut rt = pool.acquire(&engine);
+        rt.reset();
         assert_eq!(rt.stats(), &RuntimeStats::default(), "stats cleared on reuse");
         assert!(rt.take_profile().is_empty(), "profile cleared on reuse");
         // The armed fault from the previous request must not fire.

@@ -8,13 +8,13 @@
 //! via `Arc` by every concurrent mini-batch (the way TVM shares one
 //! compiled module across per-call execution state); all mutable per-batch
 //! state lives in a [`crate::ExecutionContext`].  `Model::run` therefore
-//! needs no global runtime lock: each request acquires its own context —
-//! usually from a [`ContextPool`] — and executes independently.
+//! needs no global runtime lock: each request takes its own context —
+//! usually a pooled one — and executes independently.
 //!
-//! Profile-guided re-scheduling (§D.1) never mutates a live engine: the
-//! aggregated profile is applied to a *clone* of the kernel library via
-//! [`Engine::retuned`], producing a fresh engine that new requests pick up
-//! while in-flight requests finish against the old one.
+//! Profile-guided re-scheduling (§D.1) is a step between runs, the way TVM
+//! builds a new module after tuning: the aggregated profile is applied to a
+//! *clone* of the kernel library via [`Engine::retuned`], producing a new
+//! engine that replaces the old one, and the old one's contexts with it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,7 +22,6 @@ use std::sync::Arc;
 use acrobat_analysis::fusion::GroupId;
 use acrobat_analysis::{AnalysisResult, ArgClass};
 use acrobat_codegen::{KernelId, KernelLibrary, KernelProgram, SpecializedBackend};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::context::ExecutionContext;
@@ -124,14 +123,14 @@ pub struct Engine {
     options: RuntimeOptions,
     /// The shared flush-plan cache ([`crate::plan_cache`]).  Engine-resident
     /// so every context serving the same compiled model shares one warm
-    /// set; engine swaps ([`Engine::retuned`]) build a fresh cache, which
-    /// is the wholesale invalidation the PGO path needs.
+    /// set; a re-tuned engine ([`Engine::retuned`]) builds a fresh cache,
+    /// which is the wholesale invalidation the PGO path needs.
     plan_cache: crate::plan_cache::PlanCache,
     /// The kernel executor's compiled-kernel cache
     /// ([`acrobat_codegen::backend`]).  Engine-resident for the same reason
     /// as the plan cache: it is shared lock-free by every pooled context,
-    /// and an engine swap ([`Engine::retuned`]) builds a fresh one, which
-    /// is exactly the invalidation a retuned library needs.
+    /// and a re-tuned engine ([`Engine::retuned`]) builds a fresh one,
+    /// which is exactly the invalidation a retuned library needs.
     backend: SpecializedBackend,
 }
 
@@ -205,16 +204,15 @@ impl Engine {
 
     /// Derives a new engine with a re-tuned kernel library (PGO, §D.1):
     /// clones the library, lets `retune` mutate the clone, and wraps the
-    /// result.  In-flight contexts keep the old engine alive through their
-    /// `Arc`; new requests pick up the retuned one.
+    /// result.  The caller replaces this engine with it, and drops the
+    /// contexts built against this one.
     pub fn retuned(&self, retune: impl FnOnce(&mut KernelLibrary)) -> Engine {
         let mut library = (*self.library).clone();
         retune(&mut library);
         // A retuned library can change batch schedules; stale plans and
-        // stale compiled kernels must not survive the swap, so the new
+        // stale compiled kernels must not survive the re-tune, so the new
         // engine is built from scratch, with an empty plan cache and an
-        // empty backend (in-flight contexts keep the old engine — and its
-        // caches — alive through their `Arc`).
+        // empty backend.
         Engine::new(Arc::clone(&self.analysis), library, self.model, self.options)
     }
 }
@@ -225,90 +223,3 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();
 };
-
-/// Idle contexts kept per pool; beyond this, released contexts are dropped.
-const MAX_IDLE_CONTEXTS: usize = 8;
-
-/// A small pool of idle [`ExecutionContext`]s, reused across mini-batches so
-/// steady-state serving performs no context construction.
-///
-/// The pool is engine-aware: a context built against a superseded engine
-/// (PGO swapped it, [`Engine::retuned`]) is discarded on acquire rather than
-/// reused, so stale kernel schedules can never leak into new requests.  It
-/// also quarantines: a context that observed a fault, cancellation or
-/// deadline miss ([`ExecutionContext::tainted`]) is dropped on release —
-/// its device arena, armed fault plan and partial DFG die with it rather
-/// than being trusted to reset cleanly.
-#[derive(Debug, Default)]
-pub struct ContextPool {
-    idle: Mutex<Vec<ExecutionContext>>,
-    quarantined: std::sync::atomic::AtomicU64,
-}
-
-impl ContextPool {
-    /// An empty pool.
-    pub fn new() -> ContextPool {
-        ContextPool::default()
-    }
-
-    /// Acquires a context for `engine`: reuses (and resets) an idle context
-    /// belonging to the same engine `Arc`, otherwise constructs a fresh one.
-    ///
-    /// Contexts are dropped only after the pool lock is released: dropping
-    /// one joins its lane-split helper threads.
-    pub fn acquire(&self, engine: &Arc<Engine>) -> ExecutionContext {
-        let mut superseded = Vec::new();
-        let mut reused = None;
-        let mut idle = self.idle.lock();
-        while let Some(ctx) = idle.pop() {
-            if Arc::ptr_eq(ctx.engine(), engine) {
-                reused = Some(ctx);
-                break;
-            }
-            // Built against a superseded engine: drop it.
-            superseded.push(ctx);
-        }
-        drop(idle);
-        drop(superseded);
-        match reused {
-            Some(mut ctx) => {
-                ctx.reset();
-                ctx
-            }
-            None => engine.new_context(),
-        }
-    }
-
-    /// Returns a context to the pool (dropped if the pool is full, or
-    /// quarantined — dropped and counted — if the context is tainted).
-    pub fn release(&self, ctx: ExecutionContext) {
-        if ctx.tainted() {
-            self.quarantined.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return;
-        }
-        let mut idle = self.idle.lock();
-        if idle.len() < MAX_IDLE_CONTEXTS {
-            idle.push(ctx);
-            return;
-        }
-        drop(idle);
-        drop(ctx);
-    }
-
-    /// Drops every idle context (called after an engine swap), after the
-    /// pool lock is released.
-    pub fn clear(&self) {
-        let idle = std::mem::take(&mut *self.idle.lock());
-        drop(idle);
-    }
-
-    /// Number of idle contexts currently pooled.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().len()
-    }
-
-    /// Number of tainted contexts quarantined (dropped at release) so far.
-    pub fn quarantined_count(&self) -> u64 {
-        self.quarantined.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}

@@ -59,7 +59,7 @@ pub use check::FlushChecker;
 pub use context::{cores, ExecutionContext};
 pub use device::DeviceModel;
 pub use dfg::{lane, Dfg, NodeId, ValueId, WindowSig};
-pub use engine::{ContextPool, Engine, RuntimeOptions, Unit};
+pub use engine::{Engine, RuntimeOptions, Unit};
 pub use fiber::{DriveTimeout, FiberHub, JoinId};
 pub use plan_cache::{CacheConfig, CacheOutcome, CachedPlan, PlanCache, PlanL1};
 pub use resilience::{CancelToken, Deadline};

@@ -234,13 +234,6 @@ impl PlanL1 {
         PlanL1 { slots: vec![None; L1_SLOTS] }
     }
 
-    /// Drops every entry (tests and engine-swap hygiene).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-    }
-
     /// The resident entry for `key`, iff it verifies against `win` *and*
     /// `cfg` (full-field match — see [`CachedPlan::matches`]).  Public so
     /// property tests can exercise the aliasing-rejection path directly.
@@ -350,15 +343,6 @@ impl PlanCache {
     /// Total entries ever evicted (diagnostics).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Drops every entry (tests; engine swaps get a fresh cache instead).
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            let mut s = s.write();
-            s.map.clear();
-            s.fifo.clear();
-        }
     }
 }
 

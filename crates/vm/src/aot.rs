@@ -1097,8 +1097,8 @@ pub(crate) struct Machine {
     args: Vec<ValueId>,
 }
 
-/// What one request needs besides its execution context, pooled by the
-/// backend so a steady-state request allocates none of it.
+/// What one request needs besides its execution context, pooled with it by
+/// the session so a steady-state request allocates none of it.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// The calling thread's machine (a sequential run's only one).
@@ -1113,6 +1113,14 @@ pub(crate) struct Scratch {
 /// scratch is dropped rather than pooled: one deep recursion must not pin
 /// its high-water mark.
 const POOLED_WORDS: usize = 1 << 16;
+
+impl Scratch {
+    /// Whether this scratch grew past [`POOLED_WORDS`] and must not be
+    /// pooled.
+    pub(crate) fn oversized(&self) -> bool {
+        self.machine.regs.capacity().max(self.arena.capacity()) > POOLED_WORDS
+    }
+}
 
 impl Machine {
     /// Grows the register stack to hold a frame ending at `end`, within
@@ -1816,50 +1824,5 @@ impl fmt::Display for EmitDesc {
             write!(out, " closes_block")?;
         }
         Ok(())
-    }
-}
-
-/// The AOT execution backend: the lowered program plus a pool of idle
-/// request scratch, so a steady-state request reuses one register stack
-/// and one arena.
-#[derive(Debug)]
-pub struct AotBackend {
-    program: AotProgram,
-    idle: Mutex<Vec<Scratch>>,
-}
-
-/// Idle scratches kept; beyond this, released ones are dropped.
-const MAX_IDLE: usize = 8;
-
-impl AotBackend {
-    /// Lowers the module for execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors.
-    pub fn compile(module: &Module, session: &Session) -> Result<AotBackend, VmError> {
-        Ok(AotBackend { program: AotProgram::compile(module, session)?, idle: Mutex::default() })
-    }
-
-    /// The lowered program.
-    pub fn program(&self) -> &AotProgram {
-        &self.program
-    }
-
-    /// Scratch for one request, its arena and argument words emptied.
-    pub(crate) fn acquire(&self) -> Scratch {
-        let mut scratch = self.idle.lock().pop().unwrap_or_default();
-        scratch.arena.clear();
-        scratch.main_args.clear();
-        scratch
-    }
-
-    /// Returns a request's scratch after it completed.
-    pub(crate) fn release(&self, scratch: Scratch) {
-        let words = scratch.machine.regs.capacity().max(scratch.arena.capacity());
-        let mut idle = self.idle.lock();
-        if words <= POOLED_WORDS && idle.len() < MAX_IDLE {
-            idle.push(scratch);
-        }
     }
 }

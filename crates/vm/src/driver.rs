@@ -20,13 +20,13 @@
 //! [`crate::aot::AotProgram::output`]); the interpreter keeps its boxed
 //! [`Value`]s.
 //!
-//! Each `run` call is self-contained: it pins the session's current
-//! [`Engine`](acrobat_runtime::Engine), acquires a private
-//! [`ExecutionContext`] (pooled across mini-batches), and executes without
-//! taking any shared lock on the hot path — so any number of mini-batches
-//! may run concurrently against one [`Executable`].  That lifecycle is
-//! written once, in `Executable::run_group`: a solo run is a group of one
-//! request, a cohort ([`crate::cohort`]) a group of several.
+//! Each `run` call is self-contained: it checks a private
+//! [`ExecutionContext`] and the AOT executor's scratch out of the session's
+//! pool, and executes without taking any shared lock on the hot path — so
+//! any number of mini-batches may run concurrently against one
+//! [`Executable`].  That lifecycle is written once, in
+//! `Executable::run_group`: a solo run is a group of one request, a cohort
+//! ([`crate::cohort`]) a group of several.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +35,7 @@ use acrobat_ir::ParamKind;
 use acrobat_runtime::{CancelToken, Deadline, Engine, ExecutionContext, RuntimeStats, ValueId};
 use acrobat_tensor::{FaultPlan, Params, Tensor, TensorError};
 
-use crate::aot::{AotBackend, Layouts, Scratch};
+use crate::aot::{AotProgram, Layouts, Scratch};
 use crate::interp::VmBackend;
 use crate::session::{ExecCtx, Handle, RunSession, Session, VmError};
 use crate::value::{InputValue, OutputValue, TensorRef, Value, Word};
@@ -53,13 +53,13 @@ enum BackendImpl {
     /// The interpreter, and `@main`'s parameter layouts to check its
     /// inputs against (the AOT program carries its own).
     Vm(VmBackend, Layouts),
-    Aot(Box<AotBackend>),
+    Aot(Box<AotProgram>),
 }
 
 /// A ready-to-run model: session plus backend.
 pub struct Executable {
     /// The shared session.
-    pub session: Arc<Session>,
+    pub session: Session,
     backend: BackendImpl,
 }
 
@@ -143,10 +143,10 @@ impl Executable {
                 Layouts::of_main(&analysis.module, &session)?,
             ),
             BackendKind::Aot => {
-                BackendImpl::Aot(Box::new(AotBackend::compile(&analysis.module, &session)?))
+                BackendImpl::Aot(Box::new(AotProgram::compile(&analysis.module, &session)?))
             }
         };
-        Ok(Executable { session: Arc::new(session), backend })
+        Ok(Executable { session, backend })
     }
 
     /// The AOT backend's lowered program, disassembled — one instruction per
@@ -155,7 +155,7 @@ impl Executable {
     pub fn disassemble(&self) -> Option<String> {
         match &self.backend {
             BackendImpl::Vm(..) => None,
-            BackendImpl::Aot(aot) => Some(aot.program().to_string()),
+            BackendImpl::Aot(aot) => Some(aot.to_string()),
         }
     }
 
@@ -215,15 +215,14 @@ impl Executable {
         members: &[Member<'_>],
         partitioned: bool,
     ) -> Vec<Result<RunResult, VmError>> {
-        let session = &*self.session;
+        let session = &self.session;
         let mut out: Vec<_> = members.iter().map(|_| None).collect();
-        let mut settle = |i: usize, result: Result<RunResult, VmError>| {
-            session.record_outcome(&result);
-            out[i] = Some(result);
+        let mut fail = |i: usize, e: VmError| {
+            session.record_failure(&e);
+            out[i] = Some(Err(e));
         };
-        // Pin the engine and validate every member before acquiring any
-        // per-run resources; a malformed request touches nothing but a
-        // counter.
+        // Validate every member before checking out any per-run resources;
+        // a malformed request touches nothing but a counter.
         let run = RunSession::new(session);
         let mut accepted = Vec::new();
         let (mut counts, mut starts) = (Vec::new(), Vec::new());
@@ -232,13 +231,13 @@ impl Executable {
             let n = m.instances.len();
             let given = m.opts.keys.as_ref().map_or(n, Vec::len);
             if given != n {
-                settle(i, Err(VmError::Input(format!("{given} rng keys for {n} instances"))));
+                fail(i, VmError::Input(format!("{given} rng keys for {n} instances")));
                 continue;
             }
             // `spent >= NaN` never trips: a NaN budget would silently mean
             // "no deadline".
             if m.opts.deadline_us.is_some_and(f64::is_nan) {
-                settle(i, Err(VmError::Input("the deadline budget is NaN".into())));
+                fail(i, VmError::Input("the deadline budget is NaN".into()));
                 continue;
             }
             accepted.push(i);
@@ -258,7 +257,7 @@ impl Executable {
             // member's share of the time is below the total, hence below
             // its own budget), the first cancel token.
             let opts = || accepted.iter().map(|&i| members[i].opts);
-            let mut ctx = run.acquire_context();
+            let (mut ctx, mut scratch) = session.checkout();
             if let Some(fault) = opts().find_map(|o| o.fault) {
                 ctx.mem_mut().arm_fault(fault);
             }
@@ -271,20 +270,22 @@ impl Executable {
             if partitioned {
                 ctx.set_instance_partition(starts);
             }
-            match self.run_pinned(&run, ctx, members[first].params, &inst_refs, &keys) {
+            let params = members[first].params;
+            match self.run_batch(&run, ctx, &mut scratch, params, &inst_refs, &keys) {
                 (Ok((outputs, stats)), ctx) => {
                     let shares = stats.split(&counts);
-                    run.finish(ctx, &shares);
+                    run.finish(ctx, scratch, &shares);
                     let mut outputs = outputs.into_iter();
                     for ((&i, n), stats) in accepted.iter().zip(counts).zip(shares) {
                         let outputs = outputs.by_ref().take(n).collect();
-                        settle(i, Ok(RunResult { outputs, stats }));
+                        out[i] = Some(Ok(RunResult { outputs, stats }));
                     }
                 }
+                // A failed run's scratch is dropped with its context.
                 (Err(e), ctx) => {
-                    run.abandon(ctx);
+                    session.quarantine(ctx);
                     if accepted.len() == 1 {
-                        settle(first, Err(e));
+                        fail(first, e);
                     } else {
                         for &i in &accepted {
                             out[i] = self.run_group(&members[i..=i], false).pop();
@@ -296,21 +297,22 @@ impl Executable {
         out.into_iter().map(|r| r.expect("every member settled")).collect()
     }
 
-    /// Executes one validated mini-batch on its pinned engine: upload → bind
-    /// → drive → drain → collect.  Returns the context alongside the result
-    /// (it moves by value across the fiber-mode thread scope) so the caller
-    /// can pool or quarantine it from every exit.
+    /// Executes one validated mini-batch: upload → bind → drive → drain →
+    /// collect.  Returns the context alongside the result (it moves by
+    /// value across the fiber-mode thread scope) so the caller can pool or
+    /// quarantine it from every exit.
     ///
     /// `instances` is a slice of references so a group can concatenate its
     /// members' instance lists without cloning any tensors.
-    fn run_pinned(
+    fn run_batch(
         &self,
         run: &RunSession<'_>,
         mut ctx: ExecutionContext,
+        scratch: &mut Scratch,
         params: &Params,
         instances: &[&Vec<InputValue>],
         keys: &[u64],
-    ) -> (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext) {
+    ) -> Outcome {
         let uploaded = match upload(run, &mut ctx, params, instances) {
             Ok(uploaded) => uploaded,
             Err(e) => return (Err(e), ctx),
@@ -319,15 +321,8 @@ impl Executable {
             BackendImpl::Vm(vm, layouts) => {
                 run_vm(vm, layouts, run, ctx, &uploaded, instances, keys)
             }
-            BackendImpl::Aot(aot) => {
-                let mut scratch = aot.acquire();
-                let (result, ctx) =
-                    run_aot(aot, &mut scratch, run, ctx, &uploaded, instances, keys);
-                // A failed run's machine is dropped with its context.
-                if result.is_ok() {
-                    aot.release(scratch);
-                }
-                (result, ctx)
+            BackendImpl::Aot(program) => {
+                run_aot(program, scratch, run, ctx, &uploaded, instances, keys)
             }
         }
     }
@@ -430,7 +425,7 @@ type Outcome = (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionCont
 /// — inline on this thread, or one fiber per instance when the model has
 /// tensor-dependent control flow — drain, convert the result words.
 fn run_aot(
-    aot: &AotBackend,
+    program: &AotProgram,
     scratch: &mut Scratch,
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
@@ -438,7 +433,6 @@ fn run_aot(
     instances: &[&Vec<InputValue>],
     keys: &[u64],
 ) -> Outcome {
-    let program = aot.program();
     let weights = &uploaded.weights;
     let mut tensors = uploaded.tensors.iter().copied();
     for inst in instances {
@@ -660,15 +654,15 @@ mod tests {
         (0..n).map(|i| vec![InputValue::Tensor(x(i))]).collect()
     }
 
-    /// Host→device bytes of one request's `upload` on a context acquired
-    /// from the executable's pool, which goes back to the pool after.
+    /// Host→device bytes of one request's `upload` on a context checked
+    /// out of the executable's pool, which goes back to the pool after.
     fn uploaded_bytes(exe: &Executable, params: &Params, instances: &[Vec<InputValue>]) -> u64 {
         let run = RunSession::new(&exe.session);
-        let mut ctx = run.acquire_context();
+        let (mut ctx, scratch) = exe.session.checkout();
         let refs: Vec<&Vec<InputValue>> = instances.iter().collect();
         upload(&run, &mut ctx, params, &refs).expect("uploads");
         let bytes = ctx.mem_mut().stats().upload_bytes;
-        run.finish(ctx, &[]);
+        run.finish(ctx, scratch, &[]);
         bytes
     }
 
@@ -683,7 +677,7 @@ mod tests {
         }
         let shared = p.clone();
         assert_eq!(uploaded_bytes(&exe, &shared, &batch), 3 * INPUT_BYTES, "a clone is the same");
-        assert_eq!(exe.session.pool.idle_count(), 1, "one context served every request");
+        assert_eq!(exe.session.idle_count(), 1, "one context served every request");
     }
 
     /// Two `Params` with equal contents are two identities: alternating
@@ -703,7 +697,7 @@ mod tests {
             assert_eq!(uploaded_bytes(&exe, p, &batch), WEIGHT_BYTES + 5 * INPUT_BYTES, "switch");
             assert_eq!(bits(exe.run(p, &batch).unwrap()), reference, "same bits");
         }
-        assert_eq!(exe.session.pool.idle_count(), 1, "one context served every request");
+        assert_eq!(exe.session.idle_count(), 1, "one context served every request");
     }
 
     /// An upload fault on a cold context fails the request while the

@@ -7,7 +7,7 @@
 //!   name-resolved environments, per-node dispatch.  Slow on
 //!   control-flow-heavy models, exactly like the paper's Relay VM baseline
 //!   (Table 7).
-//! * [`aot::AotBackend`] — the AOT-compiled path (§D.2): the program is
+//! * [`aot::AotProgram`] — the AOT-compiled path (§D.2): the program is
 //!   lowered at compile time to flat, typed register code — one instruction
 //!   array per function, registers that are plain words, calls that push
 //!   heap frames, and one pre-resolved `Emit` per fusion group (an operator

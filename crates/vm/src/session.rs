@@ -1,12 +1,17 @@
 //! Execution session: the machinery shared by both backends.
 //!
-//! A [`Session`] owns everything *request-invariant*: the current
-//! [`Engine`] (swappable only between runs, for PGO), a [`ContextPool`] of
-//! idle [`ExecutionContext`]s, and the aggregate statistics/profile merged
-//! across completed runs.  Each call to `Executable::run` builds a
-//! [`RunSession`] — the per-run coordination state (fiber hub, poison flag,
-//! pinned engine) — and acquires one `ExecutionContext`, so concurrent
-//! mini-batches never contend on a shared runtime lock.
+//! A [`Session`] owns everything *request-invariant*: the [`Engine`], a
+//! pool of idle warm state (an [`ExecutionContext`] paired with the AOT
+//! executor's scratch), and the aggregate statistics/profile merged across
+//! completed runs.  Each call to `Executable::run` builds a [`RunSession`]
+//! — the per-run coordination state (fiber hub, poison flag) — and checks
+//! one warm pair out of the pool, so concurrent mini-batches never contend
+//! on a shared runtime lock.  A successful request takes three shared
+//! locks: the checkout, the aggregate merge and the check-in.
+//!
+//! The engine changes only through `&mut` ([`Session::retune`], the PGO
+//! step of §D.1): no run can be in flight then, so a run reads the engine
+//! without pinning it, and the re-tune simply empties the pool.
 //!
 //! An [`ExecCtx`] is the per-fiber execution state holding the *inline
 //! depth counter* of §4.1, the program-phase counter, the per-instance
@@ -35,18 +40,19 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use acrobat_analysis::blocks::BlockId;
 use acrobat_analysis::fusion::GroupId;
 use acrobat_analysis::AnalysisResult;
+use acrobat_codegen::KernelLibrary;
 use acrobat_ir::ExprId;
-use acrobat_runtime::{
-    ContextPool, Engine, ExecutionContext, FiberHub, RuntimeStats, Unit, ValueId,
-};
+use acrobat_runtime::{Engine, ExecutionContext, FiberHub, RuntimeStats, Unit, ValueId};
 use acrobat_tensor::{DeviceTensor, TensorError};
 use parking_lot::Mutex;
 
+use crate::aot::Scratch;
 use crate::value::{TensorRef, Value};
 
 /// Errors produced during model execution.
@@ -340,20 +346,27 @@ impl ServeOutcomes {
     }
 }
 
+/// Idle warm pairs kept per session; beyond this, released ones are
+/// dropped.
+const MAX_IDLE: usize = 8;
+
 /// The shared execution session for one compiled model.
 ///
-/// Immutable per request: concurrent `run` calls share it through an `Arc`
-/// and synchronize only on the context pool (at acquire/release) and the
-/// aggregate-statistics merge (once per run) — never on the flush hot path.
+/// Immutable per request: concurrent `run` calls share it by reference and
+/// synchronize only on the pool (at checkout and check-in) and the
+/// aggregate merge (once per run) — never on the flush hot path.
 pub struct Session {
     /// Static-analysis results (module, site info, hoisting, phases,
     /// ghosts).
     pub analysis: Arc<AnalysisResult>,
-    /// The current engine.  Swapped wholesale by PGO re-scheduling
-    /// ([`Session::swap_engine`]); reads happen once per run.
-    engine: std::sync::RwLock<Arc<Engine>>,
-    /// Idle execution contexts, reused across mini-batches.
-    pub(crate) pool: ContextPool,
+    /// The engine; replaced only through `&mut` ([`Session::retune`]).
+    engine: Arc<Engine>,
+    /// Idle warm state, reused across mini-batches so a steady-state
+    /// request constructs neither a context nor a register stack.  Every
+    /// pooled context was built against `engine`.
+    idle: Mutex<Vec<(ExecutionContext, Scratch)>>,
+    /// Contexts quarantined (dropped instead of pooled) so far.
+    quarantined: AtomicU64,
     /// Whether fibers are active (TDC present and backend supports them).
     pub fiber_mode: bool,
     /// Constructor tags.
@@ -392,8 +405,9 @@ impl Session {
         let ctors = CtorTable::build(&analysis.module);
         Session {
             analysis,
-            engine: std::sync::RwLock::new(engine),
-            pool: ContextPool::new(),
+            engine,
+            idle: Mutex::default(),
+            quarantined: AtomicU64::new(0),
             fiber_mode,
             ctors,
             seed,
@@ -403,17 +417,19 @@ impl Session {
         }
     }
 
-    /// The current engine (runs pin it once at start).
-    pub fn engine(&self) -> Arc<Engine> {
-        self.engine.read().expect("engine lock poisoned").clone()
+    /// The engine.
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
     }
 
-    /// Installs a new engine (PGO re-scheduling, §D.1) and retires every
-    /// pooled context built against the old one.  In-flight runs finish on
-    /// the engine they pinned at start.
-    pub fn swap_engine(&self, engine: Arc<Engine>) {
-        *self.engine.write().expect("engine lock poisoned") = engine;
-        self.pool.clear();
+    /// Re-tunes the kernel library (PGO re-scheduling, §D.1): installs
+    /// [`Engine::retuned`]'s engine and empties the pool, whose contexts
+    /// were all built against the old one.  `&mut` makes this a step
+    /// between runs, never during one; the aggregate and the outcome and
+    /// quarantine counters carry over.
+    pub fn retune(&mut self, retune: impl FnOnce(&mut KernelLibrary)) {
+        self.engine = Arc::new(self.engine.retuned(retune));
+        self.idle.get_mut().clear();
     }
 
     /// Statistics merged across every completed run (all contexts, serial
@@ -437,22 +453,68 @@ impl Session {
         self.aggregate.lock().outcomes
     }
 
-    /// Contexts the pool has quarantined (dropped instead of recycled)
-    /// because a run observed a fault, cancellation, or deadline miss.
+    /// Contexts quarantined (dropped instead of recycled) because a run
+    /// observed a fault, cancellation, or deadline miss.
     pub fn quarantined_count(&self) -> u64 {
-        self.pool.quarantined_count()
+        self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Buckets a finished request into its terminal-outcome counter.
-    pub fn record_outcome<T>(&self, result: &Result<T, VmError>) {
+    /// Warm pairs currently pooled.
+    pub fn idle_count(&self) -> usize {
+        self.idle.lock().len()
+    }
+
+    /// Buckets a failed request into its terminal-outcome counter (a
+    /// completed one is counted by [`RunSession::finish`]).
+    pub fn record_failure(&self, error: &VmError) {
         let o = &mut self.aggregate.lock().outcomes;
-        match result {
-            Ok(_) => o.completed += 1,
-            Err(VmError::Cancelled) => o.cancelled += 1,
-            Err(VmError::DeadlineExceeded { .. }) => o.deadline_exceeded += 1,
-            Err(VmError::DriveTimeout(_)) => o.timed_out += 1,
-            Err(_) => o.failed += 1,
+        match error {
+            VmError::Cancelled => o.cancelled += 1,
+            VmError::DeadlineExceeded { .. } => o.deadline_exceeded += 1,
+            VmError::DriveTimeout(_) => o.timed_out += 1,
+            _ => o.failed += 1,
         }
+    }
+
+    /// Checks a warm pair out of the pool, its context reset and its
+    /// scratch emptied, or builds a fresh one.
+    pub(crate) fn checkout(&self) -> (ExecutionContext, Scratch) {
+        let popped = self.idle.lock().pop();
+        match popped {
+            Some((mut ctx, mut scratch)) => {
+                ctx.reset();
+                scratch.arena.clear();
+                scratch.main_args.clear();
+                (ctx, scratch)
+            }
+            None => (self.engine.new_context(), Scratch::default()),
+        }
+    }
+
+    /// Returns a pair after a run: a tainted context is quarantined, an
+    /// oversized scratch is replaced, and beyond [`MAX_IDLE`] the pair is
+    /// dropped.  Whatever is dropped — a context joins its lane-split
+    /// helper threads — is dropped outside the pool lock.
+    fn check_in(&self, ctx: ExecutionContext, scratch: Scratch) {
+        if ctx.tainted() {
+            self.quarantine(ctx);
+            return;
+        }
+        let scratch = if scratch.oversized() { Scratch::default() } else { scratch };
+        let mut idle = self.idle.lock();
+        if idle.len() < MAX_IDLE {
+            idle.push((ctx, scratch));
+            return;
+        }
+        drop(idle);
+    }
+
+    /// Drops a context that must not serve another request, and counts it:
+    /// a tainted one at check-in, and a failed run's, whose statistics are
+    /// never merged.
+    pub(crate) fn quarantine(&self, ctx: ExecutionContext) {
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        drop(ctx);
     }
 
     /// Applies a ghost-operator padding after a conditional branch (§B.3).
@@ -484,25 +546,17 @@ impl Session {
     }
 }
 
-/// Per-run coordination state: one mini-batch's fiber hub, poison flag and
-/// pinned engine.  Dereferences to the shared [`Session`].
+/// Per-run coordination state: one mini-batch's fiber hub and poison
+/// flag.  Dereferences to the shared [`Session`].
+#[derive(Debug)]
 pub struct RunSession<'s> {
     session: &'s Session,
-    /// The engine this run executes against, pinned at run start so a
-    /// concurrent PGO swap cannot change kernels mid-run.
-    engine: Arc<Engine>,
     /// Fiber coordination for this run (used when the model has
     /// tensor-dependent control flow).
     pub hub: FiberHub,
     /// A flush failure (e.g. device OOM, cancellation, deadline miss) that
     /// fibers must observe instead of waiting forever.
     poison: Mutex<Option<TensorError>>,
-}
-
-impl fmt::Debug for RunSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunSession").field("session", &self.session).finish()
-    }
 }
 
 impl Deref for RunSession<'_> {
@@ -514,30 +568,21 @@ impl Deref for RunSession<'_> {
 }
 
 impl<'s> RunSession<'s> {
-    /// Starts a run: pins the session's current engine.
+    /// Starts a run.
     pub fn new(session: &'s Session) -> RunSession<'s> {
-        RunSession {
-            session,
-            engine: session.engine(),
-            hub: FiberHub::new(),
-            poison: Mutex::new(None),
-        }
-    }
-
-    /// The engine pinned for this run.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
-    }
-
-    /// Acquires an execution context for this run (pooled when possible).
-    pub fn acquire_context(&self) -> ExecutionContext {
-        self.session.pool.acquire(&self.engine)
+        RunSession { session, hub: FiberHub::new(), poison: Mutex::new(None) }
     }
 
     /// Merges this completed run into the session aggregate — one ledger
-    /// run per entry of `member_stats`, the requests that shared it — and
-    /// returns the context to the pool once.
-    pub fn finish(&self, mut ctx: ExecutionContext, member_stats: &[RuntimeStats]) {
+    /// run and one completed outcome per entry of `member_stats`, the
+    /// requests that shared it — under one lock, then checks the warm pair
+    /// back in.
+    pub(crate) fn finish(
+        &self,
+        mut ctx: ExecutionContext,
+        scratch: Scratch,
+        member_stats: &[RuntimeStats],
+    ) {
         let profile = ctx.take_profile();
         {
             let mut agg = self.session.aggregate.lock();
@@ -545,19 +590,12 @@ impl<'s> RunSession<'s> {
                 agg.stats.merge(stats);
             }
             agg.runs += member_stats.len() as u64;
+            agg.outcomes.completed += member_stats.len() as u64;
             for (k, v) in profile {
                 *agg.profile.entry(k).or_default() += v;
             }
         }
-        self.session.pool.release(ctx);
-    }
-
-    /// Abandons a failed run: the context is tainted and released, which
-    /// quarantines it at the pool instead of recycling it, and *no*
-    /// statistics are merged into the session aggregate.
-    pub fn abandon(&self, mut ctx: ExecutionContext) {
-        ctx.mark_tainted();
-        self.session.pool.release(ctx);
+        self.session.check_in(ctx, scratch);
     }
 
     /// Records a flush failure; fibers observe it at their next sync.  The
@@ -616,7 +654,7 @@ impl<'s> RunSession<'s> {
         // Bindings are per group (several groups may share one deduplicated
         // kernel program); they are immutable engine state, read without
         // touching the execution context.
-        let library = self.engine.library();
+        let library = self.engine().library();
         let bindings = library.bindings_for_group(group);
         let output_sites = library.outputs_for_group(group);
         let mut arg_ids = Vec::with_capacity(bindings.len());
@@ -633,7 +671,7 @@ impl<'s> RunSession<'s> {
             arg_ids.push(vid);
         }
         let static_depth = self.session.static_depth(accum.results.iter().map(|(s, _)| *s));
-        let unit = self.engine.unit(group);
+        let unit = self.engine().unit(group);
         let first = self.emit_unit(rt, ctx, unit, static_depth, block, closes_block, &arg_ids);
 
         // Fill the escaping results.
@@ -752,7 +790,154 @@ impl<'s> RunSession<'s> {
 
 #[cfg(test)]
 mod tests {
+    use acrobat_analysis::{analyze, AnalysisOptions, ArgClass};
+    use acrobat_ir::{parse_module, typeck};
+    use acrobat_runtime::{DeviceModel, RuntimeOptions};
+    use acrobat_tensor::{FaultPlan, Tensor};
+
     use super::*;
+
+    const PROGRAM: &str = "def @main($w: Tensor[(2, 2)], %x: Tensor[(1, 2)]) -> Tensor[(1, 2)] {
+        relu(matmul(%x, $w))
+    }";
+
+    fn session() -> Session {
+        let m = typeck::check_module(parse_module(PROGRAM).unwrap()).unwrap();
+        let a = Arc::new(analyze(m, AnalysisOptions::default()).unwrap());
+        let lib = KernelLibrary::build(&a);
+        let engine = Engine::new(a, lib, DeviceModel::default(), RuntimeOptions::default());
+        Session::new(Arc::new(engine), 7, false)
+    }
+
+    /// Appends `n` units of `PROGRAM`'s one group, `x` in each batched
+    /// slot and an uploaded `w` in each shared one, and returns their
+    /// outputs.
+    fn add_units(rt: &mut ExecutionContext, n: usize) -> Result<Vec<ValueId>, TensorError> {
+        let group = rt.engine().analysis().blocks.blocks[0].groups[0].id;
+        let w = rt.mem_mut().upload(&Tensor::from_fn(&[2, 2], |i| i as f32))?;
+        let w = rt.ready_value(w);
+        let mut outs = Vec::new();
+        for i in 0..n {
+            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)])?[0];
+            let inputs = rt.library().kernel_for_group(group).inputs.iter();
+            let args: Vec<_> =
+                inputs.map(|inp| if inp.class == ArgClass::Shared { w } else { x }).collect();
+            outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
+        }
+        Ok(outs)
+    }
+
+    fn run_units(rt: &mut ExecutionContext) -> Result<Vec<Tensor>, TensorError> {
+        let outs = add_units(rt, 4)?;
+        rt.flush()?;
+        outs.iter().map(|o| rt.download(*o)).collect()
+    }
+
+    #[test]
+    fn pool_quarantines_context_after_aborted_flush() {
+        let session = session();
+        let (mut clean, scratch) = session.checkout();
+        let reference = run_units(&mut clean).unwrap();
+        session.check_in(clean, scratch);
+        assert_eq!(session.idle_count(), 1, "clean context is recycled");
+        assert_eq!(session.quarantined_count(), 0);
+
+        // Abort the recycled context's flush (no retry configured, so the
+        // injected fault surfaces) and audit what the pool does with it.
+        let (mut faulty, scratch) = session.checkout();
+        assert_eq!(session.idle_count(), 0, "checkout reused the idle context");
+        assert_eq!(faulty.stats(), &RuntimeStats::default(), "and reset it");
+        faulty.mem_mut().arm_fault(FaultPlan::parse("launch:0:kernel").unwrap());
+        let err = run_units(&mut faulty).unwrap_err();
+        assert!(matches!(err, TensorError::Injected { .. }), "wrong error: {err}");
+        assert!(faulty.tainted(), "aborted flush must taint the context");
+        assert_eq!(faulty.stats().aborted_flushes, 1);
+        session.check_in(faulty, scratch);
+        assert_eq!(session.idle_count(), 0, "tainted context must not be recycled");
+        assert_eq!(session.quarantined_count(), 1);
+
+        // The next checkout constructs a fresh context — no armed fault, no
+        // stale DFG or stats — and reproduces the reference bit-for-bit.
+        let (mut fresh, scratch) = session.checkout();
+        assert!(fresh.mem_mut().armed_fault().is_none(), "fault plan leaked through the pool");
+        assert!(!fresh.tainted());
+        assert_eq!(fresh.stats().nodes, 0);
+        let again = run_units(&mut fresh).unwrap();
+        for (r, g) in reference.iter().zip(&again) {
+            assert_eq!(r.data(), g.data(), "post-quarantine run diverged");
+        }
+        session.check_in(fresh, scratch);
+        assert_eq!(session.idle_count(), 1);
+        assert_eq!(session.quarantined_count(), 1);
+    }
+
+    #[test]
+    fn pool_quarantines_tainted_contexts() {
+        // A context that aborted a flush holds stale pending DFG nodes,
+        // partial device memory and an armed fault plan — the pool must
+        // drop it, never recycle it.
+        let session = session();
+        let (mut rt, scratch) = session.checkout();
+        add_units(&mut rt, 1).unwrap();
+        rt.mem_mut().arm_fault(FaultPlan::parse("launch:0:kernel").unwrap());
+        assert!(rt.flush().is_err());
+        assert!(rt.tainted());
+        assert!(rt.mem_mut().armed_fault().is_some(), "fault plan still armed at release");
+        session.check_in(rt, scratch);
+        assert_eq!(session.idle_count(), 0, "tainted context dropped");
+        assert_eq!(session.quarantined_count(), 1);
+
+        // The replacement context the pool hands out is pristine.
+        let (mut fresh, scratch) = session.checkout();
+        assert!(fresh.mem_mut().armed_fault().is_none());
+        assert_eq!(fresh.stats(), &RuntimeStats::default());
+        assert!(!fresh.tainted());
+        fresh.flush().unwrap();
+        assert_eq!(fresh.stats().flushes, 0, "no stale pending nodes to execute");
+        session.check_in(fresh, scratch);
+        assert_eq!(session.idle_count(), 1, "clean contexts still pool");
+
+        // A failed run's context is quarantined even when nothing tainted
+        // it: the driver abandons it.
+        let (abandoned, _) = session.checkout();
+        session.quarantine(abandoned);
+        assert_eq!(session.idle_count(), 0);
+        assert_eq!(session.quarantined_count(), 2);
+    }
+
+    /// At most [`MAX_IDLE`] pairs stay pooled, and a scratch grown past the
+    /// pooled cap comes back as a fresh one.
+    #[test]
+    fn pool_caps_idle_pairs_and_scratch_words() {
+        let session = session();
+        let mut pairs: Vec<_> = (0..MAX_IDLE + 2).map(|_| session.checkout()).collect();
+        pairs[0].1.arena.resize(1 << 17, 0);
+        assert!(pairs[0].1.oversized());
+        pairs.into_iter().for_each(|(ctx, scratch)| session.check_in(ctx, scratch));
+        assert_eq!(session.idle_count(), MAX_IDLE);
+        let pooled: Vec<_> = (0..MAX_IDLE).map(|_| session.checkout()).collect();
+        assert!(pooled.iter().all(|(_, s)| !s.oversized()), "the oversized scratch was not pooled");
+        assert_eq!(session.quarantined_count(), 0);
+    }
+
+    /// A re-tune replaces the engine and empties the pool: no context
+    /// built against the old engine serves another request, and the
+    /// counters carry over.
+    #[test]
+    fn retune_empties_the_pool() {
+        let mut session = session();
+        let (ctx, scratch) = session.checkout();
+        RunSession::new(&session).finish(ctx, scratch, &[RuntimeStats::default()]);
+        assert_eq!(session.idle_count(), 1);
+        let old = Arc::clone(session.engine());
+
+        session.retune(|_| {});
+        assert!(!Arc::ptr_eq(session.engine(), &old), "a new engine");
+        assert_eq!(session.idle_count(), 0, "no pooled context predates the re-tune");
+        let (ctx, _) = session.checkout();
+        assert!(Arc::ptr_eq(ctx.engine(), session.engine()));
+        assert_eq!((session.runs_completed(), session.outcomes().completed), (1, 1));
+    }
 
     #[test]
     fn prng_deterministic_and_distinct_per_instance() {

@@ -61,8 +61,8 @@ echo "==> one request lifecycle (a solo run is a group of one; nothing outside r
 if grep -rnE 'fn (run_direct|run_request|finish_run|demux_stats)\b|drive_timeout_ms|Deadline::[Ww]all' crates tests; then
   echo "the second lifecycle copy, the unset watchdog option and the wall-clock deadline are gone"; exit 1
 fi
-if [ "$(grep -rn 'run_pinned(' crates/vm/src | grep -vc 'fn run_pinned(')" != 1 ]; then
-  echo "run_pinned must have exactly one call site (run_group)"; exit 1
+if [ "$(grep -rn 'run_batch(' crates/vm/src | grep -vc 'fn run_batch(')" != 1 ]; then
+  echo "run_batch must have exactly one call site (run_group)"; exit 1
 fi
 
 echo "==> resilience keeps what recovers (retry with one knob, quarantine, interrupts; no lane-cap downshift, no admission gate)"
@@ -170,8 +170,16 @@ if ! grep -q 'bind_params(' crates/vm/src/driver.rs; then
   echo "driver.rs no longer calls bind_params: point this guard at where weights are bound"; exit 1
 fi
 
-echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, fig5 vs bench_results/)"
-for artifact in table4 table5 table8 fig5; do
+echo "==> one engine per session, one pool per request (PGO re-tunes through &mut between runs; a context and its AOT scratch pool as one pair)"
+if grep -rnE 'RwLock<Arc<Engine>>|swap_engine|ContextPool|struct AotBackend|Mutex<Vec<Scratch>>' crates tests; then
+  echo "Session owns a plain Arc<Engine> that Session::retune replaces through &mut, and one idle list of (ExecutionContext, Scratch) pairs"; exit 1
+fi
+if sed -n '1,/^mod tests {/p' crates/vm/src/session.rs | grep -n 'ptr_eq'; then
+  echo "the pool never compares engines: a re-tune empties it, so every pooled context was built against the session's engine"; exit 1
+fi
+
+echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, table9 (the PGO re-tune path), fig5 vs bench_results/)"
+for artifact in table4 table5 table8 table9 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \
     | diff - "bench_results/$artifact.txt" \
     || { echo "$artifact no longer regenerates bench_results/$artifact.txt"; exit 1; }

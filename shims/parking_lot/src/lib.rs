@@ -33,6 +33,11 @@ impl<T> Mutex<T> {
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
     }
+
+    /// The inner value, through `&mut` (no locking needed).
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
+    }
 }
 
 impl<T> Deref for MutexGuard<'_, T> {
