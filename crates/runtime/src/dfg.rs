@@ -7,8 +7,13 @@
 //! schedulers key on: the instance lane, the inline-computed depth, the
 //! program phase, and the batched kernel that executes it.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use acrobat_codegen::KernelId;
 use acrobat_tensor::DeviceTensor;
+
+use crate::hash::FoldBuildHasher;
 
 /// Identifier of a DFG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -255,8 +260,10 @@ pub struct Dfg {
     /// scheduler's flush-time job degenerates to emitting the non-empty
     /// buckets in key order (§4.1's "scheduling is a bucket lookup").
     buckets: Vec<InlineBucket>,
-    /// Grouping key → index into `buckets`.
-    bucket_lookup: std::collections::HashMap<(u128, u64), u32>,
+    /// Grouping key → index into `buckets`, probed once per node: keyed
+    /// by [`FoldHasher`](crate::hash::FoldHasher), not SipHash (see
+    /// [`crate::hash`]).
+    bucket_lookup: HashMap<(u128, u64), u32, FoldBuildHasher>,
     /// Per node, its bucket index (dense, parallel to `nodes`).
     bucket_of: Vec<u32>,
     /// Primary window-signature accumulator (see [`WindowSig`]), folded
@@ -284,8 +291,8 @@ pub struct Dfg {
     lane_canon: bool,
     /// Per-lane accumulators for the current window (lane-canonical mode).
     lanes: Vec<LaneAcc>,
-    /// Lane key → index into `lanes`.
-    lane_slots: std::collections::HashMap<u64, u32>,
+    /// Lane key → index into `lanes`, probed once per lane-canonical node.
+    lane_slots: HashMap<u64, u32, FoldBuildHasher>,
     /// Per window offset, `(lane slot, index within lane)` — parallel to
     /// the window's id range `win_base..`.
     node_lane: Vec<(u32, u32)>,
@@ -520,8 +527,8 @@ impl Dfg {
         let off = (id.0 - self.win_base) as usize;
         debug_assert_eq!(off, self.node_lane.len(), "window offset out of step with lane map");
         let slot = match self.lane_slots.entry(lane) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 let s = self.lanes.len() as u32;
                 self.lanes.push(LaneAcc {
                     key: lane,
@@ -1001,6 +1008,7 @@ impl Dfg {
 mod tests {
     use super::*;
     use acrobat_tensor::{DeviceMem, Tensor};
+    use proptest::prelude::*;
 
     #[test]
     fn node_lifecycle() {
@@ -1121,7 +1129,7 @@ mod tests {
         dfg.set_signature_tracking(true);
         dfg.set_lane_canonical(true);
         let x = dfg.ready_value(mem.upload(&Tensor::ones(&[2])).unwrap());
-        let mut last: std::collections::HashMap<usize, ValueId> = Default::default();
+        let mut last: HashMap<usize, ValueId, FoldBuildHasher> = Default::default();
         for &(inst, k) in order {
             let arg = last.get(&inst).copied().unwrap_or(x);
             let (_, o) = dfg.add_node(acrobat_codegen::KernelId(k), inst, 0, 0, 0, vec![arg], 1);
@@ -1453,6 +1461,98 @@ mod tests {
             // And again after a clear that follows a whole request.
             reused.clear();
             assert_eq!(drive_request(&mut reused, &mut mem, lane_canon), want);
+        }
+    }
+
+    /// `clear` empties both hashed indexes — the inline-bucket lookup and
+    /// the lane-slot map — after a request that filled them.
+    #[test]
+    fn clear_empties_the_hashed_indexes() {
+        let mut mem = DeviceMem::new(1 << 16);
+        let mut dfg = Dfg::new();
+        drive_request(&mut dfg, &mut mem, true);
+        assert!(!dfg.bucket_lookup.is_empty() && !dfg.lane_slots.is_empty());
+        dfg.clear();
+        assert!(
+            dfg.bucket_lookup.is_empty(),
+            "clear leaves {} bucket keys",
+            dfg.bucket_lookup.len()
+        );
+        assert!(dfg.lane_slots.is_empty(), "clear leaves {} lane slots", dfg.lane_slots.len());
+    }
+
+    /// A grouping key as its fields: `(phase, depth, kernel, shared_sig)`.
+    type Key = (u32, u64, u32, u64);
+
+    /// Appends one node per pick, each with the key `pool[pick % len]`
+    /// and a ready argument, then holds the incremental bucket index's
+    /// partition — before and after completing every third node — to
+    /// `scheduler::reference`'s `BTreeMap` grouping.
+    fn check_inline_partition(pool: &[Key], picks: &[usize]) -> Result<(), String> {
+        use crate::scheduler::{self, SchedulerKind};
+        let mut mem = DeviceMem::new(1 << 16);
+        let mut dfg = Dfg::new();
+        let x = dfg.ready_value(mem.upload(&Tensor::ones(&[2])).unwrap());
+        let mut ids = Vec::new();
+        for (i, &pick) in picks.iter().enumerate() {
+            let (phase, depth, kernel, sig) = pool[pick % pool.len()];
+            let kernel = acrobat_codegen::KernelId(kernel);
+            ids.push(dfg.add_node_in_lane(kernel, i, lane::root(i), depth, phase, sig, &[x], 1).0);
+        }
+        let t = mem.upload(&Tensor::ones(&[2])).unwrap();
+        for round in 0..2 {
+            dfg.verify_consistent()?;
+            let kind = SchedulerKind::InlineDepth;
+            let (got, want) = (scheduler::plan(kind, &dfg), scheduler::reference::plan(kind, &dfg));
+            prop_assert_eq!(got.to_batches(), want.to_batches(), "round {}", round);
+            for &id in ids.iter().step_by(3) {
+                if dfg.is_pending(id) {
+                    dfg.complete_node(id, vec![t.clone()]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `count` keys from `start` on whose hashes share their low 12 bits
+    /// with the first: every one lands in the same home slot of any table
+    /// of up to 4 096 buckets.
+    fn low_bit_twins(start: u64, count: usize) -> Vec<Key> {
+        use std::hash::BuildHasher;
+        let build = FoldBuildHasher::default();
+        let hash = |&(p, d, k, s): &Key| build.hash_one((inline_key(p, d, k), s)) & 0xFFF;
+        let mut keys = (0u64..)
+            .map(|i| (start as u32 & 3, start.wrapping_add(i / 4), i as u32 % 4, start >> 40));
+        let first = keys.next().unwrap();
+        let target = hash(&first);
+        std::iter::once(first).chain(keys.filter(|key| hash(key) == target)).take(count).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random keys drawn from a small pool, so buckets hold many nodes.
+        #[test]
+        fn inline_partition_matches_reference_on_random_keys(
+            pool in proptest::collection::vec(
+                (0u32..u32::MAX, 0u64..u64::MAX, 0u32..u32::MAX, 0u64..u64::MAX),
+                1..12,
+            ),
+            picks in proptest::collection::vec(0usize..64, 1..80),
+        ) {
+            check_inline_partition(&pool, &picks)?;
+        }
+
+        /// Keys brute-forced to collide in the hasher's low bits: every
+        /// probe walks one long chain, and the partition must not change.
+        #[test]
+        fn inline_partition_matches_reference_on_low_bit_twins(
+            start in 0u64..u64::MAX,
+            count in 2usize..12,
+            picks in proptest::collection::vec(0usize..64, 1..80),
+        ) {
+            let pool = low_bit_twins(start, count);
+            check_inline_partition(&pool, &picks)?;
         }
     }
 }

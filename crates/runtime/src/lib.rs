@@ -50,6 +50,7 @@ pub mod device;
 pub mod dfg;
 pub mod engine;
 pub mod fiber;
+pub mod hash;
 pub mod plan_cache;
 pub mod resilience;
 pub mod scheduler;

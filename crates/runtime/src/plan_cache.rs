@@ -51,6 +51,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::dfg::{Dfg, WindowSig};
+use crate::hash::FoldBuildHasher;
 use crate::scheduler::{self, Plan, SchedulerKind, SchedulerScratch};
 
 /// splitmix64 finalizer (the workspace-standard mixer).
@@ -254,7 +255,7 @@ impl PlanL1 {
 /// eviction order is deterministic (hash-map iteration order is not).
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<u64, Arc<CachedPlan>>,
+    map: HashMap<u64, Arc<CachedPlan>, FoldBuildHasher>,
     fifo: VecDeque<u64>,
 }
 

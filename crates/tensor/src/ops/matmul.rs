@@ -12,9 +12,12 @@
 //! produce that loop's bits (`tests/matmul_bits.rs`).  [`matmul_packed`]
 //! is the same arithmetic over a right operand repacked once into
 //! contiguous column panels ([`PackedRhs`] — how a resident weight is
-//! multiplied), so it produces those bits too.  This file is the
-//! only place in the kernels that fuses: the transcendentals' error bounds
-//! were proved for separately rounded steps (`scripts/check.sh` guards it).
+//! multiplied), so it produces those bits too.  The last `< W` columns
+//! of either go through the same tile on a zero-padded copy of those
+//! columns of `b` ([`narrow`]): each lane is still one output element.
+//! This file is the only place in the kernels that fuses: the
+//! transcendentals' error bounds were proved for separately rounded steps
+//! (`scripts/check.sh` guards it).
 
 use std::fmt;
 use std::ops::Range;
@@ -265,8 +268,7 @@ fn checked_operands(
 }
 
 /// One vector register of `f32`s as the micro-kernel uses it.  The
-/// instruction sets differ only in this impl; `f32` itself is the one-lane
-/// register that finishes the column tail of the wide ones.
+/// instruction sets differ only in this impl.
 trait Lanes: Copy {
     /// Elements per register.
     const W: usize;
@@ -284,26 +286,19 @@ trait Lanes: Copy {
     /// # Safety
     /// As [`Lanes::splat`].
     unsafe fn fused_mul_add(acc: Self, a: Self, b: Self) -> Self;
-}
-
-impl Lanes for f32 {
-    const W: usize = 1;
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> f32 {
-        x
-    }
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> f32 {
-        *p
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: *mut f32) {
-        *p = self;
-    }
-    #[inline(always)]
-    unsafe fn fused_mul_add(acc: f32, a: f32, b: f32) -> f32 {
-        a.mul_add(b, acc)
-    }
+    /// [`narrow`] on this register, compiled out of line: inlined, its
+    /// 8 KiB stack block deepened the frame of every multiply by that much,
+    /// and a fresh thread's first multiply faulted the pages in.
+    ///
+    /// # Safety
+    /// As [`narrow`].
+    unsafe fn narrow_tiles<const MR: usize>(
+        operands: Operands,
+        ldb: usize,
+        dims: (usize, usize),
+        w: usize,
+        rows: Range<usize>,
+    ) -> Range<usize>;
 }
 
 /// Four lanes the optimizer maps onto whatever 128-bit unit the target has
@@ -328,6 +323,16 @@ impl Lanes for Quad {
     #[inline(always)]
     unsafe fn fused_mul_add(acc: Quad, a: Quad, b: Quad) -> Quad {
         Quad(std::array::from_fn(|i| a.0[i].mul_add(b.0[i], acc.0[i])))
+    }
+    #[inline(never)]
+    unsafe fn narrow_tiles<const MR: usize>(
+        operands: Operands,
+        ldb: usize,
+        dims: (usize, usize),
+        w: usize,
+        rows: Range<usize>,
+    ) -> Range<usize> {
+        narrow::<Quad, MR>(operands, ldb, dims, w, rows)
     }
 }
 
@@ -406,7 +411,7 @@ unsafe fn panels<V: Lanes, const MR: usize, const NV: usize>(
 
 /// All columns of the leading whole multiple of `MR` rows of `rows`, `MR`
 /// rows at a time: `NV`-register panels, then one-register panels, then the
-/// last `< W` columns on scalar registers.  Returns the `< MR` rows left
+/// last `< W` columns through [`narrow`].  Returns the `< MR` rows left
 /// over.
 ///
 /// # Safety
@@ -422,9 +427,104 @@ unsafe fn row_tiles<V: Lanes, const MR: usize, const NV: usize>(
     let tiled = rows.start..rest;
     let j = panels::<V, MR, NV>(operands, dims, tiled.clone(), 0);
     let j = panels::<V, MR, 1>(operands, dims, tiled.clone(), j);
-    let j = panels::<f32, MR, 4>(operands, dims, tiled.clone(), j);
-    panels::<f32, MR, 1>(operands, dims, tiled, j);
+    if j < dims.1 {
+        let (a, b, out) = operands;
+        V::narrow_tiles::<MR>((a, b.add(j), out.add(j)), dims.1, dims, dims.1 - j, tiled);
+    }
     rest..rows.end
+}
+
+/// The widest register, in `f32`s: the row length of [`narrow`]'s padded
+/// copy of `b`.
+const MAX_W: usize = 16;
+
+/// The `w < W` columns at `b` (row stride `ldb`) and `out` (row stride
+/// `n`) of the leading whole multiple of `MR` rows of `rows`, in `MR × W`
+/// [`tile`]s over a copy of those columns of `b` zero-padded to `W` —
+/// [`KC`] steps of `k` at a time, the tile resuming from a stack copy of
+/// its accumulators — whose first `w` lanes are then copied out.  Each
+/// lane is one output element taking `fma(aᵢₖ, bₖⱼ, acc)` in `k` order, so
+/// the bits are the scalar loop's; the padding lanes are discarded.  One
+/// vector fused multiply-add per row and step replaces `w` scalar ones,
+/// and no operand is transposed.  Returns the `< MR` rows left over.
+///
+/// # Safety
+///
+/// `a` valid for reading the rows `rows` of `k` elements, `b` for `k`
+/// rows of `w` elements at stride `ldb`, `out` for writing the rows
+/// `rows` of `w` elements at stride `n`; `MR <= 8`; `V`'s instruction set
+/// available.
+#[inline(always)]
+unsafe fn narrow<V: Lanes, const MR: usize>(
+    (a, b, out): Operands,
+    ldb: usize,
+    (k, n): (usize, usize),
+    w: usize,
+    rows: Range<usize>,
+) -> Range<usize> {
+    debug_assert!(w < V::W && V::W <= MAX_W && MR <= 8);
+    let rest = rows.end - rows.len() % MR;
+    if rows.start == rest {
+        return rows;
+    }
+    let mut padded = std::mem::MaybeUninit::<[[f32; MAX_W]; KC]>::uninit();
+    let padded = padded.as_mut_ptr().cast::<[f32; MAX_W]>();
+    let once = k <= KC;
+    if once {
+        pad(padded, (b, ldb), (0, k), w);
+    }
+    let mut sums = [0.0f32; 8 * MAX_W];
+    for i in (rows.start..rest).step_by(MR) {
+        // One pass even for `k == 0`: the tile stores the empty sums.
+        let mut kc = 0;
+        loop {
+            let depth = KC.min(k - kc);
+            if !once {
+                pad(padded, (b, ldb), (kc, depth), w);
+            }
+            let a = (a.add(i * k + kc), k);
+            tile::<V, MR, 1>(a, (padded.cast(), MAX_W), sums.as_mut_ptr(), (depth, kc > 0), V::W);
+            kc += depth;
+            if kc >= k {
+                break;
+            }
+        }
+        for r in 0..MR {
+            let row = out.add((i + r) * n);
+            // A fixed trip count: a `..w` copy becomes a `memcpy` call.
+            for c in 0..MAX_W {
+                if c < w {
+                    *row.add(c) = sums[r * V::W + c];
+                }
+            }
+        }
+    }
+    rest..rows.end
+}
+
+/// Writes steps `kc..kc + depth` of the `w` columns at `b` (row stride
+/// `ldb`) into the first `depth` rows of `padded`, zeros right of them.
+/// The zeros go in as one fill and the columns one at a time: a per-row
+/// `..w` copy becomes a `memcpy` call per row, a per-element select a
+/// store per padding lane.
+///
+/// # Safety
+///
+/// `padded` valid for writing `depth` rows, `b` for reading `kc + depth`
+/// rows of `w` elements at stride `ldb`.
+#[inline(always)]
+unsafe fn pad(
+    padded: *mut [f32; MAX_W],
+    (b, ldb): (*const f32, usize),
+    (kc, depth): (usize, usize),
+    w: usize,
+) {
+    padded.write_bytes(0, depth);
+    for c in 0..w {
+        for kk in 0..depth {
+            (*padded.add(kk))[c] = *b.add((kc + kk) * ldb + c);
+        }
+    }
 }
 
 /// The rows `rows` of the product from one register type with an
@@ -517,8 +617,9 @@ unsafe fn panel_rows<V: Lanes, const NV: usize, const EIGHT: bool>(
 
 /// The packed multiply: each full `NV·W`-column panel in whole-panel
 /// tiles, then the last `< NV·W` columns — one panel of that width — in
-/// one-register and scalar tiles.  Same per-element arithmetic as [`gemm`]:
-/// only where `b`'s elements are loaded from differs.
+/// one-register tiles and, for its last `< W` columns, [`narrow`] tiles.
+/// Same per-element arithmetic as [`gemm`]: only where `b`'s elements are
+/// loaded from differs.
 ///
 /// # Safety
 ///
@@ -543,25 +644,29 @@ unsafe fn gemm_packed<V: Lanes, const NV: usize, const EIGHT: bool>(
         panel_rows::<V, 1, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
         c += V::W;
     }
-    while c + 4 <= w {
-        panel_rows::<f32, 4, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
-        c += 4;
-    }
-    while c < w {
-        panel_rows::<f32, 1, EIGHT>((a, tail.add(c), out.add(j + c)), w, (k, n), m);
-        c += 1;
+    if c < w {
+        let operands = (a, tail.add(c), out.add(j + c));
+        let mut rows = 0..m;
+        if EIGHT {
+            rows = V::narrow_tiles::<8>(operands, w, (k, n), w - c, rows);
+        }
+        let rows = V::narrow_tiles::<4>(operands, w, (k, n), w - c, rows);
+        let rows = V::narrow_tiles::<2>(operands, w, (k, n), w - c, rows);
+        V::narrow_tiles::<1>(operands, w, (k, n), w - c, rows);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2 and AVX-512F instantiations, each compiled with `fma` so
-    //! the scalar column tail's `f32::mul_add` is one instruction too.
+    //! The AVX2 and AVX-512F instantiations, each compiled with `fma`.
 
     use std::arch::x86_64::*;
 
+    use std::ops::Range;
+
     use super::{
-        checked_operands, checked_packed, gemm, gemm_packed, row_tiles, Lanes, Operands, PackedRhs,
+        checked_operands, checked_packed, gemm, gemm_packed, narrow, row_tiles, Lanes, Operands,
+        PackedRhs,
     };
 
     impl Lanes for __m256 {
@@ -582,6 +687,28 @@ mod x86 {
         unsafe fn fused_mul_add(acc: __m256, a: __m256, b: __m256) -> __m256 {
             _mm256_fmadd_ps(a, b, acc)
         }
+        #[inline(always)]
+        unsafe fn narrow_tiles<const MR: usize>(
+            operands: Operands,
+            ldb: usize,
+            dims: (usize, usize),
+            w: usize,
+            rows: Range<usize>,
+        ) -> Range<usize> {
+            narrow_avx2::<MR>(operands, ldb, dims, w, rows)
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline(never)]
+    unsafe fn narrow_avx2<const MR: usize>(
+        operands: Operands,
+        ldb: usize,
+        dims: (usize, usize),
+        w: usize,
+        rows: Range<usize>,
+    ) -> Range<usize> {
+        narrow::<__m256, MR>(operands, ldb, dims, w, rows)
     }
 
     impl Lanes for __m512 {
@@ -602,6 +729,28 @@ mod x86 {
         unsafe fn fused_mul_add(acc: __m512, a: __m512, b: __m512) -> __m512 {
             _mm512_fmadd_ps(a, b, acc)
         }
+        #[inline(always)]
+        unsafe fn narrow_tiles<const MR: usize>(
+            operands: Operands,
+            ldb: usize,
+            dims: (usize, usize),
+            w: usize,
+            rows: Range<usize>,
+        ) -> Range<usize> {
+            narrow_avx512f::<MR>(operands, ldb, dims, w, rows)
+        }
+    }
+
+    #[target_feature(enable = "avx512f,fma")]
+    #[inline(never)]
+    unsafe fn narrow_avx512f<const MR: usize>(
+        operands: Operands,
+        ldb: usize,
+        dims: (usize, usize),
+        w: usize,
+        rows: Range<usize>,
+    ) -> Range<usize> {
+        narrow::<__m512, MR>(operands, ldb, dims, w, rows)
     }
 
     /// 8 of the 16 `ymm` registers accumulate: 4 × 16, 2 × 32, 1 × 64 tiles.

@@ -149,6 +149,35 @@ fn packed_variants_match_reference_bits() {
     }
 }
 
+/// Columns narrower than one register — `n < W` on their own, and the
+/// `< W` columns right of whole registers and panels — on every row count
+/// around the row blocks (`W` = 4, 8, 16) that vectorise them across rows,
+/// and `k` on both sides of one `KC`-step block (`KC` = 128), for
+/// every instantiation, raw and packed.
+#[test]
+fn narrow_columns_match_reference_bits() {
+    let packed = matmul_packed_instantiations();
+    for n in (1..16).chain([17, 23, 51]) {
+        for k in [0, 1, 127, 129] {
+            let b = operands(k * n, (n * 131 + k) as u64);
+            for m in 1..=33 {
+                let a = operands(m * k, (m * 7 + n * 1009 + k) as u64);
+                let want = reference(&a, &b, m, k, n);
+                for (name, matmul) in matmul_raw_instantiations() {
+                    let mut got = vec![f32::NAN; m * n];
+                    matmul(&a, &b, &mut got, m, k, n);
+                    same_bits(name, (m, k, n), &want, &got).unwrap();
+                }
+                for &(name, width, matmul) in &packed {
+                    let mut got = vec![f32::NAN; m * n];
+                    matmul(&a, &PackedRhs::new(&b, k, n, width), &mut got, m);
+                    same_bits(name, (m, k, n), &want, &got).unwrap();
+                }
+            }
+        }
+    }
+}
+
 /// `matmul_packed` is the widest packed variant, at its panel width.
 #[test]
 fn matmul_packed_is_the_first_variant() {

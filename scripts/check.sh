@@ -178,6 +178,23 @@ if sed -n '1,/^mod tests {/p' crates/vm/src/session.rs | grep -n 'ptr_eq'; then
   echo "the pool never compares engines: a re-tune empties it, so every pooled context was built against the session's engine"; exit 1
 fi
 
+echo "==> the maps probed per DFG node or per flush hash with FoldHasher (no SipHash on the request path)"
+if grep -nE '\bHashMap\s*(<|::(new|with_capacity)\b)|RandomState|DefaultHasher' \
+    crates/runtime/src/dfg.rs crates/runtime/src/plan_cache.rs | grep -v 'FoldBuildHasher'; then
+  echo "every HashMap in dfg.rs and plan_cache.rs names FoldBuildHasher (acrobat_runtime::hash) as its hasher"; exit 1
+fi
+
+echo "==> no new crate (both lock files list only the workspace's packages and its shims)"
+known_packages=' acrobat-analysis acrobat-baselines acrobat-bench acrobat-benchmark acrobat-codegen acrobat-core acrobat-ir acrobat-models acrobat-runtime acrobat-tensor acrobat-vm parking_lot proptest serde serde_derive '
+for lock in Cargo.lock benchmark/Cargo.lock; do
+  for name in $(sed -n 's/^name = "\(.*\)"$/\1/p' "$lock"); do
+    case "$known_packages" in
+      *" $name "*) ;;
+      *) echo "$lock gained the package $name: write it in-repo, as acrobat_runtime::hash is"; exit 1 ;;
+    esac
+  done
+done
+
 echo "==> paper artifacts regenerate byte-identical (table4, table5, table8, table9 (the PGO re-tune path), fig5 vs bench_results/)"
 for artifact in table4 table5 table8 table9 fig5; do
   cargo run --release -q -p acrobat-bench --bin "$artifact" \
