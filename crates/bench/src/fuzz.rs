@@ -211,35 +211,6 @@ impl FuzzCase {
         Ok(r.outputs.iter().map(|o| o.tensors()[0].clone()).collect())
     }
 
-    /// Compiles and runs the program as a two-member cohort
-    /// ([`acrobat_core::Model::run_cohort`]): the instance stream split in
-    /// half across two co-batched "requests", demuxed outputs concatenated
-    /// back into stream order.  Cross-request merging must be bit-for-bit
-    /// invisible, so the result must equal [`run_acrobat`](Self::run_acrobat).
-    ///
-    /// # Errors
-    ///
-    /// Returns compile/runtime errors as strings.
-    pub fn run_acrobat_cohort(&self, options: &CompileOptions) -> Result<Vec<Tensor>, String> {
-        use acrobat_vm::{CohortRequest, RunOptions};
-        let model = compile(&self.source, options).map_err(|e| e.to_string())?;
-        let half = self.instances.len() / 2;
-        let requests: Vec<CohortRequest<'_>> = [&self.instances[..half], &self.instances[half..]]
-            .into_iter()
-            .map(|instances| CohortRequest {
-                params: &self.params,
-                instances,
-                opts: RunOptions::default(),
-            })
-            .collect();
-        let mut out = Vec::with_capacity(self.instances.len());
-        for member in model.run_cohort(&requests) {
-            let r = member.map_err(|e| e.to_string())?;
-            out.extend(r.outputs.iter().map(|o| o.tensors()[0].clone()));
-        }
-        Ok(out)
-    }
-
     /// Replays the same op sequence through the DyNet-sim computation
     /// graph, returning one output tensor per instance.
     ///
@@ -287,9 +258,7 @@ impl FuzzCase {
 /// bit-for-bit invisible — and because every configuration is checked,
 /// every cache hit the fuzzer produces passes the cached ≡
 /// freshly-scheduled bit-identity gate
-/// (`acrobat_runtime::check::validate_cached_plan`).  The cohort path
-/// (`acrobat_vm::cohort`) is not an axis: it is an API, and each case runs
-/// it once ([`FuzzCase::run_acrobat_cohort`]).
+/// (`acrobat_runtime::check::validate_cached_plan`).
 ///
 /// There is no kernel-executor axis, and none is needed: checked mode
 /// re-executes every compiled launch through the reference interpreter,

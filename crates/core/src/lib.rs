@@ -51,6 +51,6 @@ pub use acrobat_runtime::{
 };
 pub use acrobat_tensor::{FaultKind, FaultMode, FaultPlan, FaultSite, Shape, Tensor};
 pub use acrobat_vm::{
-    BackendKind, BrokerStats, CohortRequest, InputValue, OutputValue, Params, RunOptions,
-    RunResult, ServeOutcomes, VmError,
+    BackendKind, BrokerStats, InputValue, OutputValue, Params, RunOptions, RunResult,
+    ServeOutcomes, VmError,
 };

@@ -120,16 +120,6 @@ impl Model {
         None
     }
 
-    /// Runs several requests as one cohort sharing flush plans and batched
-    /// launches (see `acrobat_vm::cohort`).  The only way requests batch
-    /// together: concurrent [`Model::run`] calls never merge.
-    pub fn run_cohort(
-        &self,
-        requests: &[acrobat_vm::CohortRequest<'_>],
-    ) -> Vec<Result<RunResult, acrobat_vm::VmError>> {
-        self.exe.run_cohort(requests)
-    }
-
     /// Profile-guided re-scheduling (§D.1, Table 9): runs one profiling
     /// mini-batch, aggregates the per-kernel invocation frequencies across
     /// completed runs, and installs a re-tuned engine.  A step between runs

@@ -101,8 +101,8 @@ impl CompileOptions {
     }
 
     /// Sets nothing: every `run` batches only within its own request, and
-    /// a caller holding several requests batches them with
-    /// [`crate::Model::run_cohort`].  Kept only because the frozen benchmark
+    /// a caller holding several requests passes their instances to one
+    /// [`crate::Model::run_keyed`] call.  Kept only because the frozen benchmark
     /// harness (`benchmark/src/profiles.rs`) is its last caller; the harness
     /// change that retires that file deletes it.
     pub fn with_broker(self, _: bool) -> CompileOptions {

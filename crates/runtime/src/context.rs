@@ -60,12 +60,6 @@ pub struct ExecutionContext {
     /// miss.  A tainted context is quarantined by its pool: dropped on
     /// release, never recycled into another request.
     tainted: bool,
-    /// Cohort request partition: member start offsets over the
-    /// merged instance index space (e.g. `[0, 4, 6]` for three requests of
-    /// 4, 2 and N−6 instances).  When set, every clean flush is classified
-    /// as shared (its plan touched ≥ 2 members) or solo; `None` — every
-    /// non-cohort run — leaves both counters at zero.
-    instance_partition: Option<Vec<usize>>,
     /// Kernel-executor state kept across launches: the flushing thread's
     /// working memory (compiled-path flat scratch and tiles, checked
     /// mode's snapshot and oracle registers) and the lane-split helper
@@ -94,7 +88,6 @@ impl ExecutionContext {
             deadline: Deadline::Unlimited,
             cancel: None,
             tainted: false,
-            instance_partition: None,
             lanes: LaneExecutor::default(),
         }
     }
@@ -187,18 +180,6 @@ impl ExecutionContext {
         self.deadline = Deadline::Unlimited;
         self.cancel = None;
         self.tainted = false;
-        self.instance_partition = None;
-    }
-
-    /// Installs the cohort request partition (member start offsets
-    /// over the merged instance index space, strictly increasing, starting
-    /// at 0).  Flushes are then classified into
-    /// [`RuntimeStats::shared_flushes`] / [`RuntimeStats::solo_flushes`]
-    /// by whether their plan co-batched nodes from ≥ 2 members.
-    pub fn set_instance_partition(&mut self, member_starts: Vec<usize>) {
-        debug_assert!(member_starts.first() == Some(&0), "partition must start at instance 0");
-        debug_assert!(member_starts.windows(2).all(|w| w[0] < w[1]), "partition must increase");
-        self.instance_partition = Some(member_starts);
     }
 
     /// Uploads a batch of host tensors as one transfer operation (the
@@ -448,7 +429,7 @@ impl ExecutionContext {
         let outcome = self.plan_window(&mut plan);
         self.charge_scheduling(&plan, outcome);
         let run = self.execute_plan(&plan);
-        let result = self.settle(&plan, run);
+        let result = self.settle(run);
         self.plan_buf = plan;
         self.stats.device_peak_elements = self.mem.stats().peak_elements;
         self.stats.host_wall_us += wall.elapsed().as_secs_f64() * 1e6;
@@ -664,9 +645,8 @@ impl ExecutionContext {
 
     /// Stage 4 — settles the attempt.  An abort (the context stays
     /// well-defined and resumable, see [`Self::execute_plan`]) is recorded
-    /// and taints the context.  A clean flush is counted (and, in a
-    /// cohort, classified).
-    fn settle(&mut self, plan: &Plan, run: Result<(), TensorError>) -> Result<(), TensorError> {
+    /// and taints the context.  A clean flush is counted.
+    fn settle(&mut self, run: Result<(), TensorError>) -> Result<(), TensorError> {
         if let Err(e) = run {
             self.stats.aborted_flushes += 1;
             self.tainted = true;
@@ -678,20 +658,6 @@ impl ExecutionContext {
             return Err(e);
         }
         self.stats.flushes += 1;
-        // Cross-request flush classification (cohorts): did this
-        // plan co-batch nodes from two or more member requests?  Outside a
-        // cohort no partition is installed and neither counter moves.
-        if let Some(starts) = &self.instance_partition {
-            let member_of =
-                |id: &NodeId| starts.partition_point(|&s| s <= self.dfg.node(*id).instance) - 1;
-            let mut members = plan.nodes.iter().map(member_of);
-            let first = members.next();
-            if members.any(|m| Some(m) != first) {
-                self.stats.shared_flushes += 1;
-            } else {
-                self.stats.solo_flushes += 1;
-            }
-        }
         Ok(())
     }
 

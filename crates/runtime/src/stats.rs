@@ -75,18 +75,6 @@ pub struct RuntimeStats {
     /// tests and `scripts/check.sh` assert on.  `0` with the cache off.
     #[serde(default)]
     pub plan_sig_chain: u64,
-    /// Flushes whose plan co-batched DFG nodes from two or more distinct
-    /// requests of one cohort (`Executable::run_cohort`).  Exactly `0`
-    /// outside cohorts — a context only classifies its flushes when the
-    /// cohort driver installs a request partition
-    /// ([`crate::ExecutionContext::set_instance_partition`]).
-    #[serde(default)]
-    pub shared_flushes: u64,
-    /// Flushes inside a cohort whose plan touched a single request (no
-    /// cross-request sharing at that sync point).  `0` outside cohorts,
-    /// like [`RuntimeStats::shared_flushes`].
-    #[serde(default)]
-    pub solo_flushes: u64,
     /// Launches that compiled their kernel on the spot — the kernel's
     /// first launch.  Every other launch is a [`RuntimeStats::backend_hits`].
     #[serde(default)]
@@ -141,10 +129,9 @@ impl RuntimeStats {
 }
 
 /// The one place each [`RuntimeStats`] field is classified.  The table
-/// drives [`RuntimeStats::merge`], [`RuntimeStats::scaled`] and
-/// [`RuntimeStats::split`]; `scaled` expands to a full struct literal, so a
-/// field added to the struct without a row here (or listed twice) does not
-/// compile.
+/// drives [`RuntimeStats::merge`] and [`RuntimeStats::scaled`]; `scaled`
+/// expands to a full struct literal, so a field added to the struct without
+/// a row here (or listed twice) does not compile.
 macro_rules! field_table {
     ($($field:ident: $kind:ident,)*) => {
         impl RuntimeStats {
@@ -161,16 +148,6 @@ macro_rules! field_table {
             /// 10 as well while 32/3 should read 11).
             pub fn scaled(&self, n: f64) -> RuntimeStats {
                 RuntimeStats { $($field: ($kind.scaled)(self.$field, n),)* }
-            }
-
-            /// Splits one run's statistics among the requests that shared it,
-            /// weighted by their instance `counts`.  Merging the parts
-            /// reproduces `self` exactly, field for field, and a single
-            /// member receives `self` unchanged.
-            pub fn split(&self, counts: &[usize]) -> Vec<RuntimeStats> {
-                let mut out = vec![RuntimeStats::default(); counts.len()];
-                $(($kind.split)(self.$field, counts, &mut out, |s| &mut s.$field);)*
-                out
             }
         }
     };
@@ -201,8 +178,6 @@ field_table! {
     plan_cache_evictions: COUNT_SUM,
     plan_sig_us: TIME_SUM,
     plan_sig_chain: XOR_DIGEST,
-    shared_flushes: COUNT_SUM,
-    solo_flushes: COUNT_SUM,
     backend_compiles: COUNT_SUM,
     backend_hits: COUNT_SUM,
     backend_interp_falls: COUNT_SUM,
@@ -212,89 +187,29 @@ field_table! {
     program_host_us: TIME_SUM,
 }
 
-/// How one kind of field merges, averages (`scaled`) and splits.
+/// How one kind of field merges and averages (`scaled`).
 struct Kind<T> {
     merge: fn(T, T) -> T,
     scaled: fn(T, f64) -> T,
-    split: fn(T, &[usize], &mut [RuntimeStats], Field<T>),
 }
 
-/// Selects the field of a member's [`RuntimeStats`] a split fills.
-type Field<T> = fn(&mut RuntimeStats) -> &mut T;
-
 /// A modeled or measured time, µs.
-const TIME_SUM: Kind<f64> = Kind { merge: |a, b| a + b, scaled: |a, n| a / n, split: split_time };
+const TIME_SUM: Kind<f64> = Kind { merge: |a, b| a + b, scaled: |a, n| a / n };
 
 /// An exact event or byte count; averages round to the nearest integer.
 const COUNT_SUM: Kind<u64> =
-    Kind { merge: |a, b| a + b, scaled: |a, n| (a as f64 / n).round() as u64, split: split_count };
+    Kind { merge: |a, b| a + b, scaled: |a, n| (a as f64 / n).round() as u64 };
 
-/// A high-water mark.  It was genuinely shared: every member of a split saw
-/// it, and merging by max keeps the peak.
-const MAX: Kind<u64> = Kind {
-    merge: u64::max,
-    scaled: |a, _| a,
-    split: |total, _, out, field| out.iter_mut().for_each(|s| *field(s) = total),
-};
+/// A high-water mark: merging by max keeps the peak.
+const MAX: Kind<u64> = Kind { merge: u64::max, scaled: |a, _| a };
 
 /// An XOR digest: a set-of-windows invariant, not a quantity.  XOR keeps it
-/// independent of any merge grouping; it does not average; it cannot be
-/// apportioned, so member 0 carries it whole and the XOR across members
-/// equals the total.
-const XOR_DIGEST: Kind<u64> = Kind {
-    merge: |a, b| a ^ b,
-    scaled: |a, _| a,
-    split: |total, _, out, field| out.iter_mut().take(1).for_each(|s| *field(s) = total),
-};
-
-/// Proportional shares of a time; the last member takes the rounding
-/// residue so the shares sum back to `total`.
-fn split_time(total: f64, counts: &[usize], out: &mut [RuntimeStats], field: Field<f64>) {
-    let weight: u64 = counts.iter().map(|&c| c as u64).sum();
-    let mut acc = 0.0_f64;
-    for (i, s) in out.iter_mut().enumerate() {
-        let share = if i + 1 == counts.len() {
-            total - acc
-        } else if weight == 0 {
-            0.0
-        } else {
-            total * counts[i] as f64 / weight as f64
-        };
-        *field(s) = share;
-        acc += share;
-    }
-}
-
-/// Largest-remainder apportionment of a count: shares sum to `total`
-/// exactly and each is within one of its proportional value.  Ties in the
-/// fractional remainder break toward the lower index.
-fn split_count(total: u64, counts: &[usize], out: &mut [RuntimeStats], field: Field<u64>) {
-    let weight: u128 = counts.iter().map(|&c| c as u128).sum();
-    if weight == 0 {
-        out.iter_mut().take(1).for_each(|s| *field(s) = total);
-        return;
-    }
-    let mut left = total;
-    for (s, &c) in out.iter_mut().zip(counts) {
-        let share = (u128::from(total) * c as u128 / weight) as u64;
-        *field(s) = share;
-        left -= share;
-    }
-    if left > 0 {
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by_key(|&i| {
-            (std::cmp::Reverse(u128::from(total) * counts[i] as u128 % weight), i)
-        });
-        for &i in order.iter().take(left as usize) {
-            *field(&mut out[i]) += 1;
-        }
-    }
-}
+/// independent of any merge grouping; it does not average.
+const XOR_DIGEST: Kind<u64> = Kind { merge: |a, b| a ^ b, scaled: |a, _| a };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     // The hand-written classification the field table is checked against.
     macro_rules! fields {
@@ -304,11 +219,11 @@ mod tests {
         fields!(s: dfg_construction_us scheduling_us memcpy_us kernel_time_us cuda_api_us fiber_us
             retry_backoff_us plan_sig_us host_wall_us exec_wall_us program_host_us)
     }
-    fn counts(s: &mut RuntimeStats) -> [&mut u64; 20] {
+    fn counts(s: &mut RuntimeStats) -> [&mut u64; 18] {
         fields!(s: nodes kernel_launches gather_copies gather_bytes contiguous_hits memcpy_ops
             memcpy_bytes flops flushes aborted_flushes fiber_switches retries plan_cache_hits
-            plan_cache_misses plan_cache_evictions shared_flushes solo_flushes backend_compiles
-            backend_hits backend_interp_falls)
+            plan_cache_misses plan_cache_evictions backend_compiles backend_hits
+            backend_interp_falls)
     }
     fn filled(
         time: impl Fn(usize) -> f64,
@@ -336,37 +251,6 @@ mod tests {
             filled(|_| 2.375, |_| 6, 10, 0b0110),
             "digest and peak pass through"
         );
-    }
-
-    proptest! {
-        #[test]
-        fn split_parts_merge_back_to_the_total(
-            vals in proptest::collection::vec(0u64..u64::MAX, 33),
-            weights in proptest::collection::vec(0usize..5, 1..6),
-        ) {
-            // Counts span 0 .. 2^40 (so `total < members` occurs), times are
-            // non-dyadic so every share rounds.
-            let count = |i: usize| (vals[11 + i] >> 24) >> (vals[11 + i] % 41);
-            let mut total = filled(|i| (vals[i] >> 24) as f64 / 7.0, count, vals[31], vals[32]);
-            let parts = total.split(&weights);
-            prop_assert_eq!(total.split(&weights[..1]), vec![total], "a lone member gets the total");
-            let mut merged = RuntimeStats::default();
-            parts.iter().for_each(|p| merged.merge(p));
-            for (m, t) in times(&mut merged).into_iter().zip(times(&mut total)) {
-                prop_assert!((*m - *t).abs() <= 1e-9 * t.abs(), "time {} != {}", m, t);
-                *m = *t;
-            }
-            prop_assert_eq!(merged, total, "counts, peak and digest merge back exactly");
-            let weight: usize = weights.iter().sum();
-            for (mut part, &w) in parts.into_iter().zip(&weights) {
-                prop_assert_eq!(part.device_peak_elements, total.device_peak_elements);
-                for (share, t) in counts(&mut part).into_iter().zip(counts(&mut total)) {
-                    let exact = *t as f64 * w as f64 / weight.max(1) as f64;
-                    let off = if weight == 0 { 0.0 } else { (*share as f64 - exact).abs() };
-                    prop_assert!(off < 1.0 + exact * 1e-12, "share {} of {}", share, exact);
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! `Params` in the process has.  That identity is what lets weights stay
 //! put: an execution context keeps one `Params` resident in its arena and
 //! uploads again only when a request brings a different one
-//! ([`crate::DeviceMem::make_resident`]), and a cohort of requests shares
-//! one upload exactly when its members share one `Params`.
+//! ([`crate::DeviceMem::make_resident`]).
 //!
 //! A `Params` also owns each weight's [`PackedRhs`] — its columns repacked
 //! into the panels [`crate::matmul_packed`] streams — built on the first

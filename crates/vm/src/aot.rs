@@ -276,7 +276,7 @@ pub struct AotProgram {
     pool: Vec<Reg>,
     emits: Vec<EmitDesc>,
     forks: Vec<ForkDesc>,
-    layouts: Layouts,
+    pub(crate) layouts: Layouts,
     /// Constructor names by tag, for the disassembly.
     ctors: CtorTable,
 }
@@ -295,28 +295,23 @@ fn unsupported(what: impl fmt::Display) -> VmError {
 ///
 /// [`VmError::Unsupported`] naming "a lambda outside `map`".
 pub fn check_lambdas(module: &Module) -> Result<(), VmError> {
-    fn walk(e: &Expr) -> Result<(), VmError> {
+    // An explicit stack of pending subtrees: a `let` spine costs heap, not
+    // call-stack frames.
+    let mut pending: Vec<&Expr> = module.functions.values().map(|f| &f.body).collect();
+    while let Some(e) = pending.pop() {
         match &e.kind {
-            ExprKind::Lambda { .. } => Err(unsupported("a lambda outside `map`")),
+            ExprKind::Lambda { .. } => return Err(unsupported("a lambda outside `map`")),
             ExprKind::Map { func, list } => {
-                let func = match &func.kind {
+                pending.push(list);
+                pending.push(match &func.kind {
                     ExprKind::Lambda { body, .. } => body,
                     _ => func,
-                };
-                walk(func).and_then(|()| walk(list))
-            }
-            _ => {
-                let mut result = Ok(());
-                e.for_each_child(|c| {
-                    if result.is_ok() {
-                        result = walk(c);
-                    }
                 });
-                result
             }
+            _ => e.for_each_child(|c| pending.push(c)),
         }
     }
-    module.functions.values().try_for_each(|f| walk(&f.body))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -621,29 +616,35 @@ impl<'m> Lowering<'m> {
                 b.code.push(Instr::Rand { dst, lo, hi });
                 Ok(Val::Reg(dst))
             }
-            ExprKind::Let { pat, value, body } => {
-                let v = self.lower(b, value, None)?;
-                // A tuple-destructuring `let` has never crossed its phase
-                // boundary on this backend (the Relay-VM baseline does, which
-                // is one reason the two build different DFGs); every recorded
-                // paper artifact has that in it, so it stays until they are
-                // re-recorded together.
-                let crosses = !matches!(pat, Pattern::Tuple(_));
-                if crosses && self.session.is_phase_boundary(expr.id) {
-                    b.code.push(Instr::PhaseBump);
-                }
+            ExprKind::Let { .. } => {
+                // A `let` spine is a sequence: walked as a loop, each binding
+                // in scope until the spine's final body has been lowered.
                 let mark = b.scope.len();
-                match pat {
-                    Pattern::Var(n) => b.scope.push((n.clone(), v)),
-                    Pattern::Wildcard => {}
-                    Pattern::Tuple(names) => {
-                        for (i, n) in names.iter().enumerate() {
-                            let part = self.project(b, v.clone(), i, None)?;
-                            b.scope.push((n.clone(), part));
+                let mut spine = expr;
+                while let ExprKind::Let { pat, value, body } = &spine.kind {
+                    let v = self.lower(b, value, None)?;
+                    // A tuple-destructuring `let` has never crossed its phase
+                    // boundary on this backend (the Relay-VM baseline does,
+                    // which is one reason the two build different DFGs);
+                    // every recorded paper artifact has that in it, so it
+                    // stays until they are re-recorded together.
+                    let crosses = !matches!(pat, Pattern::Tuple(_));
+                    if crosses && self.session.is_phase_boundary(spine.id) {
+                        b.code.push(Instr::PhaseBump);
+                    }
+                    match pat {
+                        Pattern::Var(n) => b.scope.push((n.clone(), v)),
+                        Pattern::Wildcard => {}
+                        Pattern::Tuple(names) => {
+                            for (i, n) in names.iter().enumerate() {
+                                let part = self.project(b, v.clone(), i, None)?;
+                                b.scope.push((n.clone(), part));
+                            }
                         }
                     }
+                    spine = body;
                 }
-                let out = self.lower(b, body, into)?;
+                let out = self.lower(b, spine, into)?;
                 b.scope.truncate(mark);
                 Ok(out)
             }
@@ -1024,11 +1025,14 @@ fn collect_free_vars(body: &Expr, bound: &[String], out: &mut Vec<String>) {
             ExprKind::Var(n) if !bound.contains(n) && !out.contains(n) => {
                 out.push(n.clone());
             }
-            ExprKind::Let { pat, value, body } => {
-                walk(value, bound, out);
-                let mark = bound.len();
-                bound.extend(pat.names().iter().cloned());
-                walk(body, bound, out);
+            ExprKind::Let { .. } => {
+                let (mark, mut spine) = (bound.len(), e);
+                while let ExprKind::Let { pat, value, body } = &spine.kind {
+                    walk(value, bound, out);
+                    bound.extend(pat.names().iter().cloned());
+                    spine = body;
+                }
+                walk(spine, bound, out);
                 bound.truncate(mark);
             }
             ExprKind::Match { scrutinee, arms } => {
@@ -1541,14 +1545,19 @@ impl Layouts {
         id
     }
 
-    /// Checks one instance's `%` inputs, as many as `@main` takes, against
-    /// their parameter types.
+    /// Checks one instance's `%` inputs against `@main`'s: as many as it
+    /// takes, each of its parameter's type.
     ///
     /// # Errors
     ///
-    /// [`VmError::Input`] for a value that does not have its parameter's
-    /// type (an unknown constructor among them).
+    /// [`VmError::Input`] for a wrong count, or a value that does not have
+    /// its parameter's type (an unknown constructor among them).
     pub(crate) fn check(&self, inputs: &[InputValue]) -> Result<(), VmError> {
+        let expected = self.params.iter().flatten().count();
+        if inputs.len() != expected {
+            let given = inputs.len();
+            return Err(VmError::Input(format!("{given} inputs for @main's {expected}")));
+        }
         let params = self.params.iter().flatten();
         params.zip(inputs).try_for_each(|(&layout, value)| self.check_value(layout, value))
     }

@@ -24,9 +24,9 @@
 //! [`ExecutionContext`] and the AOT executor's scratch out of the session's
 //! pool, and executes without taking any shared lock on the hot path — so
 //! any number of mini-batches may run concurrently against one
-//! [`Executable`].  That lifecycle is written once, in
-//! `Executable::run_group`: a solo run is a group of one request, a cohort
-//! ([`crate::cohort`]) a group of several.
+//! [`Executable`].  A run batches the instances of its own request only,
+//! as the paper's runtime does (§4): a caller holding several requests
+//! passes their instances to one call, with its own keys.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,15 +108,6 @@ pub struct RunOptions {
     pub cancel: Option<CancelToken>,
 }
 
-/// One request as [`Executable::run_group`] sees it: the triple
-/// [`Executable::run_with`] takes, borrowed.
-#[derive(Clone, Copy)]
-pub(crate) struct Member<'a> {
-    pub(crate) params: &'a Params,
-    pub(crate) instances: &'a [Vec<InputValue>],
-    pub(crate) opts: &'a RunOptions,
-}
-
 /// Whether the module contains tensor-dependent control flow.
 pub fn module_has_sync(module: &acrobat_ir::Module) -> bool {
     module.functions.values().any(|f| f.body.contains_sync())
@@ -181,6 +172,13 @@ impl Executable {
 
     /// Runs one mini-batch with explicit [`RunOptions`].
     ///
+    /// The request lifecycle: validate the request, check one context out
+    /// of the pool, arm it from `opts`, execute, settle.  Every exit lands
+    /// the request in exactly one outcome bucket.  A malformed request is
+    /// rejected before checkout and touches nothing but a counter; a run
+    /// that succeeds merges its statistics and pools its context; a run
+    /// that fails quarantines its context and merges nothing.
+    ///
     /// # Errors
     ///
     /// As [`Executable::run`], plus [`VmError::Input`] when `opts.keys` has
@@ -191,141 +189,105 @@ impl Executable {
         instances: &[Vec<InputValue>],
         opts: &RunOptions,
     ) -> Result<RunResult, VmError> {
-        let solo = self.run_group(&[Member { params, instances, opts }], false).pop();
-        solo.expect("one result per member")
+        let session = &self.session;
+        let weights = match self.validate(params, instances, opts) {
+            Ok(weights) => weights,
+            Err(e) => {
+                session.record_failure(&e);
+                return Err(e);
+            }
+        };
+        let run = RunSession::new(session);
+        let (mut ctx, mut scratch) = session.checkout();
+        if let Some(fault) = opts.fault {
+            ctx.mem_mut().arm_fault(fault);
+        }
+        if let Some(budget_us) = opts.deadline_us {
+            ctx.set_deadline(Deadline::virtual_us(budget_us));
+        }
+        if let Some(token) = &opts.cancel {
+            ctx.set_cancel(token.clone());
+        }
+        let keys = opts.keys.as_deref();
+        match self.run_batch(&run, ctx, &mut scratch, params, &weights, instances, keys) {
+            (Ok((outputs, stats)), ctx) => {
+                run.finish(ctx, scratch, &stats);
+                Ok(RunResult { outputs, stats })
+            }
+            // A failed run's scratch is dropped with its context.
+            (Err(e), ctx) => {
+                session.quarantine(ctx);
+                session.record_failure(&e);
+                Err(e)
+            }
+        }
     }
 
-    /// The request lifecycle, for `k >= 1` requests sharing one execution
-    /// context: validate each member, arm one context, execute the valid
-    /// members' concatenated instances as one mini-batch, settle and record.
-    /// A solo run is a group of one.  `partitioned` is set by
-    /// [`Executable::run_cohort`] alone and makes the context classify its
-    /// flushes as shared or solo across the members.
-    ///
-    /// The contract, for every exit: a run that succeeds is merged into the
-    /// session aggregate once per member (statistics split by instance
-    /// count — the identity for one member) and its context is pooled; a
-    /// run that fails quarantines its context and merges nothing; each
-    /// request lands in exactly one outcome bucket.  A failed group of one
-    /// *is* that request's genuine outcome.  A failed group of several is
-    /// never recorded: every member re-runs alone, so the trigger reproduces
-    /// its own error and the peers their exact solo results.
-    pub(crate) fn run_group(
+    /// Checks the request side of a run, on either backend, before it
+    /// touches a context: the key arity, the deadline budget, every `$`
+    /// parameter and every instance's inputs.  Returns the index in
+    /// `params` of each `$` parameter, in `@main`'s order.
+    fn validate(
         &self,
-        members: &[Member<'_>],
-        partitioned: bool,
-    ) -> Vec<Result<RunResult, VmError>> {
-        let session = &self.session;
-        let mut out: Vec<_> = members.iter().map(|_| None).collect();
-        let mut fail = |i: usize, e: VmError| {
-            session.record_failure(&e);
-            out[i] = Some(Err(e));
+        params: &Params,
+        instances: &[Vec<InputValue>],
+        opts: &RunOptions,
+    ) -> Result<Vec<usize>, VmError> {
+        let n = instances.len();
+        let given = opts.keys.as_ref().map_or(n, Vec::len);
+        if given != n {
+            return Err(VmError::Input(format!("{given} rng keys for {n} instances")));
+        }
+        // `spent >= NaN` never trips: a NaN budget would silently mean "no
+        // deadline".
+        if opts.deadline_us.is_some_and(f64::is_nan) {
+            return Err(VmError::Input("the deadline budget is NaN".into()));
+        }
+        let main = &self.session.analysis.module.functions["main"];
+        let weights = main.params.iter().filter(|p| p.kind == ParamKind::Model).map(|p| {
+            let missing = || VmError::Input(format!("missing model parameter ${}", p.name));
+            params.index_of(&p.name).ok_or_else(missing)
+        });
+        let weights = weights.collect::<Result<_, _>>()?;
+        let layouts = match &self.backend {
+            BackendImpl::Vm(_, layouts) => layouts,
+            BackendImpl::Aot(program) => &program.layouts,
         };
-        // Validate every member before checking out any per-run resources;
-        // a malformed request touches nothing but a counter.
-        let run = RunSession::new(session);
-        let mut accepted = Vec::new();
-        let (mut counts, mut starts) = (Vec::new(), Vec::new());
-        let (mut inst_refs, mut keys) = (Vec::new(), Vec::new());
-        for (i, m) in members.iter().enumerate() {
-            let n = m.instances.len();
-            let given = m.opts.keys.as_ref().map_or(n, Vec::len);
-            if given != n {
-                fail(i, VmError::Input(format!("{given} rng keys for {n} instances")));
-                continue;
-            }
-            // `spent >= NaN` never trips: a NaN budget would silently mean
-            // "no deadline".
-            if m.opts.deadline_us.is_some_and(f64::is_nan) {
-                fail(i, VmError::Input("the deadline budget is NaN".into()));
-                continue;
-            }
-            accepted.push(i);
-            counts.push(n);
-            starts.push(inst_refs.len());
-            inst_refs.extend(m.instances);
-            // Member-relative keys: instance j draws the random streams it
-            // draws solo, whatever its merged slot.
-            match &m.opts.keys {
-                Some(given) => keys.extend(given),
-                None => keys.extend(0..n as u64),
-            }
-        }
-        if let Some(&first) = accepted.first() {
-            // Take a private execution context and arm its lifecycle state:
-            // at most one fault plan, the strictest budget (on success every
-            // member's share of the time is below the total, hence below
-            // its own budget), the first cancel token.
-            let opts = || accepted.iter().map(|&i| members[i].opts);
-            let (mut ctx, mut scratch) = session.checkout();
-            if let Some(fault) = opts().find_map(|o| o.fault) {
-                ctx.mem_mut().arm_fault(fault);
-            }
-            if let Some(budget_us) = opts().filter_map(|o| o.deadline_us).reduce(f64::min) {
-                ctx.set_deadline(Deadline::virtual_us(budget_us));
-            }
-            if let Some(token) = opts().find_map(|o| o.cancel.clone()) {
-                ctx.set_cancel(token);
-            }
-            if partitioned {
-                ctx.set_instance_partition(starts);
-            }
-            let params = members[first].params;
-            match self.run_batch(&run, ctx, &mut scratch, params, &inst_refs, &keys) {
-                (Ok((outputs, stats)), ctx) => {
-                    let shares = stats.split(&counts);
-                    run.finish(ctx, scratch, &shares);
-                    let mut outputs = outputs.into_iter();
-                    for ((&i, n), stats) in accepted.iter().zip(counts).zip(shares) {
-                        let outputs = outputs.by_ref().take(n).collect();
-                        out[i] = Some(Ok(RunResult { outputs, stats }));
-                    }
-                }
-                // A failed run's scratch is dropped with its context.
-                (Err(e), ctx) => {
-                    session.quarantine(ctx);
-                    if accepted.len() == 1 {
-                        fail(first, e);
-                    } else {
-                        for &i in &accepted {
-                            out[i] = self.run_group(&members[i..=i], false).pop();
-                        }
-                    }
-                }
-            }
-        }
-        out.into_iter().map(|r| r.expect("every member settled")).collect()
+        instances.iter().try_for_each(|inst| layouts.check(inst))?;
+        Ok(weights)
     }
 
     /// Executes one validated mini-batch: upload → bind → drive → drain →
     /// collect.  Returns the context alongside the result (it moves by
     /// value across the fiber-mode thread scope) so the caller can pool or
     /// quarantine it from every exit.
-    ///
-    /// `instances` is a slice of references so a group can concatenate its
-    /// members' instance lists without cloning any tensors.
+    #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
         run: &RunSession<'_>,
         mut ctx: ExecutionContext,
         scratch: &mut Scratch,
         params: &Params,
-        instances: &[&Vec<InputValue>],
-        keys: &[u64],
+        weights: &[usize],
+        instances: &[Vec<InputValue>],
+        keys: Option<&[u64]>,
     ) -> Outcome {
-        let uploaded = match upload(run, &mut ctx, params, instances) {
+        let uploaded = match upload(run, &mut ctx, params, weights, instances) {
             Ok(uploaded) => uploaded,
             Err(e) => return (Err(e), ctx),
         };
         match &self.backend {
-            BackendImpl::Vm(vm, layouts) => {
-                run_vm(vm, layouts, run, ctx, &uploaded, instances, keys)
-            }
+            BackendImpl::Vm(vm, _) => run_vm(vm, run, ctx, &uploaded, instances, keys),
             BackendImpl::Aot(program) => {
                 run_aot(program, scratch, run, ctx, &uploaded, instances, keys)
             }
         }
     }
+}
+
+/// Instance `i`'s pseudo-random-stream key: the caller's, or its slot.
+fn key(keys: Option<&[u64]>, i: usize) -> u64 {
+    keys.map_or(i as u64, |keys| keys[i])
 }
 
 /// The interpreter recurses natively and model recursion depth is
@@ -348,48 +310,25 @@ struct Uploaded {
     tensors: Vec<ValueId>,
 }
 
-/// Uploads a mini-batch to its context: binds the weights
-/// ([`ExecutionContext::bind_params`] — resident, so a warm context with
-/// the same `params` transfers none), then uploads every instance's input
-/// tensors as one batched transfer; validates names and arity.
+/// Uploads a validated mini-batch to its context: binds the weights
+/// (`entries` are their indices in `params`;
+/// [`ExecutionContext::bind_params`] keeps them resident, so a warm context
+/// with the same `params` transfers none), then uploads every instance's
+/// input tensors as one batched transfer.
 fn upload(
     session: &Session,
     ctx: &mut ExecutionContext,
     params: &Params,
-    instances: &[&Vec<InputValue>],
+    entries: &[usize],
+    instances: &[Vec<InputValue>],
 ) -> Result<Uploaded, VmError> {
-    let main = session.analysis.module.functions.get("main").expect("main exists");
-
-    // Resolve every `$` parameter before binding, so a missing one fails
-    // the request before any transfer.
-    let is_weight = |p: &&acrobat_ir::Param| p.kind == ParamKind::Model;
-    let entries = main
-        .params
-        .iter()
-        .filter(is_weight)
-        .map(|p| {
-            let missing = || VmError::Input(format!("missing model parameter ${}", p.name));
-            params.index_of(&p.name).ok_or_else(missing)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut bound = (ctx.bind_params(params, &entries)?.0..).map(ValueId);
-    let weights: Vec<_> =
-        main.params.iter().map(|p| is_weight(&p).then(|| bound.next().expect("endless"))).collect();
-
-    // Upload all instance input tensors as one batched transfer.
-    let input_count = weights.iter().filter(|w| w.is_none()).count();
+    let main = &session.analysis.module.functions["main"];
+    let mut bound = (ctx.bind_params(params, entries)?.0..).map(ValueId);
+    let weights = main.params.iter();
+    let weights =
+        weights.map(|p| if p.kind == ParamKind::Model { bound.next() } else { None }).collect();
     let mut all_tensors: Vec<&Tensor> = Vec::new();
-    for (i, inst) in instances.iter().enumerate() {
-        if inst.len() != input_count {
-            return Err(VmError::Input(format!(
-                "instance {i} provides {} inputs, @main expects {input_count}",
-                inst.len()
-            )));
-        }
-        for v in inst.iter() {
-            v.tensors(&mut all_tensors);
-        }
-    }
+    instances.iter().flatten().for_each(|v| v.tensors(&mut all_tensors));
     Ok(Uploaded { weights, tensors: ctx.upload_inputs(&all_tensors)? })
 }
 
@@ -430,8 +369,8 @@ fn run_aot(
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
     uploaded: &Uploaded,
-    instances: &[&Vec<InputValue>],
-    keys: &[u64],
+    instances: &[Vec<InputValue>],
+    keys: Option<&[u64]>,
 ) -> Outcome {
     let weights = &uploaded.weights;
     let mut tensors = uploaded.tensors.iter().copied();
@@ -448,8 +387,8 @@ fn run_aot(
     let words: Result<Vec<u64>, VmError> = if !run.fiber_mode {
         let (mut rt, mut heap) = (Handle::Own(&mut ctx), Handle::Own(&mut scratch.arena));
         let machine = &mut scratch.machine;
-        let each = keys.iter().enumerate().map(|(i, &key)| {
-            let mut ectx = ExecCtx::new(i, key, run.seed, run.hoist_base);
+        let each = (0..instances.len()).map(|i| {
+            let mut ectx = ExecCtx::new(i, key(keys, i), run.seed, run.hoist_base);
             program.run_main(run, &mut rt, &mut heap, &mut ectx, machine, args_of(i))
         });
         each.collect()
@@ -466,12 +405,12 @@ fn run_aot(
         let heap = parking_lot::Mutex::new(std::mem::take(&mut scratch.arena));
         let words = std::thread::scope(|scope| {
             let mut fibers = Vec::with_capacity(instances.len());
-            for (i, &key) in keys.iter().enumerate() {
+            for i in 0..instances.len() {
                 run.hub.register();
                 let (cell, heap, args) = (&cell, &heap, args_of(i));
                 let fiber = move || {
                     let (mut rt, mut heap) = (Handle::Shared(cell), Handle::Shared(heap));
-                    let mut ectx = ExecCtx::new(i, key, run.seed, run.hoist_base);
+                    let mut ectx = ExecCtx::new(i, key(keys, i), run.seed, run.hoist_base);
                     let mut machine = Default::default();
                     let word =
                         program.run_main(run, &mut rt, &mut heap, &mut ectx, &mut machine, args);
@@ -515,21 +454,16 @@ fn run_aot(
     (result, ctx)
 }
 
-/// The Relay-VM path: check the inputs against `@main`'s types, box them as
-/// [`Value`]s, interpret `@main` per instance sequentially on one big-stack
-/// thread, drain, unbox the results.
+/// The Relay-VM path: box the inputs as [`Value`]s, interpret `@main` per
+/// instance sequentially on one big-stack thread, drain, unbox the results.
 fn run_vm(
     vm: &VmBackend,
-    layouts: &Layouts,
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
     uploaded: &Uploaded,
-    instances: &[&Vec<InputValue>],
-    keys: &[u64],
+    instances: &[Vec<InputValue>],
+    keys: Option<&[u64]>,
 ) -> Outcome {
-    if let Err(e) = instances.iter().try_for_each(|inst| layouts.check(inst)) {
-        return (Err(e), ctx);
-    }
     let mut ids = uploaded.tensors.iter().copied();
     let instance_args: Vec<Vec<Value>> = instances
         .iter()
@@ -548,7 +482,7 @@ fn run_vm(
         let program = move || {
             let mut rt = Handle::Own(ctx);
             let each = instance_args.into_iter().enumerate().map(|(i, args)| {
-                let mut ectx = ExecCtx::new(i, keys[i], run.seed, run.hoist_base);
+                let mut ectx = ExecCtx::new(i, key(keys, i), run.seed, run.hoist_base);
                 vm.run_instance(run, &mut rt, &mut ectx, args)
             });
             each.collect()
@@ -659,10 +593,10 @@ mod tests {
     fn uploaded_bytes(exe: &Executable, params: &Params, instances: &[Vec<InputValue>]) -> u64 {
         let run = RunSession::new(&exe.session);
         let (mut ctx, scratch) = exe.session.checkout();
-        let refs: Vec<&Vec<InputValue>> = instances.iter().collect();
-        upload(&run, &mut ctx, params, &refs).expect("uploads");
+        let weights = exe.validate(params, instances, &RunOptions::default()).expect("valid");
+        upload(&run, &mut ctx, params, &weights, instances).expect("uploads");
         let bytes = ctx.mem_mut().stats().upload_bytes;
-        run.finish(ctx, scratch, &[]);
+        exe.session.check_in(ctx, scratch);
         bytes
     }
 

@@ -27,14 +27,14 @@
 #![deny(missing_docs)]
 
 pub mod aot;
-pub mod cohort;
 pub mod driver;
 pub mod interp;
 pub mod session;
 pub mod value;
 
 pub use acrobat_tensor::Params;
-pub use cohort::{BrokerStats, CohortRequest};
 pub use driver::{module_has_sync, BackendKind, Executable, RunOptions, RunResult};
-pub use session::{ExecCtx, Handle, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError};
+pub use session::{
+    BrokerStats, ExecCtx, Handle, Prng, RtHandle, RunSession, ServeOutcomes, Session, VmError,
+};
 pub use value::{InputValue, OutputValue, TensorRef, Value, Word};

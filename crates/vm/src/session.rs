@@ -346,6 +346,17 @@ impl ServeOutcomes {
     }
 }
 
+/// Request-queue counters, kept only because the frozen benchmark harness
+/// (`benchmark/src/run.rs`) still reads them.  There is no queue, so
+/// nothing writes them: `Model::broker_stats` is always `None`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BrokerStats {
+    /// Queue dispatches executed.
+    pub dispatches: u64,
+    /// Requests dispatched together with a peer.
+    pub merged_requests: u64,
+}
+
 /// Idle warm pairs kept per session; beyond this, released ones are
 /// dropped.
 const MAX_IDLE: usize = 8;
@@ -495,7 +506,7 @@ impl Session {
     /// oversized scratch is replaced, and beyond [`MAX_IDLE`] the pair is
     /// dropped.  Whatever is dropped — a context joins its lane-split
     /// helper threads — is dropped outside the pool lock.
-    fn check_in(&self, ctx: ExecutionContext, scratch: Scratch) {
+    pub(crate) fn check_in(&self, ctx: ExecutionContext, scratch: Scratch) {
         if ctx.tainted() {
             self.quarantine(ctx);
             return;
@@ -574,23 +585,15 @@ impl<'s> RunSession<'s> {
     }
 
     /// Merges this completed run into the session aggregate — one ledger
-    /// run and one completed outcome per entry of `member_stats`, the
-    /// requests that shared it — under one lock, then checks the warm pair
-    /// back in.
-    pub(crate) fn finish(
-        &self,
-        mut ctx: ExecutionContext,
-        scratch: Scratch,
-        member_stats: &[RuntimeStats],
-    ) {
+    /// run and one completed outcome — under one lock, then checks the warm
+    /// pair back in.
+    pub(crate) fn finish(&self, mut ctx: ExecutionContext, scratch: Scratch, stats: &RuntimeStats) {
         let profile = ctx.take_profile();
         {
             let mut agg = self.session.aggregate.lock();
-            for stats in member_stats {
-                agg.stats.merge(stats);
-            }
-            agg.runs += member_stats.len() as u64;
-            agg.outcomes.completed += member_stats.len() as u64;
+            agg.stats.merge(stats);
+            agg.runs += 1;
+            agg.outcomes.completed += 1;
             for (k, v) in profile {
                 *agg.profile.entry(k).or_default() += v;
             }
@@ -927,7 +930,7 @@ mod tests {
     fn retune_empties_the_pool() {
         let mut session = session();
         let (ctx, scratch) = session.checkout();
-        RunSession::new(&session).finish(ctx, scratch, &[RuntimeStats::default()]);
+        RunSession::new(&session).finish(ctx, scratch, &RuntimeStats::default());
         assert_eq!(session.idle_count(), 1);
         let old = Arc::clone(session.engine());
 

@@ -335,24 +335,49 @@ fn treelstm_like_tree_model() {
     assert!(ra.stats.kernel_launches < 16, "launches: {}", ra.stats.kernel_launches);
 }
 
+/// Runs `bad` between two good requests and returns its error, which must
+/// have cost nothing but its outcome counter: no context is quarantined,
+/// and the first request's context stays pooled for the second.
+fn rejected_before_checkout(
+    exe: &Executable,
+    params: &Params,
+    good: &[Vec<InputValue>],
+    bad: impl FnOnce() -> Result<acrobat_vm::RunResult, acrobat_vm::VmError>,
+) -> acrobat_vm::VmError {
+    let first = exe.run(params, good).expect("a good request").outputs;
+    let err = bad().expect_err("a malformed request fails");
+    assert_eq!(exe.session.quarantined_count(), 0, "{err}: a healthy context was quarantined");
+    assert_eq!(exe.session.idle_count(), 1, "{err}: the pooled context is gone");
+    assert_eq!(exe.run(params, good).expect("the next good request").outputs, first);
+    assert_eq!(exe.session.idle_count(), 1, "{err}: the next request reused it");
+    err
+}
+
+fn simple_request() -> (Params, Vec<Vec<InputValue>>) {
+    let params = Params::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
+    (params, vec![vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]])
+}
+
 #[test]
 fn missing_param_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
-    let err = exe.run(&Params::default(), &[vec![InputValue::Tensor(Tensor::zeros(&[1, 2]))]]);
-    assert!(matches!(err, Err(acrobat_vm::VmError::Input(_))));
+    let (params, good) = simple_request();
+    let err = rejected_before_checkout(&exe, &params, &good, || exe.run(&Params::default(), &good));
+    assert!(matches!(err, acrobat_vm::VmError::Input(_)), "{err:?}");
 }
 
 #[test]
 fn wrong_instance_arity_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
-    let params = Params::from([("w".to_string(), Tensor::zeros(&[2, 2]))]);
-    let err = exe.run(&params, &[vec![]]);
-    assert!(matches!(err, Err(acrobat_vm::VmError::Input(_))));
+    let (params, good) = simple_request();
+    let err = rejected_before_checkout(&exe, &params, &good, || exe.run(&params, &[vec![]]));
+    assert!(matches!(err, acrobat_vm::VmError::Input(_)), "{err:?}");
 }
 
-/// A malformed request fails itself with a typed error on either backend:
-/// an unknown constructor, a tensor where `@main` takes an `Int`, and a NaN
-/// deadline budget (which `spent >= NaN` would read as "no deadline").  The
+/// A malformed request fails itself with a typed error on either backend,
+/// before it checks out a context: an unknown constructor, a tensor where
+/// `@main` takes an `Int`, a NaN deadline budget (which `spent >= NaN`
+/// would read as "no deadline") and a key list of the wrong length.  The
 /// Relay VM used to panic on the first two.
 #[test]
 fn malformed_requests_are_input_errors_on_both_backends() {
@@ -369,18 +394,23 @@ fn malformed_requests_are_input_errors_on_both_backends() {
         [vec![InputValue::Adt { ctor: "Bogus".into(), fields: vec![] }, InputValue::Int(2)]];
     let tensor_for_int = [vec![list, InputValue::Tensor(Tensor::ones(&[1, 2]))]];
     let budget = |us| RunOptions { deadline_us: Some(us), ..Default::default() };
+    let two_keys = RunOptions { keys: Some(vec![3, 4]), ..Default::default() };
     for kind in [BackendKind::Aot, BackendKind::Vm] {
         let exe = build(PICKY, kind, AnalysisOptions::default());
         let requests = [
             (&unknown_ctor, RunOptions::default()),
             (&tensor_for_int, RunOptions::default()),
             (&good, budget(f64::NAN)),
+            (&good, two_keys.clone()),
         ];
         for (failed, (batch, opts)) in requests.into_iter().enumerate() {
-            let err = exe.run_with(&params, batch, &opts).unwrap_err();
+            let bad = || exe.run_with(&params, batch, &opts);
+            let err = rejected_before_checkout(&exe, &params, &good, bad);
             assert!(matches!(err, VmError::Input(_)), "{kind:?} request {failed}: {err:?}");
             assert_eq!(exe.session.outcomes().failed, failed as u64 + 1, "{kind:?}");
         }
+        let err = exe.run_with(&params, &good, &two_keys).unwrap_err();
+        assert_eq!(err.to_string(), "bad input: 2 rng keys for 1 instances", "{kind:?}");
         // An infinite budget is unlimited; a zero budget trips at once.
         let result = exe.run_with(&params, &good, &budget(f64::INFINITY)).unwrap();
         assert_eq!(result.outputs[0].tensors()[0].data(), [2.0, 2.0], "{kind:?}");
@@ -502,6 +532,38 @@ fn deep_recursion_runs_on_heap_frames_not_the_native_stack() {
     let request = move || exe.run(&Params::default(), &[vec![InputValue::Int(500_000)]]);
     let result = small_stack.spawn(request).unwrap().join().unwrap().expect("deep recursion");
     assert!(matches!(result.outputs[..], [OutputValue::Int(500_000)]), "{:?}", result.outputs);
+}
+
+/// A `let` spine is a sequence to the AOT lowering too: a 2 000-`let`
+/// chain is compiled (lambda check, lowering) and run on a thread with a
+/// 2 MiB stack, and its bits equal the unfused eager run of the same chain.
+#[test]
+fn let_spine_2000_deep_compiles_and_runs() {
+    let mut src = String::from(
+        "def @main($b: Tensor[(1, 4)], %x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {\nlet %v0 = %x;\n",
+    );
+    for i in 1..2_000 {
+        src.push_str(&format!("let %v{i} = tanh(add(%v{}, $b));\n", i - 1));
+    }
+    src.push_str("%v1999\n}\n");
+    let params = Params::from([("b".to_string(), Tensor::from_fn(&[1, 4], |i| i as f32 * 0.1))]);
+    let x = |i: usize| Tensor::from_fn(&[1, 4], move |j| (i * 4 + j) as f32 * 0.05 - 0.3);
+    let instances: Vec<Vec<InputValue>> = (0..3).map(|i| vec![InputValue::Tensor(x(i))]).collect();
+    let run = move || {
+        let bits = |exe: Executable| -> Vec<u32> {
+            let outputs = exe.run(&params, &instances).expect("runs").outputs;
+            outputs.iter().flat_map(|o| out_tensor(o).data().to_vec()).map(f32::to_bits).collect()
+        };
+        let m = typeck::check_module(parse_module(&src).unwrap()).unwrap();
+        acrobat_vm::aot::check_lambdas(&m).expect("no lambda");
+        let aot = bits(build(&src, BackendKind::Aot, AnalysisOptions::default()));
+        let eager = RuntimeOptions { eager: true, ..Default::default() };
+        (aot, bits(build_with(&src, BackendKind::Aot, AnalysisOptions::none(), eager)))
+    };
+    let small_stack = std::thread::Builder::new().stack_size(2 << 20);
+    let (aot, eager) = small_stack.spawn(run).unwrap().join().expect("no stack overflow");
+    assert_eq!(aot.len(), 12);
+    assert_eq!(aot, eager, "fused AOT run vs unfused eager run");
 }
 
 /// Runaway recursion costs its own request — a typed error, one quarantined

@@ -37,9 +37,6 @@ RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test chaos_serving
 echo "==> plan-cache smoke (steady-state hit rate >= 90%, cache-on == cache-off bit-for-bit)"
 cargo test -q -p acrobat-bench --test plan_cache
 
-echo "==> cohort isolation (cohort == solo bit-for-bit across the quick suite, chaos peers survive)"
-RUST_TEST_THREADS=4 cargo test -q -p acrobat-bench --test broker_isolation
-
 echo "==> kernel executor smoke (each quick-suite model once in checked mode: every compiled launch bit-identical to the interpreter oracle)"
 cargo run --release -p acrobat-bench --bin kernel_backend -- --smoke
 
@@ -57,12 +54,12 @@ if grep -rn parallel_workers crates tests; then
   echo "parallel_workers is gone: the runtime splits a launch's lanes from its own flops"; exit 1
 fi
 
-echo "==> one request lifecycle (a solo run is a group of one; nothing outside run_group runs a request)"
+echo "==> one request lifecycle (run_with validates, checks out one context, runs it, settles; nothing else runs a request)"
 if grep -rnE 'fn (run_direct|run_request|finish_run|demux_stats)\b|drive_timeout_ms|Deadline::[Ww]all' crates tests; then
   echo "the second lifecycle copy, the unset watchdog option and the wall-clock deadline are gone"; exit 1
 fi
 if [ "$(grep -rn 'run_batch(' crates/vm/src | grep -vc 'fn run_batch(')" != 1 ]; then
-  echo "run_batch must have exactly one call site (run_group)"; exit 1
+  echo "run_batch must have exactly one call site (run_with)"; exit 1
 fi
 
 echo "==> resilience keeps what recovers (retry with one knob, quarantine, interrupts; no lane-cap downshift, no admission gate)"
@@ -105,9 +102,12 @@ if [ "$(grep -rn 'exec_op_site(' crates tests | grep -v 'fn exec_op_site(' | gre
   echo "exec_op_site is the Relay-VM baseline's dynamic path: interp.rs is its only caller"; exit 1
 fi
 
-echo "==> one request path (run/run_with is run_group of one; several requests batch only through run_cohort, no background queue)"
+echo "==> one request path (a run batches its own request's instances; no background queue, no cohort)"
 if grep -rnE 'BatchBroker|runtime\.broker|\.broker\s*=|fn submit\b' crates tests; then
-  echo "the broker queue is gone: it never merged with one dispatch per core, and run_cohort is the explicit multi-request API"; exit 1
+  echo "the broker queue is gone: it never merged with one dispatch per core"; exit 1
+fi
+if grep -rnE 'run_cohort|CohortRequest|instance_partition|shared_flushes|solo_flushes|fn split\b' crates tests; then
+  echo "the cohort path is gone: a caller with several requests passes their instances to one run_keyed call, so no part of the request path knows a run could serve several requests"; exit 1
 fi
 
 echo "==> one performance harness (benchmark/ owns wall-clock speed; no modeled serving benches or criterion suites)"
@@ -212,7 +212,7 @@ if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$
   echo "benchmark smoke failed: $bench_line"; exit 1
 fi
 
-echo "==> benchmark smoke (birnn_serve2, 2 s: two concurrent clients, each run a group of one, under the plan cache)"
+echo "==> benchmark smoke (birnn_serve2, 2 s: two concurrent clients, each run one request on one pooled context, under the plan cache)"
 bench_line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   --workload birnn_serve2 --seed 1 --seconds 2 --trace 0 | tail -n 1)
 if ! grep -q '"correct": true' <<<"$bench_line" || ! grep -q '"failed": 0' <<<"$bench_line"; then

@@ -24,7 +24,10 @@
 //!   any watchdog firing).
 
 use acrobat_bench::suite;
-use acrobat_core::{CompileOptions, FaultPlan, RunOptions, RuntimeStats, VmError};
+use acrobat_core::{
+    CompileOptions, FaultKind, FaultPlan, FaultSite, RunOptions, RuntimeStats, ServeOutcomes,
+    VmError,
+};
 use acrobat_models::testkit::{assert_outputs_equal, build};
 use acrobat_models::{ModelSize, ModelSpec};
 use acrobat_runtime::CancelToken;
@@ -359,4 +362,19 @@ fn serial_fault_storm_sweep_is_classified_and_consistent() {
     assert_eq!(outcomes.failed, failed);
     assert!(model.quarantined_count() >= failed, "failed storms always quarantine");
     assert_eq!(model.runs_completed(), completed);
+}
+
+/// A request that fails is executed, counted and quarantined once: its
+/// error is its genuine outcome, and it merges nothing.
+#[test]
+fn failing_request_runs_once() {
+    let spec = suite(ModelSize::Small, true).remove(0);
+    let model = build(&spec, &CompileOptions::default());
+    let fault = FaultPlan::nth(FaultSite::Launch, 0, FaultKind::Kernel);
+    let opts = RunOptions { fault: Some(fault), ..Default::default() };
+    let err = model.run_with(&spec.params, &(spec.make_instances)(0xB0B0, 2), &opts).unwrap_err();
+    assert!(matches!(err.as_vm(), Some(VmError::Tensor(TensorError::Injected { .. }))), "{err}");
+    assert_eq!(model.quarantined_count(), 1, "one execution, one quarantined context");
+    assert_eq!(model.outcomes(), ServeOutcomes { failed: 1, ..Default::default() });
+    assert_eq!(model.runs_completed(), 0, "a failed run merges nothing");
 }

@@ -6,11 +6,9 @@
 //! gather-fusion × coarsening × plan-cache {off, on} in checked mode
 //! (every cache hit is gated by the cached ≡ freshly-scheduled invariant,
 //! and every compiled launch is re-executed through the reference
-//! interpreter and bit-compared) plus
-//! unbatched eager execution — a two-member `run_cohort` split of the
-//! instance stream, and the DyNet-sim baseline.  Every random DAG workload
-//! must agree across every `dag_config_matrix()` entry and checked eager
-//! execution.  The `fuzz` binary runs the same generators over the same
+//! interpreter and bit-compared) plus unbatched eager execution — and the
+//! DyNet-sim baseline.  Every random DAG workload must agree across every
+//! `dag_config_matrix()` entry and checked eager execution.  The `fuzz` binary runs the same generators over the same
 //! two matrices at larger scale (`--cases 500` by default).
 
 use acrobat_bench::fuzz::{bits, config_matrix, dag_config_matrix, dag_outputs, FuzzCase};
@@ -34,17 +32,6 @@ fn random_ir_programs_agree_bit_for_bit() {
                 case.source
             );
         }
-        // Cross-request continuous batching: the same instance stream split
-        // across two co-batched requests must demux to the identical bits.
-        let cohort = case
-            .run_acrobat_cohort(&acrobat_core::CompileOptions::default().with_checked(true))
-            .unwrap_or_else(|e| panic!("seed {case_seed} cohort: {e}\n{}", case.source));
-        assert_eq!(
-            bits(&cohort),
-            want,
-            "seed {case_seed} two-member cohort diverged from host reference\n{}",
-            case.source
-        );
         let dynet = case
             .run_dynet()
             .unwrap_or_else(|e| panic!("seed {case_seed} dynet-sim: {e}\n{}", case.source));
