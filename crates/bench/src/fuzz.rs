@@ -358,7 +358,7 @@ pub fn dag_outputs(seed: u64, options: &RuntimeOptions) -> Result<Vec<Tensor>, T
     for i in 0..n {
         let (input, depth) = if nodes.is_empty() || r.below(3) == 0 {
             let x = Tensor::from_fn(&[1, 3], |_| r.unit());
-            (rt.upload_inputs(&[&x])?[0], 0)
+            (rt.upload_inputs(&[&x])?, 0)
         } else {
             let j = r.below(nodes.len());
             (nodes[j].0, nodes[j].1 + 1)

@@ -183,25 +183,43 @@ impl ExecutionContext {
     }
 
     /// Uploads a batch of host tensors as one transfer operation (the
-    /// paper's batched memcpys, §D.3), returning ready values.
+    /// paper's batched memcpys, §D.3) and registers them as ready values,
+    /// numbered consecutively: returns the first — the value
+    /// [`Self::next_value`] named before the call — and tensor `i` is
+    /// `ValueId(first.0 + i)`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::DeviceOom`] if device memory is exhausted.
-    pub fn upload_inputs(&mut self, tensors: &[&Tensor]) -> Result<Vec<ValueId>, TensorError> {
+    pub fn upload_inputs(&mut self, tensors: &[&Tensor]) -> Result<ValueId, TensorError> {
+        let first = self.next_value();
         let before = self.mem.stats();
         let handles = self.mem.upload_batched(tensors)?;
         let after = self.mem.stats();
-        let bytes = after.upload_bytes - before.upload_bytes;
-        let ops = after.upload_ops - before.upload_ops;
+        self.charge_transfers(
+            after.upload_bytes - before.upload_bytes,
+            after.upload_ops - before.upload_ops,
+        );
+        for h in handles {
+            self.dfg.ready_value(h);
+        }
+        Ok(first)
+    }
+
+    /// The value the next registered tensor gets: values are numbered
+    /// consecutively from 0 after a reset.
+    pub fn next_value(&self) -> ValueId {
+        ValueId(self.dfg.value_count() as u64)
+    }
+
+    /// Charges `ops` host↔device transfers of `bytes` in total: their
+    /// modeled copy time and per-operation API overhead.
+    fn charge_transfers(&mut self, bytes: u64, ops: u64) {
         let model = self.engine.model();
-        let transfer_us = model.memcpy_time_us(bytes, ops);
-        let api_us = ops as f64 * model.memcpy_overhead_us;
         self.stats.memcpy_bytes += bytes;
         self.stats.memcpy_ops += ops;
-        self.stats.memcpy_us += transfer_us;
-        self.stats.cuda_api_us += api_us;
-        Ok(handles.into_iter().map(|h| self.dfg.ready_value(h)).collect())
+        self.stats.memcpy_us += model.memcpy_time_us(bytes, ops);
+        self.stats.cuda_api_us += ops as f64 * model.memcpy_overhead_us;
     }
 
     /// Registers a tensor already in this context's arena as a ready value.
@@ -233,7 +251,7 @@ impl ExecutionContext {
         params: &Params,
         entries: &[usize],
     ) -> Result<ValueId, TensorError> {
-        let first = ValueId(self.dfg.value_count() as u64);
+        let first = self.next_value();
         for h in self.mem.make_resident(params, entries)? {
             self.dfg.ready_value(h.clone());
         }
@@ -362,16 +380,9 @@ impl ExecutionContext {
             self.flush()?;
         }
         let t = self.dfg.tensor(v).ok_or(TensorError::StaleHandle)?;
-        let before = self.mem.stats();
         let host = self.mem.download(t)?;
-        let bytes = self.mem.stats().download_bytes - before.download_bytes;
-        let model = self.engine.model();
-        let transfer_us = model.memcpy_time_us(bytes, 1);
-        let api_us = model.memcpy_overhead_us;
-        self.stats.memcpy_bytes += bytes;
-        self.stats.memcpy_ops += 1;
-        self.stats.memcpy_us += transfer_us;
-        self.stats.cuda_api_us += api_us;
+        // One transfer of what `DeviceMem::download` counted.
+        self.charge_transfers(host.shape().byte_size() as u64, 1);
         Ok(host)
     }
 
@@ -760,7 +771,8 @@ mod tests {
 
         let xs: Vec<Tensor> = (0..4).map(|i| Tensor::fill(&[1, 2], i as f32 - 1.5)).collect();
         let refs: Vec<&Tensor> = xs.iter().collect();
-        let xvs = rt.upload_inputs(&refs).unwrap();
+        let first = rt.upload_inputs(&refs).unwrap();
+        let xvs: Vec<ValueId> = (0..4).map(|i| ValueId(first.0 + i)).collect();
 
         // Input slot order: discover batched-vs-shared from the kernel.
         let mut outs = Vec::new();
@@ -788,7 +800,7 @@ mod tests {
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
-        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
+        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
         let args = program_args(rt.library(), group, x, wv);
         let o = rt.add_unit(group, 0, 0, 0, args, true);
         assert!(rt.tensor(o[0]).is_none());
@@ -811,7 +823,7 @@ mod tests {
             let mut outs = Vec::new();
             for i in 0..3 {
                 // Interleave pad allocations to scatter instance tensors.
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap()[0];
+                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap();
                 rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[3 + i])).unwrap();
                 let args = program_args(rt.library(), group, x, wv);
                 outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
@@ -859,7 +871,7 @@ mod tests {
                     let mut outs = Vec::new();
                     for i in 0..4 {
                         let x =
-                            rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap()[0];
+                            rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap();
                         rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[1 + i])).unwrap();
                         let args = program_args(rt.library(), group, x, wv);
                         outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
@@ -895,7 +907,7 @@ mod tests {
             let w2v = rt.ready_value(w2);
             let mut outs = Vec::new();
             for i in 0..3 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap()[0];
+                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap();
                 let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
                 outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
             }
@@ -953,7 +965,7 @@ mod tests {
         let wv = rt.ready_value(w);
         let mut outs = Vec::new();
         for i in 0..3 {
-            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap()[0];
+            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32)]).unwrap();
             rt.mem_mut().alloc(&acrobat_tensor::Shape::new(&[3 + i])).unwrap();
             let args = program_args(rt.library(), group, x, wv);
             outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
@@ -981,7 +993,8 @@ mod tests {
         assert!(matches!(rt.upload_inputs(&[&x]), Err(TensorError::DeviceOom { .. })));
         rt.verify_consistent().unwrap();
         rt.mem_mut().clear_fault();
-        assert_eq!(rt.upload_inputs(&[&x]).unwrap().len(), 1);
+        let first = rt.upload_inputs(&[&x]).unwrap();
+        assert_eq!(rt.next_value(), ValueId(first.0 + 1), "one value registered");
     }
 
     #[test]
@@ -999,7 +1012,7 @@ mod tests {
             let w1v = rt.ready_value(w1);
             let w2 = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
             let w2v = rt.ready_value(w2);
-            let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
+            let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
             let g0 = block.groups[0].id;
             let g1 = block.groups[1].id;
             let o0 = rt.add_unit(g0, 0, 0, 0, vec![x, w1v], true);
@@ -1025,7 +1038,7 @@ mod tests {
             let w2v = rt.ready_value(w2);
             let mut outs = Vec::new();
             for i in 0..3 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap()[0];
+                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap();
                 let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
                 outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
             }
@@ -1094,7 +1107,7 @@ mod tests {
             let w2v = rt.ready_value(w2);
             let mut outs = Vec::new();
             for i in 0..3 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap()[0];
+                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.0)]).unwrap();
                 let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
                 outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
             }
@@ -1146,7 +1159,7 @@ mod tests {
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
-        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
+        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
         let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         let token = CancelToken::new();
@@ -1177,7 +1190,7 @@ mod tests {
             let wv = rt.ready_value(w);
             let mut outs = Vec::new();
             for i in 0..4 {
-                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap()[0];
+                let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)]).unwrap();
                 let args = program_args(rt.library(), group, x, wv);
                 outs.push(rt.add_unit(group, i, 0, 0, args, true)[0]);
             }
@@ -1220,7 +1233,7 @@ mod tests {
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
-        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
+        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
         let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         rt.mem_mut().arm_fault(acrobat_tensor::FaultPlan::parse("launch:5:kernel").unwrap());
@@ -1276,7 +1289,7 @@ mod tests {
             let mut outs = Vec::new();
             for i in 0..LANES {
                 let x = Tensor::from_fn(&[1, D], |j| ((i + j) % 11) as f32 * 0.1 - 0.5);
-                let x = rt.upload_inputs(&[&x]).unwrap()[0];
+                let x = rt.upload_inputs(&[&x]).unwrap();
                 let o0 = rt.add_unit(g0, i, 0, 0, vec![x, w1v], true);
                 outs.push(rt.add_unit(g1, i, 1, 0, vec![o0[0], w2v], false)[0]);
             }
@@ -1319,7 +1332,7 @@ mod tests {
         let group = a.blocks.blocks[0].groups[0].id;
         let w = rt.mem_mut().upload(&Tensor::ones(&[2, 2])).unwrap();
         let wv = rt.ready_value(w);
-        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap()[0];
+        let x = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
         let args = program_args(rt.library(), group, x, wv);
         rt.add_unit(group, 0, 0, 0, args, true);
         rt.flush().unwrap();
@@ -1329,6 +1342,7 @@ mod tests {
         assert_eq!(rt.stats(), &RuntimeStats::default(), "stats cleared on reuse");
         assert!(rt.take_profile().is_empty(), "profile cleared on reuse");
         // The armed fault from the previous request must not fire.
-        assert_eq!(rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap().len(), 1);
+        let first = rt.upload_inputs(&[&Tensor::ones(&[1, 2])]).unwrap();
+        assert_eq!(rt.next_value(), ValueId(first.0 + 1), "one value registered");
     }
 }

@@ -53,9 +53,12 @@
 //! arena that is cleared, not freed, between requests.  Steady state
 //! allocates nothing per DFG node.
 //!
-//! The boundary with the outside world is [`AotProgram::bind`] (request
-//! inputs → words, validated against `@main`'s parameter types) and
-//! [`AotProgram::output`] (result word → [`OutputValue`]).
+//! The boundary with the outside world is crossed once each way per
+//! request: [`AotProgram::bind`] is one walk over the request's inputs
+//! (checked against `@main`'s parameter types, written as argument words
+//! and arena cells, its tensors listed for the one batched upload) and
+//! [`AotProgram::outputs`] one pass over the result words (each tensor
+//! downloaded once, each cell named by its interned constructor).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -67,6 +70,7 @@ use acrobat_ir::{
     Type,
 };
 use acrobat_runtime::{ExecutionContext, Unit, ValueId};
+use acrobat_tensor::{Shape, Tensor};
 use parking_lot::Mutex;
 
 use crate::session::{CtorTable, ExecCtx, Handle, Prng, RtHandle, RunSession, Session, VmError};
@@ -237,7 +241,8 @@ struct AotFn {
 /// How a type crosses the request boundary (see [`Layouts`]).
 #[derive(Debug)]
 enum Layout {
-    Tensor,
+    /// A tensor of the type's static shape.
+    Tensor(Shape),
     Int,
     Float,
     Bool,
@@ -250,20 +255,24 @@ enum Layout {
 
 #[derive(Debug)]
 struct CtorLayout {
-    name: String,
+    /// The session's interned name ([`CtorTable::name`]).
+    name: &'static str,
     tag: u32,
     fields: Box<[u32]>,
 }
 
 /// The types reachable from `@main`'s signature, flattened once so that
 /// converting a request's inputs and outputs instantiates no generic ADT
-/// and allocates nothing of its own.  Both backends check request inputs
-/// against them ([`Layouts::check`]).
+/// and allocates nothing of its own.  The AOT executor checks request
+/// inputs against them while it binds them ([`AotProgram::bind`]); the
+/// Relay-VM baseline checks them first ([`Layouts::check`]).
 #[derive(Debug, Default)]
 pub(crate) struct Layouts {
     table: Vec<Layout>,
     /// Layout of each `@main` parameter; `None` for `$` model parameters.
     params: Vec<Option<u32>>,
+    /// How many of `params` are `$` model parameters.
+    weights: usize,
     ret: u32,
 }
 
@@ -276,7 +285,7 @@ pub struct AotProgram {
     pool: Vec<Reg>,
     emits: Vec<EmitDesc>,
     forks: Vec<ForkDesc>,
-    pub(crate) layouts: Layouts,
+    layouts: Layouts,
     /// Constructor names by tag, for the disassembly.
     ctors: CtorTable,
 }
@@ -1475,14 +1484,14 @@ pub(crate) fn scalar_un(op: UnOp, a: u64) -> u64 {
 
 /// One level of a request input resolved against its layout
 /// ([`Layouts::resolve`]).
-enum Resolved<'a> {
-    /// A tensor: the next uploaded input tensor.
-    Tensor,
+enum Resolved<'l, 'v> {
+    /// A tensor of the parameter type's shape.
+    Tensor(&'v Tensor),
     /// A scalar, as its register word.
     Word(u64),
     /// A tuple or constructor cell: its tag and its fields with their
     /// layouts.
-    Cell { tag: u32, layouts: &'a [u32], fields: &'a [InputValue] },
+    Cell { tag: u32, layouts: &'l [u32], fields: &'v [InputValue] },
 }
 
 impl Layouts {
@@ -1495,6 +1504,7 @@ impl Layouts {
                 ParamKind::Model => None,
                 ParamKind::Input => Some(layouts.id(&p.ty, module, session, &mut ids)),
             };
+            layouts.weights += usize::from(layout.is_none());
             layouts.params.push(layout);
         }
         layouts.ret = layouts.id(&main.ret, module, session, &mut ids);
@@ -1516,7 +1526,7 @@ impl Layouts {
         self.table.push(Layout::Opaque);
         ids.insert(ty.clone(), id);
         self.table[id as usize] = match ty {
-            Type::Tensor(_) => Layout::Tensor,
+            Type::Tensor(shape) => Layout::Tensor(shape.clone()),
             Type::Int => Layout::Int,
             Type::Float => Layout::Float,
             Type::Bool => Layout::Bool,
@@ -1526,16 +1536,12 @@ impl Layouts {
             Type::Adt { name, args } => match module.adts.get(name) {
                 None => Layout::Opaque,
                 Some(adt) => {
-                    let ctors = adt.ctors.iter().map(|c| CtorLayout {
-                        name: c.name.clone(),
-                        tag: session.ctors.tag(&c.name),
-                        fields: c
-                            .fields
-                            .iter()
-                            .map(|f| {
-                                self.id(&instantiate(f, &adt.type_vars, args), module, session, ids)
-                            })
-                            .collect(),
+                    let ctors = adt.ctors.iter().map(|c| {
+                        let tag = session.ctors.tag(&c.name);
+                        let fields = c.fields.iter().map(|f| {
+                            self.id(&instantiate(f, &adt.type_vars, args), module, session, ids)
+                        });
+                        CtorLayout { name: session.ctors.name(tag), tag, fields: fields.collect() }
                     });
                     Layout::Adt(ctors.collect())
                 }
@@ -1545,21 +1551,32 @@ impl Layouts {
         id
     }
 
+    /// Whether each `@main` parameter, in order, is a `$` model parameter.
+    pub(crate) fn weight_slots(&self) -> impl Iterator<Item = bool> + '_ {
+        self.params.iter().map(Option::is_none)
+    }
+
     /// Checks one instance's `%` inputs against `@main`'s: as many as it
-    /// takes, each of its parameter's type.
+    /// takes, each of its parameter's type (a tensor of its shape).  The
+    /// Relay-VM baseline's check; the AOT executor checks while it binds.
     ///
     /// # Errors
     ///
     /// [`VmError::Input`] for a wrong count, or a value that does not have
     /// its parameter's type (an unknown constructor among them).
     pub(crate) fn check(&self, inputs: &[InputValue]) -> Result<(), VmError> {
-        let expected = self.params.iter().flatten().count();
+        self.check_count(inputs)?;
+        let params = self.params.iter().flatten();
+        params.zip(inputs).try_for_each(|(&layout, value)| self.check_value(layout, value))
+    }
+
+    fn check_count(&self, inputs: &[InputValue]) -> Result<(), VmError> {
+        let expected = self.params.len() - self.weights;
         if inputs.len() != expected {
             let given = inputs.len();
             return Err(VmError::Input(format!("{given} inputs for @main's {expected}")));
         }
-        let params = self.params.iter().flatten();
-        params.zip(inputs).try_for_each(|(&layout, value)| self.check_value(layout, value))
+        Ok(())
     }
 
     fn check_value(&self, layout: u32, value: &InputValue) -> Result<(), VmError> {
@@ -1567,16 +1584,26 @@ impl Layouts {
             Resolved::Cell { layouts, fields, .. } => {
                 layouts.iter().zip(fields).try_for_each(|(&l, field)| self.check_value(l, field))
             }
-            Resolved::Tensor | Resolved::Word(_) => Ok(()),
+            Resolved::Tensor(_) | Resolved::Word(_) => Ok(()),
         }
     }
 
     /// Resolves the outermost level of `value` against `layout` — the one
     /// place an input is matched against its type, for both backends.
-    fn resolve<'a>(&'a self, layout: u32, value: &'a InputValue) -> Result<Resolved<'a>, VmError> {
+    fn resolve<'l, 'v>(
+        &'l self,
+        layout: u32,
+        value: &'v InputValue,
+    ) -> Result<Resolved<'l, 'v>, VmError> {
         let mismatch = |want: &str| VmError::Input(format!("expected {want}, got {value:?}"));
         match (&self.table[layout as usize], value) {
-            (Layout::Tensor, InputValue::Tensor(_)) => Ok(Resolved::Tensor),
+            (Layout::Tensor(shape), InputValue::Tensor(t)) if t.shape() == shape => {
+                Ok(Resolved::Tensor(t))
+            }
+            (Layout::Tensor(shape), InputValue::Tensor(t)) => Err(VmError::Input(format!(
+                "expected a tensor of shape {shape}, got one of shape {}",
+                t.shape()
+            ))),
             (Layout::Int, InputValue::Int(x)) => Ok(Resolved::Word(*x as u64)),
             (Layout::Float, InputValue::Float(x)) => Ok(Resolved::Word(x.to_bits())),
             (Layout::Bool, InputValue::Bool(x)) => Ok(Resolved::Word(u64::from(*x))),
@@ -1589,7 +1616,7 @@ impl Layouts {
                     None => Err(mismatch("a constructor of the parameter's type")),
                 }
             }
-            (Layout::Tensor, _) => Err(mismatch("a tensor")),
+            (Layout::Tensor(shape), _) => Err(mismatch(&format!("a tensor of shape {shape}"))),
             (Layout::Int, _) => Err(mismatch("an Int")),
             (Layout::Float, _) => Err(mismatch("a Float")),
             (Layout::Bool, _) => Err(mismatch("a Bool")),
@@ -1620,78 +1647,105 @@ fn instantiate(field: &Type, vars: &[String], args: &[Type]) -> Type {
 }
 
 impl AotProgram {
-    /// Converts one instance's inputs to `@main` argument words, appended to
-    /// `out`: `weights` holds the uploaded value of every `$` parameter (and
-    /// `None` for every `%` one), `tensors` yields the instance's uploaded
-    /// input tensors in traversal order.
+    /// The request's one walk over its inputs.  For each instance in turn
+    /// it checks the `%` inputs against `@main`'s parameter types, appends
+    /// the instance's `@main` argument words to `scratch.main_args` (tuple
+    /// and ADT cells to `scratch.arena`) and lists every input tensor in
+    /// `tensors`, in the order the batched upload registers them.
+    ///
+    /// A word names its value before the value exists: `first` is the
+    /// value the context registers next, and
+    /// [`ExecutionContext::bind_params`] then
+    /// [`ExecutionContext::upload_inputs`] number theirs consecutively from
+    /// it — `$` parameter `j` (in `@main`'s order) is `first + j`, listed
+    /// tensor `k` is `first + weights + k`.
     ///
     /// # Errors
     ///
-    /// [`VmError::Input`] when a value does not have its parameter's type.
-    pub(crate) fn bind(
+    /// [`VmError::Input`] when an instance has the wrong input count or a
+    /// value does not have its parameter's type.  The walk has then touched
+    /// `scratch` only, which the next checkout clears.
+    pub(crate) fn bind<'a>(
         &self,
-        weights: &[Option<ValueId>],
-        inputs: &[InputValue],
-        tensors: &mut impl Iterator<Item = ValueId>,
-        arena: &mut Vec<u64>,
-        out: &mut Vec<u64>,
+        instances: &'a [Vec<InputValue>],
+        first: ValueId,
+        scratch: &mut Scratch,
+        tensors: &mut Vec<&'a Tensor>,
     ) -> Result<(), VmError> {
-        let mut inputs = inputs.iter();
-        for (layout, weight) in self.layouts.params.iter().zip(weights) {
-            out.push(match (weight, layout) {
-                (Some(weight), _) => weight.0,
-                (None, Some(layout)) => {
-                    let value =
-                        inputs.next().ok_or_else(|| VmError::Input("too few inputs".into()))?;
-                    self.input_word(*layout, value, tensors, arena)?
-                }
-                (None, None) => {
-                    return Err(VmError::Input("a `$` parameter was not uploaded".into()))
-                }
-            });
+        let layouts = &self.layouts;
+        let tensor_base = first.0 + layouts.weights as u64;
+        let (arena, args) = (&mut scratch.arena, &mut scratch.main_args);
+        for inputs in instances {
+            layouts.check_count(inputs)?;
+            let (mut input, mut weight) = (0, first.0);
+            for param in &layouts.params {
+                let word = match *param {
+                    Some(layout) => {
+                        input += 1;
+                        self.input_word(layout, &inputs[input - 1], tensor_base, tensors, arena)?
+                    }
+                    None => {
+                        weight += 1;
+                        weight - 1
+                    }
+                };
+                args.push(word);
+            }
         }
         Ok(())
     }
 
-    fn input_word(
+    fn input_word<'a>(
         &self,
         layout: u32,
-        value: &InputValue,
-        tensors: &mut impl Iterator<Item = ValueId>,
+        value: &'a InputValue,
+        tensor_base: u64,
+        tensors: &mut Vec<&'a Tensor>,
         arena: &mut Vec<u64>,
     ) -> Result<u64, VmError> {
         match self.layouts.resolve(layout, value)? {
-            Resolved::Tensor => tensors
-                .next()
-                .map(|v| v.0)
-                .ok_or_else(|| VmError::Input("tensor not uploaded".into())),
+            Resolved::Tensor(tensor) => {
+                tensors.push(tensor);
+                Ok(tensor_base + tensors.len() as u64 - 1)
+            }
             Resolved::Word(word) => Ok(word),
             Resolved::Cell { tag, layouts, fields } => {
                 // The cell first, then its fields in place: no scratch buffer.
                 let at = new_cell(arena, tag, layouts.iter().map(|_| 0)) as usize;
                 for (i, (layout, field)) in layouts.iter().zip(fields).enumerate() {
-                    let word = self.input_word(*layout, field, tensors, arena)?;
-                    arena[at + 1 + i] = word;
+                    arena[at + 1 + i] =
+                        self.input_word(*layout, field, tensor_base, tensors, arena)?;
                 }
                 Ok(at as u64)
             }
         }
     }
 
-    /// Converts `@main`'s result word back to a host value, downloading its
-    /// tensors.
+    /// `@main`'s parameter count: the argument words of one instance in
+    /// `Scratch::main_args`.
+    pub(crate) fn arity(&self) -> usize {
+        self.layouts.params.len()
+    }
+
+    /// Converts every instance's result word back to a host value in one
+    /// pass, downloading each tensor once ([`ExecutionContext::download`]
+    /// charges each as one transfer) in instance and traversal order.
     ///
     /// # Errors
     ///
     /// Propagates download errors; [`VmError::Input`] for a result that has
     /// no host representation (a function).
-    pub(crate) fn output(
+    pub(crate) fn outputs(
         &self,
-        word: u64,
+        words: &[u64],
         arena: &[u64],
         ctx: &mut ExecutionContext,
-    ) -> Result<OutputValue, VmError> {
-        self.output_value(self.layouts.ret, word, arena, ctx)
+    ) -> Result<Vec<OutputValue>, VmError> {
+        let mut outputs = Vec::with_capacity(words.len());
+        for &word in words {
+            outputs.push(self.output_value(self.layouts.ret, word, arena, ctx)?);
+        }
+        Ok(outputs)
     }
 
     fn output_value(
@@ -1702,11 +1756,17 @@ impl AotProgram {
         ctx: &mut ExecutionContext,
     ) -> Result<OutputValue, VmError> {
         let mut fields = |layouts: &[u32]| -> Result<Vec<OutputValue>, VmError> {
+            // A loop, not `collect`: a `Result` iterator's size hint is 0,
+            // so a two-field cell would get four slots (`outputs` alike).
             let words = &arena[word as usize + 1..][..layouts.len()];
-            layouts.iter().zip(words).map(|(l, w)| self.output_value(*l, *w, arena, ctx)).collect()
+            let mut fields = Vec::with_capacity(layouts.len());
+            for (&layout, &word) in layouts.iter().zip(words) {
+                fields.push(self.output_value(layout, word, arena, ctx)?);
+            }
+            Ok(fields)
         };
         Ok(match &self.layouts.table[layout as usize] {
-            Layout::Tensor => OutputValue::Tensor(ctx.download(ValueId(word))?),
+            Layout::Tensor(_) => OutputValue::Tensor(ctx.download(ValueId(word))?),
             Layout::Int => OutputValue::Int(word as i64),
             Layout::Float => OutputValue::Float(f64::from_bits(word)),
             Layout::Bool => OutputValue::Bool(word != 0),
@@ -1716,7 +1776,7 @@ impl AotProgram {
                 let ctor = ctors.iter().find(|c| c.tag == tag);
                 let ctor =
                     ctor.ok_or_else(|| VmError::Input("model output of another type".into()))?;
-                OutputValue::Adt { ctor: ctor.name.clone(), fields: fields(&ctor.fields)? }
+                OutputValue::Adt { ctor: ctor.name.into(), fields: fields(&ctor.fields)? }
             }
             Layout::Opaque => {
                 return Err(VmError::Input("a function escaped as a model output".into()))

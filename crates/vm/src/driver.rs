@@ -15,10 +15,12 @@
 //! fiber-mode run gives each instance a default-size thread.  The
 //! Relay-VM interpreter ([`crate::interp`]) recurses natively and alone
 //! still runs on a big-stack thread.  The boundary conversions follow the
-//! same split: request inputs become arena words and result words become
-//! [`OutputValue`]s once per request ([`crate::aot::AotProgram::bind`] /
-//! [`crate::aot::AotProgram::output`]); the interpreter keeps its boxed
-//! [`Value`]s.
+//! same split.  The AOT executor crosses the request boundary once each
+//! way: one walk over the inputs checks them, writes `@main`'s argument
+//! words and lists the tensors for the batched upload
+//! ([`crate::aot::AotProgram::bind`]), and one pass over the result words
+//! builds the [`OutputValue`]s ([`crate::aot::AotProgram::outputs`]).  The
+//! interpreter checks its inputs first and keeps its boxed [`Value`]s.
 //!
 //! Each `run` call is self-contained: it checks a private
 //! [`ExecutionContext`] and the AOT executor's scratch out of the session's
@@ -61,6 +63,9 @@ pub struct Executable {
     /// The shared session.
     pub session: Session,
     backend: BackendImpl,
+    /// `@main`'s `$` parameter names, in declaration order, looked up once
+    /// here: a request's [`Params`] binds them by name.
+    weights: Box<[String]>,
 }
 
 impl std::fmt::Debug for Executable {
@@ -137,7 +142,11 @@ impl Executable {
                 BackendImpl::Aot(Box::new(AotProgram::compile(&analysis.module, &session)?))
             }
         };
-        Ok(Executable { session, backend })
+        // Both backends found `@main` above.
+        let main = &analysis.module.functions["main"];
+        let weights = main.params.iter().filter(|p| p.kind == ParamKind::Model);
+        let weights = weights.map(|p| p.name.clone()).collect();
+        Ok(Executable { session, backend, weights })
     }
 
     /// The AOT backend's lowered program, disassembled — one instruction per
@@ -172,12 +181,15 @@ impl Executable {
 
     /// Runs one mini-batch with explicit [`RunOptions`].
     ///
-    /// The request lifecycle: validate the request, check one context out
-    /// of the pool, arm it from `opts`, execute, settle.  Every exit lands
-    /// the request in exactly one outcome bucket.  A malformed request is
-    /// rejected before checkout and touches nothing but a counter; a run
-    /// that succeeds merges its statistics and pools its context; a run
-    /// that fails quarantines its context and merges nothing.
+    /// The request lifecycle: validate the request's options and weights,
+    /// check one context out of the pool, walk the inputs into its scratch,
+    /// arm the context from `opts`, upload, execute, settle.  Every exit
+    /// lands the request in exactly one outcome bucket.  A malformed
+    /// request is rejected before anything reaches the context — it uploads
+    /// nothing, and the context goes straight back to the pool — so it
+    /// costs nothing but a counter; a run that succeeds merges its
+    /// statistics and pools its context; a run that fails quarantines its
+    /// context and merges nothing.
     ///
     /// # Errors
     ///
@@ -199,6 +211,13 @@ impl Executable {
         };
         let run = RunSession::new(session);
         let (mut ctx, mut scratch) = session.checkout();
+        let mut tensors = Vec::new();
+        if let Err(e) = self.bind_inputs(&ctx, &mut scratch, instances, &mut tensors) {
+            // The walk wrote the scratch only, which the next checkout clears.
+            session.check_in(ctx, scratch);
+            session.record_failure(&e);
+            return Err(e);
+        }
         if let Some(fault) = opts.fault {
             ctx.mem_mut().arm_fault(fault);
         }
@@ -209,7 +228,7 @@ impl Executable {
             ctx.set_cancel(token.clone());
         }
         let keys = opts.keys.as_deref();
-        match self.run_batch(&run, ctx, &mut scratch, params, &weights, instances, keys) {
+        match self.run_batch(&run, ctx, &mut scratch, params, &weights, &tensors, instances, keys) {
             (Ok((outputs, stats)), ctx) => {
                 run.finish(ctx, scratch, &stats);
                 Ok(RunResult { outputs, stats })
@@ -223,10 +242,9 @@ impl Executable {
         }
     }
 
-    /// Checks the request side of a run, on either backend, before it
-    /// touches a context: the key arity, the deadline budget, every `$`
-    /// parameter and every instance's inputs.  Returns the index in
-    /// `params` of each `$` parameter, in `@main`'s order.
+    /// Checks the request's options and weights before checkout: the key
+    /// arity, the deadline budget and every `$` parameter.  Returns the
+    /// index in `params` of each `$` parameter, in `@main`'s order.
     fn validate(
         &self,
         params: &Params,
@@ -243,24 +261,42 @@ impl Executable {
         if opts.deadline_us.is_some_and(f64::is_nan) {
             return Err(VmError::Input("the deadline budget is NaN".into()));
         }
-        let main = &self.session.analysis.module.functions["main"];
-        let weights = main.params.iter().filter(|p| p.kind == ParamKind::Model).map(|p| {
-            let missing = || VmError::Input(format!("missing model parameter ${}", p.name));
-            params.index_of(&p.name).ok_or_else(missing)
+        let weights = self.weights.iter().map(|name| {
+            let missing = || VmError::Input(format!("missing model parameter ${name}"));
+            params.index_of(name).ok_or_else(missing)
         });
-        let weights = weights.collect::<Result<_, _>>()?;
-        let layouts = match &self.backend {
-            BackendImpl::Vm(_, layouts) => layouts,
-            BackendImpl::Aot(program) => &program.layouts,
-        };
-        instances.iter().try_for_each(|inst| layouts.check(inst))?;
-        Ok(weights)
+        weights.collect()
     }
 
-    /// Executes one validated mini-batch: upload → bind → drive → drain →
-    /// collect.  Returns the context alongside the result (it moves by
-    /// value across the fiber-mode thread scope) so the caller can pool or
-    /// quarantine it from every exit.
+    /// The request's input walk, before anything reaches `ctx`: checks
+    /// every instance against `@main`'s parameter types and lists its
+    /// tensors into `tensors`, in upload order.  The AOT executor's walk
+    /// also writes `@main`'s argument words into `scratch`, naming the
+    /// values the upload will register from `ctx`'s next one; the Relay-VM
+    /// baseline checks first and boxes its arguments after the upload.
+    fn bind_inputs<'a>(
+        &self,
+        ctx: &ExecutionContext,
+        scratch: &mut Scratch,
+        instances: &'a [Vec<InputValue>],
+        tensors: &mut Vec<&'a Tensor>,
+    ) -> Result<(), VmError> {
+        match &self.backend {
+            BackendImpl::Vm(_, layouts) => {
+                instances.iter().try_for_each(|inst| layouts.check(inst))?;
+                instances.iter().flatten().for_each(|v| v.tensors(tensors));
+                Ok(())
+            }
+            BackendImpl::Aot(program) => {
+                program.bind(instances, ctx.next_value(), scratch, tensors)
+            }
+        }
+    }
+
+    /// Executes one bound mini-batch: upload → drive → drain → collect.
+    /// Returns the context alongside the result (it moves by value across
+    /// the fiber-mode thread scope) so the caller can pool or quarantine it
+    /// from every exit.
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
@@ -269,17 +305,22 @@ impl Executable {
         scratch: &mut Scratch,
         params: &Params,
         weights: &[usize],
+        tensors: &[&Tensor],
         instances: &[Vec<InputValue>],
         keys: Option<&[u64]>,
     ) -> Outcome {
-        let uploaded = match upload(run, &mut ctx, params, weights, instances) {
+        let uploaded = match upload(&mut ctx, params, weights, tensors) {
             Ok(uploaded) => uploaded,
             Err(e) => return (Err(e), ctx),
         };
         match &self.backend {
-            BackendImpl::Vm(vm, _) => run_vm(vm, run, ctx, &uploaded, instances, keys),
+            BackendImpl::Vm(vm, layouts) => {
+                run_vm(vm, layouts, run, ctx, &uploaded, instances, keys)
+            }
             BackendImpl::Aot(program) => {
-                run_aot(program, scratch, run, ctx, &uploaded, instances, keys)
+                // The walk named the values the upload registered.
+                debug_assert_eq!(uploaded.inputs.0, uploaded.weights.0 + weights.len() as u64);
+                run_aot(program, scratch, run, ctx, instances.len(), keys)
             }
         }
     }
@@ -301,35 +342,27 @@ const VM_STACK: usize = 64 << 20;
 /// nothing ever set another value.
 const DRIVE_STALL: Duration = Duration::from_secs(60);
 
-/// What [`upload`] put on the device for one mini-batch.
+/// The first DFG value of what [`upload`] registered: values are numbered
+/// consecutively, the weights first.
 struct Uploaded {
-    /// Per `@main` parameter: the weight's DFG value for a `$` parameter,
-    /// `None` for a `%` one.
-    weights: Vec<Option<ValueId>>,
-    /// Every instance's input tensors, in instance then traversal order.
-    tensors: Vec<ValueId>,
+    /// `$` parameter `j`, in `@main`'s order, is `weights + j`.
+    weights: ValueId,
+    /// Input tensor `k`, in instance then traversal order, is `inputs + k`.
+    inputs: ValueId,
 }
 
-/// Uploads a validated mini-batch to its context: binds the weights
-/// (`entries` are their indices in `params`;
-/// [`ExecutionContext::bind_params`] keeps them resident, so a warm context
-/// with the same `params` transfers none), then uploads every instance's
-/// input tensors as one batched transfer.
+/// Uploads a bound mini-batch to its context: binds the weights (`entries`
+/// are their indices in `params`; [`ExecutionContext::bind_params`] keeps
+/// them resident, so a warm context with the same `params` transfers none),
+/// then uploads the input `tensors` as one batched transfer.
 fn upload(
-    session: &Session,
     ctx: &mut ExecutionContext,
     params: &Params,
     entries: &[usize],
-    instances: &[Vec<InputValue>],
+    tensors: &[&Tensor],
 ) -> Result<Uploaded, VmError> {
-    let main = &session.analysis.module.functions["main"];
-    let mut bound = (ctx.bind_params(params, entries)?.0..).map(ValueId);
-    let weights = main.params.iter();
-    let weights =
-        weights.map(|p| if p.kind == ParamKind::Model { bound.next() } else { None }).collect();
-    let mut all_tensors: Vec<&Tensor> = Vec::new();
-    instances.iter().flatten().for_each(|v| v.tensors(&mut all_tensors));
-    Ok(Uploaded { weights, tensors: ctx.upload_inputs(&all_tensors)? })
+    let weights = ctx.bind_params(params, entries)?;
+    Ok(Uploaded { weights, inputs: ctx.upload_inputs(tensors)? })
 }
 
 /// Drains a driven run: flushes the remaining work and closes the run's
@@ -360,34 +393,26 @@ fn closed_stats(ctx: &ExecutionContext, program_host_us: f64) -> RuntimeStats {
 
 type Outcome = (Result<(Vec<OutputValue>, RuntimeStats), VmError>, ExecutionContext);
 
-/// The AOT path: bind the inputs to arena words, run `@main` per instance
-/// — inline on this thread, or one fiber per instance when the model has
-/// tensor-dependent control flow — drain, convert the result words.
+/// The AOT path, on inputs already bound to `scratch`'s argument words: run
+/// `@main` per instance — inline on this thread, or one fiber per instance
+/// when the model has tensor-dependent control flow — drain, convert the
+/// result words.
 fn run_aot(
     program: &AotProgram,
     scratch: &mut Scratch,
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
-    uploaded: &Uploaded,
-    instances: &[Vec<InputValue>],
+    instances: usize,
     keys: Option<&[u64]>,
 ) -> Outcome {
-    let weights = &uploaded.weights;
-    let mut tensors = uploaded.tensors.iter().copied();
-    for inst in instances {
-        let (arena, args) = (&mut scratch.arena, &mut scratch.main_args);
-        if let Err(e) = program.bind(weights, inst, &mut tensors, arena, args) {
-            return (Err(e), ctx);
-        }
-    }
-    let n = weights.len();
+    let n = program.arity();
     let main_args = &scratch.main_args;
     let args_of = |i: usize| &main_args[i * n..(i + 1) * n];
     let exec_start = Instant::now();
     let words: Result<Vec<u64>, VmError> = if !run.fiber_mode {
         let (mut rt, mut heap) = (Handle::Own(&mut ctx), Handle::Own(&mut scratch.arena));
         let machine = &mut scratch.machine;
-        let each = (0..instances.len()).map(|i| {
+        let each = (0..instances).map(|i| {
             let mut ectx = ExecCtx::new(i, key(keys, i), run.seed, run.hoist_base);
             program.run_main(run, &mut rt, &mut heap, &mut ectx, machine, args_of(i))
         });
@@ -404,8 +429,8 @@ fn run_aot(
         let cell = parking_lot::Mutex::new(ctx);
         let heap = parking_lot::Mutex::new(std::mem::take(&mut scratch.arena));
         let words = std::thread::scope(|scope| {
-            let mut fibers = Vec::with_capacity(instances.len());
-            for i in 0..instances.len() {
+            let mut fibers = Vec::with_capacity(instances);
+            for i in 0..instances {
                 run.hub.register();
                 let (cell, heap, args) = (&cell, &heap, args_of(i));
                 let fiber = move || {
@@ -448,8 +473,8 @@ fn run_aot(
     };
     let result = words.and_then(|words| {
         let program_host_us = drain(run, &mut ctx, exec_start)?;
-        let outputs = words.iter().map(|w| program.output(*w, &scratch.arena, &mut ctx));
-        Ok((outputs.collect::<Result<_, _>>()?, closed_stats(&ctx, program_host_us)))
+        let outputs = program.outputs(&words, &scratch.arena, &mut ctx)?;
+        Ok((outputs, closed_stats(&ctx, program_host_us)))
     });
     (result, ctx)
 }
@@ -458,22 +483,26 @@ fn run_aot(
 /// instance sequentially on one big-stack thread, drain, unbox the results.
 fn run_vm(
     vm: &VmBackend,
+    layouts: &Layouts,
     run: &RunSession<'_>,
     mut ctx: ExecutionContext,
     uploaded: &Uploaded,
     instances: &[Vec<InputValue>],
     keys: Option<&[u64]>,
 ) -> Outcome {
-    let mut ids = uploaded.tensors.iter().copied();
+    let mut ids = (uploaded.inputs.0..).map(ValueId);
     let instance_args: Vec<Vec<Value>> = instances
         .iter()
         .map(|inst| {
-            let mut inputs = inst.iter();
-            let arg = |w: &Option<ValueId>| match w {
-                Some(weight) => Value::Tensor(TensorRef::ready(*weight)),
-                None => convert_input(inputs.next().expect("arity checked"), run, &mut ids),
+            let (mut inputs, mut weight) = (inst.iter(), uploaded.weights.0);
+            let mut arg = |is_weight| match is_weight {
+                true => {
+                    weight += 1;
+                    Value::Tensor(TensorRef::ready(ValueId(weight - 1)))
+                }
+                false => convert_input(inputs.next().expect("arity checked"), run, &mut ids),
             };
-            uploaded.weights.iter().map(arg).collect()
+            layouts.weight_slots().map(&mut arg).collect()
         })
         .collect();
     let exec_start = Instant::now();
@@ -540,7 +569,7 @@ fn convert_output(
             parts.iter().map(|p| convert_output(p, session, ctx)).collect::<Result<_, _>>()?,
         ),
         Value::Adt { tag, fields } => OutputValue::Adt {
-            ctor: session.ctors.name(*tag).to_string(),
+            ctor: session.ctors.name(*tag).into(),
             fields: fields
                 .iter()
                 .map(|f| convert_output(f, session, ctx))
@@ -567,13 +596,17 @@ mod tests {
     const WEIGHT_BYTES: u64 = 4 * (16 + 4);
     const INPUT_BYTES: u64 = 4 * 4;
 
-    fn executable() -> Executable {
-        let module = typeck::check_module(parse_module(MODEL).unwrap()).unwrap();
+    fn build(src: &str, kind: BackendKind) -> Executable {
+        let module = typeck::check_module(parse_module(src).unwrap()).unwrap();
         let analysis = Arc::new(analyze(module, AnalysisOptions::default()).unwrap());
         let library = KernelLibrary::build(&analysis);
         let engine =
             Engine::new(analysis, library, DeviceModel::default(), RuntimeOptions::default());
-        Executable::new(engine, BackendKind::Aot, 7).unwrap()
+        Executable::new(engine, kind, 7).unwrap()
+    }
+
+    fn executable() -> Executable {
+        build(MODEL, BackendKind::Aot)
     }
 
     fn params(scale: f32) -> Params {
@@ -591,10 +624,11 @@ mod tests {
     /// Host→device bytes of one request's `upload` on a context checked
     /// out of the executable's pool, which goes back to the pool after.
     fn uploaded_bytes(exe: &Executable, params: &Params, instances: &[Vec<InputValue>]) -> u64 {
-        let run = RunSession::new(&exe.session);
-        let (mut ctx, scratch) = exe.session.checkout();
+        let (mut ctx, mut scratch) = exe.session.checkout();
         let weights = exe.validate(params, instances, &RunOptions::default()).expect("valid");
-        upload(&run, &mut ctx, params, &weights, instances).expect("uploads");
+        let mut tensors = Vec::new();
+        exe.bind_inputs(&ctx, &mut scratch, instances, &mut tensors).expect("well-formed");
+        upload(&mut ctx, params, &weights, &tensors).expect("uploads");
         let bytes = ctx.mem_mut().stats().upload_bytes;
         exe.session.check_in(ctx, scratch);
         bytes
@@ -650,5 +684,62 @@ mod tests {
         let fresh = executable().run(&p, &batch).unwrap();
         assert_eq!(recovered.outputs, fresh.outputs);
         assert_eq!(uploaded_bytes(&exe, &p, &batch), 2 * INPUT_BYTES, "and is resident after");
+    }
+
+    /// A BiRNN-shaped `@main`: a list of tensors per instance, and a scalar.
+    const LISTS: &str = "def @main($w: Tensor[(1, 2)], %xs: List[Tensor[(1, 2)]], %n: Int) \
+                         -> List[Tensor[(1, 2)]] { map(fn(%x) { add(%x, $w) }, %xs) }";
+
+    /// Instance `i` of a well-formed `LISTS` request: `3 + 5 i` tokens.
+    fn list_instance(i: usize) -> Vec<InputValue> {
+        let token = |j: usize| InputValue::Tensor(Tensor::fill(&[1, 2], (i * 31 + j) as f32));
+        vec![InputValue::list((0..3 + 5 * i).map(token).collect()), InputValue::Int(i as i64)]
+    }
+
+    /// The fields (head, tail) of cell `at` of a list.
+    fn cell(list: &mut InputValue, at: usize) -> &mut Vec<InputValue> {
+        let InputValue::Adt { fields, .. } = list else { unreachable!("not a list cell") };
+        match at {
+            0 => fields,
+            _ => cell(&mut fields[1], at - 1),
+        }
+    }
+
+    /// A malformed input anywhere in a request — its last instance, deep
+    /// in a list, a tensor of another shape, a constructor of another type
+    /// — fails the request with the same `VmError::Input` on both
+    /// backends before anything reaches the context: it uploads nothing,
+    /// quarantines nothing, and the context goes back to the pool, where
+    /// the next request finds it.
+    #[test]
+    fn malformed_inputs_upload_nothing_on_both_backends() {
+        let p = Params::from([("w".to_string(), Tensor::fill(&[1, 2], 0.5))]);
+        let good: Vec<_> = (0..4).map(list_instance).collect();
+        let mut bad_last = good.clone();
+        bad_last[3][1] = InputValue::Float(3.0);
+        let mut deep = good.clone();
+        cell(&mut deep[2][0], 9)[0] = InputValue::Int(5);
+        let mut shape = good.clone();
+        cell(&mut shape[1][0], 3)[0] = InputValue::Tensor(Tensor::ones(&[1, 3]));
+        let mut ctor = good.clone();
+        cell(&mut ctor[3][0], 8)[1] = InputValue::Adt { ctor: "Leaf".into(), fields: vec![] };
+        let cases = [("last", bad_last), ("deep", deep), ("shape", shape), ("ctor", ctor)];
+        let mut messages = Vec::new();
+        for kind in [BackendKind::Aot, BackendKind::Vm] {
+            let exe = build(LISTS, kind);
+            let reference = exe.run(&p, &good).expect("a good request").outputs;
+            for (name, batch) in &cases {
+                let err = exe.run(&p, batch).expect_err(name);
+                assert!(matches!(err, VmError::Input(_)), "{kind:?} {name}: {err:?}");
+                assert_eq!(exe.session.quarantined_count(), 0, "{kind:?} {name}");
+                assert_eq!(exe.session.idle_upload_bytes(), [0], "{kind:?} {name}: uploaded");
+                assert_eq!(exe.run(&p, &good).unwrap().outputs, reference, "{kind:?} {name}");
+                assert_eq!(exe.session.idle_count(), 1, "{kind:?} {name}: one context");
+                messages.push((name, err.to_string()));
+            }
+            assert_eq!(exe.session.outcomes().failed, cases.len() as u64, "{kind:?}");
+        }
+        let (aot, vm) = messages.split_at(cases.len());
+        assert_eq!(aot, vm, "both backends report the same first mismatch");
     }
 }

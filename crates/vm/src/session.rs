@@ -37,7 +37,7 @@
 //! instance fibers behind a *per-run* mutex (`RtHandle::Shared`), which is
 //! still invisible to other concurrent mini-batches.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,11 +134,29 @@ impl VmError {
     }
 }
 
-/// Module-wide constructor tags (name → dense id) plus arities.
+/// Module-wide constructor tags (name → dense id).  The names are
+/// interned ([`intern`]), so a request's output cells name their
+/// constructors without a heap string each.
 #[derive(Debug, Clone, Default)]
 pub struct CtorTable {
-    by_name: BTreeMap<String, u32>,
-    names: Vec<String>,
+    by_name: BTreeMap<&'static str, u32>,
+    names: Vec<&'static str>,
+}
+
+/// The process-wide copy of a constructor name.  Each distinct name is
+/// leaked once, when the first module that declares it is compiled; the
+/// set is as large as the set of names ever declared.
+fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock();
+    match names.get(name) {
+        Some(interned) => interned,
+        None => {
+            let interned: &'static str = Box::leak(name.into());
+            names.insert(interned);
+            interned
+        }
+    }
 }
 
 impl CtorTable {
@@ -147,9 +165,9 @@ impl CtorTable {
         let mut t = CtorTable::default();
         for adt in module.adts.values() {
             for c in &adt.ctors {
-                let tag = t.names.len() as u32;
-                t.by_name.insert(c.name.clone(), tag);
-                t.names.push(c.name.clone());
+                let (tag, name) = (t.names.len() as u32, intern(&c.name));
+                t.by_name.insert(name, tag);
+                t.names.push(name);
             }
         }
         t
@@ -166,8 +184,8 @@ impl CtorTable {
     }
 
     /// Name of a tag.
-    pub fn name(&self, tag: u32) -> &str {
-        &self.names[tag as usize]
+    pub fn name(&self, tag: u32) -> &'static str {
+        self.names[tag as usize]
     }
 }
 
@@ -473,6 +491,15 @@ impl Session {
     /// Warm pairs currently pooled.
     pub fn idle_count(&self) -> usize {
         self.idle.lock().len()
+    }
+
+    /// Host→device bytes each pooled context has uploaded since the
+    /// checkout that last reset it (tests: a request that goes back to the
+    /// pool without running uploaded nothing).
+    #[cfg(test)]
+    pub(crate) fn idle_upload_bytes(&self) -> Vec<u64> {
+        let mut idle = self.idle.lock();
+        idle.iter_mut().map(|(ctx, _)| ctx.mem_mut().stats().upload_bytes).collect()
     }
 
     /// Buckets a failed request into its terminal-outcome counter (a
@@ -821,7 +848,7 @@ mod tests {
         let w = rt.ready_value(w);
         let mut outs = Vec::new();
         for i in 0..n {
-            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)])?[0];
+            let x = rt.upload_inputs(&[&Tensor::fill(&[1, 2], i as f32 - 1.5)])?;
             let inputs = rt.library().kernel_for_group(group).inputs.iter();
             let args: Vec<_> =
                 inputs.map(|inp| if inp.class == ArgClass::Shared { w } else { x }).collect();

@@ -219,8 +219,10 @@ pub enum OutputValue {
     Tuple(Vec<OutputValue>),
     /// ADT value by constructor name.
     Adt {
-        /// Constructor name.
-        ctor: String,
+        /// Constructor name.  Both backends name a cell by the module's
+        /// interned copy (`Cow::Borrowed`), so a list output carries no heap
+        /// string per element.
+        ctor: Cow<'static, str>,
         /// Field outputs.
         fields: Vec<OutputValue>,
     },

@@ -337,8 +337,8 @@ fn treelstm_like_tree_model() {
 
 /// Runs `bad` between two good requests and returns its error, which must
 /// have cost nothing but its outcome counter: no context is quarantined,
-/// and the first request's context stays pooled for the second.
-fn rejected_before_checkout(
+/// and the first request's context is pooled again for the second.
+fn rejected_untouched(
     exe: &Executable,
     params: &Params,
     good: &[Vec<InputValue>],
@@ -362,7 +362,7 @@ fn simple_request() -> (Params, Vec<Vec<InputValue>>) {
 fn missing_param_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
     let (params, good) = simple_request();
-    let err = rejected_before_checkout(&exe, &params, &good, || exe.run(&Params::default(), &good));
+    let err = rejected_untouched(&exe, &params, &good, || exe.run(&Params::default(), &good));
     assert!(matches!(err, acrobat_vm::VmError::Input(_)), "{err:?}");
 }
 
@@ -370,12 +370,12 @@ fn missing_param_is_input_error() {
 fn wrong_instance_arity_is_input_error() {
     let exe = build(SIMPLE, BackendKind::Aot, AnalysisOptions::default());
     let (params, good) = simple_request();
-    let err = rejected_before_checkout(&exe, &params, &good, || exe.run(&params, &[vec![]]));
+    let err = rejected_untouched(&exe, &params, &good, || exe.run(&params, &[vec![]]));
     assert!(matches!(err, acrobat_vm::VmError::Input(_)), "{err:?}");
 }
 
 /// A malformed request fails itself with a typed error on either backend,
-/// before it checks out a context: an unknown constructor, a tensor where
+/// before anything reaches a context: an unknown constructor, a tensor where
 /// `@main` takes an `Int`, a NaN deadline budget (which `spent >= NaN`
 /// would read as "no deadline") and a key list of the wrong length.  The
 /// Relay VM used to panic on the first two.
@@ -405,7 +405,7 @@ fn malformed_requests_are_input_errors_on_both_backends() {
         ];
         for (failed, (batch, opts)) in requests.into_iter().enumerate() {
             let bad = || exe.run_with(&params, batch, &opts);
-            let err = rejected_before_checkout(&exe, &params, &good, bad);
+            let err = rejected_untouched(&exe, &params, &good, bad);
             assert!(matches!(err, VmError::Input(_)), "{kind:?} request {failed}: {err:?}");
             assert_eq!(exe.session.outcomes().failed, failed as u64 + 1, "{kind:?}");
         }

@@ -62,6 +62,17 @@ if [ "$(grep -rn 'run_batch(' crates/vm/src | grep -vc 'fn run_batch(')" != 1 ];
   echo "run_batch must have exactly one call site (run_with)"; exit 1
 fi
 
+echo "==> one walk in (the AOT executor checks a request's inputs, binds them and lists their tensors in one walk; Layouts::check is the Relay-VM baseline's)"
+layout_checks=$(grep -rnE '\b[Ll]ayouts(::|\.)check\(' crates tests || true)
+if [ "$(grep -c . <<<"$layout_checks")" != 1 ] || ! grep -q '^crates/vm/src/driver.rs:' <<<"$layout_checks" \
+    || ! grep -B1 'layouts\.check(' crates/vm/src/driver.rs | head -n 1 | grep -q 'BackendImpl::Vm(_, layouts) => {'; then
+  echo "Layouts::check has one call site, the Relay-VM arm of bind_inputs: the AOT walk (AotProgram::bind) checks as it binds"; exit 1
+fi
+if [ "$(grep -rnE '\.bind\(' crates tests | grep -vc 'fn bind')" != 1 ] \
+    || [ "$(grep -c 'program\.bind(' crates/vm/src/driver.rs)" != 1 ]; then
+  echo "the AOT input walk (AotProgram::bind) has exactly one call site, in driver.rs's bind_inputs"; exit 1
+fi
+
 echo "==> resilience keeps what recovers (retry with one knob, quarantine, interrupts; no lane-cap downshift, no admission gate)"
 if grep -rnE 'max_in_flight|try_admit|AdmitPermit|Overloaded|downshift|consecutive_aborts|RetryPolicy|backoff_base_us' crates tests; then
   echo "the downshift and the admission gate are gone: each planned batch is one launch, every request runs, and retry is RuntimeOptions::max_retries alone"; exit 1
