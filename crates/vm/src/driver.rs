@@ -318,8 +318,11 @@ impl Executable {
                 run_vm(vm, layouts, run, ctx, &uploaded, instances, keys)
             }
             BackendImpl::Aot(program) => {
-                // The walk named the values the upload registered.
-                debug_assert_eq!(uploaded.inputs.0, uploaded.weights.0 + weights.len() as u64);
+                // The walk named the values the upload registered: the
+                // inputs right after the weights, from the context's next
+                // value, which nothing registered between the two.
+                let inputs = uploaded.weights.0 + weights.len() as u64;
+                assert_eq!(uploaded.inputs.0, inputs, "input values follow the weights");
                 run_aot(program, scratch, run, ctx, instances.len(), keys)
             }
         }
